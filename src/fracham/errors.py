@@ -33,7 +33,7 @@ class GeometryError(FrachamError):
 
 
 class ConvergenceError(FrachamError):
-    """An iterative solve exhausted its budget without meeting its tolerance."""
+    """A solve exhausted its budget or failed its residual check."""
 
 
 class EmbeddingViolation(FrachamError):

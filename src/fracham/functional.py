@@ -17,10 +17,15 @@ quadrature accuracy.
 
 A descent method needs a metric representative of the derivative.  Two are
 provided on the line: the base-norm representative (diagonal in frequency,
-multiplier ``1 + |w|^(2 alpha)``) and the weighted-norm representative
-(a preconditioned conjugate-gradient solve with the spectral part as
-preconditioner); the interval representative solves against the cached
-stiffness Cholesky factor.
+multiplier ``1 + |w|^(2 alpha)``) and the weighted-norm representative, an
+exact solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
+potentials equal their grid maximum outside a bounded well, so per component
+``A`` is an operator diagonal in frequency minus a correction of rank ``k``,
+the number of well nodes; the Woodbury identity turns ``A^-1`` into two FFT
+solves and one cached ``k x k`` Cholesky solve (the capacitance-matrix
+method), and every solve checks its residual with one application of ``A``.
+The interval representative solves against the cached stiffness Cholesky
+factor.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ConvergenceError, DomainError
 from .fracops import (
@@ -173,16 +177,17 @@ def _xnormsq_raw(vals: np.ndarray, spec: ProblemSpec) -> float:
     return qf + spec.lam * pot
 
 
-def _dI_field(vals: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Pointwise derivative field: the L2 representative of I'(u)."""
+def _apply_metric(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
     grid = spec.grid
     m = _qf_multiplier(grid, spec.alpha)
-    frac = np.fft.irfft(m[:, None] * np.fft.rfft(vals, axis=0), n=grid.num_points, axis=0)
-    return (
-        frac
-        + spec.lam * _potential_diag(spec) * vals
-        - grad_w_values(spec.nonlinearity, grid.nodes, vals)
-    )
+    frac = np.fft.irfft(m[:, None] * np.fft.rfft(x, axis=0), n=grid.num_points, axis=0)
+    return frac + spec.lam * _potential_diag(spec) * x
+
+
+def _dI_field(vals: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Pointwise derivative field: the L2 representative of I'(u)."""
+    return _apply_metric(vals, spec) - grad_w_values(spec.nonlinearity, spec.grid.nodes, vals)
 
 
 def _grad_h_raw(vals: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
@@ -203,72 +208,91 @@ def _grad_h_raw(vals: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]
     return g, math.sqrt(max(nsq, 0.0))
 
 
-def _metric_iteration_budget(spec: ProblemSpec, tol: float, floor: int) -> int:
-    """Iteration cap for Krylov solves against the weighted metric.
+@dataclasses.dataclass(frozen=True, eq=False)
+class _MetricFactor:
+    """Exact inverse of the weighted metric, one well correction per component.
 
-    The spectral preconditioner equalizes only the fractional part, so the
-    preconditioned condition number grows like ``lam * max(L)``; the budget
-    scales with its square root to keep large-parameter solves feasible.
+    With ``top`` the grid maximum of component ``c`` of ``L``, the metric is
+    ``A_c = S_c - Q_c Q_c^T``: ``S_c`` is diagonal in frequency with symbol
+    ``|w|^(2 alpha) + lambda * top``, and ``Q_c`` holds the unit columns of
+    the well nodes ``{L_c < top}`` scaled by ``q = sqrt(lambda (top - L_c))``.
+    The Woodbury identity gives
+
+        A_c^-1 = S_c^-1 (I + Q_c K_c^-1 Q_c^T S_c^-1),   K_c = I - Q_c^T S_c^-1 Q_c,
+
+    where ``K_c`` is the ``k x k`` capacitance matrix, SPD because ``A_c`` is.
+    Set-up costs ``O(k^3)``; an empty well (``k = 0``) leaves ``A_c = S_c``.
     """
-    lmax = float(np.max(_potential_diag(spec)))
-    digits = max(1.0, -math.log10(max(tol, 1e-16)))
-    return int(max(floor, 12.0 * math.sqrt(1.0 + spec.lam * lmax) * digits))
+
+    symbol: np.ndarray  # (N//2 + 1, n)
+    wells: tuple[tuple[np.ndarray, np.ndarray, tuple], ...]  # (nodes, q, cho) per component
+
+    def _fft_solve(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(x, axis=0) / self.symbol, n=x.shape[0], axis=0)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._fft_solve(rhs)
+        lifted = rhs.astype(np.float64)  # a copy; LinearOperator probes with int8
+        for c, (idx, q, cho) in enumerate(self.wells):
+            lifted[idx, c] += q * scipy.linalg.cho_solve(cho, q * y[idx, c])
+        return self._fft_solve(lifted)
 
 
-def _grad_x_raw(
-    vals: np.ndarray, spec: ProblemSpec, tol: float = 1e-10, max_iters: int = 400
-) -> tuple[np.ndarray, float]:
-    """Weighted-metric representative via preconditioned conjugate gradients."""
-    grid = spec.grid
-    n_total = grid.num_points * spec.n
-    shape = vals.shape
-    m = _qf_multiplier(grid, spec.alpha)
+@functools.lru_cache(maxsize=None)
+def _metric_factor(spec: ProblemSpec) -> _MetricFactor:
     ldiag = _potential_diag(spec)
-    rhs = _dI_field(vals, spec)
-    budget = _metric_iteration_budget(spec, tol, max_iters)
-
-    def apply_metric(x: np.ndarray) -> np.ndarray:
-        xv = x.reshape(shape)
-        frac = np.fft.irfft(m[:, None] * np.fft.rfft(xv, axis=0), n=grid.num_points, axis=0)
-        return (frac + spec.lam * ldiag * xv).ravel()
-
-    def apply_precond(x: np.ndarray) -> np.ndarray:
-        xv = x.reshape(shape)
-        sm = np.fft.irfft(
-            np.fft.rfft(xv, axis=0) / (1.0 + m[:, None]), n=grid.num_points, axis=0
+    top = np.max(ldiag, axis=0)
+    if np.any(top <= 0.0):
+        raise DomainError(
+            "the potential vanishes on the whole grid, so the weighted metric is "
+            "singular; widen the box past the well"
         )
-        return sm.ravel()
+    symbol = _qf_multiplier(spec.grid, spec.alpha)[:, None] + spec.lam * top[None, :]
+    kernels = np.fft.irfft(1.0 / symbol, n=spec.grid.num_points, axis=0)
+    wells = []
+    for c in range(spec.n):
+        idx = np.flatnonzero(ldiag[:, c] < top[c])
+        q = np.sqrt(spec.lam * (top[c] - ldiag[idx, c]))
+        kc = kernels[(idx[:, None] - idx[None, :]) % spec.grid.num_points, c]
+        cap = np.eye(idx.size) - q[:, None] * kc * q[None, :]
+        wells.append((idx, q, scipy.linalg.cho_factor(cap, lower=True)))
+    symbol.setflags(write=False)
+    return _MetricFactor(symbol=symbol, wells=tuple(wells))
 
-    op = scipy.sparse.linalg.LinearOperator((n_total, n_total), matvec=apply_metric)
-    pre = scipy.sparse.linalg.LinearOperator((n_total, n_total), matvec=apply_precond)
-    g, info = scipy.sparse.linalg.cg(
-        op, rhs.ravel(), rtol=tol, atol=0.0, M=pre, maxiter=budget
-    )
-    if info != 0:
-        res = float(np.linalg.norm(apply_metric(g) - rhs.ravel()))
-        bnorm = float(np.linalg.norm(rhs))
+
+def _solve_metric(rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Solve ``A g = rhs`` with the cached factor, checking the residual."""
+    factor = _metric_factor(spec)
+    g = factor.solve(rhs)
+    res = float(np.linalg.norm(_apply_metric(g, spec) - rhs))
+    bnorm = float(np.linalg.norm(rhs))
+    if not res <= 1e-10 * bnorm:
+        k = "/".join(str(idx.size) for idx, _, _ in factor.wells)
         raise ConvergenceError(
-            f"metric solve did not converge in {budget} iterations "
-            f"(residual {res:.3e}, relative {res / max(bnorm, 1e-300):.3e})"
+            f"metric solve at lambda={spec.lam:g} with well size k={k} "
+            f"failed its residual check: residual {res:.3e}, "
+            f"relative {res / max(bnorm, 1e-300):.3e} > 1e-10"
         )
-    g = g.reshape(shape)
-    nsq = grid.spacing * float(np.sum(g * rhs))
+    return g
+
+
+def _grad_x_raw(vals: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """Weighted-metric representative: exact capacitance-matrix metric solve."""
+    rhs = _dI_field(vals, spec)
+    g = _solve_metric(rhs, spec)
+    nsq = spec.grid.spacing * float(np.sum(g * rhs))
     return g, math.sqrt(max(nsq, 0.0))
 
 
 def _hess_matvec(vals: np.ndarray, spec: ProblemSpec):
     """Closure applying the second derivative of the energy at ``vals``."""
-    grid = spec.grid
-    m = _qf_multiplier(grid, spec.alpha)
-    ldiag = _potential_diag(spec)
-    nodes = grid.nodes
+    nodes = spec.grid.nodes
     shape = vals.shape
 
     def matvec(x: np.ndarray) -> np.ndarray:
         xv = x.reshape(shape)
-        frac = np.fft.irfft(m[:, None] * np.fft.rfft(xv, axis=0), n=grid.num_points, axis=0)
         nl = hessian_w_action(spec.nonlinearity, nodes, vals, xv)
-        return (frac + spec.lam * ldiag * xv - nl).ravel()
+        return (_apply_metric(xv, spec) - nl).ravel()
 
     return matvec
 
@@ -291,19 +315,13 @@ def derivative_action(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> fl
     return inner_x_lambda(u, v, spec) - nl
 
 
-def gradient_rep(
-    u: GridFunction,
-    spec: ProblemSpec,
-    metric: str = "h-alpha",
-    tol: float = 1e-10,
-    max_iters: int = 400,
-) -> GridFunction:
+def gradient_rep(u: GridFunction, spec: ProblemSpec, metric: str = "h-alpha") -> GridFunction:
     """Metric representative ``g`` with ``<g, v>_metric = I'(u)v`` for all v."""
     vals = _check_on_grid(u, spec)
     if metric == "h-alpha":
         g, _ = _grad_h_raw(vals, spec)
     elif metric == "x-alpha-lambda":
-        g, _ = _grad_x_raw(vals, spec, tol=tol, max_iters=max_iters)
+        g, _ = _grad_x_raw(vals, spec)
     else:
         raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
     return GridFunction(spec.grid, g)

@@ -53,13 +53,12 @@ from .functional import (
     _grad_h_raw,
     _grad_x_raw,
     _hess_matvec,
-    _metric_iteration_budget,
     _ienergy_batch,
     _ienergy_raw,
     _igrad_raw,
     _ihess_dense,
     _ipartials,
-    _qf_multiplier,
+    _solve_metric,
     _xnormsq_raw,
     _ixnormsq_raw,
 )
@@ -96,8 +95,6 @@ class MpaConfig:
     max_path_nodes: int = 81
     armijo_c1: float = 1e-4
     step_floor: float = 1e-12
-    cg_tol: float = 1e-10
-    cg_iters: int = 400
     restarts: int = 0
     seed: int = 20260816
 
@@ -359,26 +356,25 @@ class _LineAdapter:
     def grad(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
         if self.config.metric == "h-alpha":
             return _grad_h_raw(vals, self.spec)
-        return _grad_x_raw(
-            vals, self.spec, tol=self.config.cg_tol, max_iters=self.config.cg_iters
-        )
+        return _grad_x_raw(vals, self.spec)
 
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(_xnormsq_raw(vals, self.spec), 0.0))
 
     def newton(self, vals: np.ndarray, max_steps: int = 12) -> tuple[np.ndarray, bool]:
+        """Damped Newton polish of ``I'(u) = 0``, each step solved by MINRES.
+
+        MINRES is preconditioned with the exact inverse of the weighted metric
+        ``A`` (the capacitance-matrix solve of ``functional``), so the
+        preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
+        ``lambda`` and the iteration count stays small at every parameter.
+        """
         spec = self.spec
-        grid = spec.grid
-        m = _qf_multiplier(grid, spec.alpha)
         shape = vals.shape
         size = vals.size
-        budget = _metric_iteration_budget(spec, 1e-11, 600)
 
         def precond(x: np.ndarray) -> np.ndarray:
-            xv = x.reshape(shape)
-            return np.fft.irfft(
-                np.fft.rfft(xv, axis=0) / (1.0 + m[:, None]), n=grid.num_points, axis=0
-            ).ravel()
+            return _solve_metric(x.reshape(shape), spec).ravel()
 
         pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
         v = vals.copy()
@@ -389,9 +385,7 @@ class _LineAdapter:
             op = scipy.sparse.linalg.LinearOperator(
                 (size, size), matvec=_hess_matvec(v, spec)
             )
-            d, info = scipy.sparse.linalg.minres(
-                op, -r.ravel(), rtol=1e-11, M=pre, maxiter=budget
-            )
+            d, info = scipy.sparse.linalg.minres(op, -r.ravel(), rtol=1e-11, M=pre)
             if info != 0:
                 return v, improved_any
             d = d.reshape(shape)

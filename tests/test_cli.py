@@ -1,10 +1,14 @@
 """End-to-end command-line runs, in process, against temp run directories."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fracham
 from fracham.cli import main
 
 
@@ -137,3 +141,17 @@ def test_bound_matches_library_geometry(tmp_path, capsys, setup, ctilde, constan
     assert payload["eta"] == setup.eta
     assert payload["sigma0"] == setup.sigma0
     assert payload["constants"]["lambda_floor"] == constants.lambda_floor
+
+
+def test_module_entry_point_prints_help():
+    src = str(pathlib.Path(fracham.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracham", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout.lower()
+    for command in ("solve", "bvp", "sweep", "verify", "bound"):
+        assert command in proc.stdout

@@ -1,16 +1,20 @@
 """Energy functionals, derivatives, metric representatives, and identities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fracham import (
+    ConvergenceError,
     DomainError,
     GridFunction,
     IntervalGrid,
     IntervalProblemSpec,
+    PotentialSpec,
     ProblemSpec,
+    RealLineGrid,
     bvp_derivative_action,
     bvp_energy,
     bvp_gradient_rep,
@@ -27,7 +31,7 @@ from fracham import (
     default_potential,
 )
 from fracham.fracops import gl_matrix, interval_stiffness
-from fracham.functional import _metric_iteration_budget
+from fracham import functional
 from fracham.problem import w_values
 from fracham.spaces import sample_interval_function
 
@@ -118,13 +122,14 @@ def test_derivative_matches_finite_differences(spec10, interval_spec):
 
 def test_gradient_defining_property_weighted_metric(spec10):
     rng = np.random.default_rng(3)
-    u = _decaying_field(spec10.grid, rng)
-    g = gradient_rep(u, spec10, metric="x-alpha-lambda", tol=1e-12)
-    for _ in range(10):
-        v = _decaying_field(spec10.grid, rng)
-        lhs = inner_x_lambda(g, v, spec10)
-        rhs = derivative_action(u, v, spec10)
-        assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
+    for spec in (spec10, spec10.with_lambda(1e4)):
+        u = _decaying_field(spec.grid, rng)
+        g = gradient_rep(u, spec, metric="x-alpha-lambda")
+        for _ in range(10):
+            v = _decaying_field(spec.grid, rng)
+            lhs = inner_x_lambda(g, v, spec)
+            rhs = derivative_action(u, v, spec)
+            assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
 
 
 def test_gradient_defining_property_native_metric(spec10):
@@ -167,11 +172,58 @@ def test_gradient_steps_downhill(spec10):
         assert energy(trial, spec10) < base
 
 
-def test_metric_solve_budget_scaling(spec10):
-    small = _metric_iteration_budget(spec10.with_lambda(1.0), 1e-10, 40)
-    large = _metric_iteration_budget(spec10.with_lambda(1e6), 1e-10, 40)
-    assert large > small > 40
-    assert _metric_iteration_budget(spec10, 1e-10, 10**6) == 10**6
+def _metric_residual(spec, seed=11):
+    """Relative residual of the metric solve, against a direct FFT matvec."""
+    grid = spec.grid
+    rhs = np.random.default_rng(seed).normal(size=(grid.num_points, spec.n))
+    g = functional._solve_metric(rhs, spec)
+    m = np.abs(grid.rfft_frequencies) ** (2.0 * spec.alpha)
+    frac = np.fft.irfft(m[:, None] * np.fft.rfft(g, axis=0), n=grid.num_points, axis=0)
+    applied = frac + spec.lam * spec.potential_diagonal() * g
+    return float(np.linalg.norm(applied - rhs) / np.linalg.norm(rhs))
+
+
+def test_metric_solve_residual(spec10):
+    vector = dataclasses.replace(
+        spec10,
+        n=2,
+        potential=dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+    )
+    for spec in (spec10, vector):
+        for lam in (1.0, 100.0, 1e4):
+            assert _metric_residual(spec.with_lambda(lam)) <= 1e-12
+
+
+def test_metric_solve_edge_cases(spec10):
+    # A box too narrow for the potential to reach its cap: the top is the
+    # grid maximum, and every other node joins the well correction.
+    narrow = dataclasses.replace(spec10, grid=RealLineGrid(0.5, 256))
+    assert np.max(narrow.potential_diagonal()) < narrow.potential.cap
+    assert _metric_residual(narrow) <= 1e-12
+
+    # A potential flat on the grid leaves an empty well: A is the FFT symbol.
+    @dataclasses.dataclass(frozen=True)
+    class FlatPotential(PotentialSpec):
+        def profile(self, t):
+            return np.full(np.shape(t), self.cap)
+
+    flat = dataclasses.replace(spec10, potential=FlatPotential(0.4, 0.05, 6.0, 1.5))
+    assert all(idx.size == 0 for idx, _, _ in functional._metric_factor(flat).wells)
+    assert _metric_residual(flat) <= 1e-12
+
+    # A box inside the well, where the potential vanishes: A is singular.
+    inside = dataclasses.replace(spec10, grid=RealLineGrid(0.3, 64))
+    with pytest.raises(DomainError):
+        gradient_rep(GridFunction.zeros(inside.grid), inside, metric="x-alpha-lambda")
+
+
+def test_metric_solve_checks_its_residual(spec10, monkeypatch):
+    spec = spec10.with_lambda(100.0)
+    stale = functional._metric_factor(spec10.with_lambda(1.0))
+    monkeypatch.setattr(functional, "_metric_factor", lambda s: stale)
+    u = _decaying_field(spec.grid, np.random.default_rng(12))
+    with pytest.raises(ConvergenceError, match=r"lambda=100 with well size k=107.*residual"):
+        gradient_rep(u, spec, metric="x-alpha-lambda")
 
 
 def test_interval_boundary_enforcement(interval_spec):

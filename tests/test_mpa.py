@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from fracham import (
     ConfigError,
@@ -139,6 +140,26 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
     for key in ("inserted", "pruned", "step_rejections", "guard_rejections",
                 "polish_accepted", "polish_rejected"):
         assert counters[key] >= 0
+
+
+def test_newton_minres_iterations_do_not_grow_with_lambda(spec10, setup, monkeypatch):
+    """The metric-preconditioned polish needs few MINRES steps at any lambda."""
+    minres = scipy.sparse.linalg.minres
+    solves = []
+
+    def counted(*args, **kwargs):
+        steps = []
+        x, info = minres(*args, callback=lambda xk: steps.append(1), **kwargs)
+        solves.append((len(steps), info))
+        return x, info
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", counted)
+    for lam in (1.0, 1e4):
+        solves.clear()
+        res = mpa_solve(spec10.with_lambda(lam), setup)
+        assert res.converged is True
+        assert res.diagnostics["counters"]["polish_accepted"] >= 1
+        assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
 
 
 def test_solution_satisfies_defect_identity(default_solve, spec10):
