@@ -100,6 +100,7 @@ def _cmd_solve(args) -> int:
         cfg["problem"]["lambda"] = float(args.lam)
     chash = config_hash(cfg)
     spec = build_problem_spec(cfg)
+    mpa_config = build_mpa_config(cfg)
     constants = _constants(cfg, spec)
     if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
         raise DomainError(
@@ -108,7 +109,7 @@ def _cmd_solve(args) -> int:
         )
     setup = construct_e(spec, constants=constants)
     ctilde = ctilde_bound(setup, spec)
-    result = mpa_solve(spec, setup, build_mpa_config(cfg))
+    result = mpa_solve(spec, setup, mpa_config)
     print(
         f"solve: lambda={spec.lam:g} converged={result.converged} "
         f"level={result.level:.9g} residual_weighted={result.residual_weighted:.3e} "
@@ -174,11 +175,12 @@ def _cmd_sweep(args) -> int:
         cfg["sweep"]["cold"] = True
     chash = config_hash(cfg)
     spec = build_problem_spec(cfg)
+    mpa_config = build_mpa_config(cfg)
     constants = _constants(cfg, spec)
     report = lambda_sweep(
         spec,
         cfg["sweep"]["lambdas"],
-        mpa_config=build_mpa_config(cfg),
+        mpa_config=mpa_config,
         bvp_points=int(cfg["bvp"]["num_points"]),
         bvp_config=build_bvp_config(cfg),
         cold=bool(cfg["sweep"]["cold"]),

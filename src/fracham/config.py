@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .errors import ConfigError
 from .functional import IntervalProblemSpec, ProblemSpec
@@ -173,12 +174,23 @@ def build_nonlinearity(cfg: dict) -> NonlinearitySpec:
 
 def build_problem_spec(cfg: dict, lam: float | None = None) -> ProblemSpec:
     prob = cfg["problem"]
+    potential = build_potential(cfg)
+    grid = build_grid(cfg)
+    # The potential reaches its cap at |t| = varrho + delta sqrt(cap).  On a
+    # narrower box nearly every node joins the metric's well correction, a
+    # dense (N-1) x (N-1) Cholesky factorization.
+    edge = potential.varrho + potential.delta * math.sqrt(potential.cap)
+    if grid.halfwidth <= edge:
+        raise ConfigError(
+            f"grid.halfwidth = {grid.halfwidth:g} must exceed "
+            f"varrho + delta*sqrt(cap) = {edge:g}, where the potential reaches its cap"
+        )
     return ProblemSpec(
         alpha=float(prob["alpha"]),
         lam=float(prob["lambda"]) if lam is None else float(lam),
-        potential=build_potential(cfg),
+        potential=potential,
         nonlinearity=build_nonlinearity(cfg),
-        grid=build_grid(cfg),
+        grid=grid,
         n=int(prob["n"]),
     )
 
@@ -196,12 +208,14 @@ def build_interval_spec(cfg: dict) -> IntervalProblemSpec:
 
 def build_mpa_config(cfg: dict) -> MpaConfig:
     m = cfg["mpa"]
+    # Schema v1 keeps these two keys; each has exactly one legal value.
+    for key, legal in (("step_rule", "armijo"), ("metric", "x-alpha-lambda")):
+        if m[key] != legal:
+            raise ConfigError(f"mpa.{key} must be {legal!r}, got {m[key]!r}")
     return MpaConfig(
         path_nodes=int(m["path_nodes"]),
         tol=float(m["tol"]),
         max_iters=int(m["max_iters"]),
-        step_rule=str(m["step_rule"]),
-        metric=str(m["metric"]),
         polish=bool(m["polish"]),
         max_path_nodes=int(m["max_path_nodes"]),
         restarts=int(m["restarts"]),
@@ -214,6 +228,5 @@ def build_bvp_config(cfg: dict) -> MpaConfig:
     return MpaConfig(
         tol=float(b["tol"]),
         max_iters=int(b["max_iters"]),
-        metric="h-alpha",
         seed=int(cfg["seed"]),
     )

@@ -78,10 +78,28 @@ def lw_multiplier(grid: RealLineGrid, alpha: float, half: bool = False) -> np.nd
 
 
 @functools.lru_cache(maxsize=None)
-def _abs_multiplier_cached(grid: RealLineGrid, two_alpha: float) -> np.ndarray:
-    m = np.abs(grid.rfft_frequencies) ** two_alpha
+def _form_multipliers(grid: RealLineGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol ``|w_k|^(2 alpha)`` on the rfft frequencies, bare and Parseval-weighted."""
+    m = np.abs(grid.rfft_frequencies) ** (2.0 * alpha)
+    weighted = grid.rfft_parseval_weights * m
     m.setflags(write=False)
-    return m
+    weighted.setflags(write=False)
+    return m, weighted
+
+
+def _spectral_form(grid: RealLineGrid, alpha: float, u: np.ndarray, v: np.ndarray | None = None):
+    """Parseval-weighted form ``h/N sum_k |w_k|^(2 alpha) Re(U_k conj(V_k))``.
+
+    ``u`` and ``v`` (``v`` defaults to ``u``) hold grid values along axis -2
+    and components along axis -1; any leading axes are a batch, and one value
+    is returned per batch entry.  Every real-line quadratic form in the
+    package is this one kernel.
+    """
+    uc = np.fft.rfft(u, axis=-2)
+    vc = uc if v is None else np.fft.rfft(v, axis=-2)
+    _, weighted = _form_multipliers(grid, alpha)
+    dot = uc.real * vc.real + uc.imag * vc.imag
+    return grid.spacing / grid.num_points * np.sum(weighted[:, None] * dot, axis=(-2, -1))
 
 
 def _require_line(u: GridFunction) -> RealLineGrid:
@@ -136,12 +154,7 @@ def quadratic_form_alpha(u: GridFunction, alpha: float) -> float:
     ``L^2`` norm of :func:`liouville_weyl_left` applied to ``u``.
     """
     grid = _require_line(u)
-    _check_order(alpha)
-    coeff = np.fft.rfft(u.values, axis=0)
-    m = _abs_multiplier_cached(grid, 2.0 * alpha)
-    parw = grid.rfft_parseval_weights
-    total = np.sum((parw * m)[:, None] * (coeff.real**2 + coeff.imag**2))
-    return float(grid.spacing / grid.num_points * total)
+    return float(_spectral_form(grid, _check_order(alpha), u.values))
 
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Energy functionals on the line and the interval, with gradient machinery.
+"""Energy functionals on the line and the interval, and the operator layer.
 
 The line functional is
 
@@ -15,17 +15,28 @@ between the pieces (in particular the defect identity
 ``I(u) - 1/2 I'(u)u = integral H``) hold to round-off rather than to
 quadrature accuracy.
 
-A descent method needs a metric representative of the derivative.  Two are
-provided on the line: the base-norm representative (diagonal in frequency,
-multiplier ``1 + |w|^(2 alpha)``) and the weighted-norm representative, an
-exact solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
+Each spec owns one operator, built on first use and cached:
+:class:`_LineOperator` for a :class:`ProblemSpec` and
+:class:`_IntervalOperator` for an :class:`IntervalProblemSpec`, both returned
+by :func:`_operator`.  An operator holds everything that depends only on the
+spec (the potential diagonal, the Fourier symbol and the metric factor on the
+line; the GL matrix and the stiffness Cholesky factor on the interval) and
+offers the same methods on both domains: ``energies`` and ``xnormsq`` on a
+stack of candidates (one value per row, bit for bit the value of that row on
+its own), ``energy`` and ``xnorm`` on one candidate, the metric ``gradient``,
+the stationarity ``residual`` and a ``newton_step``.  The public functions
+below and the solver in :mod:`fracham.mpa` evaluate everything through them;
+the line quadratic form is :func:`fracham.fracops._spectral_form`.
+
+The descent metric on the line is the weighted norm: the gradient is an exact
+solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
 potentials equal their grid maximum outside a bounded well, so per component
 ``A`` is an operator diagonal in frequency minus a correction of rank ``k``,
 the number of well nodes; the Woodbury identity turns ``A^-1`` into two FFT
 solves and one cached ``k x k`` Cholesky solve (the capacitance-matrix
 method), and every solve checks its residual with one application of ``A``.
-The interval representative solves against the cached stiffness Cholesky
-factor.
+The interval metric is the stiffness ``h B^T B``, solved with its cached
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -36,9 +47,12 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import ConvergenceError, DomainError
 from .fracops import (
+    _form_multipliers,
+    _spectral_form,
     gl_matrix,
     interval_stiffness,
     interval_stiffness_cholesky,
@@ -51,7 +65,6 @@ from .problem import (
     h_values,
     hessian_w_action,
     w_values,
-    weight_values,
 )
 from .spaces import inner_x_lambda
 
@@ -67,8 +80,6 @@ __all__ = [
     "bvp_gradient_rep",
     "bvp_h_identity",
 ]
-
-METRICS = ("h-alpha", "x-alpha-lambda")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,31 +105,23 @@ class ProblemSpec:
         return dataclasses.replace(self, lam=lam)
 
     def potential_diagonal(self) -> np.ndarray:
-        return _potential_diag(self)
-
-    def weight(self) -> np.ndarray:
-        return _weight_vals(self)
+        return _operator(self).ldiag
 
 
-@functools.lru_cache(maxsize=None)
-def _potential_diag(spec: ProblemSpec) -> np.ndarray:
-    d = spec.potential.diagonal(spec.grid.nodes, spec.n)
-    d.setflags(write=False)
-    return d
+@dataclasses.dataclass(frozen=True)
+class IntervalProblemSpec:
+    """The Dirichlet problem on a bounded interval (no potential term)."""
 
+    alpha: float
+    nonlinearity: NonlinearitySpec
+    grid: IntervalGrid
+    n: int = 1
 
-@functools.lru_cache(maxsize=None)
-def _weight_vals(spec: ProblemSpec) -> np.ndarray:
-    g = weight_values(spec.nonlinearity, spec.grid.nodes)
-    g.setflags(write=False)
-    return g
-
-
-@functools.lru_cache(maxsize=None)
-def _qf_multiplier(grid: RealLineGrid, alpha: float) -> np.ndarray:
-    m = np.abs(grid.rfft_frequencies) ** (2.0 * alpha)
-    m.setflags(write=False)
-    return m
+    def __post_init__(self):
+        if not (0.5 < self.alpha < 1.0):
+            raise DomainError(f"alpha must lie in (1/2, 1), got {self.alpha}")
+        if self.n < 1:
+            raise DomainError(f"need at least one component, got n={self.n}")
 
 
 def _check_on_grid(u: GridFunction, spec) -> np.ndarray:
@@ -131,81 +134,37 @@ def _check_on_grid(u: GridFunction, spec) -> np.ndarray:
     return u.values
 
 
+def _check_dirichlet(u: GridFunction, spec: IntervalProblemSpec) -> np.ndarray:
+    if u.grid != spec.grid:
+        raise DomainError("function does not live on the spec's interval grid")
+    if u.num_components != spec.n:
+        raise DomainError(
+            f"function has {u.num_components} components, spec expects {spec.n}"
+        )
+    if np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0):
+        raise DomainError("interval functions must vanish exactly at both endpoints")
+    return u.values
+
+
 # ---------------------------------------------------------------------------
-# Raw-array kernels (solver-facing; shapes (N, n) or batched (B, N, n)).
+# The operator layer (solver-facing; values of shape (N, n), stacks (B, N, n)).
 # ---------------------------------------------------------------------------
 
 
-def _energy_raw(vals: np.ndarray, spec: ProblemSpec) -> float:
-    grid = spec.grid
-    coeff = np.fft.rfft(vals, axis=0)
-    m = _qf_multiplier(grid, spec.alpha)
-    parw = grid.rfft_parseval_weights
-    qf = grid.spacing / grid.num_points * float(
-        np.sum((parw * m)[:, None] * (coeff.real**2 + coeff.imag**2))
-    )
-    ldiag = _potential_diag(spec)
-    pot = grid.spacing * float(np.sum(ldiag * vals**2))
-    wint = grid.spacing * float(np.sum(w_values(spec.nonlinearity, grid.nodes, vals)))
-    return 0.5 * (qf + spec.lam * pot) - wint
+@functools.lru_cache(maxsize=None)
+def _operator(spec):
+    """The cached operator of a line or interval spec."""
+    if isinstance(spec, ProblemSpec):
+        return _LineOperator(spec)
+    return _IntervalOperator(spec)
 
 
-def _energy_batch(vals: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Energies of a stack of candidates, shape (B, N, n) -> (B,)."""
-    grid = spec.grid
-    coeff = np.fft.rfft(vals, axis=1)
-    m = _qf_multiplier(grid, spec.alpha)
-    parw = grid.rfft_parseval_weights
-    qf = grid.spacing / grid.num_points * np.sum(
-        (parw * m)[None, :, None] * (coeff.real**2 + coeff.imag**2), axis=(1, 2)
-    )
-    ldiag = _potential_diag(spec)
-    pot = grid.spacing * np.sum(ldiag[None] * vals**2, axis=(1, 2))
-    wint = grid.spacing * np.sum(w_values(spec.nonlinearity, grid.nodes, vals), axis=1)
-    return 0.5 * (qf + spec.lam * pot) - wint
+class _OperatorBase:
+    def energy(self, vals: np.ndarray) -> float:
+        return float(self.energies(vals))
 
-
-def _xnormsq_raw(vals: np.ndarray, spec: ProblemSpec) -> float:
-    grid = spec.grid
-    coeff = np.fft.rfft(vals, axis=0)
-    m = _qf_multiplier(grid, spec.alpha)
-    parw = grid.rfft_parseval_weights
-    qf = grid.spacing / grid.num_points * float(
-        np.sum((parw * m)[:, None] * (coeff.real**2 + coeff.imag**2))
-    )
-    pot = grid.spacing * float(np.sum(_potential_diag(spec) * vals**2))
-    return qf + spec.lam * pot
-
-
-def _apply_metric(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
-    grid = spec.grid
-    m = _qf_multiplier(grid, spec.alpha)
-    frac = np.fft.irfft(m[:, None] * np.fft.rfft(x, axis=0), n=grid.num_points, axis=0)
-    return frac + spec.lam * _potential_diag(spec) * x
-
-
-def _dI_field(vals: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Pointwise derivative field: the L2 representative of I'(u)."""
-    return _apply_metric(vals, spec) - grad_w_values(spec.nonlinearity, spec.grid.nodes, vals)
-
-
-def _grad_h_raw(vals: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    """Base-metric representative: diagonal frequency solve."""
-    grid = spec.grid
-    m = _qf_multiplier(grid, spec.alpha)
-    r = spec.lam * _potential_diag(spec) * vals - grad_w_values(
-        spec.nonlinearity, grid.nodes, vals
-    )
-    ghat = (m[:, None] * np.fft.rfft(vals, axis=0) + np.fft.rfft(r, axis=0)) / (
-        1.0 + m[:, None]
-    )
-    g = np.fft.irfft(ghat, n=grid.num_points, axis=0)
-    parw = grid.rfft_parseval_weights
-    nsq = grid.spacing / grid.num_points * float(
-        np.sum((parw * (1.0 + m))[:, None] * (ghat.real**2 + ghat.imag**2))
-    )
-    return g, math.sqrt(max(nsq, 0.0))
+    def xnorm(self, vals: np.ndarray) -> float:
+        return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -238,63 +197,184 @@ class _MetricFactor:
         return self._fft_solve(lifted)
 
 
-@functools.lru_cache(maxsize=None)
-def _metric_factor(spec: ProblemSpec) -> _MetricFactor:
-    ldiag = _potential_diag(spec)
-    top = np.max(ldiag, axis=0)
-    if np.any(top <= 0.0):
-        raise DomainError(
-            "the potential vanishes on the whole grid, so the weighted metric is "
-            "singular; widen the box past the well"
+class _LineOperator(_OperatorBase):
+    """The line functional of one :class:`ProblemSpec` and its weighted metric."""
+
+    metric = "x-alpha-lambda"
+    newton_steps = 12
+    newton_tol = 1e-13
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+        self.multiplier, _ = _form_multipliers(spec.grid, spec.alpha)
+        self.ldiag = spec.potential.diagonal(spec.grid.nodes, spec.n)
+        self.ldiag.setflags(write=False)
+
+    def energies(self, vals: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        h = spec.grid.spacing
+        qf = _spectral_form(spec.grid, spec.alpha, vals)
+        pot = h * np.sum(self.ldiag * vals**2, axis=(-2, -1))
+        wint = h * np.sum(w_values(spec.nonlinearity, spec.grid.nodes, vals), axis=-1)
+        return 0.5 * (qf + spec.lam * pot) - wint
+
+    def xnormsq(self, vals: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        qf = _spectral_form(spec.grid, spec.alpha, vals)
+        pot = spec.grid.spacing * np.sum(self.ldiag * vals**2, axis=(-2, -1))
+        return qf + spec.lam * pot
+
+    def apply_metric(self, x: np.ndarray) -> np.ndarray:
+        """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
+        n = self.spec.grid.num_points
+        coeff = self.multiplier[:, None] * np.fft.rfft(x, axis=0)
+        return np.fft.irfft(coeff, n=n, axis=0) + self.spec.lam * self.ldiag * x
+
+    def residual(self, vals: np.ndarray) -> np.ndarray:
+        """Pointwise derivative field: the L2 representative of I'(u)."""
+        spec = self.spec
+        return self.apply_metric(vals) - grad_w_values(spec.nonlinearity, spec.grid.nodes, vals)
+
+    @functools.cached_property
+    def factor(self) -> _MetricFactor:
+        spec = self.spec
+        top = np.max(self.ldiag, axis=0)
+        if np.any(top <= 0.0):
+            raise DomainError(
+                "the potential vanishes on the whole grid, so the weighted metric is "
+                "singular; widen the box past the well"
+            )
+        symbol = self.multiplier[:, None] + spec.lam * top[None, :]
+        kernels = np.fft.irfft(1.0 / symbol, n=spec.grid.num_points, axis=0)
+        wells = []
+        for c in range(spec.n):
+            idx = np.flatnonzero(self.ldiag[:, c] < top[c])
+            q = np.sqrt(spec.lam * (top[c] - self.ldiag[idx, c]))
+            kc = kernels[(idx[:, None] - idx[None, :]) % spec.grid.num_points, c]
+            cap = np.eye(idx.size) - q[:, None] * kc * q[None, :]
+            wells.append((idx, q, scipy.linalg.cho_factor(cap, lower=True)))
+        symbol.setflags(write=False)
+        return _MetricFactor(symbol=symbol, wells=tuple(wells))
+
+    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A g = rhs`` with the cached factor, checking the residual."""
+        g = self.factor.solve(rhs)
+        res = float(np.linalg.norm(self.apply_metric(g) - rhs))
+        bnorm = float(np.linalg.norm(rhs))
+        if not res <= 1e-10 * bnorm:
+            k = "/".join(str(idx.size) for idx, _, _ in self.factor.wells)
+            raise ConvergenceError(
+                f"metric solve at lambda={self.spec.lam:g} with well size k={k} "
+                f"failed its residual check: residual {res:.3e}, "
+                f"relative {res / max(bnorm, 1e-300):.3e} > 1e-10"
+            )
+        return g
+
+    def gradient(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Weighted-metric representative of I'(u) and its weighted norm."""
+        rhs = self.residual(vals)
+        g = self.solve_metric(rhs)
+        nsq = self.spec.grid.spacing * float(np.sum(g * rhs))
+        return g, math.sqrt(max(nsq, 0.0))
+
+    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """Solve ``I''(u) d = -r`` by MINRES; ``None`` when MINRES fails.
+
+        MINRES is preconditioned with the exact inverse of the weighted metric
+        ``A``, so the preconditioned Hessian ``I - A^-1 W''(u)`` does not
+        depend on ``lambda`` and the iteration count stays small at every
+        parameter.
+        """
+        spec = self.spec
+        shape = vals.shape
+        size = vals.size
+
+        def hess(x: np.ndarray) -> np.ndarray:
+            xv = x.reshape(shape)
+            nl = hessian_w_action(spec.nonlinearity, spec.grid.nodes, vals, xv)
+            return (self.apply_metric(xv) - nl).ravel()
+
+        def precond(x: np.ndarray) -> np.ndarray:
+            return self.solve_metric(x.reshape(shape)).ravel()
+
+        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess)
+        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
+        d, info = scipy.sparse.linalg.minres(op, -r.ravel(), rtol=1e-11, M=pre)
+        return d.reshape(shape) if info == 0 else None
+
+
+class _IntervalOperator(_OperatorBase):
+    """The Dirichlet functional of one :class:`IntervalProblemSpec`.
+
+    Boundary values are not degrees of freedom: the residual's boundary rows
+    are zero and the metric and Newton solves act on the interior nodes.
+    """
+
+    metric = "interval-stiffness"
+    newton_steps = 20
+    newton_tol = 1e-14
+
+    def __init__(self, spec: IntervalProblemSpec):
+        self.spec = spec
+        self.b = gl_matrix(spec.grid, spec.alpha)
+        self.cho = interval_stiffness_cholesky(spec.grid, spec.alpha)
+
+    def xnormsq(self, vals: np.ndarray) -> np.ndarray:
+        return self.spec.grid.spacing * np.sum((self.b @ vals) ** 2, axis=(-2, -1))
+
+    def energies(self, vals: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        wv = w_values(spec.nonlinearity, spec.grid.nodes, vals)
+        # Per-row dot products: the arithmetic of IntervalGrid.integrate.
+        wint = np.vecdot(wv, spec.grid.trapezoid_weights)
+        return 0.5 * self.xnormsq(vals) - wint
+
+    def residual(self, vals: np.ndarray) -> np.ndarray:
+        """Gradient of the discrete energy in the raw node coordinates."""
+        spec = self.spec
+        cw = spec.grid.trapezoid_weights
+        p = spec.grid.spacing * (self.b.T @ (self.b @ vals)) - cw[:, None] * grad_w_values(
+            spec.nonlinearity, spec.grid.nodes, vals
         )
-    symbol = _qf_multiplier(spec.grid, spec.alpha)[:, None] + spec.lam * top[None, :]
-    kernels = np.fft.irfft(1.0 / symbol, n=spec.grid.num_points, axis=0)
-    wells = []
-    for c in range(spec.n):
-        idx = np.flatnonzero(ldiag[:, c] < top[c])
-        q = np.sqrt(spec.lam * (top[c] - ldiag[idx, c]))
-        kc = kernels[(idx[:, None] - idx[None, :]) % spec.grid.num_points, c]
-        cap = np.eye(idx.size) - q[:, None] * kc * q[None, :]
-        wells.append((idx, q, scipy.linalg.cho_factor(cap, lower=True)))
-    symbol.setflags(write=False)
-    return _MetricFactor(symbol=symbol, wells=tuple(wells))
+        p[0] = 0.0
+        p[-1] = 0.0
+        return p
 
+    def gradient(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Stiffness-metric representative via the cached Cholesky factor."""
+        p = self.residual(vals)
+        g = np.zeros_like(vals)
+        g[1:-1] = scipy.linalg.cho_solve(self.cho, p[1:-1])
+        nsq = float(np.sum(g[1:-1] * p[1:-1]))
+        return g, math.sqrt(max(nsq, 0.0))
 
-def _solve_metric(rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Solve ``A g = rhs`` with the cached factor, checking the residual."""
-    factor = _metric_factor(spec)
-    g = factor.solve(rhs)
-    res = float(np.linalg.norm(_apply_metric(g, spec) - rhs))
-    bnorm = float(np.linalg.norm(rhs))
-    if not res <= 1e-10 * bnorm:
-        k = "/".join(str(idx.size) for idx, _, _ in factor.wells)
-        raise ConvergenceError(
-            f"metric solve at lambda={spec.lam:g} with well size k={k} "
-            f"failed its residual check: residual {res:.3e}, "
-            f"relative {res / max(bnorm, 1e-300):.3e} > 1e-10"
-        )
-    return g
+    def _hessian(self, vals: np.ndarray) -> np.ndarray:
+        """Dense interior Hessian: stiffness minus the weighted local blocks."""
+        spec = self.spec
+        n = spec.n
+        h_full = np.kron(np.asarray(interval_stiffness(spec.grid, spec.alpha)), np.eye(n))
+        cw = spec.grid.trapezoid_weights
+        nodes = spec.grid.nodes
+        basis = np.eye(n)
+        blocks = np.stack(
+            [hessian_w_action(spec.nonlinearity, nodes, vals, np.tile(basis[k], (len(nodes), 1)))
+             for k in range(n)],
+            axis=-1,
+        )  # (M, n, n): column k holds d(grad W)/du_k
+        for i in range(spec.grid.num_points - 2):
+            sl = slice(i * n, (i + 1) * n)
+            h_full[sl, sl] -= cw[i + 1] * blocks[i + 1]
+        return 0.5 * (h_full + h_full.T)
 
-
-def _grad_x_raw(vals: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    """Weighted-metric representative: exact capacitance-matrix metric solve."""
-    rhs = _dI_field(vals, spec)
-    g = _solve_metric(rhs, spec)
-    nsq = spec.grid.spacing * float(np.sum(g * rhs))
-    return g, math.sqrt(max(nsq, 0.0))
-
-
-def _hess_matvec(vals: np.ndarray, spec: ProblemSpec):
-    """Closure applying the second derivative of the energy at ``vals``."""
-    nodes = spec.grid.nodes
-    shape = vals.shape
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        xv = x.reshape(shape)
-        nl = hessian_w_action(spec.nonlinearity, nodes, vals, xv)
-        return (_apply_metric(xv, spec) - nl).ravel()
-
-    return matvec
+    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """Solve the dense interior Newton system; ``None`` when it is singular."""
+        try:
+            d_int = scipy.linalg.solve(self._hessian(vals), -r[1:-1].ravel(), assume_a="sym")
+        except scipy.linalg.LinAlgError:
+            return None
+        d = np.zeros_like(vals)
+        d[1:-1] = d_int.reshape(vals[1:-1].shape)
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +384,7 @@ def _hess_matvec(vals: np.ndarray, spec: ProblemSpec):
 
 def energy(u: GridFunction, spec: ProblemSpec) -> float:
     """Value of the line functional at ``u``."""
-    return _energy_raw(_check_on_grid(u, spec), spec)
+    return _operator(spec).energy(_check_on_grid(u, spec))
 
 
 def derivative_action(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> float:
@@ -315,15 +395,9 @@ def derivative_action(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> fl
     return inner_x_lambda(u, v, spec) - nl
 
 
-def gradient_rep(u: GridFunction, spec: ProblemSpec, metric: str = "h-alpha") -> GridFunction:
-    """Metric representative ``g`` with ``<g, v>_metric = I'(u)v`` for all v."""
-    vals = _check_on_grid(u, spec)
-    if metric == "h-alpha":
-        g, _ = _grad_h_raw(vals, spec)
-    elif metric == "x-alpha-lambda":
-        g, _ = _grad_x_raw(vals, spec)
-    else:
-        raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
+def gradient_rep(u: GridFunction, spec: ProblemSpec) -> GridFunction:
+    """Weighted-metric representative ``g``: ``<g, v>_X = I'(u)v`` for all v."""
+    g, _ = _operator(spec).gradient(_check_on_grid(u, spec))
     return GridFunction(spec.grid, g)
 
 
@@ -336,122 +410,26 @@ def h_identity(u: GridFunction, spec: ProblemSpec) -> tuple[float, float, float]
 
 
 # ---------------------------------------------------------------------------
-# Interval (Dirichlet) functional.
+# Public interval (Dirichlet) API.
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class IntervalProblemSpec:
-    """The Dirichlet problem on a bounded interval (no potential term)."""
-
-    alpha: float
-    nonlinearity: NonlinearitySpec
-    grid: IntervalGrid
-    n: int = 1
-
-    def __post_init__(self):
-        if not (0.5 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (1/2, 1), got {self.alpha}")
-        if self.n < 1:
-            raise DomainError(f"need at least one component, got n={self.n}")
-
-
-def _check_dirichlet(u: GridFunction, spec: IntervalProblemSpec) -> np.ndarray:
-    if u.grid != spec.grid:
-        raise DomainError("function does not live on the spec's interval grid")
-    if u.num_components != spec.n:
-        raise DomainError(
-            f"function has {u.num_components} components, spec expects {spec.n}"
-        )
-    if np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0):
-        raise DomainError("interval functions must vanish exactly at both endpoints")
-    return u.values
-
-
-def _ienergy_raw(vals: np.ndarray, spec: IntervalProblemSpec) -> float:
-    b = gl_matrix(spec.grid, spec.alpha)
-    d = b @ vals
-    qf = spec.grid.spacing * float(np.sum(d**2))
-    wint = spec.grid.integrate(w_values(spec.nonlinearity, spec.grid.nodes, vals))
-    return 0.5 * qf - wint
-
-
-def _ienergy_batch(vals: np.ndarray, spec: IntervalProblemSpec) -> np.ndarray:
-    b = gl_matrix(spec.grid, spec.alpha)
-    d = np.einsum("ij,bjc->bic", b, vals)
-    qf = spec.grid.spacing * np.sum(d**2, axis=(1, 2))
-    cw = spec.grid.trapezoid_weights
-    wint = np.sum(cw[None, :] * w_values(spec.nonlinearity, spec.grid.nodes, vals), axis=1)
-    return 0.5 * qf - wint
-
-
-def _ipartials(vals: np.ndarray, spec: IntervalProblemSpec) -> np.ndarray:
-    """Gradient of the discrete energy in the raw node coordinates.
-
-    Boundary rows are zeroed: boundary values are not degrees of freedom.
-    """
-    b = gl_matrix(spec.grid, spec.alpha)
-    cw = spec.grid.trapezoid_weights
-    p = spec.grid.spacing * (b.T @ (b @ vals)) - cw[:, None] * grad_w_values(
-        spec.nonlinearity, spec.grid.nodes, vals
-    )
-    p[0] = 0.0
-    p[-1] = 0.0
-    return p
-
-
-def _igrad_raw(vals: np.ndarray, spec: IntervalProblemSpec) -> tuple[np.ndarray, float]:
-    """Stiffness-metric representative via the cached Cholesky factor."""
-    p = _ipartials(vals, spec)
-    cho = interval_stiffness_cholesky(spec.grid, spec.alpha)
-    g = np.zeros_like(vals)
-    g[1:-1] = scipy.linalg.cho_solve(cho, p[1:-1])
-    nsq = float(np.sum(g[1:-1] * p[1:-1]))
-    return g, math.sqrt(max(nsq, 0.0))
-
-
-def _ixnormsq_raw(vals: np.ndarray, spec: IntervalProblemSpec) -> float:
-    b = gl_matrix(spec.grid, spec.alpha)
-    d = b @ vals
-    return spec.grid.spacing * float(np.sum(d**2))
-
-
-def _ihess_dense(vals: np.ndarray, spec: IntervalProblemSpec) -> np.ndarray:
-    """Dense interior Hessian: stiffness minus the weighted local blocks."""
-    m_int = spec.grid.num_points - 2
-    n = spec.n
-    a = np.asarray(interval_stiffness(spec.grid, spec.alpha))
-    h_full = np.kron(a, np.eye(n))
-    cw = spec.grid.trapezoid_weights
-    nodes = spec.grid.nodes
-    basis = np.eye(n)
-    blocks = np.stack(
-        [hessian_w_action(spec.nonlinearity, nodes, vals, np.tile(basis[k], (len(nodes), 1)))
-         for k in range(n)],
-        axis=-1,
-    )  # (M, n, n): column k holds d(grad W)/du_k
-    for i in range(m_int):
-        sl = slice(i * n, (i + 1) * n)
-        h_full[sl, sl] -= cw[i + 1] * blocks[i + 1]
-    return 0.5 * (h_full + h_full.T)
 
 
 def bvp_energy(u: GridFunction, spec: IntervalProblemSpec) -> float:
     """Interval functional ``1/2 h ||B u||^2 - integral W`` (Dirichlet input)."""
-    return _ienergy_raw(_check_dirichlet(u, spec), spec)
+    return _operator(spec).energy(_check_dirichlet(u, spec))
 
 
 def bvp_derivative_action(u: GridFunction, v: GridFunction, spec: IntervalProblemSpec) -> float:
     uv = _check_dirichlet(u, spec)
     vv = _check_dirichlet(v, spec)
-    b = gl_matrix(spec.grid, spec.alpha)
+    b = _operator(spec).b
     bil = spec.grid.spacing * float(np.sum((b @ uv) * (b @ vv)))
     nl = spec.grid.integrate(grad_w_values(spec.nonlinearity, spec.grid.nodes, uv) * vv)
     return bil - nl
 
 
 def bvp_gradient_rep(u: GridFunction, spec: IntervalProblemSpec) -> GridFunction:
-    g, _ = _igrad_raw(_check_dirichlet(u, spec), spec)
+    g, _ = _operator(spec).gradient(_check_dirichlet(u, spec))
     return GridFunction(spec.grid, g)
 
 

@@ -13,9 +13,7 @@ Two grid kinds are used throughout the package:
   bounded interval ``[a, b]``, with classical trapezoid quadrature weights.
 
 Functions are sampled as :class:`GridFunction` objects: immutable wrappers
-around a ``(num_points, num_components)`` float array.  :class:`Spectrum`
-holds Fourier coefficients of a real-line grid function and round-trips
-through the FFT.
+around a ``(num_points, num_components)`` float array.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "RealLineGrid",
     "IntervalGrid",
     "GridFunction",
-    "Spectrum",
     "quadrature",
 ]
 
@@ -246,44 +243,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid, num_components: int = 1) -> "GridFunction":
         return cls(grid, np.zeros((grid.num_points, num_components)))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fourier coefficients of a real-line grid function, fft ordering."""
-
-    grid: RealLineGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] != self.grid.num_points:
-            raise DomainError(
-                f"coefficients must have leading length {self.grid.num_points}, got {arr.shape}"
-            )
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    @classmethod
-    def from_grid_function(cls, u: GridFunction) -> "Spectrum":
-        if not isinstance(u.grid, RealLineGrid):
-            raise DomainError("spectra are defined for real-line grid functions only")
-        return cls(u.grid, np.fft.fft(u.values, axis=0))
-
-    def to_grid_function(self) -> GridFunction:
-        """Inverse transform back to physical space.
-
-        The imaginary part after the inverse FFT must be at round-off level;
-        coefficients that encode a genuinely complex signal are rejected.
-        """
-        vals = np.fft.ifft(self.coefficients, axis=0)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        if float(np.max(np.abs(vals.imag))) > 1e-10 * scale:
-            raise DomainError("coefficients do not describe a real-valued function")
-        return GridFunction(self.grid, vals.real)
 
 
 def quadrature(u: GridFunction) -> np.ndarray:

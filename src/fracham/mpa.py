@@ -25,6 +25,14 @@ the polish is accepted only if it lands at most negligibly above the current
 level and away from zero, so it refines the same critical point rather than
 escaping the path structure.
 
+The solver is written once for both domains.  It sees a problem only through
+the cached operator of its spec (``functional._operator``): batched and
+single energies, the weighted norm, the metric gradient, the stationarity
+residual and one Newton step.  On top of that it keeps one helper per
+repeated numerical pattern: ``_golden_max`` (segment crests and the
+``ctilde`` ray), ``_doubling_scan`` (the far endpoint on both domains) and
+``_newton_polish`` (damped Newton with backtracking on both domains).
+
 The geometry pieces mirror the variational skeleton: ``estimate_rho_eta``
 turns the small-sphere lower bound into explicit ``(rho, eta)``;
 ``construct_e`` builds the far endpoint ``sigma0 * psi`` from a bump
@@ -40,28 +48,9 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
-from .functional import (
-    IntervalProblemSpec,
-    ProblemSpec,
-    _dI_field,
-    _energy_batch,
-    _energy_raw,
-    _grad_h_raw,
-    _grad_x_raw,
-    _hess_matvec,
-    _ienergy_batch,
-    _ienergy_raw,
-    _igrad_raw,
-    _ihess_dense,
-    _ipartials,
-    _solve_metric,
-    _xnormsq_raw,
-    _ixnormsq_raw,
-)
+from .functional import IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
 from .problem import calibrate_growth_constant, w_values
 from .spaces import EmbeddingConstants, estimate_embedding_constants
@@ -69,7 +58,6 @@ from .spaces import EmbeddingConstants, estimate_embedding_constants
 __all__ = [
     "MpaConfig",
     "MountainPassSetup",
-    "PathState",
     "SolveResult",
     "estimate_rho_eta",
     "construct_e",
@@ -79,6 +67,12 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The Newton polish starts once the weighted residual is below this fraction
+# of 1 + |level|.
+_POLISH_TRIGGER = 3e-2
+# Armijo sufficient-decrease constant and the smallest step tried.
+_ARMIJO_C1 = 1e-4
+_STEP_FLOOR = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,13 +82,8 @@ class MpaConfig:
     path_nodes: int = 21
     tol: float = 1e-6
     max_iters: int = 400
-    step_rule: str = "armijo"
-    metric: str = "x-alpha-lambda"
     polish: bool = True
-    polish_trigger: float = 3e-2
     max_path_nodes: int = 81
-    armijo_c1: float = 1e-4
-    step_floor: float = 1e-12
     restarts: int = 0
     seed: int = 20260816
 
@@ -106,10 +95,6 @@ class MpaConfig:
             )
         if self.max_path_nodes < self.path_nodes:
             raise ConfigError("max_path_nodes must be >= path_nodes")
-        if self.step_rule != "armijo":
-            raise ConfigError(f"unknown step rule {self.step_rule!r}")
-        if self.metric not in ("h-alpha", "x-alpha-lambda"):
-            raise ConfigError(f"unknown metric {self.metric!r}")
         if not (0 < self.tol < 1):
             raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
         if self.restarts < 0:
@@ -129,18 +114,6 @@ class MountainPassSetup:
     epsilon_c: float
     c_eps: float
     growth_p: float
-
-
-@dataclasses.dataclass(eq=False)
-class PathState:
-    """Snapshot of the polyline for introspection and tests."""
-
-    nodes: list[np.ndarray]
-    energies: list[float]
-    argmax: int
-
-    def level(self) -> float:
-        return max(self.energies)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -178,6 +151,82 @@ class SolveResult:
         if include_values:
             out["values"] = self.u.values.tolist()
         return out
+
+
+# ---------------------------------------------------------------------------
+# Numerical helpers shared by both domains.
+# ---------------------------------------------------------------------------
+
+
+def _golden_max(f, lo: float, hi: float, best_x: float, best_f: float, iters: int):
+    """Golden-section refinement of a maximum bracketed by ``[lo, hi]``.
+
+    Starts from the best point ``(best_x, best_f)`` of a coarse scan and
+    returns the best point evaluated, so the value never overstates ``f``.
+    """
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        if f1 > best_f:
+            best_x, best_f = x1, f1
+        if f2 > best_f:
+            best_x, best_f = x2, f2
+    return best_x, best_f
+
+
+def _doubling_scan(accept, failure: str) -> float:
+    """Smallest ``sigma = 2^k``, ``k >= 0``, with ``accept(sigma)``, capped at ``2^60``."""
+    sigma = 1.0
+    while not accept(sigma):
+        sigma *= 2.0
+        if sigma > 2.0**60:
+            raise GeometryError(failure)
+    return sigma
+
+
+def _newton_polish(op, vals: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Damped Newton on ``op.residual(u) = 0`` with backtracking.
+
+    A step ``t d`` is taken with the largest ``t`` in ``1, 1/2, ..., 1/64``
+    that shrinks the residual norm by the factor ``1 - t/4``; the loop stops
+    when no such step exists, when the linear solve fails, after
+    ``op.newton_steps`` steps, or at a residual below ``op.newton_tol``
+    relative to ``1 + |u|``.  Returns the iterate and whether any step was
+    taken.
+    """
+    v = vals.copy()
+    r = op.residual(v)
+    rn = float(np.linalg.norm(r))
+    improved_any = False
+    for _ in range(op.newton_steps):
+        d = op.newton_step(v, r)
+        if d is None:
+            return v, improved_any
+        t = 1.0
+        stepped = False
+        while t >= 1.0 / 64.0:
+            cand = v + t * d
+            rc = op.residual(cand)
+            rcn = float(np.linalg.norm(rc))
+            if rcn < (1.0 - 0.25 * t) * rn:
+                v, r, rn = cand, rc, rcn
+                stepped = improved_any = True
+                break
+            t *= 0.5
+        if not stepped:
+            return v, improved_any
+        if rn <= op.newton_tol * (1.0 + float(np.linalg.norm(v))):
+            break
+    return v, improved_any
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +319,12 @@ def construct_e(
     if np.any(pd * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
 
-    sigma = 1.0
-    while True:
-        evals = sigma * psi.values
-        en = _energy_raw(evals, spec)
-        nx = math.sqrt(_xnormsq_raw(evals, spec))
-        if en < 0.0 and nx > rho:
-            break
-        sigma *= 2.0
-        if sigma > 2.0**60:
-            raise GeometryError(
-                "no negative-energy endpoint within the doubling cap; the "
-                "nonlinearity is too weak on this grid"
-            )
+    op = _operator(spec)
+    sigma = _doubling_scan(
+        lambda s: op.energy(s * psi.values) < 0.0 and op.xnorm(s * psi.values) > rho,
+        "no negative-energy endpoint within the doubling cap; the "
+        "nonlinearity is too weak on this grid",
+    )
     e = GridFunction(spec.grid, sigma * psi.values)
     return MountainPassSetup(
         psi=psi,
@@ -304,7 +346,7 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     for every parameter value; it upper-bounds the solver level.
     """
     psi = setup.psi.values
-    qf = _xnormsq_raw(psi, spec)
+    qf = float(_operator(spec).xnormsq(psi))
     grid = spec.grid
     nodes = grid.nodes
     nl = spec.nonlinearity
@@ -318,146 +360,8 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     i = int(np.argmax(energies))
     lo = sigmas[max(i - 1, 0)]
     hi = sigmas[min(i + 1, len(sigmas) - 1)]
-    best = float(energies[i])
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = ray_energy(x1), ray_energy(x2)
-    for _ in range(60):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = ray_energy(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = ray_energy(x2)
-        best = max(best, f1, f2)
+    _, best = _golden_max(ray_energy, lo, hi, sigmas[i], float(energies[i]), 60)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Functional adapters: one spectral (line), one dense (interval).
-# ---------------------------------------------------------------------------
-
-
-class _LineAdapter:
-    kind = "line"
-
-    def __init__(self, spec: ProblemSpec, config: MpaConfig):
-        self.spec = spec
-        self.config = config
-
-    def energy(self, vals: np.ndarray) -> float:
-        return _energy_raw(vals, self.spec)
-
-    def energy_batch(self, stack: np.ndarray) -> np.ndarray:
-        return _energy_batch(stack, self.spec)
-
-    def grad(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        if self.config.metric == "h-alpha":
-            return _grad_h_raw(vals, self.spec)
-        return _grad_x_raw(vals, self.spec)
-
-    def xnorm(self, vals: np.ndarray) -> float:
-        return math.sqrt(max(_xnormsq_raw(vals, self.spec), 0.0))
-
-    def newton(self, vals: np.ndarray, max_steps: int = 12) -> tuple[np.ndarray, bool]:
-        """Damped Newton polish of ``I'(u) = 0``, each step solved by MINRES.
-
-        MINRES is preconditioned with the exact inverse of the weighted metric
-        ``A`` (the capacitance-matrix solve of ``functional``), so the
-        preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
-        ``lambda`` and the iteration count stays small at every parameter.
-        """
-        spec = self.spec
-        shape = vals.shape
-        size = vals.size
-
-        def precond(x: np.ndarray) -> np.ndarray:
-            return _solve_metric(x.reshape(shape), spec).ravel()
-
-        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
-        v = vals.copy()
-        r = _dI_field(v, spec)
-        rn = float(np.linalg.norm(r))
-        improved_any = False
-        for _ in range(max_steps):
-            op = scipy.sparse.linalg.LinearOperator(
-                (size, size), matvec=_hess_matvec(v, spec)
-            )
-            d, info = scipy.sparse.linalg.minres(op, -r.ravel(), rtol=1e-11, M=pre)
-            if info != 0:
-                return v, improved_any
-            d = d.reshape(shape)
-            t = 1.0
-            stepped = False
-            while t >= 1.0 / 64.0:
-                cand = v + t * d
-                rc = _dI_field(cand, spec)
-                rcn = float(np.linalg.norm(rc))
-                if rcn < (1.0 - 0.25 * t) * rn:
-                    v, r, rn = cand, rc, rcn
-                    stepped = True
-                    improved_any = True
-                    break
-                t *= 0.5
-            if not stepped:
-                return v, improved_any
-            if rn <= 1e-13 * (1.0 + float(np.linalg.norm(v))):
-                break
-        return v, improved_any
-
-
-class _IntervalAdapter:
-    kind = "interval"
-
-    def __init__(self, spec: IntervalProblemSpec, config: MpaConfig):
-        self.spec = spec
-        self.config = config
-
-    def energy(self, vals: np.ndarray) -> float:
-        return _ienergy_raw(vals, self.spec)
-
-    def energy_batch(self, stack: np.ndarray) -> np.ndarray:
-        return _ienergy_batch(stack, self.spec)
-
-    def grad(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        return _igrad_raw(vals, self.spec)
-
-    def xnorm(self, vals: np.ndarray) -> float:
-        return math.sqrt(max(_ixnormsq_raw(vals, self.spec), 0.0))
-
-    def newton(self, vals: np.ndarray, max_steps: int = 20) -> tuple[np.ndarray, bool]:
-        spec = self.spec
-        v = vals.copy()
-        p = _ipartials(v, spec)
-        rn = float(np.linalg.norm(p))
-        improved_any = False
-        for _ in range(max_steps):
-            hess = _ihess_dense(v, spec)
-            try:
-                d_int = scipy.linalg.solve(hess, -p[1:-1].ravel(), assume_a="sym")
-            except scipy.linalg.LinAlgError:
-                return v, improved_any
-            d = np.zeros_like(v)
-            d[1:-1] = d_int.reshape(v[1:-1].shape)
-            t = 1.0
-            stepped = False
-            while t >= 1.0 / 64.0:
-                cand = v + t * d
-                pc = _ipartials(cand, spec)
-                pcn = float(np.linalg.norm(pc))
-                if pcn < (1.0 - 0.25 * t) * rn:
-                    v, p, rn = cand, pc, pcn
-                    stepped = True
-                    improved_any = True
-                    break
-                t *= 0.5
-            if not stepped:
-                return v, improved_any
-            if rn <= 1e-14 * (1.0 + float(np.linalg.norm(v))):
-                break
-        return v, improved_any
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +375,7 @@ class _Segment:
     value: float
 
 
-def _measure_segment(adapter, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Segment:
+def _measure_segment(op, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
     Batched coarse scan of the interior, then golden-section refinement of
@@ -480,46 +384,28 @@ def _measure_segment(adapter, a: np.ndarray, b: np.ndarray, coarse: int = 15) ->
     """
     thetas = np.linspace(0.0, 1.0, coarse + 2)[1:-1]
     stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
-    energies = adapter.energy_batch(stack)
+    energies = op.energies(stack)
     i = int(np.argmax(energies))
     best_theta = float(thetas[i])
-    best_value = float(energies[i])
     span = thetas[1] - thetas[0]
     lo = max(0.0, best_theta - span)
     hi = min(1.0, best_theta + span)
-
-    def seg_energy(th: float) -> float:
-        return adapter.energy((1.0 - th) * a + th * b)
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = seg_energy(x1), seg_energy(x2)
-    for _ in range(36):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = seg_energy(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = seg_energy(x2)
-        if f1 > best_value:
-            best_value, best_theta = f1, x1
-        if f2 > best_value:
-            best_value, best_theta = f2, x2
-    return _Segment(theta=best_theta, value=best_value)
+    theta, value = _golden_max(
+        lambda th: op.energy((1.0 - th) * a + th * b), lo, hi, best_theta, float(energies[i]), 36
+    )
+    return _Segment(theta=theta, value=value)
 
 
 class _PathEngine:
     """Mutable polyline with measured segment maxima and a single-writer step."""
 
-    def __init__(self, adapter, nodes: list[np.ndarray], config: MpaConfig):
-        self.adapter = adapter
+    def __init__(self, op, nodes: list[np.ndarray], config: MpaConfig):
+        self.op = op
         self.config = config
         self.nodes = nodes
-        self.energies = [adapter.energy(x) for x in nodes]
+        self.energies = [op.energy(x) for x in nodes]
         self.segments = [
-            _measure_segment(adapter, nodes[k], nodes[k + 1]) for k in range(len(nodes) - 1)
+            _measure_segment(op, nodes[k], nodes[k + 1]) for k in range(len(nodes) - 1)
         ]
         self.counters = {
             "inserted": 0,
@@ -540,11 +426,11 @@ class _PathEngine:
     def _remeasure_around(self, k: int):
         if k - 1 >= 0:
             self.segments[k - 1] = _measure_segment(
-                self.adapter, self.nodes[k - 1], self.nodes[k]
+                self.op, self.nodes[k - 1], self.nodes[k]
             )
         if k < len(self.segments):
             self.segments[k] = _measure_segment(
-                self.adapter, self.nodes[k], self.nodes[k + 1]
+                self.op, self.nodes[k], self.nodes[k + 1]
             )
 
     def insert(self, j: int) -> int:
@@ -552,13 +438,13 @@ class _PathEngine:
         th = self.segments[j].theta
         new = (1.0 - th) * self.nodes[j] + th * self.nodes[j + 1]
         self.nodes.insert(j + 1, new)
-        self.energies.insert(j + 1, self.adapter.energy(new))
+        self.energies.insert(j + 1, self.op.energy(new))
         self.segments.pop(j)
         self.segments.insert(
-            j, _measure_segment(self.adapter, self.nodes[j], self.nodes[j + 1])
+            j, _measure_segment(self.op, self.nodes[j], self.nodes[j + 1])
         )
         self.segments.insert(
-            j + 1, _measure_segment(self.adapter, self.nodes[j + 1], self.nodes[j + 2])
+            j + 1, _measure_segment(self.op, self.nodes[j + 1], self.nodes[j + 2])
         )
         self.counters["inserted"] += 1
         return j + 1
@@ -571,7 +457,7 @@ class _PathEngine:
             key=lambda k: self.energies[k],
         )
         for k in order:
-            bridge = _measure_segment(self.adapter, self.nodes[k - 1], self.nodes[k + 1])
+            bridge = _measure_segment(self.op, self.nodes[k - 1], self.nodes[k + 1])
             if max(bridge.value, self.energies[k - 1], self.energies[k + 1]) <= level:
                 self.nodes.pop(k)
                 self.energies.pop(k)
@@ -614,8 +500,8 @@ class _PathEngine:
         return False
 
 
-def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None):
-    """One full min-max run; returns the raw ingredients of a SolveResult."""
+def _run_path(op, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None) -> SolveResult:
+    """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``."""
     if initial_nodes is None:
         k = config.path_nodes
         weights = np.linspace(0.0, 1.0, k)
@@ -627,9 +513,9 @@ def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None
     frozen_zero = nodes[0].copy()
     frozen_e = nodes[-1].copy()
 
-    engine = _PathEngine(adapter, nodes, config)
+    engine = _PathEngine(op, nodes, config)
     engine.refine_to_crest()
-    e_xnorm = adapter.xnorm(e_vals)
+    e_xnorm = op.xnorm(e_vals)
     cap_norm = 0.5 * max(1.0, e_xnorm)
 
     trace: list[tuple[float, float, float]] = []
@@ -659,8 +545,8 @@ def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None
                 work = engine.node_argmax()
 
         u = engine.nodes[work]
-        g, gnorm = adapter.grad(u)
-        xnorm_u = adapter.xnorm(u)
+        g, gnorm = op.gradient(u)
+        xnorm_u = op.xnorm(u)
         rw = (1.0 + xnorm_u) * gnorm
         level = engine.level()
         trace.append((level, gnorm, rw))
@@ -671,12 +557,12 @@ def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None
             break
 
         # Newton endgame: refine the crest node in place when already close.
-        if config.polish and rw <= config.polish_trigger * (1.0 + abs(level)):
-            polished, ok = adapter.newton(u)
+        if config.polish and rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
+            polished, ok = _newton_polish(op, u)
             if ok:
-                ep = adapter.energy(polished)
+                ep = op.energy(polished)
                 slack = 1e-9 * (1.0 + abs(level))
-                nontrivial = adapter.xnorm(polished) > 1e-8 * max(1.0, e_xnorm)
+                nontrivial = op.xnorm(polished) > 1e-8 * max(1.0, e_xnorm)
                 if ep <= level + slack and nontrivial and engine.replace_node(
                     work, polished, ep, level + slack
                 ):
@@ -686,13 +572,13 @@ def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None
             engine.counters["polish_rejected"] += 1
 
         # Backtracking descent on the single crest node.
-        g_xnorm = adapter.xnorm(g)
+        g_xnorm = op.xnorm(g)
         step = 1.0 if g_xnorm == 0.0 else min(1.0, cap_norm / g_xnorm)
         accepted = False
-        while step >= config.step_floor:
+        while step >= _STEP_FLOOR:
             cand = u - step * g
-            ec = adapter.energy(cand)
-            if ec <= engine.energies[work] - config.armijo_c1 * step * gnorm**2:
+            ec = op.energy(cand)
+            if ec <= engine.energies[work] - _ARMIJO_C1 * step * gnorm**2:
                 if engine.replace_node(work, cand, ec, level):
                     accepted = True
                     break
@@ -714,39 +600,37 @@ def _run_path(adapter, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None
 
     work = engine.node_argmax()
     u = engine.nodes[work]
-    g, gnorm = adapter.grad(u)
-    xnorm_u = adapter.xnorm(u)
-    rw = (1.0 + xnorm_u) * gnorm
-    level = engine.energies[work]
-    diagnostics = {
-        "reason": reason,
-        "path_nodes_final": len(engine.nodes),
-        "polyline_level": engine.level(),
-        "counters": engine.counters,
-        "crest_index": work,
-    }
-    return u, level, gnorm, rw, xnorm_u, iterations, converged, tuple(trace), diagnostics
-
-
-def _result_from_run(grid, run, metric: str) -> SolveResult:
-    u, level, gnorm, rw, xnorm_u, iterations, converged, trace, diagnostics = run
-    if converged and level <= 0.0:
-        raise ConvergenceError(
-            f"converged to a nonpositive level {level:.6g}; the path collapsed "
-            "through the barrier, which contradicts the certified geometry"
-        )
+    _, gnorm = op.gradient(u)
+    xnorm_u = op.xnorm(u)
     return SolveResult(
-        u=GridFunction(grid, u),
-        level=level,
+        u=GridFunction(op.spec.grid, u),
+        level=engine.energies[work],
         residual=gnorm,
-        residual_weighted=rw,
+        residual_weighted=(1.0 + xnorm_u) * gnorm,
         iterations=iterations,
         converged=converged,
-        metric=metric,
+        metric=op.metric,
         norm_x=xnorm_u,
-        trace=trace,
-        diagnostics=diagnostics,
+        trace=tuple(trace),
+        diagnostics={
+            "reason": reason,
+            "path_nodes_final": len(engine.nodes),
+            "polyline_level": engine.level(),
+            "counters": engine.counters,
+            "crest_index": work,
+        },
     )
+
+
+def _best(runs: list[SolveResult]) -> SolveResult:
+    """The converged run with the lowest level, else the lowest level overall."""
+    best = min(runs, key=lambda run: (0 if run.converged else 1, run.level))
+    if best.converged and best.level <= 0.0:
+        raise ConvergenceError(
+            f"converged to a nonpositive level {best.level:.6g}; the path collapsed "
+            "through the barrier, which contradicts the certified geometry"
+        )
+    return best
 
 
 def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.ndarray]:
@@ -770,7 +654,7 @@ def mpa_solve(
         config = MpaConfig()
     if setup.e.grid != spec.grid:
         raise DomainError("setup endpoint does not live on the spec's grid")
-    adapter = _LineAdapter(spec, config)
+    op = _operator(spec)
     e_vals = setup.e.values
     initial = None
     if initial_guess is not None:
@@ -778,7 +662,7 @@ def mpa_solve(
             raise DomainError("initial guess does not live on the spec's grid")
         initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
 
-    runs = [_run_path(adapter, e_vals, config, initial_nodes=initial)]
+    runs = [_run_path(op, e_vals, config, initial_nodes=initial)]
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
         weights = np.linspace(0.0, 1.0, config.path_nodes)
@@ -787,14 +671,8 @@ def mpa_solve(
             nodes = [
                 (w + wg * w * (1.0 - w)) * e_vals for w, wg in zip(weights, wiggle)
             ]
-            runs.append(_run_path(adapter, e_vals, config, initial_nodes=nodes))
-
-    def rank(run):
-        _, level, _, _, _, _, converged, _, _ = run
-        return (0 if converged else 1, level)
-
-    best = min(runs, key=rank)
-    return _result_from_run(spec.grid, best, config.metric)
+            runs.append(_run_path(op, e_vals, config, initial_nodes=nodes))
+    return _best(runs)
 
 
 def bvp_solve(
@@ -809,7 +687,7 @@ def bvp_solve(
     combination of functions that vanish at the endpoints.
     """
     if config is None:
-        config = MpaConfig(metric="h-alpha")
+        config = MpaConfig()
     grid = spec.grid
     center = 0.5 * (grid.lower + grid.upper)
     tau = 0.375 * (grid.upper - grid.lower)
@@ -817,19 +695,15 @@ def bvp_solve(
     vals[:, 0] = _bump_profile(grid.nodes, center, tau)
     vals[0] = 0.0
     vals[-1] = 0.0
-    adapter = _IntervalAdapter(spec, config)
-    sigma = 1.0
-    while adapter.energy(sigma * vals) >= 0.0:
-        sigma *= 2.0
-        if sigma > 2.0**60:
-            raise GeometryError(
-                "no negative-energy endpoint within the doubling cap on the interval"
-            )
+    op = _operator(spec)
+    sigma = _doubling_scan(
+        lambda s: op.energy(s * vals) < 0.0,
+        "no negative-energy endpoint within the doubling cap on the interval",
+    )
     e_vals = sigma * vals
     initial = None
     if initial_guess is not None:
         if initial_guess.grid != grid:
             raise DomainError("initial guess does not live on the interval grid")
         initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
-    run = _run_path(adapter, e_vals, config, initial_nodes=initial)
-    return _result_from_run(grid, run, "interval-stiffness")
+    return _best([_run_path(op, e_vals, config, initial_nodes=initial)])

@@ -30,9 +30,7 @@ from .errors import (
 from .functional import (
     IntervalProblemSpec,
     ProblemSpec,
-    _energy_raw,
-    _ipartials,
-    _xnormsq_raw,
+    _operator,
     bvp_derivative_action,
     bvp_energy,
     bvp_h_identity,
@@ -157,7 +155,7 @@ def dist_h_alpha(u: GridFunction, u_interval: GridFunction, alpha: float) -> flo
 
 def bvp_el_residual(u: GridFunction, spec: IntervalProblemSpec) -> float:
     """Euclidean norm of the discrete stationarity residual at interior nodes."""
-    return float(np.linalg.norm(_ipartials(u.values, spec)))
+    return float(np.linalg.norm(_operator(spec).residual(u.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,7 @@ def lambda_sweep(
         n=base_spec.n,
     )
     if bvp_config is None:
-        bvp_config = MpaConfig(metric="h-alpha", tol=1e-8)
+        bvp_config = MpaConfig(tol=1e-8)
     bvp_ref = bvp_solve(ispec, bvp_config)
     bvp_el = bvp_el_residual(bvp_ref.u, ispec)
 
@@ -444,19 +442,18 @@ def _geometry_checks(
     rng: np.random.Generator,
 ) -> dict:
     setup = construct_e(spec, constants=constants)
+    op = _operator(spec)
     floor_min = math.inf
     for _ in range(count):
         vals = _random_line_field(spec.grid, rng, spec.n)
-        nx = math.sqrt(max(_xnormsq_raw(vals, spec), 0.0))
+        nx = op.xnorm(vals)
         if nx == 0.0:
             continue
         scaled = (setup.rho / nx) * vals
-        floor_min = min(floor_min, _energy_raw(scaled, spec))
+        floor_min = min(floor_min, op.energy(scaled))
     sphere_ok = floor_min >= setup.eta - 1e-8
-    endpoint_ok = _energy_raw(setup.e.values, spec) < 0.0
-    ray = [
-        _energy_raw(s * setup.sigma0 * setup.psi.values, spec) for s in (1.0, 2.0, 4.0)
-    ]
+    endpoint_ok = op.energy(setup.e.values) < 0.0
+    ray = [op.energy(s * setup.sigma0 * setup.psi.values) for s in (1.0, 2.0, 4.0)]
     trend_ok = ray[0] > ray[1] > ray[2]
     other = construct_e(spec.with_lambda(1000.0 * spec.lam), constants=constants)
     sigma_invariant = other.sigma0 == setup.sigma0

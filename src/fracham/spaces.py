@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
-from .fracops import quadratic_form_alpha
+from .fracops import _form_multipliers, _spectral_form, quadratic_form_alpha
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -81,16 +81,8 @@ def inner_x_lambda(u: GridFunction, v: GridFunction, spec: "ProblemSpec") -> flo
     _check_pair(u, v)
     if u.grid != spec.grid:
         raise DomainError("functions do not live on the spec's grid")
-    grid = spec.grid
-    uc = np.fft.rfft(u.values, axis=0)
-    vc = np.fft.rfft(v.values, axis=0)
-    m = np.abs(grid.rfft_frequencies) ** (2.0 * spec.alpha)
-    parw = grid.rfft_parseval_weights
-    frac = grid.spacing / grid.num_points * float(
-        np.sum((parw * m)[:, None] * (uc.real * vc.real + uc.imag * vc.imag))
-    )
-    ldiag = spec.potential_diagonal()
-    pot = grid.integrate(ldiag * u.values * v.values)
+    frac = float(_spectral_form(spec.grid, spec.alpha, u.values, v.values))
+    pot = spec.grid.integrate(spec.potential_diagonal() * u.values * v.values)
     return frac + spec.lam * pot
 
 
@@ -105,9 +97,8 @@ def c_infinity_grid_sharp(grid: RealLineGrid, alpha: float) -> float:
     constant in ``max_j |u(t_j)| <= C ||u||_alpha`` over grid functions is
     exactly ``sqrt(sum_k (1 + |w_k|^(2 alpha))^-1 / (N h))``.
     """
-    w = grid.rfft_frequencies
-    parw = grid.rfft_parseval_weights
-    s = float(np.sum(parw / (1.0 + np.abs(w) ** (2.0 * alpha))))
+    m, _ = _form_multipliers(grid, alpha)
+    s = float(np.sum(grid.rfft_parseval_weights / (1.0 + m)))
     return math.sqrt(s / (grid.num_points * grid.spacing))
 
 

@@ -83,7 +83,7 @@ def interval_spec(interval_grid, nonlin):
 
 @pytest.fixture(scope="session")
 def bvp_result(interval_spec):
-    return bvp_solve(interval_spec, MpaConfig(metric="h-alpha", tol=1e-8))
+    return bvp_solve(interval_spec, MpaConfig(tol=1e-8))
 
 
 @pytest.fixture(scope="session")

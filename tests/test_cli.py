@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import fracham
+from fracham import functional
 from fracham.cli import main
 
 
@@ -51,6 +52,26 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"probelm": {"alpha": 0.75}})
     assert main(["bound", "--config", cfg]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_unknown_metric_is_rejected(tmp_path, capsys):
+    cases = (("metric", "h-alpha", "x-alpha-lambda"), ("step_rule", "wolfe", "armijo"))
+    for key, value, legal in cases:
+        cfg = _write_config(tmp_path, {"mpa": {key: value}})
+        assert main(["solve", "--config", cfg]) == 2
+        assert f"mpa.{key} must be {legal!r}, got {value!r}" in capsys.readouterr().err
+
+
+def test_box_inside_the_potential_ramp_is_rejected(tmp_path, capsys, monkeypatch):
+    """A box where L never reaches its cap exits 2 before any metric factor is built."""
+
+    def unbuilt(self):
+        raise AssertionError("the metric factor was built")
+
+    monkeypatch.setattr(functional._LineOperator, "factor", property(unbuilt))
+    cfg = _write_config(tmp_path, {"grid": {"halfwidth": 0.5}})
+    assert main(["solve", "--config", cfg]) == 2
+    assert "varrho + delta*sqrt(cap) = 0.522474" in capsys.readouterr().err
 
 
 def test_bad_lambdas_argument(fast_config, capsys):

@@ -24,10 +24,10 @@ from fracham import (
     gradient_rep,
     h_identity,
     inner_x_lambda,
-    norm_h_alpha,
     norm_x_lambda,
     quadratic_form_alpha,
     default_nonlinearity,
+    default_oscillatory,
     default_potential,
 )
 from fracham.fracops import gl_matrix, interval_stiffness
@@ -124,32 +124,12 @@ def test_gradient_defining_property_weighted_metric(spec10):
     rng = np.random.default_rng(3)
     for spec in (spec10, spec10.with_lambda(1e4)):
         u = _decaying_field(spec.grid, rng)
-        g = gradient_rep(u, spec, metric="x-alpha-lambda")
+        g = gradient_rep(u, spec)
         for _ in range(10):
             v = _decaying_field(spec.grid, rng)
             lhs = inner_x_lambda(g, v, spec)
             rhs = derivative_action(u, v, spec)
             assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
-
-
-def test_gradient_defining_property_native_metric(spec10):
-    rng = np.random.default_rng(4)
-    u = _decaying_field(spec10.grid, rng)
-    g = gradient_rep(u, spec10, metric="h-alpha")
-    alpha = spec10.alpha
-    for _ in range(10):
-        v = _decaying_field(spec10.grid, rng)
-        plus = GridFunction(spec10.grid, g.values + v.values)
-        minus = GridFunction(spec10.grid, g.values - v.values)
-        lhs = 0.25 * (norm_h_alpha(plus, alpha) ** 2 - norm_h_alpha(minus, alpha) ** 2)
-        rhs = derivative_action(u, v, spec10)
-        assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
-
-
-def test_unknown_metric_is_rejected(spec10):
-    u = GridFunction.zeros(spec10.grid)
-    with pytest.raises(DomainError):
-        gradient_rep(u, spec10, metric="sobolev")
 
 
 def test_defect_identity_on_random_fields(spec10):
@@ -165,18 +145,17 @@ def test_gradient_steps_downhill(spec10):
     rng = np.random.default_rng(6)
     u = _decaying_field(spec10.grid, rng)
     base = energy(u, spec10)
-    for metric in ("h-alpha", "x-alpha-lambda"):
-        g = gradient_rep(u, spec10, metric=metric)
-        scale = 1e-3 / (1.0 + norm_x_lambda(g, spec10))
-        trial = GridFunction(spec10.grid, u.values - scale * g.values)
-        assert energy(trial, spec10) < base
+    g = gradient_rep(u, spec10)
+    scale = 1e-3 / (1.0 + norm_x_lambda(g, spec10))
+    trial = GridFunction(spec10.grid, u.values - scale * g.values)
+    assert energy(trial, spec10) < base
 
 
 def _metric_residual(spec, seed=11):
     """Relative residual of the metric solve, against a direct FFT matvec."""
     grid = spec.grid
     rhs = np.random.default_rng(seed).normal(size=(grid.num_points, spec.n))
-    g = functional._solve_metric(rhs, spec)
+    g = functional._operator(spec).solve_metric(rhs)
     m = np.abs(grid.rfft_frequencies) ** (2.0 * spec.alpha)
     frac = np.fft.irfft(m[:, None] * np.fft.rfft(g, axis=0), n=grid.num_points, axis=0)
     applied = frac + spec.lam * spec.potential_diagonal() * g
@@ -208,22 +187,81 @@ def test_metric_solve_edge_cases(spec10):
             return np.full(np.shape(t), self.cap)
 
     flat = dataclasses.replace(spec10, potential=FlatPotential(0.4, 0.05, 6.0, 1.5))
-    assert all(idx.size == 0 for idx, _, _ in functional._metric_factor(flat).wells)
+    assert all(idx.size == 0 for idx, _, _ in functional._operator(flat).factor.wells)
     assert _metric_residual(flat) <= 1e-12
 
     # A box inside the well, where the potential vanishes: A is singular.
     inside = dataclasses.replace(spec10, grid=RealLineGrid(0.3, 64))
     with pytest.raises(DomainError):
-        gradient_rep(GridFunction.zeros(inside.grid), inside, metric="x-alpha-lambda")
+        gradient_rep(GridFunction.zeros(inside.grid), inside)
 
 
 def test_metric_solve_checks_its_residual(spec10, monkeypatch):
     spec = spec10.with_lambda(100.0)
-    stale = functional._metric_factor(spec10.with_lambda(1.0))
-    monkeypatch.setattr(functional, "_metric_factor", lambda s: stale)
+    stale = functional._operator(spec10.with_lambda(1.0)).factor
+    monkeypatch.setattr(functional._operator(spec), "factor", stale)
     u = _decaying_field(spec.grid, np.random.default_rng(12))
     with pytest.raises(ConvergenceError, match=r"lambda=100 with well size k=107.*residual"):
-        gradient_rep(u, spec, metric="x-alpha-lambda")
+        gradient_rep(u, spec)
+
+
+@pytest.mark.parametrize(
+    "n, potential, nonlinearity",
+    [
+        (1, default_potential(), default_nonlinearity()),
+        (
+            2,
+            dataclasses.replace(default_potential(), kind="diagonal", diag_scales=(1.0, 2.0)),
+            dataclasses.replace(default_oscillatory(), weight_amp=0.3, weight_freq=2.0),
+        ),
+    ],
+    ids=["n1-scalar-pure_power", "n2-diagonal-oscillatory"],
+)
+def test_operator_layer(n, potential, nonlinearity):
+    """Batched rows match single evaluations bit for bit; forms and gradients agree."""
+    rng = np.random.default_rng(13)
+    grid = RealLineGrid(20.0, 1024)
+    spec = ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
+                       nonlinearity=nonlinearity, grid=grid, n=n)
+    ispec = IntervalProblemSpec(alpha=0.75, nonlinearity=nonlinearity,
+                                grid=IntervalGrid(-0.4, 0.4, 129), n=n)
+
+    def line_field():
+        return GridFunction(grid, np.stack(
+            [_decaying_field(grid, rng).scalar for _ in range(n)], axis=1))
+
+    def interval_field():
+        return GridFunction(ispec.grid, np.stack(
+            [sample_interval_function(ispec.grid, rng, 1) for _ in range(n)], axis=1))
+
+    for sp, field in ((spec, line_field), (ispec, interval_field)):
+        op = functional._operator(sp)
+        stack = np.stack([field().values for _ in range(6)])
+        energies, normsq = op.energies(stack), op.xnormsq(stack)
+        for row, e, q in zip(stack, energies, normsq):
+            assert e == op.energy(row)
+            assert q == op.xnormsq(row)
+
+    u = line_field()
+    lhs = inner_x_lambda(u, u, spec)
+    pot = grid.integrate(spec.potential_diagonal() * u.values**2)
+    rhs = quadratic_form_alpha(u, spec.alpha) + spec.lam * pot
+    assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+    g = gradient_rep(u, spec)
+    for _ in range(5):
+        v = line_field()
+        action = derivative_action(u, v, spec)
+        assert abs(inner_x_lambda(g, v, spec) - action) < 1e-8 * (1.0 + abs(action))
+
+    u = interval_field()
+    g = bvp_gradient_rep(u, ispec)
+    b = gl_matrix(ispec.grid, ispec.alpha)
+    for _ in range(5):
+        v = interval_field()
+        action = bvp_derivative_action(u, v, ispec)
+        metric = ispec.grid.spacing * float(np.sum((b @ g.values) * (b @ v.values)))
+        assert abs(metric - action) < 1e-10 * (1.0 + abs(action))
 
 
 def test_interval_boundary_enforcement(interval_spec):

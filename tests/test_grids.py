@@ -10,7 +10,6 @@ from fracham import (
     GridFunction,
     IntervalGrid,
     RealLineGrid,
-    Spectrum,
     quadrature,
 )
 
@@ -92,25 +91,6 @@ def test_grid_function_constructors():
     assert u.values.shape == (32, 1)
     with pytest.raises(DomainError):
         GridFunction.from_callable(g, lambda t: np.exp(-t * t), num_components=2)
-
-
-def test_spectrum_roundtrip():
-    g = RealLineGrid(20.0, 256)
-    rng = np.random.default_rng(20260816)
-    u = GridFunction(g, rng.normal(size=256))
-    back = Spectrum.from_grid_function(u).to_grid_function()
-    assert np.max(np.abs(back.values - u.values)) < 1e-12
-
-
-def test_spectrum_rejects_complex_signal():
-    g = RealLineGrid(20.0, 64)
-    coeff = np.zeros(64, dtype=np.complex128)
-    coeff[1] = 1.0  # no conjugate partner: the inverse transform is complex
-    with pytest.raises(DomainError):
-        Spectrum(g, coeff).to_grid_function()
-    ig = IntervalGrid(0.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        Spectrum.from_grid_function(GridFunction(ig, np.zeros(5)))
 
 
 def test_interval_grid_layout_and_weights():

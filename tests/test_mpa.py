@@ -15,7 +15,6 @@ from fracham import (
     IntervalProblemSpec,
     MpaConfig,
     NonlinearitySpec,
-    PathState,
     RealLineGrid,
     bvp_solve,
     construct_e,
@@ -35,10 +34,6 @@ def test_config_validation():
         MpaConfig(path_nodes=2)
     with pytest.raises(ConfigError):
         MpaConfig(path_nodes=21, max_path_nodes=5)
-    with pytest.raises(ConfigError):
-        MpaConfig(step_rule="wolfe")
-    with pytest.raises(ConfigError):
-        MpaConfig(metric="l2")
     with pytest.raises(ConfigError):
         MpaConfig(tol=0.0)
     with pytest.raises(ConfigError):
@@ -113,11 +108,6 @@ def test_barrier_bound_scales_inversely_with_weight(setup, spec10, constants, ct
     setup2 = construct_e(spec2, constants=constants)
     ctilde2 = ctilde_bound(setup2, spec2)
     assert abs(ctilde2 - 0.5 * ctilde) < 1e-6 * ctilde
-
-
-def test_path_state_level():
-    state = PathState(nodes=[np.zeros(4), np.ones(4)], energies=[0.2, -0.1], argmax=0)
-    assert state.level() == 0.2
 
 
 def test_default_solve_certificates(default_solve, setup, ctilde):
