@@ -97,6 +97,11 @@ def _spectral_form(grid: RealLineGrid, alpha: float, u: np.ndarray, v: np.ndarra
     """
     uc = np.fft.rfft(u, axis=-2)
     vc = uc if v is None else np.fft.rfft(v, axis=-2)
+    return _coefficient_form(grid, alpha, uc, vc)
+
+
+def _coefficient_form(grid: RealLineGrid, alpha: float, uc: np.ndarray, vc: np.ndarray):
+    """The reduction of :func:`_spectral_form` on given rfft coefficients."""
     _, weighted = _form_multipliers(grid, alpha)
     dot = uc.real * vc.real + uc.imag * vc.imag
     return grid.spacing / grid.num_points * np.sum(weighted[:, None] * dot, axis=(-2, -1))
@@ -108,6 +113,15 @@ def _require_line(u: GridFunction) -> RealLineGrid:
     return u.grid
 
 
+def _edge_to_peak(values: np.ndarray) -> float:
+    """Largest boundary magnitude over the peak magnitude (0 for zero input)."""
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return 0.0
+    edge = float(max(np.max(np.abs(values[0])), np.max(np.abs(values[-1]))))
+    return edge / peak
+
+
 def check_boundary_decay(u: GridFunction, fraction: float = 1e-3) -> float:
     """Warn when the boundary magnitude exceeds ``fraction`` of the peak.
 
@@ -117,11 +131,7 @@ def check_boundary_decay(u: GridFunction, fraction: float = 1e-3) -> float:
     capture, which this guard makes visible without forbidding.
     """
     grid = _require_line(u)
-    peak = float(np.max(np.abs(u.values)))
-    if peak == 0.0:
-        return 0.0
-    edge = float(max(np.max(np.abs(u.values[0])), np.max(np.abs(u.values[-1]))))
-    ratio = edge / peak
+    ratio = _edge_to_peak(u.values)
     if ratio > fraction:
         warnings.warn(
             f"boundary magnitude is {ratio:.2e} of the peak (threshold {fraction:.0e}); "

@@ -20,13 +20,26 @@ Each spec owns one operator, built on first use and cached:
 :class:`_IntervalOperator` for an :class:`IntervalProblemSpec`, both returned
 by :func:`_operator`.  An operator holds everything that depends only on the
 spec (the potential diagonal, the Fourier symbol and the metric factor on the
-line; the GL matrix and the stiffness Cholesky factor on the interval) and
-offers the same methods on both domains: ``energies`` and ``xnormsq`` on a
-stack of candidates (one value per row, bit for bit the value of that row on
-its own), ``energy`` and ``xnorm`` on one candidate, the metric ``gradient``,
-the stationarity ``residual`` and a ``newton_step``.  The public functions
-below and the solver in :mod:`fracham.mpa` evaluate everything through them;
-the line quadratic form is :func:`fracham.fracops._spectral_form`.
+line; the GL matrix and the stiffness Cholesky factor on the interval; on
+both, the weight values ``g(t)`` of ``W``, so ``weight_values`` runs once per
+spec) and offers the same methods on both domains: ``energies`` and
+``xnormsq`` on a stack of candidates (one value per row, bit for bit the
+value of that row on its own), ``energy`` and ``xnorm`` on one candidate,
+the metric ``gradient``, the stationarity ``residual`` and a
+``newton_step``.  The public functions below and the solver in
+:mod:`fracham.mpa` evaluate everything through them; the line quadratic form
+is :func:`fracham.fracops._spectral_form`.
+
+Line searches use two more methods.  ``wint`` is the batched ``W`` integral
+(the one ``energies`` subtracts), and ``segment_forms(a, b)`` returns the
+three reductions ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part
+``Q`` (the spectral form plus ``lambda`` times the potential term on the
+line, ``h (Ba).(Bb)`` on the interval).  Along the segment from ``a`` to
+``b`` the quadratic part is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) +
+th^2 Q(b)``, so a segment costs those three reductions plus one ``W``
+integral per trial point, with no transform.  The expansion only steers the
+search: the crest value the solver reports is re-evaluated directly with
+``energy`` (see :func:`fracham.mpa._measure_segment`).
 
 The descent metric on the line is the weighted norm: the gradient is an exact
 solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
@@ -51,6 +64,7 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceError, DomainError
 from .fracops import (
+    _coefficient_form,
     _form_multipliers,
     _spectral_form,
     gl_matrix,
@@ -61,10 +75,12 @@ from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _weighted_grad_w,
+    _weighted_hessian_action,
+    _weighted_w,
     grad_w_values,
     h_values,
-    hessian_w_action,
-    w_values,
+    weight_values,
 )
 from .spaces import inner_x_lambda
 
@@ -160,6 +176,14 @@ def _operator(spec):
 
 
 class _OperatorBase:
+    def __init__(self, spec):
+        self.spec = spec
+        self.weight = weight_values(spec.nonlinearity, spec.grid.nodes)
+        self.weight.setflags(write=False)
+
+    def energies(self, vals: np.ndarray) -> np.ndarray:
+        return 0.5 * self.xnormsq(vals) - self.wint(vals)
+
     def energy(self, vals: np.ndarray) -> float:
         return float(self.energies(vals))
 
@@ -205,24 +229,33 @@ class _LineOperator(_OperatorBase):
     newton_tol = 1e-13
 
     def __init__(self, spec: ProblemSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.multiplier, _ = _form_multipliers(spec.grid, spec.alpha)
         self.ldiag = spec.potential.diagonal(spec.grid.nodes, spec.n)
         self.ldiag.setflags(write=False)
 
-    def energies(self, vals: np.ndarray) -> np.ndarray:
+    def wint(self, vals: np.ndarray) -> np.ndarray:
+        """The integral of ``W(t, u)``, one value per candidate."""
         spec = self.spec
-        h = spec.grid.spacing
-        qf = _spectral_form(spec.grid, spec.alpha, vals)
-        pot = h * np.sum(self.ldiag * vals**2, axis=(-2, -1))
-        wint = h * np.sum(w_values(spec.nonlinearity, spec.grid.nodes, vals), axis=-1)
-        return 0.5 * (qf + spec.lam * pot) - wint
+        return spec.grid.spacing * np.sum(_weighted_w(spec.nonlinearity, self.weight, vals), axis=-1)
 
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         spec = self.spec
         qf = _spectral_form(spec.grid, spec.alpha, vals)
         pot = spec.grid.spacing * np.sum(self.ldiag * vals**2, axis=(-2, -1))
         return qf + spec.lam * pot
+
+    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = ||.||_X^2``, from one pair transform."""
+        spec = self.spec
+        h = spec.grid.spacing
+        ac, bc = np.fft.rfft(np.stack([a, b]), axis=-2)
+
+        def form(u, uc, v, vc):
+            pot = h * np.sum(self.ldiag * u * v)
+            return float(_coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot)
+
+        return form(a, ac, a, ac), form(a, ac, b, bc), form(b, bc, b, bc)
 
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
@@ -233,7 +266,7 @@ class _LineOperator(_OperatorBase):
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """Pointwise derivative field: the L2 representative of I'(u)."""
         spec = self.spec
-        return self.apply_metric(vals) - grad_w_values(spec.nonlinearity, spec.grid.nodes, vals)
+        return self.apply_metric(vals) - _weighted_grad_w(spec.nonlinearity, self.weight, vals)
 
     @functools.cached_property
     def factor(self) -> _MetricFactor:
@@ -291,7 +324,7 @@ class _LineOperator(_OperatorBase):
 
         def hess(x: np.ndarray) -> np.ndarray:
             xv = x.reshape(shape)
-            nl = hessian_w_action(spec.nonlinearity, spec.grid.nodes, vals, xv)
+            nl = _weighted_hessian_action(spec.nonlinearity, self.weight, vals, xv)
             return (self.apply_metric(xv) - nl).ravel()
 
         def precond(x: np.ndarray) -> np.ndarray:
@@ -315,26 +348,32 @@ class _IntervalOperator(_OperatorBase):
     newton_tol = 1e-14
 
     def __init__(self, spec: IntervalProblemSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.b = gl_matrix(spec.grid, spec.alpha)
         self.cho = interval_stiffness_cholesky(spec.grid, spec.alpha)
+
+    def wint(self, vals: np.ndarray) -> np.ndarray:
+        """The trapezoid integral of ``W(t, u)``, one value per candidate."""
+        wv = _weighted_w(self.spec.nonlinearity, self.weight, vals)
+        # Per-row dot products: the arithmetic of IntervalGrid.integrate.
+        return np.vecdot(wv, self.spec.grid.trapezoid_weights)
 
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.spec.grid.spacing * np.sum((self.b @ vals) ** 2, axis=(-2, -1))
 
-    def energies(self, vals: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        wv = w_values(spec.nonlinearity, spec.grid.nodes, vals)
-        # Per-row dot products: the arithmetic of IntervalGrid.integrate.
-        wint = np.vecdot(wv, spec.grid.trapezoid_weights)
-        return 0.5 * self.xnormsq(vals) - wint
+    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = h ||B .||^2``, from two matvecs."""
+        h = self.spec.grid.spacing
+        ba = self.b @ a
+        bb = self.b @ b
+        return h * float(np.sum(ba * ba)), h * float(np.sum(ba * bb)), h * float(np.sum(bb * bb))
 
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """Gradient of the discrete energy in the raw node coordinates."""
         spec = self.spec
         cw = spec.grid.trapezoid_weights
-        p = spec.grid.spacing * (self.b.T @ (self.b @ vals)) - cw[:, None] * grad_w_values(
-            spec.nonlinearity, spec.grid.nodes, vals
+        p = spec.grid.spacing * (self.b.T @ (self.b @ vals)) - cw[:, None] * _weighted_grad_w(
+            spec.nonlinearity, self.weight, vals
         )
         p[0] = 0.0
         p[-1] = 0.0
@@ -354,10 +393,10 @@ class _IntervalOperator(_OperatorBase):
         n = spec.n
         h_full = np.kron(np.asarray(interval_stiffness(spec.grid, spec.alpha)), np.eye(n))
         cw = spec.grid.trapezoid_weights
-        nodes = spec.grid.nodes
         basis = np.eye(n)
         blocks = np.stack(
-            [hessian_w_action(spec.nonlinearity, nodes, vals, np.tile(basis[k], (len(nodes), 1)))
+            [_weighted_hessian_action(
+                spec.nonlinearity, self.weight, vals, np.tile(basis[k], (len(vals), 1)))
              for k in range(n)],
             axis=-1,
         )  # (M, n, n): column k holds d(grad W)/du_k

@@ -28,7 +28,9 @@ escaping the path structure.
 The solver is written once for both domains.  It sees a problem only through
 the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
-residual and one Newton step.  On top of that it keeps one helper per
+residual and one Newton step, plus the three reductions of a segment and the
+batched ``W`` integral that make a line search transform-free (see
+``_measure_segment``).  On top of that it keeps one helper per
 repeated numerical pattern: ``_golden_max`` (segment crests and the
 ``ctilde`` ray), ``_doubling_scan`` (the far endpoint on both domains) and
 ``_newton_polish`` (damped Newton with backtracking on both domains).
@@ -50,9 +52,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
+from .fracops import _edge_to_peak
 from .functional import IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
-from .problem import calibrate_growth_constant, w_values
+from .problem import _weighted_w, calibrate_growth_constant
 from .spaces import EmbeddingConstants, estimate_embedding_constants
 
 __all__ = [
@@ -73,6 +76,8 @@ _POLISH_TRIGGER = 3e-2
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
+# Ray points per batched W evaluation in ``ctilde_bound``.
+_RAY_CHUNK = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,24 +348,37 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     """Maximum of the energy along the ray ``sigma * psi``, refined.
 
     Because the bump avoids the potential's support, the value is the same
-    for every parameter value; it upper-bounds the solver level.
+    for every parameter value; it upper-bounds the solver level.  Along the
+    ray the quadratic part is ``sigma^2 ||psi||_X^2``, and ``W(t, 0) = 0``,
+    so the ``W`` integral runs over the bump's support only, in batches of
+    at most ``_RAY_CHUNK`` ray points.
     """
+    op = _operator(spec)
     psi = setup.psi.values
-    qf = float(_operator(spec).xnormsq(psi))
-    grid = spec.grid
-    nodes = grid.nodes
+    qf = float(op.xnormsq(psi))
+    support = np.flatnonzero(np.any(psi != 0.0, axis=1))
+    psi_s = psi[support]
+    weight = op.weight[support]
+    h = spec.grid.spacing
     nl = spec.nonlinearity
 
-    def ray_energy(sigma: float) -> float:
-        wint = grid.spacing * float(np.sum(w_values(nl, nodes, sigma * psi)))
-        return 0.5 * sigma**2 * qf - wint
+    def ray_energies(sigmas: np.ndarray) -> np.ndarray:
+        out = np.empty(len(sigmas))
+        for start in range(0, len(sigmas), _RAY_CHUNK):
+            chunk = sigmas[start : start + _RAY_CHUNK]
+            wv = _weighted_w(nl, weight, chunk[:, None, None] * psi_s[None])
+            out[start : start + len(chunk)] = 0.5 * chunk**2 * qf - h * np.sum(wv, axis=-1)
+        return out
 
     sigmas = np.linspace(0.0, setup.sigma0, 2049)[1:]
-    energies = np.array([ray_energy(s) for s in sigmas])
+    energies = ray_energies(sigmas)
     i = int(np.argmax(energies))
     lo = sigmas[max(i - 1, 0)]
     hi = sigmas[min(i + 1, len(sigmas) - 1)]
-    _, best = _golden_max(ray_energy, lo, hi, sigmas[i], float(energies[i]), 60)
+    _, best = _golden_max(
+        lambda s: float(ray_energies(np.array([s]))[0]),
+        lo, hi, sigmas[i], float(energies[i]), 60,
+    )
     return best
 
 
@@ -375,25 +393,44 @@ class _Segment:
     value: float
 
 
+def _segment_energies(op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray) -> np.ndarray:
+    """Energies at ``(1 - th) a + th b`` from ``forms = op.segment_forms(a, b)``."""
+    qa, qab, qb = forms
+    s = 1.0 - thetas
+    stack = s[:, None, None] * a[None] + thetas[:, None, None] * b[None]
+    quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb
+    return 0.5 * quad - op.wint(stack)
+
+
 def _measure_segment(op, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
-    Batched coarse scan of the interior, then golden-section refinement of
-    the best coarse cell.  Every reported value is an actually evaluated
-    energy, so the measurement never overstates the true maximum.
+    Along the segment the quadratic part of the energy is exactly
+
+        Q((1 - th) a + th b) = (1 - th)^2 Q(a) + 2 th (1 - th) B(a, b) + th^2 Q(b),
+
+    so three reductions (``op.segment_forms``) serve every point, and each
+    trial point costs one ``W`` integral (``op.wint``) and no transform.  A
+    batched coarse scan of the interior picks the best cell, and golden
+    section refines it on the same expansion.  The reported value is the
+    directly evaluated energy at the chosen ``th``, with the arithmetic of
+    :meth:`_PathEngine.insert`: inserting the crest as a node then gives it
+    exactly this energy, and the measurement never overstates an energy
+    actually attained on the path.
     """
+    forms = op.segment_forms(a, b)
     thetas = np.linspace(0.0, 1.0, coarse + 2)[1:-1]
-    stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
-    energies = op.energies(stack)
-    i = int(np.argmax(energies))
+    scan = _segment_energies(op, a, b, forms, thetas)
+    i = int(np.argmax(scan))
     best_theta = float(thetas[i])
     span = thetas[1] - thetas[0]
     lo = max(0.0, best_theta - span)
     hi = min(1.0, best_theta + span)
-    theta, value = _golden_max(
-        lambda th: op.energy((1.0 - th) * a + th * b), lo, hi, best_theta, float(energies[i]), 36
+    theta, _ = _golden_max(
+        lambda th: float(_segment_energies(op, a, b, forms, np.array([th]))[0]),
+        lo, hi, best_theta, float(scan[i]), 36,
     )
-    return _Segment(theta=theta, value=value)
+    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b))
 
 
 class _PathEngine:
@@ -672,7 +709,11 @@ def mpa_solve(
                 (w + wg * w * (1.0 - w)) * e_vals for w, wg in zip(weights, wiggle)
             ]
             runs.append(_run_path(op, e_vals, config, initial_nodes=nodes))
-    return _best(runs)
+    best = _best(runs)
+    # Box truncation: solutions decay only algebraically, so record how much
+    # of the peak is left at the edge of the truncated line.
+    diagnostics = {**best.diagnostics, "edge_to_peak": _edge_to_peak(best.u.values)}
+    return dataclasses.replace(best, diagnostics=diagnostics)
 
 
 def bvp_solve(

@@ -307,17 +307,43 @@ def _magnitude(U: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(U**2, axis=-1))
 
 
+# The ``_weighted_*`` kernels take the weight values ``g(t)`` themselves, so a
+# caller that evaluates on one grid many times computes them once; the public
+# functions below compute them per call and give the same bits.
+
+
+def _weighted_w(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray) -> np.ndarray:
+    return g * _radial_value(spec, _magnitude(U))
+
+
+def _weighted_grad_w(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray) -> np.ndarray:
+    factor = g * _radial_slope_factor(spec, _magnitude(U))
+    return factor[..., None] * U
+
+
+def _weighted_hessian_action(
+    spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, V: np.ndarray
+) -> np.ndarray:
+    r = _magnitude(U)
+    factor = g * _radial_slope_factor(spec, r)
+    second = g * _radial_second(spec, r)
+    out = factor[..., None] * V
+    mask = r > 0.0
+    if np.any(mask):
+        coeff = np.zeros_like(r)
+        coeff[mask] = (second[mask] - factor[mask]) / r[mask] ** 2
+        out = out + (coeff * np.sum(U * V, axis=-1))[..., None] * U
+    return out
+
+
 def w_values(spec: NonlinearitySpec, t, U: np.ndarray) -> np.ndarray:
     """Vectorized ``W(t, u)`` for ``U`` of shape ``(..., n)``."""
-    r = _magnitude(U)
-    return weight_values(spec, t) * _radial_value(spec, r)
+    return _weighted_w(spec, weight_values(spec, t), U)
 
 
 def grad_w_values(spec: NonlinearitySpec, t, U: np.ndarray) -> np.ndarray:
     """Vectorized gradient ``(w'(|u|)/|u|) g(t) u``, shape ``(..., n)``."""
-    r = _magnitude(U)
-    factor = weight_values(spec, t) * _radial_slope_factor(spec, r)
-    return factor[..., None] * U
+    return _weighted_grad_w(spec, weight_values(spec, t), U)
 
 
 def h_values(spec: NonlinearitySpec, t, U: np.ndarray) -> np.ndarray:
@@ -333,17 +359,7 @@ def hessian_w_action(spec: NonlinearitySpec, t, U: np.ndarray, V: np.ndarray) ->
     the rank-one coefficient vanishes at ``r = 0`` for superquadratic
     families, so the origin is handled by masking.
     """
-    r = _magnitude(U)
-    g = weight_values(spec, t)
-    factor = g * _radial_slope_factor(spec, r)
-    second = g * _radial_second(spec, r)
-    out = factor[..., None] * V
-    mask = r > 0.0
-    if np.any(mask):
-        coeff = np.zeros_like(r)
-        coeff[mask] = (second[mask] - factor[mask]) / r[mask] ** 2
-        out = out + (coeff * np.sum(U * V, axis=-1))[..., None] * U
-    return out
+    return _weighted_hessian_action(spec, weight_values(spec, t), U, V)
 
 
 def _as_points(t, u) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from fracham import (
 )
 from fracham.fracops import gl_matrix, interval_stiffness
 from fracham import functional
-from fracham.problem import w_values
+from fracham.problem import _weighted_hessian_action, grad_w_values, hessian_w_action, w_values
 from fracham.spaces import sample_interval_function
 
 
@@ -218,7 +218,10 @@ def test_metric_solve_checks_its_residual(spec10, monkeypatch):
     ids=["n1-scalar-pure_power", "n2-diagonal-oscillatory"],
 )
 def test_operator_layer(n, potential, nonlinearity):
-    """Batched rows match single evaluations bit for bit; forms and gradients agree."""
+    """Batched rows match single evaluations bit for bit; forms and gradients agree.
+
+    The operator's cached weight gives the bits of the per-call ``W`` kernels.
+    """
     rng = np.random.default_rng(13)
     grid = RealLineGrid(20.0, 1024)
     spec = ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
@@ -262,6 +265,14 @@ def test_operator_layer(n, potential, nonlinearity):
         action = bvp_derivative_action(u, v, ispec)
         metric = ispec.grid.spacing * float(np.sum((b @ g.values) * (b @ v.values)))
         assert abs(metric - action) < 1e-10 * (1.0 + abs(action))
+
+    u, v = line_field().values, line_field().values
+    t = grid.nodes
+    op = functional._operator(spec)
+    assert op.wint(u) == grid.spacing * np.sum(w_values(nonlinearity, t, u))
+    assert np.array_equal(op.residual(u), op.apply_metric(u) - grad_w_values(nonlinearity, t, u))
+    assert np.array_equal(_weighted_hessian_action(nonlinearity, op.weight, u, v),
+                          hessian_w_action(nonlinearity, t, u, v))
 
 
 def test_interval_boundary_enforcement(interval_spec):

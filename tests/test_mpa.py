@@ -1,6 +1,8 @@
 """Certified barrier geometry and the polyline min-max solver."""
 
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,18 +17,27 @@ from fracham import (
     IntervalProblemSpec,
     MpaConfig,
     NonlinearitySpec,
+    ProblemSpec,
     RealLineGrid,
     bvp_solve,
     construct_e,
     ctilde_bound,
+    default_nonlinearity,
+    default_oscillatory,
+    default_potential,
     energy,
+    estimate_embedding_constants,
     estimate_rho_eta,
     h_identity,
     mpa_solve,
     norm_x_lambda,
     quadratic_form_alpha,
 )
+from fracham import functional, mpa
+from fracham.cli import main
+from fracham.fracops import BoundaryDecayWarning, check_boundary_decay
 from fracham.problem import w_values
+from fracham.spaces import sample_interval_function
 
 
 def test_config_validation():
@@ -201,3 +212,135 @@ def test_interval_solver_rejects_foreign_guess(interval_spec):
     stranger = GridFunction(IntervalGrid(-0.4, 0.4, 33), np.zeros(33))
     with pytest.raises(DomainError):
         bvp_solve(interval_spec, initial_guess=stranger)
+
+
+# ---------------------------------------------------------------------------
+# Line searches on the segment expansion, the batched ray, the FFT budget.
+# ---------------------------------------------------------------------------
+
+
+_OSC_WEIGHTED = dataclasses.replace(default_oscillatory(), weight_amp=0.3, weight_freq=2.0)
+
+
+def _segment_problem(domain, n, nonlinearity):
+    """A spec of the given domain and two candidate points of moderate energy."""
+    rng = np.random.default_rng(7 + n)
+    if domain == "line":
+        grid = RealLineGrid(20.0, 1024)
+        potential = default_potential()
+        if n == 2:
+            potential = dataclasses.replace(potential, kind="diagonal", diag_scales=(1.0, 2.0))
+        spec = ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
+                           nonlinearity=nonlinearity, grid=grid, n=n)
+        t = grid.nodes
+
+        def field():
+            cols = [rng.uniform(0.5, 1.5) * np.exp(-((t - rng.uniform(-1, 1)) ** 2))
+                    for _ in range(n)]
+            return np.stack(cols, axis=1)
+    else:
+        spec = IntervalProblemSpec(alpha=0.75, nonlinearity=nonlinearity,
+                                   grid=IntervalGrid(-0.4, 0.4, 129), n=n)
+
+        def field():
+            return np.stack([sample_interval_function(spec.grid, rng, 1) for _ in range(n)],
+                            axis=1)
+    op = functional._operator(spec)
+    return op, field(), 2.0 * field()
+
+
+@pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
+                         ids=["pure_power", "oscillatory"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("domain", ["line", "interval"])
+def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
+    """Three reductions reproduce every energy on the segment; the crest is evaluated."""
+    op, a, b = _segment_problem(domain, n, nonlinearity)
+    thetas = np.linspace(0.0, 1.0, 41)
+    stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
+    direct = op.energies(stack)
+    expanded = mpa._segment_energies(op, a, b, op.segment_forms(a, b), thetas)
+    assert np.max(np.abs(expanded - direct)) <= 1e-12 * np.max(np.abs(direct))
+    seg = mpa._measure_segment(op, a, b)
+    assert 0.0 < seg.theta < 1.0
+    assert seg.value == op.energy((1.0 - seg.theta) * a + seg.theta * b)
+    assert seg.value >= np.max(direct[1:-1]) - 1e-12 * np.max(np.abs(direct))
+
+
+def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
+    """Inserting a measured crest gives the node its exact value, so refinement stops."""
+    config = MpaConfig()
+    e = setup.e.values
+    nodes = [w * e for w in np.linspace(0.0, 1.0, config.path_nodes)]
+    engine = mpa._PathEngine(functional._operator(spec10), nodes, config)
+    engine.refine_to_crest()
+    assert engine.counters["inserted"] <= 4
+    assert max(s.value for s in engine.segments) <= max(engine.energies)
+
+
+def _scalar_ray_bound(setup, spec):
+    """The ray maximum from direct single energies and the same golden refinement."""
+    op = functional._operator(spec)
+    psi = setup.psi.values
+    sigmas = np.linspace(0.0, setup.sigma0, 2049)[1:]
+    energies = np.array([op.energy(s * psi) for s in sigmas])
+    i = int(np.argmax(energies))
+    lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
+    _, best = mpa._golden_max(lambda s: op.energy(s * psi), lo, hi, sigmas[i],
+                              float(energies[i]), 60)
+    return best
+
+
+def test_batched_ray_matches_scalar_loop(spec10, setup, line_grid, potential):
+    assert abs(ctilde_bound(setup, spec10) - _scalar_ray_bound(setup, spec10)) <= (
+        1e-13 * _scalar_ray_bound(setup, spec10)
+    )
+    spec2 = ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
+                        nonlinearity=default_oscillatory(), grid=line_grid, n=2)
+    constants = estimate_embedding_constants(line_grid, 0.75, potential, samples=100, seed=1)
+    setup2 = construct_e(spec2, constants=constants)
+    reference = _scalar_ray_bound(setup2, spec2)
+    assert abs(ctilde_bound(setup2, spec2) - reference) <= 1e-13 * reference
+
+
+def test_default_solve_fft_budget(spec10, setup, monkeypatch):
+    """Line searches run no transform: a default solve stays within 1700 FFT calls."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    res = mpa_solve(spec10, setup)
+    assert res.converged is True
+    assert 0 < len(calls) <= 1700
+
+
+def test_edge_to_peak_is_recorded_without_warning(default_solve, sweep_report, tmp_path, capsys):
+    assert 0.0 < default_solve.diagnostics["edge_to_peak"] < 1e-3
+    assert all(0.0 < rec["edge_to_peak"] < 1e-3 for rec in sweep_report.records)
+    out = tmp_path / "run"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"embedding": {"samples": 200}}), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "BoundaryDecayWarning" not in captured.out + captured.err
+    payload = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    assert 0.0 < payload["diagnostics"]["edge_to_peak"] < 1e-3
+
+
+def test_edge_to_peak_on_a_narrow_box_is_silent(potential, nonlin, constants):
+    """A box that truncates the solution reports a large ratio and warns nowhere."""
+    spec = ProblemSpec(alpha=0.75, lam=10.0, potential=potential, nonlinearity=nonlin,
+                       grid=RealLineGrid(1.5, 256))
+    setup = construct_e(spec, constants=constants)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryDecayWarning)
+        res = mpa_solve(spec, setup)
+    ratio = res.diagnostics["edge_to_peak"]
+    assert ratio > 1e-3
+    with pytest.warns(BoundaryDecayWarning):
+        assert check_boundary_decay(res.u) == ratio
