@@ -88,8 +88,6 @@ def _constants(cfg, spec):
         spec.grid,
         spec.alpha,
         spec.potential,
-        samples=int(cfg["embedding"]["samples"]),
-        seed=int(cfg["seed"]),
         safety=float(cfg["embedding"]["safety"]),
     )
 

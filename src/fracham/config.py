@@ -98,8 +98,19 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# The one leaf that may be null: a nonlinearity with no configured defect constant.
+_NULLABLE = frozenset({"problem.nonlinearity.c0"})
+
+
+def _kind(value) -> str | None:
+    """JSON kind of a config leaf, as named in error messages."""
+    if isinstance(value, list):
+        return "a list of numbers" if all(_kind(x) == "a number" for x in value) else None
+    return {bool: "a boolean", int: "a number", float: "a number", str: "a string"}.get(type(value))
+
+
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Recursive merge of an override onto defaults, rejecting unknown keys."""
+    """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -109,8 +120,10 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be a table")
             out[key] = merge_config(base[key], value, where)
-        else:
+        elif _kind(value) == _kind(base[key]) or (value is None and where in _NULLABLE):
             out[key] = copy.deepcopy(value)
+        else:
+            raise ConfigError(f"config key {where!r} must be {_kind(base[key])}, got {value!r}")
     return out
 
 

@@ -233,9 +233,7 @@ def lambda_sweep(
     if mpa_config is None:
         mpa_config = MpaConfig()
     if constants is None:
-        constants = estimate_embedding_constants(
-            base_spec.grid, base_spec.alpha, base_spec.potential
-        )
+        constants = estimate_embedding_constants(base_spec.grid, base_spec.alpha, base_spec.potential)
     floor = constants.lambda_floor
     below = [x for x in lambdas if x < floor * (1.0 - 1e-12)]
     if below:
@@ -494,13 +492,7 @@ def run_verification_campaign(
 
     needs_constants = merged["embedding_samples"] > 0 or merged["sphere_samples"] > 0
     if needs_constants and constants is None:
-        constants = estimate_embedding_constants(
-            spec.grid,
-            spec.alpha,
-            spec.potential,
-            samples=max(merged["embedding_samples"], 100),
-            seed=seed,
-        )
+        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
 
     if merged["embedding_samples"] > 0:
         try:

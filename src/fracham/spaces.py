@@ -22,13 +22,14 @@ where ``Theta = (1 - C_inf^2 m)/(C_inf^2 m)``, ``m = meas{l < c}``, and
 numbers; :func:`verify_embeddings` stress-tests every inequality on randomized
 samples and fails loudly with the offending sample if one breaks.
 
-``C_inf`` is an estimate, not a closed form.  On a fixed grid the sharp
-discrete constant is attainable: Cauchy-Schwarz on the Fourier coefficients
-gives ``|u(t0)| <= sqrt(sum_k (1 + |w_k|^(2a))^-1 / (N h)) * ||u||_alpha``
-with equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  The
-randomized estimator always includes that extremal profile as a candidate, so
-the returned estimate equals the grid-sharp constant and is seed-stable; the
-random families only corroborate it.
+``C_inf`` is the sharp constant of the grid, not of the continuum.  On a fixed
+grid it is attained: Cauchy-Schwarz on the Fourier coefficients gives
+``|u(t0)| <= sqrt(sum_k (1 + |w_k|^(2a))^-1 / (N h)) * ||u||_alpha`` with
+equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  So
+:func:`estimate_embedding_constants` evaluates the ratio
+``max|u| / ||u||_alpha`` on that extremal profile, once; no random draw can
+exceed it.  Random samples only test the derived inequalities, in
+:func:`verify_embeddings`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "norm_x_lambda",
     "c_infinity_grid_sharp",
     "extremal_profile",
-    "estimate_c_infinity",
     "estimate_embedding_constants",
     "verify_embeddings",
     "sample_line_function",
@@ -169,47 +169,6 @@ def sample_interval_function(
     return envelope * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
 
 
-def estimate_c_infinity(
-    grid: RealLineGrid,
-    alpha: float,
-    samples: int = 10000,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict]:
-    """Randomized estimate of the sup-embedding constant.
-
-    Maximizes ``max|u| / ||u||_alpha`` over the three random families plus the
-    deterministic extremal profile; returns the best ratio and a per-family
-    report.  Because the extremal profile achieves the grid-sharp constant,
-    the returned value is that constant regardless of the random draw.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per_family: dict[str, float] = {}
-
-    def ratio(vals: np.ndarray) -> float:
-        u = GridFunction(grid, vals)
-        nrm = norm_h_alpha(u, alpha)
-        if nrm == 0.0:
-            return 0.0
-        return float(np.max(np.abs(vals))) / nrm
-
-    names = ("gaussian-mixture", "bump-mixture", "band-limited")
-    for fam, name in enumerate(names):
-        best = 0.0
-        for _ in range(max(samples // 3, 1)):
-            best = max(best, ratio(sample_line_function(grid, rng, fam)))
-        per_family[name] = best
-    extremal = ratio(extremal_profile(grid, alpha).scalar)
-    per_family["extremal-profile"] = extremal
-    best_overall = max(per_family.values())
-    report = {
-        "per_family": per_family,
-        "grid_sharp": c_infinity_grid_sharp(grid, alpha),
-        "samples": samples,
-    }
-    return best_overall, report
-
-
 def _kappa(theta: float, meas: float, p: float) -> float:
     """Closed-form ``kappa_p``: ``kappa_p^p = 1/(Theta^{p/2} m^{(p-2)/2})``."""
     if p < 2:
@@ -221,8 +180,8 @@ def _kappa(theta: float, meas: float, p: float) -> float:
 class EmbeddingConstants:
     """Derived embedding constants for one (grid, alpha, potential) triple.
 
-    ``c_infinity`` is the gated (safety-inflated) estimate used by every
-    downstream formula; the raw randomized estimate and the safety factor are
+    ``c_infinity`` is the gated (safety-inflated) constant used by every
+    downstream formula; the raw grid-sharp constant and the safety factor are
     kept alongside so reports can show the margin.  Construction fails when
     the sublevel-measure smallness condition ``meas{l<c} < 1/c_infinity^2``
     does not hold.
@@ -237,8 +196,6 @@ class EmbeddingConstants:
     theta: float
     lambda_floor: float
     kappa_map: tuple[tuple[float, float], ...]
-    sample_count: int
-    seed: int
 
     def __post_init__(self):
         if self.c_infinity <= 0 or self.meas_lc <= 0 or self.c_level <= 0:
@@ -271,8 +228,6 @@ class EmbeddingConstants:
             "theta": self.theta,
             "lambda_floor": self.lambda_floor,
             "kappa": {str(p): k for p, k in self.kappa_map},
-            "sample_count": self.sample_count,
-            "seed": self.seed,
             "estimated": True,
         }
 
@@ -281,20 +236,22 @@ def estimate_embedding_constants(
     grid: RealLineGrid,
     alpha: float,
     potential,
-    samples: int = 10000,
-    seed: int = 20260816,
     safety: float = 1.1,
     kappa_exponents: tuple[float, ...] = (3.0, 4.0),
 ) -> EmbeddingConstants:
-    """Estimate ``C_inf`` and derive every downstream constant.
+    """Grid-sharp ``C_inf`` and every constant derived from it.
 
-    ``potential`` is a :class:`~fracham.problem.PotentialSpec`; its closed-form
-    sublevel measure feeds the smallness condition.  The stored
-    ``c_infinity`` is ``safety * raw_estimate`` so the derived ``theta``,
-    ``kappa_p`` and ``lambda_floor`` are all conservative.
+    The raw constant is the ratio ``max|u| / ||u||_alpha`` on
+    :func:`extremal_profile` (one inverse FFT and one norm): a value a grid
+    function attains, which the closed form :func:`c_infinity_grid_sharp`
+    matches to one ulp.  ``potential`` is a
+    :class:`~fracham.problem.PotentialSpec`; its closed-form sublevel measure
+    feeds the smallness condition.  The stored ``c_infinity`` is
+    ``safety * raw`` so the derived ``theta``, ``kappa_p`` and
+    ``lambda_floor`` are all conservative.
     """
-    rng = np.random.default_rng(seed)
-    raw, _report = estimate_c_infinity(grid, alpha, samples=samples, rng=rng)
+    prof = extremal_profile(grid, alpha)
+    raw = float(np.max(np.abs(prof.values))) / norm_h_alpha(prof, alpha)
     gated = safety * raw
     meas = potential.sublevel_measure()
     csq_m = gated**2 * meas
@@ -314,8 +271,6 @@ def estimate_embedding_constants(
         theta=theta,
         lambda_floor=1.0 / (potential.c * gated**2 * meas),
         kappa_map=tuple((p, _kappa(theta, meas, p)) for p in kappa_exponents),
-        sample_count=samples,
-        seed=seed,
     )
 
 
@@ -356,9 +311,7 @@ def verify_embeddings(
     if any ratio exceeds ``1 + tolerance``.
     """
     if constants is None:
-        constants = estimate_embedding_constants(
-            spec.grid, spec.alpha, spec.potential, seed=seed
-        )
+        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
     if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
         raise DomainError(
             f"lambda = {spec.lam} is below lambda_floor = {constants.lambda_floor}; "

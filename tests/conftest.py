@@ -53,7 +53,7 @@ def spec10(line_grid, potential, nonlin):
 
 @pytest.fixture(scope="session")
 def constants(line_grid, potential):
-    return estimate_embedding_constants(line_grid, 0.75, potential, samples=1000, seed=SEED)
+    return estimate_embedding_constants(line_grid, 0.75, potential)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracham
-from fracham import functional
+from fracham import functional, spaces
 from fracham.cli import main
 
 
@@ -25,11 +26,8 @@ def _read_json(path):
 
 @pytest.fixture()
 def fast_config(tmp_path):
-    """Coarser grid and a small sample budget keep single-command runs quick."""
-    return _write_config(
-        tmp_path,
-        {"grid": {"num_points": 1024}, "embedding": {"samples": 200}},
-    )
+    """A coarser grid keeps single-command runs quick."""
+    return _write_config(tmp_path, {"grid": {"num_points": 1024}})
 
 
 def test_no_command_prints_usage(capsys):
@@ -52,6 +50,21 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"probelm": {"alpha": 0.75}})
     assert main(["bound", "--config", cfg]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"mpa": {"path_nodes": "abc"}}, "mpa.path_nodes"),
+        ({"grid": {"num_points": None}}, "grid.num_points"),
+        ({"embedding": {"samples": "abc"}}, "embedding.samples"),
+    ],
+)
+def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
+    cfg = _write_config(tmp_path, override)
+    assert main(["bound", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
 
 
 def test_unknown_metric_is_rejected(tmp_path, capsys):
@@ -162,6 +175,42 @@ def test_bound_matches_library_geometry(tmp_path, capsys, setup, ctilde, constan
     assert payload["eta"] == setup.eta
     assert payload["sigma0"] == setup.sigma0
     assert payload["constants"]["lambda_floor"] == constants.lambda_floor
+
+
+def test_embedding_samples_is_inert(tmp_path, capsys):
+    """Schema v1 keeps ``embedding.samples``; it changes nothing but the hash."""
+    cfg = _write_config(tmp_path, {"embedding": {"samples": 30}})
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "small")]) == 0
+    assert main(["bound", "--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    small = _read_json(tmp_path / "small" / "bound.json")
+    default = _read_json(tmp_path / "default" / "bound.json")
+    assert small.pop("config_hash") != default.pop("config_hash")
+    assert small == default
+
+
+def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
+    """``bound`` takes C_inf from the extremal profile: no random draw, a few FFTs."""
+    draws, ffts = [], []
+    original_draw = spaces.sample_line_function
+
+    def counted_draw(*args, **kwargs):
+        draws.append(1)
+        return original_draw(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "sample_line_function", counted_draw)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            ffts.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    assert main(["bound", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert len(draws) == 0
+    assert 0 < len(ffts) <= 20
 
 
 def test_module_entry_point_prints_help():

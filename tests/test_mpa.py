@@ -297,7 +297,7 @@ def test_batched_ray_matches_scalar_loop(spec10, setup, line_grid, potential):
     )
     spec2 = ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
                         nonlinearity=default_oscillatory(), grid=line_grid, n=2)
-    constants = estimate_embedding_constants(line_grid, 0.75, potential, samples=100, seed=1)
+    constants = estimate_embedding_constants(line_grid, 0.75, potential)
     setup2 = construct_e(spec2, constants=constants)
     reference = _scalar_ray_bound(setup2, spec2)
     assert abs(ctilde_bound(setup2, spec2) - reference) <= 1e-13 * reference
