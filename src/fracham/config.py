@@ -110,7 +110,11 @@ def _kind(value) -> str | None:
 
 
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind."""
+    """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind.
+
+    A key whose default is an integer also rejects a non-integral number;
+    an integral float such as ``4096.0`` is accepted.
+    """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -120,10 +124,12 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be a table")
             out[key] = merge_config(base[key], value, where)
-        elif _kind(value) == _kind(base[key]) or (value is None and where in _NULLABLE):
-            out[key] = copy.deepcopy(value)
-        else:
+        elif _kind(value) != _kind(base[key]) and not (value is None and where in _NULLABLE):
             raise ConfigError(f"config key {where!r} must be {_kind(base[key])}, got {value!r}")
+        elif type(base[key]) is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {where!r} must be an integer, got {value!r}")
+        else:
+            out[key] = copy.deepcopy(value)
     return out
 
 

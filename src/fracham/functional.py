@@ -30,14 +30,17 @@ the metric ``gradient``, the stationarity ``residual`` and a
 :mod:`fracham.mpa` evaluate everything through them; the line quadratic form
 is :func:`fracham.fracops._spectral_form`.
 
-Line searches use two more methods.  ``wint`` is the batched ``W`` integral
-(the one ``energies`` subtracts), and ``segment_forms(a, b)`` returns the
-three reductions ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part
-``Q`` (the spectral form plus ``lambda`` times the potential term on the
-line, ``h (Ba).(Bb)`` on the interval).  Along the segment from ``a`` to
-``b`` the quadratic part is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) +
+Line searches use three more methods.  ``wint`` is the batched ``W``
+integral (the one ``energies`` subtracts), ``wslope(u, d)`` the batched
+integral of ``grad W(t, u) . d`` with the same quadrature (the derivative of
+``wint`` along ``d``), and ``segment_forms(a, b)`` returns the three
+reductions ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q`` (the
+spectral form plus ``lambda`` times the potential term on the line,
+``h (Ba).(Bb)`` on the interval).  Along the segment from ``a`` to ``b``
+the quadratic part is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) +
 th^2 Q(b)``, so a segment costs those three reductions plus one ``W``
-integral per trial point, with no transform.  The expansion only steers the
+integral per coarse trial point and one ``W`` slope per step of the root
+search for the crest, with no transform.  The expansion only steers the
 search: the crest value the solver reports is re-evaluated directly with
 ``energy`` (see :func:`fracham.mpa._measure_segment`).
 
@@ -77,6 +80,7 @@ from .problem import (
     PotentialSpec,
     _weighted_grad_w,
     _weighted_hessian_action,
+    _weighted_slope,
     _weighted_w,
     grad_w_values,
     h_values,
@@ -239,6 +243,12 @@ class _LineOperator(_OperatorBase):
         spec = self.spec
         return spec.grid.spacing * np.sum(_weighted_w(spec.nonlinearity, self.weight, vals), axis=-1)
 
+    def wslope(self, vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The integral of ``grad W(t, u) . d``: the derivative of ``wint`` along ``d``."""
+        spec = self.spec
+        slope = _weighted_slope(spec.nonlinearity, self.weight, vals, d)
+        return spec.grid.spacing * np.sum(slope, axis=-1)
+
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         spec = self.spec
         qf = _spectral_form(spec.grid, spec.alpha, vals)
@@ -290,10 +300,20 @@ class _LineOperator(_OperatorBase):
         return _MetricFactor(symbol=symbol, wells=tuple(wells))
 
     def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A g = rhs`` with the cached factor, checking the residual."""
+        """Solve ``A g = rhs`` with the cached factor, checking the residual.
+
+        The capacitance matrix's condition number grows like ``lambda``, so
+        past about ``lambda = 1e5`` a relative residual above ``1e-12`` gets
+        one step of iterative refinement with the same factor before the
+        ``1e-10`` check.
+        """
         g = self.factor.solve(rhs)
-        res = float(np.linalg.norm(self.apply_metric(g) - rhs))
+        r = self.apply_metric(g) - rhs
+        res = float(np.linalg.norm(r))
         bnorm = float(np.linalg.norm(rhs))
+        if res > 1e-12 * bnorm:
+            g = g - self.factor.solve(r)
+            res = float(np.linalg.norm(self.apply_metric(g) - rhs))
         if not res <= 1e-10 * bnorm:
             k = "/".join(str(idx.size) for idx, _, _ in self.factor.wells)
             raise ConvergenceError(
@@ -357,6 +377,11 @@ class _IntervalOperator(_OperatorBase):
         wv = _weighted_w(self.spec.nonlinearity, self.weight, vals)
         # Per-row dot products: the arithmetic of IntervalGrid.integrate.
         return np.vecdot(wv, self.spec.grid.trapezoid_weights)
+
+    def wslope(self, vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The trapezoid integral of ``grad W(t, u) . d``, one value per candidate."""
+        slope = _weighted_slope(self.spec.nonlinearity, self.weight, vals, d)
+        return np.vecdot(slope, self.spec.grid.trapezoid_weights)
 
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.spec.grid.spacing * np.sum((self.b @ vals) ** 2, axis=(-2, -1))

@@ -6,9 +6,9 @@ The solver realizes the min-max level
 
 on a discrete polyline.  The reported level is the measured maximum over the
 whole piecewise-linear path (node energies plus per-segment interior maxima,
-each segment scanned coarsely and refined by golden section), so it is an
-honest upper bound for the min-max value on that polyline, not just the best
-node energy.  Each iteration:
+each segment scanned coarsely and its crest found as a root of the energy's
+slope along the segment), so it is an honest upper bound for the min-max
+value on that polyline, not just the best node energy.  Each iteration:
 
 1. selects the crest: if a segment's interior maximum exceeds every node
    energy, that interior point is inserted as a new node (converting an
@@ -29,10 +29,11 @@ The solver is written once for both domains.  It sees a problem only through
 the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
 residual and one Newton step, plus the three reductions of a segment and the
-batched ``W`` integral that make a line search transform-free (see
-``_measure_segment``).  On top of that it keeps one helper per
-repeated numerical pattern: ``_golden_max`` (segment crests and the
-``ctilde`` ray), ``_doubling_scan`` (the far endpoint on both domains) and
+batched ``W`` integral and its slope that make a line search transform-free
+(see ``_measure_segment``).  On top of that it keeps one helper per repeated
+numerical pattern: ``_slope_crest`` with ``_illinois_root`` (segment crests
+and the ``ctilde`` ray: a coarse scan's best point refined to a root of the
+slope), ``_doubling_scan`` (the far endpoint on both domains) and
 ``_newton_polish`` (damped Newton with backtracking on both domains).
 
 The geometry pieces mirror the variational skeleton: ``estimate_rho_eta``
@@ -47,7 +48,6 @@ admissible parameter value can push past.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
 from .fracops import _edge_to_peak
 from .functional import IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
-from .problem import _weighted_w, calibrate_growth_constant
+from .problem import _weighted_slope, _weighted_w, calibrate_growth_constant
 from .spaces import EmbeddingConstants, estimate_embedding_constants
 
 __all__ = [
@@ -69,7 +69,10 @@ __all__ = [
     "bvp_solve",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Crest root searches stop at this relative bracket width, or after
+# _ROOT_ITERS evaluations; a segment crest this close to an end is that end.
+_ROOT_TOL = 1e-9
+_ROOT_ITERS = 60
 # The Newton polish starts once the weighted residual is below this fraction
 # of 1 + |level|.
 _POLISH_TRIGGER = 3e-2
@@ -163,29 +166,55 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, best_x: float, best_f: float, iters: int):
-    """Golden-section refinement of a maximum bracketed by ``[lo, hi]``.
+def _illinois_root(f, x0: float, x1: float, f0: float, f1: float) -> float:
+    """Root of ``f`` between ``x0`` and ``x1``, where ``f0`` and ``f1`` differ in sign.
 
-    Starts from the best point ``(best_x, best_f)`` of a coarse scan and
-    returns the best point evaluated, so the value never overstates ``f``.
+    Regula falsi with the Illinois modification: an end kept twice in a row
+    has its value halved, so both ends of the bracket move.  Stops once the
+    bracket is narrower than ``_ROOT_TOL`` relative to ``1 + |x|``, when the
+    secant point hits an end in floating point, or after ``_ROOT_ITERS``
+    evaluations, and returns the last point evaluated (``x0`` if none).
     """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+    x = x0
+    moved = None  # the end replaced by the previous step
+    for _ in range(_ROOT_ITERS):
+        secant = (x0 * f1 - x1 * f0) / (f1 - f0)
+        if not min(x0, x1) < secant < max(x0, x1):
+            break
+        x = secant
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if (fx > 0.0) == (f0 > 0.0):
+            x0, f0 = x, fx
+            if moved == 0:
+                f1 *= 0.5
+            moved = 0
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if f1 > best_f:
-            best_x, best_f = x1, f1
-        if f2 > best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+            x1, f1 = x, fx
+            if moved == 1:
+                f0 *= 0.5
+            moved = 1
+        if abs(x1 - x0) <= _ROOT_TOL * (1.0 + abs(x)):
+            break
+    return x
+
+
+def _slope_crest(slope, best: float, left: float, right: float) -> float:
+    """Crest next to the best point of a coarse scan, from the sign of ``slope``.
+
+    The sign of the slope at ``best`` names the rising side.  If the slope
+    changes sign between ``best`` and the neighbour on that side, the root
+    is returned; otherwise the neighbour itself, for the caller to judge.
+    """
+    s = slope(best)
+    if s == 0.0:
+        return best
+    nb = right if s > 0.0 else left
+    snb = slope(nb)
+    if snb == 0.0 or (snb > 0.0) == (s > 0.0):
+        return nb
+    return _illinois_root(slope, best, nb, s, snb)
 
 
 def _doubling_scan(accept, failure: str) -> float:
@@ -351,7 +380,9 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     for every parameter value; it upper-bounds the solver level.  Along the
     ray the quadratic part is ``sigma^2 ||psi||_X^2``, and ``W(t, 0) = 0``,
     so the ``W`` integral runs over the bump's support only, in batches of
-    at most ``_RAY_CHUNK`` ray points.
+    at most ``_RAY_CHUNK`` ray points.  The best scanned point is refined to
+    a root of the slope ``sigma ||psi||_X^2 - int grad W(sigma psi) . psi``,
+    on the same support; the larger of the two energies is returned.
     """
     op = _operator(spec)
     psi = setup.psi.values
@@ -370,16 +401,17 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
             out[start : start + len(chunk)] = 0.5 * chunk**2 * qf - h * np.sum(wv, axis=-1)
         return out
 
+    def ray_slope(sigma: float) -> float:
+        gw = _weighted_slope(nl, weight, sigma * psi_s, psi_s)
+        return sigma * qf - h * float(np.sum(gw))
+
     sigmas = np.linspace(0.0, setup.sigma0, 2049)[1:]
     energies = ray_energies(sigmas)
     i = int(np.argmax(energies))
     lo = sigmas[max(i - 1, 0)]
     hi = sigmas[min(i + 1, len(sigmas) - 1)]
-    _, best = _golden_max(
-        lambda s: float(ray_energies(np.array([s]))[0]),
-        lo, hi, sigmas[i], float(energies[i]), 60,
-    )
-    return best
+    sigma = _slope_crest(ray_slope, sigmas[i], lo, hi)
+    return max(float(energies[i]), float(ray_energies(np.array([sigma]))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +443,46 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Seg
 
     so three reductions (``op.segment_forms``) serve every point, and each
     trial point costs one ``W`` integral (``op.wint``) and no transform.  A
-    batched coarse scan of the interior picks the best cell, and golden
-    section refines it on the same expansion.  The reported value is the
-    directly evaluated energy at the chosen ``th``, with the arithmetic of
-    :meth:`_PathEngine.insert`: inserting the crest as a node then gives it
-    exactly this energy, and the measurement never overstates an energy
-    actually attained on the path.
+    batched coarse scan of the interior picks the best cell.  The crest is
+    then a root of the slope
+
+        E'(th) = -(1 - th) Q(a) + (1 - 2 th) B(a, b) + th Q(b) - int grad W(u_th) . (b - a),
+
+    one ``op.wslope`` row per evaluation: near the crest ``E`` is flat to
+    round-off but ``E'`` is not.  If the slope keeps its sign up to an
+    interior neighbour (a second crest), the coarse best is kept.  The
+    reported value is the directly evaluated energy at the chosen ``th``,
+    with the arithmetic of :meth:`_PathEngine.insert`: inserting the crest
+    as a node then gives it exactly this energy, and the measurement never
+    overstates an energy actually attained on the path.
+
+    If the slope keeps its sign up to a clipped end, or its root lies within
+    ``_ROOT_TOL`` of one, the maximum is that end node: ``th`` is reported
+    moved inward by ``_ROOT_TOL`` and the value is the end's own energy.  A
+    direct energy that close to the node would differ from it only by
+    round-off, and an excess of one ulp would make the path engine insert a
+    duplicate of the node.
     """
     forms = op.segment_forms(a, b)
+    qa, qab, qb = forms
+    d = b - a
+
+    def slope(th: float) -> float:
+        u = (1.0 - th) * a + th * b
+        return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - float(op.wslope(u, d))
+
     thetas = np.linspace(0.0, 1.0, coarse + 2)[1:-1]
-    scan = _segment_energies(op, a, b, forms, thetas)
-    i = int(np.argmax(scan))
-    best_theta = float(thetas[i])
+    best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas)))])
     span = thetas[1] - thetas[0]
-    lo = max(0.0, best_theta - span)
-    hi = min(1.0, best_theta + span)
-    theta, _ = _golden_max(
-        lambda th: float(_segment_energies(op, a, b, forms, np.array([th]))[0]),
-        lo, hi, best_theta, float(scan[i]), 36,
-    )
+    lo = max(0.0, best - span)
+    hi = min(1.0, best + span)
+    theta = _slope_crest(slope, best, lo, hi)
+    if theta in (lo, hi) and 0.0 < theta < 1.0:  # no root before an interior neighbour
+        theta = best
+    if theta <= _ROOT_TOL:
+        return _Segment(theta=_ROOT_TOL, value=op.energy(a))
+    if theta >= 1.0 - _ROOT_TOL:
+        return _Segment(theta=1.0 - _ROOT_TOL, value=op.energy(b))
     return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b))
 
 

@@ -303,8 +303,21 @@ def _radial_second(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     )
 
 
+def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``(u, v)`` over the trailing axis, accumulated one component at a time.
+
+    For fewer than eight components this adds in the order of
+    ``np.sum(U * V, axis=-1)``, so it gives the same bits, without that
+    strided reduction over a short trailing axis.
+    """
+    acc = U[..., 0] * V[..., 0]
+    for k in range(1, U.shape[-1]):
+        acc += U[..., k] * V[..., k]
+    return acc
+
+
 def _magnitude(U: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(U**2, axis=-1))
+    return np.sqrt(_rowdot(U, U))
 
 
 # The ``_weighted_*`` kernels take the weight values ``g(t)`` themselves, so a
@@ -319,6 +332,11 @@ def _weighted_w(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray) -> np.ndar
 def _weighted_grad_w(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray) -> np.ndarray:
     factor = g * _radial_slope_factor(spec, _magnitude(U))
     return factor[..., None] * U
+
+
+def _weighted_slope(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``(grad W(t, u), d)`` pointwise: the derivative of ``W`` along ``D``."""
+    return g * _radial_slope_factor(spec, _magnitude(U)) * _rowdot(U, D)
 
 
 def _weighted_hessian_action(

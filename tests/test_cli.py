@@ -12,6 +12,7 @@ import pytest
 import fracham
 from fracham import functional, spaces
 from fracham.cli import main
+from fracham.config import DEFAULT_CONFIG, build_grid, merge_config
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -58,6 +59,7 @@ def test_unknown_config_key(tmp_path, capsys):
         ({"mpa": {"path_nodes": "abc"}}, "mpa.path_nodes"),
         ({"grid": {"num_points": None}}, "grid.num_points"),
         ({"embedding": {"samples": "abc"}}, "embedding.samples"),
+        ({"grid": {"num_points": 1024.9}}, "grid.num_points"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
@@ -65,6 +67,11 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
     assert main(["bound", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+
+
+def test_integral_float_is_accepted_for_an_integer_key():
+    merged = merge_config(DEFAULT_CONFIG, {"grid": {"num_points": 4096.0}})
+    assert build_grid(merged).num_points == 4096
 
 
 def test_unknown_metric_is_rejected(tmp_path, capsys):
@@ -213,10 +220,25 @@ def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
     assert 0 < len(ffts) <= 20
 
 
-def test_module_entry_point_prints_help():
+def _package_env():
     src = str(pathlib.Path(fracham.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """``scipy.optimize`` costs start-up time and memory the CLI never needs."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracham.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_prints_help():
+    env = _package_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fracham", "--help"],
         capture_output=True, text=True, env=env, timeout=60,

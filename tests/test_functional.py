@@ -32,7 +32,13 @@ from fracham import (
 )
 from fracham.fracops import gl_matrix, interval_stiffness
 from fracham import functional
-from fracham.problem import _weighted_hessian_action, grad_w_values, hessian_w_action, w_values
+from fracham.problem import (
+    _magnitude,
+    _weighted_hessian_action,
+    grad_w_values,
+    hessian_w_action,
+    w_values,
+)
 from fracham.spaces import sample_interval_function
 
 
@@ -169,7 +175,7 @@ def test_metric_solve_residual(spec10):
         potential=dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0)),
     )
     for spec in (spec10, vector):
-        for lam in (1.0, 100.0, 1e4):
+        for lam in (1.0, 100.0, 1e4, 1e6, 1e8):
             assert _metric_residual(spec.with_lambda(lam)) <= 1e-12
 
 
@@ -273,6 +279,15 @@ def test_operator_layer(n, potential, nonlinearity):
     assert np.array_equal(op.residual(u), op.apply_metric(u) - grad_w_values(nonlinearity, t, u))
     assert np.array_equal(_weighted_hessian_action(nonlinearity, op.weight, u, v),
                           hessian_w_action(nonlinearity, t, u, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_magnitude_matches_strided_sum(n):
+    """The per-component accumulation gives the bits of ``np.sum`` over the last axis."""
+    rng = np.random.default_rng(20 + n)
+    for shape in ((257, n), (5, 64, n)):
+        u = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3, size=shape)
+        assert np.array_equal(_magnitude(u), np.sqrt(np.sum(u**2, -1)))
 
 
 def test_interval_boundary_enforcement(interval_spec):

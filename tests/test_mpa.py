@@ -263,8 +263,51 @@ def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
     assert np.max(np.abs(expanded - direct)) <= 1e-12 * np.max(np.abs(direct))
     seg = mpa._measure_segment(op, a, b)
     assert 0.0 < seg.theta < 1.0
-    assert seg.value == op.energy((1.0 - seg.theta) * a + seg.theta * b)
+    # A crest at an end node reports that node's own energy; any other crest
+    # the energy of the point the path engine would insert.
+    ends = {mpa._ROOT_TOL: a, 1.0 - mpa._ROOT_TOL: b}
+    crest = ends.get(seg.theta, (1.0 - seg.theta) * a + seg.theta * b)
+    assert seg.value == op.energy(crest)
     assert seg.value >= np.max(direct[1:-1]) - 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
+                         ids=["pure_power", "oscillatory"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("domain", ["line", "interval"])
+def test_wslope_is_the_derivative_of_wint(domain, n, nonlinearity):
+    """``wslope(u, d)`` is ``d/ds wint(u + s d)`` at ``s = 0``, one row per candidate."""
+    op, a, b = _segment_problem(domain, n, nonlinearity)
+    d = b - a
+    step = 1e-5
+    central = (op.wint(a + step * d) - op.wint(a - step * d)) / (2.0 * step)
+    slope = float(op.wslope(a, d))
+    assert abs(slope - central) <= 1e-8 * abs(slope)
+    stack = np.stack([a, b, 0.5 * (a + b)])
+    rows = op.wslope(stack, d)
+    assert rows.shape == (3,)
+    assert all(r == op.wslope(x, d) for r, x in zip(rows, stack))
+
+
+@pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
+                         ids=["pure_power", "oscillatory"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("domain", ["line", "interval"])
+def test_measured_crest_is_a_root_of_the_slope(domain, n, nonlinearity):
+    """On a segment from 0 past the barrier the crest is interior and the energy flat there."""
+    op, a, _ = _segment_problem(domain, n, nonlinearity)
+    sigma = mpa._doubling_scan(lambda s: op.energy(s * a) < 0.0, "no negative energy")
+    b = sigma * a
+    zero = np.zeros_like(a)
+    seg = mpa._measure_segment(op, zero, b)
+    assert 0.01 < seg.theta < 0.99
+    assert seg.value == op.energy((1.0 - seg.theta) * zero + seg.theta * b)
+    step = 1e-5
+    ends = op.energies(np.stack([(seg.theta - step) * b, (seg.theta + step) * b]))
+    central = (ends[1] - ends[0]) / (2.0 * step)
+    # The slope's scale along this segment: the drop from the crest to e.
+    assert abs(central) <= 1e-7 * (seg.value - op.energy(b))
+    assert seg.value >= op.energies(np.linspace(0.0, 1.0, 65)[:, None, None] * b).max()
 
 
 def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
@@ -279,16 +322,21 @@ def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
 
 
 def _scalar_ray_bound(setup, spec):
-    """The ray maximum from direct single energies and the same golden refinement."""
+    """The ray maximum from direct single energies and the same slope-root refinement.
+
+    The slope ``sigma ||psi||_X^2 - int grad W(sigma psi) . psi`` runs over the
+    whole grid here, not the bump's support.
+    """
     op = functional._operator(spec)
     psi = setup.psi.values
+    qf = float(op.xnormsq(psi))
     sigmas = np.linspace(0.0, setup.sigma0, 2049)[1:]
     energies = np.array([op.energy(s * psi) for s in sigmas])
     i = int(np.argmax(energies))
     lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
-    _, best = mpa._golden_max(lambda s: op.energy(s * psi), lo, hi, sigmas[i],
-                              float(energies[i]), 60)
-    return best
+    sigma = mpa._slope_crest(lambda s: s * qf - float(op.wslope(s * psi, psi)),
+                             sigmas[i], lo, hi)
+    return max(float(energies[i]), op.energy(sigma * psi))
 
 
 def test_batched_ray_matches_scalar_loop(spec10, setup, line_grid, potential):
@@ -304,8 +352,12 @@ def test_batched_ray_matches_scalar_loop(spec10, setup, line_grid, potential):
 
 
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
-    """Line searches run no transform: a default solve stays within 1700 FFT calls."""
-    calls = []
+    """Line searches run no transform, and crests come from slope roots.
+
+    A default solve stays within 1700 FFT calls and 2000 ``W`` rows
+    (``wint`` plus ``wslope``).
+    """
+    calls, rows = [], []
     for name in ("rfft", "irfft"):
         original = getattr(np.fft, name)
 
@@ -314,9 +366,18 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    for name in ("wint", "wslope"):
+        original = getattr(functional._LineOperator, name)
+
+        def counted_rows(self, vals, *args, _original=original):
+            rows.append(1 if vals.ndim == 2 else len(vals))
+            return _original(self, vals, *args)
+
+        monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
     assert 0 < len(calls) <= 1700
+    assert 0 < sum(rows) <= 2000
 
 
 def test_edge_to_peak_is_recorded_without_warning(default_solve, sweep_report, tmp_path, capsys):
