@@ -16,13 +16,12 @@ from .errors import (
     GeometryError,
     MonotonicityError,
 )
-from .grids import GridFunction, IntervalGrid, RealLineGrid, quadrature
+from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .fracops import (
     BoundaryDecayWarning,
     check_boundary_decay,
     gl_matrix,
     gl_weights,
-    grunwald_left_rl,
     interval_stiffness,
     liouville_weyl_left,
     lw_multiplier,
@@ -45,10 +44,6 @@ from .problem import (
     default_nonlinearity,
     default_oscillatory,
     default_potential,
-    eval_grad_w,
-    eval_h,
-    eval_potential,
-    eval_w,
     validate_nonlinearity,
     validate_potential,
 )
@@ -57,7 +52,6 @@ from .functional import (
     ProblemSpec,
     bvp_derivative_action,
     bvp_energy,
-    bvp_gradient_rep,
     bvp_h_identity,
     derivative_action,
     energy,
@@ -102,13 +96,11 @@ __all__ = [
     "RealLineGrid",
     "IntervalGrid",
     "GridFunction",
-    "quadrature",
     "lw_multiplier",
     "liouville_weyl_left",
     "quadratic_form_alpha",
     "gl_weights",
     "gl_matrix",
-    "grunwald_left_rl",
     "interval_stiffness",
     "check_boundary_decay",
     "BoundaryDecayWarning",
@@ -125,10 +117,6 @@ __all__ = [
     "default_potential",
     "default_nonlinearity",
     "default_oscillatory",
-    "eval_potential",
-    "eval_w",
-    "eval_grad_w",
-    "eval_h",
     "validate_potential",
     "validate_nonlinearity",
     "calibrate_growth_constant",
@@ -140,7 +128,6 @@ __all__ = [
     "h_identity",
     "bvp_energy",
     "bvp_derivative_action",
-    "bvp_gradient_rep",
     "bvp_h_identity",
     "MpaConfig",
     "MountainPassSetup",

@@ -17,7 +17,7 @@ from .functional import IntervalProblemSpec, ProblemSpec
 from .grids import IntervalGrid, RealLineGrid
 from .mpa import MpaConfig
 from .problem import NonlinearitySpec, PotentialSpec
-from .runner import payload_hash
+from .runner import DEFAULT_BUDGETS, payload_hash
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -89,12 +89,7 @@ DEFAULT_CONFIG: dict = {
         "lambdas": [1.0, 10.0, 100.0, 1000.0],
         "cold": False,
     },
-    "verify": {
-        "embedding_samples": 1000,
-        "nonlinearity_samples": 20000,
-        "derivative_checks": 50,
-        "sphere_samples": 200,
-    },
+    "verify": dict(DEFAULT_BUDGETS),
 }
 
 
@@ -227,25 +222,20 @@ def build_interval_spec(cfg: dict) -> IntervalProblemSpec:
 
 def build_mpa_config(cfg: dict) -> MpaConfig:
     m = cfg["mpa"]
-    # Schema v1 keeps these two keys; each has exactly one legal value.
-    for key, legal in (("step_rule", "armijo"), ("metric", "x-alpha-lambda")):
+    # Schema v1 keeps these four keys; each has exactly one legal value.
+    single = (("step_rule", "armijo"), ("metric", "x-alpha-lambda"),
+              ("restarts", 0), ("polish", True))
+    for key, legal in single:
         if m[key] != legal:
             raise ConfigError(f"mpa.{key} must be {legal!r}, got {m[key]!r}")
     return MpaConfig(
         path_nodes=int(m["path_nodes"]),
         tol=float(m["tol"]),
         max_iters=int(m["max_iters"]),
-        polish=bool(m["polish"]),
         max_path_nodes=int(m["max_path_nodes"]),
-        restarts=int(m["restarts"]),
-        seed=int(cfg["seed"]),
     )
 
 
 def build_bvp_config(cfg: dict) -> MpaConfig:
     b = cfg["bvp"]
-    return MpaConfig(
-        tol=float(b["tol"]),
-        max_iters=int(b["max_iters"]),
-        seed=int(cfg["seed"]),
-    )
+    return MpaConfig(tol=float(b["tol"]), max_iters=int(b["max_iters"]))

@@ -1,4 +1,4 @@
-"""Discrete fractional-derivative operators and quadrature.
+"""Discrete fractional-derivative operators.
 
 Transform convention (fixed here, reconciled by every oracle in the test
 suite): the continuous Fourier transform is unitary in angular frequency,
@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .grids import GridFunction, IntervalGrid, RealLineGrid, quadrature
+from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 __all__ = [
     "BoundaryDecayWarning",
@@ -41,9 +41,7 @@ __all__ = [
     "quadratic_form_alpha",
     "gl_weights",
     "gl_matrix",
-    "grunwald_left_rl",
     "interval_stiffness",
-    "quadrature",
 ]
 
 
@@ -192,24 +190,6 @@ def gl_matrix(grid: IntervalGrid, alpha: float) -> np.ndarray:
     b = scipy.linalg.toeplitz(w, np.zeros(grid.num_points)) * grid.spacing ** (-alpha)
     b.setflags(write=False)
     return b
-
-
-def grunwald_left_rl(u: GridFunction, alpha: float) -> GridFunction:
-    """Left Riemann-Liouville derivative on an interval grid, GL scheme.
-
-    First-order accurate for functions with ``u(a) = 0``; applied
-    componentwise via the causal convolution with the GL weights.
-    """
-    if not isinstance(u.grid, IntervalGrid):
-        raise DomainError("grunwald_left_rl is defined on interval grid functions")
-    _check_order(alpha)
-    m = u.grid.num_points
-    w = gl_weights(alpha, m)
-    scale = u.grid.spacing ** (-alpha)
-    out = np.empty_like(u.values)
-    for c in range(u.num_components):
-        out[:, c] = scale * np.convolve(u.values[:, c], w)[:m]
-    return GridFunction(u.grid, out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,10 +25,16 @@ both, the weight values ``g(t)`` of ``W``, so ``weight_values`` runs once per
 spec) and offers the same methods on both domains: ``energies`` and
 ``xnormsq`` on a stack of candidates (one value per row, bit for bit the
 value of that row on its own), ``energy`` and ``xnorm`` on one candidate,
-the metric ``gradient``, the stationarity ``residual`` and a
-``newton_step``.  The public functions below and the solver in
-:mod:`fracham.mpa` evaluate everything through them; the line quadratic form
-is :func:`fracham.fracops._spectral_form`.
+the bilinear ``form`` (``form(u, u)`` is ``xnormsq(u)`` to round-off), the
+metric ``gradient``, the stationarity ``residual`` and a ``newton_step``.
+The public functions below and the solver in :mod:`fracham.mpa` evaluate
+everything through them; the line quadratic form is
+:func:`fracham.fracops._spectral_form`.
+
+The public functions (``energy``, ``derivative_action``, ``gradient_rep``,
+``h_identity``) take either spec and reach the domain only through its
+operator; an interval argument must vanish exactly at both endpoints.  The
+``bvp_*`` names are the same functions.
 
 Line searches use three more methods.  ``wint`` is the batched ``W``
 integral (the one ``energies`` subtracts), ``wslope(u, d)`` the batched
@@ -86,7 +92,6 @@ from .problem import (
     h_values,
     weight_values,
 )
-from .spaces import inner_x_lambda
 
 __all__ = [
     "ProblemSpec",
@@ -97,7 +102,6 @@ __all__ = [
     "h_identity",
     "bvp_energy",
     "bvp_derivative_action",
-    "bvp_gradient_rep",
     "bvp_h_identity",
 ]
 
@@ -144,24 +148,16 @@ class IntervalProblemSpec:
             raise DomainError(f"need at least one component, got n={self.n}")
 
 
-def _check_on_grid(u: GridFunction, spec) -> np.ndarray:
+def _values(u: GridFunction, spec) -> np.ndarray:
+    """The values of ``u`` after checking it against ``spec``'s grid and boundary rule."""
     if u.grid != spec.grid:
         raise DomainError("function does not live on the spec's grid")
     if u.num_components != spec.n:
         raise DomainError(
             f"function has {u.num_components} components, spec expects {spec.n}"
         )
-    return u.values
-
-
-def _check_dirichlet(u: GridFunction, spec: IntervalProblemSpec) -> np.ndarray:
-    if u.grid != spec.grid:
-        raise DomainError("function does not live on the spec's interval grid")
-    if u.num_components != spec.n:
-        raise DomainError(
-            f"function has {u.num_components} components, spec expects {spec.n}"
-        )
-    if np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0):
+    dirichlet = _operator(spec).dirichlet
+    if dirichlet and (np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0)):
         raise DomainError("interval functions must vanish exactly at both endpoints")
     return u.values
 
@@ -229,6 +225,7 @@ class _LineOperator(_OperatorBase):
     """The line functional of one :class:`ProblemSpec` and its weighted metric."""
 
     metric = "x-alpha-lambda"
+    dirichlet = False
     newton_steps = 12
     newton_tol = 1e-13
 
@@ -254,6 +251,13 @@ class _LineOperator(_OperatorBase):
         qf = _spectral_form(spec.grid, spec.alpha, vals)
         pot = spec.grid.spacing * np.sum(self.ldiag * vals**2, axis=(-2, -1))
         return qf + spec.lam * pot
+
+    def form(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The weighted inner product ``<u, v>_X``: spectral part plus ``lambda (L u, v)``."""
+        spec = self.spec
+        frac = float(_spectral_form(spec.grid, spec.alpha, u, v))
+        pot = spec.grid.integrate(self.ldiag * u * v)
+        return frac + spec.lam * pot
 
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
         """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = ||.||_X^2``, from one pair transform."""
@@ -364,6 +368,7 @@ class _IntervalOperator(_OperatorBase):
     """
 
     metric = "interval-stiffness"
+    dirichlet = True
     newton_steps = 20
     newton_tol = 1e-14
 
@@ -385,6 +390,10 @@ class _IntervalOperator(_OperatorBase):
 
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.spec.grid.spacing * np.sum((self.b @ vals) ** 2, axis=(-2, -1))
+
+    def form(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The stiffness pairing ``h (B u) . (B v)``."""
+        return self.spec.grid.spacing * float(np.sum((self.b @ u) * (self.b @ v)))
 
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
         """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = h ||B .||^2``, from two matvecs."""
@@ -442,63 +451,38 @@ class _IntervalOperator(_OperatorBase):
 
 
 # ---------------------------------------------------------------------------
-# Public line API.
+# Public API: each function takes a line or an interval spec.
 # ---------------------------------------------------------------------------
 
 
-def energy(u: GridFunction, spec: ProblemSpec) -> float:
-    """Value of the line functional at ``u``."""
-    return _operator(spec).energy(_check_on_grid(u, spec))
+def energy(u: GridFunction, spec) -> float:
+    """Value of the functional at ``u``: ``I`` on the line, ``J`` on the interval."""
+    return _operator(spec).energy(_values(u, spec))
 
 
-def derivative_action(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> float:
+def derivative_action(u: GridFunction, v: GridFunction, spec) -> float:
     """Directional derivative ``I'(u)v``, assembled from the bilinear form."""
-    uv = _check_on_grid(u, spec)
-    vv = _check_on_grid(v, spec)
+    uv = _values(u, spec)
+    vv = _values(v, spec)
     nl = spec.grid.integrate(grad_w_values(spec.nonlinearity, spec.grid.nodes, uv) * vv)
-    return inner_x_lambda(u, v, spec) - nl
+    return _operator(spec).form(uv, vv) - nl
 
 
-def gradient_rep(u: GridFunction, spec: ProblemSpec) -> GridFunction:
-    """Weighted-metric representative ``g``: ``<g, v>_X = I'(u)v`` for all v."""
-    g, _ = _operator(spec).gradient(_check_on_grid(u, spec))
+def gradient_rep(u: GridFunction, spec) -> GridFunction:
+    """Metric representative ``g``: ``form(g, v) = I'(u)v`` for all admissible v."""
+    g, _ = _operator(spec).gradient(_values(u, spec))
     return GridFunction(spec.grid, g)
 
 
-def h_identity(u: GridFunction, spec: ProblemSpec) -> tuple[float, float, float]:
+def h_identity(u: GridFunction, spec) -> tuple[float, float, float]:
     """Defect identity: ``I(u) - 1/2 I'(u)u`` against the integral of ``H``."""
-    vals = _check_on_grid(u, spec)
+    vals = _values(u, spec)
     lhs = energy(u, spec) - 0.5 * derivative_action(u, u, spec)
     rhs = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, vals))
     return lhs, rhs, abs(lhs - rhs)
 
 
-# ---------------------------------------------------------------------------
-# Public interval (Dirichlet) API.
-# ---------------------------------------------------------------------------
-
-
-def bvp_energy(u: GridFunction, spec: IntervalProblemSpec) -> float:
-    """Interval functional ``1/2 h ||B u||^2 - integral W`` (Dirichlet input)."""
-    return _operator(spec).energy(_check_dirichlet(u, spec))
-
-
-def bvp_derivative_action(u: GridFunction, v: GridFunction, spec: IntervalProblemSpec) -> float:
-    uv = _check_dirichlet(u, spec)
-    vv = _check_dirichlet(v, spec)
-    b = _operator(spec).b
-    bil = spec.grid.spacing * float(np.sum((b @ uv) * (b @ vv)))
-    nl = spec.grid.integrate(grad_w_values(spec.nonlinearity, spec.grid.nodes, uv) * vv)
-    return bil - nl
-
-
-def bvp_gradient_rep(u: GridFunction, spec: IntervalProblemSpec) -> GridFunction:
-    g, _ = _operator(spec).gradient(_check_dirichlet(u, spec))
-    return GridFunction(spec.grid, g)
-
-
-def bvp_h_identity(u: GridFunction, spec: IntervalProblemSpec) -> tuple[float, float, float]:
-    vals = _check_dirichlet(u, spec)
-    lhs = bvp_energy(u, spec) - 0.5 * bvp_derivative_action(u, u, spec)
-    rhs = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, vals))
-    return lhs, rhs, abs(lhs - rhs)
+# The interval names of the same functions.
+bvp_energy = energy
+bvp_derivative_action = derivative_action
+bvp_h_identity = h_identity

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "RealLineGrid",
     "IntervalGrid",
     "GridFunction",
-    "quadrature",
 ]
 
 
@@ -219,9 +217,6 @@ class GridFunction:
     def num_components(self) -> int:
         return self.values.shape[1]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[:, i]
-
     @property
     def scalar(self) -> np.ndarray:
         """The single component of a scalar function, as a 1-D view."""
@@ -234,25 +229,5 @@ class GridFunction:
         return np.sqrt(np.sum(self.values**2, axis=1))
 
     @classmethod
-    def from_callable(cls, grid, func: Callable, num_components: int = 1) -> "GridFunction":
-        vals = np.asarray(func(grid.nodes), dtype=np.float64)
-        if vals.ndim == 1 and num_components > 1:
-            raise DomainError("callable returned a scalar field for a vector function")
-        return cls(grid, vals)
-
-    @classmethod
     def zeros(cls, grid, num_components: int = 1) -> "GridFunction":
         return cls(grid, np.zeros((grid.num_points, num_components)))
-
-
-def quadrature(u: GridFunction) -> np.ndarray:
-    """Componentwise integral of a grid function.
-
-    Returns a length-``num_components`` array; for scalar functions use
-    ``quadrature(u)[0]`` or ``u.grid.integrate(u.scalar)``.
-    """
-    grid = u.grid
-    if isinstance(grid, RealLineGrid):
-        return grid.spacing * u.values.sum(axis=0)
-    w = grid.trapezoid_weights
-    return w @ u.values

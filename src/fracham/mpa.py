@@ -25,6 +25,11 @@ the polish is accepted only if it lands at most negligibly above the current
 level and away from zero, so it refines the same critical point rather than
 escaping the path structure.
 
+A solve is one run, from the straight path ``0 -> e`` or, warm-started, from
+the path ``0 -> guess -> e``, and the Newton endgame is always on.
+:class:`MpaConfig` holds only the path size (``path_nodes``,
+``max_path_nodes``) and the stopping rule (``tol``, ``max_iters``).
+
 The solver is written once for both domains.  It sees a problem only through
 the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
@@ -36,7 +41,8 @@ and the ``ctilde`` ray: a coarse scan's best point refined to a root of the
 slope), ``_doubling_scan`` (the far endpoint on both domains) and
 ``_newton_polish`` (damped Newton with backtracking on both domains).
 
-The geometry pieces mirror the variational skeleton: ``estimate_rho_eta``
+The geometry pieces mirror the variational skeleton and take the
+embedding constants from the caller: ``estimate_rho_eta``
 turns the small-sphere lower bound into explicit ``(rho, eta)``;
 ``construct_e`` builds the far endpoint ``sigma0 * psi`` from a bump
 supported where the potential vanishes (which makes the construction
@@ -56,7 +62,7 @@ from .fracops import _edge_to_peak
 from .functional import IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
 from .problem import _weighted_slope, _weighted_w, calibrate_growth_constant
-from .spaces import EmbeddingConstants, estimate_embedding_constants
+from .spaces import EmbeddingConstants
 
 __all__ = [
     "MpaConfig",
@@ -90,10 +96,7 @@ class MpaConfig:
     path_nodes: int = 21
     tol: float = 1e-6
     max_iters: int = 400
-    polish: bool = True
     max_path_nodes: int = 81
-    restarts: int = 0
-    seed: int = 20260816
 
     def __post_init__(self):
         if self.path_nodes < 3:
@@ -105,8 +108,6 @@ class MpaConfig:
             raise ConfigError("max_path_nodes must be >= path_nodes")
         if not (0 < self.tol < 1):
             raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.restarts < 0:
-            raise ConfigError("restarts must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -269,11 +270,7 @@ def _newton_polish(op, vals: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def estimate_rho_eta(
-    spec: ProblemSpec,
-    epsilon_c: float,
-    c_eps: float,
-    p: float,
-    constants: EmbeddingConstants | None = None,
+    epsilon_c: float, c_eps: float, p: float, constants: EmbeddingConstants
 ) -> tuple[float, float]:
     """Small-sphere radius and level floor from the quadratic lower bound.
 
@@ -285,8 +282,6 @@ def estimate_rho_eta(
     the largest log-grid radius with a positive bracket is returned together
     with its floor ``eta``.
     """
-    if constants is None:
-        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
     theta = constants.theta
     if not (0.0 < epsilon_c < theta):
         raise GeometryError(
@@ -315,36 +310,30 @@ def _bump_profile(t: np.ndarray, center: float, tau: float) -> np.ndarray:
 
 
 def construct_e(
-    spec: ProblemSpec,
-    tau: float | None = None,
-    constants: EmbeddingConstants | None = None,
-    epsilon_c: float | None = None,
-    c_eps: float | None = None,
+    spec: ProblemSpec, constants: EmbeddingConstants, tau: float | None = None
 ) -> MountainPassSetup:
     """Build the far endpoint ``e = sigma0 psi`` and certify the geometry.
 
     ``psi`` is the polynomial bump ``(1 - (t/tau)^2)^3`` in the first
     component, supported strictly inside the potential's zero interval, so
     the potential term of the energy vanishes identically along the ray and
-    the doubling scan for ``sigma0`` cannot depend on the parameter.
+    the doubling scan for ``sigma0`` cannot depend on the parameter.  The
+    sphere bound takes ``epsilon_c = theta / 2`` and the growth constant
+    calibrated for it.
     """
     varrho = spec.potential.varrho
     if tau is None:
         tau = 0.75 * varrho
     if not (0.0 < tau < varrho):
         raise GeometryError(f"need 0 < tau < varrho = {varrho}, got tau = {tau}")
-    if constants is None:
-        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
-    if epsilon_c is None:
-        epsilon_c = 0.5 * constants.theta
+    epsilon_c = 0.5 * constants.theta
     pg = spec.nonlinearity.growth_exponent
     if pg <= 2.0:
         raise GeometryError(
             "nonlinearity is not superquadratic; no mountain-pass geometry exists"
         )
-    if c_eps is None:
-        c_eps = calibrate_growth_constant(spec.nonlinearity, epsilon_c)
-    rho, eta = estimate_rho_eta(spec, epsilon_c, c_eps, pg, constants)
+    c_eps = calibrate_growth_constant(spec.nonlinearity, epsilon_c)
+    rho, eta = estimate_rho_eta(epsilon_c, c_eps, pg, constants)
 
     vals = np.zeros((spec.grid.num_points, spec.n))
     vals[:, 0] = _bump_profile(spec.grid.nodes, 0.0, tau)
@@ -647,7 +636,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None) -> 
             break
 
         # Newton endgame: refine the crest node in place when already close.
-        if config.polish and rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
+        if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
             polished, ok = _newton_polish(op, u)
             if ok:
                 ep = op.energy(polished)
@@ -712,15 +701,14 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None) -> 
     )
 
 
-def _best(runs: list[SolveResult]) -> SolveResult:
-    """The converged run with the lowest level, else the lowest level overall."""
-    best = min(runs, key=lambda run: (0 if run.converged else 1, run.level))
-    if best.converged and best.level <= 0.0:
+def _check_level(run: SolveResult) -> SolveResult:
+    """``run`` itself, unless it converged to a nonpositive level."""
+    if run.converged and run.level <= 0.0:
         raise ConvergenceError(
-            f"converged to a nonpositive level {best.level:.6g}; the path collapsed "
+            f"converged to a nonpositive level {run.level:.6g}; the path collapsed "
             "through the barrier, which contradicts the certified geometry"
         )
-    return best
+    return run
 
 
 def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.ndarray]:
@@ -752,21 +740,11 @@ def mpa_solve(
             raise DomainError("initial guess does not live on the spec's grid")
         initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
 
-    runs = [_run_path(op, e_vals, config, initial_nodes=initial)]
-    if config.restarts > 0:
-        rng = np.random.default_rng(config.seed)
-        weights = np.linspace(0.0, 1.0, config.path_nodes)
-        for _ in range(config.restarts):
-            wiggle = rng.normal(scale=0.05, size=config.path_nodes)
-            nodes = [
-                (w + wg * w * (1.0 - w)) * e_vals for w, wg in zip(weights, wiggle)
-            ]
-            runs.append(_run_path(op, e_vals, config, initial_nodes=nodes))
-    best = _best(runs)
+    run = _check_level(_run_path(op, e_vals, config, initial_nodes=initial))
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.
-    diagnostics = {**best.diagnostics, "edge_to_peak": _edge_to_peak(best.u.values)}
-    return dataclasses.replace(best, diagnostics=diagnostics)
+    diagnostics = {**run.diagnostics, "edge_to_peak": _edge_to_peak(run.u.values)}
+    return dataclasses.replace(run, diagnostics=diagnostics)
 
 
 def bvp_solve(
@@ -800,4 +778,4 @@ def bvp_solve(
         if initial_guess.grid != grid:
             raise DomainError("initial guess does not live on the interval grid")
         initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
-    return _best([_run_path(op, e_vals, config, initial_nodes=initial)])
+    return _check_level(_run_path(op, e_vals, config, initial_nodes=initial))

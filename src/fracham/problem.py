@@ -42,11 +42,7 @@ __all__ = [
     "NonlinearitySpec",
     "default_potential",
     "default_nonlinearity",
-    "eval_potential",
     "validate_potential",
-    "eval_w",
-    "eval_grad_w",
-    "eval_h",
     "weight_values",
     "w_values",
     "grad_w_values",
@@ -115,22 +111,16 @@ class PotentialSpec:
         return base * np.asarray(self.diag_scales)[None, :]
 
 
+# validate_potential samples the profile at this many points on [-20, 20].
+_CHECK_HALFWIDTH = 20.0
+_CHECK_POINTS = 20001
+
+
 def default_potential() -> PotentialSpec:
     return PotentialSpec(varrho=0.4, delta=0.05, cap=6.0, c=1.5)
 
 
-def eval_potential(t: float, spec: PotentialSpec, n: int = 1) -> np.ndarray:
-    """Potential matrix ``L(t)`` at one point: symmetric PSD diagonal."""
-    diag = spec.diagonal(np.array([float(t)]), n)[0]
-    return np.diag(diag)
-
-
-def validate_potential(
-    spec: PotentialSpec,
-    c_infinity: float | None = None,
-    halfwidth: float = 20.0,
-    num_check: int = 20001,
-) -> dict:
+def validate_potential(spec: PotentialSpec, c_infinity: float | None = None) -> dict:
     """Numeric checks of the potential hypotheses.
 
     Verifies nonnegativity on a fine grid, exact vanishing on the closed
@@ -139,7 +129,7 @@ def validate_potential(
     is supplied the smallness condition ``meas{l<c} < 1/c_infinity^2`` is
     evaluated and reported as ``admissible``.
     """
-    t = np.linspace(-halfwidth, halfwidth, num_check)
+    t = np.linspace(-_CHECK_HALFWIDTH, _CHECK_HALFWIDTH, _CHECK_POINTS)
     vals = spec.profile(t)
     nonneg = bool(np.all(vals >= 0.0))
     inside = np.linspace(-spec.varrho, spec.varrho, 101)
@@ -350,7 +340,7 @@ def _weighted_hessian_action(
     if np.any(mask):
         coeff = np.zeros_like(r)
         coeff[mask] = (second[mask] - factor[mask]) / r[mask] ** 2
-        out = out + (coeff * np.sum(U * V, axis=-1))[..., None] * U
+        out = out + (coeff * _rowdot(U, V))[..., None] * U
     return out
 
 
@@ -378,29 +368,6 @@ def hessian_w_action(spec: NonlinearitySpec, t, U: np.ndarray, V: np.ndarray) ->
     families, so the origin is handled by masking.
     """
     return _weighted_hessian_action(spec, weight_values(spec, t), U, V)
-
-
-def _as_points(t, u) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 0:
-        u = u[None]
-    return np.asarray(t, dtype=np.float64), u
-
-
-def eval_w(t: float, u, spec: NonlinearitySpec) -> float:
-    """Pointwise ``W(t, u)`` for scalar ``t`` and vector (or scalar) ``u``."""
-    tv, uv = _as_points(t, u)
-    return float(w_values(spec, tv, uv))
-
-
-def eval_grad_w(t: float, u, spec: NonlinearitySpec) -> np.ndarray:
-    tv, uv = _as_points(t, u)
-    return grad_w_values(spec, tv, uv)
-
-
-def eval_h(t: float, u, spec: NonlinearitySpec) -> float:
-    tv, uv = _as_points(t, u)
-    return float(h_values(spec, tv, uv))
 
 
 def calibrate_growth_constant(spec: NonlinearitySpec, eps: float) -> float:

@@ -31,9 +31,6 @@ from .functional import (
     IntervalProblemSpec,
     ProblemSpec,
     _operator,
-    bvp_derivative_action,
-    bvp_energy,
-    bvp_h_identity,
     derivative_action,
     energy,
     h_identity,
@@ -211,11 +208,11 @@ def _c6_record(u: GridFunction, spec: ProblemSpec) -> dict:
 def lambda_sweep(
     base_spec: ProblemSpec,
     lambdas,
+    constants: EmbeddingConstants,
     mpa_config: MpaConfig | None = None,
     bvp_points: int = 257,
     bvp_config: MpaConfig | None = None,
     cold: bool = False,
-    constants: EmbeddingConstants | None = None,
     config_hash: str | None = None,
 ) -> SweepReport:
     """Solve along an ascending parameter ladder and track concentration.
@@ -232,8 +229,6 @@ def lambda_sweep(
         raise ConfigError(f"lambda ladder must be strictly increasing, got {lambdas}")
     if mpa_config is None:
         mpa_config = MpaConfig()
-    if constants is None:
-        constants = estimate_embedding_constants(base_spec.grid, base_spec.alpha, base_spec.potential)
     floor = constants.lambda_floor
     below = [x for x in lambdas if x < floor * (1.0 - 1e-12)]
     if below:
@@ -378,43 +373,26 @@ def _normalized(vals: np.ndarray, grid, alpha: float) -> np.ndarray:
     return vals / nrm
 
 
-def _fd_action_errors(spec: ProblemSpec, count: int, rng: np.random.Generator) -> dict:
+def _random_field(spec, rng: np.random.Generator) -> np.ndarray:
+    """A random test field: unit ``H^alpha`` norm on the line, unit peak on the interval."""
+    if isinstance(spec, ProblemSpec):
+        return _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
+    vals = _random_interval_field(spec.grid, rng, spec.n)
+    return vals / max(float(np.max(np.abs(vals))), 1e-12)
+
+
+def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
     """Central finite differences of the energy against derivative_action."""
     grid = spec.grid
     eps = 1e-5
     worst = 0.0
     for _ in range(count):
-        uv = _normalized(_random_line_field(grid, rng, spec.n), grid, spec.alpha)
-        vv = _normalized(_random_line_field(grid, rng, spec.n), grid, spec.alpha)
-        u = GridFunction(grid, uv)
-        v = GridFunction(grid, vv)
-        act = derivative_action(u, v, spec)
+        uv = _random_field(spec, rng)
+        vv = _random_field(spec, rng)
+        act = derivative_action(GridFunction(grid, uv), GridFunction(grid, vv), spec)
         fd = (
             energy(GridFunction(grid, uv + eps * vv), spec)
             - energy(GridFunction(grid, uv - eps * vv), spec)
-        ) / (2.0 * eps)
-        worst = max(worst, abs(fd - act) / (1.0 + abs(act)))
-    return {"count": count, "worst_rel_err": worst, "passed": worst <= 1e-6}
-
-
-def _fd_interval_errors(
-    spec: IntervalProblemSpec, count: int, rng: np.random.Generator
-) -> dict:
-    grid = spec.grid
-    eps = 1e-5
-    worst = 0.0
-    for _ in range(count):
-        uv = _random_interval_field(grid, rng, spec.n)
-        vv = _random_interval_field(grid, rng, spec.n)
-        scale = max(float(np.max(np.abs(uv))), 1e-12)
-        uv = uv / scale
-        vv = vv / max(float(np.max(np.abs(vv))), 1e-12)
-        u = GridFunction(grid, uv)
-        v = GridFunction(grid, vv)
-        act = bvp_derivative_action(u, v, spec)
-        fd = (
-            bvp_energy(GridFunction(grid, uv + eps * vv), spec)
-            - bvp_energy(GridFunction(grid, uv - eps * vv), spec)
         ) / (2.0 * eps)
         worst = max(worst, abs(fd - act) / (1.0 + abs(act)))
     return {"count": count, "worst_rel_err": worst, "passed": worst <= 1e-6}
@@ -429,7 +407,7 @@ def _identity_spot_checks(
         lhs, _, gap = h_identity(GridFunction(spec.grid, uv), spec)
         worst = max(worst, gap / (1.0 + abs(lhs)))
         iv = _random_interval_field(ispec.grid, rng, ispec.n)
-        lhs, _, gap = bvp_h_identity(GridFunction(ispec.grid, iv), ispec)
+        lhs, _, gap = h_identity(GridFunction(ispec.grid, iv), ispec)
         worst = max(worst, gap / (1.0 + abs(lhs)))
     return {"count": count, "worst_rel_gap": worst, "passed": worst <= 1e-10}
 
@@ -517,7 +495,7 @@ def run_verification_campaign(
             alpha=spec.alpha, nonlinearity=spec.nonlinearity, grid=igrid, n=spec.n
         )
         fd_line = _fd_action_errors(spec, merged["derivative_checks"], rng)
-        fd_int = _fd_interval_errors(ispec, merged["derivative_checks"], rng)
+        fd_int = _fd_action_errors(ispec, merged["derivative_checks"], rng)
         ident = _identity_spot_checks(spec, ispec, rng)
         sections["functional"] = {
             "derivative_line": fd_line,

@@ -36,16 +36,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
-from .fracops import _form_multipliers, _spectral_form, quadratic_form_alpha
+from .fracops import _form_multipliers, gl_matrix, quadratic_form_alpha
+from .functional import ProblemSpec, _operator
 from .grids import GridFunction, IntervalGrid, RealLineGrid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .functional import ProblemSpec
 
 __all__ = [
     "EmbeddingConstants",
@@ -59,6 +56,11 @@ __all__ = [
     "sample_line_function",
     "sample_interval_function",
 ]
+
+# Every EmbeddingConstants carries kappa_p for these exponents.
+_KAPPA_EXPONENTS = (3.0, 4.0)
+# verify_embeddings fails an inequality whose ratio exceeds 1 + _TOLERANCE.
+_TOLERANCE = 1e-8
 
 
 def norm_h_alpha(u: GridFunction, alpha: float) -> float:
@@ -76,17 +78,15 @@ def _check_pair(u: GridFunction, v: GridFunction):
         raise DomainError("component-count mismatch between the two functions")
 
 
-def inner_x_lambda(u: GridFunction, v: GridFunction, spec: "ProblemSpec") -> float:
+def inner_x_lambda(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> float:
     """Weighted inner product: fractional part plus ``lambda (L u, v)``."""
     _check_pair(u, v)
     if u.grid != spec.grid:
         raise DomainError("functions do not live on the spec's grid")
-    frac = float(_spectral_form(spec.grid, spec.alpha, u.values, v.values))
-    pot = spec.grid.integrate(spec.potential_diagonal() * u.values * v.values)
-    return frac + spec.lam * pot
+    return _operator(spec).form(u.values, v.values)
 
 
-def norm_x_lambda(u: GridFunction, spec: "ProblemSpec") -> float:
+def norm_x_lambda(u: GridFunction, spec: ProblemSpec) -> float:
     return math.sqrt(max(inner_x_lambda(u, u, spec), 0.0))
 
 
@@ -237,7 +237,6 @@ def estimate_embedding_constants(
     alpha: float,
     potential,
     safety: float = 1.1,
-    kappa_exponents: tuple[float, ...] = (3.0, 4.0),
 ) -> EmbeddingConstants:
     """Grid-sharp ``C_inf`` and every constant derived from it.
 
@@ -270,16 +269,13 @@ def estimate_embedding_constants(
         c_level=potential.c,
         theta=theta,
         lambda_floor=1.0 / (potential.c * gated**2 * meas),
-        kappa_map=tuple((p, _kappa(theta, meas, p)) for p in kappa_exponents),
+        kappa_map=tuple((p, _kappa(theta, meas, p)) for p in _KAPPA_EXPONENTS),
     )
 
 
 def _interval_ratios(alpha: float, p: float, u_vals: np.ndarray, grid: IntervalGrid) -> dict:
     """Two-sided evaluation of the interval embedding inequalities at one p."""
-    from .fracops import grunwald_left_rl
-
-    u = GridFunction(grid, u_vals)
-    du = grunwald_left_rl(u, alpha).scalar
+    du = gl_matrix(grid, alpha) @ u_vals
     length = grid.upper - grid.lower
     dlp = grid.integrate(np.abs(du) ** p) ** (1.0 / p)
     if dlp == 0.0:
@@ -297,10 +293,9 @@ def _interval_ratios(alpha: float, p: float, u_vals: np.ndarray, grid: IntervalG
 
 def verify_embeddings(
     samples: int,
-    spec: "ProblemSpec",
-    constants: EmbeddingConstants | None = None,
+    spec: ProblemSpec,
+    constants: EmbeddingConstants,
     seed: int = 20260816,
-    tolerance: float = 1e-8,
 ) -> dict:
     """Stress-test the whole inequality chain on randomized samples.
 
@@ -308,10 +303,8 @@ def verify_embeddings(
     plus interval Dirichlet samples for the bounded-domain inequalities) and
     evaluates both sides of every inequality.  Returns a report of worst-case
     ratios; raises :class:`EmbeddingViolation` carrying the offending sample
-    if any ratio exceeds ``1 + tolerance``.
+    if any ratio exceeds ``1 + _TOLERANCE``.
     """
-    if constants is None:
-        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
     if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
         raise DomainError(
             f"lambda = {spec.lam} is below lambda_floor = {constants.lambda_floor}; "
@@ -338,7 +331,7 @@ def verify_embeddings(
         if ratio > entry["worst_ratio"]:
             entry["worst_ratio"] = ratio
             entry["argmax_sample_id"] = sid
-        if ratio > 1.0 + tolerance:
+        if ratio > 1.0 + _TOLERANCE:
             sample = None
             if sample_vals is not None and sample_grid is not None:
                 sample = GridFunction(sample_grid, sample_vals)

@@ -75,11 +75,26 @@ def test_integral_float_is_accepted_for_an_integer_key():
 
 
 def test_unknown_metric_is_rejected(tmp_path, capsys):
-    cases = (("metric", "h-alpha", "x-alpha-lambda"), ("step_rule", "wolfe", "armijo"))
+    cases = (
+        ("metric", "h-alpha", "x-alpha-lambda"),
+        ("step_rule", "wolfe", "armijo"),
+        ("restarts", 1, 0),
+        ("polish", False, True),
+    )
     for key, value, legal in cases:
         cfg = _write_config(tmp_path, {"mpa": {key: value}})
         assert main(["solve", "--config", cfg]) == 2
         assert f"mpa.{key} must be {legal!r}, got {value!r}" in capsys.readouterr().err
+
+
+def test_single_value_keys_at_their_defaults_change_nothing(tmp_path, capsys):
+    """Setting ``mpa.restarts`` and ``mpa.polish`` to their one legal value is a no-op."""
+    cfg = _write_config(tmp_path, {"mpa": {"restarts": 0, "polish": True}})
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "set")]) == 0
+    assert main(["bound", "--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    set_bytes = (tmp_path / "set" / "bound.json").read_bytes()
+    assert set_bytes == (tmp_path / "default" / "bound.json").read_bytes()
 
 
 def test_box_inside_the_potential_ramp_is_rejected(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from fracham import (
     RealLineGrid,
     gl_matrix,
     gl_weights,
-    grunwald_left_rl,
     interval_stiffness,
     liouville_weyl_left,
     lw_multiplier,
@@ -92,7 +91,7 @@ def test_order_validation():
         gl_weights(0.5, 0)
     ig = IntervalGrid(0.0, 1.0, 9)
     with pytest.raises(DomainError):
-        grunwald_left_rl(GridFunction(ig, np.zeros(9)), 1.5)
+        gl_matrix(ig, 1.5)
     with pytest.raises(DomainError):
         liouville_weyl_left(GridFunction(ig, np.zeros(9)), 0.5)
 
@@ -184,7 +183,7 @@ def test_grunwald_power_function_closed_form():
     alpha, nu = 0.5, 2.0
     ig = IntervalGrid(0.0, 1.0, 513)
     s = ig.nodes
-    d = grunwald_left_rl(GridFunction(ig, s**nu), alpha).scalar
+    d = gl_matrix(ig, alpha) @ s**nu
     exact = math.gamma(nu + 1.0) / math.gamma(nu + 1.0 - alpha) * s ** (nu - alpha)
     win = slice(513 // 8, 512)
     rel = float(np.max(np.abs(d[win] - exact[win]))) / float(np.max(np.abs(exact[win])))

@@ -17,7 +17,6 @@ from fracham import (
     RealLineGrid,
     bvp_derivative_action,
     bvp_energy,
-    bvp_gradient_rep,
     bvp_h_identity,
     derivative_action,
     energy,
@@ -34,6 +33,7 @@ from fracham.fracops import gl_matrix, interval_stiffness
 from fracham import functional
 from fracham.problem import (
     _magnitude,
+    _rowdot,
     _weighted_hessian_action,
     grad_w_values,
     hessian_w_action,
@@ -264,7 +264,7 @@ def test_operator_layer(n, potential, nonlinearity):
         assert abs(inner_x_lambda(g, v, spec) - action) < 1e-8 * (1.0 + abs(action))
 
     u = interval_field()
-    g = bvp_gradient_rep(u, ispec)
+    g = gradient_rep(u, ispec)
     b = gl_matrix(ispec.grid, ispec.alpha)
     for _ in range(5):
         v = interval_field()
@@ -281,13 +281,20 @@ def test_operator_layer(n, potential, nonlinearity):
                           hessian_w_action(nonlinearity, t, u, v))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_magnitude_matches_strided_sum(n):
-    """The per-component accumulation gives the bits of ``np.sum`` over the last axis."""
+    """The per-component accumulation gives the bits of ``np.sum`` over the last axis.
+
+    The pairing of two different arrays gives the same values (an exact zero
+    may differ in sign).
+    """
     rng = np.random.default_rng(20 + n)
     for shape in ((257, n), (5, 64, n)):
         u = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3, size=shape)
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3, size=shape)
+        v[..., 0][::5] = 0.0
         assert np.array_equal(_magnitude(u), np.sqrt(np.sum(u**2, -1)))
+        assert np.array_equal(_rowdot(u, v), np.sum(u * v, -1))
 
 
 def test_interval_boundary_enforcement(interval_spec):
@@ -297,12 +304,17 @@ def test_interval_boundary_enforcement(interval_spec):
     other = GridFunction(IntervalGrid(-0.4, 0.4, 33), np.zeros(33))
     with pytest.raises(DomainError):
         bvp_energy(other, interval_spec)
+    good = _interval_field(interval_spec, np.random.default_rng(10))
+    with pytest.raises(DomainError, match="vanish exactly"):
+        derivative_action(good, bad, interval_spec)
+    with pytest.raises(DomainError, match="vanish exactly"):
+        gradient_rep(bad, interval_spec)
 
 
 def test_interval_gradient_defining_property(interval_spec):
     rng = np.random.default_rng(8)
     u = _interval_field(interval_spec, rng)
-    g = bvp_gradient_rep(u, interval_spec)
+    g = gradient_rep(u, interval_spec)
     b = gl_matrix(interval_spec.grid, interval_spec.alpha)
     h = interval_spec.grid.spacing
     for _ in range(5):

@@ -10,7 +10,6 @@ from fracham import (
     GridFunction,
     IntervalGrid,
     RealLineGrid,
-    quadrature,
 )
 
 
@@ -87,10 +86,6 @@ def test_grid_function_constructors():
     z = GridFunction.zeros(g, num_components=3)
     assert z.values.shape == (32, 3)
     assert np.all(z.values == 0.0)
-    u = GridFunction.from_callable(g, lambda t: np.exp(-t * t))
-    assert u.values.shape == (32, 1)
-    with pytest.raises(DomainError):
-        GridFunction.from_callable(g, lambda t: np.exp(-t * t), num_components=2)
 
 
 def test_interval_grid_layout_and_weights():
@@ -106,19 +101,3 @@ def test_interval_grid_layout_and_weights():
         IntervalGrid(0.0, 1.0, 2)
     with pytest.raises(DomainError):
         IntervalGrid(1.0, 0.0, 9)
-
-
-def test_componentwise_quadrature():
-    g = RealLineGrid(20.0, 4096)
-    t = g.nodes
-    u = GridFunction(g, np.stack([np.exp(-t * t), 2.0 * np.exp(-t * t)], axis=1))
-    q = quadrature(u)
-    assert q.shape == (2,)
-    assert abs(q[0] - math.sqrt(math.pi)) < 1e-12
-    assert abs(q[1] - 2.0 * math.sqrt(math.pi)) < 1e-12
-    ig = IntervalGrid(0.0, 1.0, 101)
-    s = ig.nodes
-    v = GridFunction(ig, np.stack([s, s**2], axis=1))
-    qi = quadrature(v)
-    assert abs(qi[0] - 0.5) < 1e-14
-    assert abs(qi[1] - 1.0 / 3.0) < 1e-4

@@ -49,8 +49,8 @@ def test_config_validation():
         MpaConfig(tol=0.0)
     with pytest.raises(ConfigError):
         MpaConfig(tol=1.0)
-    with pytest.raises(ConfigError):
-        MpaConfig(restarts=-1)
+    fields = [f.name for f in dataclasses.fields(MpaConfig)]
+    assert fields == ["path_nodes", "tol", "max_iters", "max_path_nodes"]
 
 
 def test_sphere_radius_and_floor_closed_form(spec10, constants):
@@ -58,7 +58,7 @@ def test_sphere_radius_and_floor_closed_form(spec10, constants):
     theta, meas = constants.theta, constants.meas_lc
     eps = 0.5 * theta
     c_eps = 4.0 * theta * theta * meas
-    rho, eta = estimate_rho_eta(spec10, eps, c_eps, 4.0, constants=constants)
+    rho, eta = estimate_rho_eta(eps, c_eps, 4.0, constants=constants)
     radii = np.logspace(-6, 3, 1801)
     bracket = 0.25 - radii**2
     expected_rho = float(radii[bracket > 0.0][-1])
@@ -70,13 +70,13 @@ def test_sphere_radius_and_floor_closed_form(spec10, constants):
 def test_sphere_bound_error_paths(spec10, constants):
     theta = constants.theta
     with pytest.raises(GeometryError):
-        estimate_rho_eta(spec10, theta, 1.0, 4.0, constants=constants)
+        estimate_rho_eta(theta, 1.0, 4.0, constants=constants)
     with pytest.raises(GeometryError):
-        estimate_rho_eta(spec10, 2.0 * theta, 1.0, 4.0, constants=constants)
+        estimate_rho_eta(2.0 * theta, 1.0, 4.0, constants=constants)
     with pytest.raises(GeometryError):
-        estimate_rho_eta(spec10, 0.5 * theta, 1.0, 2.0, constants=constants)
+        estimate_rho_eta(0.5 * theta, 1.0, 2.0, constants=constants)
     with pytest.raises(GeometryError):
-        estimate_rho_eta(spec10, 0.5 * theta, 1e30, 4.0, constants=constants)
+        estimate_rho_eta(0.5 * theta, 1e30, 4.0, constants=constants)
 
 
 def test_endpoint_construction_invariants(setup, spec10, ctilde):
@@ -173,12 +173,6 @@ def test_warm_start_reuses_the_solution(spec10, setup, default_solve):
     assert warm.converged is True
     assert warm.iterations <= default_solve.iterations
     assert abs(warm.level - default_solve.level) < 1e-6 * default_solve.level
-
-
-def test_restart_reaches_the_same_level(spec10, setup, default_solve):
-    res = mpa_solve(spec10, setup, MpaConfig(restarts=1))
-    assert res.converged is True
-    assert abs(res.level - default_solve.level) < 1e-6 * default_solve.level
 
 
 def test_oscillatory_weight_raises_the_barrier(osc_spec, osc_solve):

@@ -15,7 +15,7 @@ from fracham import (
     validate_nonlinearity,
     validate_potential,
 )
-from fracham.problem import eval_grad_w, eval_h, eval_potential, eval_w, weight_values
+from fracham.problem import grad_w_values, h_values, w_values, weight_values
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +33,10 @@ def test_default_potential_profile(potential):
     meas = 2.0 * 0.4 + 2.0 * 0.05 * math.sqrt(1.5)
     assert abs(potential.sublevel_measure() - meas) < 1e-15
     assert potential.j_bounds == (-0.4, 0.4)
-    mat = eval_potential(0.5, potential, n=2)
-    assert mat.shape == (2, 2)
-    assert mat[0, 1] == 0.0 and mat[0, 0] == mat[1, 1]
-    assert abs(mat[0, 0] - potential.profile(np.array([0.5]))[0]) < 1e-15
+    diag = potential.diagonal(np.array([0.5]), 2)
+    assert diag.shape == (1, 2)
+    assert diag[0, 0] == diag[0, 1]
+    assert abs(diag[0, 0] - potential.profile(np.array([0.5]))[0]) < 1e-15
 
 
 def test_potential_spec_validation():
@@ -127,13 +127,13 @@ def test_gradient_matches_finite_differences(nonlin, osc_nonlin):
         for _ in range(8):
             t = float(rng.uniform(-3.0, 3.0))
             u = rng.normal(scale=1.5, size=2)
-            grad = eval_grad_w(t, u, spec)
+            grad = grad_w_values(spec, t, u)
             assert grad.shape == (2,)
             for j in range(2):
                 up, dn = u.copy(), u.copy()
                 up[j] += step
                 dn[j] -= step
-                fd = (eval_w(t, up, spec) - eval_w(t, dn, spec)) / (2.0 * step)
+                fd = (float(w_values(spec, t, up)) - float(w_values(spec, t, dn))) / (2.0 * step)
                 assert abs(grad[j] - fd) < 1e-6 * (1.0 + abs(fd))
 
 
@@ -143,9 +143,9 @@ def test_defect_term_definition_and_pure_power_identity(nonlin, osc_nonlin):
         for _ in range(12):
             t = float(rng.uniform(-2.0, 2.0))
             u = rng.normal(scale=2.0, size=2)
-            w = eval_w(t, u, spec)
-            h = eval_h(t, u, spec)
-            pairing = float(np.dot(eval_grad_w(t, u, spec), u))
+            w = float(w_values(spec, t, u))
+            h = float(h_values(spec, t, u))
+            pairing = float(np.dot(grad_w_values(spec, t, u), u))
             assert abs(pairing - 2.0 * w - 2.0 * h) < 1e-12 * (1.0 + abs(pairing))
             if spec.kind == "pure_power":
                 assert abs(h - (spec.p / 2.0 - 1.0) * w) < 1e-12 * (1.0 + abs(w))
@@ -182,7 +182,7 @@ def test_growth_constant_calibration(nonlin, osc_nonlin):
     # the calibrated constant actually dominates the slope on a wide radius grid
     r = np.logspace(-8, 3, 1200)
     for spec, eps, c in ((nonlin, 0.1, c_pure), (osc_nonlin, 0.1, c1)):
-        slope = np.array([np.linalg.norm(eval_grad_w(0.0, np.array([ri]), spec)) for ri in r[::40]])
+        slope = np.array([np.linalg.norm(grad_w_values(spec, 0.0, np.array([ri]))) for ri in r[::40]])
         bound = eps * r[::40] + c * r[::40] ** (spec.growth_exponent - 1.0)
         assert np.all(slope <= bound * (1.0 + 1e-9))
     with pytest.raises(DomainError):
