@@ -196,7 +196,7 @@ def _cmd_sweep(args) -> int:
         f"observed_admissible_lambda={report.observed_admissible_lambda}"
     )
     if args.out:
-        write_report(args.out, "report.json", report.to_dict(include_values=True))
+        write_report(args.out, "report.json", report.to_dict())
         write_sweep_csv(args.out, report)
     return 0
 
@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
     cfg = _load(args)
     spec = build_problem_spec(cfg)
     report = run_verification_campaign(
-        spec, budgets=dict(cfg["verify"]), seed=int(cfg["seed"])
+        spec, _constants(cfg, spec), budgets=dict(cfg["verify"]), seed=int(cfg["seed"])
     )
     for name, section in report["sections"].items():
         print(f"verify: {name}: {'pass' if section.get('passed') else 'FAIL'}")

@@ -186,7 +186,7 @@ def build_nonlinearity(cfg: dict) -> NonlinearitySpec:
     )
 
 
-def build_problem_spec(cfg: dict, lam: float | None = None) -> ProblemSpec:
+def build_problem_spec(cfg: dict) -> ProblemSpec:
     prob = cfg["problem"]
     potential = build_potential(cfg)
     grid = build_grid(cfg)
@@ -201,7 +201,7 @@ def build_problem_spec(cfg: dict, lam: float | None = None) -> ProblemSpec:
         )
     return ProblemSpec(
         alpha=float(prob["alpha"]),
-        lam=float(prob["lambda"]) if lam is None else float(lam),
+        lam=float(prob["lambda"]),
         potential=potential,
         nonlinearity=build_nonlinearity(cfg),
         grid=grid,

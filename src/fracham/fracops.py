@@ -21,6 +21,11 @@ function.  On a bounded interval, the left Riemann-Liouville derivative with
 zero left boundary value is discretized by the standard Grunwald-Letnikov
 weights, giving a lower-triangular Toeplitz matrix that is first-order
 accurate.
+
+The line has a single multiplier cache, ``_form_multipliers``: the symbol
+``|w|^(2 alpha)`` of every real-line quadratic form, bare and
+Parseval-weighted.  :func:`liouville_weyl_left` is not on any solver path and
+builds its complex half symbol per call.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 __all__ = [
     "BoundaryDecayWarning",
-    "lw_multiplier",
     "liouville_weyl_left",
     "quadratic_form_alpha",
     "gl_weights",
@@ -49,30 +53,14 @@ class BoundaryDecayWarning(UserWarning):
     """A real-line input does not decay near the truncation boundary."""
 
 
+# check_boundary_decay warns above this boundary-to-peak ratio.
+_DECAY_FRACTION = 1e-3
+
+
 def _check_order(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"fractional order must lie in (0, 1), got {alpha}")
     return float(alpha)
-
-
-@functools.lru_cache(maxsize=None)
-def _lw_multiplier_cached(grid: RealLineGrid, alpha: float, half: bool) -> np.ndarray:
-    w = grid.rfft_frequencies if half else grid.angular_frequencies
-    mult = np.zeros(w.shape, dtype=np.complex128)
-    nz = w != 0.0
-    # principal branch: (i w)^a = |w|^a * exp(i * sign(w) * a * pi / 2)
-    mult[nz] = np.abs(w[nz]) ** alpha * np.exp(1j * np.sign(w[nz]) * alpha * np.pi / 2.0)
-    mult.setflags(write=False)
-    return mult
-
-
-def lw_multiplier(grid: RealLineGrid, alpha: float, half: bool = False) -> np.ndarray:
-    """Fourier symbol ``(i w_k)^alpha`` on the grid's frequency set.
-
-    With ``half=True`` the symbol is returned on the nonnegative (rfft)
-    frequencies only.
-    """
-    return _lw_multiplier_cached(grid, _check_order(alpha), bool(half))
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,8 +108,8 @@ def _edge_to_peak(values: np.ndarray) -> float:
     return edge / peak
 
 
-def check_boundary_decay(u: GridFunction, fraction: float = 1e-3) -> float:
-    """Warn when the boundary magnitude exceeds ``fraction`` of the peak.
+def check_boundary_decay(u: GridFunction) -> float:
+    """Warn when the boundary magnitude exceeds ``_DECAY_FRACTION`` of the peak.
 
     Returns the observed boundary-to-peak ratio.  The real-line operators are
     exact for the periodic extension; a function that is still large at the
@@ -130,9 +118,9 @@ def check_boundary_decay(u: GridFunction, fraction: float = 1e-3) -> float:
     """
     grid = _require_line(u)
     ratio = _edge_to_peak(u.values)
-    if ratio > fraction:
+    if ratio > _DECAY_FRACTION:
         warnings.warn(
-            f"boundary magnitude is {ratio:.2e} of the peak (threshold {fraction:.0e}); "
+            f"boundary magnitude is {ratio:.2e} of the peak (threshold {_DECAY_FRACTION:.0e}); "
             f"halfwidth {grid.halfwidth} may truncate this function",
             BoundaryDecayWarning,
             stacklevel=3,
@@ -144,12 +132,14 @@ def liouville_weyl_left(u: GridFunction, alpha: float) -> GridFunction:
     """Left-sided fractional derivative of order ``alpha`` on the line.
 
     Implemented as the inverse transform of ``(i w)^alpha * u_hat``, applied
-    componentwise.  The zero frequency is annihilated.
+    componentwise, with the principal branch ``(i w)^alpha = |w|^alpha
+    exp(i alpha pi / 2)`` on the nonnegative rfft frequencies.  The zero
+    frequency is annihilated.
     """
     grid = _require_line(u)
-    _check_order(alpha)
+    alpha = _check_order(alpha)
     check_boundary_decay(u)
-    mult = lw_multiplier(grid, alpha, half=True)
+    mult = np.abs(grid.rfft_frequencies) ** alpha * np.exp(1j * alpha * np.pi / 2.0)
     coeff = np.fft.rfft(u.values, axis=0)
     out = np.fft.irfft(mult[:, None] * coeff, n=grid.num_points, axis=0)
     return GridFunction(grid, out)
@@ -208,8 +198,3 @@ def interval_stiffness(grid: IntervalGrid, alpha: float) -> np.ndarray:
     a.setflags(write=False)
     return a
 
-
-@functools.lru_cache(maxsize=None)
-def interval_stiffness_cholesky(grid: IntervalGrid, alpha: float):
-    """Cached Cholesky factor of :func:`interval_stiffness` (solver plumbing)."""
-    return scipy.linalg.cho_factor(np.array(interval_stiffness(grid, alpha)))

@@ -42,13 +42,16 @@ integral of ``grad W(t, u) . d`` with the same quadrature (the derivative of
 ``wint`` along ``d``), and ``segment_forms(a, b)`` returns the three
 reductions ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q`` (the
 spectral form plus ``lambda`` times the potential term on the line,
-``h (Ba).(Bb)`` on the interval).  Along the segment from ``a`` to ``b``
-the quadratic part is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) +
-th^2 Q(b)``, so a segment costs those three reductions plus one ``W``
-integral per coarse trial point and one ``W`` slope per step of the root
-search for the crest, with no transform.  The expansion only steers the
-search: the crest value the solver reports is re-evaluated directly with
-``energy`` (see :func:`fracham.mpa._measure_segment`).
+``h (Ba).(Bb)`` on the interval).  The base class writes it as
+``form(a, a), form(a, b), form(b, b)``, which the interval uses as is; the
+line operator shares one rfft of the stacked pair among the three.  Along
+the segment from ``a`` to ``b`` the quadratic part is exactly
+``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment costs
+those three reductions plus one ``W`` integral per coarse trial point and
+one ``W`` slope per step of the root search for the crest, with no
+transform.  The expansion only steers the search: the crest value the
+solver reports is re-evaluated directly with ``energy`` (see
+:func:`fracham.mpa._measure_segment`).
 
 The descent metric on the line is the weighted norm: the gradient is an exact
 solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
@@ -78,7 +81,6 @@ from .fracops import (
     _spectral_form,
     gl_matrix,
     interval_stiffness,
-    interval_stiffness_cholesky,
 )
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import (
@@ -127,9 +129,6 @@ class ProblemSpec:
 
     def with_lambda(self, lam: float) -> "ProblemSpec":
         return dataclasses.replace(self, lam=lam)
-
-    def potential_diagonal(self) -> np.ndarray:
-        return _operator(self).ldiag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,6 +188,10 @@ class _OperatorBase:
 
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
+
+    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q``, from ``form``."""
+        return self.form(a, a), self.form(a, b), self.form(b, b)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -260,7 +263,7 @@ class _LineOperator(_OperatorBase):
         return frac + spec.lam * pot
 
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = ||.||_X^2``, from one pair transform."""
+        """The base triple from one pair transform instead of three form calls."""
         spec = self.spec
         h = spec.grid.spacing
         ac, bc = np.fft.rfft(np.stack([a, b]), axis=-2)
@@ -375,7 +378,7 @@ class _IntervalOperator(_OperatorBase):
     def __init__(self, spec: IntervalProblemSpec):
         super().__init__(spec)
         self.b = gl_matrix(spec.grid, spec.alpha)
-        self.cho = interval_stiffness_cholesky(spec.grid, spec.alpha)
+        self.cho = scipy.linalg.cho_factor(np.array(interval_stiffness(spec.grid, spec.alpha)))
 
     def wint(self, vals: np.ndarray) -> np.ndarray:
         """The trapezoid integral of ``W(t, u)``, one value per candidate."""
@@ -394,13 +397,6 @@ class _IntervalOperator(_OperatorBase):
     def form(self, u: np.ndarray, v: np.ndarray) -> float:
         """The stiffness pairing ``h (B u) . (B v)``."""
         return self.spec.grid.spacing * float(np.sum((self.b @ u) * (self.b @ v)))
-
-    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of ``Q = h ||B .||^2``, from two matvecs."""
-        h = self.spec.grid.spacing
-        ba = self.b @ a
-        bb = self.b @ b
-        return h * float(np.sum(ba * ba)), h * float(np.sum(ba * bb)), h * float(np.sum(bb * bb))
 
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """Gradient of the discrete energy in the raw node coordinates."""

@@ -12,6 +12,11 @@ Two grid kinds are used throughout the package:
 * :class:`IntervalGrid` -- a uniform grid including both endpoints of a
   bounded interval ``[a, b]``, with classical trapezoid quadrature weights.
 
+Both are frozen dataclasses whose fields are their whole identity (equality,
+hashing and ``dataclasses.asdict`` see only the fields).  Their derived
+arrays -- nodes, frequencies, quadrature weights -- are read-only
+``functools.cached_property`` values, computed once per grid object.
+
 Functions are sampled as :class:`GridFunction` objects: immutable wrappers
 around a ``(num_points, num_components)`` float array.
 """
@@ -34,6 +39,11 @@ __all__ = [
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,24 +69,30 @@ class RealLineGrid:
     def spacing(self) -> float:
         return 2.0 * self.halfwidth / self.num_points
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return _line_nodes(self)
+        return _frozen(-self.halfwidth + self.spacing * np.arange(self.num_points))
 
-    @property
+    @functools.cached_property
     def angular_frequencies(self) -> np.ndarray:
         """Angular frequencies of the full FFT basis, in fft ordering."""
-        return _line_omega(self)
+        return _frozen(2.0 * np.pi * np.fft.fftfreq(self.num_points, d=self.spacing))
 
-    @property
+    @functools.cached_property
     def rfft_frequencies(self) -> np.ndarray:
         """Angular frequencies of the real-FFT basis (nonnegative half)."""
-        return _line_omega_r(self)
+        return _frozen(2.0 * np.pi * np.fft.rfftfreq(self.num_points, d=self.spacing))
 
-    @property
+    @functools.cached_property
     def rfft_parseval_weights(self) -> np.ndarray:
-        """Multiplicities making ``sum(w * |rfft(u)|**2) == sum(|fft(u)|**2)``."""
-        return _line_parweights(self)
+        """Multiplicities making ``sum(w * |rfft(u)|**2) == sum(|fft(u)|**2)``.
+
+        rfft keeps one of each conjugate pair; interior bins count twice,
+        the DC and (even-length) Nyquist bins once.
+        """
+        w = np.full(self.num_points // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return _frozen(w)
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature ``h * sum(values)`` over every axis of ``values``.
@@ -91,39 +107,6 @@ class RealLineGrid:
                 f"leading axis has length {values.shape[0]}, expected {self.num_points}"
             )
         return float(self.spacing * values.sum())
-
-
-@functools.lru_cache(maxsize=None)
-def _line_nodes(grid: RealLineGrid) -> np.ndarray:
-    t = -grid.halfwidth + grid.spacing * np.arange(grid.num_points)
-    t.setflags(write=False)
-    return t
-
-
-@functools.lru_cache(maxsize=None)
-def _line_omega(grid: RealLineGrid) -> np.ndarray:
-    w = 2.0 * np.pi * np.fft.fftfreq(grid.num_points, d=grid.spacing)
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=None)
-def _line_omega_r(grid: RealLineGrid) -> np.ndarray:
-    w = 2.0 * np.pi * np.fft.rfftfreq(grid.num_points, d=grid.spacing)
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=None)
-def _line_parweights(grid: RealLineGrid) -> np.ndarray:
-    # rfft keeps one of each conjugate pair; interior bins count twice,
-    # the DC and (even-length) Nyquist bins once.
-    m = grid.num_points // 2 + 1
-    w = np.full(m, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    w.setflags(write=False)
-    return w
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,13 +129,15 @@ class IntervalGrid:
     def spacing(self) -> float:
         return (self.upper - self.lower) / (self.num_points - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return _interval_nodes(self)
+        return _frozen(np.linspace(self.lower, self.upper, self.num_points))
 
-    @property
+    @functools.cached_property
     def trapezoid_weights(self) -> np.ndarray:
-        return _interval_weights(self)
+        w = np.full(self.num_points, self.spacing)
+        w[0] = w[-1] = 0.5 * self.spacing
+        return _frozen(w)
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoid quadrature; trailing component axes are summed."""
@@ -165,22 +150,6 @@ class IntervalGrid:
         if values.ndim > 1:
             values = values.reshape(values.shape[0], -1).sum(axis=1)
         return float(np.dot(w, values))
-
-
-@functools.lru_cache(maxsize=None)
-def _interval_nodes(grid: IntervalGrid) -> np.ndarray:
-    t = np.linspace(grid.lower, grid.upper, grid.num_points)
-    t.setflags(write=False)
-    return t
-
-
-@functools.lru_cache(maxsize=None)
-def _interval_weights(grid: IntervalGrid) -> np.ndarray:
-    w = np.full(grid.num_points, grid.spacing)
-    w[0] = 0.5 * grid.spacing
-    w[-1] = 0.5 * grid.spacing
-    w.setflags(write=False)
-    return w
 
 
 def _normalize_values(values, num_points: int) -> np.ndarray:
@@ -217,17 +186,7 @@ class GridFunction:
     def num_components(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def scalar(self) -> np.ndarray:
-        """The single component of a scalar function, as a 1-D view."""
-        if self.num_components != 1:
-            raise DomainError(f"function has {self.num_components} components, not 1")
-        return self.values[:, 0]
-
     def euclidean_magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm ``|u(t_j)|`` over components."""
         return np.sqrt(np.sum(self.values**2, axis=1))
 
-    @classmethod
-    def zeros(cls, grid, num_components: int = 1) -> "GridFunction":
-        return cls(grid, np.zeros((grid.num_points, num_components)))

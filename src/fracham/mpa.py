@@ -75,6 +75,8 @@ __all__ = [
     "bvp_solve",
 ]
 
+# A segment's coarse scan evaluates this many interior points.
+_COARSE = 15
 # Crest root searches stop at this relative bracket width, or after
 # _ROOT_ITERS evaluations; a segment crest this close to an end is that end.
 _ROOT_TOL = 1e-9
@@ -122,7 +124,6 @@ class MountainPassSetup:
     eta: float
     epsilon_c: float
     c_eps: float
-    growth_p: float
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -140,9 +141,9 @@ class SolveResult:
     trace: tuple[tuple[float, float, float], ...]
     diagnostics: dict
 
-    def to_dict(self, include_values: bool = True) -> dict:
+    def to_dict(self) -> dict:
         grid = self.u.grid
-        out = {
+        return {
             "converged": self.converged,
             "level": self.level,
             "residual": self.residual,
@@ -156,10 +157,8 @@ class SolveResult:
             "diagnostics": self.diagnostics,
             "trace_columns": ["level", "residual", "residual_weighted"],
             "trace": [list(row) for row in self.trace],
+            "values": self.u.values.tolist(),
         }
-        if include_values:
-            out["values"] = self.u.values.tolist()
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +337,10 @@ def construct_e(
     vals = np.zeros((spec.grid.num_points, spec.n))
     vals[:, 0] = _bump_profile(spec.grid.nodes, 0.0, tau)
     psi = GridFunction(spec.grid, vals)
-    pd = spec.potential_diagonal()
-    if np.any(pd * psi.values != 0.0):
+    op = _operator(spec)
+    if np.any(op.ldiag * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
 
-    op = _operator(spec)
     sigma = _doubling_scan(
         lambda s: op.energy(s * psi.values) < 0.0 and op.xnorm(s * psi.values) > rho,
         "no negative-energy endpoint within the doubling cap; the "
@@ -358,7 +356,6 @@ def construct_e(
         eta=eta,
         epsilon_c=epsilon_c,
         c_eps=c_eps,
-        growth_p=pg,
     )
 
 
@@ -423,7 +420,7 @@ def _segment_energies(op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarra
     return 0.5 * quad - op.wint(stack)
 
 
-def _measure_segment(op, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Segment:
+def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
     Along the segment the quadratic part of the energy is exactly
@@ -460,7 +457,7 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray, coarse: int = 15) -> _Seg
         u = (1.0 - th) * a + th * b
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - float(op.wslope(u, d))
 
-    thetas = np.linspace(0.0, 1.0, coarse + 2)[1:-1]
+    thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
     best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas)))])
     span = thetas[1] - thetas[0]
     lo = max(0.0, best - span)
@@ -579,14 +576,27 @@ class _PathEngine:
         return False
 
 
-def _run_path(op, e_vals: np.ndarray, config: MpaConfig, initial_nodes=None) -> SolveResult:
-    """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``."""
-    if initial_nodes is None:
-        k = config.path_nodes
-        weights = np.linspace(0.0, 1.0, k)
-        nodes = [w * e_vals for w in weights]
+def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.ndarray]:
+    """Polyline through a previous solution: 0 -> guess -> e."""
+    half = max(count // 2, 2)
+    first = [w * guess for w in np.linspace(0.0, 1.0, half + 1)]
+    second = [
+        guess + w * (e_vals - guess) for w in np.linspace(0.0, 1.0, count - half)[1:]
+    ]
+    return first + second
+
+
+def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | None) -> SolveResult:
+    """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
+
+    The path starts straight, or through ``guess`` when one is given.
+    """
+    if guess is None:
+        nodes = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)]
     else:
-        nodes = [np.array(x, dtype=np.float64) for x in initial_nodes]
+        if guess.grid != op.spec.grid:
+            raise DomainError("initial guess does not live on the spec's grid")
+        nodes = _warm_nodes(e_vals, guess.values, config.path_nodes)
     nodes[0] = np.zeros_like(e_vals)
     nodes[-1] = e_vals.copy()
     frozen_zero = nodes[0].copy()
@@ -711,16 +721,6 @@ def _check_level(run: SolveResult) -> SolveResult:
     return run
 
 
-def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.ndarray]:
-    """Polyline through a previous solution: 0 -> guess -> e."""
-    half = max(count // 2, 2)
-    first = [w * guess for w in np.linspace(0.0, 1.0, half + 1)]
-    second = [
-        guess + w * (e_vals - guess) for w in np.linspace(0.0, 1.0, count - half)[1:]
-    ]
-    return first + second
-
-
 def mpa_solve(
     spec: ProblemSpec,
     setup: MountainPassSetup,
@@ -732,15 +732,7 @@ def mpa_solve(
         config = MpaConfig()
     if setup.e.grid != spec.grid:
         raise DomainError("setup endpoint does not live on the spec's grid")
-    op = _operator(spec)
-    e_vals = setup.e.values
-    initial = None
-    if initial_guess is not None:
-        if initial_guess.grid != spec.grid:
-            raise DomainError("initial guess does not live on the spec's grid")
-        initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
-
-    run = _check_level(_run_path(op, e_vals, config, initial_nodes=initial))
+    run = _check_level(_run_path(_operator(spec), setup.e.values, config, initial_guess))
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.
     diagnostics = {**run.diagnostics, "edge_to_peak": _edge_to_peak(run.u.values)}
@@ -772,10 +764,4 @@ def bvp_solve(
         lambda s: op.energy(s * vals) < 0.0,
         "no negative-energy endpoint within the doubling cap on the interval",
     )
-    e_vals = sigma * vals
-    initial = None
-    if initial_guess is not None:
-        if initial_guess.grid != grid:
-            raise DomainError("initial guess does not live on the interval grid")
-        initial = _warm_nodes(e_vals, initial_guess.values, config.path_nodes)
-    return _check_level(_run_path(op, e_vals, config, initial_nodes=initial))
+    return _check_level(_run_path(op, sigma * vals, config, initial_guess))

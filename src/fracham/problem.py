@@ -47,7 +47,6 @@ __all__ = [
     "w_values",
     "grad_w_values",
     "h_values",
-    "hessian_w_action",
     "calibrate_growth_constant",
     "validate_nonlinearity",
 ]
@@ -85,11 +84,6 @@ class PotentialSpec:
             if any(s < 1.0 for s in self.diag_scales):
                 raise DomainError("diag_scales must all be >= 1 to preserve the lower bound")
 
-    @property
-    def j_bounds(self) -> tuple[float, float]:
-        """The open interval where the profile vanishes (interior of l^-1(0))."""
-        return (-self.varrho, self.varrho)
-
     def profile(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         dist = np.maximum(np.abs(t) - self.varrho, 0.0)
@@ -120,14 +114,13 @@ def default_potential() -> PotentialSpec:
     return PotentialSpec(varrho=0.4, delta=0.05, cap=6.0, c=1.5)
 
 
-def validate_potential(spec: PotentialSpec, c_infinity: float | None = None) -> dict:
+def validate_potential(spec: PotentialSpec, c_infinity: float) -> dict:
     """Numeric checks of the potential hypotheses.
 
     Verifies nonnegativity on a fine grid, exact vanishing on the closed
-    well, a nonempty finite zero interval, and the sublevel measure (closed
-    form cross-checked by quadrature of the indicator).  When ``c_infinity``
-    is supplied the smallness condition ``meas{l<c} < 1/c_infinity^2`` is
-    evaluated and reported as ``admissible``.
+    well, a nonempty finite zero interval, the sublevel measure (closed
+    form cross-checked by quadrature of the indicator), and the smallness
+    condition ``meas{l<c} < 1/c_infinity^2``, reported as ``admissible``.
     """
     t = np.linspace(-_CHECK_HALFWIDTH, _CHECK_HALFWIDTH, _CHECK_POINTS)
     vals = spec.profile(t)
@@ -142,29 +135,20 @@ def validate_potential(spec: PotentialSpec, c_infinity: float | None = None) -> 
     h = t[1] - t[0]
     meas_quad = float(h * np.sum(vals < spec.c))
     meas_consistent = abs(meas_quad - meas_closed) <= 4.0 * h
-
-    report = {
+    bound = 1.0 / c_infinity**2
+    admissible = bool(meas_closed < bound)
+    passed = nonneg and zero_on_well and positive_outside and meas_consistent and admissible
+    return {
         "nonnegative": nonneg,
         "zero_on_well": zero_on_well,
         "zero_set_is_finite_interval": positive_outside,
         "meas_lc_closed_form": meas_closed,
         "meas_lc_quadrature": meas_quad,
         "meas_consistent": meas_consistent,
-        "admissible": None,
-        "smallness_bound": None,
+        "admissible": admissible,
+        "smallness_bound": bound,
+        "passed": bool(passed),
     }
-    if c_infinity is not None:
-        bound = 1.0 / c_infinity**2
-        report["smallness_bound"] = bound
-        report["admissible"] = bool(meas_closed < bound)
-    report["passed"] = bool(
-        nonneg
-        and zero_on_well
-        and positive_outside
-        and meas_consistent
-        and report["admissible"] is not False
-    )
-    return report
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,6 +316,12 @@ def _weighted_slope(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, D: np.
 def _weighted_hessian_action(
     spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
+    """Action of the second derivative of ``W`` in ``u`` on a direction ``V``.
+
+    For radial ``W``, the Hessian is ``(w'/r) I + (w'' - w'/r) uu^T/r^2``;
+    the rank-one coefficient vanishes at ``r = 0`` for superquadratic
+    families, so the origin is handled by masking.
+    """
     r = _magnitude(U)
     factor = g * _radial_slope_factor(spec, r)
     second = g * _radial_second(spec, r)
@@ -358,16 +348,6 @@ def h_values(spec: NonlinearitySpec, t, U: np.ndarray) -> np.ndarray:
     """Defect ``H = (1/2) <grad W, u> - W``, computed literally."""
     g = grad_w_values(spec, t, U)
     return 0.5 * np.sum(g * U, axis=-1) - w_values(spec, t, U)
-
-
-def hessian_w_action(spec: NonlinearitySpec, t, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Action of the second derivative of ``W`` in ``u`` on a direction ``V``.
-
-    For radial ``W``, the Hessian is ``(w'/r) I + (w'' - w'/r) uu^T/r^2``;
-    the rank-one coefficient vanishes at ``r = 0`` for superquadratic
-    families, so the origin is handled by masking.
-    """
-    return _weighted_hessian_action(spec, weight_values(spec, t), U, V)
 
 
 def calibrate_growth_constant(spec: NonlinearitySpec, eps: float) -> float:
@@ -400,7 +380,6 @@ def validate_nonlinearity(
     spec: NonlinearitySpec,
     sample_budget: int = 20000,
     seed: int = 20260816,
-    strict: bool = False,
 ) -> dict:
     """Numeric checks of the nonlinearity hypotheses.
 
@@ -409,8 +388,7 @@ def validate_nonlinearity(
     superquadratic growth, and the defect inequality with its configured
     constants (the tightest observed constant is reported next to the
     configured one).  Growth constants ``C_eps`` for eps in {0.1, 0.01} are
-    calibrated and reported.  With ``strict=True`` a failed check raises
-    :class:`DomainError` naming the hypothesis and a witness point.
+    calibrated and reported.
     """
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
@@ -493,18 +471,12 @@ def validate_nonlinearity(
         }
 
     c_eps = {str(e): calibrate_growth_constant(spec, e) for e in (0.1, 0.01)}
-    passed = all(c["passed"] for c in checks.values())
-    report = {
+    return {
         "family": spec.kind,
         "p": spec.p,
         "sigma": None if math.isinf(sigma) else sigma,
         "growth_exponent": spec.growth_exponent,
         "checks": checks,
         "c_epsilon": c_eps,
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks.values()),
     }
-    if strict and not passed:
-        failed = [k for k, v in checks.items() if not v["passed"]]
-        witness = checks[failed[0]].get("witness")
-        raise DomainError(f"nonlinearity hypothesis failed: {failed[0]} (witness: {witness})")
-    return report

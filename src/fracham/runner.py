@@ -47,7 +47,6 @@ from .mpa import (
 from .problem import grad_w_values, validate_nonlinearity, validate_potential
 from .spaces import (
     EmbeddingConstants,
-    estimate_embedding_constants,
     norm_h_alpha,
     norm_x_lambda,
     sample_interval_function,
@@ -176,20 +175,10 @@ class SweepReport:
     observed_admissible_lambda: float | None
     config_hash: str
 
-    def to_dict(self, include_values: bool = False) -> dict:
-        return {
-            "records": self.records,
-            "bvp_reference": self.bvp_reference.to_dict(include_values=include_values),
-            "bvp_el_residual": self.bvp_el_residual,
-            "ctilde": self.ctilde,
-            "rho": self.rho,
-            "eta": self.eta,
-            "sigma0": self.sigma0,
-            "lambda_floor": self.lambda_floor,
-            "alignment_error": self.alignment_error,
-            "observed_admissible_lambda": self.observed_admissible_lambda,
-            "config_hash": self.config_hash,
-        }
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["bvp_reference"] = self.bvp_reference.to_dict()
+        return out
 
 
 def _c6_record(u: GridFunction, spec: ProblemSpec) -> dict:
@@ -352,6 +341,8 @@ DEFAULT_BUDGETS = {
     "derivative_checks": 50,
     "sphere_samples": 200,
 }
+# Random fields per domain in the defect-identity spot check.
+_IDENTITY_CHECKS = 5
 
 
 def _random_line_field(grid: RealLineGrid, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -399,17 +390,17 @@ def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
 
 
 def _identity_spot_checks(
-    spec: ProblemSpec, ispec: IntervalProblemSpec, rng: np.random.Generator, count: int = 5
+    spec: ProblemSpec, ispec: IntervalProblemSpec, rng: np.random.Generator
 ) -> dict:
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_IDENTITY_CHECKS):
         uv = _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
         lhs, _, gap = h_identity(GridFunction(spec.grid, uv), spec)
         worst = max(worst, gap / (1.0 + abs(lhs)))
         iv = _random_interval_field(ispec.grid, rng, ispec.n)
         lhs, _, gap = h_identity(GridFunction(ispec.grid, iv), ispec)
         worst = max(worst, gap / (1.0 + abs(lhs)))
-    return {"count": count, "worst_rel_gap": worst, "passed": worst <= 1e-10}
+    return {"count": _IDENTITY_CHECKS, "worst_rel_gap": worst, "passed": worst <= 1e-10}
 
 
 def _geometry_checks(
@@ -452,12 +443,14 @@ def _geometry_checks(
 
 def run_verification_campaign(
     spec: ProblemSpec,
+    constants: EmbeddingConstants,
     budgets: dict | None = None,
     seed: int = 20260816,
-    constants: EmbeddingConstants | None = None,
 ) -> dict:
     """Run every verifier the package ships and aggregate one report.
 
+    ``constants`` are the embedding constants the run certifies against, as
+    :func:`~fracham.spaces.estimate_embedding_constants` returns them.
     ``budgets`` caps the sample counts per section; a section with a zero
     budget is skipped entirely, so an all-zero campaign is trivially passing.
     """
@@ -467,10 +460,6 @@ def run_verification_campaign(
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
     sections: dict[str, dict] = {}
-
-    needs_constants = merged["embedding_samples"] > 0 or merged["sphere_samples"] > 0
-    if needs_constants and constants is None:
-        constants = estimate_embedding_constants(spec.grid, spec.alpha, spec.potential)
 
     if merged["embedding_samples"] > 0:
         try:
@@ -524,17 +513,10 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def write_solve_outputs(
-    outdir: str,
-    result: SolveResult,
-    extras: dict | None = None,
-    include_values: bool = True,
-) -> dict:
+def write_solve_outputs(outdir: str, result: SolveResult, extras: dict) -> dict:
     """Write result.json, u.csv, trace.csv into a run directory."""
     os.makedirs(outdir, exist_ok=True)
-    payload = result.to_dict(include_values=include_values)
-    if extras:
-        payload.update(extras)
+    payload = {**result.to_dict(), **extras}
     payload["generated_at"] = _timestamp()
     result_path = os.path.join(outdir, "result.json")
     _write_text(result_path, canonical_json(payload))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
 from .fracops import _form_multipliers, gl_matrix, quadratic_form_alpha
-from .functional import ProblemSpec, _operator
+from .functional import ProblemSpec, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 __all__ = [
@@ -71,19 +71,9 @@ def norm_h_alpha(u: GridFunction, alpha: float) -> float:
     return math.sqrt(l2sq + quadratic_form_alpha(u, alpha))
 
 
-def _check_pair(u: GridFunction, v: GridFunction):
-    if u.grid != v.grid:
-        raise DomainError("grid mismatch between the two functions")
-    if u.num_components != v.num_components:
-        raise DomainError("component-count mismatch between the two functions")
-
-
 def inner_x_lambda(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> float:
     """Weighted inner product: fractional part plus ``lambda (L u, v)``."""
-    _check_pair(u, v)
-    if u.grid != spec.grid:
-        raise DomainError("functions do not live on the spec's grid")
-    return _operator(spec).form(u.values, v.values)
+    return _operator(spec).form(_values(u, spec), _values(v, spec))
 
 
 def norm_x_lambda(u: GridFunction, spec: ProblemSpec) -> float:
@@ -301,9 +291,12 @@ def verify_embeddings(
 
     Draws ``samples`` scalar functions (split across the three line families,
     plus interval Dirichlet samples for the bounded-domain inequalities) and
-    evaluates both sides of every inequality.  Returns a report of worst-case
-    ratios; raises :class:`EmbeddingViolation` carrying the offending sample
-    if any ratio exceeds ``1 + _TOLERANCE``.
+    evaluates both sides of every inequality.  The weighted norm takes each
+    line sample as component 0 of an ``spec.n``-component field, so the
+    potential term counts it once, with the first component's scale.
+    Returns a report of worst-case ratios; raises
+    :class:`EmbeddingViolation` carrying the offending sample if any ratio
+    exceeds ``1 + _TOLERANCE``.
     """
     if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
         raise DomainError(
@@ -325,19 +318,16 @@ def verify_embeddings(
     ]
     worst = {k: {"name": k, "worst_ratio": 0.0, "argmax_sample_id": None, "samples": 0} for k in names}
 
-    def record(name: str, ratio: float, sid: str, sample_vals=None, sample_grid=None):
+    def record(name: str, ratio: float, sid: str, sample_vals, sample_grid):
         entry = worst[name]
         entry["samples"] += 1
         if ratio > entry["worst_ratio"]:
             entry["worst_ratio"] = ratio
             entry["argmax_sample_id"] = sid
         if ratio > 1.0 + _TOLERANCE:
-            sample = None
-            if sample_vals is not None and sample_grid is not None:
-                sample = GridFunction(sample_grid, sample_vals)
             raise EmbeddingViolation(
                 f"inequality {name} violated: ratio {ratio:.12g} at sample {sid}",
-                sample=sample,
+                sample=GridFunction(sample_grid, sample_vals),
                 detail={"name": name, "ratio": ratio, "sample_id": sid, "seed": seed},
             )
 
@@ -345,12 +335,13 @@ def verify_embeddings(
     for i in range(n_line):
         fam = i % 3
         vals = sample_line_function(grid, rng, fam)
-        u = GridFunction(grid, vals)
         sid = f"line/{fam}/{i}"
-        na = norm_h_alpha(u, alpha)
+        na = norm_h_alpha(GridFunction(grid, vals), alpha)
         if na == 0.0:
             continue
-        nx = norm_x_lambda(u, spec)
+        lifted = np.zeros((grid.num_points, spec.n))
+        lifted[:, 0] = vals
+        nx = norm_x_lambda(GridFunction(grid, lifted), spec)
         sup = float(np.max(np.abs(vals)))
         l2sq = grid.integrate(vals**2)
         lppow = grid.integrate(np.abs(vals) ** p)

@@ -19,12 +19,12 @@ from fracham import (
     construct_e,
     ctilde_bound,
     default_nonlinearity,
-    default_oscillatory,
     default_potential,
     estimate_embedding_constants,
     lambda_sweep,
     mpa_solve,
 )
+from fracham.problem import default_oscillatory
 
 SEED = 20260816
 

@@ -114,6 +114,16 @@ def test_bad_lambdas_argument(fast_config, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_verify_honours_embedding_safety(tmp_path, capsys):
+    """``embedding.safety`` gates ``verify`` as it gates ``bound``: both exit 1, one message."""
+    cfg = _write_config(tmp_path, {"embedding": {"safety": 1.3}})
+    assert main(["bound", "--config", cfg]) == 1
+    bound_err = capsys.readouterr().err
+    assert "potential is inadmissible" in bound_err and "< 0.805726" in bound_err
+    assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().err == bound_err
+
+
 def test_solve_below_floor_exits_one(fast_config, capsys):
     assert main(["solve", "--config", fast_config, "--lambda", "0.5"]) == 1
     assert "below the admissibility floor" in capsys.readouterr().err

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -30,6 +32,13 @@ def test_package_exports_resolve():
     missing = [name for name in fracham.__all__ if not hasattr(fracham, name)]
     assert missing == []
     assert len(set(fracham.__all__)) == len(fracham.__all__)
+
+
+def test_package_exports_are_documented():
+    """The package namespace is the README's "Library use" section, name for name."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    assert [n for n in fracham.__all__ if not re.search(rf"\b{n}\b", section)] == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

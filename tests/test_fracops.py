@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 
 from fracham import (
-    BoundaryDecayWarning,
-    DomainError,
     GridFunction,
     IntervalGrid,
     RealLineGrid,
+    liouville_weyl_left,
+    quadratic_form_alpha,
+)
+from fracham.errors import DomainError
+from fracham.fracops import (
+    BoundaryDecayWarning,
+    check_boundary_decay,
     gl_matrix,
     gl_weights,
     interval_stiffness,
-    liouville_weyl_left,
-    lw_multiplier,
-    norm_h_alpha,
-    quadratic_form_alpha,
 )
-from fracham.fracops import check_boundary_decay
+from fracham.spaces import norm_h_alpha
 
 # Independently computed reference values for the left-sided derivative of
 # u(t) = exp(-t^2 / 2) at order alpha = 0.6 on the 4096-point grid of
@@ -55,26 +56,6 @@ def test_left_derivative_matches_quadrature_reference(line_grid):
     got = d.values[ORACLE_INDEX, 0]
     rel = np.abs(got - np.array(ORACLE_VALUES)) / np.abs(ORACLE_VALUES)
     assert float(np.max(rel)) < 1e-8
-
-
-def test_multiplier_convention():
-    g = RealLineGrid(20.0, 256)
-    alpha = 0.75
-    w = g.angular_frequencies
-    m = lw_multiplier(g, alpha)
-    assert m[0] == 0.0
-    i = 5
-    expected = abs(w[i]) ** alpha * np.exp(1j * np.sign(w[i]) * alpha * np.pi / 2.0)
-    assert abs(m[i] - expected) < 1e-14
-    # conjugate symmetry makes the operator real-to-real
-    for k in range(1, 128):
-        assert abs(m[-k] - np.conj(m[k])) < 1e-14
-    half = lw_multiplier(g, alpha, half=True)
-    assert half.shape == (129,)
-    assert np.max(np.abs(half[:-1] - m[:128])) < 1e-14
-    # the half symbol sits on rfft frequencies, whose last bin is +Nyquist,
-    # while the full fft convention stores the Nyquist bin as negative
-    assert abs(half[-1] - np.conj(m[128])) < 1e-14
 
 
 def test_order_validation():
@@ -216,4 +197,4 @@ def test_boundary_decay_guard(line_grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_boundary_decay(_gaussian(line_grid)) < 1e-10
-        assert check_boundary_decay(GridFunction.zeros(line_grid)) == 0.0
+        assert check_boundary_decay(GridFunction(line_grid, np.zeros(line_grid.num_points))) == 0.0

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from fracham import (
-    DomainError,
     GridFunction,
     IntervalGrid,
     RealLineGrid,
 )
+from fracham.errors import DomainError
 
 
 def test_line_grid_rejects_bad_sizes():
@@ -59,13 +59,10 @@ def test_grid_function_normalizes_shape_and_is_read_only():
     assert u.num_components == 1
     with pytest.raises(ValueError):
         u.values[0, 0] = 1.0
-    assert u.scalar.shape == (64,)
     two = GridFunction(g, np.stack([np.sin(g.nodes), np.cos(g.nodes)], axis=1))
     assert two.num_components == 2
     mag = two.euclidean_magnitude()
     assert np.allclose(mag, 1.0, atol=1e-14)
-    with pytest.raises(DomainError):
-        two.scalar
 
 
 def test_grid_function_rejects_bad_values():
@@ -79,13 +76,6 @@ def test_grid_function_rejects_bad_values():
     bad[3] = np.inf
     with pytest.raises(DomainError):
         GridFunction(g, bad)
-
-
-def test_grid_function_constructors():
-    g = RealLineGrid(10.0, 32)
-    z = GridFunction.zeros(g, num_components=3)
-    assert z.values.shape == (32, 3)
-    assert np.all(z.values == 0.0)
 
 
 def test_interval_grid_layout_and_weights():

@@ -9,21 +9,16 @@ import pytest
 import scipy.sparse.linalg
 
 from fracham import (
-    ConfigError,
-    DomainError,
-    GeometryError,
     GridFunction,
     IntervalGrid,
     IntervalProblemSpec,
     MpaConfig,
-    NonlinearitySpec,
     ProblemSpec,
     RealLineGrid,
     bvp_solve,
     construct_e,
     ctilde_bound,
     default_nonlinearity,
-    default_oscillatory,
     default_potential,
     energy,
     estimate_embedding_constants,
@@ -35,8 +30,9 @@ from fracham import (
 )
 from fracham import functional, mpa
 from fracham.cli import main
+from fracham.errors import ConfigError, DomainError, GeometryError
 from fracham.fracops import BoundaryDecayWarning, check_boundary_decay
-from fracham.problem import w_values
+from fracham.problem import NonlinearitySpec, default_oscillatory, w_values
 from fracham.spaces import sample_interval_function
 
 
@@ -80,7 +76,7 @@ def test_sphere_bound_error_paths(spec10, constants):
 
 
 def test_endpoint_construction_invariants(setup, spec10, ctilde):
-    diag = spec10.potential_diagonal()
+    diag = functional._operator(spec10).ldiag
     assert np.all(diag * setup.psi.values == 0.0)
     assert setup.tau == 0.75 * spec10.potential.varrho
     assert setup.sigma0 == 4.0
@@ -190,7 +186,7 @@ def test_solver_grid_mismatch_is_rejected(spec10, setup):
     with pytest.raises(DomainError):
         mpa_solve(other_spec, setup)
     with pytest.raises(DomainError):
-        mpa_solve(spec10, setup, initial_guess=GridFunction.zeros(coarse))
+        mpa_solve(spec10, setup, initial_guess=GridFunction(coarse, np.zeros(1024)))
 
 
 def test_interval_solve_keeps_dirichlet_data(bvp_result, interval_spec):

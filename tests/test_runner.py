@@ -9,23 +9,24 @@ import numpy as np
 import pytest
 
 from fracham import (
-    ConfigError,
-    DomainError,
     GridFunction,
     IntervalGrid,
-    NonlinearitySpec,
     bvp_el_residual,
-    canonical_json,
     dist_h_alpha,
-    embed_interval_solution,
     lambda_sweep,
-    payload_hash,
     run_verification_campaign,
     tail_mass_ratio,
+)
+from fracham.errors import ConfigError, DomainError
+from fracham.problem import NonlinearitySpec
+from fracham.runner import (
+    canonical_json,
+    embed_interval_solution,
+    payload_hash,
     write_report,
     write_solve_outputs,
+    write_sweep_csv,
 )
-from fracham.runner import write_sweep_csv
 from fracham.spaces import sample_interval_function
 
 
@@ -43,7 +44,7 @@ def test_tail_mass_ratio_constructed_cases(line_grid):
 
 def test_tail_mass_ratio_rejects_bad_input(line_grid):
     with pytest.raises(DomainError):
-        tail_mass_ratio(GridFunction.zeros(line_grid), 0.4)
+        tail_mass_ratio(GridFunction(line_grid, np.zeros(line_grid.num_points)), 0.4)
     with pytest.raises(DomainError):
         tail_mass_ratio(GridFunction(line_grid, np.ones(line_grid.num_points)), 0.0)
     ig = IntervalGrid(-0.4, 0.4, 17)
@@ -202,9 +203,10 @@ def test_ladder_validation(spec10, constants):
         lambda_sweep(spec10, [0.5], constants=constants)
 
 
-def test_campaign_zero_budget_is_trivially_passing(spec10):
+def test_campaign_zero_budget_is_trivially_passing(spec10, constants):
     report = run_verification_campaign(
         spec10,
+        constants,
         budgets={
             "embedding_samples": 0,
             "nonlinearity_samples": 0,
@@ -216,16 +218,17 @@ def test_campaign_zero_budget_is_trivially_passing(spec10):
     assert report["sections"] == {}
 
 
-def test_campaign_rejects_unknown_budget_key(spec10):
+def test_campaign_rejects_unknown_budget_key(spec10, constants):
     with pytest.raises(ConfigError):
-        run_verification_campaign(spec10, budgets={"bogus_samples": 3})
+        run_verification_campaign(spec10, constants, budgets={"bogus_samples": 3})
 
 
-def test_campaign_flags_quadratic_nonlinearity(spec10):
+def test_campaign_flags_quadratic_nonlinearity(spec10, constants):
     flat = NonlinearitySpec(kind="pure_power", p=2.0, c0=20.0, radius=1.0)
     spec = dataclasses.replace(spec10, nonlinearity=flat)
     report = run_verification_campaign(
         spec,
+        constants,
         budgets={
             "embedding_samples": 0,
             "nonlinearity_samples": 2000,
@@ -241,13 +244,13 @@ def test_campaign_flags_quadratic_nonlinearity(spec10):
 def test_campaign_full_default_passes(spec10, constants):
     report = run_verification_campaign(
         spec10,
+        constants,
         budgets={
             "embedding_samples": 200,
             "nonlinearity_samples": 2000,
             "derivative_checks": 5,
             "sphere_samples": 20,
         },
-        constants=constants,
     )
     assert report["passed"] is True
     assert set(report["sections"]) == {

@@ -1,30 +1,30 @@
 """Norms, embedding constants, and the randomized inequality verifier."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from fracham import (
-    DomainError,
-    EmbeddingConstants,
-    EmbeddingViolation,
     GridFunction,
-    PotentialSpec,
-    ProblemSpec,
+    IntervalGrid,
     RealLineGrid,
-    c_infinity_grid_sharp,
     estimate_embedding_constants,
-    extremal_profile,
-    inner_x_lambda,
-    norm_h_alpha,
     norm_x_lambda,
     quadratic_form_alpha,
     verify_embeddings,
 )
-from fracham.spaces import sample_interval_function, sample_line_function
-from fracham import IntervalGrid
+from fracham.errors import DomainError, EmbeddingViolation
+from fracham.problem import PotentialSpec
+from fracham.spaces import (
+    EmbeddingConstants,
+    c_infinity_grid_sharp,
+    extremal_profile,
+    inner_x_lambda,
+    norm_h_alpha,
+    sample_interval_function,
+    sample_line_function,
+)
 
 
 @pytest.mark.parametrize("num_points", [256, 4096])
@@ -117,6 +117,22 @@ def test_verify_embeddings_small_budget(spec10, constants):
     for name, entry in report["inequalities"].items():
         assert entry["worst_ratio"] <= 1.0 + 1e-8, name
         assert entry["samples"] > 0, name
+
+
+def test_verify_embeddings_counts_the_potential_once_for_vectors(spec10, constants):
+    """With scales (1, 2) an n=2 spec reports what n=1 does: samples sit in component 0."""
+    vector = dataclasses.replace(
+        spec10,
+        n=2,
+        potential=dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+    )
+    scalar = verify_embeddings(60, spec10, constants=constants, seed=3)["inequalities"]
+    lifted = verify_embeddings(60, vector, constants=constants, seed=3)["inequalities"]
+    for name, entry in scalar.items():
+        other = lifted[name]
+        assert other["samples"] == entry["samples"]
+        assert other["argmax_sample_id"] == entry["argmax_sample_id"]
+        assert other["worst_ratio"] == pytest.approx(entry["worst_ratio"], rel=1e-12, abs=0.0)
 
 
 def test_verify_embeddings_rejects_parameter_below_floor(spec10, constants):
