@@ -25,7 +25,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .errors import ConfigError, DomainError, FrachamError
+from .errors import ConfigError, FrachamError
 from .mpa import bvp_solve, construct_e, ctilde_bound, mpa_solve
 from .runner import (
     bvp_el_residual,
@@ -100,11 +100,7 @@ def _cmd_solve(args) -> int:
     spec = build_problem_spec(cfg)
     mpa_config = build_mpa_config(cfg)
     constants = _constants(cfg, spec)
-    if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
-        raise DomainError(
-            f"lambda = {spec.lam} is below the admissibility floor "
-            f"{constants.lambda_floor:.6g}"
-        )
+    constants.check_lambda(spec.lam)
     setup = construct_e(spec, constants=constants)
     ctilde = ctilde_bound(setup, spec)
     result = mpa_solve(spec, setup, mpa_config)

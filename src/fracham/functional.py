@@ -15,53 +15,51 @@ between the pieces (in particular the defect identity
 ``I(u) - 1/2 I'(u)u = integral H``) hold to round-off rather than to
 quadrature accuracy.
 
-Each spec owns one operator, built on first use and cached:
-:class:`_LineOperator` for a :class:`ProblemSpec` and
-:class:`_IntervalOperator` for an :class:`IntervalProblemSpec`, both returned
-by :func:`_operator`.  An operator holds everything that depends only on the
-spec (the potential diagonal, the Fourier symbol and the metric factor on the
-line; the GL matrix and the stiffness Cholesky factor on the interval; on
-both, the weight values ``g(t)`` of ``W``, so ``weight_values`` runs once per
-spec) and offers the same methods on both domains: ``energies`` and
-``xnormsq`` on a stack of candidates (one value per row, bit for bit the
-value of that row on its own), ``energy`` and ``xnorm`` on one candidate,
-the bilinear ``form`` (``form(u, u)`` is ``xnormsq(u)`` to round-off), the
-metric ``gradient``, the stationarity ``residual`` and a ``newton_step``.
-The public functions below and the solver in :mod:`fracham.mpa` evaluate
-everything through them; the line quadratic form is
-:func:`fracham.fracops._spectral_form`.
+Each spec owns one operator, built on first use and cached by
+:func:`_operator`: :class:`_LineOperator` for a :class:`ProblemSpec`,
+:class:`_IntervalOperator` for an :class:`IntervalProblemSpec`.  It holds
+what depends only on the spec, on both domains the weight values ``g(t)`` of
+``W``.  :class:`_OperatorBase` writes the functional once; a domain supplies
+only these primitives:
 
-The public functions (``energy``, ``derivative_action``, ``gradient_rep``,
-``h_identity``) take either spec and reach the domain only through its
-operator; an interval argument must vanish exactly at both endpoints.  The
-``bvp_*`` names are the same functions.
+* ``form(u, v)``, the batched bilinear form of the quadratic part: the
+  spectral form (:func:`fracham.fracops._spectral_form`) plus
+  ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
+* ``wint(u)`` and ``wslope(u, d)``, the batched ``W`` integral and its
+  derivative along ``d``, with the grid's quadrature;
+* ``dofs``, the nodes that are degrees of freedom: all of them on the line,
+  the interior ones on the interval;
+* ``apply_metric`` and ``solve_metric`` on the degrees of freedom: on the
+  line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, solved exactly below; on
+  the interval the stiffness ``h B^T B``, solved by its cached Cholesky factor;
+* ``quad``, the weights of ``grad W`` in the residual (one on the line, the
+  trapezoid weights on the interval), and ``pairing``, the scale in
+  ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
 
-Line searches use three more methods.  ``wint`` is the batched ``W``
-integral (the one ``energies`` subtracts), ``wslope(u, d)`` the batched
-integral of ``grad W(t, u) . d`` with the same quadrature (the derivative of
-``wint`` along ``d``), and ``segment_forms(a, b)`` returns the three
-reductions ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q`` (the
-spectral form plus ``lambda`` times the potential term on the line,
-``h (Ba).(Bb)`` on the interval).  The base class writes it as
-``form(a, a), form(a, b), form(b, b)``, which the interval uses as is; the
-line operator shares one rfft of the stacked pair among the three.  Along
-the segment from ``a`` to ``b`` the quadratic part is exactly
-``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment costs
-those three reductions plus one ``W`` integral per coarse trial point and
-one ``W`` slope per step of the root search for the crest, with no
-transform.  The expansion only steers the search: the crest value the
-solver reports is re-evaluated directly with ``energy`` (see
+From them the base class builds ``xnormsq(u) = form(u, u)``, ``energies``
+(one value per row of a stack, bit for bit that row on its own), ``energy``,
+``xnorm``, the stationarity ``residual``, the metric ``gradient`` and
+``newton_step``, MINRES on the degrees of freedom preconditioned by
+``solve_metric``.  The public functions (``energy``, ``derivative_action``,
+``gradient_rep``, ``h_identity``; the ``bvp_*`` names are the same
+functions) take either spec and reach the domain only through its operator;
+an interval argument must vanish exactly at both endpoints.
+
+``segment_forms(a, b)`` returns ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the
+quadratic part ``Q``; the line shares one rfft of the stacked pair among the
+three.  Along the segment from ``a`` to ``b``, ``Q`` is exactly
+``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment costs those
+three reductions plus one ``wint`` per coarse trial point and one ``wslope``
+per step of the root search for the crest, with no transform.  The crest
+value the solver reports is re-evaluated with ``energy`` (see
 :func:`fracham.mpa._measure_segment`).
 
-The descent metric on the line is the weighted norm: the gradient is an exact
-solve against ``A = F* |w|^(2 alpha) F + lambda diag(L)``.  The shipped
-potentials equal their grid maximum outside a bounded well, so per component
-``A`` is an operator diagonal in frequency minus a correction of rank ``k``,
-the number of well nodes; the Woodbury identity turns ``A^-1`` into two FFT
-solves and one cached ``k x k`` Cholesky solve (the capacitance-matrix
-method), and every solve checks its residual with one application of ``A``.
-The interval metric is the stiffness ``h B^T B``, solved with its cached
-Cholesky factor.
+The shipped potentials equal their grid maximum outside a bounded well, so
+per component the line metric ``A`` is an operator diagonal in frequency
+minus a correction of rank ``k``, the number of well nodes; the Woodbury
+identity turns ``A^-1`` into two FFT solves and one cached ``k x k`` Cholesky
+solve (the capacitance-matrix method), and every solve checks its residual
+with one application of ``A``.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ from .problem import (
     _weighted_hessian_action,
     _weighted_slope,
     _weighted_w,
-    grad_w_values,
     h_values,
     weight_values,
 )
@@ -130,6 +127,11 @@ class ProblemSpec:
     def with_lambda(self, lam: float) -> "ProblemSpec":
         return dataclasses.replace(self, lam=lam)
 
+    def well_interval(self, num_points: int) -> "IntervalProblemSpec":
+        """The Dirichlet problem on the well ``[-varrho, varrho]``, same order, ``W`` and ``n``."""
+        grid = IntervalGrid(-self.potential.varrho, self.potential.varrho, num_points)
+        return IntervalProblemSpec(self.alpha, self.nonlinearity, grid, self.n)
+
 
 @dataclasses.dataclass(frozen=True)
 class IntervalProblemSpec:
@@ -155,8 +157,8 @@ def _values(u: GridFunction, spec) -> np.ndarray:
         raise DomainError(
             f"function has {u.num_components} components, spec expects {spec.n}"
         )
-    dirichlet = _operator(spec).dirichlet
-    if dirichlet and (np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0)):
+    interval = isinstance(spec, IntervalProblemSpec)
+    if interval and (np.any(u.values[0] != 0.0) or np.any(u.values[-1] != 0.0)):
         raise DomainError("interval functions must vanish exactly at both endpoints")
     return u.values
 
@@ -175,10 +177,15 @@ def _operator(spec):
 
 
 class _OperatorBase:
+    """The functional of one spec over its domain's primitives (see the module docstring)."""
+
     def __init__(self, spec):
         self.spec = spec
         self.weight = weight_values(spec.nonlinearity, spec.grid.nodes)
         self.weight.setflags(write=False)
+
+    def xnormsq(self, vals: np.ndarray) -> np.ndarray:
+        return self.form(vals, vals)
 
     def energies(self, vals: np.ndarray) -> np.ndarray:
         return 0.5 * self.xnormsq(vals) - self.wint(vals)
@@ -192,6 +199,52 @@ class _OperatorBase:
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
         """``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q``, from ``form``."""
         return self.form(a, a), self.form(a, b), self.form(b, b)
+
+    def residual(self, vals: np.ndarray) -> np.ndarray:
+        """The metric applied to ``u`` minus ``quad * grad W``; zero off the degrees of freedom."""
+        d = self.dofs
+        grad = _weighted_grad_w(self.spec.nonlinearity, self.weight[d], vals[d])
+        r = np.zeros_like(vals)
+        r[d] = self.apply_metric(vals[d]) - self.quad * grad
+        return r
+
+    def gradient(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Metric representative of ``I'(u)`` and its norm in the metric."""
+        d = self.dofs
+        r = self.residual(vals)
+        g = np.zeros_like(vals)
+        g[d] = self.solve_metric(r[d])
+        nsq = self.pairing * float(np.sum(g[d] * r[d]))
+        return g, math.sqrt(max(nsq, 0.0))
+
+    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES; ``None`` when it fails.
+
+        MINRES is preconditioned with the exact inverse of the metric ``A``,
+        so the preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
+        ``lambda`` and the iteration count stays small at every parameter.
+        """
+        d = self.dofs
+        u = vals[d]
+        weight = self.weight[d]
+        shape, size = u.shape, u.size
+
+        def hess(x: np.ndarray) -> np.ndarray:
+            xv = x.reshape(shape)
+            nl = _weighted_hessian_action(self.spec.nonlinearity, weight, u, xv)
+            return (self.apply_metric(xv) - self.quad * nl).ravel()
+
+        def precond(x: np.ndarray) -> np.ndarray:
+            return self.solve_metric(x.reshape(shape)).ravel()
+
+        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess)
+        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
+        step, info = scipy.sparse.linalg.minres(op, -r[d].ravel(), rtol=1e-11, M=pre)
+        if info != 0:
+            return None
+        out = np.zeros_like(vals)
+        out[d] = step.reshape(shape)
+        return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -228,12 +281,14 @@ class _LineOperator(_OperatorBase):
     """The line functional of one :class:`ProblemSpec` and its weighted metric."""
 
     metric = "x-alpha-lambda"
-    dirichlet = False
+    dofs = slice(None)
+    quad = 1.0
     newton_steps = 12
     newton_tol = 1e-13
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec)
+        self.pairing = spec.grid.spacing
         self.multiplier, _ = _form_multipliers(spec.grid, spec.alpha)
         self.ldiag = spec.potential.diagonal(spec.grid.nodes, spec.n)
         self.ldiag.setflags(write=False)
@@ -249,17 +304,11 @@ class _LineOperator(_OperatorBase):
         slope = _weighted_slope(spec.nonlinearity, self.weight, vals, d)
         return spec.grid.spacing * np.sum(slope, axis=-1)
 
-    def xnormsq(self, vals: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        qf = _spectral_form(spec.grid, spec.alpha, vals)
-        pot = spec.grid.spacing * np.sum(self.ldiag * vals**2, axis=(-2, -1))
-        return qf + spec.lam * pot
-
-    def form(self, u: np.ndarray, v: np.ndarray) -> float:
+    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The weighted inner product ``<u, v>_X``: spectral part plus ``lambda (L u, v)``."""
         spec = self.spec
-        frac = float(_spectral_form(spec.grid, spec.alpha, u, v))
-        pot = spec.grid.integrate(self.ldiag * u * v)
+        frac = _spectral_form(spec.grid, spec.alpha, u, None if v is u else v)
+        pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
         return frac + spec.lam * pot
 
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
@@ -279,11 +328,6 @@ class _LineOperator(_OperatorBase):
         n = self.spec.grid.num_points
         coeff = self.multiplier[:, None] * np.fft.rfft(x, axis=0)
         return np.fft.irfft(coeff, n=n, axis=0) + self.spec.lam * self.ldiag * x
-
-    def residual(self, vals: np.ndarray) -> np.ndarray:
-        """Pointwise derivative field: the L2 representative of I'(u)."""
-        spec = self.spec
-        return self.apply_metric(vals) - _weighted_grad_w(spec.nonlinearity, self.weight, vals)
 
     @functools.cached_property
     def factor(self) -> _MetricFactor:
@@ -330,48 +374,13 @@ class _LineOperator(_OperatorBase):
             )
         return g
 
-    def gradient(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Weighted-metric representative of I'(u) and its weighted norm."""
-        rhs = self.residual(vals)
-        g = self.solve_metric(rhs)
-        nsq = self.spec.grid.spacing * float(np.sum(g * rhs))
-        return g, math.sqrt(max(nsq, 0.0))
-
-    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-        """Solve ``I''(u) d = -r`` by MINRES; ``None`` when MINRES fails.
-
-        MINRES is preconditioned with the exact inverse of the weighted metric
-        ``A``, so the preconditioned Hessian ``I - A^-1 W''(u)`` does not
-        depend on ``lambda`` and the iteration count stays small at every
-        parameter.
-        """
-        spec = self.spec
-        shape = vals.shape
-        size = vals.size
-
-        def hess(x: np.ndarray) -> np.ndarray:
-            xv = x.reshape(shape)
-            nl = _weighted_hessian_action(spec.nonlinearity, self.weight, vals, xv)
-            return (self.apply_metric(xv) - nl).ravel()
-
-        def precond(x: np.ndarray) -> np.ndarray:
-            return self.solve_metric(x.reshape(shape)).ravel()
-
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess)
-        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
-        d, info = scipy.sparse.linalg.minres(op, -r.ravel(), rtol=1e-11, M=pre)
-        return d.reshape(shape) if info == 0 else None
-
 
 class _IntervalOperator(_OperatorBase):
-    """The Dirichlet functional of one :class:`IntervalProblemSpec`.
-
-    Boundary values are not degrees of freedom: the residual's boundary rows
-    are zero and the metric and Newton solves act on the interior nodes.
-    """
+    """The Dirichlet functional of one :class:`IntervalProblemSpec`; the endpoints are not dofs."""
 
     metric = "interval-stiffness"
-    dirichlet = True
+    dofs = slice(1, -1)
+    pairing = 1.0
     newton_steps = 20
     newton_tol = 1e-14
 
@@ -379,6 +388,7 @@ class _IntervalOperator(_OperatorBase):
         super().__init__(spec)
         self.b = gl_matrix(spec.grid, spec.alpha)
         self.cho = scipy.linalg.cho_factor(np.array(interval_stiffness(spec.grid, spec.alpha)))
+        self.quad = spec.grid.trapezoid_weights[1:-1, None]
 
     def wint(self, vals: np.ndarray) -> np.ndarray:
         """The trapezoid integral of ``W(t, u)``, one value per candidate."""
@@ -391,59 +401,19 @@ class _IntervalOperator(_OperatorBase):
         slope = _weighted_slope(self.spec.nonlinearity, self.weight, vals, d)
         return np.vecdot(slope, self.spec.grid.trapezoid_weights)
 
-    def xnormsq(self, vals: np.ndarray) -> np.ndarray:
-        return self.spec.grid.spacing * np.sum((self.b @ vals) ** 2, axis=(-2, -1))
-
-    def form(self, u: np.ndarray, v: np.ndarray) -> float:
+    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The stiffness pairing ``h (B u) . (B v)``."""
-        return self.spec.grid.spacing * float(np.sum((self.b @ u) * (self.b @ v)))
+        bu = self.b @ u
+        bv = bu if v is u else self.b @ v
+        return self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1))
 
-    def residual(self, vals: np.ndarray) -> np.ndarray:
-        """Gradient of the discrete energy in the raw node coordinates."""
-        spec = self.spec
-        cw = spec.grid.trapezoid_weights
-        p = spec.grid.spacing * (self.b.T @ (self.b @ vals)) - cw[:, None] * _weighted_grad_w(
-            spec.nonlinearity, self.weight, vals
-        )
-        p[0] = 0.0
-        p[-1] = 0.0
-        return p
+    def apply_metric(self, x: np.ndarray) -> np.ndarray:
+        """The stiffness ``h B^T B x`` on the interior nodes, from two GL matvecs."""
+        b = self.b[:, 1:-1]
+        return self.spec.grid.spacing * (b.T @ (b @ x))
 
-    def gradient(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Stiffness-metric representative via the cached Cholesky factor."""
-        p = self.residual(vals)
-        g = np.zeros_like(vals)
-        g[1:-1] = scipy.linalg.cho_solve(self.cho, p[1:-1])
-        nsq = float(np.sum(g[1:-1] * p[1:-1]))
-        return g, math.sqrt(max(nsq, 0.0))
-
-    def _hessian(self, vals: np.ndarray) -> np.ndarray:
-        """Dense interior Hessian: stiffness minus the weighted local blocks."""
-        spec = self.spec
-        n = spec.n
-        h_full = np.kron(np.asarray(interval_stiffness(spec.grid, spec.alpha)), np.eye(n))
-        cw = spec.grid.trapezoid_weights
-        basis = np.eye(n)
-        blocks = np.stack(
-            [_weighted_hessian_action(
-                spec.nonlinearity, self.weight, vals, np.tile(basis[k], (len(vals), 1)))
-             for k in range(n)],
-            axis=-1,
-        )  # (M, n, n): column k holds d(grad W)/du_k
-        for i in range(spec.grid.num_points - 2):
-            sl = slice(i * n, (i + 1) * n)
-            h_full[sl, sl] -= cw[i + 1] * blocks[i + 1]
-        return 0.5 * (h_full + h_full.T)
-
-    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-        """Solve the dense interior Newton system; ``None`` when it is singular."""
-        try:
-            d_int = scipy.linalg.solve(self._hessian(vals), -r[1:-1].ravel(), assume_a="sym")
-        except scipy.linalg.LinAlgError:
-            return None
-        d = np.zeros_like(vals)
-        d[1:-1] = d_int.reshape(vals[1:-1].shape)
-        return d
+    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.cho, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +427,11 @@ def energy(u: GridFunction, spec) -> float:
 
 
 def derivative_action(u: GridFunction, v: GridFunction, spec) -> float:
-    """Directional derivative ``I'(u)v``, assembled from the bilinear form."""
+    """Directional derivative ``I'(u)v = form(u, v) - wslope(u, v)``."""
     uv = _values(u, spec)
     vv = _values(v, spec)
-    nl = spec.grid.integrate(grad_w_values(spec.nonlinearity, spec.grid.nodes, uv) * vv)
-    return _operator(spec).form(uv, vv) - nl
+    op = _operator(spec)
+    return float(op.form(uv, vv) - op.wslope(uv, vv))
 
 
 def gradient_rep(u: GridFunction, spec) -> GridFunction:

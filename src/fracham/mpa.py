@@ -20,10 +20,12 @@ value on that polyline, not just the best node energy.  Each iteration:
    keep the path maximum from rising above the current level.
 
 Near convergence the crest node is polished by a damped Newton iteration on
-the stationarity equation (matrix-free on the line, dense on the interval);
-the polish is accepted only if it lands at most negligibly above the current
-level and away from zero, so it refines the same critical point rather than
-escaping the path structure.
+the stationarity equation, each step a MINRES solve preconditioned by the
+exact metric inverse; the polish is accepted only if it lands at most
+negligibly above the current level and away from zero, so it refines the
+same critical point rather than escaping the path structure.  Of the path
+nodes within ``1e-12`` relative of the top energy, the solver reports the
+one with the smallest weighted residual.
 
 A solve is one run, from the straight path ``0 -> e`` or, warm-started, from
 the path ``0 -> guess -> e``, and the Newton endgame is always on.
@@ -89,6 +91,9 @@ _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
 # Ray points per batched W evaluation in ``ctilde_bound``.
 _RAY_CHUNK = 128
+# A coarse-scan stack holds fewer values than this (128 KiB), below glibc's
+# default mmap threshold: larger stacks map and fault fresh pages per segment.
+_STACK_VALUES = 2**14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,6 +230,13 @@ def _doubling_scan(accept, failure: str) -> float:
         if sigma > 2.0**60:
             raise GeometryError(failure)
     return sigma
+
+
+def _stationarity(op, u: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """Weighted residual ``(1 + ||u||_X) ||I'(u)||``, its two factors and the metric gradient."""
+    g, gnorm = op.gradient(u)
+    xnorm = op.xnorm(u)
+    return (1.0 + xnorm) * gnorm, gnorm, xnorm, g
 
 
 def _newton_polish(op, vals: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -415,9 +427,11 @@ def _segment_energies(op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarra
     """Energies at ``(1 - th) a + th b`` from ``forms = op.segment_forms(a, b)``."""
     qa, qab, qb = forms
     s = 1.0 - thetas
-    stack = s[:, None, None] * a[None] + thetas[:, None, None] * b[None]
+    rows = max(1, (_STACK_VALUES - 1) // a.size)
+    wint = [op.wint(s[i : i + rows, None, None] * a + thetas[i : i + rows, None, None] * b)
+            for i in range(0, len(thetas), rows)]
     quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb
-    return 0.5 * quad - op.wint(stack)
+    return 0.5 * quad - np.concatenate(wint)
 
 
 def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
@@ -495,9 +509,6 @@ class _PathEngine:
     def level(self) -> float:
         seg_max = max(s.value for s in self.segments)
         return max(max(self.energies), seg_max)
-
-    def node_argmax(self) -> int:
-        return int(np.argmax(self.energies))
 
     def _remeasure_around(self, k: int):
         if k - 1 >= 0:
@@ -612,14 +623,13 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
     stagnation = 0
     reason = "max_iters"
     iterations = 0
-    work = engine.node_argmax()
 
     for it in range(1, config.max_iters + 1):
         iterations = it
         # Crest selection: segments first, then nodes (smallest index on ties).
         seg_values = [s.value for s in engine.segments]
         jseg = int(np.argmax(seg_values))
-        work = engine.node_argmax()
+        work = int(np.argmax(engine.energies))
         if seg_values[jseg] > engine.energies[work]:
             if len(engine.nodes) >= config.max_path_nodes:
                 protected = {0, len(engine.nodes) - 1, jseg, jseg + 1}
@@ -631,12 +641,10 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
             ):
                 work = engine.insert(jseg)
             else:
-                work = engine.node_argmax()
+                work = int(np.argmax(engine.energies))
 
         u = engine.nodes[work]
-        g, gnorm = op.gradient(u)
-        xnorm_u = op.xnorm(u)
-        rw = (1.0 + xnorm_u) * gnorm
+        rw, gnorm, _, g = _stationarity(op, u)
         level = engine.level()
         trace.append((level, gnorm, rw))
 
@@ -687,15 +695,17 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
     ):
         raise ConvergenceError("path endpoints moved; single-writer contract broken")
 
-    work = engine.node_argmax()
-    u = engine.nodes[work]
-    _, gnorm = op.gradient(u)
-    xnorm_u = op.xnorm(u)
+    # Ties with the top energy hold one critical point: report the best residual.
+    top = max(engine.energies)
+    tied = [k for k, e in enumerate(engine.energies) if e >= top - 1e-12 * (1.0 + abs(top))]
+    checks = {k: _stationarity(op, engine.nodes[k]) for k in tied}
+    work = min(tied, key=lambda k: checks[k][0])
+    rw, gnorm, xnorm_u, _ = checks[work]
     return SolveResult(
-        u=GridFunction(op.spec.grid, u),
+        u=GridFunction(op.spec.grid, engine.nodes[work]),
         level=engine.energies[work],
         residual=gnorm,
-        residual_weighted=(1.0 + xnorm_u) * gnorm,
+        residual_weighted=rw,
         iterations=iterations,
         converged=converged,
         metric=op.metric,

@@ -44,11 +44,11 @@ from .mpa import (
     ctilde_bound,
     mpa_solve,
 )
-from .problem import grad_w_values, validate_nonlinearity, validate_potential
+from .problem import validate_nonlinearity, validate_potential
 from .spaces import (
+    _WELL_POINTS,
     EmbeddingConstants,
     norm_h_alpha,
-    norm_x_lambda,
     sample_interval_function,
     sample_line_function,
     verify_embeddings,
@@ -183,12 +183,9 @@ class SweepReport:
 
 def _c6_record(u: GridFunction, spec: ProblemSpec) -> dict:
     """Both sides of the critical-point identity ``||u||_X^2 = (grad W, u)``."""
-    lhs = norm_x_lambda(u, spec) ** 2
-    rhs = float(
-        spec.grid.integrate(
-            grad_w_values(spec.nonlinearity, spec.grid.nodes, u.values) * u.values
-        )
-    )
+    op = _operator(spec)
+    lhs = float(op.xnormsq(u.values))
+    rhs = float(op.wslope(u.values, u.values))
     gap = abs(lhs - rhs)
     tol = 1e-6 * (1.0 + lhs)
     return {"c6_lhs": lhs, "c6_rhs": rhs, "c6_gap": gap, "c6_tol": tol, "c6_ok": gap <= tol}
@@ -218,25 +215,15 @@ def lambda_sweep(
         raise ConfigError(f"lambda ladder must be strictly increasing, got {lambdas}")
     if mpa_config is None:
         mpa_config = MpaConfig()
-    floor = constants.lambda_floor
-    below = [x for x in lambdas if x < floor * (1.0 - 1e-12)]
-    if below:
-        raise DomainError(
-            f"lambda values {below} lie below the admissibility floor {floor:.6g}"
-        )
+    for lam in lambdas:
+        constants.check_lambda(lam)
 
     spec0 = base_spec.with_lambda(lambdas[0])
     setup = construct_e(spec0, constants=constants)
     ctilde = ctilde_bound(setup, spec0)
 
     varrho = base_spec.potential.varrho
-    igrid = IntervalGrid(-varrho, varrho, bvp_points)
-    ispec = IntervalProblemSpec(
-        alpha=base_spec.alpha,
-        nonlinearity=base_spec.nonlinearity,
-        grid=igrid,
-        n=base_spec.n,
-    )
+    ispec = base_spec.well_interval(bvp_points)
     if bvp_config is None:
         bvp_config = MpaConfig(tol=1e-8)
     bvp_ref = bvp_solve(ispec, bvp_config)
@@ -324,8 +311,8 @@ def lambda_sweep(
         rho=setup.rho,
         eta=setup.eta,
         sigma0=setup.sigma0,
-        lambda_floor=floor,
-        alignment_error=max(base_spec.grid.spacing, igrid.spacing),
+        lambda_floor=constants.lambda_floor,
+        alignment_error=max(base_spec.grid.spacing, ispec.grid.spacing),
         observed_admissible_lambda=observed,
         config_hash=config_hash,
     )
@@ -373,8 +360,14 @@ def _random_field(spec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
-    """Central finite differences of the energy against derivative_action."""
+    """Central finite differences of the energy against derivative_action.
+
+    Each error is relative to ``1 + |I'(u)v|`` plus ``1e-4`` times the
+    quadratic term ``||u||_X^2 + ||v||_X^2``, whose round-off the difference
+    quotient carries although it cancels in the result.
+    """
     grid = spec.grid
+    op = _operator(spec)
     eps = 1e-5
     worst = 0.0
     for _ in range(count):
@@ -385,21 +378,23 @@ def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
             energy(GridFunction(grid, uv + eps * vv), spec)
             - energy(GridFunction(grid, uv - eps * vv), spec)
         ) / (2.0 * eps)
-        worst = max(worst, abs(fd - act) / (1.0 + abs(act)))
+        scale = 1.0 + abs(act) + 1e-4 * float(op.xnormsq(uv) + op.xnormsq(vv))
+        worst = max(worst, abs(fd - act) / scale)
     return {"count": count, "worst_rel_err": worst, "passed": worst <= 1e-6}
 
 
 def _identity_spot_checks(
     spec: ProblemSpec, ispec: IntervalProblemSpec, rng: np.random.Generator
 ) -> dict:
+    """Defect-identity gaps relative to ``1 + |lhs| + 1e-4 ||u||_X^2``, as in the FD check."""
     worst = 0.0
     for _ in range(_IDENTITY_CHECKS):
-        uv = _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
-        lhs, _, gap = h_identity(GridFunction(spec.grid, uv), spec)
-        worst = max(worst, gap / (1.0 + abs(lhs)))
-        iv = _random_interval_field(ispec.grid, rng, ispec.n)
-        lhs, _, gap = h_identity(GridFunction(ispec.grid, iv), ispec)
-        worst = max(worst, gap / (1.0 + abs(lhs)))
+        line = _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
+        interval = _random_interval_field(ispec.grid, rng, ispec.n)
+        for sp, vals in ((spec, line), (ispec, interval)):
+            lhs, _, gap = h_identity(GridFunction(sp.grid, vals), sp)
+            scale = 1.0 + abs(lhs) + 1e-4 * float(_operator(sp).xnormsq(vals))
+            worst = max(worst, gap / scale)
     return {"count": _IDENTITY_CHECKS, "worst_rel_gap": worst, "passed": worst <= 1e-10}
 
 
@@ -479,10 +474,7 @@ def run_verification_campaign(
 
     if merged["derivative_checks"] > 0:
         rng = np.random.default_rng(seed)
-        igrid = IntervalGrid(-spec.potential.varrho, spec.potential.varrho, 257)
-        ispec = IntervalProblemSpec(
-            alpha=spec.alpha, nonlinearity=spec.nonlinearity, grid=igrid, n=spec.n
-        )
+        ispec = spec.well_interval(_WELL_POINTS)
         fd_line = _fd_action_errors(spec, merged["derivative_checks"], rng)
         fd_int = _fd_action_errors(ispec, merged["derivative_checks"], rng)
         ident = _identity_spot_checks(spec, ispec, rng)

@@ -61,6 +61,8 @@ __all__ = [
 _KAPPA_EXPONENTS = (3.0, 4.0)
 # verify_embeddings fails an inequality whose ratio exceeds 1 + _TOLERANCE.
 _TOLERANCE = 1e-8
+# Nodes of the well interval on which the verification checks run.
+_WELL_POINTS = 257
 
 
 def norm_h_alpha(u: GridFunction, alpha: float) -> float:
@@ -207,6 +209,14 @@ class EmbeddingConstants:
     def kappa(self, p: float) -> float:
         return _kappa(self.theta, self.meas_lc, p)
 
+    def check_lambda(self, lam: float):
+        """Raise :class:`DomainError` if ``lam`` lies below ``lambda_floor`` (to 1e-12 relative)."""
+        if lam < self.lambda_floor * (1.0 - 1e-12):
+            raise DomainError(
+                f"lambda = {lam} is below the admissibility floor {self.lambda_floor:.6g}; "
+                "the weighted-norm inequalities are only certified above it"
+            )
+
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -298,11 +308,7 @@ def verify_embeddings(
     :class:`EmbeddingViolation` carrying the offending sample if any ratio
     exceeds ``1 + _TOLERANCE``.
     """
-    if spec.lam < constants.lambda_floor * (1.0 - 1e-12):
-        raise DomainError(
-            f"lambda = {spec.lam} is below lambda_floor = {constants.lambda_floor}; "
-            "the weighted-norm inequalities are only certified above the floor"
-        )
+    constants.check_lambda(spec.lam)
     rng = np.random.default_rng(seed)
     grid = spec.grid
     alpha = spec.alpha
@@ -365,7 +371,7 @@ def verify_embeddings(
         if sup > 0.0 and l2sq > 0.0:
             record("interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq), sid, vals, grid)
 
-    igrid = IntervalGrid(-spec.potential.varrho, spec.potential.varrho, 257)
+    igrid = spec.well_interval(_WELL_POINTS).grid
     n_int = max(samples // 4, 1)
     for i in range(n_int):
         vals = sample_interval_function(igrid, rng, i % 2)

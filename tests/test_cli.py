@@ -124,6 +124,15 @@ def test_verify_honours_embedding_safety(tmp_path, capsys):
     assert capsys.readouterr().err == bound_err
 
 
+def test_verify_identities_pass_at_large_lambda(tmp_path, capsys):
+    """The derivative and defect checks scale with the quadratic term that cancels in them."""
+    budgets = {"embedding_samples": 0, "nonlinearity_samples": 0,
+               "derivative_checks": 50, "sphere_samples": 0}
+    cfg = _write_config(tmp_path, {"problem": {"lambda": 1e6}, "verify": budgets})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "verify: functional: pass" in capsys.readouterr().out
+
+
 def test_solve_below_floor_exits_one(fast_config, capsys):
     assert main(["solve", "--config", fast_config, "--lambda", "0.5"]) == 1
     assert "below the admissibility floor" in capsys.readouterr().err

@@ -31,6 +31,7 @@ from fracham.problem import (
     PotentialSpec,
     _magnitude,
     _rowdot,
+    _weighted_hessian_action,
     default_oscillatory,
     grad_w_values,
     w_values,
@@ -268,6 +269,24 @@ def test_operator_layer(n, potential, nonlinearity):
         action = bvp_derivative_action(u, v, ispec)
         metric = ispec.grid.spacing * float(np.sum((b @ g.values) * (b @ v.values)))
         assert abs(metric - action) < 1e-10 * (1.0 + abs(action))
+
+    # The interval Newton step solves the dense interior system
+    # (h B^T B - diag(c W''(u))) d = -r, assembled here block by block.
+    iop = functional._operator(ispec)
+    u = u.values
+    r = iop.residual(u)
+    d = iop.newton_step(u, r)
+    columns = [np.tile(np.eye(n)[k], (len(u), 1)) for k in range(n)]
+    blocks = np.stack(
+        [_weighted_hessian_action(nonlinearity, iop.weight, u, c) for c in columns], axis=-1
+    )
+    hess = np.kron(np.asarray(interval_stiffness(ispec.grid, ispec.alpha)), np.eye(n))
+    cw = ispec.grid.trapezoid_weights
+    for i in range(ispec.grid.num_points - 2):
+        hess[i * n:(i + 1) * n, i * n:(i + 1) * n] -= cw[i + 1] * blocks[i + 1]
+    rhs = -r[1:-1].ravel()
+    assert d is not None and np.all(d[0] == 0.0) and np.all(d[-1] == 0.0)
+    assert np.linalg.norm(hess @ d[1:-1].ravel() - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     u, v = line_field().values, line_field().values
     t = grid.nodes

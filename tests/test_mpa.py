@@ -139,8 +139,10 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
         assert counters[key] >= 0
 
 
-def test_newton_minres_iterations_do_not_grow_with_lambda(spec10, setup, monkeypatch):
-    """The metric-preconditioned polish needs few MINRES steps at any lambda."""
+def test_newton_minres_iterations_do_not_grow_with_lambda(
+    spec10, setup, interval_spec, monkeypatch
+):
+    """The metric-preconditioned polish needs few MINRES steps at any lambda and on the interval."""
     minres = scipy.sparse.linalg.minres
     solves = []
 
@@ -157,6 +159,43 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(spec10, setup, monkeyp
         assert res.converged is True
         assert res.diagnostics["counters"]["polish_accepted"] >= 1
         assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
+    for n in (1, 2):
+        solves.clear()
+        res = bvp_solve(dataclasses.replace(interval_spec, n=n), MpaConfig(tol=1e-8))
+        assert res.converged is True
+        assert res.diagnostics["counters"]["polish_accepted"] >= 1
+        assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
+
+
+def test_reported_crest_has_the_best_residual_among_ties(spec10, setup, interval_spec, monkeypatch):
+    """Of the nodes tied with the top energy, the solve reports the smallest weighted residual.
+
+    The default interval solve and the ``lambda = 1000`` line solve end with
+    two nodes that hold the crest to round-off; at least one tie must occur.
+    """
+    engines = []
+
+    class Recorded(mpa._PathEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(mpa, "_PathEngine", Recorded)
+    runs = [(bvp_solve(interval_spec, MpaConfig(tol=1e-8)), interval_spec)]
+    line = spec10.with_lambda(1000.0)
+    runs.append((mpa_solve(line, setup), line))
+    ties = 0
+    for (res, spec), engine in zip(runs, engines):
+        op = functional._operator(spec)
+        top = max(engine.energies)
+        tied = [k for k, e in enumerate(engine.energies) if e >= top - 1e-12 * (1.0 + abs(top))]
+        weighted = {k: mpa._stationarity(op, engine.nodes[k])[0] for k in tied}
+        crest = res.diagnostics["crest_index"]
+        assert crest == min(tied, key=weighted.get)
+        assert res.residual_weighted == weighted[crest]
+        assert np.array_equal(res.u.values, engine.nodes[crest])
+        ties += len(tied) > 1
+    assert ties >= 1
 
 
 def test_solution_satisfies_defect_identity(default_solve, spec10):
@@ -249,8 +288,13 @@ def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
     thetas = np.linspace(0.0, 1.0, 41)
     stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
     direct = op.energies(stack)
-    expanded = mpa._segment_energies(op, a, b, op.segment_forms(a, b), thetas)
+    forms = op.segment_forms(a, b)
+    expanded = mpa._segment_energies(op, a, b, forms, thetas)
     assert np.max(np.abs(expanded - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # The scan integrates W over row chunks of the stack; each row keeps its bits.
+    s = 1.0 - thetas
+    quad = s * s * forms[0] + 2.0 * thetas * s * forms[1] + thetas * thetas * forms[2]
+    assert np.array_equal(expanded, 0.5 * quad - op.wint(stack))
     seg = mpa._measure_segment(op, a, b)
     assert 0.0 < seg.theta < 1.0
     # A crest at an end node reports that node's own energy; any other crest
