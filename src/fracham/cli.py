@@ -179,7 +179,6 @@ def _cmd_sweep(args) -> int:
         bvp_config=build_bvp_config(cfg),
         cold=bool(cfg["sweep"]["cold"]),
         constants=constants,
-        config_hash=chash,
     )
     for rec in report.records:
         print(
@@ -192,9 +191,9 @@ def _cmd_sweep(args) -> int:
         f"observed_admissible_lambda={report.observed_admissible_lambda}"
     )
     if args.out:
-        write_report(args.out, "report.json", report.to_dict())
+        write_report(args.out, "report.json", {**report.to_dict(), "config_hash": chash})
         write_sweep_csv(args.out, report)
-    return 0
+    return 0 if all(rec["converged"] for rec in report.records) else 1
 
 
 def _cmd_verify(args) -> int:

@@ -27,8 +27,9 @@ same critical point rather than escaping the path structure.  Of the path
 nodes within ``1e-12`` relative of the top energy, the solver reports the
 one with the smallest weighted residual.
 
-A solve is one run, from the straight path ``0 -> e`` or, warm-started, from
-the path ``0 -> guess -> e``, and the Newton endgame is always on.
+A solve is one run, from the straight path ``0 -> e`` or, warm-started on
+the line, from the path ``0 -> guess -> e``, and the Newton endgame is always
+on.
 :class:`MpaConfig` holds only the path size (``path_nodes``,
 ``max_path_nodes``) and the stopping rule (``tol``, ``max_iters``).
 
@@ -38,18 +39,19 @@ single energies, the weighted norm, the metric gradient, the stationarity
 residual and one Newton step, plus the three reductions of a segment and the
 batched ``W`` integral and its slope that make a line search transform-free
 (see ``_measure_segment``).  On top of that it keeps one helper per repeated
-numerical pattern: ``_slope_crest`` with ``_illinois_root`` (segment crests
-and the ``ctilde`` ray: a coarse scan's best point refined to a root of the
-slope), ``_doubling_scan`` (the far endpoint on both domains) and
-``_newton_polish`` (damped Newton with backtracking on both domains).
+numerical pattern: ``_slope_crest`` with ``_illinois_root`` (segment crests:
+a coarse scan's best point refined to a root of the slope), ``_doubling_scan``
+(the far endpoint on both domains), ``_bump`` (the profile behind that
+endpoint on both domains) and ``_newton_polish`` (damped Newton with
+backtracking on both domains).
 
 The geometry pieces mirror the variational skeleton and take the
 embedding constants from the caller: ``estimate_rho_eta``
 turns the small-sphere lower bound into explicit ``(rho, eta)``;
 ``construct_e`` builds the far endpoint ``sigma0 * psi`` from a bump
 supported where the potential vanishes (which makes the construction
-independent of the potential parameter); ``ctilde_bound`` maximizes the
-energy along the ray through ``psi``, an upper bound for the level that no
+independent of the potential parameter); ``ctilde_bound`` measures the
+straight path ``0 -> e`` as a segment, an upper bound for the level that no
 admissible parameter value can push past.
 """
 
@@ -63,7 +65,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
 from .fracops import _edge_to_peak
 from .functional import IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
-from .problem import _weighted_slope, _weighted_w, calibrate_growth_constant
+from .problem import calibrate_growth_constant
 from .spaces import EmbeddingConstants
 
 __all__ = [
@@ -89,8 +91,6 @@ _POLISH_TRIGGER = 3e-2
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
-# Ray points per batched W evaluation in ``ctilde_bound``.
-_RAY_CHUNK = 128
 # A coarse-scan stack holds fewer values than this (128 KiB), below glibc's
 # default mmap threshold: larger stacks map and fault fresh pages per segment.
 _STACK_VALUES = 2**14
@@ -315,9 +315,11 @@ def estimate_rho_eta(
     return rho, eta
 
 
-def _bump_profile(t: np.ndarray, center: float, tau: float) -> np.ndarray:
-    s = np.clip(1.0 - ((t - center) / tau) ** 2, 0.0, None)
-    return s**3
+def _bump(spec, center: float, tau: float) -> np.ndarray:
+    """Values of ``(1 - ((t - center)/tau)^2)^3``, clipped at zero, in the first component."""
+    vals = np.zeros((spec.grid.num_points, spec.n))
+    vals[:, 0] = np.clip(1.0 - ((spec.grid.nodes - center) / tau) ** 2, 0.0, None) ** 3
+    return vals
 
 
 def construct_e(
@@ -346,9 +348,7 @@ def construct_e(
     c_eps = calibrate_growth_constant(spec.nonlinearity, epsilon_c)
     rho, eta = estimate_rho_eta(epsilon_c, c_eps, pg, constants)
 
-    vals = np.zeros((spec.grid.num_points, spec.n))
-    vals[:, 0] = _bump_profile(spec.grid.nodes, 0.0, tau)
-    psi = GridFunction(spec.grid, vals)
+    psi = GridFunction(spec.grid, _bump(spec, 0.0, tau))
     op = _operator(spec)
     if np.any(op.ldiag * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
@@ -372,44 +372,15 @@ def construct_e(
 
 
 def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
-    """Maximum of the energy along the ray ``sigma * psi``, refined.
+    """Maximum of the energy on the straight path from ``0`` to ``e = sigma0 psi``.
 
-    Because the bump avoids the potential's support, the value is the same
-    for every parameter value; it upper-bounds the solver level.  Along the
-    ray the quadratic part is ``sigma^2 ||psi||_X^2``, and ``W(t, 0) = 0``,
-    so the ``W`` integral runs over the bump's support only, in batches of
-    at most ``_RAY_CHUNK`` ray points.  The best scanned point is refined to
-    a root of the slope ``sigma ||psi||_X^2 - int grad W(sigma psi) . psi``,
-    on the same support; the larger of the two energies is returned.
+    That path is admissible, so its maximum upper-bounds the min-max level.
+    It is measured as any path segment is (:func:`_measure_segment`).  The
+    bump avoids the potential's support, so the value is the same for every
+    parameter value.
     """
-    op = _operator(spec)
-    psi = setup.psi.values
-    qf = float(op.xnormsq(psi))
-    support = np.flatnonzero(np.any(psi != 0.0, axis=1))
-    psi_s = psi[support]
-    weight = op.weight[support]
-    h = spec.grid.spacing
-    nl = spec.nonlinearity
-
-    def ray_energies(sigmas: np.ndarray) -> np.ndarray:
-        out = np.empty(len(sigmas))
-        for start in range(0, len(sigmas), _RAY_CHUNK):
-            chunk = sigmas[start : start + _RAY_CHUNK]
-            wv = _weighted_w(nl, weight, chunk[:, None, None] * psi_s[None])
-            out[start : start + len(chunk)] = 0.5 * chunk**2 * qf - h * np.sum(wv, axis=-1)
-        return out
-
-    def ray_slope(sigma: float) -> float:
-        gw = _weighted_slope(nl, weight, sigma * psi_s, psi_s)
-        return sigma * qf - h * float(np.sum(gw))
-
-    sigmas = np.linspace(0.0, setup.sigma0, 2049)[1:]
-    energies = ray_energies(sigmas)
-    i = int(np.argmax(energies))
-    lo = sigmas[max(i - 1, 0)]
-    hi = sigmas[min(i + 1, len(sigmas) - 1)]
-    sigma = _slope_crest(ray_slope, sigmas[i], lo, hi)
-    return max(float(energies[i]), float(ray_energies(np.array([sigma]))[0]))
+    e = setup.e.values
+    return _measure_segment(_operator(spec), np.zeros_like(e), e).value
 
 
 # ---------------------------------------------------------------------------
@@ -749,29 +720,21 @@ def mpa_solve(
     return dataclasses.replace(run, diagnostics=diagnostics)
 
 
-def bvp_solve(
-    spec: IntervalProblemSpec,
-    config: MpaConfig | None = None,
-    initial_guess: GridFunction | None = None,
-) -> SolveResult:
-    """Min-max solve of the Dirichlet interval problem.
+def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> SolveResult:
+    """Min-max solve of the Dirichlet interval problem, from the straight path.
 
-    The far endpoint is built by the same doubling scan on an interior bump;
-    Dirichlet values stay exactly zero because every path node is a linear
-    combination of functions that vanish at the endpoints.
+    The far endpoint is built by the same doubling scan on a bump centred in
+    the interval, of half-width three eighths of its length, which is exactly
+    zero at both endpoints; Dirichlet values stay exactly zero because every
+    path node is a linear combination of functions that vanish there.
     """
     if config is None:
         config = MpaConfig()
     grid = spec.grid
-    center = 0.5 * (grid.lower + grid.upper)
-    tau = 0.375 * (grid.upper - grid.lower)
-    vals = np.zeros((grid.num_points, spec.n))
-    vals[:, 0] = _bump_profile(grid.nodes, center, tau)
-    vals[0] = 0.0
-    vals[-1] = 0.0
+    vals = _bump(spec, 0.5 * (grid.lower + grid.upper), 0.375 * (grid.upper - grid.lower))
     op = _operator(spec)
     sigma = _doubling_scan(
         lambda s: op.energy(s * vals) < 0.0,
         "no negative-energy endpoint within the doubling cap on the interval",
     )
-    return _check_level(_run_path(op, sigma * vals, config, initial_guess))
+    return _check_level(_run_path(op, sigma * vals, config, None))

@@ -173,7 +173,6 @@ class SweepReport:
     lambda_floor: float
     alignment_error: float
     observed_admissible_lambda: float | None
-    config_hash: str
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -199,7 +198,6 @@ def lambda_sweep(
     bvp_points: int = 257,
     bvp_config: MpaConfig | None = None,
     cold: bool = False,
-    config_hash: str | None = None,
 ) -> SweepReport:
     """Solve along an ascending parameter ladder and track concentration.
 
@@ -228,21 +226,6 @@ def lambda_sweep(
         bvp_config = MpaConfig(tol=1e-8)
     bvp_ref = bvp_solve(ispec, bvp_config)
     bvp_el = bvp_el_residual(bvp_ref.u, ispec)
-
-    if config_hash is None:
-        config_hash = payload_hash(
-            {
-                "alpha": base_spec.alpha,
-                "n": base_spec.n,
-                "grid": dataclasses.asdict(base_spec.grid),
-                "potential": dataclasses.asdict(base_spec.potential),
-                "nonlinearity": dataclasses.asdict(base_spec.nonlinearity),
-                "lambdas": lambdas,
-                "cold": cold,
-                "mpa": dataclasses.asdict(mpa_config),
-                "bvp_points": bvp_points,
-            }
-        )
 
     records: list[dict] = []
     level_tol = 1e-6 * (1.0 + abs(ctilde))
@@ -314,7 +297,6 @@ def lambda_sweep(
         lambda_floor=constants.lambda_floor,
         alignment_error=max(base_spec.grid.spacing, ispec.grid.spacing),
         observed_admissible_lambda=observed,
-        config_hash=config_hash,
     )
 
 

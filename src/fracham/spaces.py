@@ -57,7 +57,7 @@ __all__ = [
     "sample_interval_function",
 ]
 
-# Every EmbeddingConstants carries kappa_p for these exponents.
+# EmbeddingConstants.to_dict reports kappa_p for these exponents.
 _KAPPA_EXPONENTS = (3.0, 4.0)
 # verify_embeddings fails an inequality whose ratio exceeds 1 + _TOLERANCE.
 _TOLERANCE = 1e-8
@@ -161,22 +161,16 @@ def sample_interval_function(
     return envelope * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
 
 
-def _kappa(theta: float, meas: float, p: float) -> float:
-    """Closed-form ``kappa_p``: ``kappa_p^p = 1/(Theta^{p/2} m^{(p-2)/2})``."""
-    if p < 2:
-        raise DomainError(f"kappa_p is defined for p >= 2, got {p}")
-    return (theta ** (p / 2.0) * meas ** ((p - 2.0) / 2.0)) ** (-1.0 / p)
-
-
 @dataclasses.dataclass(frozen=True)
 class EmbeddingConstants:
-    """Derived embedding constants for one (grid, alpha, potential) triple.
+    """Embedding constants for one (grid, alpha, potential) triple.
 
     ``c_infinity`` is the gated (safety-inflated) constant used by every
     downstream formula; the raw grid-sharp constant and the safety factor are
-    kept alongside so reports can show the margin.  Construction fails when
-    the sublevel-measure smallness condition ``meas{l<c} < 1/c_infinity^2``
-    does not hold.
+    kept alongside so reports can show the margin.  ``theta``,
+    ``lambda_floor`` and ``kappa(p)`` are derived from the stored fields.
+    Construction fails when the sublevel-measure smallness condition
+    ``meas{l<c} < 1/c_infinity^2`` does not hold.
     """
 
     alpha: float
@@ -185,29 +179,30 @@ class EmbeddingConstants:
     safety: float
     meas_lc: float
     c_level: float
-    theta: float
-    lambda_floor: float
-    kappa_map: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if self.c_infinity <= 0 or self.meas_lc <= 0 or self.c_level <= 0:
             raise DomainError("embedding constants must be positive")
-        csq_m = self.c_infinity**2 * self.meas_lc
-        if csq_m >= 1.0:
+        if self.c_infinity**2 * self.meas_lc >= 1.0:
             raise DomainError(
-                f"sublevel measure {self.meas_lc:.6g} is not below "
-                f"1/c_infinity^2 = {1.0 / self.c_infinity**2:.6g}; "
-                "the potential well is too wide for this embedding constant"
+                f"potential is inadmissible: meas{{l<c}} = {self.meas_lc:.6g} but the "
+                f"gated embedding constant requires < {1.0 / self.c_infinity**2:.6g}"
             )
-        theta = (1.0 - csq_m) / csq_m
-        if not math.isclose(theta, self.theta, rel_tol=1e-12):
-            raise DomainError("theta is inconsistent with c_infinity and meas_lc")
-        floor = 1.0 / (self.c_level * self.c_infinity**2 * self.meas_lc)
-        if not math.isclose(floor, self.lambda_floor, rel_tol=1e-12):
-            raise DomainError("lambda_floor is inconsistent with the stored constants")
+
+    @property
+    def theta(self) -> float:
+        csq_m = self.c_infinity**2 * self.meas_lc
+        return (1.0 - csq_m) / csq_m
+
+    @property
+    def lambda_floor(self) -> float:
+        return 1.0 / (self.c_level * self.c_infinity**2 * self.meas_lc)
 
     def kappa(self, p: float) -> float:
-        return _kappa(self.theta, self.meas_lc, p)
+        """Closed-form ``kappa_p``: ``kappa_p^p = 1/(Theta^{p/2} m^{(p-2)/2})``."""
+        if p < 2:
+            raise DomainError(f"kappa_p is defined for p >= 2, got {p}")
+        return (self.theta ** (p / 2.0) * self.meas_lc ** ((p - 2.0) / 2.0)) ** (-1.0 / p)
 
     def check_lambda(self, lam: float):
         """Raise :class:`DomainError` if ``lam`` lies below ``lambda_floor`` (to 1e-12 relative)."""
@@ -219,15 +214,10 @@ class EmbeddingConstants:
 
     def to_dict(self) -> dict:
         return {
-            "alpha": self.alpha,
-            "c_infinity": self.c_infinity,
-            "c_infinity_raw": self.c_infinity_raw,
-            "safety": self.safety,
-            "meas_lc": self.meas_lc,
-            "c_level": self.c_level,
+            **dataclasses.asdict(self),
             "theta": self.theta,
             "lambda_floor": self.lambda_floor,
-            "kappa": {str(p): k for p, k in self.kappa_map},
+            "kappa": {str(p): self.kappa(p) for p in _KAPPA_EXPONENTS},
             "estimated": True,
         }
 
@@ -238,7 +228,7 @@ def estimate_embedding_constants(
     potential,
     safety: float = 1.1,
 ) -> EmbeddingConstants:
-    """Grid-sharp ``C_inf`` and every constant derived from it.
+    """Grid-sharp ``C_inf`` and the constants built on it.
 
     The raw constant is the ratio ``max|u| / ||u||_alpha`` on
     :func:`extremal_profile` (one inverse FFT and one norm): a value a grid
@@ -251,25 +241,13 @@ def estimate_embedding_constants(
     """
     prof = extremal_profile(grid, alpha)
     raw = float(np.max(np.abs(prof.values))) / norm_h_alpha(prof, alpha)
-    gated = safety * raw
-    meas = potential.sublevel_measure()
-    csq_m = gated**2 * meas
-    if csq_m >= 1.0:
-        raise DomainError(
-            f"potential is inadmissible: meas{{l<c}} = {meas:.6g} but the "
-            f"gated embedding constant requires < {1.0 / gated**2:.6g}"
-        )
-    theta = (1.0 - csq_m) / csq_m
     return EmbeddingConstants(
         alpha=alpha,
-        c_infinity=gated,
+        c_infinity=safety * raw,
         c_infinity_raw=raw,
         safety=safety,
-        meas_lc=meas,
+        meas_lc=potential.sublevel_measure(),
         c_level=potential.c,
-        theta=theta,
-        lambda_floor=1.0 / (potential.c * gated**2 * meas),
-        kappa_map=tuple((p, _kappa(theta, meas, p)) for p in _KAPPA_EXPONENTS),
     )
 
 

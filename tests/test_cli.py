@@ -12,7 +12,7 @@ import pytest
 import fracham
 from fracham import functional, spaces
 from fracham.cli import main
-from fracham.config import DEFAULT_CONFIG, build_grid, merge_config
+from fracham.config import DEFAULT_CONFIG, build_grid, config_hash, load_config, merge_config
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -168,7 +168,9 @@ def test_bvp_reports_stationarity(tmp_path, capsys):
 
 
 def test_sweep_writes_report_and_csv(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"embedding": {"samples": 1000}})
+    cfg = _write_config(
+        tmp_path, {"embedding": {"samples": 1000}, "sweep": {"lambdas": [1.0, 10.0]}}
+    )
     out = tmp_path / "run"
     assert main(["sweep", "--config", cfg, "--lambdas", "1,10", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -179,8 +181,20 @@ def test_sweep_writes_report_and_csv(tmp_path, capsys):
     assert [rec["lambda"] for rec in payload["records"]] == [1.0, 10.0]
     assert payload["records"][0]["tail_mass_ratio"] > payload["records"][1]["tail_mass_ratio"]
     assert "values" in payload["bvp_reference"]
+    assert payload["config_hash"] == config_hash(load_config(cfg))
     csv_lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(csv_lines) == 3
+
+
+def test_sweep_with_an_unconverged_rung_exits_one(tmp_path, capsys):
+    """Both files are still written, and the failing rung says so."""
+    cfg = _write_config(tmp_path, {"grid": {"num_points": 1024}, "mpa": {"max_iters": 21}})
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", cfg, "--lambdas", "1,10000", "--out", str(out)]) == 1
+    assert "sweep: lambda=10000 converged=False" in capsys.readouterr().out
+    payload = _read_json(out / "report.json")
+    assert [rec["converged"] for rec in payload["records"]] == [True, False]
+    assert len((out / "sweep.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_verify_campaign_passes(tmp_path, capsys):

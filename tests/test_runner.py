@@ -177,7 +177,6 @@ def test_sweep_report_structure(sweep_report, constants, ctilde):
     assert abs(sweep_report.ctilde - ctilde) < 1e-12 * ctilde
     assert sweep_report.bvp_el_residual <= 1e-10
     assert sweep_report.alignment_error <= 0.01
-    assert len(sweep_report.config_hash) == 16
     payload = sweep_report.to_dict()
     assert json.loads(canonical_json(payload))["rho"] == sweep_report.rho
 

@@ -71,13 +71,6 @@ def test_wide_well_is_rejected(line_grid):
         estimate_embedding_constants(line_grid, 0.75, wide)
 
 
-def test_tampered_constants_are_rejected(constants):
-    with pytest.raises(DomainError):
-        dataclasses.replace(constants, theta=2.0 * constants.theta)
-    with pytest.raises(DomainError):
-        dataclasses.replace(constants, lambda_floor=0.5 * constants.lambda_floor)
-
-
 def test_weighted_inner_product_axioms(spec10):
     grid = spec10.grid
     rng = np.random.default_rng(20260816)
@@ -144,7 +137,6 @@ def test_verify_embeddings_rejects_parameter_below_floor(spec10, constants):
 def test_verify_embeddings_flags_a_false_constant(spec10, constants):
     """An understated sup constant must surface as a violation with a sample."""
     fake_c = 0.2 * constants.c_infinity
-    csq_m = fake_c**2 * constants.meas_lc
     fake = EmbeddingConstants(
         alpha=constants.alpha,
         c_infinity=fake_c,
@@ -152,9 +144,6 @@ def test_verify_embeddings_flags_a_false_constant(spec10, constants):
         safety=constants.safety,
         meas_lc=constants.meas_lc,
         c_level=constants.c_level,
-        theta=(1.0 - csq_m) / csq_m,
-        lambda_floor=1.0 / (constants.c_level * csq_m),
-        kappa_map=(),
     )
     with pytest.raises(EmbeddingViolation) as err:
         verify_embeddings(50, spec10.with_lambda(fake.lambda_floor), constants=fake, seed=3)
