@@ -32,6 +32,9 @@ only these primitives:
 * ``apply_metric`` and ``solve_metric`` on the degrees of freedom: on the
   line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, solved exactly below; on
   the interval the stiffness ``h B^T B``, solved by its cached Cholesky factor;
+* ``metric_bound``, an upper bound on the 2-norm of ``A`` on the degrees of
+  freedom: ``max |w|^(2 alpha) + lambda max L`` on the line, the largest
+  absolute row sum of the stiffness on the interval;
 * ``quad``, the weights of ``grad W`` in the residual (one on the line, the
   trapezoid weights on the interval), and ``pairing``, the scale in
   ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
@@ -40,10 +43,11 @@ From them the base class builds ``xnormsq(u) = form(u, u)``, ``energies``
 (one value per row of a stack, bit for bit that row on its own), ``energy``,
 ``xnorm``, the stationarity ``residual``, the metric ``gradient`` and
 ``newton_step``, MINRES on the degrees of freedom preconditioned by
-``solve_metric``.  The public functions (``energy``, ``derivative_action``,
-``gradient_rep``, ``h_identity``; the ``bvp_*`` names are the same
-functions) take either spec and reach the domain only through its operator;
-an interval argument must vanish exactly at both endpoints.
+``solve_metric``, which also reports its iteration count.  The public
+functions (``energy``, ``derivative_action``, ``gradient_rep``,
+``h_identity``; the ``bvp_*`` names are the same functions) take either spec
+and reach the domain only through its operator; an interval argument must
+vanish exactly at both endpoints.
 
 ``segment_forms(a, b)`` returns ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the
 quadratic part ``Q``; the line shares one rfft of the stacked pair among the
@@ -217,8 +221,10 @@ class _OperatorBase:
         nsq = self.pairing * float(np.sum(g[d] * r[d]))
         return g, math.sqrt(max(nsq, 0.0))
 
-    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-        """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES; ``None`` when it fails.
+    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES.
+
+        Returns the step, ``None`` when MINRES fails, and its iteration count.
 
         MINRES is preconditioned with the exact inverse of the metric ``A``,
         so the preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
@@ -239,12 +245,15 @@ class _OperatorBase:
 
         op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess)
         pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
-        step, info = scipy.sparse.linalg.minres(op, -r[d].ravel(), rtol=1e-11, M=pre)
+        iterations = []
+        step, info = scipy.sparse.linalg.minres(
+            op, -r[d].ravel(), rtol=1e-11, M=pre, callback=lambda xk: iterations.append(1)
+        )
         if info != 0:
-            return None
+            return None, len(iterations)
         out = np.zeros_like(vals)
         out[d] = step.reshape(shape)
-        return out
+        return out, len(iterations)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -292,6 +301,8 @@ class _LineOperator(_OperatorBase):
         self.multiplier, _ = _form_multipliers(spec.grid, spec.alpha)
         self.ldiag = spec.potential.diagonal(spec.grid.nodes, spec.n)
         self.ldiag.setflags(write=False)
+        # The symbol's maximum plus the diagonal potential's bounds |A|_2.
+        self.metric_bound = float(np.max(self.multiplier) + spec.lam * np.max(self.ldiag))
 
     def wint(self, vals: np.ndarray) -> np.ndarray:
         """The integral of ``W(t, u)``, one value per candidate."""
@@ -387,7 +398,10 @@ class _IntervalOperator(_OperatorBase):
     def __init__(self, spec: IntervalProblemSpec):
         super().__init__(spec)
         self.b = gl_matrix(spec.grid, spec.alpha)
-        self.cho = scipy.linalg.cho_factor(np.array(interval_stiffness(spec.grid, spec.alpha)))
+        stiffness = interval_stiffness(spec.grid, spec.alpha)
+        self.cho = scipy.linalg.cho_factor(np.array(stiffness))
+        # The largest absolute row sum bounds the 2-norm of the symmetric stiffness.
+        self.metric_bound = float(np.max(np.sum(np.abs(stiffness), axis=1)))
         self.quad = spec.grid.trapezoid_weights[1:-1, None]
 
     def wint(self, vals: np.ndarray) -> np.ndarray:

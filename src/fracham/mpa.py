@@ -21,11 +21,15 @@ value on that polyline, not just the best node energy.  Each iteration:
 
 Near convergence the crest node is polished by a damped Newton iteration on
 the stationarity equation, each step a MINRES solve preconditioned by the
-exact metric inverse; the polish is accepted only if it lands at most
-negligibly above the current level and away from zero, so it refines the
-same critical point rather than escaping the path structure.  Of the path
-nodes within ``1e-12`` relative of the top energy, the solver reports the
-one with the smallest weighted residual.
+exact metric inverse.  The polish stops once the residual norm reaches its
+tolerance or ``eps ||A|| ||u||``, the round-off floor of evaluating the
+residual (``||A||`` is the operator's ``metric_bound``); the step cap is a
+backstop.  It is accepted only if it lands at most negligibly above the
+current level and away from zero, so it refines the same critical point
+rather than escaping the path structure.  Of the path nodes within
+``1e-12`` relative of the top energy, the solver reports the one with the
+smallest weighted residual.  The solve's ``diagnostics["counters"]`` count
+path events and the polishes' ``newton_steps`` and ``minres_iterations``.
 
 A solve is one run, from the straight path ``0 -> e`` or, warm-started on
 the line, from the path ``0 -> guess -> e``, and the Newton endgame is always
@@ -36,14 +40,14 @@ on.
 The solver is written once for both domains.  It sees a problem only through
 the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
-residual and one Newton step, plus the three reductions of a segment and the
-batched ``W`` integral and its slope that make a line search transform-free
-(see ``_measure_segment``).  On top of that it keeps one helper per repeated
-numerical pattern: ``_slope_crest`` with ``_illinois_root`` (segment crests:
-a coarse scan's best point refined to a root of the slope), ``_doubling_scan``
-(the far endpoint on both domains), ``_bump`` (the profile behind that
-endpoint on both domains) and ``_newton_polish`` (damped Newton with
-backtracking on both domains).
+residual, one Newton step and a bound on the metric's norm, plus the three
+reductions of a segment and the batched ``W`` integral and its slope that
+make a line search transform-free (see ``_measure_segment``).  On top of
+that it keeps one helper per repeated numerical pattern: ``_slope_crest``
+with ``_illinois_root`` (segment crests: a coarse scan's best point refined
+to a root of the slope), ``_doubling_scan`` (the far endpoint on both
+domains), ``_bump`` (the profile behind that endpoint on both domains) and
+``_newton_polish`` (damped Newton with backtracking on both domains).
 
 The geometry pieces mirror the variational skeleton and take the
 embedding constants from the caller: ``estimate_rho_eta``
@@ -91,6 +95,8 @@ _POLISH_TRIGGER = 3e-2
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
+# Machine epsilon: the Newton polish's round-off floor is _EPS ||A|| ||u||.
+_EPS = float(np.finfo(np.float64).eps)
 # A coarse-scan stack holds fewer values than this (128 KiB), below glibc's
 # default mmap threshold: larger stacks map and fault fresh pages per segment.
 _STACK_VALUES = 2**14
@@ -239,22 +245,30 @@ def _stationarity(op, u: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     return (1.0 + xnorm) * gnorm, gnorm, xnorm, g
 
 
-def _newton_polish(op, vals: np.ndarray) -> tuple[np.ndarray, bool]:
+def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool]:
     """Damped Newton on ``op.residual(u) = 0`` with backtracking.
 
     A step ``t d`` is taken with the largest ``t`` in ``1, 1/2, ..., 1/64``
-    that shrinks the residual norm by the factor ``1 - t/4``; the loop stops
-    when no such step exists, when the linear solve fails, after
-    ``op.newton_steps`` steps, or at a residual below ``op.newton_tol``
-    relative to ``1 + |u|``.  Returns the iterate and whether any step was
-    taken.
+    that shrinks the residual norm by the factor ``1 - t/4``.  The loop stops
+    once the residual norm is at most
+
+        max(op.newton_tol (1 + |u|), eps op.metric_bound |u|),
+
+    the larger of the tolerance and the round-off floor of evaluating
+    ``A u - grad W(u)`` in float64 (``eps`` is machine epsilon): a step below
+    that floor only shuffles noise.  It also stops when no step shrinks the
+    residual or the linear solve fails; ``op.newton_steps`` is a backstop
+    only.  Adds the steps taken and the MINRES iterations to ``counters``
+    (``newton_steps``, ``minres_iterations``).  Returns the iterate and
+    whether any step was taken.
     """
     v = vals.copy()
     r = op.residual(v)
     rn = float(np.linalg.norm(r))
     improved_any = False
     for _ in range(op.newton_steps):
-        d = op.newton_step(v, r)
+        d, iterations = op.newton_step(v, r)
+        counters["minres_iterations"] += iterations
         if d is None:
             return v, improved_any
         t = 1.0
@@ -266,11 +280,13 @@ def _newton_polish(op, vals: np.ndarray) -> tuple[np.ndarray, bool]:
             if rcn < (1.0 - 0.25 * t) * rn:
                 v, r, rn = cand, rc, rcn
                 stepped = improved_any = True
+                counters["newton_steps"] += 1
                 break
             t *= 0.5
         if not stepped:
             return v, improved_any
-        if rn <= op.newton_tol * (1.0 + float(np.linalg.norm(v))):
+        vn = float(np.linalg.norm(v))
+        if rn <= max(op.newton_tol * (1.0 + vn), _EPS * op.metric_bound * vn):
             break
     return v, improved_any
 
@@ -475,6 +491,8 @@ class _PathEngine:
             "guard_rejections": 0,
             "polish_accepted": 0,
             "polish_rejected": 0,
+            "newton_steps": 0,
+            "minres_iterations": 0,
         }
 
     def level(self) -> float:
@@ -626,7 +644,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
 
         # Newton endgame: refine the crest node in place when already close.
         if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
-            polished, ok = _newton_polish(op, u)
+            polished, ok = _newton_polish(op, u, engine.counters)
             if ok:
                 ep = op.energy(polished)
                 slack = 1e-9 * (1.0 + abs(level))

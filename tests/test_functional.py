@@ -209,6 +209,26 @@ def test_metric_solve_checks_its_residual(spec10, monkeypatch):
         gradient_rep(u, spec)
 
 
+def test_metric_bound_is_an_upper_bound(spec10, interval_spec):
+    """``metric_bound`` bounds the metric's 2-norm, and the top Fourier mode nearly attains it.
+
+    The Newton polish stops at ``eps * metric_bound * |u|``, so the bound
+    must be honest and not loose by more than a factor of two on the line.
+    """
+    rng = np.random.default_rng(5)
+    num = spec10.grid.num_points
+    for lam in (1.0, 1e4):
+        for n in (1, 2):
+            op = functional._operator(dataclasses.replace(spec10, lam=lam, n=n))
+            top = np.tile((-1.0) ** np.arange(num)[:, None], (1, n))
+            for x in [rng.normal(size=(num, n)) for _ in range(5)] + [top]:
+                ax = np.linalg.norm(op.apply_metric(x))
+                assert ax <= op.metric_bound * np.linalg.norm(x)
+            assert np.linalg.norm(op.apply_metric(top)) >= 0.5 * op.metric_bound * np.linalg.norm(top)
+    stiffness = interval_stiffness(interval_spec.grid, interval_spec.alpha)
+    assert np.linalg.norm(stiffness, 2) <= functional._operator(interval_spec).metric_bound
+
+
 @pytest.mark.parametrize(
     "n, potential, nonlinearity",
     [
@@ -275,7 +295,7 @@ def test_operator_layer(n, potential, nonlinearity):
     iop = functional._operator(ispec)
     u = u.values
     r = iop.residual(u)
-    d = iop.newton_step(u, r)
+    d, _ = iop.newton_step(u, r)
     columns = [np.tile(np.eye(n)[k], (len(u), 1)) for k in range(n)]
     blocks = np.stack(
         [_weighted_hessian_action(nonlinearity, iop.weight, u, c) for c in columns], axis=-1

@@ -135,8 +135,18 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
     assert diag["path_nodes_final"] >= 3
     counters = diag["counters"]
     for key in ("inserted", "pruned", "step_rejections", "guard_rejections",
-                "polish_accepted", "polish_rejected"):
+                "polish_accepted", "polish_rejected", "newton_steps", "minres_iterations"):
         assert counters[key] >= 0
+
+
+def _solve_vector_spec(line_grid, potential):
+    """The solve-vector family: n=2, a diagonal potential, a weighted oscillatory ``W``."""
+    return ProblemSpec(
+        alpha=0.75, lam=1.0, n=2, grid=line_grid,
+        potential=dataclasses.replace(potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+        nonlinearity=NonlinearitySpec(kind="oscillatory", p=3.0, epsilon=0.5, c0=160.0,
+                                      weight_amp=0.3, weight_freq=2.0),
+    )
 
 
 def test_newton_minres_iterations_do_not_grow_with_lambda(
@@ -146,25 +156,74 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(
     minres = scipy.sparse.linalg.minres
     solves = []
 
-    def counted(*args, **kwargs):
+    def counted(*args, callback=None, **kwargs):
         steps = []
-        x, info = minres(*args, callback=lambda xk: steps.append(1), **kwargs)
+
+        def each(xk):
+            steps.append(1)
+            if callback is not None:
+                callback(xk)
+
+        x, info = minres(*args, callback=each, **kwargs)
         solves.append((len(steps), info))
         return x, info
 
     monkeypatch.setattr(scipy.sparse.linalg, "minres", counted)
-    for lam in (1.0, 1e4):
+    runs = [lambda lam=lam: mpa_solve(spec10.with_lambda(lam), setup) for lam in (1.0, 1e4)]
+    runs += [lambda n=n: bvp_solve(dataclasses.replace(interval_spec, n=n), MpaConfig(tol=1e-8))
+             for n in (1, 2)]
+    for run in runs:
         solves.clear()
-        res = mpa_solve(spec10.with_lambda(lam), setup)
+        res = run()
         assert res.converged is True
-        assert res.diagnostics["counters"]["polish_accepted"] >= 1
+        counters = res.diagnostics["counters"]
+        assert counters["polish_accepted"] >= 1
         assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
+        assert counters["minres_iterations"] == sum(steps for steps, _ in solves)
+        assert counters["newton_steps"] <= len(solves)
+
+
+def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, interval_spec,
+                                          monkeypatch):
+    """Every Newton polish stops at its tolerance or round-off floor within 5 steps.
+
+    The floor is ``eps * metric_bound * |u|``, the error of evaluating the
+    residual; the step cap (``newton_steps``) is only a backstop.  Cases: the
+    default solve, a cold ``lambda = 1000`` solve, a warm ladder to 1e6, the
+    solve-vector family, ``alpha`` 0.51 and 0.99, and the interval at n = 1, 2.
+    """
+    polish = mpa._newton_polish
+    polishes = []
+
+    def recorded(op, vals, counters):
+        before = counters["newton_steps"]
+        v, ok = polish(op, vals, counters)
+        vn = float(np.linalg.norm(v))
+        bound = max(op.newton_tol * (1.0 + vn), np.finfo(np.float64).eps * op.metric_bound * vn)
+        polishes.append((ok, counters["newton_steps"] - before,
+                         float(np.linalg.norm(op.residual(v))), bound))
+        return v, ok
+
+    monkeypatch.setattr(mpa, "_newton_polish", recorded)
+
+    def solved(spec, lams=(10.0,)):
+        constants = estimate_embedding_constants(line_grid, spec.alpha, spec.potential)
+        spec_setup = construct_e(spec, constants=constants)
+        guess = None
+        for lam in lams:
+            guess = mpa_solve(spec.with_lambda(lam), spec_setup, initial_guess=guess).u
+
+    mpa_solve(spec10, setup)
+    mpa_solve(spec10.with_lambda(1000.0), setup)
+    solved(spec10, [10.0**k for k in range(7)])
+    solved(_solve_vector_spec(line_grid, potential), [1.0])
+    solved(dataclasses.replace(spec10, alpha=0.51, potential=PotentialSpec(0.2, 0.02, 6.0, 1.5)))
+    solved(dataclasses.replace(spec10, alpha=0.99))
     for n in (1, 2):
-        solves.clear()
-        res = bvp_solve(dataclasses.replace(interval_spec, n=n), MpaConfig(tol=1e-8))
-        assert res.converged is True
-        assert res.diagnostics["counters"]["polish_accepted"] >= 1
-        assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
+        bvp_solve(dataclasses.replace(interval_spec, n=n), MpaConfig(tol=1e-8))
+    assert len(polishes) >= 15
+    for ok, steps, rn, bound in polishes:
+        assert ok and 1 <= steps <= 5 and rn <= bound, polishes
 
 
 def test_reported_crest_has_the_best_residual_among_ties(spec10, setup, interval_spec, monkeypatch):
@@ -374,12 +433,7 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
     solve-vector family (diagonal potential, weighted oscillatory ``W``) and
     ``alpha = 0.51`` on a narrower admissible well.
     """
-    vector = ProblemSpec(
-        alpha=0.75, lam=1.0, n=2, grid=line_grid,
-        potential=dataclasses.replace(potential, kind="diagonal", diag_scales=(1.0, 2.0)),
-        nonlinearity=NonlinearitySpec(kind="oscillatory", p=3.0, epsilon=0.5, c0=160.0,
-                                      weight_amp=0.3, weight_freq=2.0),
-    )
+    vector = _solve_vector_spec(line_grid, potential)
     cases = [
         spec10,
         ProblemSpec(alpha=0.75, lam=10.0, potential=potential,
