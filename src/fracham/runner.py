@@ -245,6 +245,7 @@ def lambda_sweep(
             "tail_mass_ratio": tail_mass_ratio(result.u, varrho),
             "dist_to_bvp_h_alpha": dist_h_alpha(result.u, bvp_ref.u, base_spec.alpha),
             "edge_to_peak": result.diagnostics["edge_to_peak"],
+            "counters": dict(result.diagnostics["counters"]),
         }
         record.update(_c6_record(result.u, spec))
         _, _, id_gap = h_identity(result.u, spec)

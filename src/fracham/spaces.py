@@ -30,6 +30,15 @@ equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  So
 ``max|u| / ||u||_alpha`` on that extremal profile, once; no random draw can
 exceed it.  Random samples only test the derived inequalities, in
 :func:`verify_embeddings`.
+
+The stress test batches its work and still gives the same bits as a loop
+over one sample at a time.  It draws the line samples in order and
+evaluates them in chunks of ``_CHUNK`` rows: one rfft per chunk gives both
+fractional norms of every row, and the worst ratios are recorded row by
+row, in sample order.  The chunks stay small because the peak resident
+memory of a run grows with them.  :func:`sample_line_function` evaluates
+each Gaussian or polynomial bump only on the nodes where it is nonzero in
+floating point.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
-from .fracops import _form_multipliers, gl_matrix, quadratic_form_alpha
+from .fracops import _coefficient_form, _form_multipliers, gl_matrix, quadratic_form_alpha
 from .functional import ProblemSpec, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
@@ -63,6 +72,13 @@ _KAPPA_EXPONENTS = (3.0, 4.0)
 _TOLERANCE = 1e-8
 # Nodes of the well interval on which the verification checks run.
 _WELL_POINTS = 257
+# A Gaussian exp(-d^2 / (2 w^2)) is exactly 0.0 in float64 once its exponent
+# is below -746, that is past w * sqrt(1492) from its centre.
+_GAUSS_REACH = math.sqrt(1492.0)
+# Line samples per rfft in verify_embeddings.  Small on purpose: the peak RSS
+# of `fracham verify` is 0.1 MB above one sample at a time with 8 rows, and
+# 0.5 MB with 16, but 10.7 MB with 64.
+_CHUNK = 8
 
 
 def norm_h_alpha(u: GridFunction, alpha: float) -> float:
@@ -102,11 +118,22 @@ def extremal_profile(grid: RealLineGrid, alpha: float) -> GridFunction:
     return GridFunction(grid, prof)
 
 
+def _support(grid: RealLineGrid, c: float, reach: float) -> slice:
+    """Nodes with ``|t - c| < reach``, padded by two nodes on each side."""
+    h = grid.spacing
+    lo = max(math.floor((c - reach + grid.halfwidth) / h) - 2, 0)
+    hi = min(math.ceil((c + reach + grid.halfwidth) / h) + 3, grid.num_points)
+    return slice(lo, hi)
+
+
 def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: int) -> np.ndarray:
     """One random scalar sample from the documented generator families.
 
     Family 0: mixtures of 1-3 Gaussians; family 1: mixtures of compactly
-    supported polynomial bumps; family 2: random band-limited fields.
+    supported polynomial bumps; family 2: random band-limited fields.  Each
+    bump is evaluated only on the nodes where it can be nonzero: outside
+    them the full-grid formula adds an exact ``0.0``, so the values are the
+    same bits either way.
     """
     t = grid.nodes
     r = grid.halfwidth
@@ -116,7 +143,8 @@ def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: i
         for _ in range(k):
             c = rng.uniform(-0.5 * r, 0.5 * r)
             wdt = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
-            vals += rng.normal() * np.exp(-((t - c) ** 2) / (2.0 * wdt**2))
+            win = _support(grid, c, _GAUSS_REACH * wdt)
+            vals[win] += rng.normal() * np.exp(-((t[win] - c) ** 2) / (2.0 * wdt**2))
         return vals
     if family == 1:
         k = int(rng.integers(1, 4))
@@ -124,8 +152,9 @@ def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: i
         for _ in range(k):
             c = rng.uniform(-0.5 * r, 0.5 * r)
             wdt = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
-            s = np.clip(1.0 - ((t - c) / wdt) ** 2, 0.0, None)
-            vals += rng.normal() * s**3
+            win = _support(grid, c, wdt)
+            s = np.maximum(1.0 - ((t[win] - c) / wdt) ** 2, 0.0)
+            vals[win] += rng.normal() * s**3
         return vals
     if family == 2:
         wmax = math.exp(rng.uniform(0.0, math.log(50.0)))
@@ -251,9 +280,13 @@ def estimate_embedding_constants(
     )
 
 
-def _interval_ratios(alpha: float, p: float, u_vals: np.ndarray, grid: IntervalGrid) -> dict:
-    """Two-sided evaluation of the interval embedding inequalities at one p."""
-    du = gl_matrix(grid, alpha) @ u_vals
+def _interval_ratios(
+    alpha: float, p: float, u_vals: np.ndarray, du: np.ndarray, grid: IntervalGrid
+) -> dict:
+    """Two-sided evaluation of the interval embedding inequalities at one p.
+
+    ``du`` is the GL derivative ``B u`` of ``u_vals``, shared by every ``p``.
+    """
     length = grid.upper - grid.lower
     dlp = grid.integrate(np.abs(du) ** p) ** (1.0 / p)
     if dlp == 0.0:
@@ -267,6 +300,53 @@ def _interval_ratios(alpha: float, p: float, u_vals: np.ndarray, grid: IntervalG
         * dlp
     )
     return {"lp": ulp / lp_bound, "sup": float(np.max(np.abs(u_vals))) / sup_bound}
+
+
+def _power(mag: np.ndarray, p: float) -> np.ndarray:
+    """``mag ** p`` for ``mag >= 0``, skipping the entries that underflow.
+
+    Below ``2**(-1080/p)`` the exact power is under 1/64 of the smallest
+    subnormal, so a ``pow`` accurate to within one ulp returns ``+0.0``
+    there, through its slow underflow path.  Those entries are set to
+    ``0.0`` without the call, which gives the same bits sooner.
+    """
+    out = np.zeros_like(mag)
+    keep = mag >= 2.0 ** (-1080.0 / p)
+    out[keep] = mag[keep] ** p
+    return out
+
+
+def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndarray, ...]:
+    """Per-row ``sup|u|``, ``||u||_L2^2``, ``||u||_Lp^p``, ``|u|_alpha^2``, ``||u||_X^2``.
+
+    ``block`` stacks scalar line samples; for ``||u||_X`` each row is lifted
+    into component 0 of an ``spec.n``-component field.  One rfft serves the
+    whole stack and both forms, and the squares are taken once.  Every sum
+    runs over the same values in the same order as :func:`norm_h_alpha`,
+    :func:`norm_x_lambda` and ``grid.integrate`` on one sample, so each
+    result is the same bits.
+    """
+    grid = spec.grid
+    h = grid.spacing
+    mag = np.abs(block)
+    sq = block * block
+    coeffs = np.fft.rfft(block[..., None], axis=-2)
+    frac = _coefficient_form(grid, spec.alpha, coeffs, coeffs)
+    xfrac, xsq = frac, sq[..., None]
+    if spec.n > 1:
+        wide = np.zeros(coeffs.shape[:-1] + (spec.n,), dtype=coeffs.dtype)
+        wide[..., :1] = coeffs
+        xfrac = _coefficient_form(grid, spec.alpha, wide, wide)
+        xsq = np.zeros(block.shape + (spec.n,))
+        xsq[..., 0] = sq
+    pot = h * np.sum(_operator(spec).ldiag * xsq, axis=(-2, -1))
+    return (
+        np.max(mag, axis=-1),
+        h * np.sum(sq, axis=-1),
+        h * np.sum(_power(mag, p), axis=-1),
+        frac,
+        xfrac + spec.lam * pot,
+    )
 
 
 def verify_embeddings(
@@ -316,46 +396,47 @@ def verify_embeddings(
             )
 
     n_line = max(samples, 1)
-    for i in range(n_line):
-        fam = i % 3
-        vals = sample_line_function(grid, rng, fam)
-        sid = f"line/{fam}/{i}"
-        na = norm_h_alpha(GridFunction(grid, vals), alpha)
-        if na == 0.0:
-            continue
-        lifted = np.zeros((grid.num_points, spec.n))
-        lifted[:, 0] = vals
-        nx = norm_x_lambda(GridFunction(grid, lifted), spec)
-        sup = float(np.max(np.abs(vals)))
-        l2sq = grid.integrate(vals**2)
-        lppow = grid.integrate(np.abs(vals) ** p)
-        record("sup_le_cinf_norm_alpha", sup / (constants.c_infinity * na), sid, vals, grid)
-        if nx > 0.0:
-            record("l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2, sid, vals, grid)
-            record(
-                "alphasq_le_equiv_xnormsq",
-                na**2 / ((1.0 + 1.0 / constants.theta) * nx**2),
-                sid,
-                vals,
-                grid,
-            )
-            record(
-                "lp_le_kappa_xnorm",
-                lppow / (constants.kappa(p) ** p * nx**p),
-                sid,
-                vals,
-                grid,
-            )
-        if sup > 0.0 and l2sq > 0.0:
-            record("interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq), sid, vals, grid)
+    for start in range(0, n_line, _CHUNK):
+        ids = range(start, min(start + _CHUNK, n_line))
+        block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
+        sups, l2sqs, lppows, frac, xnormsq = _line_stats(block, spec, p)
+        for j, i in enumerate(ids):
+            fam = i % 3
+            vals = block[j]
+            sid = f"line/{fam}/{i}"
+            sup, l2sq, lppow = float(sups[j]), float(l2sqs[j]), float(lppows[j])
+            na = math.sqrt(l2sq + float(frac[j]))
+            if na == 0.0:
+                continue
+            nx = math.sqrt(max(float(xnormsq[j]), 0.0))
+            record("sup_le_cinf_norm_alpha", sup / (constants.c_infinity * na), sid, vals, grid)
+            if nx > 0.0:
+                record("l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2, sid, vals, grid)
+                record(
+                    "alphasq_le_equiv_xnormsq",
+                    na**2 / ((1.0 + 1.0 / constants.theta) * nx**2),
+                    sid,
+                    vals,
+                    grid,
+                )
+                record(
+                    "lp_le_kappa_xnorm",
+                    lppow / (constants.kappa(p) ** p * nx**p),
+                    sid,
+                    vals,
+                    grid,
+                )
+            if sup > 0.0 and l2sq > 0.0:
+                record("interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq), sid, vals, grid)
 
     igrid = spec.well_interval(_WELL_POINTS).grid
     n_int = max(samples // 4, 1)
     for i in range(n_int):
         vals = sample_interval_function(igrid, rng, i % 2)
         sid = f"interval/{i % 2}/{i}"
+        du = gl_matrix(igrid, alpha) @ vals
         for pp in (2.0, p):
-            ratios = _interval_ratios(alpha, pp, vals, igrid)
+            ratios = _interval_ratios(alpha, pp, vals, du, igrid)
             record("interval_lp_gl", ratios["lp"], f"{sid}/p{pp}", vals, igrid)
             record("interval_sup_gl", ratios["sup"], f"{sid}/p{pp}", vals, igrid)
 

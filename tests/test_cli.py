@@ -268,6 +268,27 @@ def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
     assert 0 < len(ffts) <= 20
 
 
+def test_verify_fft_budget(tmp_path, capsys, monkeypatch):
+    """``verify`` transforms its line samples in chunks: far fewer FFTs than samples.
+
+    The default campaign makes 1,410 calls (958 ``rfft``, 451 ``irfft``, one
+    ``ifft``); one transform per embedding sample would add about 875, two
+    about 1,875.
+    """
+    ffts = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            ffts.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    assert main(["verify", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert 0 < len(ffts) <= 1_600
+
+
 def _package_env():
     src = str(pathlib.Path(fracham.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -172,13 +172,16 @@ def test_sweep_report_structure(sweep_report, constants, ctilde):
     for r in recs:
         assert sweep_report.eta - 1e-9 <= r["level"] <= sweep_report.ctilde + 1e-9
         assert r["identity_ok"] and r["c6_ok"]
+        assert r["counters"]["newton_steps"] >= 0 and r["counters"]["inserted"] >= 0
     assert sweep_report.observed_admissible_lambda == 1.0
     assert sweep_report.lambda_floor == constants.lambda_floor
     assert abs(sweep_report.ctilde - ctilde) < 1e-12 * ctilde
     assert sweep_report.bvp_el_residual <= 1e-10
     assert sweep_report.alignment_error <= 0.01
     payload = sweep_report.to_dict()
-    assert json.loads(canonical_json(payload))["rho"] == sweep_report.rho
+    decoded = json.loads(canonical_json(payload))
+    assert decoded["rho"] == sweep_report.rho
+    assert [r["counters"] for r in decoded["records"]] == [r["counters"] for r in recs]
 
 
 def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve, bvp_result):
@@ -188,6 +191,7 @@ def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve
     assert rec["level"] == default_solve.level
     assert rec["iterations"] == default_solve.iterations
     assert rec["residual"] == default_solve.residual
+    assert rec["counters"] == default_solve.diagnostics["counters"]
     assert rep.bvp_reference.level == bvp_result.level
 
 

@@ -1,6 +1,7 @@
 """Norms, embedding constants, and the randomized inequality verifier."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from fracham import (
     quadratic_form_alpha,
     verify_embeddings,
 )
+from fracham import spaces
 from fracham.errors import DomainError, EmbeddingViolation
+from fracham.fracops import gl_matrix
 from fracham.problem import PotentialSpec
 from fracham.spaces import (
     EmbeddingConstants,
@@ -135,20 +138,23 @@ def test_verify_embeddings_rejects_parameter_below_floor(spec10, constants):
 
 
 def test_verify_embeddings_flags_a_false_constant(spec10, constants):
-    """An understated sup constant must surface as a violation with a sample."""
-    fake_c = 0.2 * constants.c_infinity
-    fake = EmbeddingConstants(
-        alpha=constants.alpha,
-        c_infinity=fake_c,
-        c_infinity_raw=fake_c / constants.safety,
-        safety=constants.safety,
-        meas_lc=constants.meas_lc,
-        c_level=constants.c_level,
-    )
-    with pytest.raises(EmbeddingViolation) as err:
-        verify_embeddings(50, spec10.with_lambda(fake.lambda_floor), constants=fake, seed=3)
-    assert err.value.detail["ratio"] > 1.0
-    assert err.value.sample is not None
+    """An understated sup constant must surface as a violation with a sample.
+
+    The violation names the sample a one-at-a-time loop fails at; with the
+    milder understatement that sample lies past the first chunk, off a
+    chunk's first row.
+    """
+    for factor, samples in ((0.2, 50), (0.71, 61)):
+        fake = _understated(constants, factor)
+        spec = spec10.with_lambda(fake.lambda_floor)
+        with pytest.raises(EmbeddingViolation) as err:
+            verify_embeddings(samples, spec, constants=fake, seed=3)
+        assert err.value.detail["ratio"] > 1.0
+        assert err.value.sample is not None
+        _, hit = _reference_embeddings(samples, spec, fake, seed=3)
+        assert (err.value.detail["name"], err.value.detail["sample_id"]) == hit
+    index = int(hit[1].split("/")[2])
+    assert index > spaces._CHUNK and index % spaces._CHUNK != 0
 
 
 def test_interval_samples_vanish_at_endpoints():
@@ -171,3 +177,154 @@ def test_norm_domain_checks(line_grid, spec10):
         )
     with pytest.raises(DomainError):
         sample_line_function(line_grid, np.random.default_rng(0), 7)
+
+
+def _full_grid_bumps(grid, rng, family, drawn):
+    """Families 0 and 1 of :func:`sample_line_function`, each bump on every node."""
+    t = grid.nodes
+    r = grid.halfwidth
+    k = int(rng.integers(1, 4))
+    vals = np.zeros_like(t)
+    for _ in range(k):
+        c = rng.uniform(-0.5 * r, 0.5 * r)
+        if family == 0:
+            wdt = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+            vals += rng.normal() * np.exp(-((t - c) ** 2) / (2.0 * wdt**2))
+            reach = math.sqrt(1492.0) * wdt
+        else:
+            wdt = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
+            s = np.clip(1.0 - ((t - c) / wdt) ** 2, 0.0, None)
+            vals += rng.normal() * s**3
+            reach = wdt
+        drawn.append((c, wdt, reach))
+    return vals
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [RealLineGrid(20.0, 4096), RealLineGrid(1.0, 256), RealLineGrid(40.0, 64), RealLineGrid(7.3, 1024)],
+    ids=["default", "narrow-box", "coarse", "odd-halfwidth"],
+)
+def test_windowed_bumps_match_the_full_grid_formula(grid):
+    """Bumps evaluated on their support only are the full-grid values, bit for bit."""
+    seed = 20260816
+    fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = []
+    for i in range(300):
+        fam = i % 2
+        got = sample_line_function(grid, fast, fam)
+        want = _full_grid_bumps(grid, oracle, fam, drawn)
+        assert got.tobytes() == want.tobytes(), (i, fam)
+    assert fast.bit_generator.state == oracle.bit_generator.state
+    r, h = grid.halfwidth, grid.spacing
+    assert any(c - reach < -r for c, _, reach in drawn)
+    assert any(c + reach > r for c, _, reach in drawn)
+    if h > 0.05:
+        assert any(wdt < h for _, wdt, _ in drawn)
+
+
+def _understated(constants, factor):
+    fake_c = factor * constants.c_infinity
+    return EmbeddingConstants(
+        alpha=constants.alpha,
+        c_infinity=fake_c,
+        c_infinity_raw=fake_c / constants.safety,
+        safety=constants.safety,
+        meas_lc=constants.meas_lc,
+        c_level=constants.c_level,
+    )
+
+
+def _reference_embeddings(samples, spec, constants, seed):
+    """One sample at a time, through the public norms, with the GL matvec per exponent.
+
+    Returns the worst-ratio entries and the first violation ``(name, id)``,
+    or ``None``.  Each line sample is component 0 of an ``spec.n`` field.
+    """
+    rng = np.random.default_rng(seed)
+    grid, alpha, p = spec.grid, spec.alpha, 4.0
+    worst = {}
+
+    def record(name, ratio, sid):
+        entry = worst.setdefault(
+            name, {"name": name, "worst_ratio": 0.0, "argmax_sample_id": None, "samples": 0}
+        )
+        entry["samples"] += 1
+        if ratio > entry["worst_ratio"]:
+            entry["worst_ratio"], entry["argmax_sample_id"] = ratio, sid
+        return (name, sid) if ratio > 1.0 + 1e-8 else None
+
+    def line_ratios(vals):
+        na = norm_h_alpha(GridFunction(grid, vals), alpha)
+        if na == 0.0:
+            return
+        lifted = np.zeros((grid.num_points, spec.n))
+        lifted[:, 0] = vals
+        nx = norm_x_lambda(GridFunction(grid, lifted), spec)
+        sup = float(np.max(np.abs(vals)))
+        l2sq = grid.integrate(vals**2)
+        lppow = grid.integrate(np.abs(vals) ** p)
+        yield "sup_le_cinf_norm_alpha", sup / (constants.c_infinity * na)
+        if nx > 0.0:
+            yield "l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2
+            yield "alphasq_le_equiv_xnormsq", na**2 / ((1.0 + 1.0 / constants.theta) * nx**2)
+            yield "lp_le_kappa_xnorm", lppow / (constants.kappa(p) ** p * nx**p)
+        if sup > 0.0 and l2sq > 0.0:
+            yield "interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq)
+
+    for i in range(max(samples, 1)):
+        vals = sample_line_function(grid, rng, i % 3)
+        sid = f"line/{i % 3}/{i}"
+        for name, ratio in line_ratios(vals):
+            if (hit := record(name, ratio, sid)) is not None:
+                return worst, hit
+
+    igrid = spec.well_interval(257).grid
+    length = igrid.upper - igrid.lower
+    for i in range(max(samples // 4, 1)):
+        vals = sample_interval_function(igrid, rng, i % 2)
+        sid = f"interval/{i % 2}/{i}"
+        for pp in (2.0, p):
+            dlp = igrid.integrate(np.abs(gl_matrix(igrid, alpha) @ vals) ** pp) ** (1.0 / pp)
+            lp = sup = 0.0
+            if dlp != 0.0:
+                q = pp / (pp - 1.0)
+                ulp = igrid.integrate(np.abs(vals) ** pp) ** (1.0 / pp)
+                lp = ulp / (length**alpha / math.gamma(alpha + 1.0) * dlp)
+                sup_bound = (
+                    length ** (alpha - 1.0 / pp)
+                    / (math.gamma(alpha) * ((alpha - 1.0) * q + 1.0) ** (1.0 / q))
+                    * dlp
+                )
+                sup = float(np.max(np.abs(vals))) / sup_bound
+            for name, ratio in (("interval_lp_gl", lp), ("interval_sup_gl", sup)):
+                if (hit := record(name, ratio, f"{sid}/p{pp}")) is not None:
+                    return worst, hit
+    return worst, None
+
+
+def test_chunked_embeddings_match_a_per_sample_loop(spec10, constants):
+    """Worst ratios and argmax ids are exact, for n = 1 and n = 2, off the chunk size."""
+    samples = 61
+    assert samples % spaces._CHUNK != 0
+    vector = dataclasses.replace(
+        spec10,
+        n=2,
+        potential=dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+    )
+    for spec in (spec10, vector):
+        for seed in (3, 20260816):
+            want, hit = _reference_embeddings(samples, spec, constants, seed)
+            assert hit is None
+            got = verify_embeddings(samples, spec, constants=constants, seed=seed)["inequalities"]
+            assert got == want, (spec.n, seed)
+
+
+def test_underflowing_powers_are_zero():
+    """``_power`` skips only entries whose ``pow`` is exactly ``0.0``."""
+    rng = np.random.default_rng(5)
+    for p in (2.0, 3.0, 4.0):
+        below = 2.0 ** (-1080.0 / p) * rng.uniform(0.0, 1.0, 10_000)
+        assert np.all(below**p == 0.0) and not np.any(np.signbit(below**p))
+        mixed = np.concatenate([below, np.abs(rng.normal(size=1000)), [0.0, 1e-300, 1e-80]])
+        assert spaces._power(mixed, p).tobytes() == (mixed**p).tobytes()
