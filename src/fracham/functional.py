@@ -25,8 +25,8 @@ only these primitives:
 * ``form(u, v)``, the batched bilinear form of the quadratic part: the
   spectral form (:func:`fracham.fracops._spectral_form`) plus
   ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
-* ``wint(u)`` and ``wslope(u, d)``, the batched ``W`` integral and its
-  derivative along ``d``, with the grid's quadrature;
+* ``quadrature(rows)``, the grid's quadrature of each row of nodal values:
+  ``h`` times the sum on the line, the trapezoid rule on the interval;
 * ``dofs``, the nodes that are degrees of freedom: all of them on the line,
   the interior ones on the interval;
 * ``apply_metric`` and ``solve_metric`` on the degrees of freedom: on the
@@ -39,15 +39,17 @@ only these primitives:
   trapezoid weights on the interval), and ``pairing``, the scale in
   ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
 
-From them the base class builds ``xnormsq(u) = form(u, u)``, ``energies``
-(one value per row of a stack, bit for bit that row on its own), ``energy``,
-``xnorm``, the stationarity ``residual``, the metric ``gradient`` and
-``newton_step``, MINRES on the degrees of freedom preconditioned by
-``solve_metric``, which also reports its iteration count.  The public
-functions (``energy``, ``derivative_action``, ``gradient_rep``,
-``h_identity``; the ``bvp_*`` names are the same functions) take either spec
-and reach the domain only through its operator; an interval argument must
-vanish exactly at both endpoints.
+From them the base class builds ``wint(u)`` and ``wslope(u, d)``, the
+batched ``W`` integral and its derivative along ``d``;
+``xnormsq(u) = form(u, u)``; ``energies`` (one value per row of a stack,
+bit for bit that row on its own), ``energy`` and ``xnorm``; the stationarity
+``residual``, the metric ``gradient`` and ``newton_step``, MINRES on the
+degrees of freedom preconditioned by ``solve_metric``, which also reports
+its iteration count.  The public functions (``energy``,
+``derivative_action``, ``gradient_rep``, ``h_identity``; the ``bvp_*``
+names are the same functions) take either spec and reach the domain only
+through its operator; an interval argument must vanish exactly at both
+endpoints.
 
 ``segment_forms(a, b)`` returns ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the
 quadratic part ``Q``; the line shares one rfft of the stacked pair among the
@@ -56,7 +58,11 @@ three.  Along the segment from ``a`` to ``b``, ``Q`` is exactly
 three reductions plus one ``wint`` per coarse trial point and one ``wslope``
 per step of the root search for the crest, with no transform.  The crest
 value the solver reports is re-evaluated with ``energy`` (see
-:func:`fracham.mpa._measure_segment`).
+:func:`fracham.mpa._measure_segment`).  ``wint``, ``wslope`` and
+``energies`` take a ``span`` of nodes off which ``u`` is exactly ``+0.0``:
+``W`` and its slope are evaluated on the span only and the rest of each row
+is filled with exact zeros, so the quadrature sums the same row and the
+result keeps every bit.
 
 The shipped potentials equal their grid maximum outside a bounded well, so
 per component the line metric ``A`` is an operator diagonal in frequency
@@ -172,6 +178,10 @@ def _values(u: GridFunction, spec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The span of every node: evaluations on it take the whole-grid path, with no copy.
+_ALL = slice(None)
+
+
 @functools.lru_cache(maxsize=None)
 def _operator(spec):
     """The cached operator of a line or interval spec."""
@@ -191,11 +201,42 @@ class _OperatorBase:
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.form(vals, vals)
 
-    def energies(self, vals: np.ndarray) -> np.ndarray:
-        return 0.5 * self.xnormsq(vals) - self.wint(vals)
+    def energies(self, vals: np.ndarray, span: slice = _ALL) -> np.ndarray:
+        """Energies of a stack; ``W`` is integrated from the nodes ``span`` (see ``wint``)."""
+        return 0.5 * self.xnormsq(vals) - self.wint(vals[..., span, :], span)
 
-    def energy(self, vals: np.ndarray) -> float:
-        return float(self.energies(vals))
+    def energy(self, vals: np.ndarray, span: slice = _ALL) -> float:
+        return float(self.energies(vals, span))
+
+    def wint(self, vals: np.ndarray, span: slice = _ALL) -> np.ndarray:
+        """The quadrature of ``W(t, u)``, one value per candidate.
+
+        ``vals`` holds ``u`` on the nodes ``span``.  Off them ``u`` must be
+        exactly ``+0.0``, where ``W`` is exactly zero and is not evaluated.
+        """
+        w = _weighted_w(self.spec.nonlinearity, self.weight[span], vals)
+        return self.quadrature(self._full_rows(w, span))
+
+    def wslope(self, vals: np.ndarray, d: np.ndarray, span: slice = _ALL) -> np.ndarray:
+        """The quadrature of ``grad W(t, u) . d``: the derivative of ``wint`` along ``d``.
+
+        ``vals`` and ``d`` hold ``u`` and ``d`` on the nodes ``span``, as in ``wint``.
+        """
+        slope = _weighted_slope(self.spec.nonlinearity, self.weight[span], vals, d)
+        return self.quadrature(self._full_rows(slope, span))
+
+    def _full_rows(self, part: np.ndarray, span: slice) -> np.ndarray:
+        """Whole-grid rows holding ``part`` on ``span`` and exact zeros elsewhere.
+
+        ``quadrature`` then reduces the same rows as a whole-grid evaluation
+        would, in the same order, so the span changes no bit of the result.
+        """
+        num = self.spec.grid.num_points
+        if part.shape[-1] == num:
+            return part
+        rows = np.zeros(part.shape[:-1] + (num,))
+        rows[..., span] = part
+        return rows
 
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
@@ -304,16 +345,9 @@ class _LineOperator(_OperatorBase):
         # The symbol's maximum plus the diagonal potential's bounds |A|_2.
         self.metric_bound = float(np.max(self.multiplier) + spec.lam * np.max(self.ldiag))
 
-    def wint(self, vals: np.ndarray) -> np.ndarray:
-        """The integral of ``W(t, u)``, one value per candidate."""
-        spec = self.spec
-        return spec.grid.spacing * np.sum(_weighted_w(spec.nonlinearity, self.weight, vals), axis=-1)
-
-    def wslope(self, vals: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """The integral of ``grad W(t, u) . d``: the derivative of ``wint`` along ``d``."""
-        spec = self.spec
-        slope = _weighted_slope(spec.nonlinearity, self.weight, vals, d)
-        return spec.grid.spacing * np.sum(slope, axis=-1)
+    def quadrature(self, rows: np.ndarray) -> np.ndarray:
+        """``h`` times the sum of each row of nodal values."""
+        return self.spec.grid.spacing * np.sum(rows, axis=-1)
 
     def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The weighted inner product ``<u, v>_X``: spectral part plus ``lambda (L u, v)``."""
@@ -404,16 +438,10 @@ class _IntervalOperator(_OperatorBase):
         self.metric_bound = float(np.max(np.sum(np.abs(stiffness), axis=1)))
         self.quad = spec.grid.trapezoid_weights[1:-1, None]
 
-    def wint(self, vals: np.ndarray) -> np.ndarray:
-        """The trapezoid integral of ``W(t, u)``, one value per candidate."""
-        wv = _weighted_w(self.spec.nonlinearity, self.weight, vals)
+    def quadrature(self, rows: np.ndarray) -> np.ndarray:
+        """The trapezoid rule on each row of nodal values."""
         # Per-row dot products: the arithmetic of IntervalGrid.integrate.
-        return np.vecdot(wv, self.spec.grid.trapezoid_weights)
-
-    def wslope(self, vals: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """The trapezoid integral of ``grad W(t, u) . d``, one value per candidate."""
-        slope = _weighted_slope(self.spec.nonlinearity, self.weight, vals, d)
-        return np.vecdot(slope, self.spec.grid.trapezoid_weights)
+        return np.vecdot(rows, self.spec.grid.trapezoid_weights)
 
     def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The stiffness pairing ``h (B u) . (B v)``."""

@@ -410,12 +410,32 @@ class _Segment:
     value: float
 
 
-def _segment_energies(op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray) -> np.ndarray:
-    """Energies at ``(1 - th) a + th b`` from ``forms = op.segment_forms(a, b)``."""
+def _support(*vals: np.ndarray) -> slice:
+    """The nodes from the first to the last where some ``vals`` has a component other than ``+0.0``.
+
+    Off the span of a segment's two ends every point ``(1 - th) a + th b``
+    of the segment is exactly ``+0.0``.
+    """
+    nodes = np.flatnonzero(np.any([np.signbit(v) | (v != 0.0) for v in vals], axis=(0, -1)))
+    if nodes.size == 0:
+        return slice(0, 0)
+    return slice(int(nodes[0]), int(nodes[-1]) + 1)
+
+
+def _segment_energies(
+    op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray, span: slice = slice(None)
+) -> np.ndarray:
+    """Energies at ``(1 - th) a + th b`` from ``forms = op.segment_forms(a, b)``.
+
+    ``W`` is evaluated on the nodes ``span`` only, off which ``a`` and ``b``
+    must be exactly ``+0.0`` (see :func:`_support`).
+    """
     qa, qab, qb = forms
     s = 1.0 - thetas
-    rows = max(1, (_STACK_VALUES - 1) // a.size)
-    wint = [op.wint(s[i : i + rows, None, None] * a + thetas[i : i + rows, None, None] * b)
+    a, b = a[span], b[span]
+    # Both the stack on the span and the whole-grid W rows stay below the limit.
+    rows = max(1, (_STACK_VALUES - 1) // max(a.size, op.spec.grid.num_points))
+    wint = [op.wint(s[i : i + rows, None, None] * a + thetas[i : i + rows, None, None] * b, span)
             for i in range(0, len(thetas), rows)]
     quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb
     return 0.5 * quad - np.concatenate(wint)
@@ -429,9 +449,15 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
         Q((1 - th) a + th b) = (1 - th)^2 Q(a) + 2 th (1 - th) B(a, b) + th^2 Q(b),
 
     so three reductions (``op.segment_forms``) serve every point, and each
-    trial point costs one ``W`` integral (``op.wint``) and no transform.  A
-    batched coarse scan of the interior picks the best cell.  The crest is
-    then a root of the slope
+    trial point costs one ``W`` integral (``op.wint``) and no transform.
+    ``W`` and its slope are evaluated only on the segment's support, the
+    span of nodes found once by :func:`_support`: off it every ``u_th`` is
+    exactly ``+0.0``, so ``W`` and ``grad W . (b - a)`` are exactly zero
+    there, and the operator fills them in as zeros and sums the same rows as
+    a whole-grid evaluation.  A segment from the cold path's zero node or
+    bump nodes costs ``W`` on the bump's support only; every result keeps
+    its bits.  A batched coarse scan of the interior picks the best cell.
+    The crest is then a root of the slope
 
         E'(th) = -(1 - th) Q(a) + (1 - 2 th) B(a, b) + th Q(b) - int grad W(u_th) . (b - a),
 
@@ -450,27 +476,30 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
     round-off, and an excess of one ulp would make the path engine insert a
     duplicate of the node.
     """
+    span = _support(a, b)
     forms = op.segment_forms(a, b)
     qa, qab, qb = forms
     d = b - a
 
     def slope(th: float) -> float:
-        u = (1.0 - th) * a + th * b
-        return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - float(op.wslope(u, d))
+        # An end of the segment is that node, whose own support may be narrower.
+        on = span if 0.0 < th < 1.0 else _support(b if th else a)
+        u = (1.0 - th) * a[on] + th * b[on]
+        return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - float(op.wslope(u, d[on], on))
 
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
-    best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas)))])
-    span = thetas[1] - thetas[0]
-    lo = max(0.0, best - span)
-    hi = min(1.0, best + span)
+    best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas, span)))])
+    cell = thetas[1] - thetas[0]
+    lo = max(0.0, best - cell)
+    hi = min(1.0, best + cell)
     theta = _slope_crest(slope, best, lo, hi)
     if theta in (lo, hi) and 0.0 < theta < 1.0:  # no root before an interior neighbour
         theta = best
     if theta <= _ROOT_TOL:
-        return _Segment(theta=_ROOT_TOL, value=op.energy(a))
+        return _Segment(theta=_ROOT_TOL, value=op.energy(a, _support(a)))
     if theta >= 1.0 - _ROOT_TOL:
-        return _Segment(theta=1.0 - _ROOT_TOL, value=op.energy(b))
-    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b))
+        return _Segment(theta=1.0 - _ROOT_TOL, value=op.energy(b, _support(b)))
+    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b, span))
 
 
 class _PathEngine:
@@ -510,11 +539,18 @@ class _PathEngine:
             )
 
     def insert(self, j: int) -> int:
-        """Materialize segment ``j``'s measured crest as a node; returns its index."""
-        th = self.segments[j].theta
-        new = (1.0 - th) * self.nodes[j] + th * self.nodes[j + 1]
+        """Materialize segment ``j``'s measured crest as a node; returns its index.
+
+        The node's energy is the segment's measured value: ``_measure_segment``
+        evaluated ``op.energy`` at this very point, with the same arithmetic.
+        A crest is inserted only when its value exceeds every node energy, so
+        never a crest clamped to an end node (``th = _ROOT_TOL`` from it),
+        whose value is that node's own energy.
+        """
+        seg = self.segments[j]
+        new = (1.0 - seg.theta) * self.nodes[j] + seg.theta * self.nodes[j + 1]
         self.nodes.insert(j + 1, new)
-        self.energies.insert(j + 1, self.op.energy(new))
+        self.energies.insert(j + 1, seg.value)
         self.segments.pop(j)
         self.segments.insert(
             j, _measure_segment(self.op, self.nodes[j], self.nodes[j + 1])
