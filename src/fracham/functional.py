@@ -284,8 +284,9 @@ class _OperatorBase:
         def precond(x: np.ndarray) -> np.ndarray:
             return self.solve_metric(x.reshape(shape)).ravel()
 
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess)
-        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond)
+        # An explicit dtype spares scipy's probe, one matvec on an int8 zero vector each.
+        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess, dtype=np.float64)
+        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond, dtype=np.float64)
         iterations = []
         step, info = scipy.sparse.linalg.minres(
             op, -r[d].ravel(), rtol=1e-11, M=pre, callback=lambda xk: iterations.append(1)
@@ -321,7 +322,7 @@ class _MetricFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._fft_solve(rhs)
-        lifted = rhs.astype(np.float64)  # a copy; LinearOperator probes with int8
+        lifted = rhs.copy()  # the well correction adds into it in place
         for c, (idx, q, cho) in enumerate(self.wells):
             lifted[idx, c] += q * scipy.linalg.cho_solve(cho, q * y[idx, c])
         return self._fft_solve(lifted)

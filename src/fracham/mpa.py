@@ -6,9 +6,15 @@ The solver realizes the min-max level
 
 on a discrete polyline.  The reported level is the measured maximum over the
 whole piecewise-linear path (node energies plus per-segment interior maxima,
-each segment scanned coarsely and its crest found as a root of the energy's
-slope along the segment), so it is an honest upper bound for the min-max
-value on that polyline, not just the best node energy.  Each iteration:
+each segment certified monotone or scanned coarsely and its crest found as a
+root of the energy's slope along the segment), so it is an honest upper
+bound for the min-max value on that polyline, not just the best node energy.
+For a ``W`` convex in ``u`` (the ``pure_power`` family) the slope of the
+``W`` integral never decreases along a segment while the quadratic part's
+slope is linear, so one slope evaluation at an end bounds the energy's
+slope on the whole segment; a segment whose bound clears zero by a
+round-off margin is monotone, its maximum is its higher end and it is not
+scanned (see ``_measure_segment``).  Each iteration:
 
 1. selects the crest: if a segment's interior maximum exceeds every node
    energy, that interior point is inserted as a new node (converting an
@@ -29,7 +35,9 @@ current level and away from zero, so it refines the same critical point
 rather than escaping the path structure.  Of the path nodes within
 ``1e-12`` relative of the top energy, the solver reports the one with the
 smallest weighted residual.  The solve's ``diagnostics["counters"]`` count
-path events and the polishes' ``newton_steps`` and ``minres_iterations``.
+path events, the polishes' ``newton_steps`` and ``minres_iterations``, and
+the ``segments`` measured and the ``segment_scans`` among them that ran the
+coarse scan.
 
 A solve is one run, from the straight path ``0 -> e`` or, warm-started on
 the line, from the path ``0 -> guess -> e``, and the Newton endgame is always
@@ -89,6 +97,9 @@ _COARSE = 15
 # _ROOT_ITERS evaluations; a segment crest this close to an end is that end.
 _ROOT_TOL = 1e-9
 _ROOT_ITERS = 60
+# A monotonicity certificate must clear zero by this much relative to the
+# magnitudes of the segment's slope terms (see _measure_segment).
+_MONOTONE_MARGIN = 1e-10
 # The Newton polish starts once the weighted residual is below this fraction
 # of 1 + |level|.
 _POLISH_TRIGGER = 3e-2
@@ -369,8 +380,9 @@ def construct_e(
     if np.any(op.ldiag * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
 
+    span = _support(psi.values)
     sigma = _doubling_scan(
-        lambda s: op.energy(s * psi.values) < 0.0 and op.xnorm(s * psi.values) > rho,
+        lambda s: op.energy(s * psi.values, span) < 0.0 and op.xnorm(s * psi.values) > rho,
         "no negative-energy endpoint within the doubling cap; the "
         "nonlinearity is too weak on this grid",
     )
@@ -408,6 +420,7 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
 class _Segment:
     theta: float
     value: float
+    scanned: bool = True  # false when monotonicity was certified without a scan
 
 
 def _support(*vals: np.ndarray) -> slice:
@@ -441,7 +454,9 @@ def _segment_energies(
     return 0.5 * quad - np.concatenate(wint)
 
 
-def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
+def _measure_segment(
+    op, a: np.ndarray, b: np.ndarray, ends: tuple[float, float] | None = None
+) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
     Along the segment the quadratic part of the energy is exactly
@@ -456,12 +471,32 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
     there, and the operator fills them in as zeros and sums the same rows as
     a whole-grid evaluation.  A segment from the cold path's zero node or
     bump nodes costs ``W`` on the bump's support only; every result keeps
-    its bits.  A batched coarse scan of the interior picks the best cell.
-    The crest is then a root of the slope
+    its bits.  The slope of the energy along the segment is
 
-        E'(th) = -(1 - th) Q(a) + (1 - 2 th) B(a, b) + th Q(b) - int grad W(u_th) . (b - a),
+        E'(th) = q'(th) - S(th),   q'(th) = (B - Q(a)) + th (Q(a) - 2 B + Q(b)),
+        S(th) = int grad W(u_th) . (b - a),
 
-    one ``op.wslope`` row per evaluation: near the crest ``E`` is flat to
+    one ``op.wslope`` row per evaluation of ``S``.
+
+    ``ends`` holds the energies ``(E(a), E(b))`` the caller already knows.
+    Given them, a segment of a convex ``W`` (the ``pure_power`` family:
+    ``g(t) |u|^p`` with ``g > 0`` and ``p >= 2``) is first tested for
+    monotonicity.  Both quadratures have positive weights, so ``S`` never
+    decreases along the segment, while ``q'`` is linear; hence
+
+        min(q'(0), q'(1)) - S(1) <= E'(th) <= max(q'(0), q'(1)) - S(0).
+
+    One ``wslope`` row at the end with the higher stored energy decides: if
+    the upper bound stays below ``-m`` the maximum is ``a``, if the lower
+    bound stays above ``m`` it is ``b``, where ``m`` is ``_MONOTONE_MARGIN``
+    times ``|Q(a)| + |B| + |Q(b)| + |S|``, a margin for the round-off of the
+    evaluated slopes.  Without it, near a crest the scan's interior energy
+    can sit ulps above the end node, and the path would lose an insert the
+    scan makes.  A certified segment is not scanned (``scanned`` is false)
+    and reports its end as a scan clamped there does, below.
+
+    Otherwise a batched coarse scan of the interior picks the best cell and
+    the crest is a root of ``E'`` next to it: near the crest ``E`` is flat to
     round-off but ``E'`` is not.  If the slope keeps its sign up to an
     interior neighbour (a second crest), the coarse best is kept.  The
     reported value is the directly evaluated energy at the chosen ``th``,
@@ -471,22 +506,38 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
 
     If the slope keeps its sign up to a clipped end, or its root lies within
     ``_ROOT_TOL`` of one, the maximum is that end node: ``th`` is reported
-    moved inward by ``_ROOT_TOL`` and the value is the end's own energy.  A
-    direct energy that close to the node would differ from it only by
-    round-off, and an excess of one ulp would make the path engine insert a
-    duplicate of the node.
+    moved inward by ``_ROOT_TOL`` and the value is the end's own energy,
+    taken from ``ends`` when given.  A direct energy that close to the node
+    would differ from it only by round-off, and an excess of one ulp would
+    make the path engine insert a duplicate of the node.
     """
     span = _support(a, b)
     forms = op.segment_forms(a, b)
     qa, qab, qb = forms
     d = b - a
 
-    def slope(th: float) -> float:
+    def wslope(th: float) -> float:
         # An end of the segment is that node, whose own support may be narrower.
         on = span if 0.0 < th < 1.0 else _support(b if th else a)
-        u = (1.0 - th) * a[on] + th * b[on]
-        return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - float(op.wslope(u, d[on], on))
+        return float(op.wslope((1.0 - th) * a[on] + th * b[on], d[on], on))
 
+    def slope(th: float) -> float:
+        return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
+
+    def end(k: int, scanned: bool = True) -> _Segment:
+        x = (a, b)[k]
+        value = op.energy(x, _support(x)) if ends is None else ends[k]
+        return _Segment(theta=(_ROOT_TOL, 1.0 - _ROOT_TOL)[k], value=value, scanned=scanned)
+
+    if ends is not None and op.spec.nonlinearity.kind == "pure_power":
+        k = int(ends[1] > ends[0])
+        s = wslope(float(k))
+        rises = (qab - qa, qb - qab)
+        margin = _MONOTONE_MARGIN * (abs(qa) + abs(qab) + abs(qb) + abs(s))
+        if k == 0 and max(rises) - s < -margin:
+            return end(0, scanned=False)
+        if k == 1 and min(rises) - s > margin:
+            return end(1, scanned=False)
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
     best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas, span)))])
     cell = thetas[1] - thetas[0]
@@ -496,9 +547,9 @@ def _measure_segment(op, a: np.ndarray, b: np.ndarray) -> _Segment:
     if theta in (lo, hi) and 0.0 < theta < 1.0:  # no root before an interior neighbour
         theta = best
     if theta <= _ROOT_TOL:
-        return _Segment(theta=_ROOT_TOL, value=op.energy(a, _support(a)))
+        return end(0)
     if theta >= 1.0 - _ROOT_TOL:
-        return _Segment(theta=1.0 - _ROOT_TOL, value=op.energy(b, _support(b)))
+        return end(1)
     return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b, span))
 
 
@@ -509,10 +560,7 @@ class _PathEngine:
         self.op = op
         self.config = config
         self.nodes = nodes
-        self.energies = [op.energy(x) for x in nodes]
-        self.segments = [
-            _measure_segment(op, nodes[k], nodes[k + 1]) for k in range(len(nodes) - 1)
-        ]
+        self.energies = [op.energy(x, _support(x)) for x in nodes]
         self.counters = {
             "inserted": 0,
             "pruned": 0,
@@ -522,7 +570,19 @@ class _PathEngine:
             "polish_rejected": 0,
             "newton_steps": 0,
             "minres_iterations": 0,
+            "segments": 0,
+            "segment_scans": 0,
         }
+        self.segments = [self._measure(k, k + 1) for k in range(len(nodes) - 1)]
+
+    def _measure(self, i: int, j: int) -> _Segment:
+        """The segment from node ``i`` to node ``j``, given their stored energies; counted."""
+        seg = _measure_segment(
+            self.op, self.nodes[i], self.nodes[j], (self.energies[i], self.energies[j])
+        )
+        self.counters["segments"] += 1
+        self.counters["segment_scans"] += seg.scanned
+        return seg
 
     def level(self) -> float:
         seg_max = max(s.value for s in self.segments)
@@ -530,13 +590,9 @@ class _PathEngine:
 
     def _remeasure_around(self, k: int):
         if k - 1 >= 0:
-            self.segments[k - 1] = _measure_segment(
-                self.op, self.nodes[k - 1], self.nodes[k]
-            )
+            self.segments[k - 1] = self._measure(k - 1, k)
         if k < len(self.segments):
-            self.segments[k] = _measure_segment(
-                self.op, self.nodes[k], self.nodes[k + 1]
-            )
+            self.segments[k] = self._measure(k, k + 1)
 
     def insert(self, j: int) -> int:
         """Materialize segment ``j``'s measured crest as a node; returns its index.
@@ -551,13 +607,7 @@ class _PathEngine:
         new = (1.0 - seg.theta) * self.nodes[j] + seg.theta * self.nodes[j + 1]
         self.nodes.insert(j + 1, new)
         self.energies.insert(j + 1, seg.value)
-        self.segments.pop(j)
-        self.segments.insert(
-            j, _measure_segment(self.op, self.nodes[j], self.nodes[j + 1])
-        )
-        self.segments.insert(
-            j + 1, _measure_segment(self.op, self.nodes[j + 1], self.nodes[j + 2])
-        )
+        self.segments[j : j + 1] = [self._measure(j, j + 1), self._measure(j + 1, j + 2)]
         self.counters["inserted"] += 1
         return j + 1
 
@@ -569,7 +619,7 @@ class _PathEngine:
             key=lambda k: self.energies[k],
         )
         for k in order:
-            bridge = _measure_segment(self.op, self.nodes[k - 1], self.nodes[k + 1])
+            bridge = self._measure(k - 1, k + 1)
             if max(bridge.value, self.energies[k - 1], self.energies[k + 1]) <= level:
                 self.nodes.pop(k)
                 self.energies.pop(k)
@@ -787,8 +837,9 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
     grid = spec.grid
     vals = _bump(spec, 0.5 * (grid.lower + grid.upper), 0.375 * (grid.upper - grid.lower))
     op = _operator(spec)
+    span = _support(vals)
     sigma = _doubling_scan(
-        lambda s: op.energy(s * vals) < 0.0,
+        lambda s: op.energy(s * vals, span) < 0.0,
         "no negative-energy endpoint within the doubling cap on the interval",
     )
     return _check_level(_run_path(op, sigma * vals, config, None))

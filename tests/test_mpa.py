@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -145,6 +149,7 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
     for key in ("inserted", "pruned", "step_rejections", "guard_rejections",
                 "polish_accepted", "polish_rejected", "newton_steps", "minres_iterations"):
         assert counters[key] >= 0
+    assert counters["segments"] >= counters["segment_scans"] > 0
 
 
 def _solve_vector_spec(line_grid, potential):
@@ -209,6 +214,24 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(
         assert solves and all(info == 0 and steps <= 30 for steps, info in solves), solves
         assert counters["minres_iterations"] == sum(steps for steps, _ in solves)
         assert counters["newton_steps"] <= len(solves)
+
+
+def test_newton_step_runs_no_dtype_probe(default_solve, spec10, monkeypatch):
+    """MINRES applies the Hessian and the metric solve to float64 vectors only."""
+    op = functional._operator(spec10)
+    dtypes = []
+    for name in ("apply_metric", "solve_metric"):
+        original = getattr(op, name)
+
+        def recorded(x, _original=original):
+            dtypes.append(x.dtype)
+            return _original(x)
+
+        monkeypatch.setattr(op, name, recorded)
+    u = default_solve.u.values
+    step, iterations = op.newton_step(u, op.residual(u))
+    assert step is not None and iterations > 0
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, interval_spec,
@@ -501,6 +524,140 @@ def test_measured_crest_is_a_root_of_the_slope(domain, n, nonlinearity):
     assert seg.value >= op.energies(np.linspace(0.0, 1.0, 65)[:, None, None] * b).max()
 
 
+def _recorded_segments(monkeypatch, solve):
+    """Run ``solve()``; return its result and every ``_measure_segment`` call with its outcome."""
+    calls = []
+    measure = mpa._measure_segment
+
+    def recorded(op, a, b, ends=None):
+        seg = measure(op, a, b, ends)
+        calls.append((op, a.copy(), b.copy(), ends, seg))
+        return seg
+
+    monkeypatch.setattr(mpa, "_measure_segment", recorded)
+    try:
+        return solve(), calls
+    finally:
+        monkeypatch.setattr(mpa, "_measure_segment", measure)
+
+
+@pytest.mark.parametrize("case", ["line", "line-n2-diagonal", "bvp"])
+def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, potential,
+                                                interval_spec, monkeypatch):
+    """Wherever the monotonicity certificate fires, a scan reports the same end, bit for bit.
+
+    A measurement without ``ends`` always scans, and takes the end energy
+    from ``op.energy`` on the node's support instead of the stored value.
+    """
+    if case == "line":
+        def solve():
+            return mpa_solve(spec10, setup)
+    elif case == "line-n2-diagonal":
+        spec = dataclasses.replace(spec10, n=2, potential=dataclasses.replace(
+            potential, kind="diagonal", diag_scales=(1.0, 2.0)))
+        setup2 = construct_e(spec, constants=estimate_embedding_constants(
+            line_grid, spec.alpha, spec.potential))
+
+        def solve():
+            return mpa_solve(spec, setup2)
+    else:
+        def solve():
+            return bvp_solve(interval_spec, MpaConfig(tol=1e-8))
+    res, calls = _recorded_segments(monkeypatch, solve)
+    assert res.converged
+    certified = [call for call in calls if not call[4].scanned]
+    assert certified
+    for op, a, b, ends, seg in certified:
+        assert ends is not None
+        assert seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL)
+        forced = mpa._measure_segment(op, a, b)
+        assert forced.scanned
+        assert forced.theta == seg.theta
+        assert forced.value == seg.value
+    counters = res.diagnostics["counters"]
+    assert counters["segments"] == len(calls)
+    assert counters["segment_scans"] == len(calls) - len(certified)
+
+
+def test_certificate_is_off_for_oscillatory_and_without_ends(osc_solve, spec10, setup):
+    """The oscillatory ``W`` is not convex, so every one of its segments is scanned."""
+    _, res = osc_solve
+    counters = res.diagnostics["counters"]
+    assert counters["segments"] == counters["segment_scans"] > 0
+    # Past the crest of the straight path the energy falls toward e.
+    op = functional._operator(spec10)
+    e = setup.e.values
+    a = 0.95 * e
+    ends = (op.energy(a), op.energy(e))
+    certified = mpa._measure_segment(op, a, e, ends)
+    assert not certified.scanned
+    assert (certified.theta, certified.value) == (mpa._ROOT_TOL, ends[0])
+    forced = mpa._measure_segment(op, a, e)
+    assert forced.scanned
+    assert (forced.theta, forced.value) == (certified.theta, certified.value)
+
+
+def test_straight_path_crest_is_scanned(spec10, setup, ctilde):
+    """The segment ``0 -> e`` rises and then falls, so no bound certifies it."""
+    op = functional._operator(spec10)
+    e = setup.e.values
+    zero = np.zeros_like(e)
+    seg = mpa._measure_segment(op, zero, e, (op.energy(zero), op.energy(e)))
+    assert seg.scanned
+    assert 0.01 < seg.theta < 0.99
+    assert seg.value == ctilde
+
+
+def test_flat_segments_are_scanned(bvp_result, interval_spec):
+    """Next to a critical point the energy is flat to round-off, so no segment there is certified.
+
+    Short segments from the ``bvp`` crest in random directions have slope
+    bounds below the round-off margin; with a zero margin some certify.
+    """
+    op = functional._operator(interval_spec)
+    u = bvp_result.u.values
+    rng = np.random.default_rng(0)
+    for scale in (1e-6, 1e-8, 1e-10):
+        for _ in range(4):
+            v = np.zeros_like(u)
+            v[1:-1] = rng.normal(size=(u.shape[0] - 2, u.shape[1]))
+            b = u + scale * (np.linalg.norm(u) / np.linalg.norm(v)) * v
+            for x, y in ((u, b), (b, u)):
+                assert mpa._measure_segment(op, x, y, (op.energy(x), op.energy(y))).scanned
+
+
+def test_monotonicity_margin_keeps_the_default_bvp(tmp_path):
+    """The default ``bvp``, with BLAS on one thread as the benchmark runs it.
+
+    With a zero margin the path certifies a segment whose scan finds an
+    interior energy ulps above its end node, makes one insert fewer
+    (6 / 11 / 27) and ends 8 ulps lower.  The pinned bits depend on the BLAS
+    thread count: with two threads the default ``bvp`` makes 6 inserts with
+    or without the certificate.
+    """
+    src = str(pathlib.Path(mpa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "fracham", "bvp", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    diag = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["diagnostics"]
+    assert diag["counters"]["inserted"] == 7
+    assert diag["crest_index"] == 12
+    assert diag["path_nodes_final"] == 28
+    assert diag["polyline_level"] == 1.2062236961337058
+
+
+def test_default_sweep_scan_budget(sweep_report):
+    """Most segment measurements of a default sweep are certified monotone, not scanned."""
+    runs = [rec["counters"] for rec in sweep_report.records]
+    runs.append(sweep_report.bvp_reference.diagnostics["counters"])
+    segments = sum(c["segments"] for c in runs)
+    scans = sum(c["segment_scans"] for c in runs)
+    assert scans <= 150 < segments
+
+
 def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
     """Inserting a measured crest gives the node its exact value, so refinement stops."""
     config = MpaConfig()
@@ -581,27 +738,32 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     assert 0 < sum(rows) <= 2000
 
 
-def test_segment_measurements_skip_exact_zeros(spec10, setup, monkeypatch):
-    """Segment scans, slopes and crest energies evaluate ``W`` only where ``u != 0``.
+def test_segment_measurements_skip_exact_zeros(spec10, constants, monkeypatch):
+    """Energies and segment slopes evaluate ``W`` only where ``u != 0``.
 
-    The cold path is exactly zero on 98.5% of the line.  During ``ctilde``
-    and a cold default solve, no point that ``_measure_segment`` passes to
-    the radial profile or its slope factor is an exact zero of ``u``: 3,607,659
-    points, against 5,443,584 with 1,835,925 zeros when every segment was
-    evaluated on the whole grid.  All points of the radial profile stay
-    within a budget: 3,275,526 measured, 4,816,896 on the whole grid.
+    The cold path is exactly zero on 98.5% of the line.  During
+    ``construct_e``, ``ctilde`` and a cold default solve, no point passed to
+    the radial profile, and no point that ``_measure_segment`` passes to its
+    slope factor, is an exact zero of ``u``.  The segment measurements pass
+    2,188,649 points (3,607,659 before monotone segments were certified,
+    5,443,584 with 1,835,925 zeros when every segment was evaluated on the
+    whole grid).  All points of the radial profile stay within a budget:
+    1,764,199 measured, 3,287,814 with 96,901 zeros when node energies and
+    the doubling scan used the whole grid.
     """
     inside = []
-    points = {"all": 0, "segment": 0, "segment_zeros": 0}
+    points = {"all": 0, "zeros": 0, "segment": 0, "segment_zeros": 0}
     for name in ("_radial_value", "_radial_slope_factor"):
         original = getattr(problem, name)
 
         def counted(spec, r, _original=original, _name=name):
+            zeros = int(np.count_nonzero(r == 0.0))
             if _name == "_radial_value":
                 points["all"] += r.size
+                points["zeros"] += zeros
             if inside:
                 points["segment"] += r.size
-                points["segment_zeros"] += int(np.count_nonzero(r == 0.0))
+                points["segment_zeros"] += zeros
             return _original(spec, r)
 
         monkeypatch.setattr(problem, name, counted)
@@ -615,11 +777,13 @@ def test_segment_measurements_skip_exact_zeros(spec10, setup, monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(mpa, "_measure_segment", traced)
+    setup = construct_e(spec10, constants=constants)
     ctilde_bound(setup, spec10)
     assert mpa_solve(spec10, setup).converged
     assert points["segment"] > 0
     assert points["segment_zeros"] == 0
-    assert points["all"] <= 3_400_000
+    assert points["zeros"] == 0
+    assert points["all"] <= 1_850_000
 
 
 def test_edge_to_peak_is_recorded_without_warning(default_solve, sweep_report, tmp_path, capsys):
