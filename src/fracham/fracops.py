@@ -34,7 +34,6 @@ import functools
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .grids import GridFunction, IntervalGrid, RealLineGrid
@@ -177,7 +176,8 @@ def gl_matrix(grid: IntervalGrid, alpha: float) -> np.ndarray:
     Riemann-Liouville derivative of a function vanishing at the left endpoint.
     """
     w = gl_weights(alpha, grid.num_points)
-    b = scipy.linalg.toeplitz(w, np.zeros(grid.num_points)) * grid.spacing ** (-alpha)
+    lag = np.arange(grid.num_points)
+    b = np.tril(w[np.abs(lag[:, None] - lag[None, :])]) * grid.spacing ** (-alpha)
     b.setflags(write=False)
     return b
 

@@ -25,13 +25,17 @@ only these primitives:
 * ``form(u, v)``, the batched bilinear form of the quadratic part: the
   spectral form (:func:`fracham.fracops._spectral_form`) plus
   ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
+* ``transform(x)`` and ``cross_form(u, ut, v, vt)``, the same form of two
+  single vectors from their values and transforms (the rfft on the line,
+  ``B x`` on the interval), so a stored transform is never recomputed;
 * ``quadrature(rows)``, the grid's quadrature of each row of nodal values:
   ``h`` times the sum on the line, the trapezoid rule on the interval;
 * ``dofs``, the nodes that are degrees of freedom: all of them on the line,
   the interior ones on the interval;
-* ``apply_metric`` and ``solve_metric`` on the degrees of freedom: on the
+* ``apply_metric`` and ``factor_solve`` on the degrees of freedom: on the
   line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, solved exactly below; on
-  the interval the stiffness ``h B^T B``, solved by its cached Cholesky factor;
+  the interval the stiffness ``h B^T B``, solved by its cached Cholesky
+  factor; and ``solve_context()``, which names the solve in an error;
 * ``metric_bound``, an upper bound on the 2-norm of ``A`` on the degrees of
   freedom: ``max |w|^(2 alpha) + lambda max L`` on the line, the largest
   absolute row sum of the stiffness on the interval;
@@ -43,20 +47,30 @@ From them the base class builds ``wint(u)`` and ``wslope(u, d)``, the
 batched ``W`` integral and its derivative along ``d``;
 ``xnormsq(u) = form(u, u)``; ``energies`` (one value per row of a stack,
 bit for bit that row on its own), ``energy`` and ``xnorm``; the stationarity
-``residual``, the metric ``gradient`` and ``newton_step``, MINRES on the
-degrees of freedom preconditioned by ``solve_metric``, which also reports
-its iteration count.  The public functions (``energy``,
+``residual`` and the metric ``gradient``.  It writes the metric solve once:
+``solve_and_apply_metric(rhs)`` takes ``g`` from ``factor_solve``, checks
+the residual ``A g - rhs`` with one ``apply_metric`` (one step of
+iterative refinement above ``1e-12`` relative, failure above ``1e-10``) and
+hands back ``g`` with the checked product ``A g``; ``solve_metric`` returns
+``g`` alone.  ``newton_step`` runs :func:`_minres`, the package's port of
+preconditioned MINRES, on the degrees of freedom with that solve as its
+preconditioner: every Lanczos vector is a scaled preconditioner output,
+so the Hessian action is ``s A g - quad W''(u) v`` from the product the
+check computed, and one Krylov step costs one checked metric solve and no
+other application of ``A``.  The public functions (``energy``,
 ``derivative_action``, ``gradient_rep``, ``h_identity``; the ``bvp_*``
 names are the same functions) take either spec and reach the domain only
 through its operator; an interval argument must vanish exactly at both
 endpoints.
 
 ``segment_forms(a, b)`` returns ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the
-quadratic part ``Q``; the line shares one rfft of the stacked pair among the
-three.  Along the segment from ``a`` to ``b``, ``Q`` is exactly
-``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment costs those
-three reductions plus one ``wint`` per coarse trial point and one ``wslope``
-per step of the root search for the crest, with no transform.  The crest
+quadratic part ``Q`` by ``cross_form``, from one transform of each end.
+Along the segment from ``a`` to ``b``, ``Q``
+is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment
+costs those three reductions plus one ``wint`` per coarse trial point and
+one ``wslope`` per step of the root search for the crest, with no
+transform.  The path engine keeps each node's transform and ``Q(x)``, so
+there a segment needs only the cross form ``B(a, b)``.  The crest
 value the solver reports is re-evaluated with ``energy`` (see
 :func:`fracham.mpa._measure_segment`).  ``wint``, ``wslope`` and
 ``energies`` take a ``span`` of nodes off which ``u`` is exactly ``+0.0``:
@@ -68,8 +82,10 @@ The shipped potentials equal their grid maximum outside a bounded well, so
 per component the line metric ``A`` is an operator diagonal in frequency
 minus a correction of rank ``k``, the number of well nodes; the Woodbury
 identity turns ``A^-1`` into two FFT solves and one cached ``k x k`` Cholesky
-solve (the capacitance-matrix method), and every solve checks its residual
-with one application of ``A``.
+solve (the capacitance-matrix method).  Each Cholesky factor, the
+capacitance matrices' and the interval stiffness', is stored as the
+inverse of its triangular factor (``np.linalg.cholesky``), so a solve is
+two matrix products and the runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -79,8 +95,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ConvergenceError, DomainError
 from .fracops import (
@@ -180,6 +194,8 @@ def _values(u: GridFunction, spec) -> np.ndarray:
 
 # The span of every node: evaluations on it take the whole-grid path, with no copy.
 _ALL = slice(None)
+# Machine epsilon.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,8 +258,10 @@ class _OperatorBase:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
 
     def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q``, from ``form``."""
-        return self.form(a, a), self.form(a, b), self.form(b, b)
+        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q``, one transform per end."""
+        at, bt = self.transform(a), self.transform(b)
+        cross = self.cross_form
+        return cross(a, at, a, at), cross(a, at, b, bt), cross(b, bt, b, bt)
 
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """The metric applied to ``u`` minus ``quad * grad W``; zero off the degrees of freedom."""
@@ -262,6 +280,36 @@ class _OperatorBase:
         nsq = self.pairing * float(np.sum(g[d] * r[d]))
         return g, math.sqrt(max(nsq, 0.0))
 
+    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A g = rhs`` on the degrees of freedom (see ``solve_and_apply_metric``)."""
+        return self.solve_and_apply_metric(rhs)[0]
+
+    def solve_and_apply_metric(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``g = A^-1 rhs`` from the domain's ``factor_solve``, and the product ``A g``.
+
+        The residual ``A g - rhs`` is checked with one ``apply_metric``, whose
+        product is handed back, so a caller that needs ``A g`` does not apply
+        ``A`` again.  A relative residual above ``1e-12`` gets one step of
+        iterative refinement with the same factor (on the line the
+        capacitance matrix's condition number grows like ``lambda``, so past
+        about ``lambda = 1e5``); above ``1e-10`` after it the solve fails.
+        """
+        g = self.factor_solve(rhs)
+        ag = self.apply_metric(g)
+        r = ag - rhs
+        res = float(np.linalg.norm(r))
+        bnorm = float(np.linalg.norm(rhs))
+        if res > 1e-12 * bnorm:
+            g = g - self.factor_solve(r)
+            ag = self.apply_metric(g)
+            res = float(np.linalg.norm(ag - rhs))
+        if not res <= 1e-10 * bnorm:
+            raise ConvergenceError(
+                f"metric solve {self.solve_context()} failed its residual check: "
+                f"residual {res:.3e}, relative {res / max(bnorm, 1e-300):.3e} > 1e-10"
+            )
+        return g, ag
+
     def newton_step(self, vals: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
         """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES.
 
@@ -270,32 +318,124 @@ class _OperatorBase:
         MINRES is preconditioned with the exact inverse of the metric ``A``,
         so the preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
         ``lambda`` and the iteration count stays small at every parameter.
+        The preconditioner is ``solve_and_apply_metric``: each Lanczos vector
+        is a scaled metric solve, so its Hessian action takes the checked
+        product ``A g`` and applies no metric of its own.
         """
         d = self.dofs
         u = vals[d]
         weight = self.weight[d]
-        shape, size = u.shape, u.size
 
-        def hess(x: np.ndarray) -> np.ndarray:
-            xv = x.reshape(shape)
-            nl = _weighted_hessian_action(self.spec.nonlinearity, weight, u, xv)
-            return (self.apply_metric(xv) - self.quad * nl).ravel()
+        def hess(v: np.ndarray, av: np.ndarray) -> np.ndarray:
+            return av - self.quad * _weighted_hessian_action(self.spec.nonlinearity, weight, u, v)
 
-        def precond(x: np.ndarray) -> np.ndarray:
-            return self.solve_metric(x.reshape(shape)).ravel()
-
-        # An explicit dtype spares scipy's probe, one matvec on an int8 zero vector each.
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess, dtype=np.float64)
-        pre = scipy.sparse.linalg.LinearOperator((size, size), matvec=precond, dtype=np.float64)
-        iterations = []
-        step, info = scipy.sparse.linalg.minres(
-            op, -r[d].ravel(), rtol=1e-11, M=pre, callback=lambda xk: iterations.append(1)
+        step, info, iterations = _minres(
+            hess, self.solve_and_apply_metric, -r[d], rtol=1e-11, maxiter=5 * u.size
         )
         if info != 0:
-            return None, len(iterations)
+            return None, iterations
         out = np.zeros_like(vals)
-        out[d] = step.reshape(shape)
-        return out, len(iterations)
+        out[d] = step
+        return out, iterations
+
+
+def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned MINRES for a symmetric system ``H x = rhs``, from ``x = 0``.
+
+    The method of Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported
+    from ``scipy.sparse.linalg.minres`` with its Lanczos recurrence, plane
+    rotations and stopping tests, on arrays of any shape.  ``precond(r)``
+    returns ``y = M r`` for the SPD preconditioner ``M`` and ``P y`` for a
+    linear map ``P``; ``hess(v, pv)`` returns ``H v`` given ``pv = P v``.  Every
+    Lanczos vector is a scaled preconditioner output, so the caller can take
+    part of ``H v`` from a product the preconditioner computed anyway.
+
+    Returns ``(x, info, iterations)``.  As in scipy, ``info`` is ``maxiter``
+    when the iteration limit stopped the solve and 0 otherwise, and an
+    indefinite preconditioner or a non-symmetric ``H`` raises ``ValueError``.
+    """
+    x = np.zeros_like(rhs)
+    r1 = rhs
+    y, py = precond(r1)
+    beta1 = float(np.vdot(r1, y))
+    if beta1 < 0.0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0.0:
+        return x, 0, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    rhs1, rhs2, tnorm2 = beta1, 0.0, 0.0
+    gmax, gmin = 0.0, float(np.finfo(np.float64).max)
+    cs, sn = -1.0, 0.0
+    w = np.zeros_like(rhs)
+    w2 = np.zeros_like(rhs)
+    r2 = r1
+    istop = itn = 0
+    while itn < maxiter:
+        itn += 1
+        # The next Lanczos vector and its preconditioned successor.
+        s = 1.0 / beta
+        v = s * y
+        y = hess(v, s * py)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y, py = precond(r2)
+        oldb = beta
+        beta = float(np.vdot(r2, y))
+        if beta < 0.0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10.0 * _EPS:
+            istop = -1  # H is a multiple of the preconditioner's inverse
+        # Apply the previous rotation, then compute the next one.
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), _EPS)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        # Update x.
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        z = rhs1 / gamma
+        rhs1 = rhs2 - delta * z
+        rhs2 = -epsln * z
+        # Estimate the norms and test for convergence.
+        anorm = math.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        test1 = math.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
+        test2 = math.inf if anorm == 0.0 else root / anorm
+        if istop == 0:
+            if 1.0 + test2 <= 1.0:
+                istop = 2
+            if 1.0 + test1 <= 1.0:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if gmax / gmin >= 0.1 / _EPS:
+                istop = 4
+            if anorm * ynorm * _EPS >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return x, (maxiter if istop == 6 else 0), itn
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -315,7 +455,8 @@ class _MetricFactor:
     """
 
     symbol: np.ndarray  # (N//2 + 1, n)
-    wells: tuple[tuple[np.ndarray, np.ndarray, tuple], ...]  # (nodes, q, cho) per component
+    # (nodes, q, inverse Cholesky factor of K_c) per component
+    wells: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def _fft_solve(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(x, axis=0) / self.symbol, n=x.shape[0], axis=0)
@@ -323,9 +464,23 @@ class _MetricFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._fft_solve(rhs)
         lifted = rhs.copy()  # the well correction adds into it in place
-        for c, (idx, q, cho) in enumerate(self.wells):
-            lifted[idx, c] += q * scipy.linalg.cho_solve(cho, q * y[idx, c])
+        for c, (idx, q, linv) in enumerate(self.wells):
+            lifted[idx, c] += q * _cholesky_solve(linv, q * y[idx, c])
         return self._fft_solve(lifted)
+
+
+def _inverse_cholesky(m: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the lower Cholesky factor ``L`` of the SPD matrix ``m``.
+
+    The inverse of a lower-triangular matrix is lower triangular, so the
+    round-off an LU inverse leaves above the diagonal is dropped.
+    """
+    return np.tril(np.linalg.inv(np.linalg.cholesky(m)))
+
+
+def _cholesky_solve(linv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``m^-1 rhs = L^-T (L^-1 rhs)`` from ``linv = _inverse_cholesky(m)``: two matrix products."""
+    return linv.T @ (linv @ rhs)
 
 
 class _LineOperator(_OperatorBase):
@@ -357,17 +512,15 @@ class _LineOperator(_OperatorBase):
         pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
         return frac + spec.lam * pot
 
-    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """The base triple from one pair transform instead of three form calls."""
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The rfft coefficients of one vector, the input of ``cross_form``."""
+        return np.fft.rfft(x, axis=0)
+
+    def cross_form(self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray) -> float:
+        """``form(u, v)`` from the values and their ``transform``: no FFT."""
         spec = self.spec
-        h = spec.grid.spacing
-        ac, bc = np.fft.rfft(np.stack([a, b]), axis=-2)
-
-        def form(u, uc, v, vc):
-            pot = h * np.sum(self.ldiag * u * v)
-            return float(_coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot)
-
-        return form(a, ac, a, ac), form(a, ac, b, bc), form(b, bc, b, bc)
+        pot = spec.grid.spacing * np.sum(self.ldiag * u * v)
+        return float(_coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot)
 
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
@@ -392,33 +545,17 @@ class _LineOperator(_OperatorBase):
             q = np.sqrt(spec.lam * (top[c] - self.ldiag[idx, c]))
             kc = kernels[(idx[:, None] - idx[None, :]) % spec.grid.num_points, c]
             cap = np.eye(idx.size) - q[:, None] * kc * q[None, :]
-            wells.append((idx, q, scipy.linalg.cho_factor(cap, lower=True)))
+            wells.append((idx, q, _inverse_cholesky(cap)))
         symbol.setflags(write=False)
         return _MetricFactor(symbol=symbol, wells=tuple(wells))
 
-    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A g = rhs`` with the cached factor, checking the residual.
+    def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A^-1 rhs`` by the cached Woodbury factor, unchecked."""
+        return self.factor.solve(rhs)
 
-        The capacitance matrix's condition number grows like ``lambda``, so
-        past about ``lambda = 1e5`` a relative residual above ``1e-12`` gets
-        one step of iterative refinement with the same factor before the
-        ``1e-10`` check.
-        """
-        g = self.factor.solve(rhs)
-        r = self.apply_metric(g) - rhs
-        res = float(np.linalg.norm(r))
-        bnorm = float(np.linalg.norm(rhs))
-        if res > 1e-12 * bnorm:
-            g = g - self.factor.solve(r)
-            res = float(np.linalg.norm(self.apply_metric(g) - rhs))
-        if not res <= 1e-10 * bnorm:
-            k = "/".join(str(idx.size) for idx, _, _ in self.factor.wells)
-            raise ConvergenceError(
-                f"metric solve at lambda={self.spec.lam:g} with well size k={k} "
-                f"failed its residual check: residual {res:.3e}, "
-                f"relative {res / max(bnorm, 1e-300):.3e} > 1e-10"
-            )
-        return g
+    def solve_context(self) -> str:
+        k = "/".join(str(idx.size) for idx, _, _ in self.factor.wells)
+        return f"at lambda={self.spec.lam:g} with well size k={k}"
 
 
 class _IntervalOperator(_OperatorBase):
@@ -434,7 +571,7 @@ class _IntervalOperator(_OperatorBase):
         super().__init__(spec)
         self.b = gl_matrix(spec.grid, spec.alpha)
         stiffness = interval_stiffness(spec.grid, spec.alpha)
-        self.cho = scipy.linalg.cho_factor(np.array(stiffness))
+        self.stiffness_linv = _inverse_cholesky(stiffness)
         # The largest absolute row sum bounds the 2-norm of the symmetric stiffness.
         self.metric_bound = float(np.max(np.sum(np.abs(stiffness), axis=1)))
         self.quad = spec.grid.trapezoid_weights[1:-1, None]
@@ -450,13 +587,25 @@ class _IntervalOperator(_OperatorBase):
         bv = bu if v is u else self.b @ v
         return self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1))
 
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """``B x``, the input of ``cross_form``."""
+        return self.b @ x
+
+    def cross_form(self, u: np.ndarray, bu: np.ndarray, v: np.ndarray, bv: np.ndarray) -> float:
+        """``form(u, v)`` from the values and their ``transform``: no GL matvec."""
+        return float(self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1)))
+
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The stiffness ``h B^T B x`` on the interior nodes, from two GL matvecs."""
         b = self.b[:, 1:-1]
         return self.spec.grid.spacing * (b.T @ (b @ x))
 
-    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.cho, rhs)
+    def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A^-1 rhs`` by the stiffness's cached Cholesky factor, unchecked."""
+        return _cholesky_solve(self.stiffness_linv, rhs)
+
+    def solve_context(self) -> str:
+        return f"on the interval with {self.spec.grid.num_points - 2} interior nodes"
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,10 @@ the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
 residual, one Newton step and a bound on the metric's norm, plus the three
 reductions of a segment and the batched ``W`` integral and its slope that
-make a line search transform-free (see ``_measure_segment``).  On top of
+make a line search transform-free (see ``_measure_segment``).  The path
+engine keeps a record per node, its support, transform and ``Q(x)``, set
+once when the node enters the path, so a segment between two path nodes
+costs one cross form and no transform.  On top of
 that it keeps one helper per repeated numerical pattern: ``_slope_crest``
 with ``_illinois_root`` (segment crests: a coarse scan's best point refined
 to a root of the slope), ``_doubling_scan`` (the far endpoint on both
@@ -75,7 +78,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
 from .fracops import _edge_to_peak
-from .functional import IntervalProblemSpec, ProblemSpec, _operator
+from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _operator
 from .grids import GridFunction
 from .problem import calibrate_growth_constant
 from .spaces import EmbeddingConstants
@@ -106,8 +109,6 @@ _POLISH_TRIGGER = 3e-2
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
-# Machine epsilon: the Newton polish's round-off floor is _EPS ||A|| ||u||.
-_EPS = float(np.finfo(np.float64).eps)
 # A coarse-scan stack holds fewer values than this (128 KiB), below glibc's
 # default mmap threshold: larger stacks map and fault fresh pages per segment.
 _STACK_VALUES = 2**14
@@ -435,6 +436,34 @@ def _support(*vals: np.ndarray) -> slice:
     return slice(int(nodes[0]), int(nodes[-1]) + 1)
 
 
+def _span_union(x: slice, y: slice) -> slice:
+    """``_support(a, b)`` from ``x = _support(a)`` and ``y = _support(b)``."""
+    if x.start == x.stop:
+        return y
+    if y.start == y.stop:
+        return x
+    return slice(min(x.start, y.start), max(x.stop, y.stop))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _NodeRecord:
+    """What a segment measurement needs of one path node, computed once per node.
+
+    ``span`` is the node's support (:func:`_support`), ``coeffs`` its
+    ``op.transform`` and ``q`` its quadratic part ``Q(x)``, with the
+    arithmetic of ``op.segment_forms``.
+    """
+
+    span: slice
+    coeffs: np.ndarray
+    q: float
+
+
+def _node_record(op, x: np.ndarray) -> _NodeRecord:
+    coeffs = op.transform(x)
+    return _NodeRecord(span=_support(x), coeffs=coeffs, q=op.cross_form(x, coeffs, x, coeffs))
+
+
 def _segment_energies(
     op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray, span: slice = slice(None)
 ) -> np.ndarray:
@@ -455,7 +484,11 @@ def _segment_energies(
 
 
 def _measure_segment(
-    op, a: np.ndarray, b: np.ndarray, ends: tuple[float, float] | None = None
+    op,
+    a: np.ndarray,
+    b: np.ndarray,
+    ends: tuple[float, float] | None = None,
+    records: tuple[_NodeRecord, _NodeRecord] | None = None,
 ) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
@@ -466,7 +499,7 @@ def _measure_segment(
     so three reductions (``op.segment_forms``) serve every point, and each
     trial point costs one ``W`` integral (``op.wint``) and no transform.
     ``W`` and its slope are evaluated only on the segment's support, the
-    span of nodes found once by :func:`_support`: off it every ``u_th`` is
+    union of its ends' spans found by :func:`_support`: off it every ``u_th`` is
     exactly ``+0.0``, so ``W`` and ``grad W . (b - a)`` are exactly zero
     there, and the operator fills them in as zeros and sums the same rows as
     a whole-grid evaluation.  A segment from the cold path's zero node or
@@ -510,23 +543,33 @@ def _measure_segment(
     taken from ``ends`` when given.  A direct energy that close to the node
     would differ from it only by round-off, and an excess of one ulp would
     make the path engine insert a duplicate of the node.
+
+    ``records`` holds the ends' :class:`_NodeRecord`, which the path engine
+    keeps per node.  Given them, the segment needs only the cross form
+    ``B(a, b)`` from the two stored transforms and the union of the two
+    stored spans: no transform and no support scan, with the same bits.
     """
-    span = _support(a, b)
-    forms = op.segment_forms(a, b)
+    if records is None:
+        spans = (_support(a), _support(b))
+        forms = op.segment_forms(a, b)
+    else:
+        ra, rb = records
+        spans = (ra.span, rb.span)
+        forms = (ra.q, op.cross_form(a, ra.coeffs, b, rb.coeffs), rb.q)
+    span = _span_union(*spans)
     qa, qab, qb = forms
     d = b - a
 
     def wslope(th: float) -> float:
         # An end of the segment is that node, whose own support may be narrower.
-        on = span if 0.0 < th < 1.0 else _support(b if th else a)
+        on = span if 0.0 < th < 1.0 else spans[int(th)]
         return float(op.wslope((1.0 - th) * a[on] + th * b[on], d[on], on))
 
     def slope(th: float) -> float:
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
 
     def end(k: int, scanned: bool = True) -> _Segment:
-        x = (a, b)[k]
-        value = op.energy(x, _support(x)) if ends is None else ends[k]
+        value = op.energy((a, b)[k], spans[k]) if ends is None else ends[k]
         return _Segment(theta=(_ROOT_TOL, 1.0 - _ROOT_TOL)[k], value=value, scanned=scanned)
 
     if ends is not None and op.spec.nonlinearity.kind == "pure_power":
@@ -554,13 +597,18 @@ def _measure_segment(
 
 
 class _PathEngine:
-    """Mutable polyline with measured segment maxima and a single-writer step."""
+    """Mutable polyline with measured segment maxima and a single-writer step.
+
+    Each node keeps its :class:`_NodeRecord`, set when the node enters the
+    path (here, ``insert``, ``replace_node``) and dropped with it.
+    """
 
     def __init__(self, op, nodes: list[np.ndarray], config: MpaConfig):
         self.op = op
         self.config = config
         self.nodes = nodes
-        self.energies = [op.energy(x, _support(x)) for x in nodes]
+        self.records = [_node_record(op, x) for x in nodes]
+        self.energies = [op.energy(x, rec.span) for x, rec in zip(nodes, self.records)]
         self.counters = {
             "inserted": 0,
             "pruned": 0,
@@ -578,7 +626,11 @@ class _PathEngine:
     def _measure(self, i: int, j: int) -> _Segment:
         """The segment from node ``i`` to node ``j``, given their stored energies; counted."""
         seg = _measure_segment(
-            self.op, self.nodes[i], self.nodes[j], (self.energies[i], self.energies[j])
+            self.op,
+            self.nodes[i],
+            self.nodes[j],
+            (self.energies[i], self.energies[j]),
+            (self.records[i], self.records[j]),
         )
         self.counters["segments"] += 1
         self.counters["segment_scans"] += seg.scanned
@@ -606,6 +658,7 @@ class _PathEngine:
         seg = self.segments[j]
         new = (1.0 - seg.theta) * self.nodes[j] + seg.theta * self.nodes[j + 1]
         self.nodes.insert(j + 1, new)
+        self.records.insert(j + 1, _node_record(self.op, new))
         self.energies.insert(j + 1, seg.value)
         self.segments[j : j + 1] = [self._measure(j, j + 1), self._measure(j + 1, j + 2)]
         self.counters["inserted"] += 1
@@ -622,6 +675,7 @@ class _PathEngine:
             bridge = self._measure(k - 1, k + 1)
             if max(bridge.value, self.energies[k - 1], self.energies[k + 1]) <= level:
                 self.nodes.pop(k)
+                self.records.pop(k)
                 self.energies.pop(k)
                 self.segments.pop(k)
                 self.segments[k - 1] = bridge
@@ -644,15 +698,18 @@ class _PathEngine:
         the polyline maximum at or below ``guard_level``.
         """
         old_node = self.nodes[k]
+        old_record = self.records[k]
         old_energy = self.energies[k]
         old_left = self.segments[k - 1] if k - 1 >= 0 else None
         old_right = self.segments[k] if k < len(self.segments) else None
         self.nodes[k] = new_vals
+        self.records[k] = _node_record(self.op, new_vals)
         self.energies[k] = new_energy
         self._remeasure_around(k)
         if self.level() <= guard_level:
             return True
         self.nodes[k] = old_node
+        self.records[k] = old_record
         self.energies[k] = old_energy
         if old_left is not None:
             self.segments[k - 1] = old_left

@@ -248,31 +248,31 @@ def _radial_slope_factor(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     ranges, so the formulas extend continuously to ``r = 0``.
     """
     p = spec.p
+    rp = r ** (p - 2.0)
     if spec.kind == "pure_power":
-        return p * r ** (p - 2.0)
+        return p * rp
     e = spec.epsilon
     theta = r**e / e
     s2 = np.sin(theta) ** 2
     sin2t = np.sin(2.0 * theta)
-    return p * r ** (p - 2.0) + (p - 2.0) * (
-        (p - e) * r ** (p - e - 2.0) * s2 + r ** (p - 2.0) * sin2t
-    )
+    return p * rp + (p - 2.0) * ((p - e) * r ** (p - e - 2.0) * s2 + rp * sin2t)
 
 
 def _radial_second(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     """``w''(r)``."""
     p = spec.p
+    rp = r ** (p - 2.0)
     if spec.kind == "pure_power":
-        return p * (p - 1.0) * r ** (p - 2.0)
+        return p * (p - 1.0) * rp
     e = spec.epsilon
     theta = r**e / e
     s2 = np.sin(theta) ** 2
     sin2t = np.sin(2.0 * theta)
     cos2t = np.cos(2.0 * theta)
-    return p * (p - 1.0) * r ** (p - 2.0) + (p - 2.0) * (
+    return p * (p - 1.0) * rp + (p - 2.0) * (
         (p - e) * (p - e - 1.0) * r ** (p - e - 2.0) * s2
-        + (p - e) * r ** (p - 2.0) * sin2t
-        + (p - 1.0) * r ** (p - 2.0) * sin2t
+        + (p - e) * rp * sin2t
+        + (p - 1.0) * rp * sin2t
         + 2.0 * r ** (p - 2.0 + e) * cos2t
     )
 

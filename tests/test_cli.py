@@ -306,6 +306,17 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy():
+    """The runtime is numpy-only: importing the CLI loads no scipy module at all."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracham.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_prints_help():
     env = _package_env()
     proc = subprocess.run(

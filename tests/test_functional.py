@@ -209,6 +209,69 @@ def test_metric_solve_checks_its_residual(spec10, monkeypatch):
         gradient_rep(u, spec)
 
 
+def test_interval_metric_solve_checks_its_residual(interval_spec, monkeypatch):
+    """The interval's stiffness solve is checked like the line's, and hands back ``A g``."""
+    op = functional._operator(interval_spec)
+    rhs = np.random.default_rng(3).normal(size=(interval_spec.grid.num_points - 2, 1))
+    g, ag = op.solve_and_apply_metric(rhs)
+    stiffness = interval_stiffness(interval_spec.grid, interval_spec.alpha)
+    assert np.linalg.norm(stiffness @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.array_equal(ag, op.apply_metric(g))
+    assert np.array_equal(op.solve_metric(rhs), g)
+    monkeypatch.setattr(op, "stiffness_linv", 0.5 * op.stiffness_linv)
+    with pytest.raises(ConvergenceError, match=r"interval with 255 interior nodes.*residual"):
+        op.solve_metric(rhs)
+
+
+@pytest.mark.parametrize("maxiter", [3, None])
+@pytest.mark.parametrize("shape", [(60,), (30, 2)])
+def test_minres_matches_scipy(shape, maxiter):
+    """The in-package MINRES takes scipy's steps on a symmetric indefinite system.
+
+    With ``H v`` applied whole it matches scipy's iteration count, ``info``
+    and ``x``.  Split as in ``newton_step``, ``H v = P v - N v`` with ``P v``
+    scaled from the product the SPD preconditioner hands back, it moves at
+    round-off, which can shift the stop by a step; it still solves the
+    system.
+    """
+    from scipy.sparse.linalg import minres as scipy_minres
+
+    rng = np.random.default_rng(8)
+    size = math.prod(shape)
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    spd = (q * rng.uniform(1.0, 50.0, size)) @ q.T
+    sym = rng.normal(size=(size, size))
+    sym = 0.5 * (sym + sym.T)
+    hmat = spd - sym
+    assert np.min(np.linalg.eigvalsh(hmat)) < 0.0 < np.max(np.linalg.eigvalsh(hmat))
+    pinv = np.linalg.inv(spd)
+    rhs = rng.normal(size=size)
+    limit = 5 * size if maxiter is None else maxiter
+
+    def precond(r):
+        y = (pinv @ r.ravel()).reshape(shape)
+        return y, (spd @ y.ravel()).reshape(shape)
+
+    def whole(v, pv):
+        return (hmat @ v.ravel()).reshape(shape)
+
+    def split(v, pv):
+        return pv - (sym @ v.ravel()).reshape(shape)
+
+    steps = []
+    expected, info = scipy_minres(hmat, rhs, rtol=1e-11, maxiter=maxiter, M=pinv,
+                                  callback=lambda xk: steps.append(1))
+    x, ours, iterations = functional._minres(whole, precond, rhs.reshape(shape), 1e-11, limit)
+    assert x.shape == shape
+    assert (ours, iterations) == (info, len(steps))
+    assert (info == 0) == (maxiter is None)
+    assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+    if maxiter is None:
+        x, ours, _ = functional._minres(split, precond, rhs.reshape(shape), 1e-11, limit)
+        assert ours == 0
+        assert np.linalg.norm(hmat @ x.ravel() - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
 def test_metric_bound_is_an_upper_bound(spec10, interval_spec):
     """``metric_bound`` bounds the metric's 2-norm, and the top Fourier mode nearly attains it.
 

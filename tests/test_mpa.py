@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from fracham import (
     GridFunction,
@@ -186,22 +185,15 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(
     spec10, setup, interval_spec, monkeypatch
 ):
     """The metric-preconditioned polish needs few MINRES steps at any lambda and on the interval."""
-    minres = scipy.sparse.linalg.minres
+    minres = functional._minres
     solves = []
 
-    def counted(*args, callback=None, **kwargs):
-        steps = []
+    def counted(*args, **kwargs):
+        x, info, steps = minres(*args, **kwargs)
+        solves.append((steps, info))
+        return x, info, steps
 
-        def each(xk):
-            steps.append(1)
-            if callback is not None:
-                callback(xk)
-
-        x, info = minres(*args, callback=each, **kwargs)
-        solves.append((len(steps), info))
-        return x, info
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", counted)
+    monkeypatch.setattr(functional, "_minres", counted)
     runs = [lambda lam=lam: mpa_solve(spec10.with_lambda(lam), setup) for lam in (1.0, 1e4)]
     runs += [lambda n=n: bvp_solve(dataclasses.replace(interval_spec, n=n), MpaConfig(tol=1e-8))
              for n in (1, 2)]
@@ -216,22 +208,31 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(
         assert counters["newton_steps"] <= len(solves)
 
 
-def test_newton_step_runs_no_dtype_probe(default_solve, spec10, monkeypatch):
-    """MINRES applies the Hessian and the metric solve to float64 vectors only."""
-    op = functional._operator(spec10)
-    dtypes = []
-    for name in ("apply_metric", "solve_metric"):
-        original = getattr(op, name)
+@pytest.mark.parametrize("domain", ["line", "interval"])
+def test_newton_step_applies_the_metric_once_per_krylov_step(domain, default_solve, spec10,
+                                                            bvp_result, interval_spec, monkeypatch):
+    """Each MINRES step's Hessian action reuses the product of the checked metric solve.
 
-        def recorded(x, _original=original):
-            dtypes.append(x.dtype)
-            return _original(x)
+    One metric solve per Lanczos vector, plus the first, each checked with
+    one ``apply_metric``; the Hessian action applies no metric of its own.
+    """
+    spec, res = (spec10, default_solve) if domain == "line" else (interval_spec, bvp_result)
+    op = functional._operator(spec)
+    applied = []
+    original = op.apply_metric
 
-        monkeypatch.setattr(op, name, recorded)
-    u = default_solve.u.values
-    step, iterations = op.newton_step(u, op.residual(u))
+    def counted(x):
+        applied.append(x.dtype)
+        return original(x)
+
+    monkeypatch.setattr(op, "apply_metric", counted)
+    u = res.u.values
+    r = op.residual(u)
+    applied.clear()
+    step, iterations = op.newton_step(u, r)
     assert step is not None and iterations > 0
-    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    assert 0 < len(applied) <= iterations + 2
+    assert set(applied) == {np.dtype(np.float64)}
 
 
 def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, interval_spec,
@@ -529,9 +530,9 @@ def _recorded_segments(monkeypatch, solve):
     calls = []
     measure = mpa._measure_segment
 
-    def recorded(op, a, b, ends=None):
-        seg = measure(op, a, b, ends)
-        calls.append((op, a.copy(), b.copy(), ends, seg))
+    def recorded(op, a, b, ends=None, records=None):
+        seg = measure(op, a, b, ends, records)
+        calls.append((op, a.copy(), b.copy(), ends, records, seg))
         return seg
 
     monkeypatch.setattr(mpa, "_measure_segment", recorded)
@@ -539,6 +540,22 @@ def _recorded_segments(monkeypatch, solve):
         return solve(), calls
     finally:
         monkeypatch.setattr(mpa, "_measure_segment", measure)
+
+
+def _case_solve(case, spec10, setup, line_grid, potential, interval_spec):
+    """A solve to record segments from: the default line solve, an ``n = 2`` one, or ``bvp``."""
+    if case == "line":
+        return lambda: mpa_solve(spec10, setup)
+    if case == "bvp":
+        return lambda: bvp_solve(interval_spec, MpaConfig(tol=1e-8))
+    if case == "line-n2-diagonal":
+        spec = dataclasses.replace(spec10, n=2, potential=dataclasses.replace(
+            potential, kind="diagonal", diag_scales=(1.0, 2.0)))
+    else:
+        spec = _solve_vector_spec(line_grid, potential)
+    setup2 = construct_e(spec, constants=estimate_embedding_constants(
+        line_grid, spec.alpha, spec.potential))
+    return lambda: mpa_solve(spec, setup2)
 
 
 @pytest.mark.parametrize("case", ["line", "line-n2-diagonal", "bvp"])
@@ -549,25 +566,12 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
     A measurement without ``ends`` always scans, and takes the end energy
     from ``op.energy`` on the node's support instead of the stored value.
     """
-    if case == "line":
-        def solve():
-            return mpa_solve(spec10, setup)
-    elif case == "line-n2-diagonal":
-        spec = dataclasses.replace(spec10, n=2, potential=dataclasses.replace(
-            potential, kind="diagonal", diag_scales=(1.0, 2.0)))
-        setup2 = construct_e(spec, constants=estimate_embedding_constants(
-            line_grid, spec.alpha, spec.potential))
-
-        def solve():
-            return mpa_solve(spec, setup2)
-    else:
-        def solve():
-            return bvp_solve(interval_spec, MpaConfig(tol=1e-8))
+    solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
     assert res.converged
-    certified = [call for call in calls if not call[4].scanned]
+    certified = [call for call in calls if not call[-1].scanned]
     assert certified
-    for op, a, b, ends, seg in certified:
+    for op, a, b, ends, _, seg in certified:
         assert ends is not None
         assert seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL)
         forced = mpa._measure_segment(op, a, b)
@@ -577,6 +581,27 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
     counters = res.diagnostics["counters"]
     assert counters["segments"] == len(calls)
     assert counters["segment_scans"] == len(calls) - len(certified)
+
+
+@pytest.mark.parametrize("case", ["line", "line-n2-oscillatory", "bvp"])
+def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_grid, potential,
+                                                      interval_spec, monkeypatch):
+    """A segment measured from its ends' stored records equals the record-less measurement.
+
+    The record-less call transforms both ends and scans them for support
+    itself; every ``theta``, ``value`` and ``scanned`` agrees bit for bit.
+    """
+    solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
+    res, calls = _recorded_segments(monkeypatch, solve)
+    assert res.converged
+    assert calls and all(records is not None for *_, records, _ in calls)
+    for op, a, b, ends, records, seg in calls:
+        assert (records[0].span, records[1].span) == (mpa._support(a), mpa._support(b))
+        assert mpa._span_union(records[0].span, records[1].span) == mpa._support(a, b)
+        qa, _, qb = op.segment_forms(a, b)
+        assert (records[0].q, records[1].q) == (qa, qb)
+        fresh = mpa._measure_segment(op, a, b, ends)
+        assert (fresh.theta, fresh.value, fresh.scanned) == (seg.theta, seg.value, seg.scanned)
 
 
 def test_certificate_is_off_for_oscillatory_and_without_ends(osc_solve, spec10, setup):
@@ -631,9 +656,10 @@ def test_monotonicity_margin_keeps_the_default_bvp(tmp_path):
 
     With a zero margin the path certifies a segment whose scan finds an
     interior energy ulps above its end node, makes one insert fewer
-    (6 / 11 / 27) and ends 8 ulps lower.  The pinned bits depend on the BLAS
-    thread count: with two threads the default ``bvp`` makes 6 inserts with
-    or without the certificate.
+    (6 / 11 / 27) and ends 10 ulps lower.  The pinned bits depend on the
+    BLAS thread count, through the Cholesky factor of the stiffness: with
+    two threads the default ``bvp`` makes 6 inserts with or without the
+    certificate.
     """
     src = str(pathlib.Path(mpa.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -712,8 +738,10 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 1700 FFT calls and 2000 ``W`` rows
-    (``wint`` plus ``wslope``).
+    A default solve stays within 513 FFT calls, 10% above the 466 it
+    makes (536 before path nodes kept their transforms and each MINRES step
+    reused its metric solve's product), and 2000 ``W`` rows (``wint`` plus
+    ``wslope``).
     """
     calls, rows = [], []
     for name in ("rfft", "irfft"):
@@ -734,7 +762,7 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 1700
+    assert 0 < len(calls) <= 513
     assert 0 < sum(rows) <= 2000
 
 

@@ -10,6 +10,8 @@ from fracham.errors import DomainError
 from fracham.problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _radial_second,
+    _radial_slope_factor,
     _weighted_hessian_action,
     calibrate_growth_constant,
     default_oscillatory,
@@ -140,6 +142,32 @@ def test_gradient_matches_finite_differences(nonlin, osc_nonlin):
                 hfd = (grad_w_values(spec, t, up) - grad_w_values(spec, t, dn)) / (2.0 * step)
                 hess = _weighted_hessian_action(spec, weight_values(spec, t), u, np.eye(2)[j])
                 assert np.max(np.abs(hess - hfd)) < 1e-6 * (1.0 + np.max(np.abs(hfd)))
+
+
+def test_radial_kernels_share_one_power(nonlin, osc_nonlin):
+    """``r^(p-2)``, computed once per kernel, leaves every bit of the written-out formulas."""
+    rng = np.random.default_rng(4)
+    r = np.concatenate([[0.0, 1e-300, 1e-8, 1.0], rng.exponential(2.0, 4000)])
+    wide = NonlinearitySpec(kind="oscillatory", p=3.5, epsilon=0.25, c0=500.0)
+    for spec in (nonlin, osc_nonlin, wide, NonlinearitySpec(kind="pure_power", p=3.0)):
+        p, e = spec.p, spec.epsilon
+        if spec.kind == "pure_power":
+            slope = p * r ** (p - 2.0)
+            second = p * (p - 1.0) * r ** (p - 2.0)
+        else:
+            theta = r**e / e
+            s2, sin2t, cos2t = np.sin(theta) ** 2, np.sin(2.0 * theta), np.cos(2.0 * theta)
+            slope = p * r ** (p - 2.0) + (p - 2.0) * (
+                (p - e) * r ** (p - e - 2.0) * s2 + r ** (p - 2.0) * sin2t
+            )
+            second = p * (p - 1.0) * r ** (p - 2.0) + (p - 2.0) * (
+                (p - e) * (p - e - 1.0) * r ** (p - e - 2.0) * s2
+                + (p - e) * r ** (p - 2.0) * sin2t
+                + (p - 1.0) * r ** (p - 2.0) * sin2t
+                + 2.0 * r ** (p - 2.0 + e) * cos2t
+            )
+        assert np.array_equal(_radial_slope_factor(spec, r), slope)
+        assert np.array_equal(_radial_second(spec, r), second)
 
 
 def test_defect_term_definition_and_pure_power_identity(nonlin, osc_nonlin):
