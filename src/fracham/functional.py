@@ -22,12 +22,13 @@ what depends only on the spec, on both domains the weight values ``g(t)`` of
 ``W``.  :class:`_OperatorBase` writes the functional once; a domain supplies
 only these primitives:
 
-* ``form(u, v)``, the batched bilinear form of the quadratic part: the
-  spectral form (:func:`fracham.fracops._spectral_form`) plus
-  ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
-* ``transform(x)`` and ``cross_form(u, ut, v, vt)``, the same form of two
-  single vectors from their values and transforms (the rfft on the line,
-  ``B x`` on the interval), so a stored transform is never recomputed;
+* ``transform(x)``, the transform of a vector or a stack (the rfft on the
+  line, ``B x`` on the interval), and ``transformed_form(u, ut, v, vt)``,
+  the batched bilinear form of the quadratic part from values and
+  transforms: the spectral form (:func:`fracham.fracops._coefficient_form`)
+  plus ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
+* ``cross_form(u, ut, v, vt)``, the same form of two single vectors as a
+  float, so a stored transform is never recomputed;
 * ``quadrature(rows)``, the grid's quadrature of each row of nodal values:
   ``h`` times the sum on the line, the trapezoid rule on the interval;
 * ``dofs``, the nodes that are degrees of freedom: all of them on the line,
@@ -43,7 +44,9 @@ only these primitives:
   trapezoid weights on the interval), and ``pairing``, the scale in
   ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
 
-From them the base class builds ``wint(u)`` and ``wslope(u, d)``, the
+From them the base class builds ``form(u, v)``, ``transformed_form`` after
+one transform per argument, so a caller that needs several forms of the
+same stacks transforms each once; ``wint(u)`` and ``wslope(u, d)``, the
 batched ``W`` integral and its derivative along ``d``;
 ``xnormsq(u) = form(u, u)``; ``energies`` (one value per row of a stack,
 bit for bit that row on its own), ``energy`` and ``xnorm``; the stationarity
@@ -100,7 +103,6 @@ from .errors import ConvergenceError, DomainError
 from .fracops import (
     _coefficient_form,
     _form_multipliers,
-    _spectral_form,
     gl_matrix,
     interval_stiffness,
 )
@@ -196,6 +198,15 @@ def _values(u: GridFunction, spec) -> np.ndarray:
 _ALL = slice(None)
 # Machine epsilon.
 _EPS = float(np.finfo(np.float64).eps)
+# Every stack of candidates holds fewer float64 values than this (128 KiB),
+# below glibc's default mmap threshold: a larger temporary is mapped fresh on
+# each allocation and its pages are faulted in one by one.
+_STACK_VALUES = 2**14
+
+
+def _stack_rows(row_values: int) -> int:
+    """Rows of ``row_values`` float64 values each that a stack may hold (at least one)."""
+    return max(1, (_STACK_VALUES - 1) // row_values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,6 +224,11 @@ class _OperatorBase:
         self.spec = spec
         self.weight = weight_values(spec.nonlinearity, spec.grid.nodes)
         self.weight.setflags(write=False)
+
+    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The bilinear form of the quadratic part, one value per row of a stack."""
+        ut = self.transform(u)
+        return self.transformed_form(u, ut, v, ut if v is u else self.transform(v))
 
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.form(vals, vals)
@@ -505,16 +521,17 @@ class _LineOperator(_OperatorBase):
         """``h`` times the sum of each row of nodal values."""
         return self.spec.grid.spacing * np.sum(rows, axis=-1)
 
-    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The rfft coefficients of a vector or of each row of a stack."""
+        return np.fft.rfft(x, axis=-2)
+
+    def transformed_form(
+        self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray
+    ) -> np.ndarray:
         """The weighted inner product ``<u, v>_X``: spectral part plus ``lambda (L u, v)``."""
         spec = self.spec
-        frac = _spectral_form(spec.grid, spec.alpha, u, None if v is u else v)
         pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
-        return frac + spec.lam * pot
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """The rfft coefficients of one vector, the input of ``cross_form``."""
-        return np.fft.rfft(x, axis=0)
+        return _coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot
 
     def cross_form(self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray) -> float:
         """``form(u, v)`` from the values and their ``transform``: no FFT."""
@@ -581,19 +598,19 @@ class _IntervalOperator(_OperatorBase):
         # Per-row dot products: the arithmetic of IntervalGrid.integrate.
         return np.vecdot(rows, self.spec.grid.trapezoid_weights)
 
-    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The stiffness pairing ``h (B u) . (B v)``."""
-        bu = self.b @ u
-        bv = bu if v is u else self.b @ v
-        return self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1))
-
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """``B x``, the input of ``cross_form``."""
+        """``B x`` for a vector or each row of a stack."""
         return self.b @ x
+
+    def transformed_form(
+        self, u: np.ndarray, bu: np.ndarray, v: np.ndarray, bv: np.ndarray
+    ) -> np.ndarray:
+        """The stiffness pairing ``h (B u) . (B v)``."""
+        return self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1))
 
     def cross_form(self, u: np.ndarray, bu: np.ndarray, v: np.ndarray, bv: np.ndarray) -> float:
         """``form(u, v)`` from the values and their ``transform``: no GL matvec."""
-        return float(self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1)))
+        return float(self.transformed_form(u, bu, v, bv))
 
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The stiffness ``h B^T B x`` on the interior nodes, from two GL matvecs."""

@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
 from .fracops import _edge_to_peak
-from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _operator
+from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _operator, _stack_rows
 from .grids import GridFunction
 from .problem import calibrate_growth_constant
 from .spaces import EmbeddingConstants
@@ -109,9 +109,6 @@ _POLISH_TRIGGER = 3e-2
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
-# A coarse-scan stack holds fewer values than this (128 KiB), below glibc's
-# default mmap threshold: larger stacks map and fault fresh pages per segment.
-_STACK_VALUES = 2**14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -476,7 +473,7 @@ def _segment_energies(
     s = 1.0 - thetas
     a, b = a[span], b[span]
     # Both the stack on the span and the whole-grid W rows stay below the limit.
-    rows = max(1, (_STACK_VALUES - 1) // max(a.size, op.spec.grid.num_points))
+    rows = _stack_rows(max(a.size, op.spec.grid.num_points))
     wint = [op.wint(s[i : i + rows, None, None] * a + thetas[i : i + rows, None, None] * b, span)
             for i in range(0, len(thetas), rows)]
     quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb

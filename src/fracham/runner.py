@@ -27,12 +27,12 @@ from .errors import (
     EmbeddingViolation,
     MonotonicityError,
 )
+from .fracops import _spectral_form
 from .functional import (
     IntervalProblemSpec,
     ProblemSpec,
     _operator,
-    derivative_action,
-    energy,
+    _stack_rows,
     h_identity,
 )
 from .grids import GridFunction, IntervalGrid, RealLineGrid
@@ -327,19 +327,25 @@ def _random_interval_field(
     return np.stack(cols, axis=1)
 
 
-def _normalized(vals: np.ndarray, grid, alpha: float) -> np.ndarray:
-    nrm = norm_h_alpha(GridFunction(grid, vals), alpha)
-    if nrm == 0.0:
-        return vals
-    return vals / nrm
+def _chunk_sizes(count: int, rows: int) -> list[int]:
+    """Sizes of the consecutive chunks of at most ``rows`` that make up ``count``."""
+    return [min(rows, count - start) for start in range(0, count, rows)]
 
 
-def _random_field(spec, rng: np.random.Generator) -> np.ndarray:
-    """A random test field: unit ``H^alpha`` norm on the line, unit peak on the interval."""
+def _unit_fields(spec, stack: np.ndarray) -> np.ndarray:
+    """Each row of a stack of random fields scaled to a unit norm.
+
+    On the line the norm is ``||u||_alpha`` (:func:`norm_h_alpha`, with its
+    sums), and a zero row is left as it is; on the interval it is the peak
+    magnitude, floored at ``1e-12``.  Every row gets the bits it would get
+    on its own.
+    """
     if isinstance(spec, ProblemSpec):
-        return _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
-    vals = _random_interval_field(spec.grid, rng, spec.n)
-    return vals / max(float(np.max(np.abs(vals))), 1e-12)
+        grid = spec.grid
+        l2sq = grid.spacing * np.sum(stack**2, axis=(-2, -1))
+        nrm = np.sqrt(l2sq + _spectral_form(grid, spec.alpha, stack))
+        return stack / np.where(nrm == 0.0, 1.0, nrm)[:, None, None]
+    return stack / np.maximum(np.max(np.abs(stack), axis=(-2, -1)), 1e-12)[:, None, None]
 
 
 def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
@@ -347,22 +353,26 @@ def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
 
     Each error is relative to ``1 + |I'(u)v|`` plus ``1e-4`` times the
     quadratic term ``||u||_X^2 + ||v||_X^2``, whose round-off the difference
-    quotient carries although it cancels in the result.
+    quotient carries although it cancels in the result.  The pairs ``(u, v)``
+    are drawn in order and evaluated a chunk at a time, each of ``u`` and
+    ``v`` one stack under the package's stack budget; ``||u||_X^2`` and
+    ``||v||_X^2`` reuse the transforms of ``I'(u)v``'s form.  Every error
+    is the bits of one pair on its own.
     """
     grid = spec.grid
     op = _operator(spec)
+    draw = _random_line_field if isinstance(spec, ProblemSpec) else _random_interval_field
     eps = 1e-5
     worst = 0.0
-    for _ in range(count):
-        uv = _random_field(spec, rng)
-        vv = _random_field(spec, rng)
-        act = derivative_action(GridFunction(grid, uv), GridFunction(grid, vv), spec)
-        fd = (
-            energy(GridFunction(grid, uv + eps * vv), spec)
-            - energy(GridFunction(grid, uv - eps * vv), spec)
-        ) / (2.0 * eps)
-        scale = 1.0 + abs(act) + 1e-4 * float(op.xnormsq(uv) + op.xnormsq(vv))
-        worst = max(worst, abs(fd - act) / scale)
+    for size in _chunk_sizes(count, _stack_rows(grid.num_points * spec.n)):
+        pairs = [(draw(grid, rng, spec.n), draw(grid, rng, spec.n)) for _ in range(size)]
+        u, v = (_unit_fields(spec, np.stack(fields)) for fields in zip(*pairs))
+        ut, vt = op.transform(u), op.transform(v)
+        act = op.transformed_form(u, ut, v, vt) - op.wslope(u, v)
+        fd = (op.energies(u + eps * v) - op.energies(u - eps * v)) / (2.0 * eps)
+        quad = op.transformed_form(u, ut, u, ut) + op.transformed_form(v, vt, v, vt)
+        for err in np.abs(fd - act) / (1.0 + np.abs(act) + 1e-4 * quad):
+            worst = max(worst, float(err))
     return {"count": count, "worst_rel_err": worst, "passed": worst <= 1e-6}
 
 
@@ -372,7 +382,7 @@ def _identity_spot_checks(
     """Defect-identity gaps relative to ``1 + |lhs| + 1e-4 ||u||_X^2``, as in the FD check."""
     worst = 0.0
     for _ in range(_IDENTITY_CHECKS):
-        line = _normalized(_random_line_field(spec.grid, rng, spec.n), spec.grid, spec.alpha)
+        line = _unit_fields(spec, _random_line_field(spec.grid, rng, spec.n)[None])[0]
         interval = _random_interval_field(ispec.grid, rng, ispec.n)
         for sp, vals in ((spec, line), (ispec, interval)):
             lhs, _, gap = h_identity(GridFunction(sp.grid, vals), sp)
@@ -387,16 +397,21 @@ def _geometry_checks(
     count: int,
     rng: np.random.Generator,
 ) -> dict:
+    """The mountain-pass geometry: sphere floor, negative endpoint, falling ray, fixed ``sigma0``.
+
+    The sphere fields are drawn in order and evaluated a chunk at a time,
+    one stack under the package's stack budget; a zero field is skipped.
+    The floor is the bits of a one-field-at-a-time loop.
+    """
     setup = construct_e(spec, constants=constants)
     op = _operator(spec)
     floor_min = math.inf
-    for _ in range(count):
-        vals = _random_line_field(spec.grid, rng, spec.n)
-        nx = op.xnorm(vals)
-        if nx == 0.0:
-            continue
-        scaled = (setup.rho / nx) * vals
-        floor_min = min(floor_min, op.energy(scaled))
+    for size in _chunk_sizes(count, _stack_rows(spec.grid.num_points * spec.n)):
+        fields = np.stack([_random_line_field(spec.grid, rng, spec.n) for _ in range(size)])
+        nx = np.sqrt(np.maximum(op.xnormsq(fields), 0.0))
+        keep = nx != 0.0
+        for value in op.energies((setup.rho / nx[keep])[:, None, None] * fields[keep]):
+            floor_min = min(floor_min, float(value))
     sphere_ok = floor_min >= setup.eta - 1e-8
     endpoint_ok = op.energy(setup.e.values) < 0.0
     ray = [op.energy(s * setup.sigma0 * setup.psi.values) for s in (1.0, 2.0, 4.0)]

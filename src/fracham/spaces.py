@@ -33,12 +33,16 @@ exceed it.  Random samples only test the derived inequalities, in
 
 The stress test batches its work and still gives the same bits as a loop
 over one sample at a time.  It draws the line samples in order and
-evaluates them in chunks of ``_CHUNK`` rows: one rfft per chunk gives both
-fractional norms of every row, and the worst ratios are recorded row by
-row, in sample order.  The chunks stay small because the peak resident
-memory of a run grows with them.  :func:`sample_line_function` evaluates
-each Gaussian or polynomial bump only on the nodes where it is nonzero in
-floating point.
+evaluates them in chunks: one rfft per chunk gives both fractional norms of
+every row, and the worst ratios are recorded row by row, in sample order.
+A chunk holds as many rows as keep its ``spec.n``-component lift under the
+package's stack budget (``functional._STACK_VALUES``, 128 KiB): three at
+the default ``N = 4096``.  Then no temporary of a chunk, the complex rfft
+coefficients included, reaches glibc's mmap threshold, so the allocator
+reuses its memory instead of mapping and faulting in fresh pages for each
+chunk; small chunks also keep the peak resident memory down.
+:func:`sample_line_function` evaluates each Gaussian or polynomial bump
+only on the nodes where it is nonzero in floating point.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
 from .fracops import _coefficient_form, _form_multipliers, gl_matrix, quadratic_form_alpha
-from .functional import ProblemSpec, _operator, _values
+from .functional import ProblemSpec, _operator, _stack_rows, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 __all__ = [
@@ -75,10 +79,6 @@ _WELL_POINTS = 257
 # A Gaussian exp(-d^2 / (2 w^2)) is exactly 0.0 in float64 once its exponent
 # is below -746, that is past w * sqrt(1492) from its centre.
 _GAUSS_REACH = math.sqrt(1492.0)
-# Line samples per rfft in verify_embeddings.  Small on purpose: the peak RSS
-# of `fracham verify` is 0.1 MB above one sample at a time with 8 rows, and
-# 0.5 MB with 16, but 10.7 MB with 64.
-_CHUNK = 8
 
 
 def norm_h_alpha(u: GridFunction, alpha: float) -> float:
@@ -396,8 +396,9 @@ def verify_embeddings(
             )
 
     n_line = max(samples, 1)
-    for start in range(0, n_line, _CHUNK):
-        ids = range(start, min(start + _CHUNK, n_line))
+    rows = _stack_rows(grid.num_points * spec.n)
+    for start in range(0, n_line, rows):
+        ids = range(start, min(start + rows, n_line))
         block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
         sups, l2sqs, lppows, frac, xnormsq = _line_stats(block, spec, p)
         for j, i in enumerate(ids):

@@ -44,6 +44,7 @@ from fracham.problem import (
     w_values,
     weight_values,
 )
+from fracham.runner import _c6_record
 from fracham.spaces import sample_interval_function
 
 
@@ -179,6 +180,40 @@ def test_solve_vector_family_is_a_scalar_solve(potential):
     assert np.array_equal(runs[0].u.values[:, 1], np.zeros(grid.num_points))
     assert runs[0].iterations == runs[1].iterations
     assert abs(runs[0].level - runs[1].level) <= 4.0 * np.finfo(float).eps * runs[1].level
+
+
+def test_mixed_endpoint_runs_a_coupled_vector_solve(potential):
+    """An ``n = 2`` solve from an endpoint in both components converges.
+
+    The endpoint is ``construct_e``'s bump rotated by 0.6 rad into
+    component 1; the potential term vanishes on the bump, so its energy is
+    still negative.  No component's subspace holds the path, so the metric
+    solves and Newton steps act on both components.  With scales (1, 2)
+    the cheaper component 0 wins: component 1 decays towards zero and the
+    level is the scalar solve's.
+    """
+    grid = RealLineGrid(20.0, 1024)
+    scalar = ProblemSpec(alpha=0.75, lam=1.0, potential=potential,
+                         nonlinearity=default_nonlinearity(), grid=grid)
+    vector = dataclasses.replace(
+        scalar, n=2,
+        potential=dataclasses.replace(potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+    )
+    constants = estimate_embedding_constants(grid, 0.75, potential)
+    setup = construct_e(vector, constants=constants)
+    bump = setup.e.values[:, 0]
+    mixed = np.stack([np.cos(0.6) * bump, np.sin(0.6) * bump], axis=1)
+    assert energy(GridFunction(grid, mixed), vector) < 0.0
+    run = mpa_solve(vector, dataclasses.replace(setup, e=GridFunction(grid, mixed)))
+    assert run.converged
+    assert np.any(run.u.values[:, 1] != 0.0)
+    assert run.diagnostics["counters"]["newton_steps"] >= 1
+    c6 = _c6_record(run.u, vector)
+    assert c6["c6_ok"], c6
+    _, _, gap = h_identity(run.u, vector)
+    assert gap <= 1e-6 * (1.0 + abs(run.level))
+    reference = mpa_solve(scalar, construct_e(scalar, constants=constants))
+    assert abs(run.level - reference.level) <= 1e-9 * reference.level
 
 
 def test_newton_minres_iterations_do_not_grow_with_lambda(

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,18 @@ from fracham import (
     GridFunction,
     IntervalGrid,
     bvp_el_residual,
+    construct_e,
+    derivative_action,
     dist_h_alpha,
+    energy,
     lambda_sweep,
     run_verification_campaign,
     tail_mass_ratio,
 )
+from fracham import functional, runner, spaces
 from fracham.errors import ConfigError, DomainError
-from fracham.problem import NonlinearitySpec
+from fracham.functional import ProblemSpec, _operator, _stack_rows
+from fracham.problem import NonlinearitySpec, default_oscillatory
 from fracham.runner import (
     canonical_json,
     embed_interval_solution,
@@ -27,7 +33,7 @@ from fracham.runner import (
     write_solve_outputs,
     write_sweep_csv,
 )
-from fracham.spaces import sample_interval_function
+from fracham.spaces import norm_h_alpha, sample_interval_function
 
 
 def test_tail_mass_ratio_constructed_cases(line_grid):
@@ -264,3 +270,136 @@ def test_campaign_full_default_passes(spec10, constants):
     # the aggregate must serialize without any numpy leakage
     round_trip = json.loads(canonical_json(report))
     assert round_trip["passed"] is True
+
+
+def _oracle_field(spec, rng):
+    """One random field, unit-scaled as the checks scale it, one at a time."""
+    if isinstance(spec, ProblemSpec):
+        vals = runner._random_line_field(spec.grid, rng, spec.n)
+        nrm = norm_h_alpha(GridFunction(spec.grid, vals), spec.alpha)
+        return vals if nrm == 0.0 else vals / nrm
+    vals = runner._random_interval_field(spec.grid, rng, spec.n)
+    return vals / max(float(np.max(np.abs(vals))), 1e-12)
+
+
+def _oracle_fd(spec, count, rng):
+    """The FD check one pair at a time, through the public functional."""
+    grid, op, eps = spec.grid, _operator(spec), 1e-5
+    worst = 0.0
+    for _ in range(count):
+        uv = _oracle_field(spec, rng)
+        vv = _oracle_field(spec, rng)
+        act = derivative_action(GridFunction(grid, uv), GridFunction(grid, vv), spec)
+        fd = (
+            energy(GridFunction(grid, uv + eps * vv), spec)
+            - energy(GridFunction(grid, uv - eps * vv), spec)
+        ) / (2.0 * eps)
+        scale = 1.0 + abs(act) + 1e-4 * float(op.xnormsq(uv) + op.xnormsq(vv))
+        worst = max(worst, abs(fd - act) / scale)
+    return worst
+
+
+def _oracle_sphere(spec, constants, count, rng):
+    """The sphere floor one field at a time, skipping a zero field."""
+    setup = construct_e(spec, constants=constants)
+    op = _operator(spec)
+    floor_min = math.inf
+    for _ in range(count):
+        vals = runner._random_line_field(spec.grid, rng, spec.n)
+        nx = op.xnorm(vals)
+        if nx == 0.0:
+            continue
+        floor_min = min(floor_min, op.energy((setup.rho / nx) * vals))
+    return floor_min
+
+
+def _vector_oscillatory(spec10):
+    return dataclasses.replace(
+        spec10,
+        n=2,
+        potential=dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0)),
+        nonlinearity=default_oscillatory(),
+    )
+
+
+def test_batched_fd_check_matches_a_per_pair_loop(spec10):
+    """Worst error and the RNG state afterwards are the bits of a one-pair loop.
+
+    Cases: the line with n = 1 and with n = 2 (diagonal potential,
+    oscillatory ``W``), and the interval with n = 1 and 2; the counts are
+    not multiples of the chunk size where it exceeds one row.
+    """
+    ispec = spec10.well_interval(257)
+    cases = [(spec10, 7), (_vector_oscillatory(spec10), 4),
+             (ispec, 70), (dataclasses.replace(ispec, n=2), 70)]
+    for spec, count in cases:
+        rows = _stack_rows(spec.grid.num_points * spec.n)
+        assert rows == 1 or (count > rows and count % rows != 0)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = runner._fd_action_errors(spec, count, got_rng)
+        want = _oracle_fd(spec, count, want_rng)
+        assert got["worst_rel_err"] == want and want > 0.0, (spec.n, count)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_batched_sphere_check_matches_a_per_field_loop(spec10, constants, monkeypatch):
+    """Sphere floor and RNG state are the bits of a one-field loop; a zero field is skipped.
+
+    The fifth field drawn is replaced by zeros after its draw.  Dividing by
+    its zero norm would warn, and warnings are errors here.
+    """
+    draw = runner._random_line_field
+    calls = []
+
+    def fifth_is_zero(grid, rng, n):
+        vals = draw(grid, rng, n)
+        calls.append(1)
+        return np.zeros_like(vals) if len(calls) == 5 else vals
+
+    monkeypatch.setattr(runner, "_random_line_field", fifth_is_zero)
+    for spec, count in ((spec10, 8), (_vector_oscillatory(spec10), 5)):
+        rows = _stack_rows(spec.grid.num_points * spec.n)
+        assert rows == 1 or count % rows != 0
+        calls.clear()
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = runner._geometry_checks(spec, constants, count, got_rng)
+        assert len(calls) == count
+        calls.clear()
+        want = _oracle_sphere(spec, constants, count, want_rng)
+        assert got["sphere_min_energy"] == want and math.isfinite(want), spec.n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_default_campaign_stacks_stay_under_the_budget(spec10, constants, monkeypatch):
+    """Every stack the default campaign builds stays under 128 KiB, transforms included.
+
+    Records the arrays handed to ``_line_stats`` and to the operator's stack
+    methods, their results, and every FFT's output.  Above glibc's mmap
+    threshold a temporary is mapped and faulted in fresh on each allocation.
+    """
+    limit = 8 * functional._STACK_VALUES
+    assert limit == 128 * 1024
+    sizes = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.extend(a.nbytes for a in (*args, out) if isinstance(a, np.ndarray))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(spaces, "_line_stats", recording(spaces._line_stats))
+    for name in ("form", "xnormsq", "energies", "wint", "wslope"):
+        monkeypatch.setattr(functional._OperatorBase, name,
+                            recording(getattr(functional._OperatorBase, name)))
+    for cls in (functional._LineOperator, functional._IntervalOperator):
+        for name in ("transform", "transformed_form"):
+            monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    report = run_verification_campaign(spec10, constants)
+    assert report["passed"] is True
+    assert len(sizes) > 1000
+    assert max(sizes) < limit

@@ -18,6 +18,7 @@ from fracham import (
 from fracham import spaces
 from fracham.errors import DomainError, EmbeddingViolation
 from fracham.fracops import gl_matrix
+from fracham.functional import _stack_rows
 from fracham.problem import PotentialSpec
 from fracham.spaces import (
     EmbeddingConstants,
@@ -144,7 +145,7 @@ def test_verify_embeddings_flags_a_false_constant(spec10, constants):
     milder understatement that sample lies past the first chunk, off a
     chunk's first row.
     """
-    for factor, samples in ((0.2, 50), (0.71, 61)):
+    for factor, samples in ((0.2, 50), (0.73, 121)):
         fake = _understated(constants, factor)
         spec = spec10.with_lambda(fake.lambda_floor)
         with pytest.raises(EmbeddingViolation) as err:
@@ -154,7 +155,8 @@ def test_verify_embeddings_flags_a_false_constant(spec10, constants):
         _, hit = _reference_embeddings(samples, spec, fake, seed=3)
         assert (err.value.detail["name"], err.value.detail["sample_id"]) == hit
     index = int(hit[1].split("/")[2])
-    assert index > spaces._CHUNK and index % spaces._CHUNK != 0
+    rows = _stack_rows(spec10.grid.num_points * spec10.n)
+    assert index > rows and index % rows != 0
 
 
 def test_interval_samples_vanish_at_endpoints():
@@ -306,7 +308,7 @@ def _reference_embeddings(samples, spec, constants, seed):
 def test_chunked_embeddings_match_a_per_sample_loop(spec10, constants):
     """Worst ratios and argmax ids are exact, for n = 1 and n = 2, off the chunk size."""
     samples = 61
-    assert samples % spaces._CHUNK != 0
+    assert samples % _stack_rows(spec10.grid.num_points * spec10.n) != 0
     vector = dataclasses.replace(
         spec10,
         n=2,
