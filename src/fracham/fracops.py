@@ -162,10 +162,27 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     _check_order(alpha)
     if count < 1:
         raise DomainError(f"need count >= 1, got {count}")
-    k = np.arange(1, count)
-    w = np.concatenate([[1.0], np.cumprod((k - alpha - 1.0) / k)])
+    w = _binomial_series(alpha, count)
     w.setflags(write=False)
     return w
+
+
+def _binomial_series(order: float, count: int) -> np.ndarray:
+    """First ``count`` coefficients of ``(1 - z)^order``: ``w_j = w_{j-1} (j - 1 - order)/j``."""
+    k = np.arange(1, count)
+    return np.concatenate([[1.0], np.cumprod((k - order - 1.0) / k)])
+
+
+def _gl_toeplitz(order: float, count: int, scale: float) -> np.ndarray:
+    """``scale`` times the ``count x count`` lower-triangular Toeplitz matrix of ``(1 - z)^order``.
+
+    Such matrices multiply as truncated power series, so the matrix of
+    order ``-alpha`` inverts the one of order ``alpha`` exactly (Lubich,
+    SIAM J. Math. Anal. 17, 1986; Podlubny, Fract. Calc. Appl. Anal. 3, 2000).
+    """
+    w = _binomial_series(order, count)
+    lag = np.arange(count)
+    return np.tril(w[np.abs(lag[:, None] - lag[None, :])]) * scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,9 +192,7 @@ def gl_matrix(grid: IntervalGrid, alpha: float) -> np.ndarray:
     ``(B u)_i = h^(-alpha) sum_{j<=i} w_j u_{i-j}`` discretizes the left
     Riemann-Liouville derivative of a function vanishing at the left endpoint.
     """
-    w = gl_weights(alpha, grid.num_points)
-    lag = np.arange(grid.num_points)
-    b = np.tril(w[np.abs(lag[:, None] - lag[None, :])]) * grid.spacing ** (-alpha)
+    b = _gl_toeplitz(_check_order(alpha), grid.num_points, grid.spacing ** (-alpha))
     b.setflags(write=False)
     return b
 
@@ -190,6 +205,10 @@ def interval_stiffness(grid: IntervalGrid, alpha: float) -> np.ndarray:
     ``h * ||B u||^2``, the discrete squared ``L^2`` norm of the GL derivative;
     restricting to interior degrees of freedom folds in the boundary
     conditions.  The block is symmetric positive definite.
+
+    No solver path forms this matrix: the interval operator applies it as two
+    GL matvecs and inverts it in closed form.  It is the dense reference the
+    tests compare against.
     """
     b = gl_matrix(grid, alpha)
     a = grid.spacing * (b.T @ b)

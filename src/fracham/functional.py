@@ -27,68 +27,41 @@ only these primitives:
   the batched bilinear form of the quadratic part from values and
   transforms: the spectral form (:func:`fracham.fracops._coefficient_form`)
   plus ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
-* ``cross_form(u, ut, v, vt)``, the same form of two single vectors as a
-  float, so a stored transform is never recomputed;
 * ``quadrature(rows)``, the grid's quadrature of each row of nodal values:
   ``h`` times the sum on the line, the trapezoid rule on the interval;
 * ``dofs``, the nodes that are degrees of freedom: all of them on the line,
   the interior ones on the interval;
 * ``apply_metric`` and ``factor_solve`` on the degrees of freedom: on the
-  line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, solved exactly below; on
-  the interval the stiffness ``h B^T B``, solved by its cached Cholesky
-  factor; and ``solve_context()``, which names the solve in an error;
+  line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, inverted by the Woodbury
+  factor :class:`_MetricFactor`; on the interval the stiffness ``h B^T B``,
+  inverted in closed form (see :class:`_IntervalOperator`); and
+  ``solve_context()``, which names the solve in an error;
 * ``metric_bound``, an upper bound on the 2-norm of ``A`` on the degrees of
-  freedom: ``max |w|^(2 alpha) + lambda max L`` on the line, the largest
-  absolute row sum of the stiffness on the interval;
+  freedom: ``max |w|^(2 alpha) + lambda max L`` on the line,
+  ``h ||B'||_1 ||B'||_inf`` with ``B' = B[:, 1:-1]`` on the interval;
 * ``quad``, the weights of ``grad W`` in the residual (one on the line, the
   trapezoid weights on the interval), and ``pairing``, the scale in
   ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
 
 From them the base class builds ``form(u, v)``, ``transformed_form`` after
-one transform per argument, so a caller that needs several forms of the
-same stacks transforms each once; ``wint(u)`` and ``wslope(u, d)``, the
-batched ``W`` integral and its derivative along ``d``;
+one transform per argument, and ``cross_form``, the same form of two single
+vectors from stored transforms as a float; ``wint(u)`` and ``wslope(u, d)``,
+the batched ``W`` integral and its derivative along ``d``;
 ``xnormsq(u) = form(u, u)``; ``energies`` (one value per row of a stack,
 bit for bit that row on its own), ``energy`` and ``xnorm``; the stationarity
-``residual`` and the metric ``gradient``.  It writes the metric solve once:
-``solve_and_apply_metric(rhs)`` takes ``g`` from ``factor_solve``, checks
-the residual ``A g - rhs`` with one ``apply_metric`` (one step of
-iterative refinement above ``1e-12`` relative, failure above ``1e-10``) and
-hands back ``g`` with the checked product ``A g``; ``solve_metric`` returns
-``g`` alone.  ``newton_step`` runs :func:`_minres`, the package's port of
-preconditioned MINRES, on the degrees of freedom with that solve as its
-preconditioner: every Lanczos vector is a scaled preconditioner output,
-so the Hessian action is ``s A g - quad W''(u) v`` from the product the
-check computed, and one Krylov step costs one checked metric solve and no
-other application of ``A``.  The public functions (``energy``,
-``derivative_action``, ``gradient_rep``, ``h_identity``; the ``bvp_*``
-names are the same functions) take either spec and reach the domain only
-through its operator; an interval argument must vanish exactly at both
-endpoints.
+``residual`` and the metric ``gradient``.  ``solve_and_apply_metric(rhs)``
+takes ``g`` from ``factor_solve``, checks the residual ``A g - rhs`` with
+one ``apply_metric`` and hands back ``g`` with the checked product ``A g``;
+``newton_step`` runs :func:`_minres` with that solve as its preconditioner.
+The public functions (``energy``, ``derivative_action``, ``gradient_rep``,
+``h_identity``; the ``bvp_*`` names are the same functions) take either
+spec and reach the domain only through its operator; an interval argument
+must vanish exactly at both endpoints.
 
-``segment_forms(a, b)`` returns ``Q(a)``, ``B(a, b)``, ``Q(b)`` of the
-quadratic part ``Q`` by ``cross_form``, from one transform of each end.
-Along the segment from ``a`` to ``b``, ``Q``
-is exactly ``(1-th)^2 Q(a) + 2 th (1-th) B(a, b) + th^2 Q(b)``, so a segment
-costs those three reductions plus one ``wint`` per coarse trial point and
-one ``wslope`` per step of the root search for the crest, with no
-transform.  The path engine keeps each node's transform and ``Q(x)``, so
-there a segment needs only the cross form ``B(a, b)``.  The crest
-value the solver reports is re-evaluated with ``energy`` (see
-:func:`fracham.mpa._measure_segment`).  ``wint``, ``wslope`` and
-``energies`` take a ``span`` of nodes off which ``u`` is exactly ``+0.0``:
-``W`` and its slope are evaluated on the span only and the rest of each row
-is filled with exact zeros, so the quadrature sums the same row and the
-result keeps every bit.
-
-The shipped potentials equal their grid maximum outside a bounded well, so
-per component the line metric ``A`` is an operator diagonal in frequency
-minus a correction of rank ``k``, the number of well nodes; the Woodbury
-identity turns ``A^-1`` into two FFT solves and one cached ``k x k`` Cholesky
-solve (the capacitance-matrix method).  Each Cholesky factor, the
-capacitance matrices' and the interval stiffness', is stored as the
-inverse of its triangular factor (``np.linalg.cholesky``), so a solve is
-two matrix products and the runtime needs numpy only.
+``wint``, ``wslope`` and ``energies`` take a ``span`` of nodes off which
+``u`` is exactly ``+0.0``: ``W`` and its slope are evaluated on the span
+only and the rest of each row is filled with exact zeros, so the quadrature
+sums the same row and the result keeps every bit.
 """
 
 from __future__ import annotations
@@ -100,12 +73,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fracops import (
-    _coefficient_form,
-    _form_multipliers,
-    gl_matrix,
-    interval_stiffness,
-)
+from .fracops import _coefficient_form, _form_multipliers, _gl_toeplitz, gl_matrix
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import (
     NonlinearitySpec,
@@ -273,11 +241,9 @@ class _OperatorBase:
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
 
-    def segment_forms(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """``Q(a)``, ``B(a, b)``, ``Q(b)`` of the quadratic part ``Q``, one transform per end."""
-        at, bt = self.transform(a), self.transform(b)
-        cross = self.cross_form
-        return cross(a, at, a, at), cross(a, at, b, bt), cross(b, bt, b, bt)
+    def cross_form(self, u: np.ndarray, ut: np.ndarray, v: np.ndarray, vt: np.ndarray) -> float:
+        """``form(u, v)`` of two single vectors from their stored ``transform``."""
+        return float(self.transformed_form(u, ut, v, vt))
 
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """The metric applied to ``u`` minus ``quad * grad W``; zero off the degrees of freedom."""
@@ -533,12 +499,6 @@ class _LineOperator(_OperatorBase):
         pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
         return _coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot
 
-    def cross_form(self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray) -> float:
-        """``form(u, v)`` from the values and their ``transform``: no FFT."""
-        spec = self.spec
-        pot = spec.grid.spacing * np.sum(self.ldiag * u * v)
-        return float(_coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot)
-
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
         n = self.spec.grid.num_points
@@ -586,12 +546,22 @@ class _IntervalOperator(_OperatorBase):
 
     def __init__(self, spec: IntervalProblemSpec):
         super().__init__(spec)
-        self.b = gl_matrix(spec.grid, spec.alpha)
-        stiffness = interval_stiffness(spec.grid, spec.alpha)
-        self.stiffness_linv = _inverse_cholesky(stiffness)
-        # The largest absolute row sum bounds the 2-norm of the symmetric stiffness.
-        self.metric_bound = float(np.max(np.sum(np.abs(stiffness), axis=1)))
-        self.quad = spec.grid.trapezoid_weights[1:-1, None]
+        grid = spec.grid
+        h = grid.spacing
+        self.b = gl_matrix(grid, spec.alpha)
+        # The stiffness is h (T^T T + r r^T): T = B[1:-1, 1:-1] is the GL
+        # Toeplitz block, whose inverse is the one of order -alpha, and
+        # r = B[-1, 1:-1] the last row.  Sherman-Morrison folds r into one
+        # vector c with (T^T T + r r^T)^-1 = T^-1 T^-T - c c^T.
+        self.tinv = _gl_toeplitz(-spec.alpha, grid.num_points - 2, h**spec.alpha)
+        r = self.b[-1, 1:-1]
+        mr = self.tinv @ (self.tinv.T @ r)
+        self.c = (mr / math.sqrt(1.0 + float(r @ mr)))[:, None]
+        # ||B'||_2^2 <= ||B'||_1 ||B'||_inf for B' = B[:, 1:-1], so h times
+        # that product bounds the 2-norm of the stiffness h B'^T B'.
+        bd = np.abs(self.b[:, 1:-1])
+        self.metric_bound = h * float(np.max(np.sum(bd, axis=0)) * np.max(np.sum(bd, axis=1)))
+        self.quad = grid.trapezoid_weights[1:-1, None]
 
     def quadrature(self, rows: np.ndarray) -> np.ndarray:
         """The trapezoid rule on each row of nodal values."""
@@ -608,18 +578,15 @@ class _IntervalOperator(_OperatorBase):
         """The stiffness pairing ``h (B u) . (B v)``."""
         return self.spec.grid.spacing * np.sum(bu * bv, axis=(-2, -1))
 
-    def cross_form(self, u: np.ndarray, bu: np.ndarray, v: np.ndarray, bv: np.ndarray) -> float:
-        """``form(u, v)`` from the values and their ``transform``: no GL matvec."""
-        return float(self.transformed_form(u, bu, v, bv))
-
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The stiffness ``h B^T B x`` on the interior nodes, from two GL matvecs."""
         b = self.b[:, 1:-1]
         return self.spec.grid.spacing * (b.T @ (b @ x))
 
     def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^-1 rhs`` by the stiffness's cached Cholesky factor, unchecked."""
-        return _cholesky_solve(self.stiffness_linv, rhs)
+        """``A^-1 rhs = (T^-1 (T^-T rhs) - c (c^T rhs)) / h`` in closed form, unchecked."""
+        tinv, c = self.tinv, self.c
+        return (tinv @ (tinv.T @ rhs) - c * (c.T @ rhs)) / self.spec.grid.spacing
 
     def solve_context(self) -> str:
         return f"on the interval with {self.spec.grid.num_points - 2} interior nodes"

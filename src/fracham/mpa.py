@@ -48,12 +48,13 @@ on.
 The solver is written once for both domains.  It sees a problem only through
 the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
-residual, one Newton step and a bound on the metric's norm, plus the three
-reductions of a segment and the batched ``W`` integral and its slope that
-make a line search transform-free (see ``_measure_segment``).  The path
-engine keeps a record per node, its support, transform and ``Q(x)``, set
-once when the node enters the path, so a segment between two path nodes
-costs one cross form and no transform.  On top of
+residual, one Newton step and a bound on the metric's norm, plus the cross
+form of two stored transforms and the batched ``W`` integral and its slope
+that make a line search transform-free (see ``_measure_segment``).  Every
+segment is measured between the records of its two ends
+(:class:`_NodeRecord`: support, transform and ``Q(x)``); the path engine
+sets one when a node enters the path and ``ctilde_bound`` one for each of
+``0`` and ``e``, so a segment costs one cross form and no transform.  On top of
 that it keeps one helper per repeated numerical pattern: ``_slope_crest``
 with ``_illinois_root`` (segment crests: a coarse scan's best point refined
 to a root of the slope), ``_doubling_scan`` (the far endpoint on both
@@ -405,8 +406,11 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     bump avoids the potential's support, so the value is the same for every
     parameter value.
     """
-    e = setup.e.values
-    return _measure_segment(_operator(spec), np.zeros_like(e), e).value
+    op = _operator(spec)
+    ends = (np.zeros_like(setup.e.values), setup.e.values)
+    records = tuple(_node_record(op, x) for x in ends)
+    energies = tuple(op.energy(x, rec.span) for x, rec in zip(ends, records))
+    return _measure_segment(op, *ends, energies, records).value
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +451,7 @@ class _NodeRecord:
     """What a segment measurement needs of one path node, computed once per node.
 
     ``span`` is the node's support (:func:`_support`), ``coeffs`` its
-    ``op.transform`` and ``q`` its quadratic part ``Q(x)``, with the
-    arithmetic of ``op.segment_forms``.
+    ``op.transform`` and ``q`` its quadratic part ``Q(x)``.
     """
 
     span: slice
@@ -464,7 +467,7 @@ def _node_record(op, x: np.ndarray) -> _NodeRecord:
 def _segment_energies(
     op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray, span: slice = slice(None)
 ) -> np.ndarray:
-    """Energies at ``(1 - th) a + th b`` from ``forms = op.segment_forms(a, b)``.
+    """Energies at ``(1 - th) a + th b`` from ``forms``, the segment's ``Q(a)``, ``B(a, b)``, ``Q(b)``.
 
     ``W`` is evaluated on the nodes ``span`` only, off which ``a`` and ``b``
     must be exactly ``+0.0`` (see :func:`_support`).
@@ -484,8 +487,8 @@ def _measure_segment(
     op,
     a: np.ndarray,
     b: np.ndarray,
-    ends: tuple[float, float] | None = None,
-    records: tuple[_NodeRecord, _NodeRecord] | None = None,
+    ends: tuple[float, float],
+    records: tuple[_NodeRecord, _NodeRecord],
 ) -> _Segment:
     """Maximum of the energy along the straight segment from a to b.
 
@@ -493,10 +496,12 @@ def _measure_segment(
 
         Q((1 - th) a + th b) = (1 - th)^2 Q(a) + 2 th (1 - th) B(a, b) + th^2 Q(b),
 
-    so three reductions (``op.segment_forms``) serve every point, and each
-    trial point costs one ``W`` integral (``op.wint``) and no transform.
+    so three reductions serve every point, and each trial point costs one
+    ``W`` integral (``op.wint``) and no transform.  ``records`` holds the
+    ends' :class:`_NodeRecord`: ``Q(a)`` and ``Q(b)`` are stored there, and
+    ``B(a, b)`` is one ``op.cross_form`` of the two stored transforms.
     ``W`` and its slope are evaluated only on the segment's support, the
-    union of its ends' spans found by :func:`_support`: off it every ``u_th`` is
+    union of its ends' stored spans: off it every ``u_th`` is
     exactly ``+0.0``, so ``W`` and ``grad W . (b - a)`` are exactly zero
     there, and the operator fills them in as zeros and sums the same rows as
     a whole-grid evaluation.  A segment from the cold path's zero node or
@@ -508,11 +513,11 @@ def _measure_segment(
 
     one ``op.wslope`` row per evaluation of ``S``.
 
-    ``ends`` holds the energies ``(E(a), E(b))`` the caller already knows.
-    Given them, a segment of a convex ``W`` (the ``pure_power`` family:
-    ``g(t) |u|^p`` with ``g > 0`` and ``p >= 2``) is first tested for
-    monotonicity.  Both quadratures have positive weights, so ``S`` never
-    decreases along the segment, while ``q'`` is linear; hence
+    ``ends`` holds the ends' energies ``(E(a), E(b))``.  A segment of a
+    convex ``W`` (the ``pure_power`` family: ``g(t) |u|^p`` with ``g > 0``
+    and ``p >= 2``) is first tested for monotonicity.  Both quadratures
+    have positive weights, so ``S`` never decreases along the segment,
+    while ``q'`` is linear; hence
 
         min(q'(0), q'(1)) - S(1) <= E'(th) <= max(q'(0), q'(1)) - S(0).
 
@@ -536,23 +541,14 @@ def _measure_segment(
 
     If the slope keeps its sign up to a clipped end, or its root lies within
     ``_ROOT_TOL`` of one, the maximum is that end node: ``th`` is reported
-    moved inward by ``_ROOT_TOL`` and the value is the end's own energy,
-    taken from ``ends`` when given.  A direct energy that close to the node
-    would differ from it only by round-off, and an excess of one ulp would
-    make the path engine insert a duplicate of the node.
-
-    ``records`` holds the ends' :class:`_NodeRecord`, which the path engine
-    keeps per node.  Given them, the segment needs only the cross form
-    ``B(a, b)`` from the two stored transforms and the union of the two
-    stored spans: no transform and no support scan, with the same bits.
+    moved inward by ``_ROOT_TOL`` and the value is the end's own energy from
+    ``ends``.  A direct energy that close to the node would differ from it
+    only by round-off, and an excess of one ulp would make the path engine
+    insert a duplicate of the node.
     """
-    if records is None:
-        spans = (_support(a), _support(b))
-        forms = op.segment_forms(a, b)
-    else:
-        ra, rb = records
-        spans = (ra.span, rb.span)
-        forms = (ra.q, op.cross_form(a, ra.coeffs, b, rb.coeffs), rb.q)
+    ra, rb = records
+    spans = (ra.span, rb.span)
+    forms = (ra.q, op.cross_form(a, ra.coeffs, b, rb.coeffs), rb.q)
     span = _span_union(*spans)
     qa, qab, qb = forms
     d = b - a
@@ -566,10 +562,9 @@ def _measure_segment(
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
 
     def end(k: int, scanned: bool = True) -> _Segment:
-        value = op.energy((a, b)[k], spans[k]) if ends is None else ends[k]
-        return _Segment(theta=(_ROOT_TOL, 1.0 - _ROOT_TOL)[k], value=value, scanned=scanned)
+        return _Segment(theta=(_ROOT_TOL, 1.0 - _ROOT_TOL)[k], value=ends[k], scanned=scanned)
 
-    if ends is not None and op.spec.nonlinearity.kind == "pure_power":
+    if op.spec.nonlinearity.kind == "pure_power":
         k = int(ends[1] > ends[0])
         s = wslope(float(k))
         rises = (qab - qa, qb - qab)

@@ -319,33 +319,27 @@ def _power(mag: np.ndarray, p: float) -> np.ndarray:
 def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndarray, ...]:
     """Per-row ``sup|u|``, ``||u||_L2^2``, ``||u||_Lp^p``, ``|u|_alpha^2``, ``||u||_X^2``.
 
-    ``block`` stacks scalar line samples; for ``||u||_X`` each row is lifted
-    into component 0 of an ``spec.n``-component field.  One rfft serves the
-    whole stack and both forms, and the squares are taken once.  Every sum
-    runs over the same values in the same order as :func:`norm_h_alpha`,
+    ``block`` stacks scalar line samples; each row is lifted into component
+    0 of an ``spec.n``-component field, whose one operator transform serves
+    both forms, and ``||u||_X^2`` is the operator's form of that lift.  Every
+    sum runs over the same values in the same order as :func:`norm_h_alpha`,
     :func:`norm_x_lambda` and ``grid.integrate`` on one sample, so each
     result is the same bits.
     """
+    op = _operator(spec)
     grid = spec.grid
     h = grid.spacing
     mag = np.abs(block)
-    sq = block * block
-    coeffs = np.fft.rfft(block[..., None], axis=-2)
-    frac = _coefficient_form(grid, spec.alpha, coeffs, coeffs)
-    xfrac, xsq = frac, sq[..., None]
-    if spec.n > 1:
-        wide = np.zeros(coeffs.shape[:-1] + (spec.n,), dtype=coeffs.dtype)
-        wide[..., :1] = coeffs
-        xfrac = _coefficient_form(grid, spec.alpha, wide, wide)
-        xsq = np.zeros(block.shape + (spec.n,))
-        xsq[..., 0] = sq
-    pot = h * np.sum(_operator(spec).ldiag * xsq, axis=(-2, -1))
+    lifted = np.zeros(block.shape + (spec.n,))
+    lifted[..., 0] = block
+    coeffs = op.transform(lifted)
+    first = coeffs[..., :1]
     return (
         np.max(mag, axis=-1),
-        h * np.sum(sq, axis=-1),
+        h * np.sum(block * block, axis=-1),
         h * np.sum(_power(mag, p), axis=-1),
-        frac,
-        xfrac + spec.lam * pot,
+        _coefficient_form(grid, spec.alpha, first, first),
+        op.transformed_form(lifted, coeffs, lifted, coeffs),
     )
 
 

@@ -319,6 +319,23 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_bvp_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The interval's metric solve uses no LAPACK factor, so BLAS threading moves no bit."""
+    results = []
+    for threads in ("1", "2"):
+        env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracham", "bvp", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        payload.pop("generated_at")
+        results.append(payload)
+    assert results[0] == results[1]
+
+
 def test_module_entry_point_prints_help():
     env = _package_env()
     proc = subprocess.run(

@@ -218,9 +218,37 @@ def test_interval_metric_solve_checks_its_residual(interval_spec, monkeypatch):
     assert np.linalg.norm(stiffness @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.array_equal(ag, op.apply_metric(g))
     assert np.array_equal(op.solve_metric(rhs), g)
-    monkeypatch.setattr(op, "stiffness_linv", 0.5 * op.stiffness_linv)
+    monkeypatch.setattr(op, "tinv", 0.5 * op.tinv)
     with pytest.raises(ConvergenceError, match=r"interval with 255 interior nodes.*residual"):
         op.solve_metric(rhs)
+
+
+# Orders near both ends of (1/2, 1), on a coarse, the default and a fine well grid.
+_CLOSED_FORM_CASES = [(alpha, m) for alpha in (0.51, 0.75, 0.99) for m in (9, 257, 1025)]
+
+
+def _well_spec(alpha, num_points):
+    varrho = default_potential().varrho
+    grid = IntervalGrid(-varrho, varrho, num_points)
+    return IntervalProblemSpec(alpha=alpha, nonlinearity=default_nonlinearity(), grid=grid)
+
+
+@pytest.mark.parametrize("alpha, num_points", _CLOSED_FORM_CASES)
+def test_closed_form_interval_solve_matches_dense(alpha, num_points):
+    """The closed-form stiffness inverse agrees with a dense solve of ``h B^T B``.
+
+    Both solves leave a small residual in the dense matrix; they differ by
+    at most what the condition number allows (1.6e-10 at ``alpha = 0.99``,
+    ``m = 1025``, where it is 3.8e5).
+    """
+    spec = _well_spec(alpha, num_points)
+    stiffness = interval_stiffness(spec.grid, alpha)
+    rhs = np.random.default_rng(4).normal(size=(num_points - 2, 2))
+    g, _ = functional._operator(spec).solve_and_apply_metric(rhs)
+    assert np.linalg.norm(stiffness @ g - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    dense = np.linalg.solve(stiffness, rhs)
+    gap = np.linalg.norm(g - dense) / np.linalg.norm(dense)
+    assert gap <= 1e-14 * np.linalg.cond(stiffness)
 
 
 @pytest.mark.parametrize("maxiter", [3, None])
@@ -288,8 +316,10 @@ def test_metric_bound_is_an_upper_bound(spec10, interval_spec):
                 ax = np.linalg.norm(op.apply_metric(x))
                 assert ax <= op.metric_bound * np.linalg.norm(x)
             assert np.linalg.norm(op.apply_metric(top)) >= 0.5 * op.metric_bound * np.linalg.norm(top)
-    stiffness = interval_stiffness(interval_spec.grid, interval_spec.alpha)
-    assert np.linalg.norm(stiffness, 2) <= functional._operator(interval_spec).metric_bound
+    for alpha, num_points in _CLOSED_FORM_CASES:
+        spec = _well_spec(alpha, num_points)
+        stiffness = interval_stiffness(spec.grid, alpha)
+        assert np.linalg.norm(stiffness, 2) <= functional._operator(spec).metric_bound
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,7 @@
 
 import dataclasses
 import json
-import os
-import pathlib
-import subprocess
-import sys
+import math
 import warnings
 
 import numpy as np
@@ -418,6 +415,13 @@ def _segment_problem(domain, n, nonlinearity):
     return op, field(), 2.0 * field()
 
 
+def _measure(op, a, b):
+    """``_measure_segment`` from the ends' records and energies, as ``ctilde_bound`` takes them."""
+    records = (mpa._node_record(op, a), mpa._node_record(op, b))
+    ends = tuple(op.energy(x, rec.span) for x, rec in zip((a, b), records))
+    return mpa._measure_segment(op, a, b, ends, records)
+
+
 @pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
                          ids=["pure_power", "oscillatory"])
 @pytest.mark.parametrize("n", [1, 2])
@@ -428,14 +432,15 @@ def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
     thetas = np.linspace(0.0, 1.0, 41)
     stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
     direct = op.energies(stack)
-    forms = op.segment_forms(a, b)
+    at, bt = op.transform(a), op.transform(b)
+    forms = (op.cross_form(a, at, a, at), op.cross_form(a, at, b, bt), op.cross_form(b, bt, b, bt))
     expanded = mpa._segment_energies(op, a, b, forms, thetas)
     assert np.max(np.abs(expanded - direct)) <= 1e-12 * np.max(np.abs(direct))
     # The scan integrates W over row chunks of the stack; each row keeps its bits.
     s = 1.0 - thetas
     quad = s * s * forms[0] + 2.0 * thetas * s * forms[1] + thetas * thetas * forms[2]
     assert np.array_equal(expanded, 0.5 * quad - op.wint(stack))
-    seg = mpa._measure_segment(op, a, b)
+    seg = _measure(op, a, b)
     assert 0.0 < seg.theta < 1.0
     # A crest at an end node reports that node's own energy; any other crest
     # the energy of the point the path engine would insert.
@@ -549,7 +554,7 @@ def test_measured_crest_is_a_root_of_the_slope(domain, n, nonlinearity):
     sigma = mpa._doubling_scan(lambda s: op.energy(s * a) < 0.0, "no negative energy")
     b = sigma * a
     zero = np.zeros_like(a)
-    seg = mpa._measure_segment(op, zero, b)
+    seg = _measure(op, zero, b)
     assert 0.01 < seg.theta < 0.99
     assert seg.value == op.energy((1.0 - seg.theta) * zero + seg.theta * b)
     step = 1e-5
@@ -565,7 +570,7 @@ def _recorded_segments(monkeypatch, solve):
     calls = []
     measure = mpa._measure_segment
 
-    def recorded(op, a, b, ends=None, records=None):
+    def recorded(op, a, b, ends, records):
         seg = measure(op, a, b, ends, records)
         calls.append((op, a.copy(), b.copy(), ends, records, seg))
         return seg
@@ -598,18 +603,17 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
                                                 interval_spec, monkeypatch):
     """Wherever the monotonicity certificate fires, a scan reports the same end, bit for bit.
 
-    A measurement without ``ends`` always scans, and takes the end energy
-    from ``op.energy`` on the node's support instead of the stored value.
+    An infinite margin turns the certificate off, so every measurement scans.
     """
     solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
     assert res.converged
     certified = [call for call in calls if not call[-1].scanned]
     assert certified
-    for op, a, b, ends, _, seg in certified:
-        assert ends is not None
+    monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", math.inf)
+    for op, a, b, ends, records, seg in certified:
         assert seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL)
-        forced = mpa._measure_segment(op, a, b)
+        forced = mpa._measure_segment(op, a, b, ends, records)
         assert forced.scanned
         assert forced.theta == seg.theta
         assert forced.value == seg.value
@@ -621,40 +625,44 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
 @pytest.mark.parametrize("case", ["line", "line-n2-oscillatory", "bvp"])
 def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_grid, potential,
                                                       interval_spec, monkeypatch):
-    """A segment measured from its ends' stored records equals the record-less measurement.
+    """A segment measured from its ends' stored records equals one from fresh records.
 
-    The record-less call transforms both ends and scans them for support
-    itself; every ``theta``, ``value`` and ``scanned`` agrees bit for bit.
+    The oracle transforms both ends, scans them for support and takes the
+    three cross forms itself; every ``theta``, ``value`` and ``scanned``
+    agrees bit for bit.  The stored end energies are the ends' own.
     """
     solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
     assert res.converged
-    assert calls and all(records is not None for *_, records, _ in calls)
+    assert calls
     for op, a, b, ends, records, seg in calls:
-        assert (records[0].span, records[1].span) == (mpa._support(a), mpa._support(b))
-        assert mpa._span_union(records[0].span, records[1].span) == mpa._support(a, b)
-        qa, _, qb = op.segment_forms(a, b)
-        assert (records[0].q, records[1].q) == (qa, qb)
-        fresh = mpa._measure_segment(op, a, b, ends)
-        assert (fresh.theta, fresh.value, fresh.scanned) == (seg.theta, seg.value, seg.scanned)
+        at, bt = op.transform(a), op.transform(b)
+        spans = (mpa._support(a), mpa._support(b))
+        qs = (op.cross_form(a, at, a, at), op.cross_form(b, bt, b, bt))
+        assert ends == (op.energy(a), op.energy(b))
+        assert (records[0].span, records[1].span) == spans
+        assert mpa._span_union(*spans) == mpa._support(a, b)
+        assert (records[0].q, records[1].q) == qs
+        assert op.cross_form(a, records[0].coeffs, b, records[1].coeffs) == op.cross_form(a, at, b, bt)
+        fresh = tuple(mpa._NodeRecord(span=sp, coeffs=xt, q=q) for sp, xt, q in zip(spans, (at, bt), qs))
+        again = mpa._measure_segment(op, a, b, ends, fresh)
+        assert (again.theta, again.value, again.scanned) == (seg.theta, seg.value, seg.scanned)
 
 
-def test_certificate_is_off_for_oscillatory_and_without_ends(osc_solve, spec10, setup):
-    """The oscillatory ``W`` is not convex, so every one of its segments is scanned."""
+def test_certificate_is_off_for_oscillatory(osc_solve, spec10, setup):
+    """The oscillatory ``W`` is not convex, so every one of its segments is scanned.
+
+    Past the crest of the straight path the energy falls toward ``e``, and
+    for the convex default ``W`` that segment is certified.
+    """
     _, res = osc_solve
     counters = res.diagnostics["counters"]
     assert counters["segments"] == counters["segment_scans"] > 0
-    # Past the crest of the straight path the energy falls toward e.
     op = functional._operator(spec10)
-    e = setup.e.values
-    a = 0.95 * e
-    ends = (op.energy(a), op.energy(e))
-    certified = mpa._measure_segment(op, a, e, ends)
+    a = 0.95 * setup.e.values
+    certified = _measure(op, a, setup.e.values)
     assert not certified.scanned
-    assert (certified.theta, certified.value) == (mpa._ROOT_TOL, ends[0])
-    forced = mpa._measure_segment(op, a, e)
-    assert forced.scanned
-    assert (forced.theta, forced.value) == (certified.theta, certified.value)
+    assert (certified.theta, certified.value) == (mpa._ROOT_TOL, op.energy(a))
 
 
 def test_straight_path_crest_is_scanned(spec10, setup, ctilde):
@@ -662,7 +670,7 @@ def test_straight_path_crest_is_scanned(spec10, setup, ctilde):
     op = functional._operator(spec10)
     e = setup.e.values
     zero = np.zeros_like(e)
-    seg = mpa._measure_segment(op, zero, e, (op.energy(zero), op.energy(e)))
+    seg = _measure(op, zero, e)
     assert seg.scanned
     assert 0.01 < seg.theta < 0.99
     assert seg.value == ctilde
@@ -683,31 +691,25 @@ def test_flat_segments_are_scanned(bvp_result, interval_spec):
             v[1:-1] = rng.normal(size=(u.shape[0] - 2, u.shape[1]))
             b = u + scale * (np.linalg.norm(u) / np.linalg.norm(v)) * v
             for x, y in ((u, b), (b, u)):
-                assert mpa._measure_segment(op, x, y, (op.energy(x), op.energy(y))).scanned
+                assert _measure(op, x, y).scanned
 
 
-def test_monotonicity_margin_keeps_the_default_bvp(tmp_path):
-    """The default ``bvp``, with BLAS on one thread as the benchmark runs it.
+def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, monkeypatch):
+    """The shipped margin keeps an insert that a zero margin loses on the default ``bvp``.
 
     With a zero margin the path certifies a segment whose scan finds an
     interior energy ulps above its end node, makes one insert fewer
-    (6 / 11 / 27) and ends 10 ulps lower.  The pinned bits depend on the
-    BLAS thread count, through the Cholesky factor of the stiffness: with
-    two threads the default ``bvp`` makes 6 inserts with or without the
-    certificate.
+    (6 / 11 / 27 against 7 / 12 / 28) and ends 5 ulps lower.
     """
-    src = str(pathlib.Path(mpa.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "fracham", "bvp", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    diag = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["diagnostics"]
-    assert diag["counters"]["inserted"] == 7
-    assert diag["crest_index"] == 12
-    assert diag["path_nodes_final"] == 28
-    assert diag["polyline_level"] == 1.2062236961337058
+
+    def path(res):
+        diag = res.diagnostics
+        return diag["counters"]["inserted"], diag["crest_index"], diag["path_nodes_final"]
+
+    assert path(bvp_result) == (7, 12, 28)
+    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337052
+    monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", 0.0)
+    assert path(bvp_solve(interval_spec, MpaConfig(tol=1e-8))) == (6, 11, 27)
 
 
 def test_default_sweep_scan_budget(sweep_report):
