@@ -18,7 +18,8 @@ scanned (see ``_measure_segment``).  Each iteration:
 
 1. selects the crest: if a segment's interior maximum exceeds every node
    energy, that interior point is inserted as a new node (converting an
-   already-counted maximum into a node cannot raise the level);
+   already-counted maximum into a node cannot raise the level); otherwise
+   the highest interior node, never a frozen endpoint;
 2. computes the metric gradient at the crest node and stops when the
    weighted residual ``(1 + ||u||_X) ||I'(u)|| <= tol``;
 3. otherwise descends that single node by a backtracking step, accepted only
@@ -32,9 +33,9 @@ tolerance or ``eps ||A|| ||u||``, the round-off floor of evaluating the
 residual (``||A||`` is the operator's ``metric_bound``); the step cap is a
 backstop.  It is accepted only if it lands at most negligibly above the
 current level and away from zero, so it refines the same critical point
-rather than escaping the path structure.  Of the path nodes within
-``1e-12`` relative of the top energy, the solver reports the one with the
-smallest weighted residual.  The solve's ``diagnostics["counters"]`` count
+rather than escaping the path structure.  Of the interior nodes within
+``1e-12`` relative of their top energy, the solver reports the one with
+the smallest weighted residual.  The solve's ``diagnostics["counters"]`` count
 path events, the polishes' ``newton_steps`` and ``minres_iterations``, and
 the ``segments`` measured and the ``segment_scans`` among them that ran the
 coarse scan.
@@ -50,16 +51,17 @@ the cached operator of its spec (``functional._operator``): batched and
 single energies, the weighted norm, the metric gradient, the stationarity
 residual, one Newton step and a bound on the metric's norm, plus the cross
 form of two stored transforms and the batched ``W`` integral and its slope
-that make a line search transform-free (see ``_measure_segment``).  Every
-segment is measured between the records of its two ends
-(:class:`_NodeRecord`: support, transform and ``Q(x)``); the path engine
-sets one when a node enters the path and ``ctilde_bound`` one for each of
-``0`` and ``e``, so a segment costs one cross form and no transform.  On top of
-that it keeps one helper per repeated numerical pattern: ``_slope_crest``
-with ``_illinois_root`` (segment crests: a coarse scan's best point refined
-to a root of the slope), ``_doubling_scan`` (the far endpoint on both
-domains), ``_bump`` (the profile behind that endpoint on both domains) and
-``_newton_polish`` (damped Newton with backtracking on both domains).
+that make a line search transform-free (see ``_measure_segment``).  Each
+path node is one immutable record (:class:`_Node`: values, support,
+transform, ``Q(x)`` and energy), made when the node enters the path;
+``ctilde_bound`` makes one for each of ``0`` and ``e``.  A segment is
+measured between two nodes, so it costs one cross form and no transform.
+On top of that it keeps one helper per repeated numerical pattern:
+``_slope_crest`` with ``_illinois_root`` (segment crests: a coarse scan's
+best point refined to a root of the slope), ``_doubling_scan`` (the far
+endpoint on both domains), ``_bump`` (the profile behind that endpoint on
+both domains) and ``_newton_polish`` (damped Newton with backtracking on
+both domains).
 
 The geometry pieces mirror the variational skeleton and take the
 embedding constants from the caller: ``estimate_rho_eta``
@@ -407,10 +409,8 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     parameter value.
     """
     op = _operator(spec)
-    ends = (np.zeros_like(setup.e.values), setup.e.values)
-    records = tuple(_node_record(op, x) for x in ends)
-    energies = tuple(op.energy(x, rec.span) for x, rec in zip(ends, records))
-    return _measure_segment(op, *ends, energies, records).value
+    zero, e = _node(op, np.zeros_like(setup.e.values)), _node(op, setup.e.values)
+    return _measure_segment(op, zero, e).value
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +447,26 @@ def _span_union(x: slice, y: slice) -> slice:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class _NodeRecord:
-    """What a segment measurement needs of one path node, computed once per node.
+class _Node:
+    """One path node, made once when it enters the path.
 
-    ``span`` is the node's support (:func:`_support`), ``coeffs`` its
-    ``op.transform`` and ``q`` its quadratic part ``Q(x)``.
+    ``x`` holds its values, ``span`` its support (:func:`_support`),
+    ``coeffs`` its ``op.transform``, ``q`` its quadratic part ``Q(x)``.
     """
 
+    x: np.ndarray
     span: slice
     coeffs: np.ndarray
     q: float
+    energy: float
 
 
-def _node_record(op, x: np.ndarray) -> _NodeRecord:
-    coeffs = op.transform(x)
-    return _NodeRecord(span=_support(x), coeffs=coeffs, q=op.cross_form(x, coeffs, x, coeffs))
+def _node(op, x: np.ndarray, energy: float | None = None) -> _Node:
+    """The node of ``x``; its energy is evaluated on its support unless given."""
+    span, coeffs = _support(x), op.transform(x)
+    if energy is None:
+        energy = op.energy(x, span)
+    return _Node(x, span, coeffs, op.cross_form(x, coeffs, x, coeffs), energy)
 
 
 def _segment_energies(
@@ -483,89 +488,53 @@ def _segment_energies(
     return 0.5 * quad - np.concatenate(wint)
 
 
-def _measure_segment(
-    op,
-    a: np.ndarray,
-    b: np.ndarray,
-    ends: tuple[float, float],
-    records: tuple[_NodeRecord, _NodeRecord],
-) -> _Segment:
-    """Maximum of the energy along the straight segment from a to b.
+def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
+    """Maximum of the energy along the straight segment from node ``a`` to node ``b``.
 
-    Along the segment the quadratic part of the energy is exactly
+    The README's account of segment measurement has the expansion and the
+    slope.  ``W`` and its slope are evaluated only on the union of the ends'
+    spans: off it every point of the segment is exactly ``+0.0``, and the
+    operator sums the same rows as a whole-grid evaluation, so each result
+    keeps its bits.
 
-        Q((1 - th) a + th b) = (1 - th)^2 Q(a) + 2 th (1 - th) B(a, b) + th^2 Q(b),
-
-    so three reductions serve every point, and each trial point costs one
-    ``W`` integral (``op.wint``) and no transform.  ``records`` holds the
-    ends' :class:`_NodeRecord`: ``Q(a)`` and ``Q(b)`` are stored there, and
-    ``B(a, b)`` is one ``op.cross_form`` of the two stored transforms.
-    ``W`` and its slope are evaluated only on the segment's support, the
-    union of its ends' stored spans: off it every ``u_th`` is
-    exactly ``+0.0``, so ``W`` and ``grad W . (b - a)`` are exactly zero
-    there, and the operator fills them in as zeros and sums the same rows as
-    a whole-grid evaluation.  A segment from the cold path's zero node or
-    bump nodes costs ``W`` on the bump's support only; every result keeps
-    its bits.  The slope of the energy along the segment is
-
-        E'(th) = q'(th) - S(th),   q'(th) = (B - Q(a)) + th (Q(a) - 2 B + Q(b)),
-        S(th) = int grad W(u_th) . (b - a),
-
-    one ``op.wslope`` row per evaluation of ``S``.
-
-    ``ends`` holds the ends' energies ``(E(a), E(b))``.  A segment of a
-    convex ``W`` (the ``pure_power`` family: ``g(t) |u|^p`` with ``g > 0``
-    and ``p >= 2``) is first tested for monotonicity.  Both quadratures
-    have positive weights, so ``S`` never decreases along the segment,
-    while ``q'`` is linear; hence
+    For a convex ``W`` (the ``pure_power`` family) the ``W`` slope ``S``
+    never decreases along the segment while the quadratic slope ``q'`` is
+    linear, so
 
         min(q'(0), q'(1)) - S(1) <= E'(th) <= max(q'(0), q'(1)) - S(0).
 
-    One ``wslope`` row at the end with the higher stored energy decides: if
-    the upper bound stays below ``-m`` the maximum is ``a``, if the lower
-    bound stays above ``m`` it is ``b``, where ``m`` is ``_MONOTONE_MARGIN``
-    times ``|Q(a)| + |B| + |Q(b)| + |S|``, a margin for the round-off of the
-    evaluated slopes.  Without it, near a crest the scan's interior energy
-    can sit ulps above the end node, and the path would lose an insert the
-    scan makes.  A certified segment is not scanned (``scanned`` is false)
-    and reports its end as a scan clamped there does, below.
+    One ``wslope`` row at the end with the higher energy decides: that end
+    is the maximum, and nothing is scanned, if the bound clears zero by
+    ``_MONOTONE_MARGIN`` times ``|Q(a)| + |B(a, b)| + |Q(b)| + |S|``.  Without
+    the margin the scan's interior energy near a crest can sit ulps above
+    the end, and the path would lose an insert the scan makes.
 
-    Otherwise a batched coarse scan of the interior picks the best cell and
-    the crest is a root of ``E'`` next to it: near the crest ``E`` is flat to
-    round-off but ``E'`` is not.  If the slope keeps its sign up to an
-    interior neighbour (a second crest), the coarse best is kept.  The
-    reported value is the directly evaluated energy at the chosen ``th``,
-    with the arithmetic of :meth:`_PathEngine.insert`: inserting the crest
-    as a node then gives it exactly this energy, and the measurement never
-    overstates an energy actually attained on the path.
-
-    If the slope keeps its sign up to a clipped end, or its root lies within
-    ``_ROOT_TOL`` of one, the maximum is that end node: ``th`` is reported
-    moved inward by ``_ROOT_TOL`` and the value is the end's own energy from
-    ``ends``.  A direct energy that close to the node would differ from it
-    only by round-off, and an excess of one ulp would make the path engine
-    insert a duplicate of the node.
+    A crest at, or within ``_ROOT_TOL`` of, an end is that end: ``th`` is
+    reported moved inward by ``_ROOT_TOL`` and the value is the end's own
+    energy, since one ulp of excess would make the engine insert a duplicate
+    of the node.  Any other crest reports the energy evaluated there with the
+    arithmetic of :meth:`_PathEngine.insert`.
     """
-    ra, rb = records
-    spans = (ra.span, rb.span)
-    forms = (ra.q, op.cross_form(a, ra.coeffs, b, rb.coeffs), rb.q)
-    span = _span_union(*spans)
+    ends = (a, b)
+    forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
+    span = _span_union(a.span, b.span)
     qa, qab, qb = forms
-    d = b - a
+    d = b.x - a.x
 
     def wslope(th: float) -> float:
         # An end of the segment is that node, whose own support may be narrower.
-        on = span if 0.0 < th < 1.0 else spans[int(th)]
-        return float(op.wslope((1.0 - th) * a[on] + th * b[on], d[on], on))
+        on = span if 0.0 < th < 1.0 else ends[int(th)].span
+        return float(op.wslope((1.0 - th) * a.x[on] + th * b.x[on], d[on], on))
 
     def slope(th: float) -> float:
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
 
     def end(k: int, scanned: bool = True) -> _Segment:
-        return _Segment(theta=(_ROOT_TOL, 1.0 - _ROOT_TOL)[k], value=ends[k], scanned=scanned)
+        theta = (_ROOT_TOL, 1.0 - _ROOT_TOL)[k]
+        return _Segment(theta=theta, value=ends[k].energy, scanned=scanned)
 
     if op.spec.nonlinearity.kind == "pure_power":
-        k = int(ends[1] > ends[0])
+        k = int(b.energy > a.energy)
         s = wslope(float(k))
         rises = (qab - qa, qb - qab)
         margin = _MONOTONE_MARGIN * (abs(qa) + abs(qab) + abs(qb) + abs(s))
@@ -574,7 +543,7 @@ def _measure_segment(
         if k == 1 and min(rises) - s > margin:
             return end(1, scanned=False)
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
-    best = float(thetas[int(np.argmax(_segment_energies(op, a, b, forms, thetas, span)))])
+    best = float(thetas[int(np.argmax(_segment_energies(op, a.x, b.x, forms, thetas, span)))])
     cell = thetas[1] - thetas[0]
     lo = max(0.0, best - cell)
     hi = min(1.0, best + cell)
@@ -585,22 +554,20 @@ def _measure_segment(
         return end(0)
     if theta >= 1.0 - _ROOT_TOL:
         return end(1)
-    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a + theta * b, span))
+    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a.x + theta * b.x, span))
 
 
 class _PathEngine:
-    """Mutable polyline with measured segment maxima and a single-writer step.
+    """Polyline of immutable :class:`_Node` records with measured segment maxima.
 
-    Each node keeps its :class:`_NodeRecord`, set when the node enters the
-    path (here, ``insert``, ``replace_node``) and dropped with it.
+    Nodes enter through ``insert`` and ``replace_node`` only, and the two
+    endpoints never change.
     """
 
     def __init__(self, op, nodes: list[np.ndarray], config: MpaConfig):
         self.op = op
         self.config = config
-        self.nodes = nodes
-        self.records = [_node_record(op, x) for x in nodes]
-        self.energies = [op.energy(x, rec.span) for x, rec in zip(nodes, self.records)]
+        self.nodes = [_node(op, x) for x in nodes]
         self.counters = {
             "inserted": 0,
             "pruned": 0,
@@ -615,28 +582,23 @@ class _PathEngine:
         }
         self.segments = [self._measure(k, k + 1) for k in range(len(nodes) - 1)]
 
+    @property
+    def energies(self) -> list[float]:
+        return [node.energy for node in self.nodes]
+
     def _measure(self, i: int, j: int) -> _Segment:
-        """The segment from node ``i`` to node ``j``, given their stored energies; counted."""
-        seg = _measure_segment(
-            self.op,
-            self.nodes[i],
-            self.nodes[j],
-            (self.energies[i], self.energies[j]),
-            (self.records[i], self.records[j]),
-        )
+        """The segment from node ``i`` to node ``j``; counted."""
+        seg = _measure_segment(self.op, self.nodes[i], self.nodes[j])
         self.counters["segments"] += 1
         self.counters["segment_scans"] += seg.scanned
         return seg
 
     def level(self) -> float:
-        seg_max = max(s.value for s in self.segments)
-        return max(max(self.energies), seg_max)
+        return max(max(self.energies), max(s.value for s in self.segments))
 
-    def _remeasure_around(self, k: int):
-        if k - 1 >= 0:
-            self.segments[k - 1] = self._measure(k - 1, k)
-        if k < len(self.segments):
-            self.segments[k] = self._measure(k, k + 1)
+    def _top_segment(self) -> int:
+        """The segment with the highest measured value (smallest index on ties)."""
+        return int(np.argmax([s.value for s in self.segments]))
 
     def insert(self, j: int) -> int:
         """Materialize segment ``j``'s measured crest as a node; returns its index.
@@ -648,28 +610,20 @@ class _PathEngine:
         whose value is that node's own energy.
         """
         seg = self.segments[j]
-        new = (1.0 - seg.theta) * self.nodes[j] + seg.theta * self.nodes[j + 1]
-        self.nodes.insert(j + 1, new)
-        self.records.insert(j + 1, _node_record(self.op, new))
-        self.energies.insert(j + 1, seg.value)
+        a, b = self.nodes[j].x, self.nodes[j + 1].x
+        self.nodes.insert(j + 1, _node(self.op, (1.0 - seg.theta) * a + seg.theta * b, seg.value))
         self.segments[j : j + 1] = [self._measure(j, j + 1), self._measure(j + 1, j + 2)]
         self.counters["inserted"] += 1
         return j + 1
 
     def try_prune(self, protected: set[int]) -> bool:
-        """Drop one low node whose removal keeps the path maximum in check."""
-        level = self.level()
-        order = sorted(
-            (k for k in range(1, len(self.nodes) - 1) if k not in protected),
-            key=lambda k: self.energies[k],
-        )
-        for k in order:
+        """Drop one low interior node whose removal keeps the path maximum in check."""
+        level, energies = self.level(), self.energies
+        interior = (k for k in range(1, len(self.nodes) - 1) if k not in protected)
+        for k in sorted(interior, key=energies.__getitem__):
             bridge = self._measure(k - 1, k + 1)
-            if max(bridge.value, self.energies[k - 1], self.energies[k + 1]) <= level:
-                self.nodes.pop(k)
-                self.records.pop(k)
-                self.energies.pop(k)
-                self.segments.pop(k)
+            if max(bridge.value, energies[k - 1], energies[k + 1]) <= level:
+                del self.nodes[k], self.segments[k]
                 self.segments[k - 1] = bridge
                 self.counters["pruned"] += 1
                 return True
@@ -678,35 +632,40 @@ class _PathEngine:
     def refine_to_crest(self):
         """Insert segment crests until no interior exceeds the node maximum."""
         while len(self.nodes) < self.config.max_path_nodes:
-            j = int(np.argmax([s.value for s in self.segments]))
+            j = self._top_segment()
             if self.segments[j].value <= max(self.energies):
                 return
             self.insert(j)
 
+    def crest(self) -> int:
+        """The interior node to work on.
+
+        A segment maximum above every node energy is inserted as a node, after
+        pruning a low node if the path is at its cap; otherwise, or if no room
+        is made, the highest interior node (smallest index on ties).  The
+        frozen endpoints are never chosen.
+        """
+        cap = self.config.max_path_nodes
+        j = self._top_segment()
+        if self.segments[j].value > max(self.energies):
+            if len(self.nodes) >= cap and self.try_prune({j, j + 1}):
+                j = self._top_segment()
+            if len(self.nodes) < cap and self.segments[j].value > max(self.energies):
+                return self.insert(j)
+        return 1 + int(np.argmax(self.energies[1:-1]))
+
     def replace_node(self, k: int, new_vals: np.ndarray, new_energy: float, guard_level: float) -> bool:
-        """Single-writer update of node ``k`` guarded by the path maximum.
+        """Single-writer update of interior node ``k`` guarded by the path maximum.
 
         The update is committed only if the re-measured adjacent segments keep
         the polyline maximum at or below ``guard_level``.
         """
-        old_node = self.nodes[k]
-        old_record = self.records[k]
-        old_energy = self.energies[k]
-        old_left = self.segments[k - 1] if k - 1 >= 0 else None
-        old_right = self.segments[k] if k < len(self.segments) else None
-        self.nodes[k] = new_vals
-        self.records[k] = _node_record(self.op, new_vals)
-        self.energies[k] = new_energy
-        self._remeasure_around(k)
+        old = self.nodes[k], self.segments[k - 1 : k + 1]
+        self.nodes[k] = _node(self.op, new_vals, new_energy)
+        self.segments[k - 1 : k + 1] = [self._measure(k - 1, k), self._measure(k, k + 1)]
         if self.level() <= guard_level:
             return True
-        self.nodes[k] = old_node
-        self.records[k] = old_record
-        self.energies[k] = old_energy
-        if old_left is not None:
-            self.segments[k - 1] = old_left
-        if old_right is not None:
-            self.segments[k] = old_right
+        self.nodes[k], self.segments[k - 1 : k + 1] = old
         self.counters["guard_rejections"] += 1
         return False
 
@@ -734,8 +693,6 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
         nodes = _warm_nodes(e_vals, guess.values, config.path_nodes)
     nodes[0] = np.zeros_like(e_vals)
     nodes[-1] = e_vals.copy()
-    frozen_zero = nodes[0].copy()
-    frozen_e = nodes[-1].copy()
 
     engine = _PathEngine(op, nodes, config)
     engine.refine_to_crest()
@@ -750,24 +707,8 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
 
     for it in range(1, config.max_iters + 1):
         iterations = it
-        # Crest selection: segments first, then nodes (smallest index on ties).
-        seg_values = [s.value for s in engine.segments]
-        jseg = int(np.argmax(seg_values))
-        work = int(np.argmax(engine.energies))
-        if seg_values[jseg] > engine.energies[work]:
-            if len(engine.nodes) >= config.max_path_nodes:
-                protected = {0, len(engine.nodes) - 1, jseg, jseg + 1}
-                if engine.try_prune(protected):
-                    seg_values = [s.value for s in engine.segments]
-                    jseg = int(np.argmax(seg_values))
-            if len(engine.nodes) < config.max_path_nodes and seg_values[jseg] > max(
-                engine.energies
-            ):
-                work = engine.insert(jseg)
-            else:
-                work = int(np.argmax(engine.energies))
-
-        u = engine.nodes[work]
+        work = engine.crest()
+        u = engine.nodes[work].x
         rw, gnorm, _, g = _stationarity(op, u)
         level = engine.level()
         trace.append((level, gnorm, rw))
@@ -799,7 +740,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
         while step >= _STEP_FLOOR:
             cand = u - step * g
             ec = op.energy(cand)
-            if ec <= engine.energies[work] - _ARMIJO_C1 * step * gnorm**2:
+            if ec <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
                 if engine.replace_node(work, cand, ec, level):
                     accepted = True
                     break
@@ -814,20 +755,19 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
                 reason = "stagnation"
                 break
 
-    if not np.array_equal(engine.nodes[0], frozen_zero) or not np.array_equal(
-        engine.nodes[-1], frozen_e
-    ):
+    if np.any(engine.nodes[0].x) or not np.array_equal(engine.nodes[-1].x, e_vals):
         raise ConvergenceError("path endpoints moved; single-writer contract broken")
 
-    # Ties with the top energy hold one critical point: report the best residual.
-    top = max(engine.energies)
-    tied = [k for k, e in enumerate(engine.energies) if e >= top - 1e-12 * (1.0 + abs(top))]
-    checks = {k: _stationarity(op, engine.nodes[k]) for k in tied}
+    # Ties with the top interior energy hold one critical point: report the best residual.
+    energies = engine.energies
+    top = max(energies[1:-1])
+    tied = [k for k in range(1, len(energies) - 1) if energies[k] >= top - 1e-12 * (1.0 + abs(top))]
+    checks = {k: _stationarity(op, engine.nodes[k].x) for k in tied}
     work = min(tied, key=lambda k: checks[k][0])
     rw, gnorm, xnorm_u, _ = checks[work]
     return SolveResult(
-        u=GridFunction(op.spec.grid, engine.nodes[work]),
-        level=engine.energies[work],
+        u=GridFunction(op.spec.grid, engine.nodes[work].x),
+        level=energies[work],
         residual=gnorm,
         residual_weighted=rw,
         iterations=iterations,

@@ -330,15 +330,123 @@ def test_reported_crest_has_the_best_residual_among_ties(spec10, setup, interval
     ties = 0
     for (res, spec), engine in zip(runs, engines):
         op = functional._operator(spec)
-        top = max(engine.energies)
-        tied = [k for k, e in enumerate(engine.energies) if e >= top - 1e-12 * (1.0 + abs(top))]
-        weighted = {k: mpa._stationarity(op, engine.nodes[k])[0] for k in tied}
+        interior = engine.nodes[1:-1]
+        top = max(node.energy for node in interior)
+        tied = [k for k, node in enumerate(interior, 1)
+                if node.energy >= top - 1e-12 * (1.0 + abs(top))]
+        weighted = {k: mpa._stationarity(op, engine.nodes[k].x)[0] for k in tied}
         crest = res.diagnostics["crest_index"]
         assert crest == min(tied, key=weighted.get)
         assert res.residual_weighted == weighted[crest]
-        assert np.array_equal(res.u.values, engine.nodes[crest])
+        assert res.level == engine.nodes[crest].energy
+        assert np.array_equal(res.u.values, engine.nodes[crest].x)
         ties += len(tied) > 1
     assert ties >= 1
+
+
+def _coarse_line(potential, nonlinearity, lam):
+    """The line problem on a 1024-point grid and its far endpoint."""
+    grid = RealLineGrid(20.0, 1024)
+    spec = ProblemSpec(alpha=0.75, lam=lam, potential=potential, nonlinearity=nonlinearity,
+                       grid=grid)
+    return spec, construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential))
+
+
+@pytest.mark.parametrize("nonlinearity, lam, max_path_nodes", [
+    (default_nonlinearity(), 10.0, 3),
+    (default_oscillatory(), 1.0, 4),
+], ids=["pure_power", "oscillatory"])
+def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity, lam, max_path_nodes):
+    """A capped path whose interior falls below zero keeps working on an interior node.
+
+    From three nodes with no room to insert, descent takes the interior
+    below the zero endpoint's energy 0, so node 0 holds the top energy with
+    a residual of exactly 0.  Working on it, or reporting it, would declare
+    convergence at a nonpositive level.
+    """
+    spec, setup = _coarse_line(potential, nonlinearity, lam)
+    config = MpaConfig(path_nodes=3, max_path_nodes=max_path_nodes, max_iters=30)
+    res = mpa_solve(spec, setup, config)
+    assert not res.converged
+    assert res.level < 0.0
+    assert 0 < res.diagnostics["crest_index"] < res.diagnostics["path_nodes_final"] - 1
+    assert res.residual > 0.0
+
+
+def test_capped_path_prunes_to_the_uncapped_level(potential, monkeypatch):
+    """At the node cap the engine prunes a low node, never raising the path maximum.
+
+    On this run the lowest unprotected interior node can always go.  The
+    capped solve ends at the uncapped solve's level, bit for bit.
+    """
+    spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
+    prune = mpa._PathEngine.try_prune
+    pruned = []
+
+    def checked(self, protected):
+        before, level = list(self.nodes), self.level()
+        ok = prune(self, protected)
+        if ok:
+            assert len(self.nodes) == len(before) - 1 == len(self.segments) + 1
+            assert self.level() <= level
+            (k,) = [k for k, node in enumerate(before) if node not in self.nodes]
+            candidates = [before[j].energy for j in range(1, len(before) - 1) if j not in protected]
+            assert k not in protected and before[k].energy == min(candidates)
+            pruned.append(k)
+        return ok
+
+    monkeypatch.setattr(mpa._PathEngine, "try_prune", checked)
+    capped = mpa_solve(spec, setup, MpaConfig(max_path_nodes=21))
+    monkeypatch.undo()
+    free = mpa_solve(spec, setup)
+    assert capped.converged and free.converged
+    assert len(pruned) == capped.diagnostics["counters"]["pruned"] > 0
+    assert free.diagnostics["counters"]["pruned"] == 0
+    assert capped.diagnostics["path_nodes_final"] <= 21 < free.diagnostics["path_nodes_final"]
+    assert capped.level == free.level
+
+
+def test_guard_rejections_leave_the_path_exactly_as_it_was(potential, monkeypatch):
+    """A rejected ``replace_node`` restores the node and both adjacent segments.
+
+    Five nodes with no room to insert make the guard reject steps until the
+    solve stagnates; the path maximum never rises past the polish slack.
+    """
+    spec, setup = _coarse_line(potential, default_oscillatory(), 10.0)
+    replace = mpa._PathEngine.replace_node
+    rejected = []
+
+    def checked(self, k, *args):
+        nodes, segments = list(self.nodes), list(self.segments)
+        values = [dataclasses.astuple(s) for s in segments]
+        ok = replace(self, k, *args)
+        if not ok:
+            assert len(self.nodes) == len(nodes) and all(x is y for x, y in zip(self.nodes, nodes))
+            assert len(self.segments) == len(segments)
+            assert all(x is y for x, y in zip(self.segments, segments))
+            assert [dataclasses.astuple(s) for s in self.segments] == values
+            rejected.append(k)
+        return ok
+
+    monkeypatch.setattr(mpa._PathEngine, "replace_node", checked)
+    res = mpa_solve(spec, setup, MpaConfig(path_nodes=5, max_path_nodes=5))
+    assert len(rejected) == res.diagnostics["counters"]["guard_rejections"] > 0
+    assert not res.converged and res.diagnostics["reason"] == "stagnation"
+    levels = [row[0] for row in res.trace]
+    for earlier, later in zip(levels, levels[1:]):
+        assert later <= earlier + 1e-9 * (1.0 + abs(earlier))
+
+
+def test_armijo_rejections_stagnate_on_an_unchanged_path(potential, monkeypatch):
+    """With an unreachable sufficient decrease every step is rejected before the guard."""
+    spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
+    monkeypatch.setattr(mpa, "_ARMIJO_C1", 1e6)
+    res = mpa_solve(spec, setup)
+    counters = res.diagnostics["counters"]
+    assert not res.converged and res.diagnostics["reason"] == "stagnation"
+    assert res.iterations == 3
+    assert counters["step_rejections"] > 0 == counters["guard_rejections"]
+    assert len({row[0] for row in res.trace}) == 1
 
 
 def test_solution_satisfies_defect_identity(default_solve, spec10):
@@ -416,10 +524,8 @@ def _segment_problem(domain, n, nonlinearity):
 
 
 def _measure(op, a, b):
-    """``_measure_segment`` from the ends' records and energies, as ``ctilde_bound`` takes them."""
-    records = (mpa._node_record(op, a), mpa._node_record(op, b))
-    ends = tuple(op.energy(x, rec.span) for x, rec in zip((a, b), records))
-    return mpa._measure_segment(op, a, b, ends, records)
+    """``_measure_segment`` between the nodes of ``a`` and ``b``, as ``ctilde_bound`` takes them."""
+    return mpa._measure_segment(op, mpa._node(op, a), mpa._node(op, b))
 
 
 @pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
@@ -570,9 +676,9 @@ def _recorded_segments(monkeypatch, solve):
     calls = []
     measure = mpa._measure_segment
 
-    def recorded(op, a, b, ends, records):
-        seg = measure(op, a, b, ends, records)
-        calls.append((op, a.copy(), b.copy(), ends, records, seg))
+    def recorded(op, a, b):
+        seg = measure(op, a, b)
+        calls.append((op, a, b, seg))
         return seg
 
     monkeypatch.setattr(mpa, "_measure_segment", recorded)
@@ -611,9 +717,9 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
     certified = [call for call in calls if not call[-1].scanned]
     assert certified
     monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", math.inf)
-    for op, a, b, ends, records, seg in certified:
+    for op, a, b, seg in certified:
         assert seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL)
-        forced = mpa._measure_segment(op, a, b, ends, records)
+        forced = mpa._measure_segment(op, a, b)
         assert forced.scanned
         assert forced.theta == seg.theta
         assert forced.value == seg.value
@@ -625,27 +731,30 @@ def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, 
 @pytest.mark.parametrize("case", ["line", "line-n2-oscillatory", "bvp"])
 def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_grid, potential,
                                                       interval_spec, monkeypatch):
-    """A segment measured from its ends' stored records equals one from fresh records.
+    """A segment measured between stored nodes equals one between freshly computed nodes.
 
-    The oracle transforms both ends, scans them for support and takes the
-    three cross forms itself; every ``theta``, ``value`` and ``scanned``
-    agrees bit for bit.  The stored end energies are the ends' own.
+    The oracle transforms both ends, scans them for support, takes the three
+    cross forms and evaluates the energies on the whole grid itself; every
+    ``theta``, ``value`` and ``scanned`` agrees bit for bit.
     """
     solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
     assert res.converged
     assert calls
-    for op, a, b, ends, records, seg in calls:
-        at, bt = op.transform(a), op.transform(b)
-        spans = (mpa._support(a), mpa._support(b))
-        qs = (op.cross_form(a, at, a, at), op.cross_form(b, bt, b, bt))
-        assert ends == (op.energy(a), op.energy(b))
-        assert (records[0].span, records[1].span) == spans
-        assert mpa._span_union(*spans) == mpa._support(a, b)
-        assert (records[0].q, records[1].q) == qs
-        assert op.cross_form(a, records[0].coeffs, b, records[1].coeffs) == op.cross_form(a, at, b, bt)
-        fresh = tuple(mpa._NodeRecord(span=sp, coeffs=xt, q=q) for sp, xt, q in zip(spans, (at, bt), qs))
-        again = mpa._measure_segment(op, a, b, ends, fresh)
+    for op, a, b, seg in calls:
+        x, y = a.x, b.x
+        xt, yt = op.transform(x), op.transform(y)
+        spans = (mpa._support(x), mpa._support(y))
+        qs = (op.cross_form(x, xt, x, xt), op.cross_form(y, yt, y, yt))
+        energies = (op.energy(x), op.energy(y))
+        assert (a.energy, b.energy) == energies
+        assert (a.span, b.span) == spans
+        assert mpa._span_union(*spans) == mpa._support(x, y)
+        assert (a.q, b.q) == qs
+        assert op.cross_form(x, a.coeffs, y, b.coeffs) == op.cross_form(x, xt, y, yt)
+        fresh = [mpa._Node(x=v, span=sp, coeffs=vt, q=q, energy=e)
+                 for v, sp, vt, q, e in zip((x, y), spans, (xt, yt), qs, energies)]
+        again = mpa._measure_segment(op, *fresh)
         assert (again.theta, again.value, again.scanned) == (seg.theta, seg.value, seg.scanned)
 
 
@@ -729,7 +838,7 @@ def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
     engine = mpa._PathEngine(functional._operator(spec10), nodes, config)
     engine.refine_to_crest()
     assert engine.counters["inserted"] <= 4
-    assert max(s.value for s in engine.segments) <= max(engine.energies)
+    assert max(s.value for s in engine.segments) <= max(node.energy for node in engine.nodes)
 
 
 def _scalar_ray_bound(setup, spec):
