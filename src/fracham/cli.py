@@ -76,30 +76,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> dict:
+def _load(args, line: bool = True, **overrides):
+    """The effective config and its hash; for a line command also its spec and constants.
+
+    ``overrides`` maps a config table to the command-line values that replace
+    its keys, ``None`` leaving a key alone; the hash covers them.
+    """
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    return cfg
-
-
-def _constants(cfg, spec):
-    return estimate_embedding_constants(
-        spec.grid,
-        spec.alpha,
-        spec.potential,
-        safety=float(cfg["embedding"]["safety"]),
+        cfg["seed"] = args.seed
+    for table, values in overrides.items():
+        cfg[table].update((key, value) for key, value in values.items() if value is not None)
+    chash = config_hash(cfg)
+    if not line:
+        return cfg, chash, None, None
+    spec = build_problem_spec(cfg)
+    constants = estimate_embedding_constants(
+        spec.grid, spec.alpha, spec.potential, safety=cfg["embedding"]["safety"]
     )
+    return cfg, chash, spec, constants
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load(args)
-    if args.lam is not None:
-        cfg["problem"]["lambda"] = float(args.lam)
-    chash = config_hash(cfg)
-    spec = build_problem_spec(cfg)
+    cfg, chash, spec, constants = _load(args, problem={"lambda": args.lam})
     mpa_config = build_mpa_config(cfg)
-    constants = _constants(cfg, spec)
     constants.check_lambda(spec.lam)
     setup = construct_e(spec, constants=constants)
     ctilde = ctilde_bound(setup, spec)
@@ -129,8 +129,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bvp(args) -> int:
-    cfg = _load(args)
-    chash = config_hash(cfg)
+    cfg, chash, _, _ = _load(args, line=False)
     ispec = build_interval_spec(cfg)
     result = bvp_solve(ispec, build_bvp_config(cfg))
     el = bvp_el_residual(result.u, ispec)
@@ -162,22 +161,17 @@ def _parse_lambdas(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    if args.lambdas is not None:
-        cfg["sweep"]["lambdas"] = _parse_lambdas(args.lambdas)
-    if args.cold:
-        cfg["sweep"]["cold"] = True
-    chash = config_hash(cfg)
-    spec = build_problem_spec(cfg)
-    mpa_config = build_mpa_config(cfg)
-    constants = _constants(cfg, spec)
+    lambdas = None if args.lambdas is None else _parse_lambdas(args.lambdas)
+    cfg, chash, spec, constants = _load(
+        args, sweep={"lambdas": lambdas, "cold": args.cold or None}
+    )
     report = lambda_sweep(
         spec,
         cfg["sweep"]["lambdas"],
-        mpa_config=mpa_config,
-        bvp_points=int(cfg["bvp"]["num_points"]),
+        mpa_config=build_mpa_config(cfg),
+        bvp_points=cfg["bvp"]["num_points"],
         bvp_config=build_bvp_config(cfg),
-        cold=bool(cfg["sweep"]["cold"]),
+        cold=cfg["sweep"]["cold"],
         constants=constants,
     )
     for rec in report.records:
@@ -197,10 +191,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load(args)
-    spec = build_problem_spec(cfg)
+    cfg, _, spec, constants = _load(args)
     report = run_verification_campaign(
-        spec, _constants(cfg, spec), budgets=dict(cfg["verify"]), seed=int(cfg["seed"])
+        spec, constants, budgets=dict(cfg["verify"]), seed=cfg["seed"]
     )
     for name, section in report["sections"].items():
         print(f"verify: {name}: {'pass' if section.get('passed') else 'FAIL'}")
@@ -211,10 +204,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = _load(args)
-    chash = config_hash(cfg)
-    spec = build_problem_spec(cfg)
-    constants = _constants(cfg, spec)
+    _, chash, spec, constants = _load(args)
     setup = construct_e(spec, constants=constants)
     ctilde = ctilde_bound(setup, spec)
     print(

@@ -3,12 +3,14 @@
 One JSON document drives the CLI.  Every key has a default, so a config file
 only lists overrides; unknown keys are rejected rather than ignored, because
 a silently dropped override is the worst failure mode a config system can
-have.  The schema is versioned through ``schema_version``.
+have.  The schema is versioned through ``schema_version``.  The keys of a
+table that configures a dataclass are fields of it, passed by name.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -66,20 +68,8 @@ DEFAULT_CONFIG: dict = {
             "radius": 1.0,
         },
     },
-    "embedding": {
-        "samples": 10000,
-        "safety": 1.1,
-    },
-    "mpa": {
-        "path_nodes": 21,
-        "tol": 1e-6,
-        "max_iters": 400,
-        "step_rule": "armijo",
-        "metric": "x-alpha-lambda",
-        "polish": True,
-        "max_path_nodes": 81,
-        "restarts": 0,
-    },
+    "embedding": {"safety": 1.1},
+    "mpa": dataclasses.asdict(MpaConfig()),
     "bvp": {
         "num_points": 257,
         "tol": 1e-8,
@@ -96,6 +86,17 @@ DEFAULT_CONFIG: dict = {
 # The one leaf that may be null: a nonlinearity with no configured defect constant.
 _NULLABLE = frozenset({"problem.nonlinearity.c0"})
 
+# Schema v1 keys that change nothing.  A document may still set each to a
+# value v1 accepted (any integer for ``embedding.samples``, the one value
+# shown for the others); the merge checks it and drops it.
+_RETIRED = {
+    "embedding.samples": 10000,
+    "mpa.step_rule": "armijo",
+    "mpa.metric": "x-alpha-lambda",
+    "mpa.polish": True,
+    "mpa.restarts": 0,
+}
+
 
 def _kind(value) -> str | None:
     """JSON kind of a config leaf, as named in error messages."""
@@ -104,27 +105,46 @@ def _kind(value) -> str | None:
     return {bool: "a boolean", int: "a number", float: "a number", str: "a string"}.get(type(value))
 
 
+def _leaf(where: str, default, value):
+    """``value`` checked against the JSON kind of ``default`` and given its numeric type."""
+    if value is None and where in _NULLABLE:
+        return None
+    if _kind(value) != _kind(default):
+        raise ConfigError(f"config key {where!r} must be {_kind(default)}, got {value!r}")
+    if type(default) is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {where!r} must be an integer, got {value!r}")
+        return int(value)
+    if type(default) is float:
+        return float(value)
+    if isinstance(default, list):
+        return [float(x) for x in value]
+    return value
+
+
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
     """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind.
 
-    A key whose default is an integer also rejects a non-integral number;
-    an integral float such as ``4096.0`` is accepted.
+    Each numeric leaf takes its default's type once: an integer key rejects
+    a non-integral number and reads an integral float such as ``4096.0`` as
+    an integer, and a float key reads an integer as a float.  A retired v1
+    key is checked against what v1 accepted and dropped.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if where in _RETIRED:
+            legal = _RETIRED[where]
+            if _leaf(where, legal, value) != legal and where != "embedding.samples":
+                raise ConfigError(f"{where} must be {legal!r}, got {value!r}")
+        elif key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+        elif isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be a table")
             out[key] = merge_config(base[key], value, where)
-        elif _kind(value) != _kind(base[key]) and not (value is None and where in _NULLABLE):
-            raise ConfigError(f"config key {where!r} must be {_kind(base[key])}, got {value!r}")
-        elif type(base[key]) is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config key {where!r} must be an integer, got {value!r}")
         else:
-            out[key] = copy.deepcopy(value)
+            out[key] = _leaf(where, base[key], value)
     return out
 
 
@@ -155,35 +175,22 @@ def config_hash(cfg: dict) -> str:
     return payload_hash(cfg)
 
 
+def _build(cls, table: dict):
+    """``cls`` from the entries of ``table`` that name its fields."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in table.items() if key in names})
+
+
 def build_grid(cfg: dict) -> RealLineGrid:
-    g = cfg["grid"]
-    return RealLineGrid(halfwidth=float(g["halfwidth"]), num_points=int(g["num_points"]))
+    return _build(RealLineGrid, cfg["grid"])
 
 
 def build_potential(cfg: dict) -> PotentialSpec:
-    p = cfg["problem"]["potential"]
-    return PotentialSpec(
-        varrho=float(p["varrho"]),
-        delta=float(p["delta"]),
-        cap=float(p["cap"]),
-        c=float(p["c"]),
-        kind=str(p["kind"]),
-        diag_scales=tuple(float(x) for x in p["diag_scales"]),
-    )
+    return _build(PotentialSpec, cfg["problem"]["potential"])
 
 
 def build_nonlinearity(cfg: dict) -> NonlinearitySpec:
-    w = cfg["problem"]["nonlinearity"]
-    return NonlinearitySpec(
-        kind=str(w["kind"]),
-        p=float(w["p"]),
-        epsilon=float(w["epsilon"]),
-        weight_base=float(w["weight_base"]),
-        weight_amp=float(w["weight_amp"]),
-        weight_freq=float(w["weight_freq"]),
-        c0=float(w["c0"]) if w["c0"] is not None else None,
-        radius=float(w["radius"]),
-    )
+    return _build(NonlinearitySpec, cfg["problem"]["nonlinearity"])
 
 
 def build_problem_spec(cfg: dict) -> ProblemSpec:
@@ -199,43 +206,20 @@ def build_problem_spec(cfg: dict) -> ProblemSpec:
             f"grid.halfwidth = {grid.halfwidth:g} must exceed "
             f"varrho + delta*sqrt(cap) = {edge:g}, where the potential reaches its cap"
         )
-    return ProblemSpec(
-        alpha=float(prob["alpha"]),
-        lam=float(prob["lambda"]),
-        potential=potential,
-        nonlinearity=build_nonlinearity(cfg),
-        grid=grid,
-        n=int(prob["n"]),
-    )
+    return ProblemSpec(prob["alpha"], prob["lambda"], potential, build_nonlinearity(cfg), grid,
+                       prob["n"])
 
 
 def build_interval_spec(cfg: dict) -> IntervalProblemSpec:
-    varrho = float(cfg["problem"]["potential"]["varrho"])
-    grid = IntervalGrid(-varrho, varrho, int(cfg["bvp"]["num_points"]))
-    return IntervalProblemSpec(
-        alpha=float(cfg["problem"]["alpha"]),
-        nonlinearity=build_nonlinearity(cfg),
-        grid=grid,
-        n=int(cfg["problem"]["n"]),
-    )
+    prob = cfg["problem"]
+    varrho = prob["potential"]["varrho"]
+    grid = IntervalGrid(-varrho, varrho, cfg["bvp"]["num_points"])
+    return IntervalProblemSpec(prob["alpha"], build_nonlinearity(cfg), grid, prob["n"])
 
 
 def build_mpa_config(cfg: dict) -> MpaConfig:
-    m = cfg["mpa"]
-    # Schema v1 keeps these four keys; each has exactly one legal value.
-    single = (("step_rule", "armijo"), ("metric", "x-alpha-lambda"),
-              ("restarts", 0), ("polish", True))
-    for key, legal in single:
-        if m[key] != legal:
-            raise ConfigError(f"mpa.{key} must be {legal!r}, got {m[key]!r}")
-    return MpaConfig(
-        path_nodes=int(m["path_nodes"]),
-        tol=float(m["tol"]),
-        max_iters=int(m["max_iters"]),
-        max_path_nodes=int(m["max_path_nodes"]),
-    )
+    return _build(MpaConfig, cfg["mpa"])
 
 
 def build_bvp_config(cfg: dict) -> MpaConfig:
-    b = cfg["bvp"]
-    return MpaConfig(tol=float(b["tol"]), max_iters=int(b["max_iters"]))
+    return _build(MpaConfig, cfg["bvp"])

@@ -1,67 +1,32 @@
 """Energy functionals on the line and the interval, and the operator layer.
 
-The line functional is
-
-    I(u) = 1/2 ||u||_X^2 - integral W(t, u)
-         = 1/2 [ |u|_alpha^2 + lambda * integral (L u, u) ] - integral W(t, u),
-
-and the interval (Dirichlet) functional drops the potential term and replaces
-the spectral derivative by the lower-triangular interval operator:
-
-    J(u) = 1/2 h ||B u||^2 - integral W(t, u).
-
-Every integral uses the grid's own quadrature rule, so algebraic identities
-between the pieces (in particular the defect identity
-``I(u) - 1/2 I'(u)u = integral H``) hold to round-off rather than to
-quadrature accuracy.
+The line functional is ``I(u) = 1/2 ||u||_X^2 - integral W(t, u)`` with
+``||u||_X^2 = |u|_alpha^2 + lambda integral (L u, u)``; the interval
+(Dirichlet) functional is ``J(u) = 1/2 h ||B u||^2 - integral W(t, u)``.
+Every integral uses the grid's own quadrature, so identities between the
+pieces (the defect identity ``I(u) - 1/2 I'(u)u = integral H``) hold to
+round-off.  The README's overview describes the metric solves and the
+segment measurements built on this layer.
 
 Each spec owns one operator, built on first use and cached by
-:func:`_operator`: :class:`_LineOperator` for a :class:`ProblemSpec`,
-:class:`_IntervalOperator` for an :class:`IntervalProblemSpec`.  It holds
-what depends only on the spec, on both domains the weight values ``g(t)`` of
-``W``.  :class:`_OperatorBase` writes the functional once; a domain supplies
-only these primitives:
-
-* ``transform(x)``, the transform of a vector or a stack (the rfft on the
-  line, ``B x`` on the interval), and ``transformed_form(u, ut, v, vt)``,
-  the batched bilinear form of the quadratic part from values and
-  transforms: the spectral form (:func:`fracham.fracops._coefficient_form`)
-  plus ``lambda (L u, v)`` on the line, ``h (Bu).(Bv)`` on the interval;
-* ``quadrature(rows)``, the grid's quadrature of each row of nodal values:
-  ``h`` times the sum on the line, the trapezoid rule on the interval;
-* ``dofs``, the nodes that are degrees of freedom: all of them on the line,
-  the interior ones on the interval;
-* ``apply_metric`` and ``factor_solve`` on the degrees of freedom: on the
-  line ``A = F* |w|^(2 alpha) F + lambda diag(L)``, inverted by the Woodbury
-  factor :class:`_MetricFactor`; on the interval the stiffness ``h B^T B``,
-  inverted in closed form (see :class:`_IntervalOperator`); and
-  ``solve_context()``, which names the solve in an error;
-* ``metric_bound``, an upper bound on the 2-norm of ``A`` on the degrees of
-  freedom: ``max |w|^(2 alpha) + lambda max L`` on the line,
-  ``h ||B'||_1 ||B'||_inf`` with ``B' = B[:, 1:-1]`` on the interval;
-* ``quad``, the weights of ``grad W`` in the residual (one on the line, the
-  trapezoid weights on the interval), and ``pairing``, the scale in
-  ``I'(u)v = pairing * sum(residual(u) * v)`` (``h`` and one).
-
-From them the base class builds ``form(u, v)``, ``transformed_form`` after
-one transform per argument, and ``cross_form``, the same form of two single
-vectors from stored transforms as a float; ``wint(u)`` and ``wslope(u, d)``,
-the batched ``W`` integral and its derivative along ``d``;
-``xnormsq(u) = form(u, u)``; ``energies`` (one value per row of a stack,
-bit for bit that row on its own), ``energy`` and ``xnorm``; the stationarity
-``residual`` and the metric ``gradient``.  ``solve_and_apply_metric(rhs)``
-takes ``g`` from ``factor_solve``, checks the residual ``A g - rhs`` with
-one ``apply_metric`` and hands back ``g`` with the checked product ``A g``;
-``newton_step`` runs :func:`_minres` with that solve as its preconditioner.
-The public functions (``energy``, ``derivative_action``, ``gradient_rep``,
-``h_identity``; the ``bvp_*`` names are the same functions) take either
-spec and reach the domain only through its operator; an interval argument
-must vanish exactly at both endpoints.
+:func:`_operator` (:class:`_LineOperator` or :class:`_IntervalOperator`),
+holding what depends only on the spec, the weight values ``g(t)`` of ``W``
+included.  :class:`_OperatorBase` writes the functional once over the
+primitives a domain supplies: ``transform`` and ``transformed_form`` (the
+batched bilinear form of the quadratic part from values and transforms),
+``quadrature``, ``dofs``, ``apply_metric`` and ``factor_solve`` on the
+degrees of freedom with ``solve_context``, ``metric_bound`` (an upper bound
+on the metric's 2-norm), and ``quad`` and ``pairing`` (the ``grad W``
+weights in the residual and the scale of ``I'(u)v``).  From them it builds
+the forms, the ``W`` integral and its slope, energies, norms, the residual,
+the metric gradient (each solve checked by one ``apply_metric``) and the
+MINRES Newton step.  The public functions take either spec and reach the
+domain only through its operator; an interval argument must vanish exactly
+at both endpoints.
 
 ``wint``, ``wslope`` and ``energies`` take a ``span`` of nodes off which
-``u`` is exactly ``+0.0``: ``W`` and its slope are evaluated on the span
-only and the rest of each row is filled with exact zeros, so the quadrature
-sums the same row and the result keeps every bit.
+``u`` is exactly ``+0.0``; the rest of each row is filled with exact zeros,
+so the result keeps every bit.
 """
 
 from __future__ import annotations
@@ -491,13 +456,20 @@ class _LineOperator(_OperatorBase):
         """The rfft coefficients of a vector or of each row of a stack."""
         return np.fft.rfft(x, axis=-2)
 
+    def form_parts(
+        self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The spectral part of ``<u, v>_X`` and the potential part ``(L u, v)``."""
+        spec = self.spec
+        pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
+        return _coefficient_form(spec.grid, spec.alpha, uc, vc), pot
+
     def transformed_form(
         self, u: np.ndarray, uc: np.ndarray, v: np.ndarray, vc: np.ndarray
     ) -> np.ndarray:
         """The weighted inner product ``<u, v>_X``: spectral part plus ``lambda (L u, v)``."""
-        spec = self.spec
-        pot = spec.grid.spacing * np.sum(self.ldiag * (u * v), axis=(-2, -1))
-        return _coefficient_form(spec.grid, spec.alpha, uc, vc) + spec.lam * pot
+        spectral, pot = self.form_parts(u, uc, v, vc)
+        return spectral + self.spec.lam * pot
 
     def apply_metric(self, x: np.ndarray) -> np.ndarray:
         """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""

@@ -1,76 +1,33 @@
 """Mountain-pass geometry and the path-deformation min-max solver.
 
-The solver realizes the min-max level
+The solver realizes ``c = inf over paths from 0 to e of max along the path
+of I`` on a polyline whose endpoints ``0`` and ``e`` are frozen.  The
+README's overview explains how a segment's maximum is measured (certified
+monotone or scanned, the crest a root of the slope) and the Newton polish.
+Each iteration:
 
-    c = inf over paths from 0 to e  of  max along the path of I
+1. selects the crest: a segment maximum above every node energy is
+   inserted as a node, after pruning a low node at ``max_path_nodes``;
+   otherwise the highest interior node;
+2. stops when the crest's weighted residual ``(1 + ||u||_X) ||I'(u)||`` is
+   at most ``tol``;
+3. otherwise polishes the crest by damped Newton once that residual is
+   small, or descends it by an Armijo backtracking step; either is kept
+   only if the re-measured adjacent segments keep the path maximum from
+   rising.
 
-on a discrete polyline.  The reported level is the measured maximum over the
-whole piecewise-linear path (node energies plus per-segment interior maxima,
-each segment certified monotone or scanned coarsely and its crest found as a
-root of the energy's slope along the segment), so it is an honest upper
-bound for the min-max value on that polyline, not just the best node energy.
-For a ``W`` convex in ``u`` (the ``pure_power`` family) the slope of the
-``W`` integral never decreases along a segment while the quadratic part's
-slope is linear, so one slope evaluation at an end bounds the energy's
-slope on the whole segment; a segment whose bound clears zero by a
-round-off margin is monotone, its maximum is its higher end and it is not
-scanned (see ``_measure_segment``).  Each iteration:
+Of the interior nodes within ``1e-12`` relative of their top energy, the
+one with the smallest weighted residual is reported.  A solve is one run,
+from ``0 -> e`` or, warm-started on the line, ``0 -> guess -> e``.  The
+solver sees a problem only through its spec's cached operator
+(``functional._operator``), so it is written once for both domains, and
+each path node is one immutable :class:`_Node` record, so a segment costs
+one cross form and no transform.
 
-1. selects the crest: if a segment's interior maximum exceeds every node
-   energy, that interior point is inserted as a new node (converting an
-   already-counted maximum into a node cannot raise the level); otherwise
-   the highest interior node, never a frozen endpoint;
-2. computes the metric gradient at the crest node and stops when the
-   weighted residual ``(1 + ||u||_X) ||I'(u)|| <= tol``;
-3. otherwise descends that single node by a backtracking step, accepted only
-   if the energy decreases (Armijo) and the re-measured adjacent segments
-   keep the path maximum from rising above the current level.
-
-Near convergence the crest node is polished by a damped Newton iteration on
-the stationarity equation, each step a MINRES solve preconditioned by the
-exact metric inverse.  The polish stops once the residual norm reaches its
-tolerance or ``eps ||A|| ||u||``, the round-off floor of evaluating the
-residual (``||A||`` is the operator's ``metric_bound``); the step cap is a
-backstop.  It is accepted only if it lands at most negligibly above the
-current level and away from zero, so it refines the same critical point
-rather than escaping the path structure.  Of the interior nodes within
-``1e-12`` relative of their top energy, the solver reports the one with
-the smallest weighted residual.  The solve's ``diagnostics["counters"]`` count
-path events, the polishes' ``newton_steps`` and ``minres_iterations``, and
-the ``segments`` measured and the ``segment_scans`` among them that ran the
-coarse scan.
-
-A solve is one run, from the straight path ``0 -> e`` or, warm-started on
-the line, from the path ``0 -> guess -> e``, and the Newton endgame is always
-on.
-:class:`MpaConfig` holds only the path size (``path_nodes``,
-``max_path_nodes``) and the stopping rule (``tol``, ``max_iters``).
-
-The solver is written once for both domains.  It sees a problem only through
-the cached operator of its spec (``functional._operator``): batched and
-single energies, the weighted norm, the metric gradient, the stationarity
-residual, one Newton step and a bound on the metric's norm, plus the cross
-form of two stored transforms and the batched ``W`` integral and its slope
-that make a line search transform-free (see ``_measure_segment``).  Each
-path node is one immutable record (:class:`_Node`: values, support,
-transform, ``Q(x)`` and energy), made when the node enters the path;
-``ctilde_bound`` makes one for each of ``0`` and ``e``.  A segment is
-measured between two nodes, so it costs one cross form and no transform.
-On top of that it keeps one helper per repeated numerical pattern:
-``_slope_crest`` with ``_illinois_root`` (segment crests: a coarse scan's
-best point refined to a root of the slope), ``_doubling_scan`` (the far
-endpoint on both domains), ``_bump`` (the profile behind that endpoint on
-both domains) and ``_newton_polish`` (damped Newton with backtracking on
-both domains).
-
-The geometry pieces mirror the variational skeleton and take the
-embedding constants from the caller: ``estimate_rho_eta``
-turns the small-sphere lower bound into explicit ``(rho, eta)``;
-``construct_e`` builds the far endpoint ``sigma0 * psi`` from a bump
-supported where the potential vanishes (which makes the construction
-independent of the potential parameter); ``ctilde_bound`` measures the
-straight path ``0 -> e`` as a segment, an upper bound for the level that no
-admissible parameter value can push past.
+``estimate_rho_eta`` turns the small-sphere lower bound into
+``(rho, eta)``; ``construct_e`` builds ``e = sigma0 * psi`` from a bump
+supported where the potential vanishes; ``ctilde_bound`` measures the
+straight path ``0 -> e`` as a segment, an upper bound for the level.
 """
 
 from __future__ import annotations
@@ -229,12 +186,23 @@ def _slope_crest(slope, best: float, left: float, right: float) -> float:
     The sign of the slope at ``best`` names the rising side.  If the slope
     changes sign between ``best`` and the neighbour on that side, the root
     is returned; otherwise the neighbour itself, for the caller to judge.
+    A neighbour at a segment end where the slope is exactly zero, as at the
+    zero node, shows no sign: points halfway to that end are tried instead,
+    ``best`` following them while the sign holds.
     """
     s = slope(best)
     if s == 0.0:
         return best
     nb = right if s > 0.0 else left
     snb = slope(nb)
+    if snb == 0.0 and nb in (0.0, 1.0):
+        end = nb
+        while True:
+            nb = 0.5 * (best + end)
+            snb = slope(nb)
+            if snb == 0.0 or (snb > 0.0) != (s > 0.0) or abs(nb - end) <= _ROOT_TOL:
+                break
+            best, s = nb, snb
     if snb == 0.0 or (snb > 0.0) == (s > 0.0):
         return nb
     return _illinois_root(slope, best, nb, s, snb)

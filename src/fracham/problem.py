@@ -69,6 +69,7 @@ class PotentialSpec:
     diag_scales: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "diag_scales", tuple(self.diag_scales))  # a config gives a list
         if not (self.varrho > 0 and self.delta > 0 and self.cap > 0):
             raise DomainError("varrho, delta and cap must all be positive")
         if not (0.0 < self.c < self.cap):

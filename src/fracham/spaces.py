@@ -321,10 +321,11 @@ def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndar
 
     ``block`` stacks scalar line samples; each row is lifted into component
     0 of an ``spec.n``-component field, whose one operator transform serves
-    both forms, and ``||u||_X^2`` is the operator's form of that lift.  Every
-    sum runs over the same values in the same order as :func:`norm_h_alpha`,
-    :func:`norm_x_lambda` and ``grid.integrate`` on one sample, so each
-    result is the same bits.
+    both forms, and ``||u||_X^2`` is the operator's form of that lift.  At
+    ``n = 1`` the spectral part of that form is ``|u|_alpha^2`` itself and is
+    taken once.  Every sum runs over the same values in the same order as
+    :func:`norm_h_alpha`, :func:`norm_x_lambda` and ``grid.integrate`` on one
+    sample, so each result is the same bits.
     """
     op = _operator(spec)
     grid = spec.grid
@@ -333,13 +334,14 @@ def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndar
     lifted = np.zeros(block.shape + (spec.n,))
     lifted[..., 0] = block
     coeffs = op.transform(lifted)
+    spectral, pot = op.form_parts(lifted, coeffs, lifted, coeffs)
     first = coeffs[..., :1]
     return (
         np.max(mag, axis=-1),
         h * np.sum(block * block, axis=-1),
         h * np.sum(_power(mag, p), axis=-1),
-        _coefficient_form(grid, spec.alpha, first, first),
-        op.transformed_form(lifted, coeffs, lifted, coeffs),
+        spectral if spec.n == 1 else _coefficient_form(grid, spec.alpha, first, first),
+        spectral + spec.lam * pot,
     )
 
 

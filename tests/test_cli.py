@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process, against temp run directories."""
 
+import copy
 import json
 import os
 import pathlib
@@ -10,9 +11,19 @@ import numpy as np
 import pytest
 
 import fracham
-from fracham import functional, spaces
+from fracham import MpaConfig, RealLineGrid, config, construct_e, functional, mpa_solve, spaces
 from fracham.cli import main
-from fracham.config import DEFAULT_CONFIG, build_grid, config_hash, load_config, merge_config
+from fracham.config import (
+    DEFAULT_CONFIG,
+    build_grid,
+    build_mpa_config,
+    build_nonlinearity,
+    build_potential,
+    config_hash,
+    load_config,
+    merge_config,
+)
+from fracham.problem import NonlinearitySpec, PotentialSpec
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -60,6 +71,7 @@ def test_unknown_config_key(tmp_path, capsys):
         ({"grid": {"num_points": None}}, "grid.num_points"),
         ({"embedding": {"samples": "abc"}}, "embedding.samples"),
         ({"grid": {"num_points": 1024.9}}, "grid.num_points"),
+        ({"embedding": {"samples": 1000.5}}, "embedding.samples"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
@@ -87,14 +99,42 @@ def test_unknown_metric_is_rejected(tmp_path, capsys):
         assert f"mpa.{key} must be {legal!r}, got {value!r}" in capsys.readouterr().err
 
 
-def test_single_value_keys_at_their_defaults_change_nothing(tmp_path, capsys):
-    """Setting ``mpa.restarts`` and ``mpa.polish`` to their one legal value is a no-op."""
-    cfg = _write_config(tmp_path, {"mpa": {"restarts": 0, "polish": True}})
-    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "set")]) == 0
+def test_retired_keys_at_v1_values_change_nothing(tmp_path, capsys):
+    """A v1 document that sets the five retired keys loads as the defaults, hash included."""
+    retired = {
+        "embedding": {"samples": 30},
+        "mpa": {"step_rule": "armijo", "metric": "x-alpha-lambda", "polish": True, "restarts": 0},
+    }
+    cfg = _write_config(tmp_path, retired)
+    assert load_config(cfg) == DEFAULT_CONFIG
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "v1")]) == 0
     assert main(["bound", "--out", str(tmp_path / "default")]) == 0
     capsys.readouterr()
-    set_bytes = (tmp_path / "set" / "bound.json").read_bytes()
-    assert set_bytes == (tmp_path / "default" / "bound.json").read_bytes()
+    v1_bytes = (tmp_path / "v1" / "bound.json").read_bytes()
+    assert v1_bytes == (tmp_path / "default" / "bound.json").read_bytes()
+
+
+@pytest.mark.parametrize("path, builder, cls", [
+    (("grid",), build_grid, RealLineGrid),
+    (("problem", "potential"), build_potential, PotentialSpec),
+    (("problem", "nonlinearity"), build_nonlinearity, NonlinearitySpec),
+    (("mpa",), build_mpa_config, MpaConfig),
+], ids=["grid", "potential", "nonlinearity", "mpa"])
+def test_each_config_table_is_what_its_builder_passes(monkeypatch, path, builder, cls):
+    """A default key that its builder does not pass to the dataclass would change nothing."""
+    passed = []
+
+    class Recorded(cls):
+        def __init__(self, **kwargs):
+            passed.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(config, cls.__name__, Recorded)
+    table = DEFAULT_CONFIG
+    for key in path:
+        table = table[key]
+    builder(copy.deepcopy(DEFAULT_CONFIG))
+    assert len(passed) == 1 and passed[0] == table
 
 
 def test_box_inside_the_potential_ramp_is_rejected(tmp_path, capsys, monkeypatch):
@@ -186,6 +226,29 @@ def test_sweep_writes_report_and_csv(tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
+def test_cold_sweep_starts_every_rung_without_a_guess(tmp_path, capsys, spec10, constants,
+                                                    sweep_report):
+    """``--cold`` and ``sweep.cold`` run each rung as a solve with no guess, bit for bit.
+
+    The warm-started ladder reaches the same levels to 1e-12 relative.
+    """
+    cfg = _write_config(tmp_path, {"sweep": {"lambdas": [1.0, 10.0], "cold": True}})
+    reports = []
+    for argv in (["--config", cfg], ["--lambdas", "1,10", "--cold"]):
+        out = tmp_path / f"run{len(reports)}"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    setup = construct_e(spec10.with_lambda(1.0), constants=constants)
+    warm = {rec["lambda"]: rec["level"] for rec in sweep_report.records}
+    records = json.loads(reports[0])["records"]
+    assert [rec["lambda"] for rec in records] == [1.0, 10.0]
+    for rec in records:
+        assert rec["level"] == mpa_solve(spec10.with_lambda(rec["lambda"]), setup).level
+        assert rec["level"] == pytest.approx(warm[rec["lambda"]], rel=1e-12, abs=0.0)
+
+
 def test_sweep_with_an_unconverged_rung_exits_one(tmp_path, capsys):
     """Both files are still written, and the failing rung says so."""
     cfg = _write_config(tmp_path, {"grid": {"num_points": 1024}, "mpa": {"max_iters": 21}})
@@ -230,18 +293,6 @@ def test_bound_matches_library_geometry(tmp_path, capsys, setup, ctilde, constan
     assert payload["eta"] == setup.eta
     assert payload["sigma0"] == setup.sigma0
     assert payload["constants"]["lambda_floor"] == constants.lambda_floor
-
-
-def test_embedding_samples_is_inert(tmp_path, capsys):
-    """Schema v1 keeps ``embedding.samples``; it changes nothing but the hash."""
-    cfg = _write_config(tmp_path, {"embedding": {"samples": 30}})
-    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "small")]) == 0
-    assert main(["bound", "--out", str(tmp_path / "default")]) == 0
-    capsys.readouterr()
-    small = _read_json(tmp_path / "small" / "bound.json")
-    default = _read_json(tmp_path / "default" / "bound.json")
-    assert small.pop("config_hash") != default.pop("config_hash")
-    assert small == default
 
 
 def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):

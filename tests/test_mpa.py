@@ -373,6 +373,42 @@ def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity, lam, m
     assert res.residual > 0.0
 
 
+def test_segment_from_zero_keeps_its_first_cell_crest(potential, monkeypatch):
+    """A crest in the first coarse cell of a segment from ``0`` is found, not clamped to ``0``.
+
+    ``E'(0) = 0`` exactly at the zero node, so its slope names no rising
+    side.  On this capped run the crest of the segment ``0 -> node`` moves
+    below ``th = 1/16`` at iteration 9; reporting the end's energy 0 there
+    dropped the path level below ``eta``, which every path from ``0`` to
+    ``e`` must cross.
+    """
+    spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
+    scans = []
+    energies = mpa._segment_energies
+
+    def scanned(*args, **kwargs):
+        out = energies(*args, **kwargs)
+        scans.append(float(np.max(out)))
+        return out
+
+    monkeypatch.setattr(mpa, "_segment_energies", scanned)
+    measure = mpa._measure_segment
+    checked = []
+
+    def recorded(op, a, b):
+        before = len(scans)
+        seg = measure(op, a, b)
+        if len(scans) > before:
+            assert seg.value >= scans[-1]
+            checked.append(seg.theta)
+        return seg
+
+    monkeypatch.setattr(mpa, "_measure_segment", recorded)
+    res = mpa_solve(spec, setup, MpaConfig(path_nodes=3, max_path_nodes=3, max_iters=12))
+    assert min(checked) < 1.0 / 16.0
+    assert min(level for level, _, _ in res.trace) >= setup.eta
+
+
 def test_capped_path_prunes_to_the_uncapped_level(potential, monkeypatch):
     """At the node cap the engine prunes a low node, never raising the path maximum.
 
