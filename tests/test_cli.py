@@ -99,19 +99,27 @@ def test_unknown_metric_is_rejected(tmp_path, capsys):
         assert f"mpa.{key} must be {legal!r}, got {value!r}" in capsys.readouterr().err
 
 
-def test_retired_keys_at_v1_values_change_nothing(tmp_path, capsys):
-    """A v1 document that sets the five retired keys loads as the defaults, hash included."""
-    retired = {
-        "embedding": {"samples": 30},
-        "mpa": {"step_rule": "armijo", "metric": "x-alpha-lambda", "polish": True, "restarts": 0},
-    }
-    cfg = _write_config(tmp_path, retired)
+def _bound_bytes_match_default(tmp_path, capsys, payload):
+    """A document with ``payload`` loads as the defaults and writes the default ``bound.json``."""
+    cfg = _write_config(tmp_path, payload)
     assert load_config(cfg) == DEFAULT_CONFIG
-    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "v1")]) == 0
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "set")]) == 0
     assert main(["bound", "--out", str(tmp_path / "default")]) == 0
     capsys.readouterr()
-    v1_bytes = (tmp_path / "v1" / "bound.json").read_bytes()
-    assert v1_bytes == (tmp_path / "default" / "bound.json").read_bytes()
+    set_bytes = (tmp_path / "set" / "bound.json").read_bytes()
+    assert set_bytes == (tmp_path / "default" / "bound.json").read_bytes()
+
+
+def test_single_value_keys_at_their_defaults_change_nothing(tmp_path, capsys):
+    """The four retired ``mpa`` keys at their one v1 value change nothing, hash included."""
+    _bound_bytes_match_default(tmp_path, capsys, {
+        "mpa": {"step_rule": "armijo", "metric": "x-alpha-lambda", "polish": True, "restarts": 0},
+    })
+
+
+def test_embedding_samples_is_inert(tmp_path, capsys):
+    """The retired ``embedding.samples`` is dropped on load: same ``bound.json``, hash included."""
+    _bound_bytes_match_default(tmp_path, capsys, {"embedding": {"samples": 30}})
 
 
 @pytest.mark.parametrize("path, builder, cls", [
