@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .functional import IntervalProblemSpec, ProblemSpec
 from .grids import IntervalGrid, RealLineGrid
 from .mpa import MpaConfig
-from .problem import NonlinearitySpec, PotentialSpec
+from .problem import NonlinearitySpec, PotentialSpec, default_nonlinearity, default_potential
 from .runner import DEFAULT_BUDGETS, payload_hash
 
 __all__ = [
@@ -49,23 +49,12 @@ DEFAULT_CONFIG: dict = {
         "alpha": 0.75,
         "lambda": 10.0,
         "n": 1,
-        "potential": {
-            "kind": "scalar",
-            "varrho": 0.4,
-            "delta": 0.05,
-            "cap": 6.0,
-            "c": 1.5,
-            "diag_scales": [],
-        },
+        # The library's default problem; ``sigma`` is derived, not a config key.
+        "potential": {**dataclasses.asdict(default_potential()), "diag_scales": []},
         "nonlinearity": {
-            "kind": "pure_power",
-            "p": 4.0,
-            "epsilon": 0.0,
-            "weight_base": 1.0,
-            "weight_amp": 0.0,
-            "weight_freq": 0.0,
-            "c0": 20.0,
-            "radius": 1.0,
+            key: value
+            for key, value in dataclasses.asdict(default_nonlinearity()).items()
+            if key != "sigma"
         },
     },
     "embedding": {"safety": 1.1},

@@ -72,17 +72,15 @@ def _form_multipliers(grid: RealLineGrid, alpha: float) -> tuple[np.ndarray, np.
     return m, weighted
 
 
-def _spectral_form(grid: RealLineGrid, alpha: float, u: np.ndarray, v: np.ndarray | None = None):
-    """Parseval-weighted form ``h/N sum_k |w_k|^(2 alpha) Re(U_k conj(V_k))``.
+def _spectral_form(grid: RealLineGrid, alpha: float, u: np.ndarray):
+    """Parseval-weighted form ``h/N sum_k |w_k|^(2 alpha) |U_k|^2``.
 
-    ``u`` and ``v`` (``v`` defaults to ``u``) hold grid values along axis -2
-    and components along axis -1; any leading axes are a batch, and one value
-    is returned per batch entry.  Every real-line quadratic form in the
-    package is this one kernel.
+    ``u`` holds grid values along axis -2 and components along axis -1; any
+    leading axes are a batch, and one value is returned per batch entry.
+    Every real-line quadratic form in the package is this one kernel.
     """
     uc = np.fft.rfft(u, axis=-2)
-    vc = uc if v is None else np.fft.rfft(v, axis=-2)
-    return _coefficient_form(grid, alpha, uc, vc)
+    return _coefficient_form(grid, alpha, uc, uc)
 
 
 def _coefficient_form(grid: RealLineGrid, alpha: float, uc: np.ndarray, vc: np.ndarray):

@@ -20,9 +20,10 @@ on the metric's 2-norm), and ``quad`` and ``pairing`` (the ``grad W``
 weights in the residual and the scale of ``I'(u)v``).  From them it builds
 the forms, the ``W`` integral and its slope, energies, norms, the residual,
 the metric gradient (each solve checked by one ``apply_metric``) and the
-MINRES Newton step.  The public functions take either spec and reach the
-domain only through its operator; an interval argument must vanish exactly
-at both endpoints.
+MINRES Newton step; when Newton stops is the solver's rule on both
+domains (``mpa._NEWTON_TOL`` and ``mpa._NEWTON_STEPS``).  The public
+functions take either spec and reach the domain only through its operator;
+an interval argument must vanish exactly at both endpoints.
 
 ``wint``, ``wslope`` and ``energies`` take a ``span`` of nodes off which
 ``u`` is exactly ``+0.0``; the rest of each row is filled with exact zeros,
@@ -140,6 +141,12 @@ _STACK_VALUES = 2**14
 def _stack_rows(row_values: int) -> int:
     """Rows of ``row_values`` float64 values each that a stack may hold (at least one)."""
     return max(1, (_STACK_VALUES - 1) // row_values)
+
+
+def _chunks(count: int, row_values: int) -> list[slice]:
+    """Consecutive slices of ``range(count)``, each of at most ``_stack_rows(row_values)`` rows."""
+    rows = _stack_rows(row_values)
+    return [slice(i, min(i + rows, count)) for i in range(0, count, rows)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,37 +392,6 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
     return x, (maxiter if istop == 6 else 0), itn
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class _MetricFactor:
-    """Exact inverse of the weighted metric, one well correction per component.
-
-    With ``top`` the grid maximum of component ``c`` of ``L``, the metric is
-    ``A_c = S_c - Q_c Q_c^T``: ``S_c`` is diagonal in frequency with symbol
-    ``|w|^(2 alpha) + lambda * top``, and ``Q_c`` holds the unit columns of
-    the well nodes ``{L_c < top}`` scaled by ``q = sqrt(lambda (top - L_c))``.
-    The Woodbury identity gives
-
-        A_c^-1 = S_c^-1 (I + Q_c K_c^-1 Q_c^T S_c^-1),   K_c = I - Q_c^T S_c^-1 Q_c,
-
-    where ``K_c`` is the ``k x k`` capacitance matrix, SPD because ``A_c`` is.
-    Set-up costs ``O(k^3)``; an empty well (``k = 0``) leaves ``A_c = S_c``.
-    """
-
-    symbol: np.ndarray  # (N//2 + 1, n)
-    # (nodes, q, inverse Cholesky factor of K_c) per component
-    wells: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def _fft_solve(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(x, axis=0) / self.symbol, n=x.shape[0], axis=0)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._fft_solve(rhs)
-        lifted = rhs.copy()  # the well correction adds into it in place
-        for c, (idx, q, linv) in enumerate(self.wells):
-            lifted[idx, c] += q * _cholesky_solve(linv, q * y[idx, c])
-        return self._fft_solve(lifted)
-
-
 def _inverse_cholesky(m: np.ndarray) -> np.ndarray:
     """``L^-1`` for the lower Cholesky factor ``L`` of the SPD matrix ``m``.
 
@@ -436,8 +412,6 @@ class _LineOperator(_OperatorBase):
     metric = "x-alpha-lambda"
     dofs = slice(None)
     quad = 1.0
-    newton_steps = 12
-    newton_tol = 1e-13
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec)
@@ -478,7 +452,22 @@ class _LineOperator(_OperatorBase):
         return np.fft.irfft(coeff, n=n, axis=0) + self.spec.lam * self.ldiag * x
 
     @functools.cached_property
-    def factor(self) -> _MetricFactor:
+    def factor(self) -> tuple[np.ndarray, tuple]:
+        """Exact inverse of the weighted metric, one well correction per component.
+
+        With ``top`` the grid maximum of component ``c`` of ``L``, the metric
+        is ``A_c = S_c - Q_c Q_c^T``: ``S_c`` is diagonal in frequency with
+        symbol ``|w|^(2 alpha) + lambda * top``, and ``Q_c`` holds the unit
+        columns of the well nodes ``{L_c < top}`` scaled by
+        ``q = sqrt(lambda (top - L_c))``.  The Woodbury identity gives
+
+            A_c^-1 = S_c^-1 (I + Q_c K_c^-1 Q_c^T S_c^-1),   K_c = I - Q_c^T S_c^-1 Q_c,
+
+        where ``K_c`` is the ``k x k`` capacitance matrix, SPD because ``A_c``
+        is.  Returns ``(symbol, wells)``: the symbol of ``S`` per component and
+        ``(nodes, q, inverse Cholesky factor of K_c)`` per component.  Set-up
+        costs ``O(k^3)``; an empty well (``k = 0``) leaves ``A_c = S_c``.
+        """
         spec = self.spec
         top = np.max(self.ldiag, axis=0)
         if np.any(top <= 0.0):
@@ -496,14 +485,23 @@ class _LineOperator(_OperatorBase):
             cap = np.eye(idx.size) - q[:, None] * kc * q[None, :]
             wells.append((idx, q, _inverse_cholesky(cap)))
         symbol.setflags(write=False)
-        return _MetricFactor(symbol=symbol, wells=tuple(wells))
+        return symbol, tuple(wells)
 
     def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^-1 rhs`` by the cached Woodbury factor, unchecked."""
-        return self.factor.solve(rhs)
+        """``A^-1 rhs`` by the cached Woodbury ``factor``, unchecked."""
+        symbol, wells = self.factor
+
+        def fft_solve(x: np.ndarray) -> np.ndarray:
+            return np.fft.irfft(np.fft.rfft(x, axis=0) / symbol, n=x.shape[0], axis=0)
+
+        y = fft_solve(rhs)
+        lifted = rhs.copy()  # the well correction adds into it in place
+        for c, (idx, q, linv) in enumerate(wells):
+            lifted[idx, c] += q * _cholesky_solve(linv, q * y[idx, c])
+        return fft_solve(lifted)
 
     def solve_context(self) -> str:
-        k = "/".join(str(idx.size) for idx, _, _ in self.factor.wells)
+        k = "/".join(str(idx.size) for idx, _, _ in self.factor[1])
         return f"at lambda={self.spec.lam:g} with well size k={k}"
 
 
@@ -513,8 +511,6 @@ class _IntervalOperator(_OperatorBase):
     metric = "interval-stiffness"
     dofs = slice(1, -1)
     pairing = 1.0
-    newton_steps = 20
-    newton_tol = 1e-14
 
     def __init__(self, spec: IntervalProblemSpec):
         super().__init__(spec)
@@ -533,7 +529,8 @@ class _IntervalOperator(_OperatorBase):
         # that product bounds the 2-norm of the stiffness h B'^T B'.
         bd = np.abs(self.b[:, 1:-1])
         self.metric_bound = h * float(np.max(np.sum(bd, axis=0)) * np.max(np.sum(bd, axis=1)))
-        self.quad = grid.trapezoid_weights[1:-1, None]
+        # The interior trapezoid weights, each exactly h.
+        self.quad = h
 
     def quadrature(self, rows: np.ndarray) -> np.ndarray:
         """The trapezoid rule on each row of nodal values."""

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
 from .fracops import _edge_to_peak
-from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _operator, _stack_rows
+from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _chunks, _operator
 from .grids import GridFunction
 from .problem import calibrate_growth_constant
 from .spaces import EmbeddingConstants
@@ -64,8 +64,11 @@ _ROOT_ITERS = 60
 # magnitudes of the segment's slope terms (see _measure_segment).
 _MONOTONE_MARGIN = 1e-10
 # The Newton polish starts once the weighted residual is below this fraction
-# of 1 + |level|.
+# of 1 + |level|.  Its stop rule on either domain: a tolerance, and a step
+# count that is only a backstop (see _newton_polish).
 _POLISH_TRIGGER = 3e-2
+_NEWTON_TOL = 1e-14
+_NEWTON_STEPS = 20
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
@@ -232,13 +235,14 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
     that shrinks the residual norm by the factor ``1 - t/4``.  The loop stops
     once the residual norm is at most
 
-        max(op.newton_tol (1 + |u|), eps op.metric_bound |u|),
+        max(_NEWTON_TOL (1 + |u|), eps op.metric_bound |u|),
 
     the larger of the tolerance and the round-off floor of evaluating
     ``A u - grad W(u)`` in float64 (``eps`` is machine epsilon): a step below
     that floor only shuffles noise.  It also stops when no step shrinks the
-    residual or the linear solve fails; ``op.newton_steps`` is a backstop
-    only.  Adds the steps taken and the MINRES iterations to ``counters``
+    residual or the linear solve fails; ``_NEWTON_STEPS`` is a backstop
+    only.  Both constants are this module's, one rule for every operator.
+    Adds the steps taken and the MINRES iterations to ``counters``
     (``newton_steps``, ``minres_iterations``).  Returns the iterate and
     whether any step was taken.
     """
@@ -246,7 +250,7 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
     r = op.residual(v)
     rn = float(np.linalg.norm(r))
     improved_any = False
-    for _ in range(op.newton_steps):
+    for _ in range(_NEWTON_STEPS):
         d, iterations = op.newton_step(v, r)
         counters["minres_iterations"] += iterations
         if d is None:
@@ -266,7 +270,7 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
         if not stepped:
             return v, improved_any
         vn = float(np.linalg.norm(v))
-        if rn <= max(op.newton_tol * (1.0 + vn), _EPS * op.metric_bound * vn):
+        if rn <= max(_NEWTON_TOL * (1.0 + vn), _EPS * op.metric_bound * vn):
             break
     return v, improved_any
 
@@ -449,9 +453,8 @@ def _segment_energies(
     s = 1.0 - thetas
     a, b = a[span], b[span]
     # Both the stack on the span and the whole-grid W rows stay below the limit.
-    rows = _stack_rows(max(a.size, op.spec.grid.num_points))
-    wint = [op.wint(s[i : i + rows, None, None] * a + thetas[i : i + rows, None, None] * b, span)
-            for i in range(0, len(thetas), rows)]
+    wint = [op.wint(s[c, None, None] * a + thetas[c, None, None] * b, span)
+            for c in _chunks(len(thetas), max(a.size, op.spec.grid.num_points))]
     quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb
     return 0.5 * quad - np.concatenate(wint)
 

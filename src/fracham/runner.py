@@ -27,14 +27,7 @@ from .errors import (
     EmbeddingViolation,
     MonotonicityError,
 )
-from .fracops import _spectral_form
-from .functional import (
-    IntervalProblemSpec,
-    ProblemSpec,
-    _operator,
-    _stack_rows,
-    h_identity,
-)
+from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _operator, h_identity
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .mpa import (
     MpaConfig,
@@ -44,10 +37,11 @@ from .mpa import (
     ctilde_bound,
     mpa_solve,
 )
-from .problem import validate_nonlinearity, validate_potential
+from .problem import h_values, validate_nonlinearity, validate_potential
 from .spaces import (
     _WELL_POINTS,
     EmbeddingConstants,
+    _h_alpha_sq,
     norm_h_alpha,
     sample_interval_function,
     sample_line_function,
@@ -136,9 +130,7 @@ def embed_interval_solution(u: GridFunction, line_grid: RealLineGrid) -> GridFun
         np.interp(dst_t, src_t, u.values[:, j], left=0.0, right=0.0)
         for j in range(u.num_components)
     ]
-    out = np.stack(cols, axis=1)
-    out[(dst_t < src_t[0]) | (dst_t > src_t[-1])] = 0.0
-    return GridFunction(line_grid, out)
+    return GridFunction(line_grid, np.stack(cols, axis=1))
 
 
 def dist_h_alpha(u: GridFunction, u_interval: GridFunction, alpha: float) -> float:
@@ -181,13 +173,16 @@ class SweepReport:
 
 
 def _c6_record(u: GridFunction, spec: ProblemSpec) -> dict:
-    """Both sides of the critical-point identity ``||u||_X^2 = (grad W, u)``."""
+    """Both sides of ``||u||_X^2 = (grad W, u)``, and from them ``h_identity``'s gap, same bits."""
     op = _operator(spec)
     lhs = float(op.xnormsq(u.values))
     rhs = float(op.wslope(u.values, u.values))
     gap = abs(lhs - rhs)
     tol = 1e-6 * (1.0 + lhs)
-    return {"c6_lhs": lhs, "c6_rhs": rhs, "c6_gap": gap, "c6_tol": tol, "c6_ok": gap <= tol}
+    defect = float(0.5 * lhs - op.wint(u.values)) - 0.5 * (lhs - rhs)
+    integral_h = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, u.values))
+    return {"c6_lhs": lhs, "c6_rhs": rhs, "c6_gap": gap, "c6_tol": tol, "c6_ok": gap <= tol,
+            "identity_gap": abs(defect - integral_h)}
 
 
 def lambda_sweep(
@@ -248,9 +243,7 @@ def lambda_sweep(
             "counters": dict(result.diagnostics["counters"]),
         }
         record.update(_c6_record(result.u, spec))
-        _, _, id_gap = h_identity(result.u, spec)
-        record["identity_gap"] = id_gap
-        record["identity_ok"] = id_gap <= 1e-6 * (1.0 + abs(result.level))
+        record["identity_ok"] = record["identity_gap"] <= 1e-6 * (1.0 + abs(result.level))
         if result.converged:
             if result.level > ctilde + level_tol:
                 raise ConvergenceError(
@@ -315,21 +308,12 @@ DEFAULT_BUDGETS = {
 _IDENTITY_CHECKS = 5
 
 
-def _random_line_field(grid: RealLineGrid, rng: np.random.Generator, n: int) -> np.ndarray:
-    cols = [sample_line_function(grid, rng, int(rng.integers(0, 3))) for _ in range(n)]
+def _random_field(spec, rng: np.random.Generator) -> np.ndarray:
+    """One random ``spec.n``-component field, each component from a random sample family."""
+    line = isinstance(spec, ProblemSpec)
+    sample, families = (sample_line_function, 3) if line else (sample_interval_function, 2)
+    cols = [sample(spec.grid, rng, int(rng.integers(0, families))) for _ in range(spec.n)]
     return np.stack(cols, axis=1)
-
-
-def _random_interval_field(
-    grid: IntervalGrid, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    cols = [sample_interval_function(grid, rng, int(rng.integers(0, 2))) for _ in range(n)]
-    return np.stack(cols, axis=1)
-
-
-def _chunk_sizes(count: int, rows: int) -> list[int]:
-    """Sizes of the consecutive chunks of at most ``rows`` that make up ``count``."""
-    return [min(rows, count - start) for start in range(0, count, rows)]
 
 
 def _unit_fields(spec, stack: np.ndarray) -> np.ndarray:
@@ -341,9 +325,7 @@ def _unit_fields(spec, stack: np.ndarray) -> np.ndarray:
     on its own.
     """
     if isinstance(spec, ProblemSpec):
-        grid = spec.grid
-        l2sq = grid.spacing * np.sum(stack**2, axis=(-2, -1))
-        nrm = np.sqrt(l2sq + _spectral_form(grid, spec.alpha, stack))
+        nrm = np.sqrt(_h_alpha_sq(spec.grid, spec.alpha, stack))
         return stack / np.where(nrm == 0.0, 1.0, nrm)[:, None, None]
     return stack / np.maximum(np.max(np.abs(stack), axis=(-2, -1)), 1e-12)[:, None, None]
 
@@ -359,13 +341,11 @@ def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
     ``||v||_X^2`` reuse the transforms of ``I'(u)v``'s form.  Every error
     is the bits of one pair on its own.
     """
-    grid = spec.grid
     op = _operator(spec)
-    draw = _random_line_field if isinstance(spec, ProblemSpec) else _random_interval_field
     eps = 1e-5
     worst = 0.0
-    for size in _chunk_sizes(count, _stack_rows(grid.num_points * spec.n)):
-        pairs = [(draw(grid, rng, spec.n), draw(grid, rng, spec.n)) for _ in range(size)]
+    for chunk in _chunks(count, spec.grid.num_points * spec.n):
+        pairs = [(_random_field(spec, rng), _random_field(spec, rng)) for _ in range(count)[chunk]]
         u, v = (_unit_fields(spec, np.stack(fields)) for fields in zip(*pairs))
         ut, vt = op.transform(u), op.transform(v)
         act = op.transformed_form(u, ut, v, vt) - op.wslope(u, v)
@@ -382,8 +362,8 @@ def _identity_spot_checks(
     """Defect-identity gaps relative to ``1 + |lhs| + 1e-4 ||u||_X^2``, as in the FD check."""
     worst = 0.0
     for _ in range(_IDENTITY_CHECKS):
-        line = _unit_fields(spec, _random_line_field(spec.grid, rng, spec.n)[None])[0]
-        interval = _random_interval_field(ispec.grid, rng, ispec.n)
+        line = _unit_fields(spec, _random_field(spec, rng)[None])[0]
+        interval = _random_field(ispec, rng)
         for sp, vals in ((spec, line), (ispec, interval)):
             lhs, _, gap = h_identity(GridFunction(sp.grid, vals), sp)
             scale = 1.0 + abs(lhs) + 1e-4 * float(_operator(sp).xnormsq(vals))
@@ -406,8 +386,8 @@ def _geometry_checks(
     setup = construct_e(spec, constants=constants)
     op = _operator(spec)
     floor_min = math.inf
-    for size in _chunk_sizes(count, _stack_rows(spec.grid.num_points * spec.n)):
-        fields = np.stack([_random_line_field(spec.grid, rng, spec.n) for _ in range(size)])
+    for chunk in _chunks(count, spec.grid.num_points * spec.n):
+        fields = np.stack([_random_field(spec, rng) for _ in range(count)[chunk]])
         nx = np.sqrt(np.maximum(op.xnormsq(fields), 0.0))
         keep = nx != 0.0
         for value in op.energies((setup.rho / nx[keep])[:, None, None] * fields[keep]):

@@ -31,18 +31,9 @@ equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  So
 exceed it.  Random samples only test the derived inequalities, in
 :func:`verify_embeddings`.
 
-The stress test batches its work and still gives the same bits as a loop
-over one sample at a time.  It draws the line samples in order and
-evaluates them in chunks: one rfft per chunk gives both fractional norms of
-every row, and the worst ratios are recorded row by row, in sample order.
-A chunk holds as many rows as keep its ``spec.n``-component lift under the
-package's stack budget (``functional._STACK_VALUES``, 128 KiB): three at
-the default ``N = 4096``.  Then no temporary of a chunk, the complex rfft
-coefficients included, reaches glibc's mmap threshold, so the allocator
-reuses its memory instead of mapping and faulting in fresh pages for each
-chunk; small chunks also keep the peak resident memory down.
-:func:`sample_line_function` evaluates each Gaussian or polynomial bump
-only on the nodes where it is nonzero in floating point.
+The stress test draws its samples in order and evaluates them in chunks
+under the package's stack budget, with the bits of a one-sample loop; the
+README's ``verify`` section has the account.
 """
 
 from __future__ import annotations
@@ -53,8 +44,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
-from .fracops import _coefficient_form, _form_multipliers, gl_matrix, quadratic_form_alpha
-from .functional import ProblemSpec, _operator, _stack_rows, _values
+from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form, gl_matrix
+from .functional import ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
 __all__ = [
@@ -81,12 +72,16 @@ _WELL_POINTS = 257
 _GAUSS_REACH = math.sqrt(1492.0)
 
 
+def _h_alpha_sq(grid: RealLineGrid, alpha: float, vals: np.ndarray) -> np.ndarray:
+    """``||u||_alpha^2 = h sum u^2 + |u|_alpha^2`` of ``(N, n)`` values, or of each in a stack."""
+    return grid.spacing * np.sum(vals**2, axis=(-2, -1)) + _spectral_form(grid, alpha, vals)
+
+
 def norm_h_alpha(u: GridFunction, alpha: float) -> float:
     """Base fractional Sobolev norm ``sqrt(||u||_L2^2 + |u|_alpha^2)``."""
     if not isinstance(u.grid, RealLineGrid):
         raise DomainError("norm_h_alpha is defined on real-line grid functions")
-    l2sq = u.grid.integrate(u.values**2)
-    return math.sqrt(l2sq + quadratic_form_alpha(u, alpha))
+    return math.sqrt(_h_alpha_sq(u.grid, _check_order(alpha), u.values))
 
 
 def inner_x_lambda(u: GridFunction, v: GridFunction, spec: ProblemSpec) -> float:
@@ -392,9 +387,8 @@ def verify_embeddings(
             )
 
     n_line = max(samples, 1)
-    rows = _stack_rows(grid.num_points * spec.n)
-    for start in range(0, n_line, rows):
-        ids = range(start, min(start + rows, n_line))
+    for chunk in _chunks(n_line, grid.num_points * spec.n):
+        ids = range(n_line)[chunk]
         block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
         sups, l2sqs, lppows, frac, xnormsq = _line_stats(block, spec, p)
         for j, i in enumerate(ids):

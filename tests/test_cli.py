@@ -23,7 +23,12 @@ from fracham.config import (
     load_config,
     merge_config,
 )
-from fracham.problem import NonlinearitySpec, PotentialSpec
+from fracham.problem import (
+    NonlinearitySpec,
+    PotentialSpec,
+    default_nonlinearity,
+    default_potential,
+)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -143,6 +148,12 @@ def test_each_config_table_is_what_its_builder_passes(monkeypatch, path, builder
         table = table[key]
     builder(copy.deepcopy(DEFAULT_CONFIG))
     assert len(passed) == 1 and passed[0] == table
+
+
+def test_default_config_builds_the_library_default_problem():
+    """The default config's problem tables are the library's default problem, no other."""
+    assert build_potential(DEFAULT_CONFIG) == default_potential()
+    assert build_nonlinearity(DEFAULT_CONFIG) == default_nonlinearity()
 
 
 def test_box_inside_the_potential_ramp_is_rejected(tmp_path, capsys, monkeypatch):

@@ -177,6 +177,20 @@ def test_metric_solve_residual(spec10):
             assert _metric_residual(spec.with_lambda(lam)) <= 1e-12
 
 
+def test_chunks_tile_the_count_under_the_stack_budget():
+    """Chunks cover ``range(count)`` in order, and each stack stays under the budget."""
+    budget = functional._STACK_VALUES
+    for n in (1, 2):
+        row_values = 4096 * n
+        for count in (1, 2, 3, 4, 5, 7, 200):
+            chunks = functional._chunks(count, row_values)
+            assert [i for c in chunks for i in range(count)[c]] == list(range(count))
+            assert all(0 < (c.stop - c.start) * row_values < budget for c in chunks)
+    assert [c.stop - c.start for c in functional._chunks(7, 4096)] == [3, 3, 1]
+    assert functional._chunks(0, 4096) == []
+    assert functional._chunks(3, budget + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
 def test_metric_solve_edge_cases(spec10):
     # A box too narrow for the potential to reach its cap: the top is the
     # grid maximum, and every other node joins the well correction.
@@ -191,7 +205,8 @@ def test_metric_solve_edge_cases(spec10):
             return np.full(np.shape(t), self.cap)
 
     flat = dataclasses.replace(spec10, potential=FlatPotential(0.4, 0.05, 6.0, 1.5))
-    assert all(idx.size == 0 for idx, _, _ in functional._operator(flat).factor.wells)
+    _, wells = functional._operator(flat).factor
+    assert all(idx.size == 0 for idx, _, _ in wells)
     assert _metric_residual(flat) <= 1e-12
 
     # A box inside the well, where the potential vanishes: A is singular.

@@ -208,7 +208,7 @@ def test_mixed_endpoint_runs_a_coupled_vector_solve(potential):
     c6 = _c6_record(run.u, vector)
     assert c6["c6_ok"], c6
     _, _, gap = h_identity(run.u, vector)
-    assert gap <= 1e-6 * (1.0 + abs(run.level))
+    assert gap <= 1e-6 * (1.0 + abs(run.level)) and c6["identity_gap"] == gap
     reference = mpa_solve(scalar, construct_e(scalar, constants=constants))
     assert abs(run.level - reference.level) <= 1e-9 * reference.level
 
@@ -272,7 +272,7 @@ def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, i
     """Every Newton polish stops at its tolerance or round-off floor within 5 steps.
 
     The floor is ``eps * metric_bound * |u|``, the error of evaluating the
-    residual; the step cap (``newton_steps``) is only a backstop.  Cases: the
+    residual; the step cap (``mpa._NEWTON_STEPS``) is only a backstop.  Cases: the
     default solve, a cold ``lambda = 1000`` solve, a warm ladder to 1e6, the
     solve-vector family, ``alpha`` 0.51 and 0.99, and the interval at n = 1, 2.
     """
@@ -283,7 +283,7 @@ def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, i
         before = counters["newton_steps"]
         v, ok = polish(op, vals, counters)
         vn = float(np.linalg.norm(v))
-        bound = max(op.newton_tol * (1.0 + vn), np.finfo(np.float64).eps * op.metric_bound * vn)
+        bound = max(mpa._NEWTON_TOL * (1.0 + vn), np.finfo(np.float64).eps * op.metric_bound * vn)
         polishes.append((ok, counters["newton_steps"] - before,
                          float(np.linalg.norm(op.residual(v))), bound))
         return v, ok

@@ -23,7 +23,7 @@ from fracham import (
 )
 from fracham import functional, runner, spaces
 from fracham.errors import ConfigError, DomainError
-from fracham.functional import ProblemSpec, _operator, _stack_rows
+from fracham.functional import ProblemSpec, _operator, _stack_rows, h_identity
 from fracham.problem import NonlinearitySpec, default_oscillatory
 from fracham.runner import (
     canonical_json,
@@ -198,6 +198,7 @@ def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve
     assert rec["iterations"] == default_solve.iterations
     assert rec["residual"] == default_solve.residual
     assert rec["counters"] == default_solve.diagnostics["counters"]
+    assert rec["identity_gap"] == h_identity(default_solve.u, spec10)[2]
     assert rep.bvp_reference.level == bvp_result.level
 
 
@@ -274,11 +275,10 @@ def test_campaign_full_default_passes(spec10, constants):
 
 def _oracle_field(spec, rng):
     """One random field, unit-scaled as the checks scale it, one at a time."""
+    vals = runner._random_field(spec, rng)
     if isinstance(spec, ProblemSpec):
-        vals = runner._random_line_field(spec.grid, rng, spec.n)
         nrm = norm_h_alpha(GridFunction(spec.grid, vals), spec.alpha)
         return vals if nrm == 0.0 else vals / nrm
-    vals = runner._random_interval_field(spec.grid, rng, spec.n)
     return vals / max(float(np.max(np.abs(vals))), 1e-12)
 
 
@@ -305,7 +305,7 @@ def _oracle_sphere(spec, constants, count, rng):
     op = _operator(spec)
     floor_min = math.inf
     for _ in range(count):
-        vals = runner._random_line_field(spec.grid, rng, spec.n)
+        vals = runner._random_field(spec, rng)
         nx = op.xnorm(vals)
         if nx == 0.0:
             continue
@@ -348,15 +348,15 @@ def test_batched_sphere_check_matches_a_per_field_loop(spec10, constants, monkey
     The fifth field drawn is replaced by zeros after its draw.  Dividing by
     its zero norm would warn, and warnings are errors here.
     """
-    draw = runner._random_line_field
+    draw = runner._random_field
     calls = []
 
-    def fifth_is_zero(grid, rng, n):
-        vals = draw(grid, rng, n)
+    def fifth_is_zero(spec, rng):
+        vals = draw(spec, rng)
         calls.append(1)
         return np.zeros_like(vals) if len(calls) == 5 else vals
 
-    monkeypatch.setattr(runner, "_random_line_field", fifth_is_zero)
+    monkeypatch.setattr(runner, "_random_field", fifth_is_zero)
     for spec, count in ((spec10, 8), (_vector_oscillatory(spec10), 5)):
         rows = _stack_rows(spec.grid.num_points * spec.n)
         assert rows == 1 or count % rows != 0
