@@ -487,21 +487,23 @@ class _LineOperator(_OperatorBase):
         symbol.setflags(write=False)
         return symbol, tuple(wells)
 
+    def _fft_solve(self, x: np.ndarray) -> np.ndarray:
+        """``S^-1 x``: division by ``factor``'s symbol in frequency."""
+        symbol, _ = self.factor
+        return np.fft.irfft(np.fft.rfft(x, axis=0) / symbol, n=x.shape[0], axis=0)
+
     def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` by the cached Woodbury ``factor``, unchecked."""
-        symbol, wells = self.factor
-
-        def fft_solve(x: np.ndarray) -> np.ndarray:
-            return np.fft.irfft(np.fft.rfft(x, axis=0) / symbol, n=x.shape[0], axis=0)
-
-        y = fft_solve(rhs)
+        _, wells = self.factor
+        y = self._fft_solve(rhs)
         lifted = rhs.copy()  # the well correction adds into it in place
         for c, (idx, q, linv) in enumerate(wells):
             lifted[idx, c] += q * _cholesky_solve(linv, q * y[idx, c])
-        return fft_solve(lifted)
+        return self._fft_solve(lifted)
 
     def solve_context(self) -> str:
-        k = "/".join(str(idx.size) for idx, _, _ in self.factor[1])
+        _, wells = self.factor
+        k = "/".join(str(idx.size) for idx, _, _ in wells)
         return f"at lambda={self.spec.lam:g} with well size k={k}"
 
 
@@ -585,11 +587,19 @@ def gradient_rep(u: GridFunction, spec) -> GridFunction:
     return GridFunction(spec.grid, g)
 
 
+def _identity_terms(vals: np.ndarray, spec) -> tuple[float, float, float, float]:
+    """``Q = ||u||_X^2``, ``S = (grad W(u), u)``, and from them both sides of ``h_identity``."""
+    op = _operator(spec)
+    q = float(op.xnormsq(vals))
+    s = float(op.wslope(vals, vals))
+    lhs = float(0.5 * q - op.wint(vals)) - 0.5 * (q - s)
+    rhs = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, vals))
+    return q, s, lhs, rhs
+
+
 def h_identity(u: GridFunction, spec) -> tuple[float, float, float]:
     """Defect identity: ``I(u) - 1/2 I'(u)u`` against the integral of ``H``."""
-    vals = _values(u, spec)
-    lhs = energy(u, spec) - 0.5 * derivative_action(u, u, spec)
-    rhs = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, vals))
+    _, _, lhs, rhs = _identity_terms(_values(u, spec), spec)
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     EmbeddingViolation,
     MonotonicityError,
 )
-from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _operator, h_identity
+from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _identity_terms, _operator, h_identity
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .mpa import (
     MpaConfig,
@@ -37,7 +37,7 @@ from .mpa import (
     ctilde_bound,
     mpa_solve,
 )
-from .problem import h_values, validate_nonlinearity, validate_potential
+from .problem import validate_nonlinearity, validate_potential
 from .spaces import (
     _WELL_POINTS,
     EmbeddingConstants,
@@ -173,14 +173,10 @@ class SweepReport:
 
 
 def _c6_record(u: GridFunction, spec: ProblemSpec) -> dict:
-    """Both sides of ``||u||_X^2 = (grad W, u)``, and from them ``h_identity``'s gap, same bits."""
-    op = _operator(spec)
-    lhs = float(op.xnormsq(u.values))
-    rhs = float(op.wslope(u.values, u.values))
+    """Both sides of ``||u||_X^2 = (grad W, u)``, and ``h_identity``'s gap from the same terms."""
+    lhs, rhs, defect, integral_h = _identity_terms(u.values, spec)
     gap = abs(lhs - rhs)
     tol = 1e-6 * (1.0 + lhs)
-    defect = float(0.5 * lhs - op.wint(u.values)) - 0.5 * (lhs - rhs)
-    integral_h = spec.grid.integrate(h_values(spec.nonlinearity, spec.grid.nodes, u.values))
     return {"c6_lhs": lhs, "c6_rhs": rhs, "c6_gap": gap, "c6_tol": tol, "c6_ok": gap <= tol,
             "identity_gap": abs(defect - integral_h)}
 
