@@ -24,6 +24,7 @@ from .config import (
     build_problem_spec,
     config_hash,
     load_config,
+    merge_config,
 )
 from .errors import ConfigError, FrachamError
 from .mpa import bvp_solve, construct_e, ctilde_bound, mpa_solve
@@ -76,17 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, line: bool = True, **overrides):
+def _load(args, line: bool = True, **flags):
     """The effective config and its hash; for a line command also its spec and constants.
 
-    ``overrides`` maps a config table to the command-line values that replace
-    its keys, ``None`` leaving a key alone; the hash covers them.
+    ``flags`` maps a config table to the command-line values for its keys,
+    ``None`` leaving a key alone.  They and ``--seed`` are merged with the
+    checks a config file's keys get, and the hash covers them.
     """
-    cfg = load_config(args.config)
+    given = {table: {k: v for k, v in values.items() if v is not None}
+             for table, values in flags.items()}
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    for table, values in overrides.items():
-        cfg[table].update((key, value) for key, value in values.items() if value is not None)
+        given["seed"] = args.seed
+    cfg = merge_config(load_config(args.config), given)
     chash = config_hash(cfg)
     if not line:
         return cfg, chash, None, None
@@ -97,12 +99,25 @@ def _load(args, line: bool = True, **overrides):
     return cfg, chash, spec, constants
 
 
+def _certificates(spec, constants, chash: str):
+    """The setup from ``construct_e`` and the certificate fields ``solve`` and ``bound`` share."""
+    setup = construct_e(spec, constants=constants)
+    fields = {
+        "ctilde": ctilde_bound(setup, spec),
+        "rho": setup.rho,
+        "eta": setup.eta,
+        "sigma0": setup.sigma0,
+        "constants": constants.to_dict(),
+        "config_hash": chash,
+    }
+    return setup, fields
+
+
 def _cmd_solve(args) -> int:
     cfg, chash, spec, constants = _load(args, problem={"lambda": args.lam})
     mpa_config = build_mpa_config(cfg)
     constants.check_lambda(spec.lam)
-    setup = construct_e(spec, constants=constants)
-    ctilde = ctilde_bound(setup, spec)
+    setup, certificates = _certificates(spec, constants, chash)
     result = mpa_solve(spec, setup, mpa_config)
     print(
         f"solve: lambda={spec.lam:g} converged={result.converged} "
@@ -116,13 +131,8 @@ def _cmd_solve(args) -> int:
             extras={
                 "lambda": spec.lam,
                 "alpha": spec.alpha,
-                "rho": setup.rho,
-                "eta": setup.eta,
-                "sigma0": setup.sigma0,
-                "ctilde": ctilde,
                 "lambda_floor": constants.lambda_floor,
-                "config_hash": chash,
-                "constants": constants.to_dict(),
+                **certificates,
             },
         )
     return 0 if result.converged else 1
@@ -205,27 +215,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     _, chash, spec, constants = _load(args)
-    setup = construct_e(spec, constants=constants)
-    ctilde = ctilde_bound(setup, spec)
+    setup, certificates = _certificates(spec, constants, chash)
     print(
-        f"bound: ctilde={ctilde:.9g} rho={setup.rho:.6g} eta={setup.eta:.6g} "
+        f"bound: ctilde={certificates['ctilde']:.9g} rho={setup.rho:.6g} eta={setup.eta:.6g} "
         f"sigma0={setup.sigma0:g} lambda_floor={constants.lambda_floor:.6g}"
     )
     if args.out:
         write_report(
             args.out,
             "bound.json",
-            {
-                "ctilde": ctilde,
-                "rho": setup.rho,
-                "eta": setup.eta,
-                "sigma0": setup.sigma0,
-                "tau": setup.tau,
-                "epsilon_c": setup.epsilon_c,
-                "c_eps": setup.c_eps,
-                "constants": constants.to_dict(),
-                "config_hash": chash,
-            },
+            {**certificates, "tau": setup.tau, "epsilon_c": setup.epsilon_c, "c_eps": setup.c_eps},
         )
     return 0
 

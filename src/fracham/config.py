@@ -13,8 +13,9 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .functional import IntervalProblemSpec, ProblemSpec
 from .grids import IntervalGrid, RealLineGrid
 from .mpa import MpaConfig
@@ -49,13 +50,9 @@ DEFAULT_CONFIG: dict = {
         "alpha": 0.75,
         "lambda": 10.0,
         "n": 1,
-        # The library's default problem; ``sigma`` is derived, not a config key.
+        # The library's default problem.
         "potential": {**dataclasses.asdict(default_potential()), "diag_scales": []},
-        "nonlinearity": {
-            key: value
-            for key, value in dataclasses.asdict(default_nonlinearity()).items()
-            if key != "sigma"
-        },
+        "nonlinearity": dataclasses.asdict(default_nonlinearity()),
     },
     "embedding": {"safety": 1.1},
     "mpa": dataclasses.asdict(MpaConfig()),
@@ -100,6 +97,14 @@ def _leaf(where: str, default, value):
         return None
     if _kind(value) != _kind(default):
         raise ConfigError(f"config key {where!r} must be {_kind(default)}, got {value!r}")
+    if isinstance(value, str):
+        return value
+    # NaN fails the comparison; so do infinities and integers past the float range.
+    numbers = value if isinstance(value, list) else [value]
+    if not all(abs(x) <= sys.float_info.max for x in numbers):
+        raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
+    if where == "seed" and value < 0:  # numpy's generators reject a negative seed
+        raise ConfigError(f"config key {where!r} must not be negative, got {value!r}")
     if type(default) is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config key {where!r} must be an integer, got {value!r}")
@@ -114,10 +119,11 @@ def _leaf(where: str, default, value):
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
     """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind.
 
-    Each numeric leaf takes its default's type once: an integer key rejects
-    a non-integral number and reads an integral float such as ``4096.0`` as
-    an integer, and a float key reads an integer as a float.  A retired v1
-    key is checked against what v1 accepted and dropped.
+    Each numeric leaf must be finite, ``seed`` nonnegative, and each takes
+    its default's type once: an integer key rejects a non-integral number
+    and reads an integral float such as ``4096.0`` as an integer, and a
+    float key reads an integer as a float.  A retired v1 key is checked
+    against what v1 accepted and dropped.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -164,22 +170,28 @@ def config_hash(cfg: dict) -> str:
     return payload_hash(cfg)
 
 
-def _build(cls, table: dict):
-    """``cls`` from the entries of ``table`` that name its fields."""
+def _build(cls, where: str, table: dict, **given):
+    """``cls`` from the entries of ``table`` that name its fields, then ``given``.
+
+    A ``DomainError`` from the constructor is a configuration error naming the table.
+    """
     names = {field.name for field in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in table.items() if key in names})
+    try:
+        return cls(**{**{key: value for key, value in table.items() if key in names}, **given})
+    except DomainError as exc:
+        raise ConfigError(f"config table {where!r}: {exc}") from exc
 
 
 def build_grid(cfg: dict) -> RealLineGrid:
-    return _build(RealLineGrid, cfg["grid"])
+    return _build(RealLineGrid, "grid", cfg["grid"])
 
 
 def build_potential(cfg: dict) -> PotentialSpec:
-    return _build(PotentialSpec, cfg["problem"]["potential"])
+    return _build(PotentialSpec, "problem.potential", cfg["problem"]["potential"])
 
 
 def build_nonlinearity(cfg: dict) -> NonlinearitySpec:
-    return _build(NonlinearitySpec, cfg["problem"]["nonlinearity"])
+    return _build(NonlinearitySpec, "problem.nonlinearity", cfg["problem"]["nonlinearity"])
 
 
 def build_problem_spec(cfg: dict) -> ProblemSpec:
@@ -195,20 +207,20 @@ def build_problem_spec(cfg: dict) -> ProblemSpec:
             f"grid.halfwidth = {grid.halfwidth:g} must exceed "
             f"varrho + delta*sqrt(cap) = {edge:g}, where the potential reaches its cap"
         )
-    return ProblemSpec(prob["alpha"], prob["lambda"], potential, build_nonlinearity(cfg), grid,
-                       prob["n"])
+    return _build(ProblemSpec, "problem", prob, lam=prob["lambda"], potential=potential,
+                  nonlinearity=build_nonlinearity(cfg), grid=grid)
 
 
 def build_interval_spec(cfg: dict) -> IntervalProblemSpec:
-    prob = cfg["problem"]
-    varrho = prob["potential"]["varrho"]
-    grid = IntervalGrid(-varrho, varrho, cfg["bvp"]["num_points"])
-    return IntervalProblemSpec(prob["alpha"], build_nonlinearity(cfg), grid, prob["n"])
+    varrho = build_potential(cfg).varrho
+    grid = _build(IntervalGrid, "bvp", cfg["bvp"], lower=-varrho, upper=varrho)
+    return _build(IntervalProblemSpec, "problem", cfg["problem"],
+                  nonlinearity=build_nonlinearity(cfg), grid=grid)
 
 
 def build_mpa_config(cfg: dict) -> MpaConfig:
-    return _build(MpaConfig, cfg["mpa"])
+    return _build(MpaConfig, "mpa", cfg["mpa"])
 
 
 def build_bvp_config(cfg: dict) -> MpaConfig:
-    return _build(MpaConfig, cfg["bvp"])
+    return _build(MpaConfig, "bvp", cfg["bvp"])

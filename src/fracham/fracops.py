@@ -20,12 +20,8 @@ extension, so the multiplier application is exact for the represented
 function.  On a bounded interval, the left Riemann-Liouville derivative with
 zero left boundary value is discretized by the standard Grunwald-Letnikov
 weights, giving a lower-triangular Toeplitz matrix that is first-order
-accurate.
-
-The line has a single multiplier cache, ``_form_multipliers``: the symbol
-``|w|^(2 alpha)`` of every real-line quadratic form, bare and
-Parseval-weighted.  :func:`liouville_weyl_left` is not on any solver path and
-builds its complex half symbol per call.
+accurate.  Every real-line quadratic form takes its multiplier from the one
+cache, ``_form_multipliers``.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "BoundaryDecayWarning",
     "liouville_weyl_left",
     "quadratic_form_alpha",
-    "gl_weights",
     "gl_matrix",
     "interval_stiffness",
 ]
@@ -150,19 +145,6 @@ def quadratic_form_alpha(u: GridFunction, alpha: float) -> float:
     """
     grid = _require_line(u)
     return float(_spectral_form(grid, _check_order(alpha), u.values))
-
-
-def gl_weights(alpha: float, count: int) -> np.ndarray:
-    """First ``count`` Grunwald-Letnikov weights ``(-1)^j binom(alpha, j)``.
-
-    Computed by the stable ratio recurrence ``w_j = w_{j-1} (j - 1 - alpha)/j``.
-    """
-    _check_order(alpha)
-    if count < 1:
-        raise DomainError(f"need count >= 1, got {count}")
-    w = _binomial_series(alpha, count)
-    w.setflags(write=False)
-    return w
 
 
 def _binomial_series(order: float, count: int) -> np.ndarray:

@@ -1,33 +1,20 @@
 """Energy functionals on the line and the interval, and the operator layer.
 
-The line functional is ``I(u) = 1/2 ||u||_X^2 - integral W(t, u)`` with
-``||u||_X^2 = |u|_alpha^2 + lambda integral (L u, u)``; the interval
-(Dirichlet) functional is ``J(u) = 1/2 h ||B u||^2 - integral W(t, u)``.
-Every integral uses the grid's own quadrature, so identities between the
-pieces (the defect identity ``I(u) - 1/2 I'(u)u = integral H``) hold to
-round-off.  The README's overview describes the metric solves and the
-segment measurements built on this layer.
+The line functional is ``I(u) = 1/2 ||u||_X^2 - integral W(t, u)``; the
+interval (Dirichlet) functional is ``J(u) = 1/2 h ||B u||^2 - integral
+W(t, u)``.  Every integral uses the grid's own quadrature, so identities
+between the pieces (the defect identity ``I(u) - 1/2 I'(u)u = integral H``)
+hold to round-off.  The README's overview gives the full account of the
+operators, their metric solves and the Newton step.
 
-Each spec owns one operator, built on first use and cached by
-:func:`_operator` (:class:`_LineOperator` or :class:`_IntervalOperator`),
-holding what depends only on the spec, the weight values ``g(t)`` of ``W``
-included.  :class:`_OperatorBase` writes the functional once over the
-primitives a domain supplies: ``transform`` and ``transformed_form`` (the
-batched bilinear form of the quadratic part from values and transforms),
-``quadrature``, ``dofs``, ``apply_metric`` and ``factor_solve`` on the
-degrees of freedom with ``solve_context``, ``metric_bound`` (an upper bound
-on the metric's 2-norm), and ``quad`` and ``pairing`` (the ``grad W``
-weights in the residual and the scale of ``I'(u)v``).  From them it builds
-the forms, the ``W`` integral and its slope, energies, norms, the residual,
-the metric gradient (each solve checked by one ``apply_metric``) and the
-MINRES Newton step; when Newton stops is the solver's rule on both
-domains (``mpa._NEWTON_TOL`` and ``mpa._NEWTON_STEPS``).  The public
-functions take either spec and reach the domain only through its operator;
-an interval argument must vanish exactly at both endpoints.
-
-``wint``, ``wslope`` and ``energies`` take a ``span`` of nodes off which
-``u`` is exactly ``+0.0``; the rest of each row is filled with exact zeros,
-so the result keeps every bit.
+Each spec owns one operator, cached by :func:`_operator`.
+:class:`_OperatorBase` writes the functional once over the primitives a
+domain supplies: ``transform`` and ``transformed_form`` (the batched
+bilinear form from values and transforms), ``quadrature``, ``dofs``,
+``apply_metric`` and ``factor_solve`` on the degrees of freedom with
+``solve_context``, ``metric_bound`` (an upper bound on the metric's
+2-norm), and ``quad`` and ``pairing`` (the ``grad W`` weights in the
+residual and the scale of ``I'(u)v``).
 """
 
 from __future__ import annotations
@@ -268,13 +255,9 @@ class _OperatorBase:
         """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES.
 
         Returns the step, ``None`` when MINRES fails, and its iteration count.
-
-        MINRES is preconditioned with the exact inverse of the metric ``A``,
-        so the preconditioned Hessian ``I - A^-1 W''(u)`` does not depend on
-        ``lambda`` and the iteration count stays small at every parameter.
-        The preconditioner is ``solve_and_apply_metric``: each Lanczos vector
-        is a scaled metric solve, so its Hessian action takes the checked
-        product ``A g`` and applies no metric of its own.
+        The preconditioner is ``solve_and_apply_metric``, so the preconditioned
+        Hessian ``I - A^-1 W''(u)`` does not depend on ``lambda``, and the
+        Hessian action takes the checked product ``A g`` (see the README).
         """
         d = self.dofs
         u = vals[d]
@@ -294,19 +277,13 @@ class _OperatorBase:
 
 
 def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
-    """Preconditioned MINRES for a symmetric system ``H x = rhs``, from ``x = 0``.
+    """Preconditioned MINRES for a symmetric ``H x = rhs`` from ``x = 0``, on arrays of any shape.
 
-    The method of Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported
-    from ``scipy.sparse.linalg.minres`` with its Lanczos recurrence, plane
-    rotations and stopping tests, on arrays of any shape.  ``precond(r)``
-    returns ``y = M r`` for the SPD preconditioner ``M`` and ``P y`` for a
-    linear map ``P``; ``hess(v, pv)`` returns ``H v`` given ``pv = P v``.  Every
-    Lanczos vector is a scaled preconditioner output, so the caller can take
-    part of ``H v`` from a product the preconditioner computed anyway.
-
-    Returns ``(x, info, iterations)``.  As in scipy, ``info`` is ``maxiter``
-    when the iteration limit stopped the solve and 0 otherwise, and an
-    indefinite preconditioner or a non-symmetric ``H`` raises ``ValueError``.
+    Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported from scipy.
+    ``precond(r)`` returns ``y = M r`` for the SPD preconditioner ``M`` and
+    ``P y`` for a linear map ``P``; ``hess(v, pv)`` returns ``H v`` given
+    ``pv = P v``.  Returns ``(x, info, iterations)``, ``info`` being
+    ``maxiter`` when the iteration limit stopped the solve and 0 otherwise.
     """
     x = np.zeros_like(rhs)
     r1 = rhs
@@ -453,20 +430,14 @@ class _LineOperator(_OperatorBase):
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, tuple]:
-        """Exact inverse of the weighted metric, one well correction per component.
+        """The README's Woodbury inverse of the weighted metric, one well correction per component.
 
-        With ``top`` the grid maximum of component ``c`` of ``L``, the metric
-        is ``A_c = S_c - Q_c Q_c^T``: ``S_c`` is diagonal in frequency with
-        symbol ``|w|^(2 alpha) + lambda * top``, and ``Q_c`` holds the unit
-        columns of the well nodes ``{L_c < top}`` scaled by
-        ``q = sqrt(lambda (top - L_c))``.  The Woodbury identity gives
-
-            A_c^-1 = S_c^-1 (I + Q_c K_c^-1 Q_c^T S_c^-1),   K_c = I - Q_c^T S_c^-1 Q_c,
-
-        where ``K_c`` is the ``k x k`` capacitance matrix, SPD because ``A_c``
-        is.  Returns ``(symbol, wells)``: the symbol of ``S`` per component and
-        ``(nodes, q, inverse Cholesky factor of K_c)`` per component.  Set-up
-        costs ``O(k^3)``; an empty well (``k = 0``) leaves ``A_c = S_c``.
+        With ``top`` the maximum of ``L_c``, ``A_c = S_c - Q_c Q_c^T``: ``S_c``
+        has the symbol ``|w|^(2 alpha) + lambda top`` and ``Q_c`` holds the
+        unit columns of the well nodes ``{L_c < top}`` scaled by ``q``.
+        Returns the symbols and, per component, the nodes, ``q`` and the
+        inverse Cholesky factor of the capacitance matrix ``I - Q_c^T S_c^-1
+        Q_c``, SPD because ``A_c`` is.
         """
         spec = self.spec
         top = np.max(self.ldiag, axis=0)
@@ -519,10 +490,8 @@ class _IntervalOperator(_OperatorBase):
         grid = spec.grid
         h = grid.spacing
         self.b = gl_matrix(grid, spec.alpha)
-        # The stiffness is h (T^T T + r r^T): T = B[1:-1, 1:-1] is the GL
-        # Toeplitz block, whose inverse is the one of order -alpha, and
-        # r = B[-1, 1:-1] the last row.  Sherman-Morrison folds r into one
-        # vector c with (T^T T + r r^T)^-1 = T^-1 T^-T - c c^T.
+        # The README's closed form: (T^T T + r r^T)^-1 = T^-1 T^-T - c c^T
+        # with T = B[1:-1, 1:-1] and r = B[-1, 1:-1].
         self.tinv = _gl_toeplitz(-spec.alpha, grid.num_points - 2, h**spec.alpha)
         r = self.b[-1, 1:-1]
         mr = self.tinv @ (self.tinv.T @ r)

@@ -2,9 +2,8 @@
 
 The solver realizes ``c = inf over paths from 0 to e of max along the path
 of I`` on a polyline whose endpoints ``0`` and ``e`` are frozen.  The
-README's overview explains how a segment's maximum is measured (certified
-monotone or scanned, the crest a root of the slope) and the Newton polish.
-Each iteration:
+README's overview gives the full account of the geometry, the segment
+measurement, the Newton polish and the reported node.  Each iteration:
 
 1. selects the crest: a segment maximum above every node energy is
    inserted as a node, after pruning a low node at ``max_path_nodes``;
@@ -16,18 +15,8 @@ Each iteration:
    only if the re-measured adjacent segments keep the path maximum from
    rising.
 
-Of the interior nodes within ``1e-12`` relative of their top energy, the
-one with the smallest weighted residual is reported.  A solve is one run,
-from ``0 -> e`` or, warm-started on the line, ``0 -> guess -> e``.  The
-solver sees a problem only through its spec's cached operator
-(``functional._operator``), so it is written once for both domains, and
-each path node is one immutable :class:`_Node` record, so a segment costs
-one cross form and no transform.
-
-``estimate_rho_eta`` turns the small-sphere lower bound into
-``(rho, eta)``; ``construct_e`` builds ``e = sigma0 * psi`` from a bump
-supported where the potential vanishes; ``ctilde_bound`` measures the
-straight path ``0 -> e`` as a segment, an upper bound for the level.
+A solve is one run, from ``0 -> e`` or, warm-started on the line,
+``0 -> guess -> e``.
 """
 
 from __future__ import annotations
@@ -229,22 +218,10 @@ def _stationarity(op, u: np.ndarray) -> tuple[float, float, float, np.ndarray]:
 
 
 def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool]:
-    """Damped Newton on ``op.residual(u) = 0`` with backtracking.
+    """Damped Newton on ``op.residual(u) = 0`` with backtracking, stopped by the README's rule.
 
-    A step ``t d`` is taken with the largest ``t`` in ``1, 1/2, ..., 1/64``
-    that shrinks the residual norm by the factor ``1 - t/4``.  The loop stops
-    once the residual norm is at most
-
-        max(_NEWTON_TOL (1 + |u|), eps op.metric_bound |u|),
-
-    the larger of the tolerance and the round-off floor of evaluating
-    ``A u - grad W(u)`` in float64 (``eps`` is machine epsilon): a step below
-    that floor only shuffles noise.  It also stops when no step shrinks the
-    residual or the linear solve fails; ``_NEWTON_STEPS`` is a backstop
-    only.  Both constants are this module's, one rule for every operator.
-    Adds the steps taken and the MINRES iterations to ``counters``
-    (``newton_steps``, ``minres_iterations``).  Returns the iterate and
-    whether any step was taken.
+    Below the round-off floor of evaluating the residual a step only
+    shuffles noise.  Returns the iterate and whether any step was taken.
     """
     v = vals.copy()
     r = op.residual(v)
@@ -462,29 +439,14 @@ def _segment_energies(
 def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     """Maximum of the energy along the straight segment from node ``a`` to node ``b``.
 
-    The README's account of segment measurement has the expansion and the
-    slope.  ``W`` and its slope are evaluated only on the union of the ends'
-    spans: off it every point of the segment is exactly ``+0.0``, and the
-    operator sums the same rows as a whole-grid evaluation, so each result
-    keeps its bits.
-
-    For a convex ``W`` (the ``pure_power`` family) the ``W`` slope ``S``
-    never decreases along the segment while the quadratic slope ``q'`` is
-    linear, so
-
-        min(q'(0), q'(1)) - S(1) <= E'(th) <= max(q'(0), q'(1)) - S(0).
-
-    One ``wslope`` row at the end with the higher energy decides: that end
-    is the maximum, and nothing is scanned, if the bound clears zero by
-    ``_MONOTONE_MARGIN`` times ``|Q(a)| + |B(a, b)| + |Q(b)| + |S|``.  Without
-    the margin the scan's interior energy near a crest can sit ulps above
-    the end, and the path would lose an insert the scan makes.
-
-    A crest at, or within ``_ROOT_TOL`` of, an end is that end: ``th`` is
-    reported moved inward by ``_ROOT_TOL`` and the value is the end's own
-    energy, since one ulp of excess would make the engine insert a duplicate
-    of the node.  Any other crest reports the energy evaluated there with the
-    arithmetic of :meth:`_PathEngine.insert`.
+    The README's overview gives the full account: the expansion, the span,
+    the monotonicity certificate for a convex ``W`` and the crest search.
+    Without ``_MONOTONE_MARGIN`` the scan's interior energy near a crest can
+    sit ulps above the end, and the path would lose an insert the scan makes.
+    A crest within ``_ROOT_TOL`` of an end is that end, at ``th`` moved
+    inward by ``_ROOT_TOL`` and with the end's own energy: one ulp of excess
+    would make the engine insert a duplicate of the node.  Any other crest's
+    energy is evaluated with the arithmetic of :meth:`_PathEngine.insert`.
     """
     ends = (a, b)
     forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)

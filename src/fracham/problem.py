@@ -156,12 +156,9 @@ def validate_potential(spec: PotentialSpec, c_infinity: float) -> dict:
 class NonlinearitySpec:
     """Radial superquadratic nonlinearity with a bounded positive weight.
 
-    ``sigma`` defaults per family: ``p/(p-2)`` for pure powers and
-    ``(p-eps)/(p-2)`` for the oscillatory family (the pure-power value fails
-    there at the oscillation troughs).  ``c0`` and ``radius`` parametrize the
-    defect inequality checked by the validator; ``p = 2`` is accepted at
-    construction so the validators can exhibit its failure, but anything
-    below 2 is rejected outright.
+    ``c0`` and ``radius`` parametrize the defect inequality checked by the
+    validator; ``p = 2`` is accepted at construction so the validators can
+    exhibit its failure, but anything below 2 is rejected outright.
     """
 
     kind: str
@@ -170,7 +167,6 @@ class NonlinearitySpec:
     weight_base: float = 1.0
     weight_amp: float = 0.0
     weight_freq: float = 0.0
-    sigma: float | None = None
     c0: float | None = None
     radius: float = 1.0
 
@@ -189,13 +185,10 @@ class NonlinearitySpec:
             raise DomainError("weight must stay strictly positive: need base > |amp|")
         if self.radius <= 0.0:
             raise DomainError("radius must be positive")
-        if self.sigma is not None and self.sigma <= 1.0:
-            raise DomainError(f"sigma must exceed 1, got {self.sigma}")
 
     @property
     def resolved_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
+        """The defect exponent; ``p/(p-2)`` would fail at the oscillatory family's troughs."""
         if self.p == 2.0:
             return math.inf
         if self.kind == "oscillatory":

@@ -329,13 +329,9 @@ def _unit_fields(spec, stack: np.ndarray) -> np.ndarray:
 def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
     """Central finite differences of the energy against derivative_action.
 
-    Each error is relative to ``1 + |I'(u)v|`` plus ``1e-4`` times the
-    quadratic term ``||u||_X^2 + ||v||_X^2``, whose round-off the difference
-    quotient carries although it cancels in the result.  The pairs ``(u, v)``
-    are drawn in order and evaluated a chunk at a time, each of ``u`` and
-    ``v`` one stack under the package's stack budget; ``||u||_X^2`` and
-    ``||v||_X^2`` reuse the transforms of ``I'(u)v``'s form.  Every error
-    is the bits of one pair on its own.
+    Each error is relative as the README's ``verify`` section says; the
+    difference quotient carries the round-off of the quadratic term
+    although it cancels in the result.  The pairs are batched as there.
     """
     op = _operator(spec)
     eps = 1e-5
@@ -375,9 +371,8 @@ def _geometry_checks(
 ) -> dict:
     """The mountain-pass geometry: sphere floor, negative endpoint, falling ray, fixed ``sigma0``.
 
-    The sphere fields are drawn in order and evaluated a chunk at a time,
-    one stack under the package's stack budget; a zero field is skipped.
-    The floor is the bits of a one-field-at-a-time loop.
+    The sphere fields are batched as the README's ``verify`` section says;
+    a zero field is skipped.
     """
     setup = construct_e(spec, constants=constants)
     op = _operator(spec)
@@ -479,6 +474,13 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_csv(path: str, columns: dict[str, list]) -> str:
+    """Write equal-length columns of numbers as CSV, each by ``repr``, so a float round-trips."""
+    rows = zip(*(map(repr, column) for column in columns.values()))
+    _write_text(path, "\n".join([",".join(columns), *map(",".join, rows)]) + "\n")
+    return path
+
+
 def write_solve_outputs(outdir: str, result: SolveResult, extras: dict) -> dict:
     """Write result.json, u.csv, trace.csv into a run directory."""
     os.makedirs(outdir, exist_ok=True)
@@ -486,19 +488,15 @@ def write_solve_outputs(outdir: str, result: SolveResult, extras: dict) -> dict:
     payload["generated_at"] = _timestamp()
     result_path = os.path.join(outdir, "result.json")
     _write_text(result_path, canonical_json(payload))
-
-    mag = result.u.euclidean_magnitude()
-    t = result.u.grid.nodes
-    lines = ["t,abs_u"]
-    lines += [f"{float(ti)!r},{float(vi)!r}" for ti, vi in zip(t, mag)]
-    u_path = os.path.join(outdir, "u.csv")
-    _write_text(u_path, "\n".join(lines) + "\n")
-
-    rows = ["iteration,level,residual,residual_weighted"]
-    for i, (level, res, resw) in enumerate(result.trace, start=1):
-        rows.append(f"{i},{float(level)!r},{float(res)!r},{float(resw)!r}")
-    trace_path = os.path.join(outdir, "trace.csv")
-    _write_text(trace_path, "\n".join(rows) + "\n")
+    u_path = _write_csv(os.path.join(outdir, "u.csv"), {
+        "t": result.u.grid.nodes.tolist(),
+        "abs_u": result.u.euclidean_magnitude().tolist(),
+    })
+    trace = np.reshape(np.asarray(result.trace, dtype=float), (-1, 3))
+    trace_path = _write_csv(os.path.join(outdir, "trace.csv"), {
+        "iteration": list(range(1, len(trace) + 1)),
+        **dict(zip(("level", "residual", "residual_weighted"), trace.T.tolist())),
+    })
     return {"result": result_path, "u": u_path, "trace": trace_path}
 
 
@@ -524,18 +522,6 @@ def write_sweep_csv(outdir: str, report: SweepReport) -> str:
         "dist_to_bvp_h_alpha",
         "c6_gap",
     ]
-    lines = [",".join(cols)]
-    for rec in report.records:
-        cells = []
-        for c in cols:
-            v = rec[c]
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path = os.path.join(outdir, "sweep.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+    columns = {c: [rec[c] for rec in report.records] for c in cols}
+    columns["converged"] = [int(flag) for flag in columns["converged"]]  # 1 or 0
+    return _write_csv(os.path.join(outdir, "sweep.csv"), columns)

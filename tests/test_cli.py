@@ -77,13 +77,56 @@ def test_unknown_config_key(tmp_path, capsys):
         ({"embedding": {"samples": "abc"}}, "embedding.samples"),
         ({"grid": {"num_points": 1024.9}}, "grid.num_points"),
         ({"embedding": {"samples": 1000.5}}, "embedding.samples"),
+        ({"problem": {"lambda": float("nan")}}, "problem.lambda"),
+        ({"sweep": {"lambdas": [1.0, float("inf")]}}, "sweep.lambdas"),
+        ({"grid": {"halfwidth": 10**400}}, "grid.halfwidth"),
+        ({"seed": -4}, "seed"),
+        ({"grid": {"num_points": 1000}}, "grid"),
+        ({"problem": {"alpha": 0.3}}, "problem"),
+        ({"problem": {"n": 0}}, "problem"),
+        ({"problem": {"potential": {"kind": "bogus"}}}, "problem.potential"),
+        (["solve", "--lambda", "nan"], "problem.lambda"),
+        (["sweep", "--lambdas", "1,inf"], "sweep.lambdas"),
+        (["verify", "--seed", "-1"], "seed"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
-    cfg = _write_config(tmp_path, override)
-    assert main(["bound", "--config", cfg]) == 2
+    """``override`` is a config file's content, or a command line whose flag is malformed."""
+    argv = override if isinstance(override, list) else [
+        "bound", "--config", _write_config(tmp_path, override)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+
+
+def _numeric_leaves(table, path=()):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float, list)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def test_nonfinite_or_negative_leaf_never_raises(tmp_path, capsys):
+    """Each numeric leaf set to NaN, inf or -1 (a list to a list of it) exits, never raises.
+
+    A non-finite value is a configuration error.  ``bound`` may accept -1 in
+    a table it does not read (``mpa``, ``bvp``, ``sweep``, ``verify``), in a
+    key it does not read (a pure power's ``epsilon``) or where -1 is legal
+    (``weight_freq``), so that case may also exit 0.
+    """
+    for path in _numeric_leaves(DEFAULT_CONFIG):
+        default = DEFAULT_CONFIG
+        for key in path:
+            default = default[key]
+        for bad in (float("nan"), float("inf"), -1):
+            doc = node = {}
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = [bad] if isinstance(default, list) else bad
+            code = main(["bound", "--config", _write_config(tmp_path, doc)])
+            assert code in ((0, 1, 2) if bad == -1 else (2,)), (path, bad)
+            capsys.readouterr()
 
 
 def test_integral_float_is_accepted_for_an_integer_key():

@@ -18,7 +18,6 @@ from fracham.fracops import (
     BoundaryDecayWarning,
     check_boundary_decay,
     gl_matrix,
-    gl_weights,
     interval_stiffness,
 )
 from fracham.spaces import norm_h_alpha
@@ -66,13 +65,10 @@ def test_order_validation():
             liouville_weyl_left(u, bad)
         with pytest.raises(DomainError):
             quadratic_form_alpha(u, bad)
-        with pytest.raises(DomainError):
-            gl_weights(bad, 8)
-    with pytest.raises(DomainError):
-        gl_weights(0.5, 0)
     ig = IntervalGrid(0.0, 1.0, 9)
-    with pytest.raises(DomainError):
-        gl_matrix(ig, 1.5)
+    for bad in (0.0, 1.0, 1.2, -0.3, 1.5):
+        with pytest.raises(DomainError):
+            gl_matrix(ig, bad)
     with pytest.raises(DomainError):
         liouville_weyl_left(GridFunction(ig, np.zeros(9)), 0.5)
 
@@ -135,9 +131,15 @@ def test_quadratic_form_is_derivative_l2_energy(line_grid):
     assert abs(qf - l2) / qf < 1e-12
 
 
+def _gl_weights(alpha: float, count: int) -> np.ndarray:
+    """The first ``count`` GL weights: the first column of ``gl_matrix`` times ``h^alpha = 1``."""
+    grid = IntervalGrid(0.0, count - 1.0, count)
+    return gl_matrix(grid, alpha)[:, 0] * grid.spacing**alpha
+
+
 def test_gl_weights_closed_form():
     alpha = 0.5
-    w = gl_weights(alpha, 6)
+    w = _gl_weights(alpha, 6)
     assert w[0] == 1.0
     expected = [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375]
     assert np.max(np.abs(w - np.array(expected))) < 1e-14
@@ -145,7 +147,7 @@ def test_gl_weights_closed_form():
     from scipy.special import binom
 
     alpha = 0.73
-    w = gl_weights(alpha, 40)
+    w = _gl_weights(alpha, 40)
     j = np.arange(40)
     ref = (-1.0) ** j * binom(alpha, j)
     assert float(np.max(np.abs(w - ref))) < 1e-12

@@ -119,8 +119,6 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="oscillatory", p=3.0, epsilon=1.5)
     with pytest.raises(DomainError):
         NonlinearitySpec(kind="pure_power", p=4.0, radius=0.0)
-    with pytest.raises(DomainError):
-        NonlinearitySpec(kind="pure_power", p=4.0, sigma=1.0)
 
 
 def test_gradient_matches_finite_differences(nonlin, osc_nonlin):
@@ -189,8 +187,6 @@ def test_sigma_and_growth_exponent(nonlin, osc_nonlin):
     assert nonlin.growth_exponent == 4.0
     assert osc_nonlin.resolved_sigma == 2.5
     assert abs(osc_nonlin.growth_exponent - 10.0 / 3.0) < 1e-15
-    override = NonlinearitySpec(kind="pure_power", p=4.0, sigma=3.0, c0=20.0)
-    assert override.resolved_sigma == 3.0 and override.growth_exponent == 3.0
     flat = NonlinearitySpec(kind="pure_power", p=2.0, c0=20.0)
     assert math.isinf(flat.resolved_sigma) and flat.growth_exponent == 2.0
 
