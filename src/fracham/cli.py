@@ -27,7 +27,7 @@ from .config import (
     merge_config,
 )
 from .errors import ConfigError, FrachamError
-from .mpa import bvp_solve, construct_e, ctilde_bound, mpa_solve
+from .mpa import bvp_solve, construct_e, mpa_solve
 from .runner import (
     bvp_el_residual,
     lambda_sweep,
@@ -103,7 +103,7 @@ def _certificates(spec, constants, chash: str):
     """The setup from ``construct_e`` and the certificate fields ``solve`` and ``bound`` share."""
     setup = construct_e(spec, constants=constants)
     fields = {
-        "ctilde": ctilde_bound(setup, spec),
+        "ctilde": setup.ctilde,
         "rho": setup.rho,
         "eta": setup.eta,
         "sigma0": setup.sigma0,

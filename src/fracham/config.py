@@ -105,6 +105,8 @@ def _leaf(where: str, default, value):
         raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
     if where == "seed" and value < 0:  # numpy's generators reject a negative seed
         raise ConfigError(f"config key {where!r} must not be negative, got {value!r}")
+    if where == "embedding.safety" and value < 1:  # below 1, C_inf undercuts what a profile attains
+        raise ConfigError(f"config key {where!r} must be at least 1, got {value!r}")
     if type(default) is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config key {where!r} must be an integer, got {value!r}")
@@ -119,11 +121,11 @@ def _leaf(where: str, default, value):
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
     """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind.
 
-    Each numeric leaf must be finite, ``seed`` nonnegative, and each takes
-    its default's type once: an integer key rejects a non-integral number
-    and reads an integral float such as ``4096.0`` as an integer, and a
-    float key reads an integer as a float.  A retired v1 key is checked
-    against what v1 accepted and dropped.
+    Each numeric leaf must be finite, ``seed`` nonnegative and
+    ``embedding.safety`` at least 1.  Each takes its default's type once: an
+    integer key rejects a non-integral number and reads an integral float
+    such as ``4096.0`` as an integer, and a float key reads an integer as a
+    float.  A retired v1 key is checked against what v1 accepted and dropped.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -173,12 +175,12 @@ def config_hash(cfg: dict) -> str:
 def _build(cls, where: str, table: dict, **given):
     """``cls`` from the entries of ``table`` that name its fields, then ``given``.
 
-    A ``DomainError`` from the constructor is a configuration error naming the table.
+    A ``DomainError`` or ``ConfigError`` from the constructor is re-raised naming the table.
     """
     names = {field.name for field in dataclasses.fields(cls)}
     try:
         return cls(**{**{key: value for key, value in table.items() if key in names}, **given})
-    except DomainError as exc:
+    except (DomainError, ConfigError) as exc:
         raise ConfigError(f"config table {where!r}: {exc}") from exc
 
 

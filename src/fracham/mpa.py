@@ -82,11 +82,13 @@ class MpaConfig:
             raise ConfigError("max_path_nodes must be >= path_nodes")
         if not (0 < self.tol < 1):
             raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MountainPassSetup:
-    """Certified geometry for one problem instance."""
+    """Certified geometry for one problem instance; ``ctilde`` is :func:`ctilde_bound`'s value."""
 
     psi: GridFunction
     tau: float
@@ -96,6 +98,12 @@ class MountainPassSetup:
     eta: float
     epsilon_c: float
     c_eps: float
+    ctilde: float
+
+    @property
+    def level_bracket(self) -> tuple[float, float]:
+        """``[eta, ctilde]`` widened by the tolerances a converged line level is held to."""
+        return self.eta - 1e-8, self.ctilde + 1e-6 * (1.0 + abs(self.ctilde))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -302,14 +310,14 @@ def _bump(spec, center: float, tau: float) -> np.ndarray:
 def construct_e(
     spec: ProblemSpec, constants: EmbeddingConstants, tau: float | None = None
 ) -> MountainPassSetup:
-    """Build the far endpoint ``e = sigma0 psi`` and certify the geometry.
+    """Build the far endpoint ``e = sigma0 psi``, certify the geometry and measure ``ctilde``.
 
     ``psi`` is the polynomial bump ``(1 - (t/tau)^2)^3`` in the first
     component, supported strictly inside the potential's zero interval, so
     the potential term of the energy vanishes identically along the ray and
-    the doubling scan for ``sigma0`` cannot depend on the parameter.  The
-    sphere bound takes ``epsilon_c = theta / 2`` and the growth constant
-    calibrated for it.
+    neither the doubling scan for ``sigma0`` nor ``ctilde`` can depend on
+    the parameter.  The sphere bound takes ``epsilon_c = theta / 2`` and the
+    growth constant calibrated for it.
     """
     varrho = spec.potential.varrho
     if tau is None:
@@ -346,20 +354,23 @@ def construct_e(
         eta=eta,
         epsilon_c=epsilon_c,
         c_eps=c_eps,
+        ctilde=_straight_path_max(op, e.values),
     )
+
+
+def _straight_path_max(op, e_vals: np.ndarray) -> float:
+    """Maximum of the energy on the segment ``0 -> e_vals``, measured as any path segment is."""
+    return _measure_segment(op, _node(op, np.zeros_like(e_vals)), _node(op, e_vals)).value
 
 
 def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     """Maximum of the energy on the straight path from ``0`` to ``e = sigma0 psi``.
 
     That path is admissible, so its maximum upper-bounds the min-max level.
-    It is measured as any path segment is (:func:`_measure_segment`).  The
-    bump avoids the potential's support, so the value is the same for every
-    parameter value.
+    The bump avoids the potential's support, so the value is the same for
+    every parameter value; :func:`construct_e` stores it as ``setup.ctilde``.
     """
-    op = _operator(spec)
-    zero, e = _node(op, np.zeros_like(setup.e.values)), _node(op, setup.e.values)
-    return _measure_segment(op, zero, e).value
+    return _straight_path_max(_operator(spec), setup.e.values)
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +729,13 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
     )
 
 
-def _check_level(run: SolveResult) -> SolveResult:
-    """``run`` itself, unless it converged to a nonpositive level."""
-    if run.converged and run.level <= 0.0:
+def _check_level(run: SolveResult, lo: float, hi: float, where: str) -> SolveResult:
+    """``run`` itself, unless it converged to a level outside ``[lo, hi]``."""
+    if run.converged and not lo <= run.level <= hi:
         raise ConvergenceError(
-            f"converged to a nonpositive level {run.level:.6g}; the path collapsed "
-            "through the barrier, which contradicts the certified geometry"
+            f"converged level {run.level:.9g} {where} lies outside the certified "
+            f"bracket [{lo:.9g}, {hi:.9g}]; the path left the admissible class or "
+            "collapsed through the barrier"
         )
     return run
 
@@ -739,7 +751,8 @@ def mpa_solve(
         config = MpaConfig()
     if setup.e.grid != spec.grid:
         raise DomainError("setup endpoint does not live on the spec's grid")
-    run = _check_level(_run_path(_operator(spec), setup.e.values, config, initial_guess))
+    run = _run_path(_operator(spec), setup.e.values, config, initial_guess)
+    run = _check_level(run, *setup.level_bracket, f"at lambda={spec.lam:g}")
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.
     diagnostics = {**run.diagnostics, "edge_to_peak": _edge_to_peak(run.u.values)}
@@ -764,4 +777,5 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
         lambda s: op.energy(s * vals, span) < 0.0,
         "no negative-energy endpoint within the doubling cap on the interval",
     )
-    return _check_level(_run_path(op, sigma * vals, config, None))
+    run = _run_path(op, sigma * vals, config, None)
+    return _check_level(run, np.nextafter(0.0, 1.0), np.inf, "on the interval")  # a positive level

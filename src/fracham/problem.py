@@ -366,10 +366,11 @@ def calibrate_growth_constant(spec: NonlinearitySpec, eps: float) -> float:
 
 
 def _decade_trend(r: np.ndarray, vals: np.ndarray, increasing: bool) -> tuple[bool, dict]:
-    """Whether per-decade extrema of ``vals`` trend monotonically."""
+    """Whether per-decade extrema of ``vals`` trend monotonically; ``r`` ascends."""
     decades = np.floor(np.log10(r)).astype(int)
-    keys = np.unique(decades)
-    marks = [float(np.max(vals[decades == k])) for k in keys]
+    starts = np.flatnonzero(np.diff(decades, prepend=decades[0] - 1))
+    keys = decades[starts]
+    marks = np.maximum.reduceat(vals, starts).tolist()
     diffs = np.diff(marks)
     ok = bool(np.all(diffs > 0)) if increasing else bool(np.all(diffs < 0))
     return ok, {"decades": [int(k) for k in keys], "marks": marks}

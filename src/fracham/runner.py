@@ -27,16 +27,9 @@ from .errors import (
     EmbeddingViolation,
     MonotonicityError,
 )
-from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _identity_terms, _operator, h_identity
+from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _identity_terms, _operator
 from .grids import GridFunction, IntervalGrid, RealLineGrid
-from .mpa import (
-    MpaConfig,
-    SolveResult,
-    bvp_solve,
-    construct_e,
-    ctilde_bound,
-    mpa_solve,
-)
+from .mpa import MpaConfig, SolveResult, bvp_solve, construct_e, mpa_solve
 from .problem import validate_nonlinearity, validate_potential
 from .spaces import (
     _WELL_POINTS,
@@ -193,9 +186,9 @@ def lambda_sweep(
     """Solve along an ascending parameter ladder and track concentration.
 
     The interval reference is solved once; each line run is warm-started from
-    the previous converged solution unless ``cold``.  Converged records must
-    keep their level inside the certified chain ``[eta - tol, ctilde + tol]``
-    and both concentration observables must decrease strictly.
+    the previous converged solution unless ``cold``.  :func:`mpa_solve` holds
+    each converged level to the setup's ``level_bracket``, and both
+    concentration observables must decrease strictly across converged records.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) == 0:
@@ -209,7 +202,6 @@ def lambda_sweep(
 
     spec0 = base_spec.with_lambda(lambdas[0])
     setup = construct_e(spec0, constants=constants)
-    ctilde = ctilde_bound(setup, spec0)
 
     varrho = base_spec.potential.varrho
     ispec = base_spec.well_interval(bvp_points)
@@ -219,7 +211,6 @@ def lambda_sweep(
     bvp_el = bvp_el_residual(bvp_ref.u, ispec)
 
     records: list[dict] = []
-    level_tol = 1e-6 * (1.0 + abs(ctilde))
     prev_u: GridFunction | None = None
     for lam in lambdas:
         spec = base_spec.with_lambda(lam)
@@ -241,16 +232,6 @@ def lambda_sweep(
         record.update(_c6_record(result.u, spec))
         record["identity_ok"] = record["identity_gap"] <= 1e-6 * (1.0 + abs(result.level))
         if result.converged:
-            if result.level > ctilde + level_tol:
-                raise ConvergenceError(
-                    f"level {result.level:.9g} at lambda={lam} exceeds the ray "
-                    f"bound {ctilde:.9g}; the polyline is not an admissible path",
-                )
-            if result.level < setup.eta - 1e-8:
-                raise ConvergenceError(
-                    f"level {result.level:.9g} at lambda={lam} fell below the "
-                    f"sphere floor {setup.eta:.9g}; the path collapsed",
-                )
             prev_u = result.u
         records.append(record)
 
@@ -280,7 +261,7 @@ def lambda_sweep(
         records=records,
         bvp_reference=bvp_ref,
         bvp_el_residual=bvp_el,
-        ctilde=ctilde,
+        ctilde=setup.ctilde,
         rho=setup.rho,
         eta=setup.eta,
         sigma0=setup.sigma0,
@@ -357,9 +338,8 @@ def _identity_spot_checks(
         line = _unit_fields(spec, _random_field(spec, rng)[None])[0]
         interval = _random_field(ispec, rng)
         for sp, vals in ((spec, line), (ispec, interval)):
-            lhs, _, gap = h_identity(GridFunction(sp.grid, vals), sp)
-            scale = 1.0 + abs(lhs) + 1e-4 * float(_operator(sp).xnormsq(vals))
-            worst = max(worst, gap / scale)
+            q, _, lhs, rhs = _identity_terms(vals, sp)
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + 1e-4 * q))
     return {"count": _IDENTITY_CHECKS, "worst_rel_gap": worst, "passed": worst <= 1e-10}
 
 
@@ -383,7 +363,7 @@ def _geometry_checks(
         keep = nx != 0.0
         for value in op.energies((setup.rho / nx[keep])[:, None, None] * fields[keep]):
             floor_min = min(floor_min, float(value))
-    sphere_ok = floor_min >= setup.eta - 1e-8
+    sphere_ok = floor_min >= setup.level_bracket[0]
     endpoint_ok = op.energy(setup.e.values) < 0.0
     ray = [op.energy(s * setup.sigma0 * setup.psi.values) for s in (1.0, 2.0, 4.0)]
     trend_ok = ray[0] > ray[1] > ray[2]
@@ -415,14 +395,17 @@ def run_verification_campaign(
 
     ``constants`` are the embedding constants the run certifies against, as
     :func:`~fracham.spaces.estimate_embedding_constants` returns them.
-    ``budgets`` caps the sample counts per section; a section with a zero
-    budget is skipped entirely, so an all-zero campaign is trivially passing.
+    ``budgets`` caps each section's sample count and must not be negative; a
+    zero budget skips its section, so an all-zero campaign passes trivially.
     """
     merged = dict(DEFAULT_BUDGETS)
     merged.update(budgets or {})
     unknown = set(merged) - set(DEFAULT_BUDGETS)
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
+    negative = {key: count for key, count in merged.items() if count < 0}
+    if negative:
+        raise ConfigError(f"budgets must not be negative, got {negative}")
     sections: dict[str, dict] = {}
 
     if merged["embedding_samples"] > 0:

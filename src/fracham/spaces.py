@@ -261,8 +261,10 @@ def estimate_embedding_constants(
     :class:`~fracham.problem.PotentialSpec`; its closed-form sublevel measure
     feeds the smallness condition.  The stored ``c_infinity`` is
     ``safety * raw`` so the derived ``theta``, ``kappa_p`` and
-    ``lambda_floor`` are all conservative.
+    ``lambda_floor`` are all conservative; a ``safety`` below 1 would not be.
     """
+    if not safety >= 1.0:
+        raise DomainError(f"embedding safety factor must be at least 1, got {safety}")
     prof = extremal_profile(grid, alpha)
     raw = float(np.max(np.abs(prof.values))) / norm_h_alpha(prof, alpha)
     return EmbeddingConstants(

@@ -88,12 +88,23 @@ def test_unknown_config_key(tmp_path, capsys):
         (["solve", "--lambda", "nan"], "problem.lambda"),
         (["sweep", "--lambdas", "1,inf"], "sweep.lambdas"),
         (["verify", "--seed", "-1"], "seed"),
+        ({"embedding": {"safety": 0.5}}, "embedding.safety"),
+        ({"embedding": {"safety": 0}}, "embedding.safety"),
+        ({"embedding": {"safety": -1}}, "embedding.safety"),
+        (["verify", "--config", {"verify": {"embedding_samples": -1, "sphere_samples": -3}}],
+         "embedding_samples"),
+        (["solve", "--config", {"mpa": {"max_iters": 0}}], "mpa"),
+        (["solve", "--config", {"mpa": {"max_iters": -3}}], "mpa"),
+        (["bvp", "--config", {"bvp": {"tol": 0}}], "bvp"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
-    """``override`` is a config file's content, or a command line whose flag is malformed."""
-    argv = override if isinstance(override, list) else [
-        "bound", "--config", _write_config(tmp_path, override)]
+    """``override`` is the content of a config file for ``bound``, or a command line.
+
+    A table in a command line stands for a config file holding it.
+    """
+    argv = override if isinstance(override, list) else ["bound", "--config", override]
+    argv = [_write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
@@ -421,15 +432,28 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_loads_no_scipy():
-    """The runtime is numpy-only: importing the CLI loads no scipy module at all."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracham.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        capture_output=True, text=True, env=_package_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_cli_import_loads_no_scipy(tmp_path):
+    """The runtime is numpy-only, and nothing it runs loads ``numpy.ma``.
+
+    Importing the CLI, and a fresh ``verify`` or ``solve`` run, each end with
+    no scipy module and no ``numpy.ma`` in ``sys.modules``.
+    """
+    cfg = _write_config(tmp_path, {
+        "grid": {"num_points": 1024},
+        "verify": {"embedding_samples": 20, "nonlinearity_samples": 200,
+                   "derivative_checks": 2, "sphere_samples": 4},
+    })
+    probe = ("import sys; from fracham.cli import main; "
+             "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.split('.')[:2] == ['numpy', 'ma'])); sys.exit(code)")
+    for argv in ([], ["verify", "--config", cfg], ["solve", "--config", cfg]):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=_package_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
 def test_bvp_bits_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -896,7 +896,7 @@ def _scalar_ray_bound(setup, spec):
 
 
 def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
-    """The measured straight path agrees with the direct ray scan.
+    """The measured straight path agrees with the direct ray scan, and ``setup.ctilde`` is its bits.
 
     Cases: the default problem, the oscillatory family with n=2, the
     solve-vector family (diagonal potential, weighted oscillatory ``W``) and
@@ -915,6 +915,7 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
         setup = construct_e(spec, constants=constants)
         reference = _scalar_ray_bound(setup, spec)
         assert abs(ctilde_bound(setup, spec) - reference) <= 1e-13 * reference, spec
+        assert setup.ctilde == ctilde_bound(setup, spec), spec
 
 
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):

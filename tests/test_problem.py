@@ -10,6 +10,7 @@ from fracham.errors import DomainError
 from fracham.problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _decade_trend,
     _radial_second,
     _radial_slope_factor,
     _weighted_hessian_action,
@@ -226,3 +227,18 @@ def test_quadratic_exponent_has_no_defect_constant():
     assert defect["passed"] is False
     assert "no finite constant" in defect["witness"]["reason"]
     assert report["sigma"] is None
+
+
+def test_decade_trend_matches_a_per_decade_loop():
+    """Runs of equal decades on ascending radii give each decade's maximum, as masking each does."""
+    rng = np.random.default_rng(3)
+    for r in (np.logspace(-6, -1, 101), np.logspace(-2.5, 3, 301)):
+        vals = rng.standard_normal(r.size)
+        decades = np.floor(np.log10(r)).astype(int)
+        keys = sorted(set(decades.tolist()))
+        marks = [float(np.max(vals[decades == k])) for k in keys]
+        for increasing in (True, False):
+            ok, trend = _decade_trend(r, vals, increasing)
+            assert trend == {"decades": keys, "marks": marks}
+            diffs = np.diff(marks)
+            assert ok == bool(np.all(diffs > 0) if increasing else np.all(diffs < 0))

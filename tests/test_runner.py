@@ -13,16 +13,19 @@ from fracham import (
     GridFunction,
     IntervalGrid,
     bvp_el_residual,
+    bvp_solve,
     construct_e,
     derivative_action,
     dist_h_alpha,
     energy,
     lambda_sweep,
+    mpa_solve,
     run_verification_campaign,
     tail_mass_ratio,
 )
-from fracham import functional, runner, spaces
-from fracham.errors import ConfigError, DomainError
+from fracham import functional, mpa, runner, spaces
+from fracham.cli import main
+from fracham.errors import ConfigError, ConvergenceError, DomainError
 from fracham.functional import ProblemSpec, _operator, _stack_rows, h_identity
 from fracham.problem import NonlinearitySpec, default_oscillatory
 from fracham.runner import (
@@ -171,6 +174,34 @@ def test_write_sweep_csv(tmp_path, sweep_report):
         assert float(cells[6]) == rec["tail_mass_ratio"]
 
 
+@pytest.mark.parametrize("end", ["above", "below"])
+def test_converged_level_outside_the_bracket_raises(
+    end, spec10, setup, constants, default_solve, bvp_result, interval_spec, monkeypatch, capsys
+):
+    """A converged line level outside ``setup.level_bracket`` stops every line solve.
+
+    ``_run_path`` returns a converged run at ``2 ctilde`` or ``eta / 2``.
+    ``mpa_solve``, the sweep and ``fracham solve`` report the same error;
+    ``bvp_solve`` still rejects a converged level of 0.
+    """
+    level = 2.0 * setup.ctilde if end == "above" else 0.5 * setup.eta
+    monkeypatch.setattr(mpa, "_run_path", lambda *args: dataclasses.replace(default_solve, level=level))
+    with pytest.raises(ConvergenceError, match="certified bracket") as raised:
+        mpa_solve(spec10, setup)
+    message = str(raised.value)
+    lo, hi = setup.level_bracket
+    assert "lambda=10 " in message and f"[{lo:.9g}, {hi:.9g}]" in message
+    monkeypatch.setattr(runner, "bvp_solve", lambda *args: bvp_result)
+    with pytest.raises(ConvergenceError) as raised:
+        lambda_sweep(spec10, [10.0], constants=constants)
+    assert str(raised.value) == message
+    assert main(["solve", "--lambda", "10"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setattr(mpa, "_run_path", lambda *args: dataclasses.replace(bvp_result, level=0.0))
+    with pytest.raises(ConvergenceError, match="on the interval lies outside the certified bracket"):
+        bvp_solve(interval_spec)
+
+
 def test_sweep_report_structure(sweep_report, constants, ctilde):
     recs = sweep_report.records
     assert [r["lambda"] for r in recs] == [1.0, 10.0, 100.0, 1000.0]
@@ -231,6 +262,11 @@ def test_campaign_zero_budget_is_trivially_passing(spec10, constants):
 def test_campaign_rejects_unknown_budget_key(spec10, constants):
     with pytest.raises(ConfigError):
         run_verification_campaign(spec10, constants, budgets={"bogus_samples": 3})
+
+
+def test_campaign_rejects_a_negative_budget(spec10, constants):
+    with pytest.raises(ConfigError, match="'sphere_samples': -3"):
+        run_verification_campaign(spec10, constants, budgets={"sphere_samples": -3})
 
 
 def test_campaign_flags_quadratic_nonlinearity(spec10, constants):

@@ -69,6 +69,12 @@ def test_embedding_constants_internal_relations(constants, potential):
         assert abs(product - 1.0) < 1e-12
 
 
+def test_safety_below_one_is_rejected(line_grid, potential):
+    """A safety factor below 1 would put ``C_inf`` under what the extremal profile attains."""
+    with pytest.raises(DomainError, match="at least 1"):
+        estimate_embedding_constants(line_grid, 0.75, potential, safety=0.99)
+
+
 def test_wide_well_is_rejected(line_grid):
     wide = PotentialSpec(varrho=5.0, delta=0.05, cap=6.0, c=1.5)
     with pytest.raises(DomainError):
