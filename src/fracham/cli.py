@@ -15,6 +15,7 @@ converge, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import (
@@ -238,6 +239,16 @@ _COMMANDS = {
 }
 
 
+def _make_out(out: str | None):
+    """Create the run directory up front, so an unusable ``--out`` stops the run before any work."""
+    if not out:
+        return
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} cannot be a run directory: {exc.strerror or exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -248,6 +259,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _make_out(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -412,24 +412,16 @@ def validate_nonlinearity(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     U = radii[:, None] * dirs
     tpts = rng.uniform(-20.0, 20.0, size=sample_budget)
-    wv = w_values(spec, tpts, U)
-    hv = h_values(spec, tpts, U)
-    scale_w = float(max(np.max(np.abs(wv)), 1.0))
-    scale_h = float(max(np.max(np.abs(hv)), 1.0))
-    w_ok = bool(np.min(wv) >= -1e-12 * scale_w)
-    h_ok = bool(np.min(hv) >= -1e-12 * scale_h)
-    i_w = int(np.argmin(wv))
-    i_h = int(np.argmin(hv))
-    checks["w_nonnegative"] = {
-        "passed": w_ok,
-        "min_value": float(np.min(wv)),
-        "witness": None if w_ok else {"t": float(tpts[i_w]), "u": U[i_w].tolist()},
-    }
-    checks["h_nonnegative"] = {
-        "passed": h_ok,
-        "min_value": float(np.min(hv)),
-        "witness": None if h_ok else {"t": float(tpts[i_h]), "u": U[i_h].tolist()},
-    }
+    signs = (("w_nonnegative", w_values(spec, tpts, U)), ("h_nonnegative", h_values(spec, tpts, U)))
+    for name, vals in signs:
+        scale = float(max(np.max(np.abs(vals)), 1.0))
+        ok = bool(np.min(vals) >= -1e-12 * scale)
+        i = int(np.argmin(vals))
+        checks[name] = {
+            "passed": ok,
+            "min_value": float(np.min(vals)),
+            "witness": None if ok else {"t": float(tpts[i]), "u": U[i].tolist()},
+        }
 
     # Superquadratic growth: W/|u|^2 must climb across decades.
     r_big = np.logspace(math.log10(max(spec.radius, 1e-3)), 3, 301)

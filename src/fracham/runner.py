@@ -240,22 +240,17 @@ def lambda_sweep(
 
     converged = [r for r in records if r["converged"]]
     for prev, cur in zip(converged, converged[1:]):
-        if not (cur["tail_mass_ratio"] < prev["tail_mass_ratio"]):
-            raise MonotonicityError(
-                "tail mass ratio failed to decrease strictly",
-                detail={"previous": prev, "current": cur},
-            )
-        if not (cur["dist_to_bvp_h_alpha"] < prev["dist_to_bvp_h_alpha"]):
-            raise MonotonicityError(
-                "distance to the interval solution failed to decrease strictly",
-                detail={"previous": prev, "current": cur},
-            )
+        for key, description in (
+            ("tail_mass_ratio", "tail mass ratio"),
+            ("dist_to_bvp_h_alpha", "distance to the interval solution"),
+        ):
+            if not (cur[key] < prev[key]):
+                raise MonotonicityError(
+                    f"{description} failed to decrease strictly",
+                    detail={"previous": prev, "current": cur},
+                )
 
-    observed = None
-    for r in records:
-        if r["converged"] and r["c6_ok"] and r["identity_ok"]:
-            observed = r["lambda"]
-            break
+    observed = next((r["lambda"] for r in converged if r["c6_ok"] and r["identity_ok"]), None)
 
     return SweepReport(
         records=records,

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
-from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form, gl_matrix
+from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form
 from .functional import ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 
@@ -279,15 +279,15 @@ def estimate_embedding_constants(
 
 def _interval_ratios(
     alpha: float, p: float, u_vals: np.ndarray, du: np.ndarray, grid: IntervalGrid
-) -> dict:
-    """Two-sided evaluation of the interval embedding inequalities at one p.
+) -> tuple[tuple[str, float], ...]:
+    """``(name, ratio)`` of the two interval embedding inequalities at one p.
 
     ``du`` is the GL derivative ``B u`` of ``u_vals``, shared by every ``p``.
     """
     length = grid.upper - grid.lower
     dlp = grid.integrate(np.abs(du) ** p) ** (1.0 / p)
     if dlp == 0.0:
-        return {"lp": 0.0, "sup": 0.0}
+        return ("interval_lp_gl", 0.0), ("interval_sup_gl", 0.0)
     ulp = grid.integrate(np.abs(u_vals) ** p) ** (1.0 / p)
     q = p / (p - 1.0)
     lp_bound = length**alpha / math.gamma(alpha + 1.0) * dlp
@@ -296,7 +296,30 @@ def _interval_ratios(
         / (math.gamma(alpha) * ((alpha - 1.0) * q + 1.0) ** (1.0 / q))
         * dlp
     )
-    return {"lp": ulp / lp_bound, "sup": float(np.max(np.abs(u_vals))) / sup_bound}
+    sup = float(np.max(np.abs(u_vals))) / sup_bound
+    return ("interval_lp_gl", ulp / lp_bound), ("interval_sup_gl", sup)
+
+
+def _line_ratios(row: list[float], constants: EmbeddingConstants, p: float):
+    """``(name, ratio)`` of each line inequality that applies to one sample, in report order.
+
+    ``row`` is the sample's ``sup|u|``, ``||u||_L2^2``, ``||u||_Lp^p``,
+    ``|u|_alpha^2`` and ``||u||_X^2`` from :func:`_line_stats`.  The ratios
+    are taken in scalar Python arithmetic: numpy's vector ``**`` can differ
+    from Python's ``float ** float`` in the last bit.
+    """
+    sup, l2sq, lppow, frac, xnormsq = row
+    na = math.sqrt(l2sq + frac)
+    if na == 0.0:
+        return
+    nx = math.sqrt(max(xnormsq, 0.0))
+    yield "sup_le_cinf_norm_alpha", sup / (constants.c_infinity * na)
+    if nx > 0.0:
+        yield "l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2
+        yield "alphasq_le_equiv_xnormsq", na**2 / ((1.0 + 1.0 / constants.theta) * nx**2)
+        yield "lp_le_kappa_xnorm", lppow / (constants.kappa(p) ** p * nx**p)
+    if sup > 0.0 and l2sq > 0.0:
+        yield "interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq)
 
 
 def _power(mag: np.ndarray, p: float) -> np.ndarray:
@@ -354,87 +377,56 @@ def verify_embeddings(
     plus interval Dirichlet samples for the bounded-domain inequalities) and
     evaluates both sides of every inequality.  The weighted norm takes each
     line sample as component 0 of an ``spec.n``-component field, so the
-    potential term counts it once, with the first component's scale.
-    Returns a report of worst-case ratios; raises
+    potential term counts it once, with the first component's scale, and
+    an interval sample's ``B u`` is the interval operator's transform.
+    Returns a report of worst-case ratios, with an entry for each
+    inequality from the first sample it applies to; raises
     :class:`EmbeddingViolation` carrying the offending sample if any ratio
     exceeds ``1 + _TOLERANCE``.
     """
     constants.check_lambda(spec.lam)
     rng = np.random.default_rng(seed)
     grid = spec.grid
-    alpha = spec.alpha
     p = 4.0
-    names = [
-        "sup_le_cinf_norm_alpha",
-        "l2sq_le_inv_theta_xnormsq",
-        "alphasq_le_equiv_xnormsq",
-        "lp_le_kappa_xnorm",
-        "interp_lp_le_sup_l2",
-        "interval_lp_gl",
-        "interval_sup_gl",
-    ]
-    worst = {k: {"name": k, "worst_ratio": 0.0, "argmax_sample_id": None, "samples": 0} for k in names}
+    worst: dict[str, dict] = {}
 
-    def record(name: str, ratio: float, sid: str, sample_vals, sample_grid):
-        entry = worst[name]
-        entry["samples"] += 1
-        if ratio > entry["worst_ratio"]:
-            entry["worst_ratio"] = ratio
-            entry["argmax_sample_id"] = sid
-        if ratio > 1.0 + _TOLERANCE:
-            raise EmbeddingViolation(
-                f"inequality {name} violated: ratio {ratio:.12g} at sample {sid}",
-                sample=GridFunction(sample_grid, sample_vals),
-                detail={"name": name, "ratio": ratio, "sample_id": sid, "seed": seed},
+    def record(ratios, sid: str, sample_vals, sample_grid):
+        for name, ratio in ratios:
+            entry = worst.setdefault(
+                name, {"name": name, "worst_ratio": 0.0, "argmax_sample_id": None, "samples": 0}
             )
+            entry["samples"] += 1
+            if ratio > entry["worst_ratio"]:
+                entry["worst_ratio"] = ratio
+                entry["argmax_sample_id"] = sid
+            if ratio > 1.0 + _TOLERANCE:
+                raise EmbeddingViolation(
+                    f"inequality {name} violated: ratio {ratio:.12g} at sample {sid}",
+                    sample=GridFunction(sample_grid, sample_vals),
+                    detail={"name": name, "ratio": ratio, "sample_id": sid, "seed": seed},
+                )
 
     n_line = max(samples, 1)
     for chunk in _chunks(n_line, grid.num_points * spec.n):
         ids = range(n_line)[chunk]
         block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
-        sups, l2sqs, lppows, frac, xnormsq = _line_stats(block, spec, p)
+        stats = _line_stats(block, spec, p)
         for j, i in enumerate(ids):
-            fam = i % 3
-            vals = block[j]
-            sid = f"line/{fam}/{i}"
-            sup, l2sq, lppow = float(sups[j]), float(l2sqs[j]), float(lppows[j])
-            na = math.sqrt(l2sq + float(frac[j]))
-            if na == 0.0:
-                continue
-            nx = math.sqrt(max(float(xnormsq[j]), 0.0))
-            record("sup_le_cinf_norm_alpha", sup / (constants.c_infinity * na), sid, vals, grid)
-            if nx > 0.0:
-                record("l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2, sid, vals, grid)
-                record(
-                    "alphasq_le_equiv_xnormsq",
-                    na**2 / ((1.0 + 1.0 / constants.theta) * nx**2),
-                    sid,
-                    vals,
-                    grid,
-                )
-                record(
-                    "lp_le_kappa_xnorm",
-                    lppow / (constants.kappa(p) ** p * nx**p),
-                    sid,
-                    vals,
-                    grid,
-                )
-            if sup > 0.0 and l2sq > 0.0:
-                record("interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq), sid, vals, grid)
+            ratios = _line_ratios([float(s[j]) for s in stats], constants, p)
+            record(ratios, f"line/{i % 3}/{i}", block[j], grid)
 
-    igrid = spec.well_interval(_WELL_POINTS).grid
-    n_int = max(samples // 4, 1)
-    for i in range(n_int):
+    ispec = spec.well_interval(_WELL_POINTS)
+    igrid = ispec.grid
+    op = _operator(ispec)
+    for i in range(max(samples // 4, 1)):
         vals = sample_interval_function(igrid, rng, i % 2)
-        sid = f"interval/{i % 2}/{i}"
-        du = gl_matrix(igrid, alpha) @ vals
+        du = op.transform(vals)
         for pp in (2.0, p):
-            ratios = _interval_ratios(alpha, pp, vals, du, igrid)
-            record("interval_lp_gl", ratios["lp"], f"{sid}/p{pp}", vals, igrid)
-            record("interval_sup_gl", ratios["sup"], f"{sid}/p{pp}", vals, igrid)
+            ratios = _interval_ratios(spec.alpha, pp, vals, du, igrid)
+            record(ratios, f"interval/{i % 2}/{i}/p{pp}", vals, igrid)
 
     return {
-        "inequalities": {k: worst[k] for k in names},
+        "inequalities": worst,
         "lambda": spec.lam,
         "lambda_floor": constants.lambda_floor,
         "seed": seed,

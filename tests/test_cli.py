@@ -251,6 +251,27 @@ def test_solve_below_floor_exits_one(fast_config, capsys):
     assert "below the admissibility floor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bvp", "sweep", "verify", "bound"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_unusable_out_exits_two_before_the_run(tmp_path, capsys, command, where):
+    """An ``--out`` that is a file, or lies under one, is a usage error found before any work."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = taken if where == "file" else taken / "sub"
+    assert main([command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "--out" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_failed_run_leaves_its_out_directory_empty(fast_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", fast_config, "--lambda", "0.5", "--out", str(out)]) == 1
+    assert "below the admissibility floor" in capsys.readouterr().err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_solve_writes_run_directory(fast_config, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--config", fast_config, "--lambda", "12.5",

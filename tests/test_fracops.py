@@ -1,6 +1,8 @@
 """Fractional derivative operators against closed forms and each other."""
 
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from fracham import (
     liouville_weyl_left,
     quadratic_form_alpha,
 )
+from fracham import fracops
 from fracham.errors import DomainError
 from fracham.fracops import (
     BoundaryDecayWarning,
@@ -200,3 +203,43 @@ def test_boundary_decay_guard(line_grid):
         warnings.simplefilter("error")
         assert check_boundary_decay(_gaussian(line_grid)) < 1e-10
         assert check_boundary_decay(GridFunction(line_grid, np.zeros(line_grid.num_points))) == 0.0
+
+
+def _gl_matrix_references() -> set[tuple[str, str]]:
+    """``(module, scope)`` of every ``gl_matrix`` name in the package source.
+
+    A scope is the dotted path of the enclosing classes and functions, the
+    definition's own name for the ``def``, and ``<import>`` for an import.
+    """
+    found = set()
+    src = pathlib.Path(fracops.__file__).resolve().parent
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name == "gl_matrix":
+                    found.add((module, inner))
+            hit = (
+                (isinstance(child, ast.Name) and child.id == "gl_matrix")
+                or (isinstance(child, ast.Attribute) and child.attr == "gl_matrix")
+                or (isinstance(child, ast.alias) and child.name == "gl_matrix")
+            )
+            if hit:
+                found.add((module, "<import>" if isinstance(child, ast.alias) else scope))
+            walk(child, module, inner)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_gl_matrix_has_one_runtime_owner():
+    """Only the interval operator applies ``B`` at run time; ``interval_stiffness`` is the test reference."""
+    assert _gl_matrix_references() == {
+        ("fracops", "gl_matrix"),
+        ("fracops", "interval_stiffness"),
+        ("functional", "<import>"),
+        ("functional", "_IntervalOperator.__init__"),
+    }

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracham import validate_nonlinearity, validate_potential
+from fracham import problem, validate_nonlinearity, validate_potential
 from fracham.errors import DomainError
 from fracham.problem import (
     NonlinearitySpec,
@@ -242,3 +242,31 @@ def test_decade_trend_matches_a_per_decade_loop():
             assert trend == {"decades": keys, "marks": marks}
             diffs = np.diff(marks)
             assert ok == bool(np.all(diffs > 0) if increasing else np.all(diffs < 0))
+
+
+@pytest.mark.parametrize(
+    "name, check, other",
+    [("w_values", "w_nonnegative", "h_nonnegative"), ("h_values", "h_nonnegative", "w_nonnegative")],
+)
+def test_a_negative_sample_fails_its_sign_check(nonlin, monkeypatch, name, check, other):
+    """One negative ``W`` or ``H`` value fails its check, with that sample's ``t`` and ``u`` as witness.
+
+    ``H`` is computed from ``W``, so a negative ``W`` makes that ``H`` large
+    and its check still passes.
+    """
+    original = getattr(problem, name)
+    spoiled_at = {}
+
+    def spoiled(spec, t, U):
+        out = original(spec, t, U).copy()
+        out[7] = -1.0 - np.max(np.abs(out))
+        spoiled_at.update(t=float(t[7]), u=U[7].tolist(), value=float(out[7]))
+        return out
+
+    monkeypatch.setattr(problem, name, spoiled)
+    report = validate_nonlinearity(nonlin, sample_budget=500, seed=4)
+    entry = report["checks"][check]
+    assert report["passed"] is False and entry["passed"] is False
+    assert entry["witness"] == {"t": spoiled_at["t"], "u": spoiled_at["u"]}
+    assert entry["min_value"] == spoiled_at["value"]
+    assert report["checks"][other]["passed"] is True

@@ -25,7 +25,7 @@ from fracham import (
 )
 from fracham import functional, mpa, runner, spaces
 from fracham.cli import main
-from fracham.errors import ConfigError, ConvergenceError, DomainError
+from fracham.errors import ConfigError, ConvergenceError, DomainError, MonotonicityError
 from fracham.functional import ProblemSpec, _operator, _stack_rows, h_identity
 from fracham.problem import NonlinearitySpec, default_oscillatory
 from fracham.runner import (
@@ -200,6 +200,68 @@ def test_converged_level_outside_the_bracket_raises(
     monkeypatch.setattr(mpa, "_run_path", lambda *args: dataclasses.replace(bvp_result, level=0.0))
     with pytest.raises(ConvergenceError, match="on the interval lies outside the certified bracket"):
         bvp_solve(interval_spec)
+
+
+def _patch_two_rungs(monkeypatch, setup, default_solve, bvp_result, tails, dists, converged=(True, True)):
+    """Make ``lambda_sweep`` on a 2-rung ladder reuse the session's solves and report given observables."""
+    results = iter([dataclasses.replace(default_solve, converged=flag) for flag in converged])
+    monkeypatch.setattr(runner, "construct_e", lambda *args, **kwargs: setup)
+    monkeypatch.setattr(runner, "bvp_solve", lambda *args: bvp_result)
+    monkeypatch.setattr(runner, "mpa_solve", lambda *args, **kwargs: next(results))
+    for name, values in (("tail_mass_ratio", iter(tails)), ("dist_h_alpha", iter(dists))):
+        monkeypatch.setattr(runner, name, lambda *args, values=values: next(values))
+
+
+@pytest.mark.parametrize(
+    "tails, dists, message",
+    [
+        ((0.1, 0.2), (0.2, 0.1), "tail mass ratio failed to decrease strictly"),
+        ((0.2, 0.1), (0.1, 0.2), "distance to the interval solution failed to decrease strictly"),
+        ((0.1, 0.2), (0.1, 0.2), "tail mass ratio failed to decrease strictly"),
+    ],
+    ids=["tail", "distance", "both"],
+)
+def test_sweep_observable_that_rises_raises(
+    tails, dists, message, spec10, setup, constants, default_solve, bvp_result, monkeypatch
+):
+    """Each observable must fall strictly between converged rungs; the tail is checked first."""
+    _patch_two_rungs(monkeypatch, setup, default_solve, bvp_result, tails, dists)
+    with pytest.raises(MonotonicityError) as raised:
+        lambda_sweep(spec10, [10.0, 100.0], constants=constants)
+    assert str(raised.value) == message
+    detail = raised.value.detail
+    assert set(detail) == {"previous", "current"}
+    for key, rung in (("previous", 0), ("current", 1)):
+        record = detail[key]
+        assert record["lambda"] == (10.0, 100.0)[rung]
+        assert (record["tail_mass_ratio"], record["dist_to_bvp_h_alpha"]) == (tails[rung], dists[rung])
+
+
+@pytest.mark.parametrize(
+    "spoils, converged, observed",
+    [
+        (({}, {}), (True, True), 10.0),
+        (({"c6_ok": False}, {"c6_ok": False}), (True, True), None),
+        (({"identity_gap": math.inf}, {"identity_gap": math.inf}), (True, True), None),
+        (({"identity_gap": math.inf}, {"c6_ok": True}), (True, True), 100.0),
+        (({}, {"c6_ok": True}), (False, True), 100.0),
+    ],
+    ids=["both-pass", "c6-fails", "identity-fails", "second-passes", "second-converged"],
+)
+def test_observed_admissible_lambda_is_the_first_passing_rung(
+    spoils, converged, observed, spec10, setup, constants, default_solve, bvp_result, monkeypatch
+):
+    """The first converged record that passes ``c6_ok`` and ``identity_ok``, or ``None``.
+
+    Both rungs reuse the solve at 10, so the second passes ``c6`` only when
+    its record says so.
+    """
+    _patch_two_rungs(monkeypatch, setup, default_solve, bvp_result, (0.2, 0.1), (0.2, 0.1), converged)
+    c6_record, spoiled = runner._c6_record, iter(spoils)
+    monkeypatch.setattr(runner, "_c6_record", lambda *args: {**c6_record(*args), **next(spoiled)})
+    report = lambda_sweep(spec10, [10.0, 100.0], constants=constants)
+    assert [r["converged"] for r in report.records] == list(converged)
+    assert report.observed_admissible_lambda == observed
 
 
 def test_sweep_report_structure(sweep_report, constants, ctilde):
