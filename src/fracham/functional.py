@@ -70,6 +70,7 @@ class ProblemSpec:
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
         if self.n < 1:
             raise DomainError(f"need at least one component, got n={self.n}")
+        self.potential.check_components(self.n)
 
     def with_lambda(self, lam: float) -> "ProblemSpec":
         return dataclasses.replace(self, lam=lam)

@@ -22,6 +22,7 @@ A solve is one run, from ``0 -> e`` or, warm-started on the line,
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -208,21 +209,21 @@ def _slope_crest(slope, best: float, left: float, right: float) -> float:
     return _illinois_root(slope, best, nb, s, snb)
 
 
-def _doubling_scan(accept, failure: str) -> float:
-    """Smallest ``sigma = 2^k``, ``k >= 0``, with ``accept(sigma)``, capped at ``2^60``."""
+def _doubling_scan(op, vals: np.ndarray, failure: str, rho: float = 0.0) -> float:
+    """Smallest ``sigma = 2^k <= 2^60`` with ``I(sigma vals) < 0`` and ``||sigma vals||_X > rho``."""
+    span = _support(vals)
     sigma = 1.0
-    while not accept(sigma):
+    while not (op.energy(sigma * vals, span) < 0.0 and op.xnorm(sigma * vals) > rho):
         sigma *= 2.0
         if sigma > 2.0**60:
             raise GeometryError(failure)
     return sigma
 
 
-def _stationarity(op, u: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+def _stationarity(op, node: _Node) -> tuple[float, float, float, np.ndarray]:
     """Weighted residual ``(1 + ||u||_X) ||I'(u)||``, its two factors and the metric gradient."""
-    g, gnorm = op.gradient(u)
-    xnorm = op.xnorm(u)
-    return (1.0 + xnorm) * gnorm, gnorm, xnorm, g
+    g, gnorm = op.gradient(node.x)
+    return (1.0 + node.xnorm) * gnorm, gnorm, node.xnorm, g
 
 
 def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool]:
@@ -338,12 +339,8 @@ def construct_e(
     if np.any(op.ldiag * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
 
-    span = _support(psi.values)
-    sigma = _doubling_scan(
-        lambda s: op.energy(s * psi.values, span) < 0.0 and op.xnorm(s * psi.values) > rho,
-        "no negative-energy endpoint within the doubling cap; the "
-        "nonlinearity is too weak on this grid",
-    )
+    sigma = _doubling_scan(op, psi.values, "no negative-energy endpoint within the doubling "
+                           "cap; the nonlinearity is too weak on this grid", rho)
     e = GridFunction(spec.grid, sigma * psi.values)
     return MountainPassSetup(
         psi=psi,
@@ -378,13 +375,6 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class _Segment:
-    theta: float
-    value: float
-    scanned: bool = True  # false when monotonicity was certified without a scan
-
-
 def _support(*vals: np.ndarray) -> slice:
     """The nodes from the first to the last where some ``vals`` has a component other than ``+0.0``.
 
@@ -408,10 +398,10 @@ def _span_union(x: slice, y: slice) -> slice:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Node:
-    """One path node, made once when it enters the path.
+    """One evaluated path point: a path node, or a crest or candidate that may become one.
 
     ``x`` holds its values, ``span`` its support (:func:`_support`),
-    ``coeffs`` its ``op.transform``, ``q`` its quadratic part ``Q(x)``.
+    ``coeffs`` its ``op.transform``, ``q`` its quadratic part ``Q(x) = ||x||_X^2``.
     """
 
     x: np.ndarray
@@ -420,13 +410,27 @@ class _Node:
     q: float
     energy: float
 
+    @property
+    def xnorm(self) -> float:
+        return math.sqrt(max(self.q, 0.0))
 
-def _node(op, x: np.ndarray, energy: float | None = None) -> _Node:
-    """The node of ``x``; its energy is evaluated on its support unless given."""
+
+def _node(op, x: np.ndarray) -> _Node:
+    """The node of ``x``, from one transform; ``W`` on its support changes no bit of ``op.energy(x)``."""
     span, coeffs = _support(x), op.transform(x)
-    if energy is None:
-        energy = op.energy(x, span)
-    return _Node(x, span, coeffs, op.cross_form(x, coeffs, x, coeffs), energy)
+    q = op.cross_form(x, coeffs, x, coeffs)
+    return _Node(x, span, coeffs, q, float(0.5 * q - op.wint(x[span], span)))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Segment:
+    theta: float
+    node: _Node
+    scanned: bool = True  # false when monotonicity was certified without a scan
+
+    @property
+    def value(self) -> float:
+        return self.node.energy
 
 
 def _segment_energies(
@@ -454,10 +458,9 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     the monotonicity certificate for a convex ``W`` and the crest search.
     Without ``_MONOTONE_MARGIN`` the scan's interior energy near a crest can
     sit ulps above the end, and the path would lose an insert the scan makes.
-    A crest within ``_ROOT_TOL`` of an end is that end, at ``th`` moved
-    inward by ``_ROOT_TOL`` and with the end's own energy: one ulp of excess
-    would make the engine insert a duplicate of the node.  Any other crest's
-    energy is evaluated with the arithmetic of :meth:`_PathEngine.insert`.
+    A crest within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved
+    inward by ``_ROOT_TOL``: one ulp of excess would make the engine insert
+    a duplicate of the node.  Any other crest is a node of its own.
     """
     ends = (a, b)
     forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
@@ -474,8 +477,7 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
 
     def end(k: int, scanned: bool = True) -> _Segment:
-        theta = (_ROOT_TOL, 1.0 - _ROOT_TOL)[k]
-        return _Segment(theta=theta, value=ends[k].energy, scanned=scanned)
+        return _Segment((_ROOT_TOL, 1.0 - _ROOT_TOL)[k], ends[k], scanned)
 
     if op.spec.nonlinearity.kind == "pure_power":
         k = int(b.energy > a.energy)
@@ -498,7 +500,7 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
         return end(0)
     if theta >= 1.0 - _ROOT_TOL:
         return end(1)
-    return _Segment(theta=theta, value=op.energy((1.0 - theta) * a.x + theta * b.x, span))
+    return _Segment(theta, _node(op, (1.0 - theta) * a.x + theta * b.x))
 
 
 class _PathEngine:
@@ -545,17 +547,12 @@ class _PathEngine:
         return int(np.argmax([s.value for s in self.segments]))
 
     def insert(self, j: int) -> int:
-        """Materialize segment ``j``'s measured crest as a node; returns its index.
+        """Insert segment ``j``'s measured crest node; returns its index.
 
-        The node's energy is the segment's measured value: ``_measure_segment``
-        evaluated ``op.energy`` at this very point, with the same arithmetic.
         A crest is inserted only when its value exceeds every node energy, so
-        never a crest clamped to an end node (``th = _ROOT_TOL`` from it),
-        whose value is that node's own energy.
+        never a crest clamped to an end node, which is that node itself.
         """
-        seg = self.segments[j]
-        a, b = self.nodes[j].x, self.nodes[j + 1].x
-        self.nodes.insert(j + 1, _node(self.op, (1.0 - seg.theta) * a + seg.theta * b, seg.value))
+        self.nodes.insert(j + 1, self.segments[j].node)
         self.segments[j : j + 1] = [self._measure(j, j + 1), self._measure(j + 1, j + 2)]
         self.counters["inserted"] += 1
         return j + 1
@@ -598,14 +595,14 @@ class _PathEngine:
                 return self.insert(j)
         return 1 + int(np.argmax(self.energies[1:-1]))
 
-    def replace_node(self, k: int, new_vals: np.ndarray, new_energy: float, guard_level: float) -> bool:
-        """Single-writer update of interior node ``k`` guarded by the path maximum.
+    def replace_node(self, k: int, node: _Node, guard_level: float) -> bool:
+        """Single-writer update of interior node ``k`` to ``node``, guarded by the path maximum.
 
         The update is committed only if the re-measured adjacent segments keep
         the polyline maximum at or below ``guard_level``.
         """
         old = self.nodes[k], self.segments[k - 1 : k + 1]
-        self.nodes[k] = _node(self.op, new_vals, new_energy)
+        self.nodes[k] = node
         self.segments[k - 1 : k + 1] = [self._measure(k - 1, k), self._measure(k, k + 1)]
         if self.level() <= guard_level:
             return True
@@ -640,7 +637,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
 
     engine = _PathEngine(op, nodes, config)
     engine.refine_to_crest()
-    e_xnorm = op.xnorm(e_vals)
+    e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)
 
     trace: list[tuple[float, float, float]] = []
@@ -653,7 +650,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
         iterations = it
         work = engine.crest()
         u = engine.nodes[work].x
-        rw, gnorm, _, g = _stationarity(op, u)
+        rw, gnorm, _, g = _stationarity(op, engine.nodes[work])
         level = engine.level()
         trace.append((level, gnorm, rw))
 
@@ -664,13 +661,13 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
 
         # Newton endgame: refine the crest node in place when already close.
         if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
-            polished, ok = _newton_polish(op, u, engine.counters)
+            vals, ok = _newton_polish(op, u, engine.counters)
             if ok:
-                ep = op.energy(polished)
+                polished = _node(op, vals)
                 slack = 1e-9 * (1.0 + abs(level))
-                nontrivial = op.xnorm(polished) > 1e-8 * max(1.0, e_xnorm)
-                if ep <= level + slack and nontrivial and engine.replace_node(
-                    work, polished, ep, level + slack
+                nontrivial = polished.xnorm > 1e-8 * max(1.0, e_xnorm)
+                if polished.energy <= level + slack and nontrivial and engine.replace_node(
+                    work, polished, level + slack
                 ):
                     engine.counters["polish_accepted"] += 1
                     stagnation = 0
@@ -682,10 +679,9 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
         step = 1.0 if g_xnorm == 0.0 else min(1.0, cap_norm / g_xnorm)
         accepted = False
         while step >= _STEP_FLOOR:
-            cand = u - step * g
-            ec = op.energy(cand)
-            if ec <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
-                if engine.replace_node(work, cand, ec, level):
+            cand = _node(op, u - step * g)
+            if cand.energy <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
+                if engine.replace_node(work, cand, level):
                     accepted = True
                     break
             else:
@@ -706,7 +702,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | N
     energies = engine.energies
     top = max(energies[1:-1])
     tied = [k for k in range(1, len(energies) - 1) if energies[k] >= top - 1e-12 * (1.0 + abs(top))]
-    checks = {k: _stationarity(op, engine.nodes[k].x) for k in tied}
+    checks = {k: _stationarity(op, engine.nodes[k]) for k in tied}
     work = min(tied, key=lambda k: checks[k][0])
     rw, gnorm, xnorm_u, _ = checks[work]
     return SolveResult(
@@ -772,10 +768,8 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
     grid = spec.grid
     vals = _bump(spec, 0.5 * (grid.lower + grid.upper), 0.375 * (grid.upper - grid.lower))
     op = _operator(spec)
-    span = _support(vals)
     sigma = _doubling_scan(
-        lambda s: op.energy(s * vals, span) < 0.0,
-        "no negative-energy endpoint within the doubling cap on the interval",
+        op, vals, "no negative-energy endpoint within the doubling cap on the interval"
     )
     run = _run_path(op, sigma * vals, config, None)
     return _check_level(run, np.nextafter(0.0, 1.0), np.inf, "on the interval")  # a positive level

@@ -84,6 +84,15 @@ class PotentialSpec:
                 raise DomainError("diagonal kind requires diag_scales")
             if any(s < 1.0 for s in self.diag_scales):
                 raise DomainError("diag_scales must all be >= 1 to preserve the lower bound")
+        elif self.diag_scales:
+            raise DomainError(f"diag_scales is read only by the diagonal kind, not {self.kind!r}")
+
+    def check_components(self, n: int):
+        """Raise unless the potential acts on ``n`` components."""
+        if self.kind == "diagonal" and len(self.diag_scales) != n:
+            raise DomainError(
+                f"diag_scales has {len(self.diag_scales)} entries for n={n} components"
+            )
 
     def profile(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -96,13 +105,10 @@ class PotentialSpec:
 
     def diagonal(self, t, n: int) -> np.ndarray:
         """Profile as per-component diagonal values, shape ``(len(t), n)``."""
+        self.check_components(n)
         base = self.profile(t)[:, None]
         if self.kind == "scalar":
             return np.repeat(base, n, axis=1)
-        if len(self.diag_scales) != n:
-            raise DomainError(
-                f"diag_scales has {len(self.diag_scales)} entries for n={n} components"
-            )
         return base * np.asarray(self.diag_scales)[None, :]
 
 
@@ -181,6 +187,8 @@ class NonlinearitySpec:
                     f"oscillatory family needs 0 < epsilon < p - 2, got "
                     f"epsilon={self.epsilon}, p={self.p}"
                 )
+        elif self.epsilon != 0.0:
+            raise DomainError(f"epsilon is read only by the oscillatory family, not {self.kind!r}")
         if self.weight_base - abs(self.weight_amp) <= 0.0:
             raise DomainError("weight must stay strictly positive: need base > |amp|")
         if self.radius <= 0.0:

@@ -96,6 +96,12 @@ def test_unknown_config_key(tmp_path, capsys):
         (["solve", "--config", {"mpa": {"max_iters": 0}}], "mpa"),
         (["solve", "--config", {"mpa": {"max_iters": -3}}], "mpa"),
         (["bvp", "--config", {"bvp": {"tol": 0}}], "bvp"),
+        ({"problem": {"potential": {"diag_scales": [3.0]}}}, "problem.potential"),
+        ({"problem": {"nonlinearity": {"epsilon": 0.5}}}, "problem.nonlinearity"),
+        (["bvp", "--config", {"problem": {"potential": {"diag_scales": [3.0]}}}],
+         "problem.potential"),
+        (["bvp", "--config", {"problem": {"nonlinearity": {"epsilon": 0.5}}}],
+         "problem.nonlinearity"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
@@ -122,9 +128,10 @@ def test_nonfinite_or_negative_leaf_never_raises(tmp_path, capsys):
     """Each numeric leaf set to NaN, inf or -1 (a list to a list of it) exits, never raises.
 
     A non-finite value is a configuration error.  ``bound`` may accept -1 in
-    a table it does not read (``mpa``, ``bvp``, ``sweep``, ``verify``), in a
-    key it does not read (a pure power's ``epsilon``) or where -1 is legal
-    (``weight_freq``), so that case may also exit 0.
+    a table it does not read (``mpa``, ``bvp``, ``sweep``, ``verify``) or
+    where -1 is legal (``weight_freq``), so that case may also exit 0.  A key
+    the chosen kind does not read (a pure power's ``epsilon``, a scalar
+    potential's ``diag_scales``) is rejected, so -1 there exits 2.
     """
     for path in _numeric_leaves(DEFAULT_CONFIG):
         default = DEFAULT_CONFIG
@@ -262,6 +269,18 @@ def test_unusable_out_exits_two_before_the_run(tmp_path, capsys, command, where)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err and "--out" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["bound", "solve", "verify", "sweep"])
+def test_diag_scales_count_other_than_n_exits_two(tmp_path, capsys, command):
+    """Two scales for one component are a ``problem`` table error, found before any line work."""
+    potential = {"kind": "diagonal", "diag_scales": [1.0, 2.0]}
+    cfg = _write_config(tmp_path, {"problem": {"potential": potential}})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config table 'problem': diag_scales has 2 entries for n=1 components" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -73,6 +73,15 @@ def test_problem_spec_validation(line_grid, potential, nonlin):
         IntervalProblemSpec(alpha=0.75, nonlinearity=nonlin, grid=ig, n=0)
 
 
+def test_problem_spec_rejects_a_diag_scales_count_other_than_n(spec10):
+    """A diagonal potential needs one scale per component when the spec is built, not later."""
+    potential = dataclasses.replace(spec10.potential, kind="diagonal", diag_scales=(1.0, 2.0))
+    for n in (1, 3):
+        with pytest.raises(DomainError, match=f"diag_scales has 2 entries for n={n} components"):
+            dataclasses.replace(spec10, potential=potential, n=n)
+    assert dataclasses.replace(spec10, potential=potential, n=2).potential.diag_scales == (1.0, 2.0)
+
+
 def test_with_lambda_changes_only_the_parameter(spec10):
     moved = spec10.with_lambda(250.0)
     assert moved.lam == 250.0

@@ -1,8 +1,11 @@
 """Certified barrier geometry and the polyline min-max solver."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -334,7 +337,7 @@ def test_reported_crest_has_the_best_residual_among_ties(spec10, setup, interval
         top = max(node.energy for node in interior)
         tied = [k for k, node in enumerate(interior, 1)
                 if node.energy >= top - 1e-12 * (1.0 + abs(top))]
-        weighted = {k: mpa._stationarity(op, engine.nodes[k].x)[0] for k in tied}
+        weighted = {k: mpa._stationarity(op, engine.nodes[k])[0] for k in tied}
         crest = res.diagnostics["crest_index"]
         assert crest == min(tied, key=weighted.get)
         assert res.residual_weighted == weighted[crest]
@@ -454,13 +457,13 @@ def test_guard_rejections_leave_the_path_exactly_as_it_was(potential, monkeypatc
 
     def checked(self, k, *args):
         nodes, segments = list(self.nodes), list(self.segments)
-        values = [dataclasses.astuple(s) for s in segments]
+        values = [(s.theta, s.value, s.scanned) for s in segments]
         ok = replace(self, k, *args)
         if not ok:
             assert len(self.nodes) == len(nodes) and all(x is y for x, y in zip(self.nodes, nodes))
             assert len(self.segments) == len(segments)
             assert all(x is y for x, y in zip(self.segments, segments))
-            assert [dataclasses.astuple(s) for s in self.segments] == values
+            assert [(s.theta, s.value, s.scanned) for s in self.segments] == values
             rejected.append(k)
         return ok
 
@@ -693,7 +696,7 @@ def test_span_restricted_w_matches_the_whole_grid(domain, n, nonlinearity):
 def test_measured_crest_is_a_root_of_the_slope(domain, n, nonlinearity):
     """On a segment from 0 past the barrier the crest is interior and the energy flat there."""
     op, a, _ = _segment_problem(domain, n, nonlinearity)
-    sigma = mpa._doubling_scan(lambda s: op.energy(s * a) < 0.0, "no negative energy")
+    sigma = mpa._doubling_scan(op, a, "no negative energy")
     b = sigma * a
     zero = np.zeros_like(a)
     seg = _measure(op, zero, b)
@@ -921,10 +924,11 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 513 FFT calls, 10% above the 466 it
-    makes (536 before path nodes kept their transforms and each MINRES step
-    reused its metric solve's product), and 2000 ``W`` rows (``wint`` plus
-    ``wslope``).
+    A default solve stays within 437 FFT calls, 10% above the 397 it
+    makes (466 before each crest, descent and polish candidate was evaluated
+    once as the node it becomes; 536 before path nodes kept their transforms
+    and each MINRES step reused its metric solve's product), and 2000 ``W``
+    rows (``wint`` plus ``wslope``).
     """
     calls, rows = [], []
     for name in ("rfft", "irfft"):
@@ -945,8 +949,37 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 513
+    assert 0 < len(calls) <= 437
     assert 0 < sum(rows) <= 2000
+
+
+def _energy_call_scopes() -> set[str]:
+    """Dotted scopes in ``mpa.py`` that call a method named ``energy`` or ``energies``."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("energy", "energies")):
+                found.add(scope)
+            walk(child, inner)
+
+    walk(ast.parse(pathlib.Path(mpa.__file__).read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_a_path_point_has_one_evaluator():
+    """``_node(op, x)`` alone evaluates a path point; only the doubling scan calls ``op.energy``.
+
+    Every crest, descent candidate and polished point becomes a node once,
+    and every later use reads that node, so no second evaluation has to
+    reproduce its energy bit for bit.
+    """
+    assert _energy_call_scopes() == {"_doubling_scan"}
+    assert list(inspect.signature(mpa._node).parameters) == ["op", "x"]
 
 
 def test_segment_measurements_skip_exact_zeros(spec10, constants, monkeypatch):

@@ -65,6 +65,15 @@ def test_potential_spec_validation():
         good.diagonal(np.array([0.0]), 3)
 
 
+def test_a_key_the_kind_does_not_read_is_rejected():
+    """Scales on a scalar potential, or ``epsilon`` on a pure power, would be dropped silently."""
+    with pytest.raises(DomainError, match="diag_scales is read only by the diagonal kind"):
+        PotentialSpec(varrho=0.4, delta=0.05, cap=6.0, c=1.5, diag_scales=(3.0,))
+    with pytest.raises(DomainError, match="epsilon is read only by the oscillatory family"):
+        NonlinearitySpec(kind="pure_power", p=4.0, epsilon=0.5)
+    assert NonlinearitySpec(kind="pure_power", p=4.0, epsilon=0.0).epsilon == 0.0
+
+
 def test_diagonal_potential_scales_components():
     spec = PotentialSpec(
         varrho=0.4, delta=0.05, cap=6.0, c=1.5, kind="diagonal", diag_scales=(1.0, 2.5)
