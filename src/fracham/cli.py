@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, line: bool = True, **flags):
-    """The effective config and its hash; for a line command also its spec and constants.
+def _load(args, **flags):
+    """The effective config, its hash, the line problem's spec and its embedding constants.
 
     ``flags`` maps a config table to the command-line values for its keys,
     ``None`` leaving a key alone.  They and ``--seed`` are merged with the
@@ -91,8 +91,6 @@ def _load(args, line: bool = True, **flags):
         given["seed"] = args.seed
     cfg = merge_config(load_config(args.config), given)
     chash = config_hash(cfg)
-    if not line:
-        return cfg, chash, None, None
     spec = build_problem_spec(cfg)
     constants = estimate_embedding_constants(
         spec.grid, spec.alpha, spec.potential, safety=cfg["embedding"]["safety"]
@@ -140,8 +138,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bvp(args) -> int:
-    cfg, chash, _, _ = _load(args, line=False)
-    ispec = build_interval_spec(cfg)
+    cfg, chash, spec, _ = _load(args)
+    ispec = build_interval_spec(cfg, spec)
     result = bvp_solve(ispec, build_bvp_config(cfg))
     el = bvp_el_residual(result.u, ispec)
     print(
@@ -163,12 +161,9 @@ def _cmd_bvp(args) -> int:
 
 def _parse_lambdas(text: str) -> list[float]:
     try:
-        vals = [float(x) for x in text.split(",") if x.strip()]
+        return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --lambdas {text!r}: {exc}") from exc
-    if not vals:
-        raise ConfigError("--lambdas parsed to an empty list")
-    return vals
 
 
 def _cmd_sweep(args) -> int:
@@ -180,7 +175,7 @@ def _cmd_sweep(args) -> int:
         spec,
         cfg["sweep"]["lambdas"],
         mpa_config=build_mpa_config(cfg),
-        bvp_points=cfg["bvp"]["num_points"],
+        well=build_interval_spec(cfg, spec),
         bvp_config=build_bvp_config(cfg),
         cold=cfg["sweep"]["cold"],
         constants=constants,

@@ -17,7 +17,7 @@ import sys
 
 from .errors import ConfigError, DomainError
 from .functional import IntervalProblemSpec, ProblemSpec
-from .grids import IntervalGrid, RealLineGrid
+from .grids import RealLineGrid
 from .mpa import MpaConfig
 from .problem import NonlinearitySpec, PotentialSpec, default_nonlinearity, default_potential
 from .runner import DEFAULT_BUDGETS, payload_hash
@@ -213,11 +213,12 @@ def build_problem_spec(cfg: dict) -> ProblemSpec:
                   nonlinearity=build_nonlinearity(cfg), grid=grid)
 
 
-def build_interval_spec(cfg: dict) -> IntervalProblemSpec:
-    varrho = build_potential(cfg).varrho
-    grid = _build(IntervalGrid, "bvp", cfg["bvp"], lower=-varrho, upper=varrho)
-    return _build(IntervalProblemSpec, "problem", cfg["problem"],
-                  nonlinearity=build_nonlinearity(cfg), grid=grid)
+def build_interval_spec(cfg: dict, spec: ProblemSpec) -> IntervalProblemSpec:
+    """The well problem of the line problem ``spec``, on ``bvp.num_points`` nodes."""
+    try:
+        return spec.well_interval(cfg["bvp"]["num_points"])
+    except DomainError as exc:
+        raise ConfigError(f"config table 'bvp': {exc}") from exc
 
 
 def build_mpa_config(cfg: dict) -> MpaConfig:

@@ -285,6 +285,7 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
     ``P y`` for a linear map ``P``; ``hess(v, pv)`` returns ``H v`` given
     ``pv = P v``.  Returns ``(x, info, iterations)``, ``info`` being
     ``maxiter`` when the iteration limit stopped the solve and 0 otherwise.
+    Assumes ``rtol >= 2**-53``, so scipy's stops at ``1 + test <= 1`` are left to ``test <= rtol``.
     """
     x = np.zeros_like(rhs)
     r1 = rhs
@@ -351,10 +352,6 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
         test1 = math.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
         test2 = math.inf if anorm == 0.0 else root / anorm
         if istop == 0:
-            if 1.0 + test2 <= 1.0:
-                istop = 2
-            if 1.0 + test1 <= 1.0:
-                istop = 1
             if itn >= maxiter:
                 istop = 6
             if gmax / gmin >= 0.1 / _EPS:

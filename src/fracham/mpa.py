@@ -286,7 +286,7 @@ def estimate_rho_eta(
         )
     if p <= 2.0:
         raise GeometryError(f"growth exponent must exceed 2, got {p}")
-    kpp = 1.0 / (theta ** (p / 2.0) * constants.meas_lc ** ((p - 2.0) / 2.0))
+    kpp = 1.0 / constants.kappa_neg_power(p)
     radii = np.logspace(-6, 3, 1801)
     bracket = 0.5 * (1.0 - epsilon_c / theta) - (c_eps / p) * kpp * radii ** (p - 2.0)
     positive = bracket > 0.0

@@ -233,14 +233,29 @@ def weight_values(spec: NonlinearitySpec, t) -> np.ndarray:
     return spec.weight_base + spec.weight_amp * np.cos(spec.weight_freq * t)
 
 
+def _power(mag: np.ndarray, p: float) -> np.ndarray:
+    """``mag ** p`` for ``mag >= 0`` and ``p > 0``, with the entries that underflow set to ``0.0``.
+
+    Below ``2**(-1080/p)`` the exact power is under 1/64 of the smallest subnormal, so
+    ``pow`` returns ``+0.0`` there, by a slow path.  NaN and inf keep their ``**``.
+    """
+    if not p > 0.0:
+        raise DomainError(f"_power needs an exponent above 0, got {p}")
+    keep = ~(mag < 2.0 ** (-1080.0 / p))
+    if keep.all():
+        return mag**p
+    out = np.zeros_like(mag)
+    out[keep] = mag[keep] ** p
+    return out
+
+
 def _radial_value(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     """Unweighted radial profile ``w(r)``."""
-    p = spec.p
+    p, e = spec.p, spec.epsilon
+    rp = _power(r, p)
     if spec.kind == "pure_power":
-        return r**p
-    e = spec.epsilon
-    theta = r**e / e
-    return r**p + (p - 2.0) * r ** (p - e) * np.sin(theta) ** 2
+        return rp
+    return rp + (p - 2.0) * _power(r, p - e) * np.sin(r**e / e) ** 2
 
 
 def _radial_slope_factor(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .errors import DomainError, EmbeddingViolation
 from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form
 from .functional import ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
+from .problem import _power
 
 __all__ = [
     "EmbeddingConstants",
@@ -222,11 +223,15 @@ class EmbeddingConstants:
     def lambda_floor(self) -> float:
         return 1.0 / (self.c_level * self.c_infinity**2 * self.meas_lc)
 
+    def kappa_neg_power(self, p: float) -> float:
+        """``kappa_p^-p = Theta^{p/2} m^{(p-2)/2}``."""
+        return self.theta ** (p / 2.0) * self.meas_lc ** ((p - 2.0) / 2.0)
+
     def kappa(self, p: float) -> float:
-        """Closed-form ``kappa_p``: ``kappa_p^p = 1/(Theta^{p/2} m^{(p-2)/2})``."""
+        """Closed-form ``kappa_p``, the ``-1/p`` power of :meth:`kappa_neg_power`."""
         if p < 2:
             raise DomainError(f"kappa_p is defined for p >= 2, got {p}")
-        return (self.theta ** (p / 2.0) * self.meas_lc ** ((p - 2.0) / 2.0)) ** (-1.0 / p)
+        return self.kappa_neg_power(p) ** (-1.0 / p)
 
     def check_lambda(self, lam: float):
         """Raise :class:`DomainError` if ``lam`` lies below ``lambda_floor`` (to 1e-12 relative)."""
@@ -320,20 +325,6 @@ def _line_ratios(row: list[float], constants: EmbeddingConstants, p: float):
         yield "lp_le_kappa_xnorm", lppow / (constants.kappa(p) ** p * nx**p)
     if sup > 0.0 and l2sq > 0.0:
         yield "interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq)
-
-
-def _power(mag: np.ndarray, p: float) -> np.ndarray:
-    """``mag ** p`` for ``mag >= 0``, skipping the entries that underflow.
-
-    Below ``2**(-1080/p)`` the exact power is under 1/64 of the smallest
-    subnormal, so a ``pow`` accurate to within one ulp returns ``+0.0``
-    there, through its slow underflow path.  Those entries are set to
-    ``0.0`` without the call, which gives the same bits sooner.
-    """
-    out = np.zeros_like(mag)
-    keep = mag >= 2.0 ** (-1080.0 / p)
-    out[keep] = mag[keep] ** p
-    return out
 
 
 def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndarray, ...]:

@@ -11,7 +11,19 @@ import numpy as np
 import pytest
 
 import fracham
-from fracham import MpaConfig, RealLineGrid, config, construct_e, functional, mpa_solve, spaces
+from fracham import (
+    IntervalGrid,
+    IntervalProblemSpec,
+    MpaConfig,
+    RealLineGrid,
+    bvp_solve,
+    cli,
+    config,
+    construct_e,
+    functional,
+    mpa_solve,
+    spaces,
+)
 from fracham.cli import main
 from fracham.config import (
     DEFAULT_CONFIG,
@@ -29,6 +41,7 @@ from fracham.problem import (
     default_nonlinearity,
     default_potential,
 )
+from fracham.runner import bvp_el_residual, write_solve_outputs
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -61,6 +74,31 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "usage" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "config file must contain a JSON object"),
+    ('{"grid": 5}', "config key 'grid' must be a table"),
+], ids=["not-json", "array", "scalar-table"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["bound", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+
+
+def test_null_defect_constant_fails_only_the_nonlinearity_check(tmp_path, capsys):
+    """``c0`` may be null: the config loads and ``bound`` runs, but no defect inequality is certified."""
+    cfg = _write_config(tmp_path, {"problem": {"nonlinearity": {"c0": None}}})
+    assert main(["bound", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line] == [
+        "verify: nonlinearity: FAIL", "verify: overall: FAIL"]
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -234,6 +272,50 @@ def test_bad_lambdas_argument(fast_config, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_empty_lambdas_argument_is_an_empty_ladder(fast_config, capsys):
+    """``--lambdas`` only parses; the ladder's own check rejects an empty one."""
+    assert main(["sweep", "--config", fast_config, "--lambdas", ","]) == 2
+    assert "config error: lambda ladder is empty" in capsys.readouterr().err
+
+
+def test_bvp_rejects_a_box_inside_the_potential_ramp(tmp_path, capsys):
+    """``bvp`` builds its well from the line problem, so a bad line config exits 2 as in ``bound``."""
+    cfg = _write_config(tmp_path, {"grid": {"halfwidth": 0.5}})
+    assert main(["bound", "--config", cfg]) == 2
+    bound_err = capsys.readouterr().err
+    assert main(["bvp", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == bound_err
+
+
+def test_bad_bvp_points_stop_sweep_before_any_solve(tmp_path, capsys, monkeypatch):
+    """``sweep`` and ``bvp`` take their well through one step, which names the ``bvp`` table."""
+    monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(cli, "bvp_solve", lambda *a, **k: pytest.fail("the bvp ran"))
+    cfg = _write_config(tmp_path, {"bvp": {"num_points": 2}})
+    for command in ("sweep", "bvp"):
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: config table 'bvp': num_points must be >= 3, got 2" in captured.err
+
+
+def test_default_bvp_solves_the_default_well(tmp_path, capsys):
+    """Default ``bvp`` writes the bytes of a solve on ``[-varrho, varrho]`` with 257 nodes."""
+    assert main(["bvp", "--out", str(tmp_path / "cli")]) == 0
+    ispec = IntervalProblemSpec(0.75, default_nonlinearity(), IntervalGrid(-0.4, 0.4, 257))
+    result = bvp_solve(ispec, MpaConfig(tol=1e-8, max_iters=400))
+    extras = {"alpha": 0.75, "el_residual": bvp_el_residual(result.u, ispec),
+              "config_hash": config_hash(DEFAULT_CONFIG)}
+    write_solve_outputs(str(tmp_path / "ref"), result, extras=extras)
+    for name in ("result.json", "u.csv", "trace.csv"):
+        got, want = ((tmp_path / d / name).read_text(encoding="utf-8") for d in ("cli", "ref"))
+        if name == "result.json":
+            got, want = (json.loads(text) for text in (got, want))
+            got.pop("generated_at"), want.pop("generated_at")
+        assert got == want, name
+
+
 def test_verify_honours_embedding_safety(tmp_path, capsys):
     """``embedding.safety`` gates ``verify`` as it gates ``bound``: both exit 1, one message."""
     cfg = _write_config(tmp_path, {"embedding": {"safety": 1.3}})
@@ -272,7 +354,7 @@ def test_unusable_out_exits_two_before_the_run(tmp_path, capsys, command, where)
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["bound", "solve", "verify", "sweep"])
+@pytest.mark.parametrize("command", ["bound", "solve", "verify", "sweep", "bvp"])
 def test_diag_scales_count_other_than_n_exits_two(tmp_path, capsys, command):
     """Two scales for one component are a ``problem`` table error, found before any line work."""
     potential = {"kind": "diagonal", "diag_scales": [1.0, 2.0]}

@@ -1,0 +1,83 @@
+"""One owner per shared decision, checked on the package source.
+
+Each decision here was once written in two places that drifted apart: the
+well problem, the underflow-safe power, ``kappa_p`` and the ladder rule.
+"""
+
+import ast
+import pathlib
+
+import fracham
+
+SRC = pathlib.Path(fracham.__file__).resolve().parent
+
+
+def _scopes(match) -> set[tuple[str, str]]:
+    """``(module, scope)`` of every node of the package source that ``match`` accepts.
+
+    A scope is the dotted path of the enclosing classes and functions, empty
+    at module level.
+    """
+    found = set()
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add((module, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            walk(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_the_well_problem_is_built_only_from_the_line_problem():
+    """``bvp``, ``sweep`` and ``verify`` all take the well from ``ProblemSpec.well_interval``.
+
+    A class counts as built where a call other than ``isinstance`` names
+    it, as the callee or as an argument (a builder that calls the class it
+    is given).
+    """
+    for cls in ("IntervalProblemSpec", "IntervalGrid"):
+        calls = _scopes(lambda node: isinstance(node, ast.Call)
+                        and not _named(node.func, "isinstance")
+                        and any(_named(part, cls) for part in (node.func, *node.args)))
+        assert calls == {("functional", "ProblemSpec.well_interval")}, cls
+
+
+def test_the_underflow_safe_power_is_defined_once():
+    defs = _scopes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_power")
+    assert defs == {("problem", "")}
+
+
+def test_kappa_p_is_written_once():
+    """``estimate_rho_eta`` takes ``kappa_p^-p`` from the constants, not from its own formula."""
+    body = _function("mpa", "estimate_rho_eta")
+    powers = [node for node in ast.walk(body)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and _named(node.left, "theta")]
+    assert powers == []
+    assert any(_named(node, "kappa_neg_power") for node in ast.walk(body))
+
+
+def test_parse_lambdas_raises_only_on_a_parse_error():
+    """The ladder rule (non-empty, strictly increasing) belongs to ``lambda_sweep``."""
+    body = _function("cli", "_parse_lambdas")
+    raises = [node for node in ast.walk(body) if isinstance(node, ast.Raise)]
+    handled = [node for handler in ast.walk(body) if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler) if isinstance(node, ast.Raise)]
+    assert len(raises) == 1 and raises == handled

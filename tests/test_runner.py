@@ -349,6 +349,23 @@ def test_campaign_flags_quadratic_nonlinearity(spec10, constants):
     assert report["sections"]["nonlinearity"]["checks"]["defect_inequality"]["passed"] is False
 
 
+def test_campaign_reports_an_embedding_violation_and_runs_on(spec10, constants):
+    """An understated ``C_inf`` fails the embeddings section with its violation, not the campaign."""
+    understated = dataclasses.replace(constants, c_infinity=0.5 * constants.c_infinity_raw)
+    budgets = {"embedding_samples": 30, "nonlinearity_samples": 200,
+               "derivative_checks": 2, "sphere_samples": 4}
+    report = run_verification_campaign(spec10, understated, budgets=budgets)
+    embeddings = report["sections"]["embeddings"]
+    assert embeddings["passed"] is False
+    assert embeddings["violation"].startswith("inequality sup_le_cinf_norm_alpha violated")
+    assert embeddings["detail"]["name"] == "sup_le_cinf_norm_alpha"
+    assert embeddings["detail"]["ratio"] > 1.0
+    assert set(report["sections"]) == {
+        "embeddings", "potential", "nonlinearity", "functional", "geometry"}
+    assert report["sections"]["nonlinearity"]["passed"] is True
+    assert report["passed"] is False
+
+
 def test_campaign_full_default_passes(spec10, constants):
     report = run_verification_campaign(
         spec10,

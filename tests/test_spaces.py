@@ -15,7 +15,7 @@ from fracham import (
     quadratic_form_alpha,
     verify_embeddings,
 )
-from fracham import spaces
+from fracham import problem
 from fracham.errors import DomainError, EmbeddingViolation
 from fracham.fracops import gl_matrix
 from fracham.functional import _stack_rows
@@ -329,10 +329,24 @@ def test_chunked_embeddings_match_a_per_sample_loop(spec10, constants):
 
 
 def test_underflowing_powers_are_zero():
-    """``_power`` skips only entries whose ``pow`` is exactly ``0.0``."""
+    """``_power`` skips only entries whose ``pow`` is exactly ``0.0``; NaN and inf pass through.
+
+    The exponents are ``verify``'s 2 and 4 and those of ``_radial_value``:
+    ``p`` and ``p - epsilon`` of the default pure power and oscillatory families.
+    """
     rng = np.random.default_rng(5)
-    for p in (2.0, 3.0, 4.0):
+    for p in (2.0, 2.5, 3.0, 4.0):
         below = 2.0 ** (-1080.0 / p) * rng.uniform(0.0, 1.0, 10_000)
         assert np.all(below**p == 0.0) and not np.any(np.signbit(below**p))
-        mixed = np.concatenate([below, np.abs(rng.normal(size=1000)), [0.0, 1e-300, 1e-80]])
-        assert spaces._power(mixed, p).tobytes() == (mixed**p).tobytes()
+        mixed = np.concatenate([below, np.abs(rng.normal(size=1000)), [0.0, 1e-300, 1e-80],
+                                [np.nan, np.inf]])
+        got = problem._power(mixed, p)
+        assert got.tobytes() == (mixed**p).tobytes()
+        assert np.isnan(got[-2]) and got[-1] == np.inf
+        assert problem._power(mixed.reshape(5, -1), p).tobytes() == got.tobytes()
+        clean = np.concatenate([mixed[10_000:11_000], mixed[-3:]])  # no entry underflows
+        assert not np.any(clean < 2.0 ** (-1080.0 / p))
+        assert problem._power(clean, p).tobytes() == (clean**p).tobytes()
+    for p in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError, match="exponent above 0"):
+            problem._power(mixed, p)
