@@ -171,11 +171,12 @@ def _cmd_sweep(args) -> int:
     cfg, chash, spec, constants = _load(
         args, sweep={"lambdas": lambdas, "cold": args.cold or None}
     )
+    build_interval_spec(cfg, spec)  # a bad bvp table exits 2 before any solve
     report = lambda_sweep(
         spec,
         cfg["sweep"]["lambdas"],
         mpa_config=build_mpa_config(cfg),
-        well=build_interval_spec(cfg, spec),
+        bvp_points=cfg["bvp"]["num_points"],
         bvp_config=build_bvp_config(cfg),
         cold=cfg["sweep"]["cold"],
         constants=constants,

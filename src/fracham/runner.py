@@ -179,17 +179,16 @@ def lambda_sweep(
     lambdas,
     constants: EmbeddingConstants,
     mpa_config: MpaConfig | None = None,
-    well: IntervalProblemSpec | None = None,
+    bvp_points: int = 257,
     bvp_config: MpaConfig | None = None,
     cold: bool = False,
 ) -> SweepReport:
     """Solve along an ascending parameter ladder and track concentration.
 
-    The interval reference on ``well`` (``base_spec``'s well on 257 nodes by
-    default) is solved once; each line run is warm-started from the previous
-    converged solution unless ``cold``.  :func:`mpa_solve` holds each converged
-    level to the setup's ``level_bracket``, and both concentration observables
-    must decrease strictly across converged records.
+    The interval reference is solved once; each line run is warm-started from
+    the previous converged solution unless ``cold``.  :func:`mpa_solve` holds
+    each converged level to the setup's ``level_bracket``, and both
+    concentration observables must decrease strictly across converged records.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) == 0:
@@ -205,7 +204,7 @@ def lambda_sweep(
     setup = construct_e(spec0, constants=constants)
 
     varrho = base_spec.potential.varrho
-    ispec = well or base_spec.well_interval(257)
+    ispec = base_spec.well_interval(bvp_points)
     if bvp_config is None:
         bvp_config = MpaConfig(tol=1e-8)
     bvp_ref = bvp_solve(ispec, bvp_config)

@@ -326,6 +326,17 @@ def test_verify_honours_embedding_safety(tmp_path, capsys):
     assert capsys.readouterr().err == bound_err
 
 
+def test_bvp_honours_embedding_safety(tmp_path, capsys):
+    """``bvp`` builds the line problem's embedding constants, so it exits 1 as ``bound`` does."""
+    cfg = _write_config(tmp_path, {"embedding": {"safety": 1.3}})
+    assert main(["bound", "--config", cfg]) == 1
+    bound_err = capsys.readouterr().err
+    assert "potential is inadmissible" in bound_err
+    assert main(["bvp", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == bound_err
+
+
 def test_verify_identities_pass_at_large_lambda(tmp_path, capsys):
     """The derivative and defect checks scale with the quadratic term that cancels in them."""
     budgets = {"embedding_samples": 0, "nonlinearity_samples": 0,
