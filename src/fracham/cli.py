@@ -101,15 +101,7 @@ def _load(args, **flags):
 def _certificates(spec, constants, chash: str):
     """The setup from ``construct_e`` and the certificate fields ``solve`` and ``bound`` share."""
     setup = construct_e(spec, constants=constants)
-    fields = {
-        "ctilde": setup.ctilde,
-        "rho": setup.rho,
-        "eta": setup.eta,
-        "sigma0": setup.sigma0,
-        "constants": constants.to_dict(),
-        "config_hash": chash,
-    }
-    return setup, fields
+    return setup, {**setup.certificates(), "constants": constants.to_dict(), "config_hash": chash}
 
 
 def _cmd_solve(args) -> int:

@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, GeometryError
+from .errors import ConfigError, ConvergenceError, GeometryError
 from .fracops import _edge_to_peak
-from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _chunks, _operator
+from .functional import _EPS, IntervalProblemSpec, ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction
 from .problem import calibrate_growth_constant
 from .spaces import EmbeddingConstants
@@ -106,6 +106,14 @@ class MountainPassSetup:
         """``[eta, ctilde]`` widened by the tolerances a converged line level is held to."""
         return self.eta - 1e-8, self.ctilde + 1e-6 * (1.0 + abs(self.ctilde))
 
+    def certificates(self) -> dict:
+        """The certificate fields that ``bound``, ``solve`` and ``sweep`` all report."""
+        return {"ctilde": self.ctilde, "rho": self.rho, "eta": self.eta, "sigma0": self.sigma0}
+
+
+# The names of the three entries of each ``SolveResult.trace`` row.
+_TRACE_COLUMNS = ("level", "residual", "residual_weighted")
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -122,7 +130,8 @@ class SolveResult:
     trace: tuple[tuple[float, float, float], ...]
     diagnostics: dict
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """Every field :meth:`to_dict` writes except the trace and the values."""
         grid = self.u.grid
         return {
             "converged": self.converged,
@@ -136,7 +145,12 @@ class SolveResult:
             "grid": dataclasses.asdict(grid),
             "grid_kind": type(grid).__name__,
             "diagnostics": self.diagnostics,
-            "trace_columns": ["level", "residual", "residual_weighted"],
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self.summary(),
+            "trace_columns": list(_TRACE_COLUMNS),
             "trace": [list(row) for row in self.trace],
             "values": self.u.values.tolist(),
         }
@@ -211,9 +225,8 @@ def _slope_crest(slope, best: float, left: float, right: float) -> float:
 
 def _doubling_scan(op, vals: np.ndarray, failure: str, rho: float = 0.0) -> float:
     """Smallest ``sigma = 2^k <= 2^60`` with ``I(sigma vals) < 0`` and ``||sigma vals||_X > rho``."""
-    span = _support(vals)
     sigma = 1.0
-    while not (op.energy(sigma * vals, span) < 0.0 and op.xnorm(sigma * vals) > rho):
+    while not ((trial := _node(op, sigma * vals)).energy < 0.0 and trial.xnorm > rho):
         sigma *= 2.0
         if sigma > 2.0**60:
             raise GeometryError(failure)
@@ -621,17 +634,15 @@ def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.nd
     return first + second
 
 
-def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: GridFunction | None) -> SolveResult:
+def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | None) -> SolveResult:
     """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
 
-    The path starts straight, or through ``guess`` when one is given.
+    The path starts straight, or through the values ``guess`` when given.
     """
     if guess is None:
         nodes = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)]
     else:
-        if guess.grid != op.spec.grid:
-            raise DomainError("initial guess does not live on the spec's grid")
-        nodes = _warm_nodes(e_vals, guess.values, config.path_nodes)
+        nodes = _warm_nodes(e_vals, guess, config.path_nodes)
     nodes[0] = np.zeros_like(e_vals)
     nodes[-1] = e_vals.copy()
 
@@ -745,9 +756,8 @@ def mpa_solve(
     """Min-max solve on the line; see the module docstring for the algorithm."""
     if config is None:
         config = MpaConfig()
-    if setup.e.grid != spec.grid:
-        raise DomainError("setup endpoint does not live on the spec's grid")
-    run = _run_path(_operator(spec), setup.e.values, config, initial_guess)
+    guess = None if initial_guess is None else _values(initial_guess, spec)
+    run = _run_path(_operator(spec), _values(setup.e, spec), config, guess)
     run = _check_level(run, *setup.level_bracket, f"at lambda={spec.lam:g}")
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.

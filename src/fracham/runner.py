@@ -29,7 +29,7 @@ from .errors import (
 )
 from .functional import IntervalProblemSpec, ProblemSpec, _chunks, _identity_terms, _operator
 from .grids import GridFunction, IntervalGrid, RealLineGrid
-from .mpa import MpaConfig, SolveResult, bvp_solve, construct_e, mpa_solve
+from .mpa import _TRACE_COLUMNS, MpaConfig, SolveResult, bvp_solve, construct_e, mpa_solve
 from .problem import validate_nonlinearity, validate_potential
 from .spaces import (
     _WELL_POINTS,
@@ -218,18 +218,11 @@ def lambda_sweep(
         result = mpa_solve(spec, setup, mpa_config, initial_guess=guess)
         record = {
             "lambda": lam,
-            "level": result.level,
-            "residual": result.residual,
-            "residual_weighted": result.residual_weighted,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "norm_x": result.norm_x,
+            **result.summary(),
             "tail_mass_ratio": tail_mass_ratio(result.u, varrho),
             "dist_to_bvp_h_alpha": dist_h_alpha(result.u, bvp_ref.u, base_spec.alpha),
-            "edge_to_peak": result.diagnostics["edge_to_peak"],
-            "counters": dict(result.diagnostics["counters"]),
+            **_c6_record(result.u, spec),
         }
-        record.update(_c6_record(result.u, spec))
         record["identity_ok"] = record["identity_gap"] <= 1e-6 * (1.0 + abs(result.level))
         if result.converged:
             prev_u = result.u
@@ -253,13 +246,10 @@ def lambda_sweep(
     observed = next((r["lambda"] for r in converged if r["c6_ok"] and r["identity_ok"]), None)
 
     return SweepReport(
+        **setup.certificates(),
         records=records,
         bvp_reference=bvp_ref,
         bvp_el_residual=bvp_el,
-        ctilde=setup.ctilde,
-        rho=setup.rho,
-        eta=setup.eta,
-        sigma0=setup.sigma0,
         lambda_floor=constants.lambda_floor,
         alignment_error=max(base_spec.grid.spacing, ispec.grid.spacing),
         observed_admissible_lambda=observed,
@@ -470,10 +460,10 @@ def write_solve_outputs(outdir: str, result: SolveResult, extras: dict) -> dict:
         "t": result.u.grid.nodes.tolist(),
         "abs_u": result.u.euclidean_magnitude().tolist(),
     })
-    trace = np.reshape(np.asarray(result.trace, dtype=float), (-1, 3))
+    trace = np.reshape(np.asarray(result.trace, dtype=float), (-1, len(_TRACE_COLUMNS)))
     trace_path = _write_csv(os.path.join(outdir, "trace.csv"), {
         "iteration": list(range(1, len(trace) + 1)),
-        **dict(zip(("level", "residual", "residual_weighted"), trace.T.tolist())),
+        **dict(zip(_TRACE_COLUMNS, trace.T.tolist())),
     })
     return {"result": result_path, "u": u_path, "trace": trace_path}
 

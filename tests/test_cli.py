@@ -501,6 +501,20 @@ def test_bound_matches_library_geometry(tmp_path, capsys, setup, ctilde, constan
     assert payload["constants"]["lambda_floor"] == constants.lambda_floor
 
 
+def test_commands_report_the_same_certificates(tmp_path, capsys):
+    """``bound``, ``solve`` and ``sweep`` write one setup's ``ctilde``, ``rho``, ``eta``, ``sigma0``."""
+    runs = {"bound.json": ["bound"], "result.json": ["solve", "--lambda", "10"],
+            "report.json": ["sweep", "--lambdas", "1,10"]}
+    found = []
+    for name, argv in runs.items():
+        out = tmp_path / name.split(".")[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        payload = _read_json(out / name)
+        found.append({key: payload[key] for key in ("ctilde", "rho", "eta", "sigma0")})
+    capsys.readouterr()
+    assert found[0] == found[1] == found[2]
+
+
 def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
     """``bound`` takes C_inf from the extremal profile: no random draw, a few FFTs."""
     draws, ffts = [], []

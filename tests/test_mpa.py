@@ -510,12 +510,19 @@ def test_oscillatory_weight_raises_the_barrier(osc_spec, osc_solve):
 
 
 def test_solver_grid_mismatch_is_rejected(spec10, setup):
+    """A setup or a warm guess off the spec's grid, or with another component count, is rejected."""
     coarse = RealLineGrid(20.0, 1024)
     other_spec = dataclasses.replace(spec10, grid=coarse)
     with pytest.raises(DomainError):
         mpa_solve(other_spec, setup)
     with pytest.raises(DomainError):
         mpa_solve(spec10, setup, initial_guess=GridFunction(coarse, np.zeros(1024)))
+    two = np.pad(setup.e.values, ((0, 0), (0, 1)))  # the endpoint with a zero second component
+    pair = dataclasses.replace(setup, e=GridFunction(spec10.grid, two))
+    with pytest.raises(DomainError, match="components"):
+        mpa_solve(spec10, pair)
+    with pytest.raises(DomainError, match="components"):
+        mpa_solve(dataclasses.replace(spec10, n=2), pair, initial_guess=setup.e)
 
 
 def test_interval_solve_keeps_dirichlet_data(bvp_result, interval_spec):
@@ -862,7 +869,7 @@ def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, mo
 
 def test_default_sweep_scan_budget(sweep_report):
     """Most segment measurements of a default sweep are certified monotone, not scanned."""
-    runs = [rec["counters"] for rec in sweep_report.records]
+    runs = [rec["diagnostics"]["counters"] for rec in sweep_report.records]
     runs.append(sweep_report.bvp_reference.diagnostics["counters"])
     segments = sum(c["segments"] for c in runs)
     scans = sum(c["segment_scans"] for c in runs)
@@ -972,13 +979,13 @@ def _energy_call_scopes() -> set[str]:
 
 
 def test_a_path_point_has_one_evaluator():
-    """``_node(op, x)`` alone evaluates a path point; only the doubling scan calls ``op.energy``.
+    """``_node(op, x)`` alone evaluates a path point or a doubling-scan trial in ``mpa``.
 
     Every crest, descent candidate and polished point becomes a node once,
     and every later use reads that node, so no second evaluation has to
     reproduce its energy bit for bit.
     """
-    assert _energy_call_scopes() == {"_doubling_scan"}
+    assert _energy_call_scopes() == set()
     assert list(inspect.signature(mpa._node).parameters) == ["op", "x"]
 
 
@@ -1032,7 +1039,7 @@ def test_segment_measurements_skip_exact_zeros(spec10, constants, monkeypatch):
 
 def test_edge_to_peak_is_recorded_without_warning(default_solve, sweep_report, tmp_path, capsys):
     assert 0.0 < default_solve.diagnostics["edge_to_peak"] < 1e-3
-    assert all(0.0 < rec["edge_to_peak"] < 1e-3 for rec in sweep_report.records)
+    assert all(0.0 < rec["diagnostics"]["edge_to_peak"] < 1e-3 for rec in sweep_report.records)
     out = tmp_path / "run"
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"embedding": {"samples": 200}}), encoding="utf-8")

@@ -1,11 +1,14 @@
 """One owner per shared decision, checked on the package source.
 
 Each decision here was once written in two places that drifted apart: the
-well problem, the underflow-safe power, ``kappa_p`` and the ladder rule.
+well problem, the underflow-safe power, ``kappa_p``, the ladder rule, a
+sweep record's solve fields and the certificate block.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 import fracham
 
@@ -65,13 +68,44 @@ def test_the_underflow_safe_power_is_defined_once():
 
 
 def test_kappa_p_is_written_once():
-    """``estimate_rho_eta`` takes ``kappa_p^-p`` from the constants, not from its own formula."""
+    """``estimate_rho_eta`` takes ``kappa_p^-p`` from the constants, not from its own formula.
+
+    ``verify``'s ``_line_ratios`` reads the same value, so it checks the
+    ``kappa_p^p`` of the geometry certificate bit for bit.
+    """
     body = _function("mpa", "estimate_rho_eta")
     powers = [node for node in ast.walk(body)
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
               and _named(node.left, "theta")]
     assert powers == []
     assert any(_named(node, "kappa_neg_power") for node in ast.walk(body))
+    callees = {node.func.attr for node in ast.walk(_function("spaces", "_line_ratios"))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "kappa_neg_power" in callees and "kappa" not in callees
+
+
+def _attributes_of_call(body: ast.FunctionDef, callee: str) -> set[str]:
+    """Attributes read in ``body`` off the names bound to the value of a call to ``callee``."""
+    bound = {target.id for node in ast.walk(body) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and _named(node.value.func, callee)
+             for target in node.targets if isinstance(target, ast.Name)}
+    assert bound, callee
+    return {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in bound}
+
+
+def test_sweep_records_take_the_solve_summary():
+    """A sweep record copies no ``SolveResult`` field by name; ``summary`` owns them."""
+    reads = _attributes_of_call(_function("runner", "lambda_sweep"), "mpa_solve")
+    assert "summary" in reads and reads <= {"u", "converged", "level", "summary"}
+
+
+@pytest.mark.parametrize("module, name", [("cli", "_certificates"), ("runner", "lambda_sweep")])
+def test_certificates_come_from_the_setup(module, name):
+    """The certificate block is ``MountainPassSetup.certificates``, not four names."""
+    reads = _attributes_of_call(_function(module, name), "construct_e")
+    assert "certificates" in reads
+    assert reads.isdisjoint({"ctilde", "rho", "eta", "sigma0"})
 
 
 def test_parse_lambdas_raises_only_on_a_parse_error():

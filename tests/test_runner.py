@@ -271,7 +271,8 @@ def test_sweep_report_structure(sweep_report, constants, ctilde):
     for r in recs:
         assert sweep_report.eta - 1e-9 <= r["level"] <= sweep_report.ctilde + 1e-9
         assert r["identity_ok"] and r["c6_ok"]
-        assert r["counters"]["newton_steps"] >= 0 and r["counters"]["inserted"] >= 0
+        counters = r["diagnostics"]["counters"]
+        assert counters["newton_steps"] >= 0 and counters["inserted"] >= 0
     assert sweep_report.observed_admissible_lambda == 1.0
     assert sweep_report.lambda_floor == constants.lambda_floor
     assert abs(sweep_report.ctilde - ctilde) < 1e-12 * ctilde
@@ -280,7 +281,8 @@ def test_sweep_report_structure(sweep_report, constants, ctilde):
     payload = sweep_report.to_dict()
     decoded = json.loads(canonical_json(payload))
     assert decoded["rho"] == sweep_report.rho
-    assert [r["counters"] for r in decoded["records"]] == [r["counters"] for r in recs]
+    assert [r["diagnostics"]["counters"] for r in decoded["records"]] == [
+        r["diagnostics"]["counters"] for r in recs]
 
 
 def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve, bvp_result):
@@ -290,7 +292,9 @@ def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve
     assert rec["level"] == default_solve.level
     assert rec["iterations"] == default_solve.iterations
     assert rec["residual"] == default_solve.residual
-    assert rec["counters"] == default_solve.diagnostics["counters"]
+    assert rec["diagnostics"]["counters"] == default_solve.diagnostics["counters"]
+    assert rec["diagnostics"] == default_solve.diagnostics
+    assert rec.keys().isdisjoint({"values", "trace", "trace_columns"})
     assert rec["identity_gap"] == h_identity(default_solve.u, spec10)[2]
     assert rep.bvp_reference.level == bvp_result.level
 

@@ -276,7 +276,7 @@ def _reference_embeddings(samples, spec, constants, seed):
         if nx > 0.0:
             yield "l2sq_le_inv_theta_xnormsq", l2sq * constants.theta / nx**2
             yield "alphasq_le_equiv_xnormsq", na**2 / ((1.0 + 1.0 / constants.theta) * nx**2)
-            yield "lp_le_kappa_xnorm", lppow / (constants.kappa(p) ** p * nx**p)
+            yield "lp_le_kappa_xnorm", lppow / (1.0 / constants.kappa_neg_power(p) * nx**p)
         if sup > 0.0 and l2sq > 0.0:
             yield "interp_lp_le_sup_l2", lppow / (sup ** (p - 2.0) * l2sq)
 
