@@ -66,7 +66,11 @@ _STEP_FLOOR = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class MpaConfig:
-    """Solver knobs; defaults match the shipped problem sizes."""
+    """Solver knobs; defaults match the shipped problem sizes.
+
+    ``path_nodes`` is the node count of the straight cold path only; a warm
+    start begins on the three nodes ``0 -> guess -> e``.
+    """
 
     path_nodes: int = 21
     tol: float = 1e-6
@@ -624,29 +628,17 @@ class _PathEngine:
         return False
 
 
-def _warm_nodes(e_vals: np.ndarray, guess: np.ndarray, count: int) -> list[np.ndarray]:
-    """Polyline through a previous solution: 0 -> guess -> e."""
-    half = max(count // 2, 2)
-    first = [w * guess for w in np.linspace(0.0, 1.0, half + 1)]
-    second = [
-        guess + w * (e_vals - guess) for w in np.linspace(0.0, 1.0, count - half)[1:]
-    ]
-    return first + second
-
-
 def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | None) -> SolveResult:
     """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
 
-    The path starts straight, or through the values ``guess`` when given.
+    The path starts straight on ``config.path_nodes`` nodes, or as
+    ``0 -> guess -> e`` when the values ``guess`` are given.
     """
     if guess is None:
-        nodes = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)]
+        inner = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
     else:
-        nodes = _warm_nodes(e_vals, guess, config.path_nodes)
-    nodes[0] = np.zeros_like(e_vals)
-    nodes[-1] = e_vals.copy()
-
-    engine = _PathEngine(op, nodes, config)
+        inner = [guess]
+    engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()], config)
     engine.refine_to_crest()
     e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)

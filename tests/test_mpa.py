@@ -493,11 +493,26 @@ def test_solution_satisfies_defect_identity(default_solve, spec10):
     assert gap <= 1e-6 * (1.0 + abs(lhs))
 
 
-def test_warm_start_reuses_the_solution(spec10, setup, default_solve):
-    warm = mpa_solve(spec10, setup, initial_guess=default_solve.u)
+@pytest.mark.parametrize("config", [MpaConfig(), MpaConfig(path_nodes=3, max_path_nodes=3)],
+                         ids=["default", "three_nodes"])
+def test_warm_start_reuses_the_solution(spec10, setup, default_solve, config, monkeypatch):
+    """A warm start begins on ``0 -> guess -> e`` whatever ``path_nodes`` is, and keeps the guess."""
+    starts = []
+
+    class Recorded(mpa._PathEngine):
+        def __init__(self, op, nodes, config):
+            starts.append(nodes)
+            super().__init__(op, nodes, config)
+
+    monkeypatch.setattr(mpa, "_PathEngine", Recorded)
+    warm = mpa_solve(spec10, setup, config, initial_guess=default_solve.u)
+    [nodes] = starts
+    assert len(nodes) == 3 and not np.any(nodes[0])
+    assert np.array_equal(nodes[1], default_solve.u.values)
+    assert np.array_equal(nodes[2], setup.e.values)
     assert warm.converged is True
-    assert warm.iterations <= default_solve.iterations
-    assert abs(warm.level - default_solve.level) < 1e-6 * default_solve.level
+    assert warm.iterations <= 2
+    assert abs(warm.level - default_solve.level) <= 1e-12 * abs(default_solve.level)
 
 
 def test_oscillatory_weight_raises_the_barrier(osc_spec, osc_solve):

@@ -2,7 +2,8 @@
 
 Each decision here was once written in two places that drifted apart: the
 well problem, the underflow-safe power, ``kappa_p``, the ladder rule, a
-sweep record's solve fields and the certificate block.
+sweep record's solve fields, the certificate block and the starting path
+of a solve, cold or warm.
 """
 
 import ast
@@ -65,6 +66,12 @@ def test_the_well_problem_is_built_only_from_the_line_problem():
 def test_the_underflow_safe_power_is_defined_once():
     defs = _scopes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_power")
     assert defs == {("problem", "")}
+
+
+def test_every_starting_path_is_built_in_run_path():
+    """The straight cold path and the warm ``0 -> guess -> e`` are built in one place."""
+    calls = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_PathEngine"))
+    assert calls == {("mpa", "_run_path")}
 
 
 def test_kappa_p_is_written_once():

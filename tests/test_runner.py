@@ -12,12 +12,14 @@ import pytest
 from fracham import (
     GridFunction,
     IntervalGrid,
+    RealLineGrid,
     bvp_el_residual,
     bvp_solve,
     construct_e,
     derivative_action,
     dist_h_alpha,
     energy,
+    estimate_embedding_constants,
     lambda_sweep,
     mpa_solve,
     run_verification_campaign,
@@ -37,6 +39,7 @@ from fracham.runner import (
     write_sweep_csv,
 )
 from fracham.spaces import norm_h_alpha, sample_interval_function
+from test_mpa import _solve_vector_spec
 
 
 def test_tail_mass_ratio_constructed_cases(line_grid):
@@ -297,6 +300,28 @@ def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve
     assert rec.keys().isdisjoint({"values", "trace", "trace_columns"})
     assert rec["identity_gap"] == h_identity(default_solve.u, spec10)[2]
     assert rep.bvp_reference.level == bvp_result.level
+
+
+def test_warm_and_cold_ladders_agree(spec10, constants, sweep_report, potential):
+    """Warm rungs reach the cold rungs' levels and measure at most half their segments.
+
+    Covers the default family and the solve-vector family on ``N = 1024``.
+    """
+    grid = RealLineGrid(20.0, 1024)
+    vector = _solve_vector_spec(grid, potential)
+    vector_constants = estimate_embedding_constants(grid, vector.alpha, vector.potential)
+    lams = [1.0, 10.0, 100.0, 1000.0]
+    pairs = [(sweep_report, lambda_sweep(spec10, lams, constants=constants, cold=True))]
+    pairs.append(tuple(lambda_sweep(vector, lams, constants=vector_constants, cold=cold)
+                       for cold in (False, True)))
+    for warm, cold in pairs:
+        assert [r["lambda"] for r in warm.records] == [r["lambda"] for r in cold.records] == lams
+        for w, c in zip(warm.records, cold.records):
+            assert w["converged"] and c["converged"]
+            assert abs(w["level"] - c["level"]) <= 1e-13 * abs(c["level"])
+        for w, c in zip(warm.records[1:], cold.records[1:]):
+            segments = [r["diagnostics"]["counters"]["segments"] for r in (w, c)]
+            assert 2 * segments[0] <= segments[1], segments
 
 
 def test_ladder_validation(spec10, constants):
