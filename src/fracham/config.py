@@ -73,15 +73,17 @@ DEFAULT_CONFIG: dict = {
 _NULLABLE = frozenset({"problem.nonlinearity.c0"})
 
 # Schema v1 keys that change nothing.  A document may still set each to a
-# value v1 accepted (any integer for ``embedding.samples``, the one value
-# shown for the others); the merge checks it and drops it.
+# value v1 accepted (any integer for the two counts, the one value shown for
+# the others); the merge checks it and drops it.
 _RETIRED = {
     "embedding.samples": 10000,
+    "mpa.max_path_nodes": 81,
     "mpa.step_rule": "armijo",
     "mpa.metric": "x-alpha-lambda",
     "mpa.polish": True,
     "mpa.restarts": 0,
 }
+_RETIRED_COUNTS = frozenset({"embedding.samples", "mpa.max_path_nodes"})
 
 
 def _kind(value) -> str | None:
@@ -132,7 +134,7 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if where in _RETIRED:
             legal = _RETIRED[where]
-            if _leaf(where, legal, value) != legal and where != "embedding.samples":
+            if _leaf(where, legal, value) != legal and where not in _RETIRED_COUNTS:
                 raise ConfigError(f"{where} must be {legal!r}, got {value!r}")
         elif key not in base:
             raise ConfigError(f"unknown config key {where!r}")

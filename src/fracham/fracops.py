@@ -39,7 +39,6 @@ __all__ = [
     "liouville_weyl_left",
     "quadratic_form_alpha",
     "gl_matrix",
-    "interval_stiffness",
 ]
 
 
@@ -175,25 +174,3 @@ def gl_matrix(grid: IntervalGrid, alpha: float) -> np.ndarray:
     b = _gl_toeplitz(_check_order(alpha), grid.num_points, grid.spacing ** (-alpha))
     b.setflags(write=False)
     return b
-
-
-@functools.lru_cache(maxsize=None)
-def interval_stiffness(grid: IntervalGrid, alpha: float) -> np.ndarray:
-    """Interior block of the composed operator matrix ``h * B^T B``.
-
-    For Dirichlet functions the full quadratic form ``u^T (h B^T B) u`` equals
-    ``h * ||B u||^2``, the discrete squared ``L^2`` norm of the GL derivative;
-    restricting to interior degrees of freedom folds in the boundary
-    conditions.  The block is symmetric positive definite.
-
-    No solver path forms this matrix: the interval operator applies it as two
-    GL matvecs and inverts it in closed form.  It is the dense reference the
-    tests compare against.
-    """
-    b = gl_matrix(grid, alpha)
-    a = grid.spacing * (b.T @ b)
-    a = a[1:-1, 1:-1].copy()
-    a = 0.5 * (a + a.T)
-    a.setflags(write=False)
-    return a
-

@@ -6,8 +6,7 @@ README's overview gives the full account of the geometry, the segment
 measurement, the Newton polish and the reported node.  Each iteration:
 
 1. selects the crest: a segment maximum above every node energy is
-   inserted as a node, after pruning a low node at ``max_path_nodes``;
-   otherwise the highest interior node;
+   inserted as a node; otherwise the highest interior node;
 2. stops when the crest's weighted residual ``(1 + ||u||_X) ||I'(u)||`` is
    at most ``tol``;
 3. otherwise polishes the crest by damped Newton once that residual is
@@ -16,7 +15,9 @@ measurement, the Newton polish and the reported node.  Each iteration:
    rising.
 
 A solve is one run, from ``0 -> e`` or, warm-started on the line,
-``0 -> guess -> e``.
+``0 -> guess -> e``.  No node ever leaves the path and each iteration
+inserts at most one, so a path holds at most its starting nodes, the crests
+of its opening refinement and ``max_iters`` more.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class MpaConfig:
     path_nodes: int = 21
     tol: float = 1e-6
     max_iters: int = 400
-    max_path_nodes: int = 81
 
     def __post_init__(self):
         if self.path_nodes < 3:
@@ -83,8 +83,6 @@ class MpaConfig:
                 f"a path needs at least 3 nodes (two frozen endpoints plus one "
                 f"movable interior node), got {self.path_nodes}"
             )
-        if self.max_path_nodes < self.path_nodes:
-            raise ConfigError("max_path_nodes must be >= path_nodes")
         if not (0 < self.tol < 1):
             raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iters < 1:
@@ -523,17 +521,15 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
 class _PathEngine:
     """Polyline of immutable :class:`_Node` records with measured segment maxima.
 
-    Nodes enter through ``insert`` and ``replace_node`` only, and the two
-    endpoints never change.
+    Nodes enter through ``insert`` and ``replace_node`` only, none leaves,
+    and the two endpoints never change.
     """
 
-    def __init__(self, op, nodes: list[np.ndarray], config: MpaConfig):
+    def __init__(self, op, nodes: list[np.ndarray]):
         self.op = op
-        self.config = config
         self.nodes = [_node(op, x) for x in nodes]
         self.counters = {
             "inserted": 0,
-            "pruned": 0,
             "step_rejections": 0,
             "guard_rejections": 0,
             "polish_accepted": 0,
@@ -574,42 +570,26 @@ class _PathEngine:
         self.counters["inserted"] += 1
         return j + 1
 
-    def try_prune(self, protected: set[int]) -> bool:
-        """Drop one low interior node whose removal keeps the path maximum in check."""
-        level, energies = self.level(), self.energies
-        interior = (k for k in range(1, len(self.nodes) - 1) if k not in protected)
-        for k in sorted(interior, key=energies.__getitem__):
-            bridge = self._measure(k - 1, k + 1)
-            if max(bridge.value, energies[k - 1], energies[k + 1]) <= level:
-                del self.nodes[k], self.segments[k]
-                self.segments[k - 1] = bridge
-                self.counters["pruned"] += 1
-                return True
-        return False
-
     def refine_to_crest(self):
-        """Insert segment crests until no interior exceeds the node maximum."""
-        while len(self.nodes) < self.config.max_path_nodes:
-            j = self._top_segment()
-            if self.segments[j].value <= max(self.energies):
-                return
+        """Insert segment crests until no segment rises above the node maximum.
+
+        The passes end: each inserts the crest of a sub-segment it has already
+        measured, strictly higher than every node and on the path it was
+        given, so the node maximum climbs to that path's maximum.
+        """
+        while self.segments[j := self._top_segment()].value > max(self.energies):
             self.insert(j)
 
     def crest(self) -> int:
         """The interior node to work on.
 
-        A segment maximum above every node energy is inserted as a node, after
-        pruning a low node if the path is at its cap; otherwise, or if no room
-        is made, the highest interior node (smallest index on ties).  The
-        frozen endpoints are never chosen.
+        The top segment's crest is inserted as a node if it lies above every
+        node energy; otherwise the highest interior node is chosen (smallest
+        index on ties).  The frozen endpoints are never chosen.
         """
-        cap = self.config.max_path_nodes
         j = self._top_segment()
         if self.segments[j].value > max(self.energies):
-            if len(self.nodes) >= cap and self.try_prune({j, j + 1}):
-                j = self._top_segment()
-            if len(self.nodes) < cap and self.segments[j].value > max(self.energies):
-                return self.insert(j)
+            return self.insert(j)
         return 1 + int(np.argmax(self.energies[1:-1]))
 
     def replace_node(self, k: int, node: _Node, guard_level: float) -> bool:
@@ -638,7 +618,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
         inner = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
     else:
         inner = [guess]
-    engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()], config)
+    engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
     engine.refine_to_crest()
     e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)

@@ -446,8 +446,10 @@ def validate_nonlinearity(
             "witness": None if ok else {"t": float(tpts[i]), "u": U[i].tolist()},
         }
 
-    # Superquadratic growth: W/|u|^2 must climb across decades.
-    r_big = np.logspace(math.log10(max(spec.radius, 1e-3)), 3, 301)
+    # Superquadratic growth: W/|u|^2 must climb across decades.  Both grids
+    # beyond the radius end three decades past it, and at 1e3 at the least.
+    r_end = 3.0 + math.log10(max(spec.radius, 1.0))
+    r_big = np.logspace(math.log10(max(spec.radius, 1e-3)), r_end, 301)
     growth = spec.weight_min * _radial_value(spec, r_big) / r_big**2
     g_trend_ok, g_trend = _decade_trend(r_big, growth, increasing=True)
     g_ratio_ok = bool(growth[-1] >= 100.0 * max(growth[0], 1e-300))
@@ -470,7 +472,7 @@ def validate_nonlinearity(
             "witness": {"reason": "H vanishes identically at p = 2; no finite constant exists"},
         }
     else:
-        r_def = np.logspace(math.log10(spec.radius), 3, 400)
+        r_def = np.logspace(math.log10(spec.radius), r_end, 400)
         slope = _radial_slope_factor(spec, r_def) * r_def
         hvals = 0.5 * slope * r_def - _radial_value(spec, r_def)
         ratio = spec.weight_max ** (sigma - 1.0) * slope**sigma / (hvals * r_def**sigma)

@@ -2,11 +2,14 @@
 
 The expensive objects (embedding constants, geometry, the default solve, the
 interval reference, the four-rung sweep) are session-scoped so every test
-module reuses the same computation.
+module reuses the same computation.  ``interval_stiffness`` gives the dense
+matrix that the interval operator's matrix-free products are tested against.
 """
 
+import functools
 import re
 
+import numpy as np
 import pytest
 
 from fracham import (
@@ -24,6 +27,7 @@ from fracham import (
     lambda_sweep,
     mpa_solve,
 )
+from fracham.fracops import gl_matrix
 from fracham.problem import default_oscillatory
 
 SEED = 20260816
@@ -106,6 +110,33 @@ def osc_solve(osc_spec, constants):
 @pytest.fixture(scope="session")
 def sweep_report(spec10, constants):
     return lambda_sweep(spec10, [1.0, 10.0, 100.0, 1000.0], constants=constants)
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_stiffness(grid: IntervalGrid, alpha: float) -> np.ndarray:
+    """Interior block of the composed operator matrix ``h * B^T B``.
+
+    For Dirichlet functions the full quadratic form ``u^T (h B^T B) u`` equals
+    ``h * ||B u||^2``, the discrete squared ``L^2`` norm of the GL derivative;
+    restricting to interior degrees of freedom folds in the boundary
+    conditions.  The block is symmetric positive definite.
+
+    No solver path forms this matrix: the interval operator applies it as two
+    GL matvecs and inverts it in closed form.  This is the dense reference
+    the tests compare against.
+    """
+    b = gl_matrix(grid, alpha)
+    a = grid.spacing * (b.T @ b)
+    a = a[1:-1, 1:-1].copy()
+    a = 0.5 * (a + a.T)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.fixture(scope="session")
+def interval_stiffness():
+    """The dense reference ``(grid, alpha) -> h B^T B`` on the interior nodes."""
+    return _interval_stiffness
 
 
 _CRITERION_ID = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

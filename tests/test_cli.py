@@ -140,6 +140,7 @@ def test_unknown_config_key(tmp_path, capsys):
          "problem.potential"),
         (["bvp", "--config", {"problem": {"nonlinearity": {"epsilon": 0.5}}}],
          "problem.nonlinearity"),
+        ({"mpa": {"max_path_nodes": "abc"}}, "mpa.max_path_nodes"),
     ],
 )
 def test_malformed_config_value_exits_two(tmp_path, capsys, override, key):
@@ -215,7 +216,7 @@ def _bound_bytes_match_default(tmp_path, capsys, payload):
 
 
 def test_single_value_keys_at_their_defaults_change_nothing(tmp_path, capsys):
-    """The four retired ``mpa`` keys at their one v1 value change nothing, hash included."""
+    """The four single-value retired ``mpa`` keys at their v1 value change nothing, hash included."""
     _bound_bytes_match_default(tmp_path, capsys, {
         "mpa": {"step_rule": "armijo", "metric": "x-alpha-lambda", "polish": True, "restarts": 0},
     })
@@ -224,6 +225,11 @@ def test_single_value_keys_at_their_defaults_change_nothing(tmp_path, capsys):
 def test_embedding_samples_is_inert(tmp_path, capsys):
     """The retired ``embedding.samples`` is dropped on load: same ``bound.json``, hash included."""
     _bound_bytes_match_default(tmp_path, capsys, {"embedding": {"samples": 30}})
+
+
+def test_max_path_nodes_is_inert(tmp_path, capsys):
+    """The retired node cap ``mpa.max_path_nodes`` loads any integer and drops it, hash included."""
+    _bound_bytes_match_default(tmp_path, capsys, {"mpa": {"max_path_nodes": 5}})
 
 
 @pytest.mark.parametrize("path, builder, cls", [

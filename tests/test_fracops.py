@@ -17,12 +17,7 @@ from fracham import (
 )
 from fracham import fracops
 from fracham.errors import DomainError
-from fracham.fracops import (
-    BoundaryDecayWarning,
-    check_boundary_decay,
-    gl_matrix,
-    interval_stiffness,
-)
+from fracham.fracops import BoundaryDecayWarning, check_boundary_decay, gl_matrix
 from fracham.spaces import norm_h_alpha
 
 # Independently computed reference values for the left-sided derivative of
@@ -176,7 +171,7 @@ def test_grunwald_power_function_closed_form():
     assert rel < 5e-2
 
 
-def test_three_node_stiffness_closed_form():
+def test_three_node_stiffness_closed_form(interval_stiffness):
     """One interior degree of freedom: the block is h^(1-2a) (1 + a^2)."""
     ig = IntervalGrid(0.0, 1.0, 3)
     for alpha in (0.55, 0.75, 0.9):
@@ -186,7 +181,7 @@ def test_three_node_stiffness_closed_form():
         assert abs(a[0, 0] - expected) / expected < 1e-13
 
 
-def test_interval_stiffness_is_spd():
+def test_interval_stiffness_is_spd(interval_stiffness):
     ig = IntervalGrid(-0.4, 0.4, 65)
     a = interval_stiffness(ig, 0.75)
     assert np.max(np.abs(a - a.T)) == 0.0
@@ -236,10 +231,9 @@ def _gl_matrix_references() -> set[tuple[str, str]]:
 
 
 def test_gl_matrix_has_one_runtime_owner():
-    """Only the interval operator applies ``B`` at run time; ``interval_stiffness`` is the test reference."""
+    """Only the interval operator applies ``B`` at run time."""
     assert _gl_matrix_references() == {
         ("fracops", "gl_matrix"),
-        ("fracops", "interval_stiffness"),
         ("functional", "<import>"),
         ("functional", "_IntervalOperator.__init__"),
     }

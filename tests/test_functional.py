@@ -26,7 +26,7 @@ from fracham import (
 )
 from fracham import functional
 from fracham.errors import ConvergenceError, DomainError
-from fracham.fracops import gl_matrix, interval_stiffness
+from fracham.fracops import gl_matrix
 from fracham.problem import (
     PotentialSpec,
     _magnitude,
@@ -233,7 +233,7 @@ def test_metric_solve_checks_its_residual(spec10, monkeypatch):
         gradient_rep(u, spec)
 
 
-def test_interval_metric_solve_checks_its_residual(interval_spec, monkeypatch):
+def test_interval_metric_solve_checks_its_residual(interval_spec, interval_stiffness, monkeypatch):
     """The interval's stiffness solve is checked like the line's, and hands back ``A g``."""
     op = functional._operator(interval_spec)
     rhs = np.random.default_rng(3).normal(size=(interval_spec.grid.num_points - 2, 1))
@@ -258,7 +258,7 @@ def _well_spec(alpha, num_points):
 
 
 @pytest.mark.parametrize("alpha, num_points", _CLOSED_FORM_CASES)
-def test_closed_form_interval_solve_matches_dense(alpha, num_points):
+def test_closed_form_interval_solve_matches_dense(alpha, num_points, interval_stiffness):
     """The closed-form stiffness inverse agrees with a dense solve of ``h B^T B``.
 
     Both solves leave a small residual in the dense matrix; they differ by
@@ -324,7 +324,7 @@ def test_minres_matches_scipy(shape, maxiter):
         assert np.linalg.norm(hmat @ x.ravel() - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
-def test_metric_bound_is_an_upper_bound(spec10, interval_spec):
+def test_metric_bound_is_an_upper_bound(spec10, interval_spec, interval_stiffness):
     """``metric_bound`` bounds the metric's 2-norm, and the top Fourier mode nearly attains it.
 
     The Newton polish stops at ``eps * metric_bound * |u|``, so the bound
@@ -358,7 +358,7 @@ def test_metric_bound_is_an_upper_bound(spec10, interval_spec):
     ],
     ids=["n1-scalar-pure_power", "n2-diagonal-oscillatory"],
 )
-def test_operator_layer(n, potential, nonlinearity):
+def test_operator_layer(n, potential, nonlinearity, interval_stiffness):
     """Batched rows match single evaluations bit for bit; forms and gradients agree.
 
     The operator's cached weight gives the bits of the per-call ``W`` kernels.
@@ -483,7 +483,7 @@ def test_interval_defect_identity(interval_spec):
     assert gap <= 1e-10 * (1.0 + abs(lhs))
 
 
-def test_cross_domain_quadratic_forms(line_grid):
+def test_cross_domain_quadratic_forms(line_grid, interval_stiffness):
     """Restricting to the interval loses energy; refinement recovers it from below."""
     alpha = 0.75
     tau = 0.25

@@ -52,13 +52,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MpaConfig(path_nodes=2)
     with pytest.raises(ConfigError):
-        MpaConfig(path_nodes=21, max_path_nodes=5)
-    with pytest.raises(ConfigError):
         MpaConfig(tol=0.0)
     with pytest.raises(ConfigError):
         MpaConfig(tol=1.0)
     fields = [f.name for f in dataclasses.fields(MpaConfig)]
-    assert fields == ["path_nodes", "tol", "max_iters", "max_path_nodes"]
+    assert fields == ["path_nodes", "tol", "max_iters"]
 
 
 def test_sphere_radius_and_floor_closed_form(spec10, constants):
@@ -146,7 +144,7 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
     assert diag["polyline_level"] >= res.level - 1e-12
     assert diag["path_nodes_final"] >= 3
     counters = diag["counters"]
-    for key in ("inserted", "pruned", "step_rejections", "guard_rejections",
+    for key in ("inserted", "step_rejections", "guard_rejections",
                 "polish_accepted", "polish_rejected", "newton_steps", "minres_iterations"):
         assert counters[key] >= 0
     assert counters["segments"] >= counters["segment_scans"] > 0
@@ -355,103 +353,53 @@ def _coarse_line(potential, nonlinearity, lam):
     return spec, construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential))
 
 
-@pytest.mark.parametrize("nonlinearity, lam, max_path_nodes", [
-    (default_nonlinearity(), 10.0, 3),
-    (default_oscillatory(), 1.0, 4),
-], ids=["pure_power", "oscillatory"])
-def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity, lam, max_path_nodes):
-    """A capped path whose interior falls below zero keeps working on an interior node.
+@pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), default_oscillatory()],
+                         ids=["pure_power", "oscillatory"])
+def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity):
+    """Paths started on 3, 4 or 5 nodes converge at the default start's level on an interior node.
 
-    From three nodes with no room to insert, descent takes the interior
-    below the zero endpoint's energy 0, so node 0 holds the top energy with
-    a residual of exactly 0.  Working on it, or reporting it, would declare
-    convergence at a nonpositive level.
+    The path grows a node wherever a segment rises above every node, so
+    the crest is always a node it can work on; a converged endpoint, with
+    the zero node's residual of exactly 0, would report a level outside
+    the bracket.
     """
-    spec, setup = _coarse_line(potential, nonlinearity, lam)
-    config = MpaConfig(path_nodes=3, max_path_nodes=max_path_nodes, max_iters=30)
-    res = mpa_solve(spec, setup, config)
-    assert not res.converged
-    assert res.level < 0.0
-    assert 0 < res.diagnostics["crest_index"] < res.diagnostics["path_nodes_final"] - 1
-    assert res.residual > 0.0
+    for lam in (1.0, 10.0, 100.0):
+        spec, setup = _coarse_line(potential, nonlinearity, lam)
+        reference = mpa_solve(spec, setup).level
+        lo, hi = setup.level_bracket
+        for path_nodes in (3, 4, 5):
+            res = mpa_solve(spec, setup, MpaConfig(path_nodes=path_nodes))
+            diag = res.diagnostics
+            assert res.converged, (lam, path_nodes)
+            assert lo <= res.level <= hi
+            assert abs(res.level - reference) <= 1e-12 * abs(reference)
+            assert diag["polyline_level"] == res.level
+            assert 0 < diag["crest_index"] < diag["path_nodes_final"] - 1
 
 
-def test_segment_from_zero_keeps_its_first_cell_crest(potential, monkeypatch):
+def test_segment_from_zero_keeps_its_first_cell_crest(potential):
     """A crest in the first coarse cell of a segment from ``0`` is found, not clamped to ``0``.
 
     ``E'(0) = 0`` exactly at the zero node, so its slope names no rising
-    side.  On this capped run the crest of the segment ``0 -> node`` moves
-    below ``th = 1/16`` at iteration 9; reporting the end's energy 0 there
-    dropped the path level below ``eta``, which every path from ``0`` to
-    ``e`` must cross.
+    side.  On ``0 -> 16 e`` the ray's crest lies at ``th`` near 0.035,
+    below ``1/16``; reporting the end's energy 0 there would put the
+    segment below ``eta``, which every path from ``0`` to ``e`` must cross.
     """
     spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
-    scans = []
-    energies = mpa._segment_energies
-
-    def scanned(*args, **kwargs):
-        out = energies(*args, **kwargs)
-        scans.append(float(np.max(out)))
-        return out
-
-    monkeypatch.setattr(mpa, "_segment_energies", scanned)
-    measure = mpa._measure_segment
-    checked = []
-
-    def recorded(op, a, b):
-        before = len(scans)
-        seg = measure(op, a, b)
-        if len(scans) > before:
-            assert seg.value >= scans[-1]
-            checked.append(seg.theta)
-        return seg
-
-    monkeypatch.setattr(mpa, "_measure_segment", recorded)
-    res = mpa_solve(spec, setup, MpaConfig(path_nodes=3, max_path_nodes=3, max_iters=12))
-    assert min(checked) < 1.0 / 16.0
-    assert min(level for level, _, _ in res.trace) >= setup.eta
+    op = functional._operator(spec)
+    e = setup.e.values
+    seg = mpa._measure_segment(op, mpa._node(op, np.zeros_like(e)), mpa._node(op, 16.0 * e))
+    assert 0.03 < seg.theta < 1.0 / 16.0
+    assert abs(seg.value - setup.ctilde) <= 1e-12
 
 
-def test_capped_path_prunes_to_the_uncapped_level(potential, monkeypatch):
-    """At the node cap the engine prunes a low node, never raising the path maximum.
-
-    On this run the lowest unprotected interior node can always go.  The
-    capped solve ends at the uncapped solve's level, bit for bit.
-    """
-    spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
-    prune = mpa._PathEngine.try_prune
-    pruned = []
-
-    def checked(self, protected):
-        before, level = list(self.nodes), self.level()
-        ok = prune(self, protected)
-        if ok:
-            assert len(self.nodes) == len(before) - 1 == len(self.segments) + 1
-            assert self.level() <= level
-            (k,) = [k for k, node in enumerate(before) if node not in self.nodes]
-            candidates = [before[j].energy for j in range(1, len(before) - 1) if j not in protected]
-            assert k not in protected and before[k].energy == min(candidates)
-            pruned.append(k)
-        return ok
-
-    monkeypatch.setattr(mpa._PathEngine, "try_prune", checked)
-    capped = mpa_solve(spec, setup, MpaConfig(max_path_nodes=21))
-    monkeypatch.undo()
-    free = mpa_solve(spec, setup)
-    assert capped.converged and free.converged
-    assert len(pruned) == capped.diagnostics["counters"]["pruned"] > 0
-    assert free.diagnostics["counters"]["pruned"] == 0
-    assert capped.diagnostics["path_nodes_final"] <= 21 < free.diagnostics["path_nodes_final"]
-    assert capped.level == free.level
-
-
-def test_guard_rejections_leave_the_path_exactly_as_it_was(potential, monkeypatch):
+def test_guard_rejections_leave_the_path_exactly_as_it_was(spec10, setup, monkeypatch):
     """A rejected ``replace_node`` restores the node and both adjacent segments.
 
-    Five nodes with no room to insert make the guard reject steps until the
-    solve stagnates; the path maximum never rises past the polish slack.
+    The warm ``lambda = 10`` rung of the default sweep has a guard
+    rejection; the path maximum never rises past the polish slack.
     """
-    spec, setup = _coarse_line(potential, default_oscillatory(), 10.0)
+    start = mpa_solve(spec10.with_lambda(1.0), setup)
     replace = mpa._PathEngine.replace_node
     rejected = []
 
@@ -468,9 +416,9 @@ def test_guard_rejections_leave_the_path_exactly_as_it_was(potential, monkeypatc
         return ok
 
     monkeypatch.setattr(mpa._PathEngine, "replace_node", checked)
-    res = mpa_solve(spec, setup, MpaConfig(path_nodes=5, max_path_nodes=5))
+    res = mpa_solve(spec10, setup, initial_guess=start.u)
     assert len(rejected) == res.diagnostics["counters"]["guard_rejections"] > 0
-    assert not res.converged and res.diagnostics["reason"] == "stagnation"
+    assert res.converged
     levels = [row[0] for row in res.trace]
     for earlier, later in zip(levels, levels[1:]):
         assert later <= earlier + 1e-9 * (1.0 + abs(earlier))
@@ -493,16 +441,16 @@ def test_solution_satisfies_defect_identity(default_solve, spec10):
     assert gap <= 1e-6 * (1.0 + abs(lhs))
 
 
-@pytest.mark.parametrize("config", [MpaConfig(), MpaConfig(path_nodes=3, max_path_nodes=3)],
+@pytest.mark.parametrize("config", [MpaConfig(), MpaConfig(path_nodes=3)],
                          ids=["default", "three_nodes"])
 def test_warm_start_reuses_the_solution(spec10, setup, default_solve, config, monkeypatch):
     """A warm start begins on ``0 -> guess -> e`` whatever ``path_nodes`` is, and keeps the guess."""
     starts = []
 
     class Recorded(mpa._PathEngine):
-        def __init__(self, op, nodes, config):
+        def __init__(self, op, nodes):
             starts.append(nodes)
-            super().__init__(op, nodes, config)
+            super().__init__(op, nodes)
 
     monkeypatch.setattr(mpa, "_PathEngine", Recorded)
     warm = mpa_solve(spec10, setup, config, initial_guess=default_solve.u)
@@ -896,7 +844,7 @@ def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
     config = MpaConfig()
     e = setup.e.values
     nodes = [w * e for w in np.linspace(0.0, 1.0, config.path_nodes)]
-    engine = mpa._PathEngine(functional._operator(spec10), nodes, config)
+    engine = mpa._PathEngine(functional._operator(spec10), nodes)
     engine.refine_to_crest()
     assert engine.counters["inserted"] <= 4
     assert max(s.value for s in engine.segments) <= max(node.energy for node in engine.nodes)

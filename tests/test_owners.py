@@ -3,7 +3,8 @@
 Each decision here was once written in two places that drifted apart: the
 well problem, the underflow-safe power, ``kappa_p``, the ladder rule, a
 sweep record's solve fields, the certificate block and the starting path
-of a solve, cold or warm.
+of a solve, cold or warm.  The path engine's one remover of nodes is gone
+too, and stays gone.
 """
 
 import ast
@@ -72,6 +73,25 @@ def test_every_starting_path_is_built_in_run_path():
     """The straight cold path and the warm ``0 -> guess -> e`` are built in one place."""
     calls = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_PathEngine"))
     assert calls == {("mpa", "_run_path")}
+
+
+def _removes_a_node(node) -> bool:
+    """A ``del`` of ``nodes`` or an item of it, or a ``pop``, ``remove`` or ``clear`` on it."""
+    if isinstance(node, ast.Delete):
+        return any(_named(target, "nodes") or (isinstance(target, ast.Subscript)
+                                                and _named(target.value, "nodes"))
+                   for target in node.targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"pop", "remove", "clear"} and _named(node.func.value, "nodes"))
+
+
+def test_no_node_leaves_the_path():
+    """Nothing in ``mpa`` takes a node off ``_PathEngine.nodes``.
+
+    Nodes only enter, at most one per iteration, so a path holds at most its
+    starting nodes, its opening refinement and ``max_iters`` more.
+    """
+    assert {scope for module, scope in _scopes(_removes_a_node) if module == "mpa"} == set()
 
 
 def test_kappa_p_is_written_once():

@@ -1,5 +1,6 @@
 """Potential and nonlinearity families, their hypotheses, and validators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -208,6 +209,16 @@ def test_validator_passes_shipped_families(nonlin, osc_nonlin):
         assert all(entry["passed"] for entry in report["checks"].values())
         assert report["family"] == spec.kind
         assert report["growth_exponent"] == spec.growth_exponent
+
+
+@pytest.mark.parametrize("radius", [500.0, 2000.0])
+def test_validator_passes_a_large_defect_radius(nonlin, osc_nonlin, radius):
+    """The growth and defect grids run three decades past a radius above 1, not to a fixed 1e3."""
+    for spec in (nonlin, osc_nonlin):
+        report = validate_nonlinearity(dataclasses.replace(spec, radius=radius), sample_budget=500)
+        assert all(entry["passed"] for entry in report["checks"].values()), spec.kind
+        assert report["checks"]["superquadratic_growth"]["trend"]["decades"][-1] == 3 + int(
+            math.log10(radius))
 
 
 def test_growth_constant_calibration(nonlin, osc_nonlin):
