@@ -107,7 +107,6 @@ def _certificates(spec, constants, chash: str):
 def _cmd_solve(args) -> int:
     cfg, chash, spec, constants = _load(args, problem={"lambda": args.lam})
     mpa_config = build_mpa_config(cfg)
-    constants.check_lambda(spec.lam)
     setup, certificates = _certificates(spec, constants, chash)
     result = mpa_solve(spec, setup, mpa_config)
     print(

@@ -18,9 +18,11 @@ import sys
 from .errors import ConfigError, DomainError
 from .functional import IntervalProblemSpec, ProblemSpec
 from .grids import RealLineGrid
-from .mpa import MpaConfig
-from .problem import NonlinearitySpec, PotentialSpec, default_nonlinearity, default_potential
+from .mpa import _WELL_CONFIG, MpaConfig
+from .problem import (_SEED, NonlinearitySpec, PotentialSpec, default_nonlinearity,
+                       default_potential)
 from .runner import DEFAULT_BUDGETS, payload_hash
+from .spaces import _SAFETY, _WELL_POINTS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,7 +43,7 @@ SCHEMA_VERSION = 1
 
 DEFAULT_CONFIG: dict = {
     "schema_version": SCHEMA_VERSION,
-    "seed": 20260816,
+    "seed": _SEED,
     "grid": {
         "halfwidth": 20.0,
         "num_points": 4096,
@@ -54,13 +56,10 @@ DEFAULT_CONFIG: dict = {
         "potential": {**dataclasses.asdict(default_potential()), "diag_scales": []},
         "nonlinearity": dataclasses.asdict(default_nonlinearity()),
     },
-    "embedding": {"safety": 1.1},
+    "embedding": {"safety": _SAFETY},
     "mpa": dataclasses.asdict(MpaConfig()),
-    "bvp": {
-        "num_points": 257,
-        "tol": 1e-8,
-        "max_iters": 400,
-    },
+    "bvp": {"num_points": _WELL_POINTS, "tol": _WELL_CONFIG.tol,
+            "max_iters": _WELL_CONFIG.max_iters},
     "sweep": {
         "lambdas": [1.0, 10.0, 100.0, 1000.0],
         "cold": False,

@@ -115,6 +115,8 @@ class MountainPassSetup:
 
 # The names of the three entries of each ``SolveResult.trace`` row.
 _TRACE_COLUMNS = ("level", "residual", "residual_weighted")
+# The well reference's solver settings: bvp_solve's default and the bvp table's.
+_WELL_CONFIG = MpaConfig(tol=1e-8)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -333,8 +335,10 @@ def construct_e(
     the potential term of the energy vanishes identically along the ray and
     neither the doubling scan for ``sigma0`` nor ``ctilde`` can depend on
     the parameter.  The sphere bound takes ``epsilon_c = theta / 2`` and the
-    growth constant calibrated for it.
+    growth constant calibrated for it.  It holds only from ``constants.lambda_floor``
+    on, so a lower ``spec.lam`` raises :class:`DomainError` before any work.
     """
+    constants.check_lambda(spec.lam)
     varrho = spec.potential.varrho
     if tau is None:
         tau = 0.75 * varrho
@@ -744,9 +748,10 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
     the interval, of half-width three eighths of its length, which is exactly
     zero at both endpoints; Dirichlet values stay exactly zero because every
     path node is a linear combination of functions that vanish there.
+    Without a ``config`` it takes the well reference's settings, ``tol`` 1e-8.
     """
     if config is None:
-        config = MpaConfig()
+        config = _WELL_CONFIG
     grid = spec.grid
     vals = _bump(spec, 0.5 * (grid.lower + grid.upper), 0.375 * (grid.upper - grid.lower))
     op = _operator(spec)

@@ -47,7 +47,7 @@ from .errors import DomainError, EmbeddingViolation
 from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form
 from .functional import ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
-from .problem import _power
+from .problem import _SEED, _power
 
 __all__ = [
     "EmbeddingConstants",
@@ -66,8 +66,9 @@ __all__ = [
 _KAPPA_EXPONENTS = (3.0, 4.0)
 # verify_embeddings fails an inequality whose ratio exceeds 1 + _TOLERANCE.
 _TOLERANCE = 1e-8
-# Nodes of the well interval on which the verification checks run.
+# Nodes of the well reference and of the interval checks of verification.
 _WELL_POINTS = 257
+_SAFETY = 1.1  # the default factor on the grid-sharp C_inf, here and in the config
 # A Gaussian exp(-d^2 / (2 w^2)) is exactly 0.0 in float64 once its exponent
 # is below -746, that is past w * sqrt(1492) from its centre.
 _GAUSS_REACH = math.sqrt(1492.0)
@@ -255,7 +256,7 @@ def estimate_embedding_constants(
     grid: RealLineGrid,
     alpha: float,
     potential,
-    safety: float = 1.1,
+    safety: float = _SAFETY,
 ) -> EmbeddingConstants:
     """Grid-sharp ``C_inf`` and the constants built on it.
 
@@ -360,7 +361,7 @@ def verify_embeddings(
     samples: int,
     spec: ProblemSpec,
     constants: EmbeddingConstants,
-    seed: int = 20260816,
+    seed: int = _SEED,
 ) -> dict:
     """Stress-test the whole inequality chain on randomized samples.
 

@@ -357,6 +357,29 @@ def test_solve_below_floor_exits_one(fast_config, capsys):
     assert "below the admissibility floor" in capsys.readouterr().err
 
 
+def test_bound_below_floor_exits_one(tmp_path, capsys):
+    """``bound`` writes no ``rho``/``eta`` where the inequalities behind them fail."""
+    cfg = _write_config(tmp_path, {"problem": {"lambda": 0.5}})
+    out = tmp_path / "run"
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "below the admissibility floor" in captured.err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_geometry_only_verify_below_floor_exits_one(tmp_path, capsys):
+    """With no embedding samples, the geometry section's ``construct_e`` checks the floor."""
+    budgets = {"embedding_samples": 0, "nonlinearity_samples": 0,
+               "derivative_checks": 0, "sphere_samples": 5}
+    cfg = _write_config(tmp_path, {"problem": {"lambda": 0.5}, "verify": budgets})
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "verify: geometry" not in captured.out
+    assert "below the admissibility floor" in captured.err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["solve", "bvp", "sweep", "verify", "bound"])
 @pytest.mark.parametrize("where", ["file", "under-file"])
 def test_unusable_out_exits_two_before_the_run(tmp_path, capsys, command, where):

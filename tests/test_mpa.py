@@ -102,6 +102,13 @@ def test_endpoint_support_width_validation(spec10, constants):
             construct_e(spec10, tau=tau, constants=constants)
 
 
+def test_construct_e_refuses_a_lambda_below_the_floor(spec10, constants):
+    """The geometry certificate rests on inequalities that hold only above the floor."""
+    low = spec10.with_lambda(0.5 * constants.lambda_floor)
+    with pytest.raises(DomainError, match="below the admissibility floor"):
+        construct_e(low, constants=constants)
+
+
 def test_geometry_is_parameter_invariant(spec10, constants):
     low = construct_e(spec10.with_lambda(1.0), constants=constants)
     high = construct_e(spec10.with_lambda(1000.0), constants=constants)

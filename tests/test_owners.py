@@ -2,9 +2,11 @@
 
 Each decision here was once written in two places that drifted apart: the
 well problem, the underflow-safe power, ``kappa_p``, the ladder rule, a
-sweep record's solve fields, the certificate block and the starting path
-of a solve, cold or warm.  The path engine's one remover of nodes is gone
-too, and stays gone.
+sweep record's solve fields, the certificate block, the starting path of a
+solve, cold or warm, the lambda floor's check, the well reference's solver
+settings and the shared defaults (the verifiers' seed, the node count of
+the well and the safety factor on ``C_inf``).  The path engine's one
+remover of nodes is gone too, and stays gone.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pathlib
 import pytest
 
 import fracham
+from fracham import bvp_solve, mpa
+from fracham.config import DEFAULT_CONFIG, build_bvp_config
 
 SRC = pathlib.Path(fracham.__file__).resolve().parent
 
@@ -142,3 +146,51 @@ def test_parse_lambdas_raises_only_on_a_parse_error():
     handled = [node for handler in ast.walk(body) if isinstance(handler, ast.ExceptHandler)
                for node in ast.walk(handler) if isinstance(node, ast.Raise)]
     assert len(raises) == 1 and raises == handled
+
+
+def test_the_lambda_floor_is_checked_where_the_certificate_is_made():
+    """``construct_e`` builds the certificate; ``verify_embeddings`` certifies without one.
+
+    Every other path (``solve``, ``bound``, ``sweep``, the geometry section
+    of ``verify``) reaches the check through ``construct_e``.
+    """
+    calls = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "check_lambda"))
+    assert calls == {("mpa", "construct_e"), ("spaces", "verify_embeddings")}
+
+
+def test_lambda_sweep_leaves_the_solver_defaults_to_the_solvers():
+    body = _function("runner", "lambda_sweep")
+    assert not any(isinstance(node, ast.Call) and _named(node.func, "MpaConfig")
+                   for node in ast.walk(body))
+    assigned = {target.id for node in ast.walk(body) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert assigned.isdisjoint({"mpa_config", "bvp_config", "bvp_points"})
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_the_bvp_table_defaults_to_the_well_reference(monkeypatch, interval_spec):
+    """``bvp_solve`` without a config runs with the settings of the default ``bvp`` table."""
+    seen = []
+
+    def capture(op, e_vals, config, guess):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(mpa, "_run_path", capture)
+    with pytest.raises(_Stop):
+        bvp_solve(interval_spec)
+    assert seen == [build_bvp_config(DEFAULT_CONFIG)]
+
+
+@pytest.mark.parametrize("value, owner", [(257, "spaces"), (20260816, "problem"), (1.1, "spaces")])
+def test_each_shared_default_is_written_once(value, owner):
+    """The well's node count, the verifiers' seed and the safety factor on ``C_inf``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and type(node.value) is type(value) and node.value == value]
+    assert found == [owner]
