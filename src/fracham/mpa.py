@@ -9,15 +9,16 @@ measurement, the Newton polish and the reported node.  Each iteration:
    inserted as a node; otherwise the highest interior node;
 2. stops when the crest's weighted residual ``(1 + ||u||_X) ||I'(u)||`` is
    at most ``tol``;
-3. otherwise polishes the crest by damped Newton once that residual is
+3. stops with reason ``stagnation`` once the path maximum at the start of
+   an iteration has set no new low for three iterations in a row;
+4. otherwise polishes the crest by damped Newton once that residual is
    small, or descends it by an Armijo backtracking step; either is kept
    only if the re-measured adjacent segments keep the path maximum from
    rising.
 
 A solve is one run, from ``0 -> e`` or, warm-started on the line,
-``0 -> guess -> e``.  No node ever leaves the path and each iteration
-inserts at most one, so a path holds at most its starting nodes, the crests
-of its opening refinement and ``max_iters`` more.
+``0 -> guess -> e``.  No node ever leaves the path and only step 1 inserts
+one, so a path holds at most its starting nodes plus one per iteration.
 """
 
 from __future__ import annotations
@@ -574,16 +575,6 @@ class _PathEngine:
         self.counters["inserted"] += 1
         return j + 1
 
-    def refine_to_crest(self):
-        """Insert segment crests until no segment rises above the node maximum.
-
-        The passes end: each inserts the crest of a sub-segment it has already
-        measured, strictly higher than every node and on the path it was
-        given, so the node maximum climbs to that path's maximum.
-        """
-        while self.segments[j := self._top_segment()].value > max(self.energies):
-            self.insert(j)
-
     def crest(self) -> int:
         """The interior node to work on.
 
@@ -623,15 +614,14 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
     else:
         inner = [guess]
     engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
-    engine.refine_to_crest()
     e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)
 
     trace: list[tuple[float, float, float]] = []
     converged = False
-    stagnation = 0
     reason = "max_iters"
     iterations = 0
+    best, since_best = math.inf, 0  # the lowest level so far; iterations since it was set
 
     for it in range(1, config.max_iters + 1):
         iterations = it
@@ -645,6 +635,13 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
             converged = True
             reason = "tolerance"
             break
+        if level < best:
+            best, since_best = level, 0
+        else:
+            since_best += 1
+            if since_best >= 3:
+                reason = "stagnation"
+                break
 
         # Newton endgame: refine the crest node in place when already close.
         if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
@@ -657,30 +654,20 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
                     work, polished, level + slack
                 ):
                     engine.counters["polish_accepted"] += 1
-                    stagnation = 0
                     continue
             engine.counters["polish_rejected"] += 1
 
         # Backtracking descent on the single crest node.
         g_xnorm = op.xnorm(g)
         step = 1.0 if g_xnorm == 0.0 else min(1.0, cap_norm / g_xnorm)
-        accepted = False
         while step >= _STEP_FLOOR:
             cand = _node(op, u - step * g)
             if cand.energy <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
                 if engine.replace_node(work, cand, level):
-                    accepted = True
                     break
             else:
                 engine.counters["step_rejections"] += 1
             step *= 0.5
-        if accepted:
-            stagnation = 0
-        else:
-            stagnation += 1
-            if stagnation >= 3:
-                reason = "stagnation"
-                break
 
     if np.any(engine.nodes[0].x) or not np.array_equal(engine.nodes[-1].x, e_vals):
         raise ConvergenceError("path endpoints moved; single-writer contract broken")

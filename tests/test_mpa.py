@@ -221,6 +221,28 @@ def test_mixed_endpoint_runs_a_coupled_vector_solve(potential):
     assert abs(run.level - reference.level) <= 1e-9 * reference.level
 
 
+def test_mixed_endpoint_oscillatory_solve_stops_when_the_level_stalls(potential):
+    """A run whose path maximum stops falling ends early with reason ``stagnation``.
+
+    On the solve-vector family with ``construct_e``'s endpoint rotated by
+    0.6 rad into component 1 the path maximum sets its last new low within
+    the first 30 iterations, while accepted Newton polishes keep moving a
+    node below it.  The run stops three iterations later instead of using
+    all ``max_iters``, and its path grows by at most one node per iteration.
+    """
+    grid = RealLineGrid(20.0, 1024)
+    spec = _solve_vector_spec(grid, potential)
+    setup = construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential))
+    bump = setup.e.values[:, 0]
+    mixed = np.stack([np.cos(0.6) * bump, np.sin(0.6) * bump], axis=1)
+    run = mpa_solve(spec, dataclasses.replace(setup, e=GridFunction(grid, mixed)))
+    diag = run.diagnostics
+    assert diag["reason"] == "stagnation" and not run.converged
+    assert run.iterations <= 40
+    assert diag["path_nodes_final"] <= MpaConfig().path_nodes + run.iterations
+    assert run.level <= diag["polyline_level"]
+
+
 def test_newton_minres_iterations_do_not_grow_with_lambda(
     spec10, setup, interval_spec, monkeypatch
 ):
@@ -438,7 +460,7 @@ def test_armijo_rejections_stagnate_on_an_unchanged_path(potential, monkeypatch)
     res = mpa_solve(spec, setup)
     counters = res.diagnostics["counters"]
     assert not res.converged and res.diagnostics["reason"] == "stagnation"
-    assert res.iterations == 3
+    assert res.iterations == 4  # the first row sets the low; three failed descents follow
     assert counters["step_rejections"] > 0 == counters["guard_rejections"]
     assert len({row[0] for row in res.trace}) == 1
 
@@ -847,12 +869,15 @@ def test_default_sweep_scan_budget(sweep_report):
 
 
 def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
-    """Inserting a measured crest gives the node its exact value, so refinement stops."""
+    """Inserting a measured crest gives the node its exact value, so ``crest()`` stops inserting."""
     config = MpaConfig()
     e = setup.e.values
     nodes = [w * e for w in np.linspace(0.0, 1.0, config.path_nodes)]
     engine = mpa._PathEngine(functional._operator(spec10), nodes)
-    engine.refine_to_crest()
+    inserted = -1
+    while engine.counters["inserted"] > inserted:
+        inserted = engine.counters["inserted"]
+        engine.crest()
     assert engine.counters["inserted"] <= 4
     assert max(s.value for s in engine.segments) <= max(node.energy for node in engine.nodes)
 

@@ -6,7 +6,8 @@ sweep record's solve fields, the certificate block, the starting path of a
 solve, cold or warm, the lambda floor's check, the well reference's solver
 settings and the shared defaults (the verifiers' seed, the node count of
 the well and the safety factor on ``C_inf``).  The path engine's one
-remover of nodes is gone too, and stays gone.
+remover of nodes is gone too, and stays gone; one method inserts nodes and
+one rule stops a run early.
 """
 
 import ast
@@ -93,9 +94,24 @@ def test_no_node_leaves_the_path():
     """Nothing in ``mpa`` takes a node off ``_PathEngine.nodes``.
 
     Nodes only enter, at most one per iteration, so a path holds at most its
-    starting nodes, its opening refinement and ``max_iters`` more.
+    starting nodes plus one per iteration.
     """
     assert {scope for module, scope in _scopes(_removes_a_node) if module == "mpa"} == set()
+
+
+def test_one_inserter_and_one_stop_rule():
+    """Only ``crest`` inserts a node, and only ``_run_path`` stops a run for stagnation.
+
+    So a path grows by at most one node per iteration, and a run ends early
+    for one reason: its path maximum set no new low for three iterations.
+    """
+    inserts = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "insert")
+                      and not _named(node.func.value, "nodes"))  # not the list's own insert
+    assert inserts == {("mpa", "_PathEngine.crest")}
+    stagnation = _scopes(lambda node: isinstance(node, ast.Assign)
+                         and isinstance(node.value, ast.Constant)
+                         and node.value.value == "stagnation")
+    assert stagnation == {("mpa", "_run_path")}
 
 
 def test_kappa_p_is_written_once():
