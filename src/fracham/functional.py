@@ -31,6 +31,7 @@ from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _segment_power_rows,
     _weighted_grad_w,
     _weighted_hessian_action,
     _weighted_slope,
@@ -184,6 +185,15 @@ class _OperatorBase:
         """
         slope = _weighted_slope(self.spec.nonlinearity, self.weight[span], vals, d)
         return self.quadrature(self._full_rows(slope, span))
+
+    def wint_bernstein(self, a: np.ndarray, b: np.ndarray, span: slice = _ALL) -> list | None:
+        """``I_k`` with ``wint((1 - th) a + th b) = sum_k I_k th^k (1 - th)^(p - k)``, or ``None``.
+
+        One reduction per row of ``_segment_power_rows``; ``a``, ``b`` and ``span`` as in ``wint``.
+        """
+        rows = _segment_power_rows(self.spec.nonlinearity, self.weight[span], a, b)
+        return None if rows is None else [float(self.quadrature(self._full_rows(r, span)))
+                                          for r in rows]
 
     def _full_rows(self, part: np.ndarray, span: slice) -> np.ndarray:
         """Whole-grid rows holding ``part`` on ``span`` and exact zeros elsewhere.

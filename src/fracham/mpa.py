@@ -53,7 +53,7 @@ _COARSE = 15
 _ROOT_TOL = 1e-9
 _ROOT_ITERS = 60
 # A monotonicity certificate must clear zero by this much relative to the
-# magnitudes of the segment's slope terms (see _measure_segment).
+# segment's slope terms, which next to a critical point cancel to round-off.
 _MONOTONE_MARGIN = 1e-10
 # The Newton polish starts once the weighted residual is below this fraction
 # of 1 + |level|.  Its stop rule on either domain: a tolerance, and a step
@@ -259,19 +259,16 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
         counters["minres_iterations"] += iterations
         if d is None:
             return v, improved_any
-        t = 1.0
-        stepped = False
-        while t >= 1.0 / 64.0:
+        for t in (0.5**i for i in range(7)):
             cand = v + t * d
             rc = op.residual(cand)
             rcn = float(np.linalg.norm(rc))
             if rcn < (1.0 - 0.25 * t) * rn:
                 v, r, rn = cand, rc, rcn
-                stepped = improved_any = True
+                improved_any = True
                 counters["newton_steps"] += 1
                 break
-            t *= 0.5
-        if not stepped:
+        else:
             return v, improved_any
         vn = float(np.linalg.norm(v))
         if rn <= max(_NEWTON_TOL * (1.0 + vn), _EPS * op.metric_bound * vn):
@@ -471,27 +468,38 @@ def _segment_energies(
     return 0.5 * quad - np.concatenate(wint)
 
 
+def _bernstein(coeffs: list[float], th, slope: bool = False):
+    """``sum_k coeffs[k] th^k (1 - th)^(deg - k)``, added in order of ``k``, or its ``th``-slope."""
+    deg = len(coeffs) - 1
+    if slope:
+        coeffs, deg = [(k + 1) * coeffs[k + 1] - (deg - k) * coeffs[k] for k in range(deg)], deg - 1
+    return sum(c * th**k * (1.0 - th) ** (deg - k) for k, c in enumerate(coeffs))
+
+
 def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     """Maximum of the energy along the straight segment from node ``a`` to node ``b``.
 
     The README's overview gives the full account: the expansion, the span,
-    the monotonicity certificate for a convex ``W`` and the crest search.
-    Without ``_MONOTONE_MARGIN`` the scan's interior energy near a crest can
-    sit ulps above the end, and the path would lose an insert the scan makes.
-    A crest within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved
-    inward by ``_ROOT_TOL``: one ulp of excess would make the engine insert
-    a duplicate of the node.  Any other crest is a node of its own.
+    the polynomial of ``W`` (``op.wint_bernstein``; without one ``W`` is
+    sampled at each point), the monotonicity certificate for a convex ``W``
+    and the crest search.  A crest within ``_ROOT_TOL`` of an end is that
+    end node, at ``th`` moved inward by ``_ROOT_TOL``: one ulp of excess
+    would make the engine insert a duplicate of the node.  Any other crest
+    is a node of its own, with its exact energy.
     """
     ends = (a, b)
     forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
     span = _span_union(a.span, b.span)
     qa, qab, qb = forms
+    poly = op.wint_bernstein(a.x[span], b.x[span], span)
     d = b.x - a.x
 
     def wslope(th: float) -> float:
-        # An end of the segment is that node, whose own support may be narrower.
-        on = span if 0.0 < th < 1.0 else ends[int(th)].span
-        return float(op.wslope((1.0 - th) * a.x[on] + th * b.x[on], d[on], on))
+        if poly is None:
+            # An end of the segment is that node, whose own support may be narrower.
+            on = span if 0.0 < th < 1.0 else ends[int(th)].span
+            return float(op.wslope((1.0 - th) * a.x[on] + th * b.x[on], d[on], on))
+        return float(_bernstein(poly, th, slope=True))
 
     def slope(th: float) -> float:
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
@@ -509,7 +517,11 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
         if k == 1 and min(rises) - s > margin:
             return end(1, scanned=False)
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
-    best = float(thetas[int(np.argmax(_segment_energies(op, a.x, b.x, forms, thetas, span)))])
+    if poly is None:
+        energies = _segment_energies(op, a.x, b.x, forms, thetas, span)
+    else:
+        energies = 0.5 * _bernstein([qa, 2.0 * qab, qb], thetas) - _bernstein(poly, thetas)
+    best = float(thetas[int(np.argmax(energies))])
     cell = thetas[1] - thetas[0]
     lo = max(0.0, best - cell)
     hi = min(1.0, best + cell)
@@ -533,17 +545,9 @@ class _PathEngine:
     def __init__(self, op, nodes: list[np.ndarray]):
         self.op = op
         self.nodes = [_node(op, x) for x in nodes]
-        self.counters = {
-            "inserted": 0,
-            "step_rejections": 0,
-            "guard_rejections": 0,
-            "polish_accepted": 0,
-            "polish_rejected": 0,
-            "newton_steps": 0,
-            "minres_iterations": 0,
-            "segments": 0,
-            "segment_scans": 0,
-        }
+        self.counters = dict.fromkeys((
+            "inserted", "step_rejections", "guard_rejections", "polish_accepted", "polish_rejected",
+            "newton_steps", "minres_iterations", "segments", "segment_scans"), 0)
         self.segments = [self._measure(k, k + 1) for k in range(len(nodes) - 1)]
 
     @property
@@ -559,10 +563,6 @@ class _PathEngine:
 
     def level(self) -> float:
         return max(max(self.energies), max(s.value for s in self.segments))
-
-    def _top_segment(self) -> int:
-        """The segment with the highest measured value (smallest index on ties)."""
-        return int(np.argmax([s.value for s in self.segments]))
 
     def insert(self, j: int) -> int:
         """Insert segment ``j``'s measured crest node; returns its index.
@@ -580,9 +580,9 @@ class _PathEngine:
 
         The top segment's crest is inserted as a node if it lies above every
         node energy; otherwise the highest interior node is chosen (smallest
-        index on ties).  The frozen endpoints are never chosen.
+        index on ties, for segments too).  The frozen endpoints are never chosen.
         """
-        j = self._top_segment()
+        j = int(np.argmax([s.value for s in self.segments]))
         if self.segments[j].value > max(self.energies):
             return self.insert(j)
         return 1 + int(np.argmax(self.energies[1:-1]))
@@ -620,14 +620,12 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
     trace: list[tuple[float, float, float]] = []
     converged = False
     reason = "max_iters"
-    iterations = 0
     best, since_best = math.inf, 0  # the lowest level so far; iterations since it was set
 
-    for it in range(1, config.max_iters + 1):
-        iterations = it
+    for iterations in range(1, config.max_iters + 1):
         work = engine.crest()
-        u = engine.nodes[work].x
-        rw, gnorm, _, g = _stationarity(op, engine.nodes[work])
+        node = engine.nodes[work]
+        rw, gnorm, _, g = check = _stationarity(op, node)
         level = engine.level()
         trace.append((level, gnorm, rw))
 
@@ -645,7 +643,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
 
         # Newton endgame: refine the crest node in place when already close.
         if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
-            vals, ok = _newton_polish(op, u, engine.counters)
+            vals, ok = _newton_polish(op, node.x, engine.counters)
             if ok:
                 polished = _node(op, vals)
                 slack = 1e-9 * (1.0 + abs(level))
@@ -661,7 +659,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
         g_xnorm = op.xnorm(g)
         step = 1.0 if g_xnorm == 0.0 else min(1.0, cap_norm / g_xnorm)
         while step >= _STEP_FLOOR:
-            cand = _node(op, u - step * g)
+            cand = _node(op, node.x - step * g)
             if cand.energy <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
                 if engine.replace_node(work, cand, level):
                     break
@@ -676,7 +674,9 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
     energies = engine.energies
     top = max(energies[1:-1])
     tied = [k for k in range(1, len(energies) - 1) if energies[k] >= top - 1e-12 * (1.0 + abs(top))]
-    checks = {k: _stationarity(op, engine.nodes[k]) for k in tied}
+    # The node the last iteration checked keeps its check while it is on the path.
+    checks = {k: check if engine.nodes[k] is node else _stationarity(op, engine.nodes[k])
+              for k in tied}
     work = min(tied, key=lambda k: checks[k][0])
     rw, gnorm, xnorm_u, _ = checks[work]
     return SolveResult(

@@ -260,6 +260,21 @@ def _radial_value(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     return rp + (p - 2.0) * _power(r, p - e) * np.sin(r**e / e) ** 2
 
 
+def _segment_power_rows(spec: NonlinearitySpec, g: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """Rows ``g s_k``, ``W(t, (1 - th) A + th B) = sum_k g s_k th^k (1 - th)^(p - k)``, or ``None``.
+
+    ``|u|^2`` is quadratic in ``th``, so only a pure power with even ``p`` is a polynomial.
+    """
+    if spec.kind != "pure_power" or spec.p % 2.0 != 0.0:
+        return None
+    q = (_rowdot(A, A), 2.0 * _rowdot(A, B), _rowdot(B, B))
+    rows = [g]
+    for _ in range(int(spec.p) // 2):  # times |u|^2, coefficient by coefficient
+        rows = [sum(rows[k - j] * q[j] for j in range(3) if 0 <= k - j < len(rows))
+                for k in range(len(rows) + 2)]
+    return rows
+
+
 def _radial_slope_factor(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:
     """``w'(r)/r``, the factor multiplying ``u`` in the gradient.
 

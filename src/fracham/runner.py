@@ -445,11 +445,8 @@ def _write_csv(path: str, columns: dict[str, list]) -> str:
 
 def write_solve_outputs(outdir: str, result: SolveResult, extras: dict) -> dict:
     """Write result.json, u.csv, trace.csv into a run directory."""
-    os.makedirs(outdir, exist_ok=True)
-    payload = {**result.to_dict(), **extras}
-    payload["generated_at"] = _timestamp()
-    result_path = os.path.join(outdir, "result.json")
-    _write_text(result_path, canonical_json(payload))
+    result_path = write_report(outdir, "result.json",
+                               {**result.to_dict(), **extras, "generated_at": _timestamp()})
     u_path = _write_csv(os.path.join(outdir, "u.csv"), {
         "t": result.u.grid.nodes.tolist(),
         "abs_u": result.u.euclidean_magnitude().tolist(),

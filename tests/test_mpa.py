@@ -594,6 +594,34 @@ def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
     assert seg.value >= np.max(direct[1:-1]) - 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("p", [4.0, 6.0])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("domain", ["line", "interval"])
+def test_w_along_a_segment_is_its_bernstein_polynomial(domain, n, p):
+    """For an even pure power, ``wint`` and ``wslope`` along a segment are one polynomial.
+
+    ``sum_k I_k th^k (1 - th)^(p - k)`` and its derivative match the
+    sampled ``wint`` and ``wslope`` within 1e-13 of ``int g (|a| + |b|)^p``,
+    which bounds every term.  ``p = 3`` and the oscillatory family have no
+    polynomial.
+    """
+    nonlinearity = NonlinearitySpec(kind="pure_power", p=p, weight_amp=0.3, weight_freq=2.0)
+    op, a, b = _segment_problem(domain, n, nonlinearity)
+    for x, y in ((a, b), (b, -0.5 * a), (np.zeros_like(a), b)):
+        coeffs = op.wint_bernstein(x, y)
+        assert len(coeffs) == int(p) + 1
+        mags = np.linalg.norm(x, axis=1) + np.linalg.norm(y, axis=1)
+        scale = float(op.wint(mags[:, None]))
+        for th in (0.0, 0.3, 0.7, 1.0):
+            u = (1.0 - th) * x + th * y
+            assert abs(mpa._bernstein(coeffs, th) - op.wint(u)) <= 1e-13 * scale
+            slope = mpa._bernstein(coeffs, th, slope=True)
+            assert abs(slope - op.wslope(u, y - x)) <= 1e-13 * scale
+    for other in (dataclasses.replace(nonlinearity, p=3.0), _OSC_WEIGHTED):
+        op, a, b = _segment_problem(domain, n, other)
+        assert op.wint_bernstein(a, b) is None
+
+
 @pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
                          ids=["pure_power", "oscillatory"])
 @pytest.mark.parametrize("n", [1, 2])
@@ -842,19 +870,21 @@ def test_flat_segments_are_scanned(bvp_result, interval_spec):
 
 
 def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, monkeypatch):
-    """The shipped margin keeps an insert that a zero margin loses on the default ``bvp``.
+    """The default ``bvp`` path is pinned, and a zero margin takes the same path.
 
-    With a zero margin the path certifies a segment whose scan finds an
-    interior energy ulps above its end node, makes one insert fewer
-    (6 / 11 / 27 against 7 / 12 / 28) and ends 5 ulps lower.
+    When segments sampled ``W``, a scan found an interior energy ulps above
+    its end node and the margin kept one insert (7 / 12 / 28 against
+    6 / 11 / 27 at zero); on the polynomial of ``W`` the two paths agree.
+    ``test_flat_segments_are_scanned`` covers the margin's remaining job.
     """
 
     def path(res):
         diag = res.diagnostics
         return diag["counters"]["inserted"], diag["crest_index"], diag["path_nodes_final"]
 
-    assert path(bvp_result) == (7, 12, 28)
-    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337052
+    assert path(bvp_result) == (6, 11, 27)
+    assert bvp_result.diagnostics["counters"]["segments"] == 70
+    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337058
     monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", 0.0)
     assert path(bvp_solve(interval_spec, MpaConfig(tol=1e-8))) == (6, 11, 27)
 
@@ -926,11 +956,15 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 437 FFT calls, 10% above the 397 it
-    makes (466 before each crest, descent and polish candidate was evaluated
-    once as the node it becomes; 536 before path nodes kept their transforms
-    and each MINRES step reused its metric solve's product), and 2000 ``W``
-    rows (``wint`` plus ``wslope``).
+    A default solve stays within 437 FFT calls (it makes 389; 397 before
+    the tie rule reused the last iteration's check, 466 before each crest,
+    descent and polish candidate was evaluated once as the node it becomes;
+    536 before path nodes kept their transforms and each MINRES step reused
+    its metric solve's product), and within 436 ``W`` rows, 10% above the
+    396 it makes: 46 ``wint`` and ``wslope`` rows plus the ``p + 1 = 5``
+    rows of each of 70 ``wint_bernstein`` reductions.  Before segments took
+    the polynomial of ``W`` they sampled it in 710 rows, under a budget of
+    2000.
     """
     calls, rows = [], []
     for name in ("rfft", "irfft"):
@@ -941,18 +975,22 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    for name in ("wint", "wslope"):
+    for name in ("wint", "wslope", "wint_bernstein"):
         original = getattr(functional._LineOperator, name)
 
-        def counted_rows(self, vals, *args, _original=original):
-            rows.append(1 if vals.ndim == 2 else len(vals))
-            return _original(self, vals, *args)
+        def counted_rows(self, vals, *args, _original=original, _name=name):
+            out = _original(self, vals, *args)
+            if _name == "wint_bernstein":
+                rows.append(len(out))
+            else:
+                rows.append(1 if vals.ndim == 2 else len(vals))
+            return out
 
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
     assert 0 < len(calls) <= 437
-    assert 0 < sum(rows) <= 2000
+    assert 0 < sum(rows) <= 436
 
 
 def _energy_call_scopes() -> set[str]:

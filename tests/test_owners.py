@@ -7,7 +7,9 @@ solve, cold or warm, the lambda floor's check, the well reference's solver
 settings and the shared defaults (the verifiers' seed, the node count of
 the well and the safety factor on ``C_inf``).  The path engine's one
 remover of nodes is gone too, and stays gone; one method inserts nodes and
-one rule stops a run early.
+one rule stops a run early.  The polynomial of ``W`` along a segment is
+built in one place and read in one, and ``W`` is sampled along a segment
+only where it has no such polynomial.
 """
 
 import ast
@@ -210,3 +212,50 @@ def test_each_shared_default_is_written_once(value, owner):
         found += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant)
                   and type(node.value) is type(value) and node.value == value]
     assert found == [owner]
+
+
+def test_the_segment_polynomial_of_w_has_one_builder_and_one_reader():
+    """``problem._segment_power_rows`` builds the rows, ``wint_bernstein`` alone reduces them.
+
+    Only ``mpa._measure_segment`` asks for the reduction.
+    """
+    defs = _scopes(lambda node: isinstance(node, ast.FunctionDef)
+                   and node.name == "_segment_power_rows")
+    assert defs == {("problem", "")}
+    builds = _scopes(lambda node: isinstance(node, ast.Call)
+                     and _named(node.func, "_segment_power_rows"))
+    assert builds == {("functional", "_OperatorBase.wint_bernstein")}
+    reads = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "wint_bernstein"))
+    assert reads == {("mpa", "_measure_segment")}
+
+
+def _calls(roots, name: str) -> list[ast.Call]:
+    """Calls in ``roots`` of the function ``name`` or, for ``op.name``, of the operator method."""
+    module, _, attr = name.rpartition(".")
+    return [node for root in roots for node in ast.walk(root)
+            if isinstance(node, ast.Call) and _named(node.func, attr)
+            and (not module or (isinstance(node.func, ast.Attribute)
+                                and _named(node.func.value, module)))]
+
+
+def test_w_is_sampled_along_a_segment_only_without_a_polynomial():
+    """In ``mpa``, ``_segment_energies`` and ``op.wslope`` run only where the polynomial is ``None``.
+
+    Each such call sits in ``_measure_segment`` under an ``if`` that tests
+    the name bound to ``op.wint_bernstein``'s result against ``None``, so a
+    ``W`` with a polynomial is never sampled along a segment.
+    """
+    body = _function("mpa", "_measure_segment")
+    reduced = {target.id for node in ast.walk(body) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call) and _named(node.value.func, "wint_bernstein")
+               for target in node.targets if isinstance(target, ast.Name)}
+    branches = [node.body for node in ast.walk(body) if isinstance(node, ast.If)
+                and isinstance(node.test, ast.Compare) and isinstance(node.test.ops[0], ast.Is)
+                and any(_named(node.test.left, name) for name in reduced)
+                and isinstance(node.test.comparators[0], ast.Constant)
+                and node.test.comparators[0].value is None]
+    assert branches
+    mpa_tree = ast.parse((SRC / "mpa.py").read_text(encoding="utf-8"))
+    for name in ("_segment_energies", "op.wslope"):
+        sampled = _calls([stmt for branch in branches for stmt in branch], name)
+        assert sampled and len(sampled) == len(_calls([mpa_tree], name)), name
