@@ -262,8 +262,9 @@ class _OperatorBase:
             )
         return g, ag
 
-    def newton_step(self, vals: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, int]:
-        """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES.
+    def newton_step(self, vals: np.ndarray, r: np.ndarray,
+                    rtol: float = 1e-11) -> tuple[np.ndarray | None, int]:
+        """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES to tolerance ``rtol``.
 
         Returns the step, ``None`` when MINRES fails, and its iteration count.
         The preconditioner is ``solve_and_apply_metric``, so the preconditioned
@@ -278,7 +279,7 @@ class _OperatorBase:
             return av - self.quad * _weighted_hessian_action(self.spec.nonlinearity, weight, u, v)
 
         step, info, iterations = _minres(
-            hess, self.solve_and_apply_metric, -r[d], rtol=1e-11, maxiter=5 * u.size
+            hess, self.solve_and_apply_metric, -r[d], rtol=rtol, maxiter=5 * u.size
         )
         if info != 0:
             return None, iterations

@@ -11,12 +11,12 @@ measurement, the Newton polish and the reported node.  Each iteration:
    at most ``tol``;
 3. stops with reason ``stagnation`` once the path maximum at the start of
    an iteration has set no new low for three iterations in a row;
-4. otherwise polishes the crest by damped Newton once that residual is
-   small, or descends it by an Armijo backtracking step; either is kept
-   only if the re-measured adjacent segments keep the path maximum from
-   rising.
+4. otherwise polishes the crest by damped Newton (MINRES steps to
+   Eisenstat-Walker forcing tolerances) once that residual is small, or
+   descends it by an Armijo backtracking step; either is kept only if the
+   re-measured adjacent segments keep the path maximum from rising.
 
-A solve is one run, from ``0 -> e`` or, warm-started on the line,
+A solve is one run, from ``0 -> e/2 -> e`` or, warm-started on the line,
 ``0 -> guess -> e``.  No node ever leaves the path and only step 1 inserts
 one, so a path holds at most its starting nodes plus one per iteration.
 """
@@ -61,6 +61,9 @@ _MONOTONE_MARGIN = 1e-10
 _POLISH_TRIGGER = 3e-2
 _NEWTON_TOL = 1e-14
 _NEWTON_STEPS = 20
+# Forcing terms (Eisenstat & Walker, 1996) of the polish's MINRES solves.
+_FORCING = 1e-2
+_FORCING_FLOOR = 1e-11
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
@@ -70,11 +73,11 @@ _STEP_FLOOR = 1e-12
 class MpaConfig:
     """Solver knobs; defaults match the shipped problem sizes.
 
-    ``path_nodes`` is the node count of the straight cold path only; a warm
-    start begins on the three nodes ``0 -> guess -> e``.
+    ``path_nodes`` is the node count of the straight cold path only; the
+    default ``0 -> e/2 -> e`` has the shape of a warm start ``0 -> guess -> e``.
     """
 
-    path_nodes: int = 21
+    path_nodes: int = 3
     tol: float = 1e-6
     max_iters: int = 400
 
@@ -247,15 +250,17 @@ def _stationarity(op, node: _Node) -> tuple[float, float, float, np.ndarray]:
 def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool]:
     """Damped Newton on ``op.residual(u) = 0`` with backtracking, stopped by the README's rule.
 
+    Step ``k`` ends MINRES at the forcing tolerance ``max(_FORCING_FLOOR, _FORCING
+    |r_k| / |r_0|)`` of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996).
     Below the round-off floor of evaluating the residual a step only
     shuffles noise.  Returns the iterate and whether any step was taken.
     """
     v = vals.copy()
     r = op.residual(v)
-    rn = float(np.linalg.norm(r))
+    rn = r0 = float(np.linalg.norm(r))
     improved_any = False
     for _ in range(_NEWTON_STEPS):
-        d, iterations = op.newton_step(v, r)
+        d, iterations = op.newton_step(v, r, max(_FORCING_FLOOR, _FORCING * rn / r0))
         counters["minres_iterations"] += iterations
         if d is None:
             return v, improved_any
@@ -609,10 +614,8 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
     The path starts straight on ``config.path_nodes`` nodes, or as
     ``0 -> guess -> e`` when the values ``guess`` are given.
     """
-    if guess is None:
-        inner = [w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
-    else:
-        inner = [guess]
+    inner = [guess] if guess is not None else [
+        w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
     engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
     e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)
@@ -670,10 +673,11 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
     if np.any(engine.nodes[0].x) or not np.array_equal(engine.nodes[-1].x, e_vals):
         raise ConvergenceError("path endpoints moved; single-writer contract broken")
 
-    # Ties with the top interior energy hold one critical point: report the best residual.
+    # Converged: the node checked last, the path maximum; else the best residual among ties.
     energies = engine.energies
     top = max(energies[1:-1])
-    tied = [k for k in range(1, len(energies) - 1) if energies[k] >= top - 1e-12 * (1.0 + abs(top))]
+    tied = [work] if converged else [k for k in range(1, len(energies) - 1)
+                                     if energies[k] >= top - 1e-12 * (1.0 + abs(top))]
     # The node the last iteration checked keeps its check while it is on the path.
     checks = {k: check if engine.nodes[k] is node else _stationarity(op, engine.nodes[k])
               for k in tied}

@@ -225,22 +225,46 @@ def test_mixed_endpoint_oscillatory_solve_stops_when_the_level_stalls(potential)
     """A run whose path maximum stops falling ends early with reason ``stagnation``.
 
     On the solve-vector family with ``construct_e``'s endpoint rotated by
-    0.6 rad into component 1 the path maximum sets its last new low within
-    the first 30 iterations, while accepted Newton polishes keep moving a
-    node below it.  The run stops three iterations later instead of using
-    all ``max_iters``, and its path grows by at most one node per iteration.
+    0.6 rad into component 1, started on 21 straight nodes, the path
+    maximum sets its last new low within the first 30 iterations, while
+    accepted Newton polishes keep moving a node below it.  The run stops
+    three iterations later instead of using all ``max_iters``, and its path
+    grows by at most one node per iteration.  The default three-node start
+    converges instead (``test_mixed_endpoint_oscillatory_solves_agree``).
     """
     grid = RealLineGrid(20.0, 1024)
     spec = _solve_vector_spec(grid, potential)
     setup = construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential))
     bump = setup.e.values[:, 0]
     mixed = np.stack([np.cos(0.6) * bump, np.sin(0.6) * bump], axis=1)
-    run = mpa_solve(spec, dataclasses.replace(setup, e=GridFunction(grid, mixed)))
+    config = MpaConfig(path_nodes=21)
+    run = mpa_solve(spec, dataclasses.replace(setup, e=GridFunction(grid, mixed)), config)
     diag = run.diagnostics
     assert diag["reason"] == "stagnation" and not run.converged
     assert run.iterations <= 40
-    assert diag["path_nodes_final"] <= MpaConfig().path_nodes + run.iterations
+    assert diag["path_nodes_final"] <= config.path_nodes + run.iterations
     assert run.level <= diag["polyline_level"]
+
+
+def test_mixed_endpoint_oscillatory_solves_agree(potential):
+    """From the default start, the solve-vector family converges at every endpoint rotation.
+
+    ``construct_e``'s endpoint rotated by 0.3, 0.6, 1.0 and 1.4 rad into
+    component 1 (7, 16, 43 and 86 iterations): every run converges, reports
+    its own ``polyline_level``, and all four levels agree within 1e-12.
+    """
+    grid = RealLineGrid(20.0, 1024)
+    spec = _solve_vector_spec(grid, potential)
+    setup = construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential))
+    bump = setup.e.values[:, 0]
+    levels = []
+    for angle in (0.3, 0.6, 1.0, 1.4):
+        mixed = np.stack([np.cos(angle) * bump, np.sin(angle) * bump], axis=1)
+        run = mpa_solve(spec, dataclasses.replace(setup, e=GridFunction(grid, mixed)))
+        assert run.converged, angle
+        assert run.level == run.diagnostics["polyline_level"], angle
+        levels.append(run.level)
+    assert max(levels) - min(levels) <= 1e-12 * min(levels), levels
 
 
 def test_newton_minres_iterations_do_not_grow_with_lambda(
@@ -340,38 +364,60 @@ def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, i
         assert ok and 1 <= steps <= 5 and rn <= bound, polishes
 
 
-def test_reported_crest_has_the_best_residual_among_ties(spec10, setup, interval_spec, monkeypatch):
-    """Of the nodes tied with the top energy, the solve reports the smallest weighted residual.
+def test_reported_crest_is_the_checked_node_or_the_best_tie(spec10, setup, interval_spec,
+                                                            monkeypatch):
+    """A converged run reports the node it checked last; a stopped run, the best residual of ties.
 
     The default interval solve and the ``lambda = 1000`` line solve end with
-    two nodes that hold the crest to round-off; at least one tie must occur.
+    several nodes that hold the crest to round-off.  Converged, each reports
+    the node whose check stopped it, at exactly its ``polyline_level``.  At
+    an unreachable ``tol`` both stop on ``stagnation`` and report, of the
+    nodes tied with the top energy, the smallest weighted residual.  Ties
+    must occur both ways.
     """
-    engines = []
+    engines, checked = [], []
+    stationarity = mpa._stationarity
 
     class Recorded(mpa._PathEngine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
+    def recorded(op, node):
+        checked.append(node)
+        return stationarity(op, node)
+
     monkeypatch.setattr(mpa, "_PathEngine", Recorded)
-    runs = [(bvp_solve(interval_spec, MpaConfig(tol=1e-8)), interval_spec)]
+    monkeypatch.setattr(mpa, "_stationarity", recorded)
     line = spec10.with_lambda(1000.0)
-    runs.append((mpa_solve(line, setup), line))
-    ties = 0
-    for (res, spec), engine in zip(runs, engines):
-        op = functional._operator(spec)
-        interior = engine.nodes[1:-1]
-        top = max(node.energy for node in interior)
-        tied = [k for k, node in enumerate(interior, 1)
-                if node.energy >= top - 1e-12 * (1.0 + abs(top))]
-        weighted = {k: mpa._stationarity(op, engine.nodes[k])[0] for k in tied}
-        crest = res.diagnostics["crest_index"]
-        assert crest == min(tied, key=weighted.get)
-        assert res.residual_weighted == weighted[crest]
-        assert res.level == engine.nodes[crest].energy
-        assert np.array_equal(res.u.values, engine.nodes[crest].x)
-        ties += len(tied) > 1
-    assert ties >= 1
+    cases = [(interval_spec, 1e-8, lambda config: bvp_solve(interval_spec, config)),
+             (line, 1e-6, lambda config: mpa_solve(line, setup, config))]
+    ties = {True: 0, False: 0}
+    for spec, tol, solve in cases:
+        for config in (MpaConfig(tol=tol), MpaConfig(tol=1e-30)):
+            res = solve(config)
+            last = checked[-1]
+            engine, op = engines[-1], functional._operator(spec)
+            crest = res.diagnostics["crest_index"]
+            node = engine.nodes[crest]
+            interior = engine.nodes[1:-1]
+            top = max(n.energy for n in interior)
+            tied = [k for k, n in enumerate(interior, 1)
+                    if n.energy >= top - 1e-12 * (1.0 + abs(top))]
+            assert res.converged is (config.tol == tol)
+            if res.converged:
+                assert last is node
+                assert res.residual_weighted == res.trace[-1][2] <= tol
+                assert res.level == res.diagnostics["polyline_level"]
+            else:
+                assert res.diagnostics["reason"] == "stagnation"
+                weighted = {k: stationarity(op, engine.nodes[k])[0] for k in tied}
+                assert crest == min(tied, key=weighted.get)
+                assert res.residual_weighted == weighted[crest]
+            assert res.level == node.energy
+            assert np.array_equal(res.u.values, node.x)
+            ties[res.converged] += len(tied) > 1
+    assert all(ties.values()), ties
 
 
 def _coarse_line(potential, nonlinearity, lam):
@@ -875,6 +921,8 @@ def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, mo
     When segments sampled ``W``, a scan found an interior energy ulps above
     its end node and the margin kept one insert (7 / 12 / 28 against
     6 / 11 / 27 at zero); on the polynomial of ``W`` the two paths agree.
+    From the three-node start the path is 6 / 1 / 9 in 11 iterations and
+    34 segments (6 / 11 / 27 in 20 and 70 from the 21-node start).
     ``test_flat_segments_are_scanned`` covers the margin's remaining job.
     """
 
@@ -882,20 +930,38 @@ def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, mo
         diag = res.diagnostics
         return diag["counters"]["inserted"], diag["crest_index"], diag["path_nodes_final"]
 
-    assert path(bvp_result) == (6, 11, 27)
-    assert bvp_result.diagnostics["counters"]["segments"] == 70
-    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337058
+    assert path(bvp_result) == (6, 1, 9)
+    assert bvp_result.iterations == 11
+    assert bvp_result.diagnostics["counters"]["segments"] == 34
+    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337052
     monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", 0.0)
-    assert path(bvp_solve(interval_spec, MpaConfig(tol=1e-8))) == (6, 11, 27)
+    assert path(bvp_solve(interval_spec, MpaConfig(tol=1e-8))) == (6, 1, 9)
 
 
 def test_default_sweep_scan_budget(sweep_report):
-    """Most segment measurements of a default sweep are certified monotone, not scanned."""
+    """A default sweep scans at most 150 segments, and certifies some monotone without a scan.
+
+    It scans 111 of 118 segment measurements (119 of 194 from the 21-node
+    cold start).
+    """
     runs = [rec["diagnostics"]["counters"] for rec in sweep_report.records]
     runs.append(sweep_report.bvp_reference.diagnostics["counters"])
     segments = sum(c["segments"] for c in runs)
     scans = sum(c["segment_scans"] for c in runs)
-    assert scans <= 150 < segments
+    assert scans <= 150 and scans < segments
+
+
+def test_default_sweep_newton_budget(sweep_report):
+    """A default sweep's polishes take at most 129 MINRES iterations, and warm rungs 3 Newton steps.
+
+    The budget is 10% above the 118 it takes (151 from the 21-node cold
+    start with MINRES at a fixed tolerance); the cold first rung and the
+    ``bvp`` reference take 6 Newton steps each.
+    """
+    runs = [rec["diagnostics"]["counters"] for rec in sweep_report.records]
+    runs.append(sweep_report.bvp_reference.diagnostics["counters"])
+    assert 0 < sum(c["minres_iterations"] for c in runs) <= 129
+    assert [c["newton_steps"] for c in runs[1:-1]] == [3, 3, 3]
 
 
 def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
@@ -956,15 +1022,16 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 437 FFT calls (it makes 389; 397 before
-    the tie rule reused the last iteration's check, 466 before each crest,
-    descent and polish candidate was evaluated once as the node it becomes;
-    536 before path nodes kept their transforms and each MINRES step reused
-    its metric solve's product), and within 436 ``W`` rows, 10% above the
-    396 it makes: 46 ``wint`` and ``wslope`` rows plus the ``p + 1 = 5``
-    rows of each of 70 ``wint_bernstein`` reductions.  Before segments took
-    the polynomial of ``W`` they sampled it in 710 rows, under a budget of
-    2000.
+    A default solve stays within 387 FFT calls, 10% above the 352 it makes
+    (389 from the 21-node cold start with MINRES at a fixed tolerance; 397
+    before the tie rule reused the last iteration's check, 466 before each
+    crest, descent and polish candidate was evaluated once as the node it
+    becomes; 536 before path nodes kept their transforms and each MINRES
+    step reused its metric solve's product), and within 198 ``W`` rows, 10%
+    above the 180 it makes: 20 ``wint`` and ``wslope`` rows plus the
+    ``p + 1 = 5`` rows of each of 32 ``wint_bernstein`` reductions (396 from
+    the 21-node start).  Before segments took the polynomial of ``W`` they
+    sampled it in 710 rows, under a budget of 2000.
     """
     calls, rows = [], []
     for name in ("rfft", "irfft"):
@@ -989,8 +1056,8 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 437
-    assert 0 < sum(rows) <= 436
+    assert 0 < len(calls) <= 387
+    assert 0 < sum(rows) <= 198
 
 
 def _energy_call_scopes() -> set[str]:

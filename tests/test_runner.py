@@ -303,9 +303,11 @@ def test_degenerate_ladder_matches_direct_solve(spec10, constants, default_solve
 
 
 def test_warm_and_cold_ladders_agree(spec10, constants, sweep_report, potential):
-    """Warm rungs reach the cold rungs' levels and measure at most half their segments.
+    """Warm rungs reach the cold rungs' levels and measure no more segments.
 
-    Covers the default family and the solve-vector family on ``N = 1024``.
+    Both starts have three nodes, so a warm rung no longer takes half the
+    segments of a cold one (24 against 32 at ``lambda = 10``).  Covers the
+    default family and the solve-vector family on ``N = 1024``.
     """
     grid = RealLineGrid(20.0, 1024)
     vector = _solve_vector_spec(grid, potential)
@@ -321,7 +323,7 @@ def test_warm_and_cold_ladders_agree(spec10, constants, sweep_report, potential)
             assert abs(w["level"] - c["level"]) <= 1e-13 * abs(c["level"])
         for w, c in zip(warm.records[1:], cold.records[1:]):
             segments = [r["diagnostics"]["counters"]["segments"] for r in (w, c)]
-            assert 2 * segments[0] <= segments[1], segments
+            assert segments[0] <= segments[1], segments
 
 
 def test_ladder_validation(spec10, constants):
