@@ -31,9 +31,9 @@ from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _hessian_operator,
     _segment_power_rows,
     _weighted_grad_w,
-    _weighted_hessian_action,
     _weighted_slope,
     _weighted_w,
     h_values,
@@ -262,25 +262,25 @@ class _OperatorBase:
             )
         return g, ag
 
-    def newton_step(self, vals: np.ndarray, r: np.ndarray,
-                    rtol: float = 1e-11) -> tuple[np.ndarray | None, int]:
+    def newton_step(self, vals: np.ndarray, r: np.ndarray, rtol: float = 1e-11,
+                    tridiagonal: list | None = None) -> tuple[np.ndarray | None, int]:
         """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES to tolerance ``rtol``.
 
-        Returns the step, ``None`` when MINRES fails, and its iteration count.
+        Returns the step, ``None`` when MINRES fails, and its iteration count;
+        MINRES appends its Lanczos tridiagonal to ``tridiagonal`` if one is given.
         The preconditioner is ``solve_and_apply_metric``, so the preconditioned
-        Hessian ``I - A^-1 W''(u)`` does not depend on ``lambda``, and the
+        Hessian ``I - A^-1 quad W''(u)`` does not depend on ``lambda``, and the
         Hessian action takes the checked product ``A g`` (see the README).
         """
         d = self.dofs
         u = vals[d]
-        weight = self.weight[d]
+        w2 = _hessian_operator(self.spec.nonlinearity, self.weight[d], u)
 
         def hess(v: np.ndarray, av: np.ndarray) -> np.ndarray:
-            return av - self.quad * _weighted_hessian_action(self.spec.nonlinearity, weight, u, v)
+            return av - self.quad * w2(v)
 
-        step, info, iterations = _minres(
-            hess, self.solve_and_apply_metric, -r[d], rtol=rtol, maxiter=5 * u.size
-        )
+        step, info, iterations = _minres(hess, self.solve_and_apply_metric, -r[d], rtol=rtol,
+                                         maxiter=5 * u.size, tridiagonal=tridiagonal)
         if info != 0:
             return None, iterations
         out = np.zeros_like(vals)
@@ -288,7 +288,7 @@ class _OperatorBase:
         return out, iterations
 
 
-def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
+def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagonal=None):
     """Preconditioned MINRES for a symmetric ``H x = rhs`` from ``x = 0``, on arrays of any shape.
 
     Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported from scipy.
@@ -296,6 +296,8 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
     ``P y`` for a linear map ``P``; ``hess(v, pv)`` returns ``H v`` given
     ``pv = P v``.  Returns ``(x, info, iterations)``, ``info`` being
     ``maxiter`` when the iteration limit stopped the solve and 0 otherwise.
+    Step ``k`` appends ``(alfa_k, beta_k+1)`` to ``tridiagonal``, if given:
+    the Lanczos tridiagonal of ``M H``, whose eigenvalues are its Ritz values.
     Assumes ``rtol >= 2**-53``, so scipy's stops at ``1 + test <= 1`` are left to ``test <= rtol``.
     """
     x = np.zeros_like(rhs)
@@ -333,6 +335,8 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
         if beta < 0.0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
+        if tridiagonal is not None:
+            tridiagonal.append((alfa, beta))
         tnorm2 += alfa**2 + oldb**2 + beta**2
         if itn == 1 and beta / beta1 <= 10.0 * _EPS:
             istop = -1  # H is a multiple of the preconditioner's inverse

@@ -16,9 +16,11 @@ measurement, the Newton polish and the reported node.  Each iteration:
    descends it by an Armijo backtracking step; either is kept only if the
    re-measured adjacent segments keep the path maximum from rising.
 
-A solve is one run, from ``0 -> e/2 -> e`` or, warm-started on the line,
-``0 -> guess -> e``.  No node ever leaves the path and only step 1 inserts
-one, so a path holds at most its starting nodes plus one per iteration.
+A solve is one run.  Newton first polishes its start, the crest of ``0 -> e``
+or a warm start's guess; a polished ``u`` of Morse index 1 starts the path as
+``0 -> u -> sigma u -> e`` (:func:`_newton_start`), else ``0 -> e/2 -> e`` or
+``0 -> guess -> e`` does.  No node ever leaves the path and only step 1
+inserts one, so a path holds at most its starting nodes plus one per iteration.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ _COARSE = 15
 # _ROOT_ITERS evaluations; a segment crest this close to an end is that end.
 _ROOT_TOL = 1e-9
 _ROOT_ITERS = 60
-# A monotonicity certificate must clear zero by this much relative to the
-# segment's slope terms, which next to a critical point cancel to round-off.
-_MONOTONE_MARGIN = 1e-10
 # The Newton polish starts once the weighted residual is below this fraction
 # of 1 + |level|.  Its stop rule on either domain: a tolerance, and a step
 # count that is only a backstop (see _newton_polish).
@@ -64,6 +63,8 @@ _NEWTON_STEPS = 20
 # Forcing terms (Eisenstat & Walker, 1996) of the polish's MINRES solves.
 _FORCING = 1e-2
 _FORCING_FLOOR = 1e-11
+# Ritz values this close relative to the largest are equal (see _hessian_spectrum).
+_GHOST_TOL = 1e-12
 # Armijo sufficient-decrease constant and the smallest step tried.
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-12
@@ -73,8 +74,8 @@ _STEP_FLOOR = 1e-12
 class MpaConfig:
     """Solver knobs; defaults match the shipped problem sizes.
 
-    ``path_nodes`` is the node count of the straight cold path only; the
-    default ``0 -> e/2 -> e`` has the shape of a warm start ``0 -> guess -> e``.
+    ``path_nodes`` counts the straight path of a cold start that declines
+    the Newton start; the default is ``0 -> e/2 -> e``.
     """
 
     path_nodes: int = 3
@@ -247,23 +248,25 @@ def _stationarity(op, node: _Node) -> tuple[float, float, float, np.ndarray]:
     return (1.0 + node.xnorm) * gnorm, gnorm, node.xnorm, g
 
 
-def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool]:
+def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool, list]:
     """Damped Newton on ``op.residual(u) = 0`` with backtracking, stopped by the README's rule.
 
     Step ``k`` ends MINRES at the forcing tolerance ``max(_FORCING_FLOOR, _FORCING
     |r_k| / |r_0|)`` of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996).
     Below the round-off floor of evaluating the residual a step only
-    shuffles noise.  Returns the iterate and whether any step was taken.
+    shuffles noise.  Returns the iterate, whether any step was taken and
+    the Lanczos tridiagonal of the last MINRES run.
     """
     v = vals.copy()
     r = op.residual(v)
     rn = r0 = float(np.linalg.norm(r))
     improved_any = False
     for _ in range(_NEWTON_STEPS):
-        d, iterations = op.newton_step(v, r, max(_FORCING_FLOOR, _FORCING * rn / r0))
+        tridiagonal = []
+        d, iterations = op.newton_step(v, r, max(_FORCING_FLOOR, _FORCING * rn / r0), tridiagonal)
         counters["minres_iterations"] += iterations
         if d is None:
-            return v, improved_any
+            return v, improved_any, tridiagonal
         for t in (0.5**i for i in range(7)):
             cand = v + t * d
             rc = op.residual(cand)
@@ -274,11 +277,55 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
                 counters["newton_steps"] += 1
                 break
         else:
-            return v, improved_any
+            return v, improved_any, tridiagonal
         vn = float(np.linalg.norm(v))
         if rn <= max(_NEWTON_TOL * (1.0 + vn), _EPS * op.metric_bound * vn):
             break
-    return v, improved_any
+    return v, improved_any, tridiagonal
+
+
+def _hessian_spectrum(tridiagonal: list) -> np.ndarray | None:
+    """Ritz values ``nu`` of ``(quad W''(u), A)``, descending, from a MINRES run's tridiagonal ``T``.
+
+    ``T``'s eigenvalues ``mu`` approximate those of ``I - A^-1 quad W''(u)``, so ``nu = 1 - mu``;
+    ghosts go by the Cullum-Willoughby test (README).  ``None`` below 3 rows or 2 values.
+    """
+    if len(tridiagonal) < 3:
+        return None
+    alfa, beta = np.array(tridiagonal).T
+    t = np.diag(alfa) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    mu, hat = np.linalg.eigvalsh(t), np.linalg.eigvalsh(t[1:, 1:])
+    tol = _GHOST_TOL * np.max(np.abs(mu))
+    copy = np.r_[False, np.diff(mu) <= tol]  # equal to the value before it
+    ghost = ~copy & ~np.r_[copy[1:], False] & np.any(np.abs(mu[:, None] - hat) <= tol, axis=1)
+    mu = mu[~copy & ~ghost]
+    return 1.0 - mu if mu.size > 1 else None
+
+
+def _newton_start(op, x: np.ndarray, e_xnorm: float, counters: dict) -> tuple[list | None, dict]:
+    """The interior nodes ``u, sigma u`` of a start on the Newton-polished ``x``, or ``None``.
+
+    The gate (README): the polish lowers the residual, ``u`` is nontrivial,
+    its Morse index (``nu > 1``) is 1 and ``I(sigma u) < 0`` for some
+    ``sigma = 2^k``.  Also returns the diagnostics that say why.
+    """
+    u, improved, tridiagonal = _newton_polish(op, x, counters)
+    nu = _hessian_spectrum(tridiagonal)
+    index = None if nu is None else int(np.sum(nu > 1.0))
+    why = ("no Newton step lowered the residual" if not improved
+           else "the polished point is trivial" if not op.xnorm(u) > 1e-8 * max(1.0, e_xnorm)
+           else "too few Ritz values" if nu is None
+           else f"Morse index {index}" if index != 1 else None)
+    if why is None:
+        try:
+            sigma = _doubling_scan(op, u, "")
+        except GeometryError:
+            why = "no negative energy on the ray"
+    if why is not None:
+        return None, {"newton_start": f"declined: {why}",
+                      **dict.fromkeys(("morse_index", "nu_top", "hessian_gap"))}
+    return [u, sigma * u], {"newton_start": "taken", "morse_index": index,
+                            "nu_top": nu[:2].tolist(), "hessian_gap": float(1.0 - nu[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +420,13 @@ def construct_e(
         eta=eta,
         epsilon_c=epsilon_c,
         c_eps=c_eps,
-        ctilde=_straight_path_max(op, e.values),
+        ctilde=_straight_path_crest(op, e.values).value,
     )
 
 
-def _straight_path_max(op, e_vals: np.ndarray) -> float:
-    """Maximum of the energy on the segment ``0 -> e_vals``, measured as any path segment is."""
-    return _measure_segment(op, _node(op, np.zeros_like(e_vals)), _node(op, e_vals)).value
+def _straight_path_crest(op, e_vals: np.ndarray) -> _Segment:
+    """The crest of the segment ``0 -> e_vals``, measured as any path segment is."""
+    return _measure_segment(op, _node(op, np.zeros_like(e_vals)), _node(op, e_vals))
 
 
 def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
@@ -389,7 +436,7 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     The bump avoids the potential's support, so the value is the same for
     every parameter value; :func:`construct_e` stores it as ``setup.ctilde``.
     """
-    return _straight_path_max(_operator(spec), setup.e.values)
+    return _straight_path_crest(_operator(spec), setup.e.values).value
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +495,6 @@ def _node(op, x: np.ndarray) -> _Node:
 class _Segment:
     theta: float
     node: _Node
-    scanned: bool = True  # false when monotonicity was certified without a scan
 
     @property
     def value(self) -> float:
@@ -486,13 +532,12 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
 
     The README's overview gives the full account: the expansion, the span,
     the polynomial of ``W`` (``op.wint_bernstein``; without one ``W`` is
-    sampled at each point), the monotonicity certificate for a convex ``W``
-    and the crest search.  A crest within ``_ROOT_TOL`` of an end is that
-    end node, at ``th`` moved inward by ``_ROOT_TOL``: one ulp of excess
-    would make the engine insert a duplicate of the node.  Any other crest
-    is a node of its own, with its exact energy.
+    sampled at each point), the coarse scan and the crest search.  A crest
+    within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved inward
+    by ``_ROOT_TOL``: one ulp of excess would make the engine insert a
+    duplicate of the node.  Any other crest is a node of its own, with its
+    exact energy.
     """
-    ends = (a, b)
     forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
     span = _span_union(a.span, b.span)
     qa, qab, qb = forms
@@ -502,25 +547,13 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     def wslope(th: float) -> float:
         if poly is None:
             # An end of the segment is that node, whose own support may be narrower.
-            on = span if 0.0 < th < 1.0 else ends[int(th)].span
+            on = span if 0.0 < th < 1.0 else (a, b)[int(th)].span
             return float(op.wslope((1.0 - th) * a.x[on] + th * b.x[on], d[on], on))
         return float(_bernstein(poly, th, slope=True))
 
     def slope(th: float) -> float:
         return -(1.0 - th) * qa + (1.0 - 2.0 * th) * qab + th * qb - wslope(th)
 
-    def end(k: int, scanned: bool = True) -> _Segment:
-        return _Segment((_ROOT_TOL, 1.0 - _ROOT_TOL)[k], ends[k], scanned)
-
-    if op.spec.nonlinearity.kind == "pure_power":
-        k = int(b.energy > a.energy)
-        s = wslope(float(k))
-        rises = (qab - qa, qb - qab)
-        margin = _MONOTONE_MARGIN * (abs(qa) + abs(qab) + abs(qb) + abs(s))
-        if k == 0 and max(rises) - s < -margin:
-            return end(0, scanned=False)
-        if k == 1 and min(rises) - s > margin:
-            return end(1, scanned=False)
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
     if poly is None:
         energies = _segment_energies(op, a.x, b.x, forms, thetas, span)
@@ -534,9 +567,9 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     if theta in (lo, hi) and 0.0 < theta < 1.0:  # no root before an interior neighbour
         theta = best
     if theta <= _ROOT_TOL:
-        return end(0)
+        return _Segment(_ROOT_TOL, a)
     if theta >= 1.0 - _ROOT_TOL:
-        return end(1)
+        return _Segment(1.0 - _ROOT_TOL, b)
     return _Segment(theta, _node(op, (1.0 - theta) * a.x + theta * b.x))
 
 
@@ -552,7 +585,7 @@ class _PathEngine:
         self.nodes = [_node(op, x) for x in nodes]
         self.counters = dict.fromkeys((
             "inserted", "step_rejections", "guard_rejections", "polish_accepted", "polish_rejected",
-            "newton_steps", "minres_iterations", "segments", "segment_scans"), 0)
+            "newton_steps", "minres_iterations", "segments"), 0)
         self.segments = [self._measure(k, k + 1) for k in range(len(nodes) - 1)]
 
     @property
@@ -563,7 +596,6 @@ class _PathEngine:
         """The segment from node ``i`` to node ``j``; counted."""
         seg = _measure_segment(self.op, self.nodes[i], self.nodes[j])
         self.counters["segments"] += 1
-        self.counters["segment_scans"] += seg.scanned
         return seg
 
     def level(self) -> float:
@@ -611,12 +643,18 @@ class _PathEngine:
 def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | None) -> SolveResult:
     """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
 
-    The path starts straight on ``config.path_nodes`` nodes, or as
-    ``0 -> guess -> e`` when the values ``guess`` are given.
+    Newton first polishes ``guess``, or the crest of ``0 -> e``.  A start
+    that :func:`_newton_start` takes runs on ``0 -> u -> sigma u -> e``, any
+    other on ``config.path_nodes`` straight nodes or on ``0 -> guess -> e``.
     """
-    inner = [guess] if guess is not None else [
-        w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
+    counters = {"newton_steps": 0, "minres_iterations": 0}
+    x = guess if guess is not None else _straight_path_crest(op, e_vals).node.x
+    inner, start = _newton_start(op, x, op.xnorm(e_vals), counters)
+    if inner is None:
+        inner = [guess] if guess is not None else [
+            w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
     engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
+    engine.counters.update(counters)
     e_xnorm = engine.nodes[-1].xnorm
     cap_norm = 0.5 * max(1.0, e_xnorm)
 
@@ -646,7 +684,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
 
         # Newton endgame: refine the crest node in place when already close.
         if rw <= _POLISH_TRIGGER * (1.0 + abs(level)):
-            vals, ok = _newton_polish(op, node.x, engine.counters)
+            vals, ok, _ = _newton_polish(op, node.x, engine.counters)
             if ok:
                 polished = _node(op, vals)
                 slack = 1e-9 * (1.0 + abs(level))
@@ -699,6 +737,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | Non
             "polyline_level": engine.level(),
             "counters": engine.counters,
             "crest_index": work,
+            **start,
         },
     )
 

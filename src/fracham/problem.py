@@ -352,10 +352,14 @@ def _weighted_slope(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, D: np.
     return g * _radial_slope_factor(spec, _magnitude(U)) * _rowdot(U, D)
 
 
-def _weighted_hessian_action(
-    spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """Action of the second derivative of ``W`` in ``u`` on a direction ``V``.
+def _weighted_hessian_action(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray,
+                             V: np.ndarray) -> np.ndarray:
+    """Action of the second derivative of ``W`` in ``u`` on a direction ``V``."""
+    return _hessian_operator(spec, g, U)(V)
+
+
+def _hessian_operator(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray):
+    """``V -> W''(u) V``, with every term that depends on ``u`` alone computed once.
 
     For radial ``W``, the Hessian is ``(w'/r) I + (w'' - w'/r) uu^T/r^2``;
     the rank-one coefficient vanishes at ``r = 0`` for superquadratic
@@ -363,14 +367,17 @@ def _weighted_hessian_action(
     """
     r = _magnitude(U)
     factor = g * _radial_slope_factor(spec, r)
-    second = g * _radial_second(spec, r)
-    out = factor[..., None] * V
     mask = r > 0.0
-    if np.any(mask):
-        coeff = np.zeros_like(r)
-        coeff[mask] = (second[mask] - factor[mask]) / r[mask] ** 2
-        out = out + (coeff * _rowdot(U, V))[..., None] * U
-    return out
+    coeff = (np.where(mask, (g * _radial_second(spec, r) - factor) / np.where(mask, r, 1.0) ** 2,
+                      0.0) if np.any(mask) else None)
+
+    def action(V: np.ndarray) -> np.ndarray:
+        out = factor[..., None] * V
+        if coeff is not None:
+            out = out + (coeff * _rowdot(U, V))[..., None] * U
+        return out
+
+    return action
 
 
 def w_values(spec: NonlinearitySpec, t, U: np.ndarray) -> np.ndarray:

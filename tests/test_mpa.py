@@ -38,6 +38,7 @@ from fracham.fracops import BoundaryDecayWarning, check_boundary_decay
 from fracham.problem import (
     NonlinearitySpec,
     PotentialSpec,
+    _weighted_hessian_action,
     _weighted_slope,
     _weighted_w,
     default_oscillatory,
@@ -46,6 +47,13 @@ from fracham.problem import (
 )
 from fracham.runner import _c6_record
 from fracham.spaces import sample_interval_function
+
+
+def _decline_newton_start(monkeypatch):
+    """Force every run onto the path: ``mpa._newton_start`` declines before any polish."""
+    declined = {"newton_start": "declined: forced",
+                **dict.fromkeys(("morse_index", "nu_top", "hessian_gap"))}
+    monkeypatch.setattr(mpa, "_newton_start", lambda op, x, e_xnorm, counters: (None, declined))
 
 
 def test_config_validation():
@@ -154,7 +162,7 @@ def test_default_solve_certificates(default_solve, setup, ctilde):
     for key in ("inserted", "step_rejections", "guard_rejections",
                 "polish_accepted", "polish_rejected", "newton_steps", "minres_iterations"):
         assert counters[key] >= 0
-    assert counters["segments"] >= counters["segment_scans"] > 0
+    assert counters["segments"] > 0
 
 
 def _solve_vector_spec(line_grid, potential):
@@ -270,7 +278,8 @@ def test_mixed_endpoint_oscillatory_solves_agree(potential):
 def test_newton_minres_iterations_do_not_grow_with_lambda(
     spec10, setup, interval_spec, monkeypatch
 ):
-    """The metric-preconditioned polish needs few MINRES steps at any lambda and on the interval."""
+    """The metric-preconditioned path polish needs few MINRES steps at any lambda and on the interval."""
+    _decline_newton_start(monkeypatch)
     minres = functional._minres
     solves = []
 
@@ -328,19 +337,21 @@ def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, i
     The floor is ``eps * metric_bound * |u|``, the error of evaluating the
     residual; the step cap (``mpa._NEWTON_STEPS``) is only a backstop.  Cases: the
     default solve, a cold ``lambda = 1000`` solve, a warm ladder to 1e6, the
-    solve-vector family, ``alpha`` 0.51 and 0.99, and the interval at n = 1, 2.
+    solve-vector family, ``alpha`` 0.51 and 0.99, and the interval at n = 1, 2, each
+    with the Newton start declined, so that every polish is the path's.
     """
+    _decline_newton_start(monkeypatch)
     polish = mpa._newton_polish
     polishes = []
 
     def recorded(op, vals, counters):
         before = counters["newton_steps"]
-        v, ok = polish(op, vals, counters)
+        v, ok, tridiagonal = polish(op, vals, counters)
         vn = float(np.linalg.norm(v))
         bound = max(mpa._NEWTON_TOL * (1.0 + vn), np.finfo(np.float64).eps * op.metric_bound * vn)
         polishes.append((ok, counters["newton_steps"] - before,
                          float(np.linalg.norm(op.residual(v))), bound))
-        return v, ok
+        return v, ok, tridiagonal
 
     monkeypatch.setattr(mpa, "_newton_polish", recorded)
 
@@ -373,8 +384,9 @@ def test_reported_crest_is_the_checked_node_or_the_best_tie(spec10, setup, inter
     the node whose check stopped it, at exactly its ``polyline_level``.  At
     an unreachable ``tol`` both stop on ``stagnation`` and report, of the
     nodes tied with the top energy, the smallest weighted residual.  Ties
-    must occur both ways.
+    must occur both ways.  The Newton start is declined, so the runs walk the path.
     """
+    _decline_newton_start(monkeypatch)
     engines, checked = [], []
     stationarity = mpa._stationarity
 
@@ -471,22 +483,24 @@ def test_segment_from_zero_keeps_its_first_cell_crest(potential):
 def test_guard_rejections_leave_the_path_exactly_as_it_was(spec10, setup, monkeypatch):
     """A rejected ``replace_node`` restores the node and both adjacent segments.
 
-    The warm ``lambda = 10`` rung of the default sweep has a guard
-    rejection; the path maximum never rises past the polish slack.
+    The warm ``lambda = 10`` rung of the default sweep, with the Newton
+    start declined, has a guard rejection; the path maximum never rises
+    past the polish slack.
     """
+    _decline_newton_start(monkeypatch)
     start = mpa_solve(spec10.with_lambda(1.0), setup)
     replace = mpa._PathEngine.replace_node
     rejected = []
 
     def checked(self, k, *args):
         nodes, segments = list(self.nodes), list(self.segments)
-        values = [(s.theta, s.value, s.scanned) for s in segments]
+        values = [(s.theta, s.value) for s in segments]
         ok = replace(self, k, *args)
         if not ok:
             assert len(self.nodes) == len(nodes) and all(x is y for x, y in zip(self.nodes, nodes))
             assert len(self.segments) == len(segments)
             assert all(x is y for x, y in zip(self.segments, segments))
-            assert [(s.theta, s.value, s.scanned) for s in self.segments] == values
+            assert [(s.theta, s.value) for s in self.segments] == values
             rejected.append(k)
         return ok
 
@@ -501,6 +515,7 @@ def test_guard_rejections_leave_the_path_exactly_as_it_was(spec10, setup, monkey
 
 def test_armijo_rejections_stagnate_on_an_unchanged_path(potential, monkeypatch):
     """With an unreachable sufficient decrease every step is rejected before the guard."""
+    _decline_newton_start(monkeypatch)
     spec, setup = _coarse_line(potential, default_nonlinearity(), 10.0)
     monkeypatch.setattr(mpa, "_ARMIJO_C1", 1e6)
     res = mpa_solve(spec, setup)
@@ -516,18 +531,12 @@ def test_solution_satisfies_defect_identity(default_solve, spec10):
     assert gap <= 1e-6 * (1.0 + abs(lhs))
 
 
-@pytest.mark.parametrize("config", [MpaConfig(), MpaConfig(path_nodes=3)],
-                         ids=["default", "three_nodes"])
+@pytest.mark.parametrize("config", [MpaConfig(), MpaConfig(path_nodes=21)],
+                         ids=["default", "21_nodes"])
 def test_warm_start_reuses_the_solution(spec10, setup, default_solve, config, monkeypatch):
-    """A warm start begins on ``0 -> guess -> e`` whatever ``path_nodes`` is, and keeps the guess."""
-    starts = []
-
-    class Recorded(mpa._PathEngine):
-        def __init__(self, op, nodes):
-            starts.append(nodes)
-            super().__init__(op, nodes)
-
-    monkeypatch.setattr(mpa, "_PathEngine", Recorded)
+    """A declined warm start begins on ``0 -> guess -> e`` whatever ``path_nodes`` is."""
+    _decline_newton_start(monkeypatch)
+    starts = _recorded_starts(monkeypatch)
     warm = mpa_solve(spec10, setup, config, initial_guess=default_solve.u)
     [nodes] = starts
     assert len(nodes) == 3 and not np.any(nodes[0])
@@ -536,6 +545,189 @@ def test_warm_start_reuses_the_solution(spec10, setup, default_solve, config, mo
     assert warm.converged is True
     assert warm.iterations <= 2
     assert abs(warm.level - default_solve.level) <= 1e-12 * abs(default_solve.level)
+
+
+# ---------------------------------------------------------------------------
+# The Newton start and its Morse-index gate.
+# ---------------------------------------------------------------------------
+
+
+def _recorded_starts(monkeypatch) -> list:
+    """The node values each ``_PathEngine`` of the following runs starts from."""
+    starts = []
+
+    class Recorded(mpa._PathEngine):
+        def __init__(self, op, nodes):
+            starts.append(nodes)
+            super().__init__(op, nodes)
+
+    monkeypatch.setattr(mpa, "_PathEngine", Recorded)
+    return starts
+
+
+def _dense_nu(op, u: np.ndarray) -> np.ndarray:
+    """Every ``nu`` of the pencil ``(quad W''(u), A)`` on the dofs, descending, by a dense ``eigh``."""
+    from scipy.linalg import eigh
+
+    d = op.dofs
+    ud = u[d]
+    basis = np.eye(ud.size).reshape(ud.size, *ud.shape)
+    metric = np.stack([op.apply_metric(v).ravel() for v in basis], axis=1)
+    hess = np.stack([_weighted_hessian_action(op.spec.nonlinearity, op.weight[d], ud, v).ravel()
+                     for v in basis], axis=1)
+    pencil = (op.quad * 0.5 * (hess + hess.T), 0.5 * (metric + metric.T))
+    return eigh(*pencil, eigvals_only=True)[::-1]
+
+
+@pytest.mark.parametrize("case", ["line-n1", "line-n2", "interval"])
+def test_ritz_values_match_a_dense_pencil(case, potential):
+    """The top two Ritz ``nu`` of a polish's last MINRES run match a dense ``eigh`` within 1e-6.
+
+    The starts are not symmetric under ``t -> -t``, so the Krylov space
+    reaches every direction (README).  Line: ``N = 256`` on ``[-10, 10)``,
+    the crest of ``0 -> e`` tilted by ``1 + t/2``; at ``n = 2`` (scales 1
+    and 2) component 1 starts at 5% of component 0 times ``1 - t``, and
+    Lanczos repeats the top value, which the ghost test drops.  Interval:
+    the crest of ``0 -> e`` on 65 nodes of the well.
+    """
+    if case == "interval":
+        spec = IntervalProblemSpec(alpha=0.75, nonlinearity=default_nonlinearity(),
+                                   grid=IntervalGrid(-0.4, 0.4, 65))
+        op = functional._operator(spec)
+        vals = mpa._bump(spec, 0.0, 0.3)
+        e = mpa._doubling_scan(op, vals, "no endpoint") * vals
+    else:
+        n = int(case[-1])
+        grid = RealLineGrid(10.0, 256)
+        spec = ProblemSpec(alpha=0.75, lam=10.0, nonlinearity=default_nonlinearity(), grid=grid,
+                           n=n, potential=potential if n == 1 else dataclasses.replace(
+                               potential, kind="diagonal", diag_scales=(1.0, 2.0)))
+        op = functional._operator(spec)
+        e = construct_e(spec, constants=estimate_embedding_constants(grid, 0.75, potential)).e.values
+    x = _measure(op, np.zeros_like(e), e).node.x.copy()
+    if case != "interval":
+        t = spec.grid.nodes
+        if n == 2:
+            x[:, 1] = 0.05 * x[:, 0] * (1.0 - t)
+        x[:, 0] *= 1.0 + 0.5 * t
+    u, improved, tridiagonal = mpa._newton_polish(op, x, {"newton_steps": 0, "minres_iterations": 0})
+    nu = mpa._hessian_spectrum(tridiagonal)
+    dense = _dense_nu(op, u)
+    assert improved and len(tridiagonal) >= 3
+    assert np.max(np.abs(nu[:2] - dense[:2])) <= 1e-6, (nu[:3], dense[:3])
+    assert mpa._hessian_spectrum(tridiagonal[:2]) is None
+    if case == "line-n2":
+        alfa, beta = np.array(tridiagonal).T
+        raw = 1.0 - np.linalg.eigvalsh(np.diag(alfa) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        assert np.sum(raw > 2.9) == 2 and np.sum(nu > 2.9) == 1
+
+
+def test_default_runs_take_the_newton_start(default_solve, sweep_report):
+    """Every default run takes the Newton start at Morse index 1 and converges at once.
+
+    The default ``lambda = 10`` solve, every rung of the default sweep and
+    the ``bvp`` reference converge at iteration 1 on ``0 -> u -> sigma u ->
+    e``, with ``polyline_level == level``.  For the pure power ``W''(u) u =
+    (p - 1) grad W(u)``, so at a critical point ``nu_1 = p - 1 = 3``.
+    """
+    runs = [default_solve.summary(), *sweep_report.records, sweep_report.bvp_reference.summary()]
+    for run in runs:
+        diag = run["diagnostics"]
+        assert diag["newton_start"] == "taken" and diag["morse_index"] == 1
+        assert run["converged"] and run["iterations"] == 1
+        assert run["level"] == diag["polyline_level"]
+        assert abs(diag["nu_top"][0] - 3.0) <= 1e-6
+        assert diag["hessian_gap"] == 1.0 - diag["nu_top"][1] > 0.0
+    assert default_solve.diagnostics["counters"]["segments"] == 3
+
+
+@pytest.mark.parametrize("family", ["pure_power", "oscillatory"])
+def test_mixed_endpoint_newton_starts_decline_with_index_two(potential, family):
+    """From a mixed endpoint Newton finds a point of Morse index 2, and the start is declined.
+
+    ``construct_e``'s endpoint rotated by 0.6 rad into component 1 on
+    ``N = 1024``: Newton from the crest of ``0 -> e`` lands on a critical
+    point that is not a mountain pass (levels 0.5098 and 0.0508).  The run
+    declines it, walks the path as before and reaches the scalar level.
+    """
+    grid = RealLineGrid(20.0, 1024)
+    if family == "pure_power":
+        scalar = ProblemSpec(alpha=0.75, lam=1.0, potential=potential,
+                             nonlinearity=default_nonlinearity(), grid=grid)
+        spec = dataclasses.replace(scalar, n=2, potential=dataclasses.replace(
+            potential, kind="diagonal", diag_scales=(1.0, 2.0)))
+    else:
+        spec = _solve_vector_spec(grid, potential)
+        scalar = dataclasses.replace(spec, n=1, potential=potential)
+    constants = estimate_embedding_constants(grid, 0.75, potential)
+    setup = construct_e(spec, constants=constants)
+    bump = setup.e.values[:, 0]
+    mixed = np.stack([np.cos(0.6) * bump, np.sin(0.6) * bump], axis=1)
+    run = mpa_solve(spec, dataclasses.replace(setup, e=GridFunction(grid, mixed)))
+    diag = run.diagnostics
+    assert diag["newton_start"] == "declined: Morse index 2"
+    assert diag["morse_index"] is diag["nu_top"] is diag["hessian_gap"] is None
+    assert run.converged and run.iterations > 1
+    reference = mpa_solve(scalar, construct_e(scalar, constants=constants))
+    assert reference.diagnostics["newton_start"] == "taken"
+    assert abs(run.level - reference.level) <= 1e-9 * reference.level
+
+
+def test_a_declined_start_is_todays_path(interval_spec, spec10, setup, monkeypatch):
+    """A declined start begins on the straight nodes and reproduces the path runs bit for bit.
+
+    Pinned from the runs before the Newton start: the default ``bvp``
+    (inserted 6, crest 1, 9 nodes, 11 iterations, 34 segments, level
+    1.2062236961337052) and the cold ``lambda = 10`` solve (6, 1, 9, 10
+    iterations, 32 segments, 0.7553496640932224), both from ``0 -> e/2 -> e``.
+    """
+    _decline_newton_start(monkeypatch)
+    starts = _recorded_starts(monkeypatch)
+    runs = [(bvp_solve(interval_spec, MpaConfig(tol=1e-8)), (6, 1, 9, 11, 34), 1.2062236961337052),
+            (mpa_solve(spec10, setup), (6, 1, 9, 10, 32), 0.7553496640932224)]
+    for nodes, (res, path, level) in zip(starts, runs):
+        diag = res.diagnostics
+        e = nodes[-1]
+        assert len(nodes) == 3 and not np.any(nodes[0]) and np.array_equal(nodes[1], 0.5 * e)
+        assert (diag["counters"]["inserted"], diag["crest_index"], diag["path_nodes_final"],
+                res.iterations, diag["counters"]["segments"]) == path
+        assert res.converged and res.level == diag["polyline_level"] == level
+        assert diag["newton_start"] == "declined: forced" and diag["morse_index"] is None
+
+
+def test_a_failed_far_point_scan_declines_the_start(spec10, setup, default_solve, monkeypatch):
+    """A ``GeometryError`` from the doubling scan for ``sigma u`` declines the start; it does not raise."""
+
+    def failing(*args):
+        raise GeometryError("no negative-energy point")
+
+    monkeypatch.setattr(mpa, "_doubling_scan", failing)
+    res = mpa_solve(spec10, setup)
+    assert res.diagnostics["newton_start"] == "declined: no negative energy on the ray"
+    assert res.converged and res.iterations > 1
+    assert abs(res.level - default_solve.level) <= 1e-12 * default_solve.level
+
+
+def test_a_warm_newton_start_polishes_the_guess(spec10, setup, default_solve, monkeypatch):
+    """A taken warm start begins on ``0 -> u -> sigma u -> e``, ``u`` the polished guess.
+
+    The guess is the ``lambda = 1`` solution; at ``lambda = 10`` the run
+    converges at iteration 1 on ``u``, with ``sigma`` a power of two.
+    """
+    guess = mpa_solve(spec10.with_lambda(1.0), setup).u
+    starts = _recorded_starts(monkeypatch)
+    warm = mpa_solve(spec10, setup, initial_guess=guess)
+    [nodes] = starts
+    assert len(nodes) == 4 and not np.any(nodes[0])
+    assert np.array_equal(nodes[3], setup.e.values)
+    assert not np.array_equal(nodes[1], guess.values)
+    sigma = float(np.max(nodes[2]) / np.max(nodes[1]))
+    assert sigma >= 2.0 and math.log2(sigma).is_integer()
+    assert np.array_equal(nodes[2], sigma * nodes[1])
+    assert warm.diagnostics["newton_start"] == "taken"
+    assert warm.converged and warm.iterations == 1
+    assert np.array_equal(warm.u.values, nodes[1])
+    assert abs(warm.level - default_solve.level) <= 1e-14 * default_solve.level
 
 
 def test_oscillatory_weight_raises_the_barrier(osc_spec, osc_solve):
@@ -816,30 +1008,6 @@ def _case_solve(case, spec10, setup, line_grid, potential, interval_spec):
     return lambda: mpa_solve(spec, setup2)
 
 
-@pytest.mark.parametrize("case", ["line", "line-n2-diagonal", "bvp"])
-def test_certified_segments_match_a_forced_scan(case, spec10, setup, line_grid, potential,
-                                                interval_spec, monkeypatch):
-    """Wherever the monotonicity certificate fires, a scan reports the same end, bit for bit.
-
-    An infinite margin turns the certificate off, so every measurement scans.
-    """
-    solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
-    res, calls = _recorded_segments(monkeypatch, solve)
-    assert res.converged
-    certified = [call for call in calls if not call[-1].scanned]
-    assert certified
-    monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", math.inf)
-    for op, a, b, seg in certified:
-        assert seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL)
-        forced = mpa._measure_segment(op, a, b)
-        assert forced.scanned
-        assert forced.theta == seg.theta
-        assert forced.value == seg.value
-    counters = res.diagnostics["counters"]
-    assert counters["segments"] == len(calls)
-    assert counters["segment_scans"] == len(calls) - len(certified)
-
-
 @pytest.mark.parametrize("case", ["line", "line-n2-oscillatory", "bvp"])
 def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_grid, potential,
                                                       interval_spec, monkeypatch):
@@ -847,7 +1015,7 @@ def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_
 
     The oracle transforms both ends, scans them for support, takes the three
     cross forms and evaluates the energies on the whole grid itself; every
-    ``theta``, ``value`` and ``scanned`` agrees bit for bit.
+    ``theta`` and ``value`` agrees bit for bit.
     """
     solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
@@ -867,41 +1035,41 @@ def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_
         fresh = [mpa._Node(x=v, span=sp, coeffs=vt, q=q, energy=e)
                  for v, sp, vt, q, e in zip((x, y), spans, (xt, yt), qs, energies)]
         again = mpa._measure_segment(op, *fresh)
-        assert (again.theta, again.value, again.scanned) == (seg.theta, seg.value, seg.scanned)
+        assert (again.theta, again.value) == (seg.theta, seg.value)
 
 
-def test_certificate_is_off_for_oscillatory(osc_solve, spec10, setup):
-    """The oscillatory ``W`` is not convex, so every one of its segments is scanned.
+def test_certificate_is_off_for_oscillatory(osc_spec, osc_solve, spec10, setup):
+    """No segment is certified monotone without a scan, for either family.
 
-    Past the crest of the straight path the energy falls toward ``e``, and
-    for the convex default ``W`` that segment is certified.
+    The convex default ``W`` had such a certificate; it skipped no segment
+    once runs started on a Newton-polished point, and is gone.  Past the
+    crest of the straight path the energy falls toward ``e``, and the scan
+    reports that segment's first end exactly, for both families.
     """
-    _, res = osc_solve
-    counters = res.diagnostics["counters"]
-    assert counters["segments"] == counters["segment_scans"] > 0
-    op = functional._operator(spec10)
-    a = 0.95 * setup.e.values
-    certified = _measure(op, a, setup.e.values)
-    assert not certified.scanned
-    assert (certified.theta, certified.value) == (mpa._ROOT_TOL, op.energy(a))
+    osc_setup, res = osc_solve
+    assert res.converged
+    for spec, e in ((spec10, setup.e.values), (osc_spec, osc_setup.e.values)):
+        op = functional._operator(spec)
+        a = 0.95 * e
+        seg = _measure(op, a, e)
+        assert (seg.theta, seg.value) == (mpa._ROOT_TOL, op.energy(a))
 
 
 def test_straight_path_crest_is_scanned(spec10, setup, ctilde):
-    """The segment ``0 -> e`` rises and then falls, so no bound certifies it."""
+    """The segment ``0 -> e`` rises and then falls; the scan finds its interior crest, ``ctilde``."""
     op = functional._operator(spec10)
     e = setup.e.values
     zero = np.zeros_like(e)
     seg = _measure(op, zero, e)
-    assert seg.scanned
     assert 0.01 < seg.theta < 0.99
     assert seg.value == ctilde
 
 
 def test_flat_segments_are_scanned(bvp_result, interval_spec):
-    """Next to a critical point the energy is flat to round-off, so no segment there is certified.
+    """Next to a critical point the energy is flat to round-off, and a scan still measures it.
 
-    Short segments from the ``bvp`` crest in random directions have slope
-    bounds below the round-off margin; with a zero margin some certify.
+    Short segments from the ``bvp`` crest in random directions report the
+    energy of their crest node, within round-off of the higher end.
     """
     op = functional._operator(interval_spec)
     u = bvp_result.u.values
@@ -912,56 +1080,36 @@ def test_flat_segments_are_scanned(bvp_result, interval_spec):
             v[1:-1] = rng.normal(size=(u.shape[0] - 2, u.shape[1]))
             b = u + scale * (np.linalg.norm(u) / np.linalg.norm(v)) * v
             for x, y in ((u, b), (b, u)):
-                assert _measure(op, x, y).scanned
-
-
-def test_monotonicity_margin_keeps_the_default_bvp(interval_spec, bvp_result, monkeypatch):
-    """The default ``bvp`` path is pinned, and a zero margin takes the same path.
-
-    When segments sampled ``W``, a scan found an interior energy ulps above
-    its end node and the margin kept one insert (7 / 12 / 28 against
-    6 / 11 / 27 at zero); on the polynomial of ``W`` the two paths agree.
-    From the three-node start the path is 6 / 1 / 9 in 11 iterations and
-    34 segments (6 / 11 / 27 in 20 and 70 from the 21-node start).
-    ``test_flat_segments_are_scanned`` covers the margin's remaining job.
-    """
-
-    def path(res):
-        diag = res.diagnostics
-        return diag["counters"]["inserted"], diag["crest_index"], diag["path_nodes_final"]
-
-    assert path(bvp_result) == (6, 1, 9)
-    assert bvp_result.iterations == 11
-    assert bvp_result.diagnostics["counters"]["segments"] == 34
-    assert bvp_result.diagnostics["polyline_level"] == 1.2062236961337052
-    monkeypatch.setattr(mpa, "_MONOTONE_MARGIN", 0.0)
-    assert path(bvp_solve(interval_spec, MpaConfig(tol=1e-8))) == (6, 1, 9)
+                seg = _measure(op, x, y)
+                top = max(op.energy(x), op.energy(y))
+                assert seg.value == op.energy((1.0 - seg.theta) * x + seg.theta * y) or (
+                    seg.theta in (mpa._ROOT_TOL, 1.0 - mpa._ROOT_TOL))
+                assert abs(seg.value - top) <= 1e-14 * (1.0 + abs(top))
 
 
 def test_default_sweep_scan_budget(sweep_report):
-    """A default sweep scans at most 150 segments, and certifies some monotone without a scan.
+    """A default sweep measures at most 16 segments, 10% above the 15 it takes.
 
-    It scans 111 of 118 segment measurements (119 of 194 from the 21-node
-    cold start).
+    Every run starts on ``0 -> u -> sigma u -> e`` and converges at once:
+    three segments each (118 from the three-node start, 194 from 21 nodes).
     """
     runs = [rec["diagnostics"]["counters"] for rec in sweep_report.records]
     runs.append(sweep_report.bvp_reference.diagnostics["counters"])
-    segments = sum(c["segments"] for c in runs)
-    scans = sum(c["segment_scans"] for c in runs)
-    assert scans <= 150 and scans < segments
+    assert 0 < sum(c["segments"] for c in runs) <= 16
 
 
 def test_default_sweep_newton_budget(sweep_report):
-    """A default sweep's polishes take at most 129 MINRES iterations, and warm rungs 3 Newton steps.
+    """A default sweep's polishes take at most 140 MINRES iterations, and warm rungs 5, 4, 4 steps.
 
-    The budget is 10% above the 118 it takes (151 from the 21-node cold
-    start with MINRES at a fixed tolerance); the cold first rung and the
-    ``bvp`` reference take 6 Newton steps each.
+    The budget is 10% above the 128 it takes (118 from the three-node path
+    start, 151 from 21 nodes with MINRES at a fixed tolerance); every
+    iteration is now the Newton start's.  The cold first rung takes 7 Newton
+    steps and the ``bvp`` reference 6; warm rungs took 3 each on the path.
     """
     runs = [rec["diagnostics"]["counters"] for rec in sweep_report.records]
     runs.append(sweep_report.bvp_reference.diagnostics["counters"])
-    assert 0 < sum(c["minres_iterations"] for c in runs) <= 129
-    assert [c["newton_steps"] for c in runs[1:-1]] == [3, 3, 3]
+    assert 0 < sum(c["minres_iterations"] for c in runs) <= 140
+    assert [c["newton_steps"] for c in runs[1:-1]] == [5, 4, 4]
 
 
 def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
@@ -1022,14 +1170,16 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 387 FFT calls, 10% above the 352 it makes
-    (389 from the 21-node cold start with MINRES at a fixed tolerance; 397
+    A default solve stays within 240 FFT calls, 10% above the 219 it makes
+    from the Newton start (352 from the three-node path start; 389 from
+    the 21-node cold start with MINRES at a fixed tolerance; 397
     before the tie rule reused the last iteration's check, 466 before each
     crest, descent and polish candidate was evaluated once as the node it
     becomes; 536 before path nodes kept their transforms and each MINRES
-    step reused its metric solve's product), and within 198 ``W`` rows, 10%
-    above the 180 it makes: 20 ``wint`` and ``wslope`` rows plus the
-    ``p + 1 = 5`` rows of each of 32 ``wint_bernstein`` reductions (396 from
+    step reused its metric solve's product), and within 31 ``W`` rows, 10%
+    above the 29 it makes: 9 ``wint`` rows plus the ``p + 1 = 5`` rows of
+    each of 4 ``wint_bernstein`` reductions, the crest of ``0 -> e`` and the
+    three segments of the start (180 from the three-node start, 396 from
     the 21-node start).  Before segments took the polynomial of ``W`` they
     sampled it in 710 rows, under a budget of 2000.
     """
@@ -1056,8 +1206,8 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 387
-    assert 0 < sum(rows) <= 198
+    assert 0 < len(calls) <= 240
+    assert 0 < sum(rows) <= 31
 
 
 def _energy_call_scopes() -> set[str]:
