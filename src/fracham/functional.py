@@ -117,8 +117,6 @@ def _values(u: GridFunction, spec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The span of every node: evaluations on it take the whole-grid path, with no copy.
-_ALL = slice(None)
 # Machine epsilon.
 _EPS = float(np.finfo(np.float64).eps)
 # Every stack of candidates holds fewer float64 values than this (128 KiB),
@@ -162,51 +160,28 @@ class _OperatorBase:
     def xnormsq(self, vals: np.ndarray) -> np.ndarray:
         return self.form(vals, vals)
 
-    def energies(self, vals: np.ndarray, span: slice = _ALL) -> np.ndarray:
-        """Energies of a stack; ``W`` is integrated from the nodes ``span`` (see ``wint``)."""
-        return 0.5 * self.xnormsq(vals) - self.wint(vals[..., span, :], span)
+    def energies(self, vals: np.ndarray) -> np.ndarray:
+        """Energies of a stack."""
+        return 0.5 * self.xnormsq(vals) - self.wint(vals)
 
-    def energy(self, vals: np.ndarray, span: slice = _ALL) -> float:
-        return float(self.energies(vals, span))
+    def energy(self, vals: np.ndarray) -> float:
+        return float(self.energies(vals))
 
-    def wint(self, vals: np.ndarray, span: slice = _ALL) -> np.ndarray:
-        """The quadrature of ``W(t, u)``, one value per candidate.
+    def wint(self, vals: np.ndarray) -> np.ndarray:
+        """The quadrature of ``W(t, u)`` on the whole grid, one value per candidate."""
+        return self.quadrature(_weighted_w(self.spec.nonlinearity, self.weight, vals))
 
-        ``vals`` holds ``u`` on the nodes ``span``.  Off them ``u`` must be
-        exactly ``+0.0``, where ``W`` is exactly zero and is not evaluated.
-        """
-        w = _weighted_w(self.spec.nonlinearity, self.weight[span], vals)
-        return self.quadrature(self._full_rows(w, span))
+    def wslope(self, vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The quadrature of ``grad W(t, u) . d``: the derivative of ``wint`` along ``d``."""
+        return self.quadrature(_weighted_slope(self.spec.nonlinearity, self.weight, vals, d))
 
-    def wslope(self, vals: np.ndarray, d: np.ndarray, span: slice = _ALL) -> np.ndarray:
-        """The quadrature of ``grad W(t, u) . d``: the derivative of ``wint`` along ``d``.
-
-        ``vals`` and ``d`` hold ``u`` and ``d`` on the nodes ``span``, as in ``wint``.
-        """
-        slope = _weighted_slope(self.spec.nonlinearity, self.weight[span], vals, d)
-        return self.quadrature(self._full_rows(slope, span))
-
-    def wint_bernstein(self, a: np.ndarray, b: np.ndarray, span: slice = _ALL) -> list | None:
+    def wint_bernstein(self, a: np.ndarray, b: np.ndarray) -> list | None:
         """``I_k`` with ``wint((1 - th) a + th b) = sum_k I_k th^k (1 - th)^(p - k)``, or ``None``.
 
-        One reduction per row of ``_segment_power_rows``; ``a``, ``b`` and ``span`` as in ``wint``.
+        One whole-grid reduction per row of ``_segment_power_rows``.
         """
-        rows = _segment_power_rows(self.spec.nonlinearity, self.weight[span], a, b)
-        return None if rows is None else [float(self.quadrature(self._full_rows(r, span)))
-                                          for r in rows]
-
-    def _full_rows(self, part: np.ndarray, span: slice) -> np.ndarray:
-        """Whole-grid rows holding ``part`` on ``span`` and exact zeros elsewhere.
-
-        ``quadrature`` then reduces the same rows as a whole-grid evaluation
-        would, in the same order, so the span changes no bit of the result.
-        """
-        num = self.spec.grid.num_points
-        if part.shape[-1] == num:
-            return part
-        rows = np.zeros(part.shape[:-1] + (num,))
-        rows[..., span] = part
-        return rows
+        rows = _segment_power_rows(self.spec.nonlinearity, self.weight, a, b)
+        return None if rows is None else [float(self.quadrature(r)) for r in rows]
 
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))

@@ -96,7 +96,10 @@ class MpaConfig:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MountainPassSetup:
-    """Certified geometry for one problem instance; ``ctilde`` is :func:`ctilde_bound`'s value."""
+    """Certified geometry for one problem instance.
+
+    ``ctilde`` is :func:`ctilde_bound`'s value, the energy of the crest node ``crest_theta * e``.
+    """
 
     psi: GridFunction
     tau: float
@@ -107,6 +110,7 @@ class MountainPassSetup:
     epsilon_c: float
     c_eps: float
     ctilde: float
+    crest_theta: float
 
     @property
     def level_bracket(self) -> tuple[float, float]:
@@ -411,6 +415,7 @@ def construct_e(
     sigma = _doubling_scan(op, psi.values, "no negative-energy endpoint within the doubling "
                            "cap; the nonlinearity is too weak on this grid", rho)
     e = GridFunction(spec.grid, sigma * psi.values)
+    crest = _straight_path_crest(op, e.values)
     return MountainPassSetup(
         psi=psi,
         tau=tau,
@@ -420,7 +425,8 @@ def construct_e(
         eta=eta,
         epsilon_c=epsilon_c,
         c_eps=c_eps,
-        ctilde=_straight_path_crest(op, e.values).value,
+        ctilde=crest.value,
+        crest_theta=crest.theta,
     )
 
 
@@ -444,37 +450,15 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _support(*vals: np.ndarray) -> slice:
-    """The nodes from the first to the last where some ``vals`` has a component other than ``+0.0``.
-
-    Off the span of a segment's two ends every point ``(1 - th) a + th b``
-    of the segment is exactly ``+0.0``.
-    """
-    nodes = np.flatnonzero(np.any([np.signbit(v) | (v != 0.0) for v in vals], axis=(0, -1)))
-    if nodes.size == 0:
-        return slice(0, 0)
-    return slice(int(nodes[0]), int(nodes[-1]) + 1)
-
-
-def _span_union(x: slice, y: slice) -> slice:
-    """``_support(a, b)`` from ``x = _support(a)`` and ``y = _support(b)``."""
-    if x.start == x.stop:
-        return y
-    if y.start == y.stop:
-        return x
-    return slice(min(x.start, y.start), max(x.stop, y.stop))
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Node:
     """One evaluated path point: a path node, or a crest or candidate that may become one.
 
-    ``x`` holds its values, ``span`` its support (:func:`_support`),
-    ``coeffs`` its ``op.transform``, ``q`` its quadratic part ``Q(x) = ||x||_X^2``.
+    ``x`` holds its values, ``coeffs`` its ``op.transform``, ``q`` its
+    quadratic part ``Q(x) = ||x||_X^2``.
     """
 
     x: np.ndarray
-    span: slice
     coeffs: np.ndarray
     q: float
     energy: float
@@ -485,10 +469,10 @@ class _Node:
 
 
 def _node(op, x: np.ndarray) -> _Node:
-    """The node of ``x``, from one transform; ``W`` on its support changes no bit of ``op.energy(x)``."""
-    span, coeffs = _support(x), op.transform(x)
+    """The node of ``x``, from one transform; its energy is the bits of ``op.energy(x)``."""
+    coeffs = op.transform(x)
     q = op.cross_form(x, coeffs, x, coeffs)
-    return _Node(x, span, coeffs, q, float(0.5 * q - op.wint(x[span], span)))
+    return _Node(x, coeffs, q, float(0.5 * q - op.wint(x)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -501,20 +485,12 @@ class _Segment:
         return self.node.energy
 
 
-def _segment_energies(
-    op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray, span: slice = slice(None)
-) -> np.ndarray:
-    """Energies at ``(1 - th) a + th b`` from ``forms``, the segment's ``Q(a)``, ``B(a, b)``, ``Q(b)``.
-
-    ``W`` is evaluated on the nodes ``span`` only, off which ``a`` and ``b``
-    must be exactly ``+0.0`` (see :func:`_support`).
-    """
+def _segment_energies(op, a: np.ndarray, b: np.ndarray, forms, thetas: np.ndarray) -> np.ndarray:
+    """Energies at ``(1 - th) a + th b`` from ``forms``, the segment's ``Q(a)``, ``B(a, b)``, ``Q(b)``."""
     qa, qab, qb = forms
     s = 1.0 - thetas
-    a, b = a[span], b[span]
-    # Both the stack on the span and the whole-grid W rows stay below the limit.
-    wint = [op.wint(s[c, None, None] * a + thetas[c, None, None] * b, span)
-            for c in _chunks(len(thetas), max(a.size, op.spec.grid.num_points))]
+    wint = [op.wint(s[c, None, None] * a + thetas[c, None, None] * b)
+            for c in _chunks(len(thetas), a.size)]
     quad = s * s * qa + 2.0 * thetas * s * qab + thetas * thetas * qb
     return 0.5 * quad - np.concatenate(wint)
 
@@ -530,25 +506,21 @@ def _bernstein(coeffs: list[float], th, slope: bool = False):
 def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     """Maximum of the energy along the straight segment from node ``a`` to node ``b``.
 
-    The README's overview gives the full account: the expansion, the span,
-    the polynomial of ``W`` (``op.wint_bernstein``; without one ``W`` is
-    sampled at each point), the coarse scan and the crest search.  A crest
-    within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved inward
-    by ``_ROOT_TOL``: one ulp of excess would make the engine insert a
-    duplicate of the node.  Any other crest is a node of its own, with its
-    exact energy.
+    The README's overview gives the full account: the expansion, the
+    polynomial of ``W`` (``op.wint_bernstein``; without one ``W`` is sampled
+    on the whole grid at each point), the coarse scan and the crest search.
+    A crest within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved
+    inward by ``_ROOT_TOL``: one ulp of excess would make the engine insert
+    a duplicate of the node.  Any other crest is a node of its own.
     """
     forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
-    span = _span_union(a.span, b.span)
     qa, qab, qb = forms
-    poly = op.wint_bernstein(a.x[span], b.x[span], span)
+    poly = op.wint_bernstein(a.x, b.x)
     d = b.x - a.x
 
     def wslope(th: float) -> float:
         if poly is None:
-            # An end of the segment is that node, whose own support may be narrower.
-            on = span if 0.0 < th < 1.0 else (a, b)[int(th)].span
-            return float(op.wslope((1.0 - th) * a.x[on] + th * b.x[on], d[on], on))
+            return float(op.wslope((1.0 - th) * a.x + th * b.x, d))
         return float(_bernstein(poly, th, slope=True))
 
     def slope(th: float) -> float:
@@ -556,7 +528,7 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
 
     thetas = np.linspace(0.0, 1.0, _COARSE + 2)[1:-1]
     if poly is None:
-        energies = _segment_energies(op, a.x, b.x, forms, thetas, span)
+        energies = _segment_energies(op, a.x, b.x, forms, thetas)
     else:
         energies = 0.5 * _bernstein([qa, 2.0 * qab, qb], thetas) - _bernstein(poly, thetas)
     best = float(thetas[int(np.argmax(energies))])
@@ -640,18 +612,18 @@ class _PathEngine:
         return False
 
 
-def _run_path(op, e_vals: np.ndarray, config: MpaConfig, guess: np.ndarray | None) -> SolveResult:
+def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bool) -> SolveResult:
     """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
 
-    Newton first polishes ``guess``, or the crest of ``0 -> e``.  A start
-    that :func:`_newton_start` takes runs on ``0 -> u -> sigma u -> e``, any
-    other on ``config.path_nodes`` straight nodes or on ``0 -> guess -> e``.
+    Newton first polishes ``x``: a warm start's guess, or the crest of
+    ``0 -> e``, which the caller measured.  A start that :func:`_newton_start`
+    takes runs on ``0 -> u -> sigma u -> e``, any other on ``0 -> x -> e``
+    when ``warm``, else on ``config.path_nodes`` straight nodes.
     """
     counters = {"newton_steps": 0, "minres_iterations": 0}
-    x = guess if guess is not None else _straight_path_crest(op, e_vals).node.x
     inner, start = _newton_start(op, x, op.xnorm(e_vals), counters)
     if inner is None:
-        inner = [guess] if guess is not None else [
+        inner = [x] if warm else [
             w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
     engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
     engine.counters.update(counters)
@@ -759,11 +731,15 @@ def mpa_solve(
     config: MpaConfig | None = None,
     initial_guess: GridFunction | None = None,
 ) -> SolveResult:
-    """Min-max solve on the line; see the module docstring for the algorithm."""
+    """Min-max solve on the line; see the module docstring for the algorithm.
+
+    A cold solve starts at ``setup.crest_theta * e``, the crest of ``0 -> e`` (:func:`construct_e`).
+    """
     if config is None:
         config = MpaConfig()
-    guess = None if initial_guess is None else _values(initial_guess, spec)
-    run = _run_path(_operator(spec), _values(setup.e, spec), config, guess)
+    e, warm = _values(setup.e, spec), initial_guess is not None
+    x = _values(initial_guess, spec) if warm else setup.crest_theta * e
+    run = _run_path(_operator(spec), e, config, x, warm)
     run = _check_level(run, *setup.level_bracket, f"at lambda={spec.lam:g}")
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.
@@ -788,5 +764,6 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
     sigma = _doubling_scan(
         op, vals, "no negative-energy endpoint within the doubling cap on the interval"
     )
-    run = _run_path(op, sigma * vals, config, None)
+    e = sigma * vals
+    run = _run_path(op, e, config, _straight_path_crest(op, e).node.x, False)
     return _check_level(run, np.nextafter(0.0, 1.0), np.inf, "on the interval")  # a positive level

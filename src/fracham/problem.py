@@ -332,10 +332,8 @@ def _magnitude(U: np.ndarray) -> np.ndarray:
 # caller that evaluates on one grid many times computes them once; the public
 # functions below compute them per call and give the same bits.  They are
 # pointwise, so a caller may pass any run of nodes with its weights and get
-# those nodes' values bit for bit: the operators' ``wint``/``wslope`` pass a
-# segment's support only, since at ``u = +0.0`` both ``W`` and the slope
-# ``(grad W, d)`` are exactly zero.  Only exact zeros are skipped: a tail
-# node with ``|u|`` near 1e-5 still moves the integral's last bits.
+# those nodes' values bit for bit, as the interval's residual does on its
+# degrees of freedom; the operators' ``wint``/``wslope`` take the whole grid.
 
 
 def _weighted_w(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from fracham import (
     norm_x_lambda,
     quadratic_form_alpha,
 )
-from fracham import functional, mpa, problem
+from fracham import functional, mpa
 from fracham.cli import main
 from fracham.errors import ConfigError, DomainError, GeometryError
 from fracham.fracops import BoundaryDecayWarning, check_boundary_decay
@@ -878,7 +878,7 @@ def test_wslope_is_the_derivative_of_wint(domain, n, nonlinearity):
     assert all(r == op.wslope(x, d) for r, x in zip(rows, stack))
 
 
-def _span_cases(grid, n):
+def _segment_cases(grid, n):
     """Segment ends ``(a, b)``: zero to bump, bump to bump, bump to full support,
     full to full, and bumps touching either edge of the box."""
     t = grid.nodes
@@ -914,10 +914,11 @@ def _span_cases(grid, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("domain", ["line", "interval"])
 def test_span_restricted_w_matches_the_whole_grid(domain, n, nonlinearity):
-    """``wint``/``wslope`` on a segment's support give the whole-grid bits.
+    """``wint``/``wslope`` of a stack of segment points give the pointwise oracle's bits.
 
     The oracle evaluates ``W`` and its slope on every node and reduces with
-    the domain's quadrature.  ``p = 2`` has ``w'(r)/r = 2`` at ``r = 0``.
+    the domain's quadrature; single points give the bits of their stack
+    row.  ``p = 2`` has ``w'(r)/r = 2`` at ``r = 0``.
     """
     if domain == "line":
         grid = RealLineGrid(20.0, 1024)
@@ -935,23 +936,17 @@ def test_span_restricted_w_matches_the_whole_grid(domain, n, nonlinearity):
     op = functional._operator(spec)
     weight = weight_values(nonlinearity, grid.nodes)
     thetas = np.array([0.0, 0.125, 0.5, 0.8, 1.0])
-    zero = np.zeros((grid.num_points, n))
-    assert mpa._support(zero, zero) == slice(0, 0)
-    assert mpa._support(zero, -zero) == slice(0, grid.num_points)  # -0.0 is not skipped
-    for name, (a, b) in _span_cases(grid, n).items():
-        span = mpa._support(a, b)
-        assert (span.start == 0) == (name == "edge-bump" or "full" in name), name
-        assert (span.stop == grid.num_points) == (name == "bump-edge" or "full" in name), name
+    for name, (a, b) in _segment_cases(grid, n).items():
         d = b - a
         stack = (1.0 - thetas)[:, None, None] * a + thetas[:, None, None] * b
         whole_w = reduce(_weighted_w(nonlinearity, weight, stack))
         whole_slope = reduce(_weighted_slope(nonlinearity, weight, stack, d))
-        assert np.array_equal(op.wint(stack[:, span], span), whole_w), name
-        assert np.array_equal(op.wslope(stack[:, span], d[span], span), whole_slope), name
         assert np.array_equal(op.wint(stack), whole_w), name
-        for u, w_ref in zip(stack, whole_w):
-            assert op.wint(u[span], span) == w_ref, name
-            assert op.energy(u, span) == op.energy(u), name
+        assert np.array_equal(op.wslope(stack, d), whole_slope), name
+        energies = op.energies(stack)
+        for u, w_ref, e_ref in zip(stack, whole_w, energies):
+            assert op.wint(u) == w_ref, name
+            assert op.energy(u) == e_ref, name
 
 
 @pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), _OSC_WEIGHTED],
@@ -1013,9 +1008,9 @@ def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_
                                                       interval_spec, monkeypatch):
     """A segment measured between stored nodes equals one between freshly computed nodes.
 
-    The oracle transforms both ends, scans them for support, takes the three
-    cross forms and evaluates the energies on the whole grid itself; every
-    ``theta`` and ``value`` agrees bit for bit.
+    The oracle transforms both ends, takes the three cross forms and
+    evaluates the energies itself; every ``theta`` and ``value`` agrees bit
+    for bit.
     """
     solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
     res, calls = _recorded_segments(monkeypatch, solve)
@@ -1024,18 +1019,44 @@ def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_
     for op, a, b, seg in calls:
         x, y = a.x, b.x
         xt, yt = op.transform(x), op.transform(y)
-        spans = (mpa._support(x), mpa._support(y))
         qs = (op.cross_form(x, xt, x, xt), op.cross_form(y, yt, y, yt))
         energies = (op.energy(x), op.energy(y))
         assert (a.energy, b.energy) == energies
-        assert (a.span, b.span) == spans
-        assert mpa._span_union(*spans) == mpa._support(x, y)
         assert (a.q, b.q) == qs
         assert op.cross_form(x, a.coeffs, y, b.coeffs) == op.cross_form(x, xt, y, yt)
-        fresh = [mpa._Node(x=v, span=sp, coeffs=vt, q=q, energy=e)
-                 for v, sp, vt, q, e in zip((x, y), spans, (xt, yt), qs, energies)]
+        fresh = [mpa._Node(x=v, coeffs=vt, q=q, energy=e)
+                 for v, vt, q, e in zip((x, y), (xt, yt), qs, energies)]
         again = mpa._measure_segment(op, *fresh)
         assert (again.theta, again.value) == (seg.theta, seg.value)
+
+
+@pytest.mark.parametrize("case", ["line", "line-n2-oscillatory", "bvp"])
+def test_a_solve_measures_the_crest_of_0_to_e_once(case, spec10, setup, line_grid, potential,
+                                                   interval_spec, monkeypatch):
+    """A cold line solve measures only its path's segments; ``construct_e`` measured the crest.
+
+    ``bvp_solve`` has no setup, so it measures the crest of its own ``0 -> e``
+    once before the path's segments.
+    """
+    solve = _case_solve(case, spec10, setup, line_grid, potential, interval_spec)
+    res, calls = _recorded_segments(monkeypatch, solve)
+    assert res.converged
+    assert len(calls) == res.diagnostics["counters"]["segments"] + (case == "bvp")
+
+
+def test_the_cold_start_is_the_crest_node_of_0_to_e(spec10, setup, line_grid, potential):
+    """``setup.crest_theta * e`` is the crest node of ``0 -> e`` to the last bit, signs of zero too.
+
+    Cases: the default problem and the solve-vector family.
+    """
+    vector = _solve_vector_spec(line_grid, potential)
+    vector_setup = construct_e(vector, constants=estimate_embedding_constants(
+        line_grid, vector.alpha, vector.potential))
+    for spec, s in ((spec10, setup), (vector, vector_setup)):
+        crest = mpa._straight_path_crest(functional._operator(spec), s.e.values)
+        assert (crest.theta, crest.value) == (s.crest_theta, s.ctilde)
+        assert 0.0 < s.crest_theta < 1.0
+        assert (s.crest_theta * s.e.values).tobytes() == crest.node.x.tobytes()
 
 
 def test_certificate_is_off_for_oscillatory(osc_spec, osc_solve, spec10, setup):
@@ -1170,18 +1191,20 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 240 FFT calls, 10% above the 219 it makes
-    from the Newton start (352 from the three-node path start; 389 from
-    the 21-node cold start with MINRES at a fixed tolerance; 397
+    A default solve stays within 239 FFT calls, 10% above the 217 it makes
+    from the Newton start (220 while it re-measured the crest of ``0 -> e``
+    that ``construct_e`` had measured; 352 from the three-node path start;
+    389 from the 21-node cold start with MINRES at a fixed tolerance; 397
     before the tie rule reused the last iteration's check, 466 before each
     crest, descent and polish candidate was evaluated once as the node it
     becomes; 536 before path nodes kept their transforms and each MINRES
-    step reused its metric solve's product), and within 31 ``W`` rows, 10%
-    above the 29 it makes: 9 ``wint`` rows plus the ``p + 1 = 5`` rows of
-    each of 4 ``wint_bernstein`` reductions, the crest of ``0 -> e`` and the
-    three segments of the start (180 from the three-node start, 396 from
-    the 21-node start).  Before segments took the polynomial of ``W`` they
-    sampled it in 710 rows, under a budget of 2000.
+    step reused its metric solve's product), and within 23 ``W`` rows, 10%
+    above the 21 it makes: 6 ``wint`` rows of node energies plus the
+    ``p + 1 = 5`` rows of each of 3 ``wint_bernstein`` reductions, one per
+    segment of the start (29 with the crest of ``0 -> e`` measured again;
+    180 from the three-node start, 396 from the 21-node start).  Before
+    segments took the polynomial of ``W`` they sampled it in 710 rows,
+    under a budget of 2000.
     """
     calls, rows = [], []
     for name in ("rfft", "irfft"):
@@ -1206,8 +1229,8 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 240
-    assert 0 < sum(rows) <= 31
+    assert 0 < len(calls) <= 239
+    assert 0 < sum(rows) <= 23
 
 
 def _energy_call_scopes() -> set[str]:
@@ -1237,54 +1260,6 @@ def test_a_path_point_has_one_evaluator():
     """
     assert _energy_call_scopes() == set()
     assert list(inspect.signature(mpa._node).parameters) == ["op", "x"]
-
-
-def test_segment_measurements_skip_exact_zeros(spec10, constants, monkeypatch):
-    """Energies and segment slopes evaluate ``W`` only where ``u != 0``.
-
-    The cold path is exactly zero on 98.5% of the line.  During
-    ``construct_e``, ``ctilde`` and a cold default solve, no point passed to
-    the radial profile, and no point that ``_measure_segment`` passes to its
-    slope factor, is an exact zero of ``u``.  The segment measurements pass
-    2,188,649 points (3,607,659 before monotone segments were certified,
-    5,443,584 with 1,835,925 zeros when every segment was evaluated on the
-    whole grid).  All points of the radial profile stay within a budget:
-    1,764,199 measured, 3,287,814 with 96,901 zeros when node energies and
-    the doubling scan used the whole grid.
-    """
-    inside = []
-    points = {"all": 0, "zeros": 0, "segment": 0, "segment_zeros": 0}
-    for name in ("_radial_value", "_radial_slope_factor"):
-        original = getattr(problem, name)
-
-        def counted(spec, r, _original=original, _name=name):
-            zeros = int(np.count_nonzero(r == 0.0))
-            if _name == "_radial_value":
-                points["all"] += r.size
-                points["zeros"] += zeros
-            if inside:
-                points["segment"] += r.size
-                points["segment_zeros"] += zeros
-            return _original(spec, r)
-
-        monkeypatch.setattr(problem, name, counted)
-    measure = mpa._measure_segment
-
-    def traced(*args):
-        inside.append(1)
-        try:
-            return measure(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(mpa, "_measure_segment", traced)
-    setup = construct_e(spec10, constants=constants)
-    ctilde_bound(setup, spec10)
-    assert mpa_solve(spec10, setup).converged
-    assert points["segment"] > 0
-    assert points["segment_zeros"] == 0
-    assert points["zeros"] == 0
-    assert points["all"] <= 1_850_000
 
 
 def test_edge_to_peak_is_recorded_without_warning(default_solve, sweep_report, tmp_path, capsys):

@@ -9,7 +9,8 @@ the well and the safety factor on ``C_inf``).  The path engine's one
 remover of nodes is gone too, and stays gone; one method inserts nodes and
 one rule stops a run early.  The polynomial of ``W`` along a segment is
 built in one place and read in one, and ``W`` is sampled along a segment
-only where it has no such polynomial.
+only where it has no such polynomial.  A line solve's setup measures the
+crest of ``0 -> e`` once, and the solve starts from that record.
 """
 
 import ast
@@ -80,6 +81,21 @@ def test_every_starting_path_is_built_in_run_path():
     """The straight cold path and the warm ``0 -> guess -> e`` are built in one place."""
     calls = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_PathEngine"))
     assert calls == {("mpa", "_run_path")}
+
+
+def test_the_crest_of_0_to_e_has_three_measurers():
+    """Only ``construct_e``, ``ctilde_bound`` and ``bvp_solve`` measure the crest of ``0 -> e``.
+
+    ``construct_e`` records it once per setup, for ``ctilde`` and a cold line
+    start; ``bvp_solve`` has no setup.  Every other segment is measured by
+    the path engine, so ``_run_path`` measures none itself.
+    """
+    crests = _scopes(lambda node: isinstance(node, ast.Call)
+                     and _named(node.func, "_straight_path_crest"))
+    assert crests == {("mpa", "construct_e"), ("mpa", "ctilde_bound"), ("mpa", "bvp_solve")}
+    measures = _scopes(lambda node: isinstance(node, ast.Call)
+                       and _named(node.func, "_measure_segment"))
+    assert measures == {("mpa", "_straight_path_crest"), ("mpa", "_PathEngine._measure")}
 
 
 def _removes_a_node(node) -> bool:
@@ -193,7 +209,7 @@ def test_the_bvp_table_defaults_to_the_well_reference(monkeypatch, interval_spec
     """``bvp_solve`` without a config runs with the settings of the default ``bvp`` table."""
     seen = []
 
-    def capture(op, e_vals, config, guess):
+    def capture(op, e_vals, config, x, warm):
         seen.append(config)
         raise _Stop
 
