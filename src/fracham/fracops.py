@@ -159,9 +159,9 @@ def _gl_toeplitz(order: float, count: int, scale: float) -> np.ndarray:
     order ``-alpha`` inverts the one of order ``alpha`` exactly (Lubich,
     SIAM J. Math. Anal. 17, 1986; Podlubny, Fract. Calc. Appl. Anal. 3, 2000).
     """
-    w = _binomial_series(order, count)
-    lag = np.arange(count)
-    return np.tril(w[np.abs(lag[:, None] - lag[None, :])]) * scale
+    # Row i of the reversed windows of the zero-padded series is w_i, ..., w_0, 0, ..., 0.
+    padded = np.concatenate([np.zeros(count - 1), _binomial_series(order, count)])
+    return np.lib.stride_tricks.sliding_window_view(padded, count)[:, ::-1] * scale
 
 
 @functools.lru_cache(maxsize=None)

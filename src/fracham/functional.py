@@ -186,10 +186,6 @@ class _OperatorBase:
     def xnorm(self, vals: np.ndarray) -> float:
         return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
 
-    def cross_form(self, u: np.ndarray, ut: np.ndarray, v: np.ndarray, vt: np.ndarray) -> float:
-        """``form(u, v)`` of two single vectors from their stored ``transform``."""
-        return float(self.transformed_form(u, ut, v, vt))
-
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """The metric applied to ``u`` minus ``quad * grad W``; zero off the degrees of freedom."""
         d = self.dofs
@@ -203,13 +199,9 @@ class _OperatorBase:
         d = self.dofs
         r = self.residual(vals)
         g = np.zeros_like(vals)
-        g[d] = self.solve_metric(r[d])
+        g[d] = self.solve_and_apply_metric(r[d])[0]
         nsq = self.pairing * float(np.sum(g[d] * r[d]))
         return g, math.sqrt(max(nsq, 0.0))
-
-    def solve_metric(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A g = rhs`` on the degrees of freedom (see ``solve_and_apply_metric``)."""
-        return self.solve_and_apply_metric(rhs)[0]
 
     def solve_and_apply_metric(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``g = A^-1 rhs`` from the domain's ``factor_solve``, and the product ``A g``.
@@ -237,15 +229,13 @@ class _OperatorBase:
             )
         return g, ag
 
-    def newton_step(self, vals: np.ndarray, r: np.ndarray, rtol: float = 1e-11,
-                    tridiagonal: list | None = None) -> tuple[np.ndarray | None, int]:
+    def newton_step(self, vals: np.ndarray, r: np.ndarray, rtol: float) -> tuple[np.ndarray | None, list]:
         """Solve ``I''(u) d = -r`` on the degrees of freedom by MINRES to tolerance ``rtol``.
 
-        Returns the step, ``None`` when MINRES fails, and its iteration count;
-        MINRES appends its Lanczos tridiagonal to ``tridiagonal`` if one is given.
-        The preconditioner is ``solve_and_apply_metric``, so the preconditioned
-        Hessian ``I - A^-1 quad W''(u)`` does not depend on ``lambda``, and the
-        Hessian action takes the checked product ``A g`` (see the README).
+        Returns the step, ``None`` when MINRES fails, and MINRES's Lanczos tridiagonal.
+        Preconditioned by ``solve_and_apply_metric``, the Hessian ``I - A^-1 quad
+        W''(u)`` does not depend on ``lambda``, and the Hessian action takes the
+        checked product ``A g`` (see the README).
         """
         d = self.dofs
         u = vals[d]
@@ -254,25 +244,24 @@ class _OperatorBase:
         def hess(v: np.ndarray, av: np.ndarray) -> np.ndarray:
             return av - self.quad * w2(v)
 
-        step, info, iterations = _minres(hess, self.solve_and_apply_metric, -r[d], rtol=rtol,
-                                         maxiter=5 * u.size, tridiagonal=tridiagonal)
+        step, info, tridiagonal = _minres(hess, self.solve_and_apply_metric, -r[d], rtol, 5 * u.size)
         if info != 0:
-            return None, iterations
+            return None, tridiagonal
         out = np.zeros_like(vals)
         out[d] = step
-        return out, iterations
+        return out, tridiagonal
 
 
-def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagonal=None):
+def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
     """Preconditioned MINRES for a symmetric ``H x = rhs`` from ``x = 0``, on arrays of any shape.
 
     Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported from scipy.
     ``precond(r)`` returns ``y = M r`` for the SPD preconditioner ``M`` and
     ``P y`` for a linear map ``P``; ``hess(v, pv)`` returns ``H v`` given
-    ``pv = P v``.  Returns ``(x, info, iterations)``, ``info`` being
+    ``pv = P v``.  Returns ``(x, info, tridiagonal)``, ``info`` being
     ``maxiter`` when the iteration limit stopped the solve and 0 otherwise.
-    Step ``k`` appends ``(alfa_k, beta_k+1)`` to ``tridiagonal``, if given:
-    the Lanczos tridiagonal of ``M H``, whose eigenvalues are its Ritz values.
+    Step ``k`` appends the row ``(alfa_k, beta_k+1)`` to ``tridiagonal``, one row
+    per iteration: the Lanczos tridiagonal of ``M H``, whose eigenvalues are its Ritz values.
     Assumes ``rtol >= 2**-53``, so scipy's stops at ``1 + test <= 1`` are left to ``test <= rtol``.
     """
     x = np.zeros_like(rhs)
@@ -282,7 +271,7 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagon
     if beta1 < 0.0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0.0:
-        return x, 0, 0
+        return x, 0, []
     beta1 = math.sqrt(beta1)
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     rhs1, rhs2, tnorm2 = beta1, 0.0, 0.0
@@ -291,7 +280,7 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagon
     w = np.zeros_like(rhs)
     w2 = np.zeros_like(rhs)
     r2 = r1
-    istop = itn = 0
+    istop, itn, tridiagonal = 0, 0, []
     while itn < maxiter:
         itn += 1
         # The next Lanczos vector and its preconditioned successor.
@@ -310,8 +299,7 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagon
         if beta < 0.0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
-        if tridiagonal is not None:
-            tridiagonal.append((alfa, beta))
+        tridiagonal.append((alfa, beta))
         tnorm2 += alfa**2 + oldb**2 + beta**2
         if itn == 1 and beta / beta1 <= 10.0 * _EPS:
             istop = -1  # H is a multiple of the preconditioner's inverse
@@ -354,7 +342,7 @@ def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int, tridiagon
                 istop = 1
         if istop != 0:
             break
-    return x, (maxiter if istop == 6 else 0), itn
+    return x, (maxiter if istop == 6 else 0), tridiagonal
 
 
 def _inverse_cholesky(m: np.ndarray) -> np.ndarray:

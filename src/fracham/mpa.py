@@ -266,9 +266,8 @@ def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bo
     rn = r0 = float(np.linalg.norm(r))
     improved_any = False
     for _ in range(_NEWTON_STEPS):
-        tridiagonal = []
-        d, iterations = op.newton_step(v, r, max(_FORCING_FLOOR, _FORCING * rn / r0), tridiagonal)
-        counters["minres_iterations"] += iterations
+        d, tridiagonal = op.newton_step(v, r, max(_FORCING_FLOOR, _FORCING * rn / r0))
+        counters["minres_iterations"] += len(tridiagonal)
         if d is None:
             return v, improved_any, tridiagonal
         for t in (0.5**i for i in range(7)):
@@ -399,28 +398,21 @@ def construct_e(
     if not (0.0 < tau < varrho):
         raise GeometryError(f"need 0 < tau < varrho = {varrho}, got tau = {tau}")
     epsilon_c = 0.5 * constants.theta
-    pg = spec.nonlinearity.growth_exponent
-    if pg <= 2.0:
-        raise GeometryError(
-            "nonlinearity is not superquadratic; no mountain-pass geometry exists"
-        )
     c_eps = calibrate_growth_constant(spec.nonlinearity, epsilon_c)
-    rho, eta = estimate_rho_eta(epsilon_c, c_eps, pg, constants)
+    rho, eta = estimate_rho_eta(epsilon_c, c_eps, spec.nonlinearity.growth_exponent, constants)
 
     psi = GridFunction(spec.grid, _bump(spec, 0.0, tau))
     op = _operator(spec)
     if np.any(op.ldiag * psi.values != 0.0):
         raise GeometryError("bump support leaks outside the potential's zero set")
 
-    sigma = _doubling_scan(op, psi.values, "no negative-energy endpoint within the doubling "
-                           "cap; the nonlinearity is too weak on this grid", rho)
-    e = GridFunction(spec.grid, sigma * psi.values)
-    crest = _straight_path_crest(op, e.values)
+    sigma, e, crest = _far_endpoint(op, psi.values, "no negative-energy endpoint within the "
+                                    "doubling cap; the nonlinearity is too weak on this grid", rho)
     return MountainPassSetup(
         psi=psi,
         tau=tau,
         sigma0=sigma,
-        e=e,
+        e=GridFunction(spec.grid, e),
         rho=rho,
         eta=eta,
         epsilon_c=epsilon_c,
@@ -428,6 +420,14 @@ def construct_e(
         ctilde=crest.value,
         crest_theta=crest.theta,
     )
+
+
+def _far_endpoint(op, bump: np.ndarray, message: str,
+                  rho: float = 0.0) -> tuple[float, np.ndarray, _Segment]:
+    """``sigma``, ``e = sigma bump`` and the crest of ``0 -> e``; the scan fails with ``message``."""
+    sigma = _doubling_scan(op, bump, message, rho)
+    e = sigma * bump
+    return sigma, e, _straight_path_crest(op, e)
 
 
 def _straight_path_crest(op, e_vals: np.ndarray) -> _Segment:
@@ -471,7 +471,7 @@ class _Node:
 def _node(op, x: np.ndarray) -> _Node:
     """The node of ``x``, from one transform; its energy is the bits of ``op.energy(x)``."""
     coeffs = op.transform(x)
-    q = op.cross_form(x, coeffs, x, coeffs)
+    q = float(op.transformed_form(x, coeffs, x, coeffs))
     return _Node(x, coeffs, q, float(0.5 * q - op.wint(x)))
 
 
@@ -513,7 +513,7 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     inward by ``_ROOT_TOL``: one ulp of excess would make the engine insert
     a duplicate of the node.  Any other crest is a node of its own.
     """
-    forms = (a.q, op.cross_form(a.x, a.coeffs, b.x, b.coeffs), b.q)
+    forms = (a.q, float(op.transformed_form(a.x, a.coeffs, b.x, b.coeffs)), b.q)
     qa, qab, qb = forms
     poly = op.wint_bernstein(a.x, b.x)
     d = b.x - a.x
@@ -761,9 +761,7 @@ def bvp_solve(spec: IntervalProblemSpec, config: MpaConfig | None = None) -> Sol
     grid = spec.grid
     vals = _bump(spec, 0.5 * (grid.lower + grid.upper), 0.375 * (grid.upper - grid.lower))
     op = _operator(spec)
-    sigma = _doubling_scan(
-        op, vals, "no negative-energy endpoint within the doubling cap on the interval"
-    )
-    e = sigma * vals
-    run = _run_path(op, e, config, _straight_path_crest(op, e).node.x, False)
+    _, e, crest = _far_endpoint(
+        op, vals, "no negative-energy endpoint within the doubling cap on the interval")
+    run = _run_path(op, e, config, crest.node.x, False)
     return _check_level(run, np.nextafter(0.0, 1.0), np.inf, "on the interval")  # a positive level

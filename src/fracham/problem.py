@@ -350,12 +350,6 @@ def _weighted_slope(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray, D: np.
     return g * _radial_slope_factor(spec, _magnitude(U)) * _rowdot(U, D)
 
 
-def _weighted_hessian_action(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray,
-                             V: np.ndarray) -> np.ndarray:
-    """Action of the second derivative of ``W`` in ``u`` on a direction ``V``."""
-    return _hessian_operator(spec, g, U)(V)
-
-
 def _hessian_operator(spec: NonlinearitySpec, g: np.ndarray, U: np.ndarray):
     """``V -> W''(u) V``, with every term that depends on ``u`` alone computed once.
 

@@ -159,6 +159,22 @@ def test_gl_matrix_structure():
     assert np.allclose(np.diag(b), ig.spacing ** (-alpha))
 
 
+@pytest.mark.parametrize("count", [1, 2, 255, 257, 1025])
+def test_gl_toeplitz_matches_the_gathered_lag_matrix(count):
+    """The strided build leaves every bit of ``tril(w[|i - j|]) * scale``, C-contiguous.
+
+    Orders ``alpha`` and ``-alpha`` at the scales ``gl_matrix`` and the
+    interval operator's ``T^-1`` use.
+    """
+    lag = np.arange(count)
+    for order, scale in ((0.75, 3.0**0.75), (-0.75, 0.01**0.75)):
+        w = fracops._binomial_series(order, count)
+        reference = np.tril(w[np.abs(lag[:, None] - lag[None, :])]) * scale
+        built = fracops._gl_toeplitz(order, count, scale)
+        assert built.flags.c_contiguous and built.shape == (count, count)
+        assert built.tobytes() == reference.tobytes()
+
+
 def test_grunwald_power_function_closed_form():
     """First-order accuracy against Gamma-ratio derivatives of t^2."""
     alpha, nu = 0.5, 2.0

@@ -38,7 +38,7 @@ from fracham.fracops import BoundaryDecayWarning, check_boundary_decay
 from fracham.problem import (
     NonlinearitySpec,
     PotentialSpec,
-    _weighted_hessian_action,
+    _hessian_operator,
     _weighted_slope,
     _weighted_w,
     default_oscillatory,
@@ -284,9 +284,9 @@ def test_newton_minres_iterations_do_not_grow_with_lambda(
     solves = []
 
     def counted(*args, **kwargs):
-        x, info, steps = minres(*args, **kwargs)
-        solves.append((steps, info))
-        return x, info, steps
+        x, info, tridiagonal = minres(*args, **kwargs)
+        solves.append((len(tridiagonal), info))
+        return x, info, tridiagonal
 
     monkeypatch.setattr(functional, "_minres", counted)
     runs = [lambda lam=lam: mpa_solve(spec10.with_lambda(lam), setup) for lam in (1.0, 1e4)]
@@ -324,9 +324,9 @@ def test_newton_step_applies_the_metric_once_per_krylov_step(domain, default_sol
     u = res.u.values
     r = op.residual(u)
     applied.clear()
-    step, iterations = op.newton_step(u, r)
-    assert step is not None and iterations > 0
-    assert 0 < len(applied) <= iterations + 2
+    step, tridiagonal = op.newton_step(u, r, mpa._FORCING_FLOOR)
+    assert step is not None and len(tridiagonal) > 0
+    assert 0 < len(applied) <= len(tridiagonal) + 2
     assert set(applied) == {np.dtype(np.float64)}
 
 
@@ -442,22 +442,25 @@ def _coarse_line(potential, nonlinearity, lam):
 
 @pytest.mark.parametrize("nonlinearity", [default_nonlinearity(), default_oscillatory()],
                          ids=["pure_power", "oscillatory"])
-def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity):
-    """Paths started on 3, 4 or 5 nodes converge at the default start's level on an interior node.
+def test_solver_never_works_on_a_frozen_endpoint(potential, nonlinearity, monkeypatch):
+    """Straight paths of 3, 4 or 5 nodes converge at the default start's level on an interior node.
 
     The path grows a node wherever a segment rises above every node, so
     the crest is always a node it can work on; a converged endpoint, with
     the zero node's residual of exactly 0, would report a level outside
-    the bracket.
+    the bracket.  The reference takes the Newton start; the runs decline it,
+    or each would converge on that start whatever ``path_nodes`` is.
     """
-    for lam in (1.0, 10.0, 100.0):
-        spec, setup = _coarse_line(potential, nonlinearity, lam)
-        reference = mpa_solve(spec, setup).level
+    cases = [_coarse_line(potential, nonlinearity, lam) for lam in (1.0, 10.0, 100.0)]
+    references = [mpa_solve(spec, setup).level for spec, setup in cases]
+    _decline_newton_start(monkeypatch)
+    for (spec, setup), reference in zip(cases, references):
         lo, hi = setup.level_bracket
         for path_nodes in (3, 4, 5):
             res = mpa_solve(spec, setup, MpaConfig(path_nodes=path_nodes))
             diag = res.diagnostics
-            assert res.converged, (lam, path_nodes)
+            assert res.converged, (spec.lam, path_nodes)
+            assert diag["newton_start"] == "declined: forced"
             assert lo <= res.level <= hi
             assert abs(res.level - reference) <= 1e-12 * abs(reference)
             assert diag["polyline_level"] == res.level
@@ -573,8 +576,8 @@ def _dense_nu(op, u: np.ndarray) -> np.ndarray:
     ud = u[d]
     basis = np.eye(ud.size).reshape(ud.size, *ud.shape)
     metric = np.stack([op.apply_metric(v).ravel() for v in basis], axis=1)
-    hess = np.stack([_weighted_hessian_action(op.spec.nonlinearity, op.weight[d], ud, v).ravel()
-                     for v in basis], axis=1)
+    action = _hessian_operator(op.spec.nonlinearity, op.weight[d], ud)
+    hess = np.stack([action(v).ravel() for v in basis], axis=1)
     pencil = (op.quad * 0.5 * (hess + hess.T), 0.5 * (metric + metric.T))
     return eigh(*pencil, eigvals_only=True)[::-1]
 
@@ -815,7 +818,8 @@ def test_segment_expansion_matches_direct_energies(domain, n, nonlinearity):
     stack = (1.0 - thetas)[:, None, None] * a[None] + thetas[:, None, None] * b[None]
     direct = op.energies(stack)
     at, bt = op.transform(a), op.transform(b)
-    forms = (op.cross_form(a, at, a, at), op.cross_form(a, at, b, bt), op.cross_form(b, bt, b, bt))
+    forms = tuple(float(op.transformed_form(x, xt, y, yt))
+                  for x, xt, y, yt in ((a, at, a, at), (a, at, b, bt), (b, bt, b, bt)))
     expanded = mpa._segment_energies(op, a, b, forms, thetas)
     assert np.max(np.abs(expanded - direct)) <= 1e-12 * np.max(np.abs(direct))
     # The scan integrates W over row chunks of the stack; each row keeps its bits.
@@ -1019,11 +1023,11 @@ def test_node_records_leave_every_segment_bit_for_bit(case, spec10, setup, line_
     for op, a, b, seg in calls:
         x, y = a.x, b.x
         xt, yt = op.transform(x), op.transform(y)
-        qs = (op.cross_form(x, xt, x, xt), op.cross_form(y, yt, y, yt))
+        qs = (float(op.transformed_form(x, xt, x, xt)), float(op.transformed_form(y, yt, y, yt)))
         energies = (op.energy(x), op.energy(y))
         assert (a.energy, b.energy) == energies
         assert (a.q, b.q) == qs
-        assert op.cross_form(x, a.coeffs, y, b.coeffs) == op.cross_form(x, xt, y, yt)
+        assert op.transformed_form(x, a.coeffs, y, b.coeffs) == op.transformed_form(x, xt, y, yt)
         fresh = [mpa._Node(x=v, coeffs=vt, q=q, energy=e)
                  for v, vt, q, e in zip((x, y), (xt, yt), qs, energies)]
         again = mpa._measure_segment(op, *fresh)

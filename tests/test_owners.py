@@ -10,7 +10,9 @@ remover of nodes is gone too, and stays gone; one method inserts nodes and
 one rule stops a run early.  The polynomial of ``W`` along a segment is
 built in one place and read in one, and ``W`` is sampled along a segment
 only where it has no such polynomial.  A line solve's setup measures the
-crest of ``0 -> e`` once, and the solve starts from that record.
+crest of ``0 -> e`` once, and the solve starts from that record; both
+domains build their far endpoint ``e`` in one place, and MINRES hands back
+its Lanczos record rather than filling one it is given.
 """
 
 import ast
@@ -83,19 +85,35 @@ def test_every_starting_path_is_built_in_run_path():
     assert calls == {("mpa", "_run_path")}
 
 
-def test_the_crest_of_0_to_e_has_three_measurers():
-    """Only ``construct_e``, ``ctilde_bound`` and ``bvp_solve`` measure the crest of ``0 -> e``.
+def test_the_crest_of_0_to_e_has_two_measurers():
+    """Only ``_far_endpoint`` and ``ctilde_bound`` measure the crest of ``0 -> e``.
 
     ``construct_e`` records it once per setup, for ``ctilde`` and a cold line
-    start; ``bvp_solve`` has no setup.  Every other segment is measured by
-    the path engine, so ``_run_path`` measures none itself.
+    start; ``bvp_solve``, which has no setup, takes it from the same builder.
+    Every other segment is measured by the path engine, so ``_run_path``
+    measures none itself.
     """
     crests = _scopes(lambda node: isinstance(node, ast.Call)
                      and _named(node.func, "_straight_path_crest"))
-    assert crests == {("mpa", "construct_e"), ("mpa", "ctilde_bound"), ("mpa", "bvp_solve")}
+    assert crests == {("mpa", "_far_endpoint"), ("mpa", "ctilde_bound")}
     measures = _scopes(lambda node: isinstance(node, ast.Call)
                        and _named(node.func, "_measure_segment"))
     assert measures == {("mpa", "_straight_path_crest"), ("mpa", "_PathEngine._measure")}
+
+
+def test_both_domains_build_the_far_endpoint_in_one_place():
+    """The doubling scan for ``e`` runs only in ``_far_endpoint``; the other scan is ``sigma u``'s."""
+    scans = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_doubling_scan"))
+    assert scans == {("mpa", "_far_endpoint"), ("mpa", "_newton_start")}
+    builders = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_far_endpoint"))
+    assert builders == {("mpa", "construct_e"), ("mpa", "bvp_solve")}
+
+
+def test_minres_returns_its_lanczos_record():
+    """No function in ``functional`` takes a ``tridiagonal`` to fill: MINRES returns it."""
+    params = _scopes(lambda node: isinstance(node, ast.arg) and node.arg == "tridiagonal")
+    assert ("mpa", "_hessian_spectrum") in params  # the matcher sees parameters
+    assert {scope for module, scope in params if module == "functional"} == set()
 
 
 def _removes_a_node(node) -> bool:

@@ -12,9 +12,9 @@ from fracham.problem import (
     NonlinearitySpec,
     PotentialSpec,
     _decade_trend,
+    _hessian_operator,
     _radial_second,
     _radial_slope_factor,
-    _weighted_hessian_action,
     calibrate_growth_constant,
     default_oscillatory,
     grad_w_values,
@@ -149,7 +149,7 @@ def test_gradient_matches_finite_differences(nonlin, osc_nonlin):
                 assert abs(grad[j] - fd) < 1e-6 * (1.0 + abs(fd))
                 # column j of the Hessian against differences of the gradient
                 hfd = (grad_w_values(spec, t, up) - grad_w_values(spec, t, dn)) / (2.0 * step)
-                hess = _weighted_hessian_action(spec, weight_values(spec, t), u, np.eye(2)[j])
+                hess = _hessian_operator(spec, weight_values(spec, t), u)(np.eye(2)[j])
                 assert np.max(np.abs(hess - hfd)) < 1e-6 * (1.0 + np.max(np.abs(hfd)))
 
 
