@@ -183,9 +183,6 @@ class _OperatorBase:
         rows = _segment_power_rows(self.spec.nonlinearity, self.weight, a, b)
         return None if rows is None else [float(self.quadrature(r)) for r in rows]
 
-    def xnorm(self, vals: np.ndarray) -> float:
-        return math.sqrt(max(float(self.xnormsq(vals)), 0.0))
-
     def residual(self, vals: np.ndarray) -> np.ndarray:
         """The metric applied to ``u`` minus ``quad * grad W``; zero off the degrees of freedom."""
         d = self.dofs

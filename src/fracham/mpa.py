@@ -236,20 +236,21 @@ def _slope_crest(slope, best: float, left: float, right: float) -> float:
     return _illinois_root(slope, best, nb, s, snb)
 
 
-def _doubling_scan(op, vals: np.ndarray, failure: str, rho: float = 0.0) -> float:
-    """Smallest ``sigma = 2^k <= 2^60`` with ``I(sigma vals) < 0`` and ``||sigma vals||_X > rho``."""
-    sigma = 1.0
-    while not ((trial := _node(op, sigma * vals)).energy < 0.0 and trial.xnorm > rho):
+def _doubling_scan(op, node: _Node, failure: str, rho: float = 0.0) -> tuple[float, _Node]:
+    """Least ``sigma = 2^k <= 2^60`` with ``I(sigma x) < 0``, ``||sigma x||_X > rho``, and its node; ``x = node.x``."""
+    sigma, trial = 1.0, node
+    while not (trial.energy < 0.0 and trial.xnorm > rho):
         sigma *= 2.0
         if sigma > 2.0**60:
             raise GeometryError(failure)
-    return sigma
+        trial = _node(op, sigma * node.x)
+    return sigma, trial
 
 
-def _stationarity(op, node: _Node) -> tuple[float, float, float, np.ndarray]:
-    """Weighted residual ``(1 + ||u||_X) ||I'(u)||``, its two factors and the metric gradient."""
+def _stationarity(op, node: _Node) -> tuple[float, float, np.ndarray]:
+    """Weighted residual ``(1 + ||u||_X) ||g||_X``, ``||g||_X`` and ``g``, the metric representative of ``I'(u)``."""
     g, gnorm = op.gradient(node.x)
-    return (1.0 + node.xnorm) * gnorm, gnorm, node.xnorm, g
+    return (1.0 + node.xnorm) * gnorm, gnorm, g
 
 
 def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool, list]:
@@ -305,30 +306,30 @@ def _hessian_spectrum(tridiagonal: list) -> np.ndarray | None:
     return 1.0 - mu if mu.size > 1 else None
 
 
-def _newton_start(op, x: np.ndarray, e_xnorm: float, counters: dict) -> tuple[list | None, dict]:
+def _newton_start(op, x: np.ndarray, e: _Node, counters: dict) -> tuple[list | None, dict]:
     """The interior nodes ``u, sigma u`` of a start on the Newton-polished ``x``, or ``None``.
 
     The gate (README): the polish lowers the residual, ``u`` is nontrivial,
     its Morse index (``nu > 1``) is 1 and ``I(sigma u) < 0`` for some
     ``sigma = 2^k``.  Also returns the diagnostics that say why.
     """
-    u, improved, tridiagonal = _newton_polish(op, x, counters)
+    v, improved, tridiagonal = _newton_polish(op, x, counters)
     nu = _hessian_spectrum(tridiagonal)
     index = None if nu is None else int(np.sum(nu > 1.0))
     why = ("no Newton step lowered the residual" if not improved
-           else "the polished point is trivial" if not op.xnorm(u) > 1e-8 * max(1.0, e_xnorm)
+           else "the polished point is trivial" if not (u := _node(op, v)).xnorm > 1e-8 * max(1.0, e.xnorm)
            else "too few Ritz values" if nu is None
            else f"Morse index {index}" if index != 1 else None)
     if why is None:
         try:
-            sigma = _doubling_scan(op, u, "")
+            sigma_u = _doubling_scan(op, u, "")[1]
         except GeometryError:
             why = "no negative energy on the ray"
     if why is not None:
         return None, {"newton_start": f"declined: {why}",
                       **dict.fromkeys(("morse_index", "nu_top", "hessian_gap"))}
-    return [u, sigma * u], {"newton_start": "taken", "morse_index": index,
-                            "nu_top": nu[:2].tolist(), "hessian_gap": float(1.0 - nu[1])}
+    return [u, sigma_u], {"newton_start": "taken", "morse_index": index,
+                          "nu_top": nu[:2].tolist(), "hessian_gap": float(1.0 - nu[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def construct_e(
         psi=psi,
         tau=tau,
         sigma0=sigma,
-        e=GridFunction(spec.grid, e),
+        e=GridFunction(spec.grid, e.x),
         rho=rho,
         eta=eta,
         epsilon_c=epsilon_c,
@@ -422,17 +423,15 @@ def construct_e(
     )
 
 
-def _far_endpoint(op, bump: np.ndarray, message: str,
-                  rho: float = 0.0) -> tuple[float, np.ndarray, _Segment]:
-    """``sigma``, ``e = sigma bump`` and the crest of ``0 -> e``; the scan fails with ``message``."""
-    sigma = _doubling_scan(op, bump, message, rho)
-    e = sigma * bump
+def _far_endpoint(op, bump: np.ndarray, message: str, rho: float = 0.0) -> tuple[float, _Node, _Segment]:
+    """``sigma``, the node of ``e = sigma bump`` and the crest of ``0 -> e``; the scan fails with ``message``."""
+    sigma, e = _doubling_scan(op, _node(op, bump), message, rho)
     return sigma, e, _straight_path_crest(op, e)
 
 
-def _straight_path_crest(op, e_vals: np.ndarray) -> _Segment:
-    """The crest of the segment ``0 -> e_vals``, measured as any path segment is."""
-    return _measure_segment(op, _node(op, np.zeros_like(e_vals)), _node(op, e_vals))
+def _straight_path_crest(op, e: _Node) -> _Segment:
+    """The crest of the segment from ``0`` to the node ``e``, measured as any path segment is."""
+    return _measure_segment(op, _node(op, np.zeros_like(e.x)), e)
 
 
 def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
@@ -442,7 +441,8 @@ def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
     The bump avoids the potential's support, so the value is the same for
     every parameter value; :func:`construct_e` stores it as ``setup.ctilde``.
     """
-    return _straight_path_crest(_operator(spec), setup.e.values).value
+    op = _operator(spec)
+    return _straight_path_crest(op, _node(op, setup.e.values)).value
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +552,9 @@ class _PathEngine:
     and the two endpoints never change.
     """
 
-    def __init__(self, op, nodes: list[np.ndarray]):
+    def __init__(self, op, nodes: list[_Node]):
         self.op = op
-        self.nodes = [_node(op, x) for x in nodes]
+        self.nodes = list(nodes)
         self.counters = dict.fromkeys((
             "inserted", "step_rejections", "guard_rejections", "polish_accepted", "polish_rejected",
             "newton_steps", "minres_iterations", "segments"), 0)
@@ -612,8 +612,8 @@ class _PathEngine:
         return False
 
 
-def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bool) -> SolveResult:
-    """One full min-max run from ``0`` to ``e_vals`` on the operator ``op``.
+def _run_path(op, e: _Node, config: MpaConfig, x: np.ndarray, warm: bool) -> SolveResult:
+    """One full min-max run from ``0`` to the node ``e`` on the operator ``op``.
 
     Newton first polishes ``x``: a warm start's guess, or the crest of
     ``0 -> e``, which the caller measured.  A start that :func:`_newton_start`
@@ -621,14 +621,13 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
     when ``warm``, else on ``config.path_nodes`` straight nodes.
     """
     counters = {"newton_steps": 0, "minres_iterations": 0}
-    inner, start = _newton_start(op, x, op.xnorm(e_vals), counters)
+    inner, start = _newton_start(op, x, e, counters)
     if inner is None:
-        inner = [x] if warm else [
-            w * e_vals for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]]
-    engine = _PathEngine(op, [np.zeros_like(e_vals), *inner, e_vals.copy()])
+        inner = [_node(op, v) for v in ([x] if warm else [
+            w * e.x for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]])]
+    engine = _PathEngine(op, [_node(op, np.zeros_like(e.x)), *inner, e])
     engine.counters.update(counters)
-    e_xnorm = engine.nodes[-1].xnorm
-    cap_norm = 0.5 * max(1.0, e_xnorm)
+    cap_norm = 0.5 * max(1.0, e.xnorm)
 
     trace: list[tuple[float, float, float]] = []
     converged = False
@@ -638,7 +637,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
     for iterations in range(1, config.max_iters + 1):
         work = engine.crest()
         node = engine.nodes[work]
-        rw, gnorm, _, g = check = _stationarity(op, node)
+        rw, gnorm, g = check = _stationarity(op, node)
         level = engine.level()
         trace.append((level, gnorm, rw))
 
@@ -660,7 +659,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
             if ok:
                 polished = _node(op, vals)
                 slack = 1e-9 * (1.0 + abs(level))
-                nontrivial = polished.xnorm > 1e-8 * max(1.0, e_xnorm)
+                nontrivial = polished.xnorm > 1e-8 * max(1.0, e.xnorm)
                 if polished.energy <= level + slack and nontrivial and engine.replace_node(
                     work, polished, level + slack
                 ):
@@ -669,8 +668,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
             engine.counters["polish_rejected"] += 1
 
         # Backtracking descent on the single crest node.
-        g_xnorm = op.xnorm(g)
-        step = 1.0 if g_xnorm == 0.0 else min(1.0, cap_norm / g_xnorm)
+        step = min(1.0, cap_norm / gnorm)  # gnorm > 0: a zero gradient met the tolerance
         while step >= _STEP_FLOOR:
             cand = _node(op, node.x - step * g)
             if cand.energy <= engine.nodes[work].energy - _ARMIJO_C1 * step * gnorm**2:
@@ -680,7 +678,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
                 engine.counters["step_rejections"] += 1
             step *= 0.5
 
-    if np.any(engine.nodes[0].x) or not np.array_equal(engine.nodes[-1].x, e_vals):
+    if np.any(engine.nodes[0].x) or engine.nodes[-1] is not e:
         raise ConvergenceError("path endpoints moved; single-writer contract broken")
 
     # Converged: the node checked last, the path maximum; else the best residual among ties.
@@ -692,7 +690,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
     checks = {k: check if engine.nodes[k] is node else _stationarity(op, engine.nodes[k])
               for k in tied}
     work = min(tied, key=lambda k: checks[k][0])
-    rw, gnorm, xnorm_u, _ = checks[work]
+    rw, gnorm, _ = checks[work]
     return SolveResult(
         u=GridFunction(op.spec.grid, engine.nodes[work].x),
         level=energies[work],
@@ -701,7 +699,7 @@ def _run_path(op, e_vals: np.ndarray, config: MpaConfig, x: np.ndarray, warm: bo
         iterations=iterations,
         converged=converged,
         metric=op.metric,
-        norm_x=xnorm_u,
+        norm_x=engine.nodes[work].xnorm,
         trace=tuple(trace),
         diagnostics={
             "reason": reason,
@@ -739,7 +737,8 @@ def mpa_solve(
         config = MpaConfig()
     e, warm = _values(setup.e, spec), initial_guess is not None
     x = _values(initial_guess, spec) if warm else setup.crest_theta * e
-    run = _run_path(_operator(spec), e, config, x, warm)
+    op = _operator(spec)
+    run = _run_path(op, _node(op, e), config, x, warm)
     run = _check_level(run, *setup.level_bracket, f"at lambda={spec.lam:g}")
     # Box truncation: solutions decay only algebraically, so record how much
     # of the peak is left at the edge of the truncated line.

@@ -427,8 +427,10 @@ def validate_nonlinearity(
     superquadratic growth, and the defect inequality with its configured
     constants (the tightest observed constant is reported next to the
     configured one).  Growth constants ``C_eps`` for eps in {0.1, 0.01} are
-    calibrated and reported.
+    calibrated and reported.  A ``sample_budget`` below 1 raises :class:`DomainError`.
     """
+    if sample_budget < 1:
+        raise DomainError(f"need at least one sample, got {sample_budget}")
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
 

@@ -374,8 +374,10 @@ def verify_embeddings(
     Returns a report of worst-case ratios, with an entry for each
     inequality from the first sample it applies to; raises
     :class:`EmbeddingViolation` carrying the offending sample if any ratio
-    exceeds ``1 + _TOLERANCE``.
+    exceeds ``1 + _TOLERANCE``, and :class:`DomainError` for ``samples < 1``.
     """
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
     constants.check_lambda(spec.lam)
     rng = np.random.default_rng(seed)
     grid = spec.grid
@@ -398,9 +400,8 @@ def verify_embeddings(
                     detail={"name": name, "ratio": ratio, "sample_id": sid, "seed": seed},
                 )
 
-    n_line = max(samples, 1)
-    for chunk in _chunks(n_line, grid.num_points * spec.n):
-        ids = range(n_line)[chunk]
+    for chunk in _chunks(samples, grid.num_points * spec.n):
+        ids = range(samples)[chunk]
         block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
         stats = _line_stats(block, spec, p)
         for j, i in enumerate(ids):

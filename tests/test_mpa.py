@@ -53,7 +53,7 @@ def _decline_newton_start(monkeypatch):
     """Force every run onto the path: ``mpa._newton_start`` declines before any polish."""
     declined = {"newton_start": "declined: forced",
                 **dict.fromkeys(("morse_index", "nu_top", "hessian_gap"))}
-    monkeypatch.setattr(mpa, "_newton_start", lambda op, x, e_xnorm, counters: (None, declined))
+    monkeypatch.setattr(mpa, "_newton_start", lambda op, x, e, counters: (None, declined))
 
 
 def test_config_validation():
@@ -561,7 +561,7 @@ def _recorded_starts(monkeypatch) -> list:
 
     class Recorded(mpa._PathEngine):
         def __init__(self, op, nodes):
-            starts.append(nodes)
+            starts.append([node.x for node in nodes])
             super().__init__(op, nodes)
 
     monkeypatch.setattr(mpa, "_PathEngine", Recorded)
@@ -598,7 +598,7 @@ def test_ritz_values_match_a_dense_pencil(case, potential):
                                    grid=IntervalGrid(-0.4, 0.4, 65))
         op = functional._operator(spec)
         vals = mpa._bump(spec, 0.0, 0.3)
-        e = mpa._doubling_scan(op, vals, "no endpoint") * vals
+        e = mpa._doubling_scan(op, mpa._node(op, vals), "no endpoint")[1].x
     else:
         n = int(case[-1])
         grid = RealLineGrid(10.0, 256)
@@ -731,6 +731,34 @@ def test_a_warm_newton_start_polishes_the_guess(spec10, setup, default_solve, mo
     assert warm.converged and warm.iterations == 1
     assert np.array_equal(warm.u.values, nodes[1])
     assert abs(warm.level - default_solve.level) <= 1e-14 * default_solve.level
+
+
+def test_each_nonzero_point_is_evaluated_once(spec10, setup, interval_spec, monkeypatch):
+    """Within one solve ``_node`` never sees the bits of a nonzero point it has already evaluated.
+
+    The far endpoint's scan, the crest of ``0 -> e`` and the Newton start
+    hand the path engine their nodes.  Cases: a cold and a warm ``lambda =
+    10`` solve, both taking the Newton start, and ``bvp_solve``, which builds
+    its own ``e`` (2, 2 and 4 points were evaluated twice while the engine
+    took values).
+    """
+    guess = mpa_solve(spec10.with_lambda(1.0), setup).u
+    seen = []
+    node = mpa._node
+
+    def recorded(op, x):
+        if np.any(x):
+            seen.append(x.tobytes())
+        return node(op, x)
+
+    monkeypatch.setattr(mpa, "_node", recorded)
+    for solve in (lambda: mpa_solve(spec10, setup),
+                  lambda: mpa_solve(spec10, setup, initial_guess=guess),
+                  lambda: bvp_solve(interval_spec)):
+        seen.clear()
+        res = solve()
+        assert res.converged and res.diagnostics["newton_start"] == "taken"
+        assert len(seen) >= 3 and len(set(seen)) == len(seen)
 
 
 def test_oscillatory_weight_raises_the_barrier(osc_spec, osc_solve):
@@ -960,8 +988,7 @@ def test_span_restricted_w_matches_the_whole_grid(domain, n, nonlinearity):
 def test_measured_crest_is_a_root_of_the_slope(domain, n, nonlinearity):
     """On a segment from 0 past the barrier the crest is interior and the energy flat there."""
     op, a, _ = _segment_problem(domain, n, nonlinearity)
-    sigma = mpa._doubling_scan(op, a, "no negative energy")
-    b = sigma * a
+    b = mpa._doubling_scan(op, mpa._node(op, a), "no negative energy")[1].x
     zero = np.zeros_like(a)
     seg = _measure(op, zero, b)
     assert 0.01 < seg.theta < 0.99
@@ -1057,7 +1084,8 @@ def test_the_cold_start_is_the_crest_node_of_0_to_e(spec10, setup, line_grid, po
     vector_setup = construct_e(vector, constants=estimate_embedding_constants(
         line_grid, vector.alpha, vector.potential))
     for spec, s in ((spec10, setup), (vector, vector_setup)):
-        crest = mpa._straight_path_crest(functional._operator(spec), s.e.values)
+        op = functional._operator(spec)
+        crest = mpa._straight_path_crest(op, mpa._node(op, s.e.values))
         assert (crest.theta, crest.value) == (s.crest_theta, s.ctilde)
         assert 0.0 < s.crest_theta < 1.0
         assert (s.crest_theta * s.e.values).tobytes() == crest.node.x.tobytes()
@@ -1142,7 +1170,8 @@ def test_initial_ray_refines_in_a_few_inserts(spec10, setup):
     config = MpaConfig()
     e = setup.e.values
     nodes = [w * e for w in np.linspace(0.0, 1.0, config.path_nodes)]
-    engine = mpa._PathEngine(functional._operator(spec10), nodes)
+    op = functional._operator(spec10)
+    engine = mpa._PathEngine(op, [mpa._node(op, x) for x in nodes])
     inserted = -1
     while engine.counters["inserted"] > inserted:
         inserted = engine.counters["inserted"]
@@ -1195,18 +1224,21 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 239 FFT calls, 10% above the 217 it makes
-    from the Newton start (220 while it re-measured the crest of ``0 -> e``
-    that ``construct_e`` had measured; 352 from the three-node path start;
-    389 from the 21-node cold start with MINRES at a fixed tolerance; 397
-    before the tie rule reused the last iteration's check, 466 before each
-    crest, descent and polish candidate was evaluated once as the node it
-    becomes; 536 before path nodes kept their transforms and each MINRES
-    step reused its metric solve's product), and within 23 ``W`` rows, 10%
-    above the 21 it makes: 6 ``wint`` rows of node energies plus the
-    ``p + 1 = 5`` rows of each of 3 ``wint_bernstein`` reductions, one per
-    segment of the start (29 with the crest of ``0 -> e`` measured again;
-    180 from the three-node start, 396 from the 21-node start).  Before
+    A default solve stays within 234 FFT calls, 10% above the 213 it makes
+    from the Newton start (217 while the path engine evaluated ``u``,
+    ``sigma u`` and ``e`` again; 220 while it re-measured the crest of
+    ``0 -> e`` that ``construct_e`` had measured; 352 from the three-node
+    path start; 389 from the 21-node cold start with MINRES at a fixed
+    tolerance; 397 before the tie rule reused the last iteration's check,
+    466 before each crest, descent and polish candidate was evaluated once
+    as the node it becomes; 536 before path nodes kept their transforms and
+    each MINRES step reused its metric solve's product), and within 21 ``W``
+    rows, 10% above the 19 it makes: 4 ``wint`` rows of node energies
+    (``0``, ``u``, ``sigma u``, ``e``) plus the ``p + 1 = 5`` rows of each
+    of 3 ``wint_bernstein`` reductions, one per segment of the start (21
+    while the engine evaluated ``u`` and ``sigma u`` again; 29 with the
+    crest of ``0 -> e`` measured again; 180 from the three-node start, 396
+    from the 21-node start).  Before
     segments took the polynomial of ``W`` they sampled it in 710 rows,
     under a budget of 2000.
     """
@@ -1233,8 +1265,8 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 239
-    assert 0 < sum(rows) <= 23
+    assert 0 < len(calls) <= 234
+    assert 0 < sum(rows) <= 21
 
 
 def _energy_call_scopes() -> set[str]:

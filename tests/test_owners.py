@@ -12,7 +12,9 @@ built in one place and read in one, and ``W`` is sampled along a segment
 only where it has no such polynomial.  A line solve's setup measures the
 crest of ``0 -> e`` once, and the solve starts from that record; both
 domains build their far endpoint ``e`` in one place, and MINRES hands back
-its Lanczos record rather than filling one it is given.
+its Lanczos record rather than filling one it is given.  The path engine
+takes the nodes its caller evaluated, so each point of a solve is evaluated
+once, by the code that makes it.
 """
 
 import ast
@@ -21,7 +23,7 @@ import pathlib
 import pytest
 
 import fracham
-from fracham import bvp_solve, mpa
+from fracham import bvp_solve, functional, mpa
 from fracham.config import DEFAULT_CONFIG, build_bvp_config
 
 SRC = pathlib.Path(fracham.__file__).resolve().parent
@@ -114,6 +116,19 @@ def test_minres_returns_its_lanczos_record():
     params = _scopes(lambda node: isinstance(node, ast.arg) and node.arg == "tridiagonal")
     assert ("mpa", "_hessian_spectrum") in params  # the matcher sees parameters
     assert {scope for module, scope in params if module == "functional"} == set()
+
+
+def test_the_path_engine_evaluates_no_point():
+    """``_PathEngine.__init__`` calls no ``_node``, and no ``||x||_X`` is computed apart from a node.
+
+    ``_OperatorBase`` has no ``xnorm`` and nothing in the package calls one:
+    a norm is read off a point's node, or off the gradient check's ``||g||_X``.
+    """
+    evaluations = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "_node"))
+    assert ("mpa", "_run_path") in evaluations  # the matcher sees the calls
+    assert ("mpa", "_PathEngine.__init__") not in evaluations
+    assert _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "xnorm")) == set()
+    assert not hasattr(functional._OperatorBase, "xnorm")
 
 
 def _removes_a_node(node) -> bool:

@@ -211,6 +211,13 @@ def test_validator_passes_shipped_families(nonlin, osc_nonlin):
         assert report["growth_exponent"] == spec.growth_exponent
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_validator_rejects_a_budget_below_one(nonlin, budget):
+    """A budget below 1 raises ``DomainError``, not numpy's empty-reduction or negative-size error."""
+    with pytest.raises(DomainError, match="at least one sample"):
+        validate_nonlinearity(nonlin, sample_budget=budget)
+
+
 @pytest.mark.parametrize("radius", [500.0, 2000.0])
 def test_validator_passes_a_large_defect_radius(nonlin, osc_nonlin, radius):
     """The growth and defect grids run three decades past a radius above 1, not to a fixed 1e3."""

@@ -451,7 +451,7 @@ def _oracle_sphere(spec, constants, count, rng):
     floor_min = math.inf
     for _ in range(count):
         vals = runner._random_field(spec, rng)
-        nx = op.xnorm(vals)
+        nx = math.sqrt(max(float(op.xnormsq(vals)), 0.0))
         if nx == 0.0:
             continue
         floor_min = min(floor_min, op.energy((setup.rho / nx) * vals))

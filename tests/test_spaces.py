@@ -138,6 +138,13 @@ def test_verify_embeddings_counts_the_potential_once_for_vectors(spec10, constan
         assert other["worst_ratio"] == pytest.approx(entry["worst_ratio"], rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_embeddings_rejects_a_count_below_one(spec10, constants, samples):
+    """Fewer than one sample raises; it does not quietly run one line and one interval sample."""
+    with pytest.raises(DomainError, match="at least one sample"):
+        verify_embeddings(samples, spec10, constants=constants)
+
+
 def test_verify_embeddings_rejects_parameter_below_floor(spec10, constants):
     low = spec10.with_lambda(0.5 * constants.lambda_floor)
     with pytest.raises(DomainError):
