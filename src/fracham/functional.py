@@ -252,14 +252,13 @@ class _OperatorBase:
 def _minres(hess, precond, rhs: np.ndarray, rtol: float, maxiter: int):
     """Preconditioned MINRES for a symmetric ``H x = rhs`` from ``x = 0``, on arrays of any shape.
 
-    Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported from scipy.
-    ``precond(r)`` returns ``y = M r`` for the SPD preconditioner ``M`` and
-    ``P y`` for a linear map ``P``; ``hess(v, pv)`` returns ``H v`` given
-    ``pv = P v``.  Returns ``(x, info, tridiagonal)``, ``info`` being
-    ``maxiter`` when the iteration limit stopped the solve and 0 otherwise.
-    Step ``k`` appends the row ``(alfa_k, beta_k+1)`` to ``tridiagonal``, one row
-    per iteration: the Lanczos tridiagonal of ``M H``, whose eigenvalues are its Ritz values.
-    Assumes ``rtol >= 2**-53``, so scipy's stops at ``1 + test <= 1`` are left to ``test <= rtol``.
+    Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), ported from scipy as
+    the README says, for ``rtol >= 2**-53``.  ``precond(r)`` returns ``y = M r``
+    for the SPD preconditioner ``M`` and ``P y`` for a linear map ``P``;
+    ``hess(v, pv)`` returns ``H v`` given ``pv = P v``.  Returns ``(x, info,
+    tridiagonal)``: ``info`` is ``maxiter`` when the iteration limit stopped
+    the solve, else 0, and step ``k`` appends the row ``(alfa_k, beta_k+1)`` of
+    the Lanczos tridiagonal of ``M H``.
     """
     x = np.zeros_like(rhs)
     r1 = rhs

@@ -162,9 +162,7 @@ def _normalize_values(values, num_points: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise DomainError("values contain non-finite entries")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    return _frozen(np.ascontiguousarray(arr))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

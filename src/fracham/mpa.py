@@ -16,11 +16,8 @@ measurement, the Newton polish and the reported node.  Each iteration:
    descends it by an Armijo backtracking step; either is kept only if the
    re-measured adjacent segments keep the path maximum from rising.
 
-A solve is one run.  Newton first polishes its start, the crest of ``0 -> e``
-or a warm start's guess; a polished ``u`` of Morse index 1 starts the path as
-``0 -> u -> sigma u -> e`` (:func:`_newton_start`), else ``0 -> e/2 -> e`` or
-``0 -> guess -> e`` does.  No node ever leaves the path and only step 1
-inserts one, so a path holds at most its starting nodes plus one per iteration.
+A solve is one run, from the start that :func:`_run_path` builds; no node
+ever leaves the path.
 """
 
 from __future__ import annotations
@@ -165,7 +162,7 @@ class SolveResult:
             **self.summary(),
             "trace_columns": list(_TRACE_COLUMNS),
             "trace": [list(row) for row in self.trace],
-            "values": self.u.values.tolist(),
+            "values": self.u.values,
         }
 
 
@@ -215,8 +212,7 @@ def _slope_crest(slope, best: float, left: float, right: float) -> float:
     changes sign between ``best`` and the neighbour on that side, the root
     is returned; otherwise the neighbour itself, for the caller to judge.
     A neighbour at a segment end where the slope is exactly zero, as at the
-    zero node, shows no sign: points halfway to that end are tried instead,
-    ``best`` following them while the sign holds.
+    zero node, shows no sign: the README's halving towards that end applies.
     """
     s = slope(best)
     if s == 0.0:
@@ -254,13 +250,10 @@ def _stationarity(op, node: _Node) -> tuple[float, float, np.ndarray]:
 
 
 def _newton_polish(op, vals: np.ndarray, counters: dict) -> tuple[np.ndarray, bool, list]:
-    """Damped Newton on ``op.residual(u) = 0`` with backtracking, stopped by the README's rule.
+    """Damped Newton on ``op.residual(u) = 0`` with backtracking, forced and stopped (README).
 
-    Step ``k`` ends MINRES at the forcing tolerance ``max(_FORCING_FLOOR, _FORCING
-    |r_k| / |r_0|)`` of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996).
-    Below the round-off floor of evaluating the residual a step only
-    shuffles noise.  Returns the iterate, whether any step was taken and
-    the Lanczos tridiagonal of the last MINRES run.
+    Returns the iterate, whether any step was taken and the Lanczos
+    tridiagonal of the last MINRES run.
     """
     v = vals.copy()
     r = op.residual(v)
@@ -309,9 +302,7 @@ def _hessian_spectrum(tridiagonal: list) -> np.ndarray | None:
 def _newton_start(op, x: np.ndarray, e: _Node, counters: dict) -> tuple[list | None, dict]:
     """The interior nodes ``u, sigma u`` of a start on the Newton-polished ``x``, or ``None``.
 
-    The gate (README): the polish lowers the residual, ``u`` is nontrivial,
-    its Morse index (``nu > 1``) is 1 and ``I(sigma u) < 0`` for some
-    ``sigma = 2^k``.  Also returns the diagnostics that say why.
+    The gate is the README's.  Also returns the diagnostics that say why.
     """
     v, improved, tridiagonal = _newton_polish(op, x, counters)
     nu = _hessian_spectrum(tridiagonal)
@@ -431,7 +422,7 @@ def _far_endpoint(op, bump: np.ndarray, message: str, rho: float = 0.0) -> tuple
 
 def _straight_path_crest(op, e: _Node) -> _Segment:
     """The crest of the segment from ``0`` to the node ``e``, measured as any path segment is."""
-    return _measure_segment(op, _node(op, np.zeros_like(e.x)), e)
+    return _measure_segment(op, e.zero(), e)
 
 
 def ctilde_bound(setup: MountainPassSetup, spec: ProblemSpec) -> float:
@@ -466,6 +457,10 @@ class _Node:
     @property
     def xnorm(self) -> float:
         return math.sqrt(max(self.q, 0.0))
+
+    def zero(self) -> _Node:
+        """The node of ``0`` shaped as this one, known without a transform or a ``W`` row."""
+        return _Node(np.zeros_like(self.x), np.zeros_like(self.coeffs), 0.0, 0.0)
 
 
 def _node(op, x: np.ndarray) -> _Node:
@@ -507,11 +502,10 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
     """Maximum of the energy along the straight segment from node ``a`` to node ``b``.
 
     The README's overview gives the full account: the expansion, the
-    polynomial of ``W`` (``op.wint_bernstein``; without one ``W`` is sampled
-    on the whole grid at each point), the coarse scan and the crest search.
-    A crest within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved
-    inward by ``_ROOT_TOL``: one ulp of excess would make the engine insert
-    a duplicate of the node.  Any other crest is a node of its own.
+    polynomial of ``W``, the coarse scan and the crest search.  A crest
+    within ``_ROOT_TOL`` of an end is that end node, at ``th`` moved inward
+    by ``_ROOT_TOL``: one ulp of excess would make the engine insert a
+    duplicate of the node.  Any other crest is a node of its own.
     """
     forms = (a.q, float(op.transformed_form(a.x, a.coeffs, b.x, b.coeffs)), b.q)
     qa, qab, qb = forms
@@ -548,8 +542,8 @@ def _measure_segment(op, a: _Node, b: _Node) -> _Segment:
 class _PathEngine:
     """Polyline of immutable :class:`_Node` records with measured segment maxima.
 
-    Nodes enter through ``insert`` and ``replace_node`` only, none leaves,
-    and the two endpoints never change.
+    Nodes enter through ``insert``, ``splice`` and ``replace_node`` only,
+    none leaves, and the two endpoints never change.
     """
 
     def __init__(self, op, nodes: list[_Node]):
@@ -583,6 +577,20 @@ class _PathEngine:
         self.segments[j : j + 1] = [self._measure(j, j + 1), self._measure(j + 1, j + 2)]
         self.counters["inserted"] += 1
         return j + 1
+
+    def splice(self, j: int, nodes: list[_Node], limit: float) -> int | None:
+        """Put ``nodes`` after node ``j`` unless one of the new segments rises above ``limit``.
+
+        Returns the offset from ``j`` of the first, in path order, that rose, else ``None``.
+        """
+        old, self.nodes, new = self.nodes, [*self.nodes[: j + 1], *nodes, *self.nodes[j + 1 :]], []
+        for k in range(len(nodes) + 1):
+            new.append(self._measure(j + k, j + k + 1))
+            if new[-1].value > limit:
+                self.nodes = old
+                return k
+        self.segments[j : j + 1] = new
+        return None
 
     def crest(self) -> int:
         """The interior node to work on.
@@ -618,15 +626,21 @@ def _run_path(op, e: _Node, config: MpaConfig, x: np.ndarray, warm: bool) -> Sol
     Newton first polishes ``x``: a warm start's guess, or the crest of
     ``0 -> e``, which the caller measured.  A start that :func:`_newton_start`
     takes runs on ``0 -> u -> sigma u -> e``, any other on ``0 -> x -> e``
-    when ``warm``, else on ``config.path_nodes`` straight nodes.
+    when ``warm``, else on ``config.path_nodes`` straight nodes.  A taken
+    start whose ``sigma u -> e`` rises above ``I(u)`` is first closed in the
+    negative-energy cone: ``R sigma u, R e`` go before ``e`` (README).
     """
     counters = {"newton_steps": 0, "minres_iterations": 0}
     inner, start = _newton_start(op, x, e, counters)
     if inner is None:
         inner = [_node(op, v) for v in ([x] if warm else [
             w * e.x for w in np.linspace(0.0, 1.0, config.path_nodes)[1:-1]])]
-    engine = _PathEngine(op, [_node(op, np.zeros_like(e.x)), *inner, e])
+    engine = _PathEngine(op, [e.zero(), *inner, e])
     engine.counters.update(counters)
+    if start["newton_start"] == "taken" and engine.segments[2].value > inner[0].energy:
+        for r in 2.0 ** np.arange(1, 61):
+            if engine.splice(2, [_node(op, r * n.x) for n in (inner[1], e)], inner[0].energy) != 1:
+                break  # spliced, or a ray segment rose, as it does for every larger r
     cap_norm = 0.5 * max(1.0, e.xnorm)
 
     trace: list[tuple[float, float, float]] = []

@@ -74,11 +74,34 @@ def _json_default(obj):
 
 
 def canonical_json(payload) -> str:
-    """Deterministic JSON: sorted keys, fixed indentation, finite floats only."""
-    return (
-        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
-        + "\n"
-    )
+    """Deterministic JSON: sorted keys, fixed indentation, finite floats only.
+
+    ``indent`` selects json's pure-Python encoder, so a nonempty float64 array of 1 or 2
+    dimensions in nested dicts is written by the C encoder and re-indented by ``str.replace``.
+    """
+    arrays = {}
+
+    def lift(obj, depth: int):
+        if isinstance(obj, dict):
+            return {k: lift(v, depth + 1) for k, v in obj.items()}
+        if not isinstance(obj, np.ndarray) or obj.dtype != np.float64 or not obj.size or obj.ndim > 2:
+            return obj
+        outer, row, item = ("\n" + "  " * (depth + k) for k in range(3))
+        sep = "," + (row if obj.ndim == 1 else item)
+        text = json.dumps(obj.tolist(), allow_nan=False, separators=(sep, ":"))[1:-1]
+        if obj.ndim == 2:  # no float's text holds a bracket
+            rows = text[1:-1].replace("]" + sep + "[", row + "]," + row + "[" + item)
+            text = "[" + item + rows + row + "]"
+        arrays[json.dumps(mark := f"\0ndarray{len(arrays)}")] = "[" + row + text + outer + "]"
+        return mark
+
+    options = dict(sort_keys=True, indent=2, allow_nan=False, default=_json_default)
+    text = json.dumps(lift(payload, 0), **options)
+    if any(text.count(mark) != 1 for mark in arrays):  # a payload string spells a mark
+        return json.dumps(payload, **options) + "\n"
+    for mark, rendered in arrays.items():
+        text = text.replace(mark, rendered)
+    return text + "\n"
 
 
 def payload_hash(payload) -> str:

@@ -335,9 +335,7 @@ def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndar
     0 of an ``spec.n``-component field, whose one operator transform serves
     both forms, and ``||u||_X^2`` is the operator's form of that lift.  At
     ``n = 1`` the spectral part of that form is ``|u|_alpha^2`` itself and is
-    taken once.  Every sum runs over the same values in the same order as
-    :func:`norm_h_alpha`, :func:`norm_x_lambda` and ``grid.integrate`` on one
-    sample, so each result is the same bits.
+    taken once.  Each result is the same bits as on one sample (README).
     """
     op = _operator(spec)
     grid = spec.grid
@@ -369,12 +367,11 @@ def verify_embeddings(
     plus interval Dirichlet samples for the bounded-domain inequalities) and
     evaluates both sides of every inequality.  The weighted norm takes each
     line sample as component 0 of an ``spec.n``-component field, so the
-    potential term counts it once, with the first component's scale, and
-    an interval sample's ``B u`` is the interval operator's transform.
-    Returns a report of worst-case ratios, with an entry for each
-    inequality from the first sample it applies to; raises
-    :class:`EmbeddingViolation` carrying the offending sample if any ratio
-    exceeds ``1 + _TOLERANCE``, and :class:`DomainError` for ``samples < 1``.
+    potential term counts it once, with the first component's scale.
+    Returns a report of worst-case ratios, with an entry for each inequality
+    from the first sample it applies to; raises :class:`EmbeddingViolation`
+    carrying the offending sample if any ratio exceeds ``1 + _TOLERANCE``,
+    and :class:`DomainError` for ``samples < 1``.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")

@@ -644,6 +644,32 @@ def test_default_runs_take_the_newton_start(default_solve, sweep_report):
     assert default_solve.diagnostics["counters"]["segments"] == 3
 
 
+@pytest.mark.parametrize("lam, level", [(1.0, 0.03249614753046362), (10.0, 0.10451575300438698)])
+def test_a_rising_far_segment_closes_in_the_cone(line_grid, potential, monkeypatch, lam, level):
+    """The solve-vector family's cold solve closes ``sigma u -> e`` in the cone and ends at once.
+
+    On the default grid its ``sigma u -> e`` peaks far above ``I(u)`` (4.2648
+    at ``lambda = 1``, 2.5531 at 10).  The path becomes ``0 -> u -> sigma u
+    -> 2 sigma u -> 2 e -> e``: the start's 3 segments and 3 new ones, which
+    only ``R = 2`` gives, as a rejected ``R`` measures at least 2 more.  The
+    run converges at ``u`` at iteration 1 with the level and the ``u`` bits of
+    the run that inserts the crest of ``sigma u -> e`` instead.
+    """
+    spec = _solve_vector_spec(line_grid, potential).with_lambda(lam)
+    setup = construct_e(spec, constants=estimate_embedding_constants(
+        line_grid, spec.alpha, spec.potential))
+    run = mpa_solve(spec, setup)
+    diag = run.diagnostics
+    assert diag["newton_start"] == "taken" and run.converged and run.iterations == 1
+    counters = diag["counters"]
+    assert (counters["inserted"], counters["segments"], diag["path_nodes_final"]) == (0, 6, 6)
+    assert run.level == diag["polyline_level"] == level
+    monkeypatch.setattr(mpa._PathEngine, "splice", lambda self, j, nodes, limit: 0)
+    inserting = mpa_solve(spec, setup)
+    assert inserting.iterations == 2 and inserting.diagnostics["counters"]["inserted"] == 1
+    assert inserting.level == level and inserting.u.values.tobytes() == run.u.values.tobytes()
+
+
 @pytest.mark.parametrize("family", ["pure_power", "oscillatory"])
 def test_mixed_endpoint_newton_starts_decline_with_index_two(potential, family):
     """From a mixed endpoint Newton finds a point of Morse index 2, and the start is declined.

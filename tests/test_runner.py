@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracham import (
     GridFunction,
@@ -120,6 +122,43 @@ def test_canonical_json_handles_numpy_scalars():
         canonical_json({"bad": math.nan})
     with pytest.raises(TypeError):
         canonical_json({"bad": {1, 2}})
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@st.composite
+def _array_payloads(draw):
+    """A float64 array of shape ``(N,)``, ``(N, 1)`` or ``(N, 2)``, inside 0 to 3 dicts."""
+    n = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, 2)]))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    arr = np.array(draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))),
+                   dtype=np.float64).reshape(shape)
+    payload, plain = arr, arr.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.text(max_size=3))
+        other = key + draw(st.sampled_from(["", "a", "~"])) + "!"
+        sibling = draw(st.one_of(st.none(), st.floats(allow_nan=False), st.lists(st.integers())))
+        payload, plain = {key: payload, other: sibling}, {other: sibling, key: plain}
+    return payload, plain
+
+
+@settings(deadline=None, max_examples=100, derandomize=True, database=None)
+@given(_array_payloads())
+def test_canonical_json_writes_float_arrays_as_the_python_encoder_does(case):
+    """The C-rendered arrays come out byte for byte as ``indent=2`` writes their lists."""
+    payload, plain = case
+    expected = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert canonical_json(payload) == expected
+
+
+def test_canonical_json_keeps_integer_arrays_and_rejects_non_finite_arrays():
+    for ints in (np.arange(3), np.arange(6).reshape(3, 2)):
+        assert canonical_json({"d": ints}) == canonical_json({"d": ints.tolist()})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            canonical_json({"a": {"values": np.array([[1.0, bad], [2.0, 3.0]])}})
 
 
 def test_payload_hash_is_order_invariant():
@@ -307,9 +346,9 @@ def test_warm_and_cold_ladders_agree(spec10, constants, sweep_report, potential)
 
     Both start from a Newton-polished point.  A warm rung need not measure
     fewer segments: on the solve-vector family the warm ``lambda = 1000``
-    rung's segment ``sigma u -> e`` rises, and the run inserts nodes (13
-    segments against the cold rung's 3).  Covers the default family and the
-    solve-vector family on ``N = 1024``.
+    rung's ray ``u -> sigma u`` rises, and the run inserts nodes
+    (``test_a_rising_ray_is_left_to_the_path``).  Covers the default family
+    and the solve-vector family on ``N = 1024``.
     """
     grid = RealLineGrid(20.0, 1024)
     vector = _solve_vector_spec(grid, potential)
@@ -323,6 +362,41 @@ def test_warm_and_cold_ladders_agree(spec10, constants, sweep_report, potential)
         for w, c in zip(warm.records, cold.records):
             assert w["converged"] and c["converged"]
             assert abs(w["level"] - c["level"]) <= 1e-13 * abs(c["level"])
+
+
+def test_a_rising_ray_is_left_to_the_path(line_grid, potential, monkeypatch):
+    """The solve-vector family's warm ``lambda = 1000`` rung inserts nodes and reaches the cold level.
+
+    Newton polishes the warm guess onto another critical point (``I(u)`` =
+    0.31487 on the default grid) whose ray ``u -> sigma u`` peaks above the
+    mountain-pass level (0.36111).  Its ``sigma u -> e`` does not rise, so
+    the cone does not apply and no node is spliced: the path alone inserts
+    past ``u``.  The rungs at ``lambda = 1`` and 10 close in the cone.
+    """
+    starts = {}
+
+    class Recorded(mpa._PathEngine):
+        def __init__(self, op, nodes):
+            super().__init__(op, nodes)
+            if isinstance(op.spec, ProblemSpec):
+                starts[op.spec.lam] = self.energies, [s.value for s in self.segments]
+
+    monkeypatch.setattr(mpa, "_PathEngine", Recorded)
+    spec = _solve_vector_spec(line_grid, potential)
+    constants = estimate_embedding_constants(line_grid, spec.alpha, spec.potential)
+    warm = lambda_sweep(spec, [1.0, 10.0, 100.0, 1000.0], constants=constants)
+    energies, segments = starts[1000.0]
+    assert segments[1] > energies[1] >= segments[2]
+    rungs = {r["lambda"]: r for r in warm.records}
+    for lam in (1.0, 10.0):
+        assert rungs[lam]["iterations"] == 1 and rungs[lam]["diagnostics"]["path_nodes_final"] == 6
+    rung = rungs[1000.0]
+    inserted = rung["diagnostics"]["counters"]["inserted"]
+    assert rung["diagnostics"]["newton_start"] == "taken" and inserted > 0
+    assert rung["diagnostics"]["path_nodes_final"] == 4 + inserted
+    lam = spec.with_lambda(1000.0)
+    cold = mpa_solve(lam, construct_e(lam, constants=constants))
+    assert rung["converged"] and abs(rung["level"] - cold.level) <= 1e-13 * cold.level
 
 
 def test_ladder_validation(spec10, constants):
