@@ -246,9 +246,7 @@ def _power(mag: np.ndarray, p: float) -> np.ndarray:
     keep = ~(mag < 2.0 ** (-1080.0 / p))
     if keep.all():
         return mag**p
-    out = np.zeros_like(mag)
-    out[keep] = mag[keep] ** p
-    return out
+    return np.power(mag, p, out=np.zeros_like(mag), where=keep)
 
 
 def _radial_value(spec: NonlinearitySpec, r: np.ndarray) -> np.ndarray:

@@ -34,10 +34,9 @@ from .problem import _SEED, validate_nonlinearity, validate_potential
 from .spaces import (
     _WELL_POINTS,
     EmbeddingConstants,
+    _fill_samples,
     _h_alpha_sq,
     norm_h_alpha,
-    sample_interval_function,
-    sample_line_function,
     verify_embeddings,
 )
 
@@ -287,12 +286,16 @@ DEFAULT_BUDGETS = {
 _IDENTITY_CHECKS = 5
 
 
-def _random_field(spec, rng: np.random.Generator) -> np.ndarray:
-    """One random ``spec.n``-component field, each component from a random sample family."""
-    line = isinstance(spec, ProblemSpec)
-    sample, families = (sample_line_function, 3) if line else (sample_interval_function, 2)
-    cols = [sample(spec.grid, rng, int(rng.integers(0, families))) for _ in range(spec.n)]
-    return np.stack(cols, axis=1)
+def _random_fields(spec, rng: np.random.Generator, rows: int, stacks: int = 1) -> list:
+    """``stacks`` stacks of ``rows`` random fields, each component of a drawn sample family.
+
+    Row ``j`` of every stack is drawn before row ``j + 1`` of any, so the
+    fields are those of a one-field loop that draws ``stacks`` at a time.
+    """
+    out = [np.empty((rows, spec.grid.num_points, spec.n)) for _ in range(stacks)]
+    slots = [(f[j, :, c], None) for j in range(rows) for f in out for c in range(spec.n)]
+    _fill_samples(spec.grid, rng, slots)
+    return out
 
 
 def _unit_fields(spec, stack: np.ndarray) -> np.ndarray:
@@ -320,8 +323,8 @@ def _fd_action_errors(spec, count: int, rng: np.random.Generator) -> dict:
     eps = 1e-5
     worst = 0.0
     for chunk in _chunks(count, spec.grid.num_points * spec.n):
-        pairs = [(_random_field(spec, rng), _random_field(spec, rng)) for _ in range(count)[chunk]]
-        u, v = (_unit_fields(spec, np.stack(fields)) for fields in zip(*pairs))
+        fields = _random_fields(spec, rng, chunk.stop - chunk.start, 2)
+        u, v = (_unit_fields(spec, f) for f in fields)
         ut, vt = op.transform(u), op.transform(v)
         act = op.transformed_form(u, ut, v, vt) - op.wslope(u, v)
         fd = (op.energies(u + eps * v) - op.energies(u - eps * v)) / (2.0 * eps)
@@ -337,8 +340,8 @@ def _identity_spot_checks(
     """Defect-identity gaps relative to ``1 + |lhs| + 1e-4 ||u||_X^2``, as in the FD check."""
     worst = 0.0
     for _ in range(_IDENTITY_CHECKS):
-        line = _unit_fields(spec, _random_field(spec, rng)[None])[0]
-        interval = _random_field(ispec, rng)
+        line = _unit_fields(spec, _random_fields(spec, rng, 1)[0])[0]
+        interval = _random_fields(ispec, rng, 1)[0][0]
         for sp, vals in ((spec, line), (ispec, interval)):
             q, _, lhs, rhs = _identity_terms(vals, sp)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + 1e-4 * q))
@@ -360,7 +363,7 @@ def _geometry_checks(
     op = _operator(spec)
     floor_min = math.inf
     for chunk in _chunks(count, spec.grid.num_points * spec.n):
-        fields = np.stack([_random_field(spec, rng) for _ in range(count)[chunk]])
+        fields = _random_fields(spec, rng, chunk.stop - chunk.start)[0]
         nx = np.sqrt(np.maximum(op.xnormsq(fields), 0.0))
         keep = nx != 0.0
         for value in op.energies((setup.rho / nx[keep])[:, None, None] * fields[keep]):

@@ -31,9 +31,12 @@ equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  So
 exceed it.  Random samples only test the derived inequalities, in
 :func:`verify_embeddings`.
 
-The stress test draws its samples in order and evaluates them in chunks
-under the package's stack budget, with the bits of a one-sample loop; the
-README's ``verify`` section has the account.
+The stress test, like the campaign's random fields, draws a chunk of
+samples at a time through :func:`_fill_samples`.  It writes each row in
+place in the order of a one-sample loop, so the generator stream is the
+same, and inverse-transforms its band-limited spectra a stack at a time,
+which gives each row the bits of a one-row ``irfft``.  The README's
+``verify`` section has the account.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
 from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form
-from .functional import ProblemSpec, _chunks, _operator, _values
+from .functional import ProblemSpec, _chunks, _operator, _stack_rows, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import _SEED, _power
 
@@ -123,68 +126,83 @@ def _support(grid: RealLineGrid, c: float, reach: float) -> slice:
     return slice(lo, hi)
 
 
-def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: int) -> np.ndarray:
-    """One random scalar sample from the documented generator families.
+def _fill_samples(grid, rng: np.random.Generator, slots) -> None:
+    """Write a random sample into each ``(row, family)`` of the list ``slots``, in order.
 
-    Family 0: mixtures of 1-3 Gaussians; family 1: mixtures of compactly
-    supported polynomial bumps; family 2: random band-limited fields.  Each
-    bump is evaluated only on the nodes where it can be nonzero: outside
-    them the full-grid formula adds an exact ``0.0``, so the values are the
-    same bits either way.
+    ``row`` is a writable view of ``grid.num_points`` values; a ``None``
+    family is first drawn uniformly from the grid's families.  On the line,
+    family 0 mixes 1-3 Gaussians, family 1 mixes 1-3 compactly supported
+    polynomial bumps and family 2 is a random band-limited field.  Each bump
+    is evaluated only on the nodes where it can be nonzero: outside them the
+    full-grid formula adds an exact ``0.0``.  Band-limited spectra are drawn
+    in order and inverse-transformed together, ``_stack_rows(N + 2)`` at a
+    time, and a stacked ``irfft`` gives each row the bits of a one-row call.
+    On an interval, family 0 sums 1-4 sine modes and any other family is a
+    Gaussian under ``s (1 - s)``.  Every row is the bits of a one-slot loop.
     """
     t = grid.nodes
-    r = grid.halfwidth
-    if family == 0:
-        k = int(rng.integers(1, 4))
-        vals = np.zeros_like(t)
-        for _ in range(k):
-            c = rng.uniform(-0.5 * r, 0.5 * r)
-            wdt = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
-            win = _support(grid, c, _GAUSS_REACH * wdt)
-            vals[win] += rng.normal() * np.exp(-((t[win] - c) ** 2) / (2.0 * wdt**2))
-        return vals
-    if family == 1:
-        k = int(rng.integers(1, 4))
-        vals = np.zeros_like(t)
-        for _ in range(k):
-            c = rng.uniform(-0.5 * r, 0.5 * r)
-            wdt = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
-            win = _support(grid, c, wdt)
-            s = np.maximum(1.0 - ((t[win] - c) / wdt) ** 2, 0.0)
-            vals[win] += rng.normal() * s**3
-        return vals
-    if family == 2:
-        wmax = math.exp(rng.uniform(0.0, math.log(50.0)))
-        w = grid.rfft_frequencies
-        keep = np.abs(w) <= wmax
-        coeff = np.zeros(w.shape, dtype=np.complex128)
-        nk = int(keep.sum())
-        coeff[keep] = rng.normal(size=nk) + 1j * rng.normal(size=nk)
-        coeff[0] = coeff[0].real
-        return np.fft.irfft(coeff, n=grid.num_points)
-    raise DomainError(f"unknown sample family {family}")
+    line = isinstance(grid, RealLineGrid)
+    if line:
+        freq = np.abs(grid.rfft_frequencies)
+        rows = min(_stack_rows(grid.num_points + 2), len(slots))
+        coeffs = np.empty((rows, freq.size), dtype=np.complex128)
+    else:
+        s = (t - grid.lower) / (grid.upper - grid.lower)
+    pending = []
+    for k, (row, family) in enumerate(slots, 1):
+        family = int(rng.integers(0, 3 if line else 2)) if family is None else family
+        if not line:
+            if family == 0:
+                row[:] = 0.0
+                for mode in range(1, int(rng.integers(1, 5)) + 1):
+                    row += rng.normal() * np.sin(np.pi * mode * s)
+                row[0] = row[-1] = 0.0
+            else:
+                c, wdt = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.4)
+                row[:] = s * (1.0 - s) * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
+        elif family in (0, 1):
+            row[:] = 0.0
+            for _ in range(int(rng.integers(1, 4))):
+                c = rng.uniform(-0.5 * grid.halfwidth, 0.5 * grid.halfwidth)
+                if family == 0:
+                    wdt = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+                    win = _support(grid, c, _GAUSS_REACH * wdt)
+                    row[win] += rng.normal() * np.exp(-((t[win] - c) ** 2) / (2.0 * wdt**2))
+                else:
+                    wdt = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
+                    win = _support(grid, c, wdt)
+                    bump = np.maximum(1.0 - ((t[win] - c) / wdt) ** 2, 0.0)
+                    row[win] += rng.normal() * bump**3
+        elif family == 2:
+            # freq ascends, so the band |w| <= wmax is a prefix of the spectrum.
+            nk = int(np.searchsorted(freq, math.exp(rng.uniform(0.0, math.log(50.0))), "right"))
+            coeff = coeffs[len(pending)]
+            coeff[nk:] = 0.0
+            coeff[:nk] = rng.normal(size=nk) + 1j * rng.normal(size=nk)
+            coeff[0] = coeff[0].real
+            pending.append(row)
+        else:
+            raise DomainError(f"unknown sample family {family}")
+        if pending and (len(pending) == rows or k == len(slots)):
+            for dest, vals in zip(pending, np.fft.irfft(coeffs[: len(pending)], n=grid.num_points)):
+                dest[:] = vals
+            pending.clear()
+
+
+def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: int) -> np.ndarray:
+    """One random scalar sample of line family 0, 1 or 2: one slot of :func:`_fill_samples`."""
+    vals = np.empty(grid.num_points)
+    _fill_samples(grid, rng, [(vals, family)])
+    return vals
 
 
 def sample_interval_function(
     grid: IntervalGrid, rng: np.random.Generator, family: int
 ) -> np.ndarray:
     """Random Dirichlet sample on an interval grid (exact zero endpoints)."""
-    t = grid.nodes
-    a, b = grid.lower, grid.upper
-    s = (t - a) / (b - a)
-    envelope = s * (1.0 - s)
-    if family == 0:
-        k = int(rng.integers(1, 5))
-        modes = np.arange(1, k + 1)
-        vals = np.zeros_like(t)
-        for mode in modes:
-            vals += rng.normal() * np.sin(np.pi * mode * s)
-        vals[0] = 0.0
-        vals[-1] = 0.0
-        return vals
-    c = rng.uniform(0.2, 0.8)
-    wdt = rng.uniform(0.05, 0.4)
-    return envelope * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
+    vals = np.empty(grid.num_points)
+    _fill_samples(grid, rng, [(vals, family)])
+    return vals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,7 +324,7 @@ def _interval_ratios(
     return ("interval_lp_gl", ulp / lp_bound), ("interval_sup_gl", sup)
 
 
-def _line_ratios(row: list[float], constants: EmbeddingConstants, p: float):
+def _line_ratios(row: tuple[float, ...], constants: EmbeddingConstants, p: float):
     """``(name, ratio)`` of each line inequality that applies to one sample, in report order.
 
     ``row`` is the sample's ``sup|u|``, ``||u||_L2^2``, ``||u||_Lp^p``,
@@ -334,15 +352,17 @@ def _line_stats(block: np.ndarray, spec: ProblemSpec, p: float) -> tuple[np.ndar
     ``block`` stacks scalar line samples; each row is lifted into component
     0 of an ``spec.n``-component field, whose one operator transform serves
     both forms, and ``||u||_X^2`` is the operator's form of that lift.  At
-    ``n = 1`` the spectral part of that form is ``|u|_alpha^2`` itself and is
-    taken once.  Each result is the same bits as on one sample (README).
+    ``n = 1`` the lift is a view of ``block`` and the spectral part of that
+    form is ``|u|_alpha^2`` itself, taken once.  Each result is the same bits
+    as on one sample (README).
     """
     op = _operator(spec)
     grid = spec.grid
     h = grid.spacing
     mag = np.abs(block)
-    lifted = np.zeros(block.shape + (spec.n,))
-    lifted[..., 0] = block
+    lifted = block[..., None]
+    if spec.n > 1:
+        lifted = np.concatenate([lifted, np.zeros(block.shape + (spec.n - 1,))], axis=-1)
     coeffs = op.transform(lifted)
     spectral, pot = op.form_parts(lifted, coeffs, lifted, coeffs)
     first = coeffs[..., :1]
@@ -383,7 +403,7 @@ def verify_embeddings(
 
     def record(ratios, sid: str, sample_vals, sample_grid):
         for name, ratio in ratios:
-            entry = worst.setdefault(
+            entry = worst.get(name) or worst.setdefault(
                 name, {"name": name, "worst_ratio": 0.0, "argmax_sample_id": None, "samples": 0}
             )
             entry["samples"] += 1
@@ -399,21 +419,25 @@ def verify_embeddings(
 
     for chunk in _chunks(samples, grid.num_points * spec.n):
         ids = range(samples)[chunk]
-        block = np.stack([sample_line_function(grid, rng, i % 3) for i in ids])
-        stats = _line_stats(block, spec, p)
-        for j, i in enumerate(ids):
-            ratios = _line_ratios([float(s[j]) for s in stats], constants, p)
-            record(ratios, f"line/{i % 3}/{i}", block[j], grid)
+        block = np.empty((len(ids), grid.num_points))
+        _fill_samples(grid, rng, [(row, i % 3) for row, i in zip(block, ids)])
+        rows = zip(*(s.tolist() for s in _line_stats(block, spec, p)))
+        for i, vals, row in zip(ids, block, rows):
+            record(_line_ratios(row, constants, p), f"line/{i % 3}/{i}", vals, grid)
 
     ispec = spec.well_interval(_WELL_POINTS)
     igrid = ispec.grid
     op = _operator(ispec)
-    for i in range(max(samples // 4, 1)):
-        vals = sample_interval_function(igrid, rng, i % 2)
-        du = op.transform(vals)
-        for pp in (2.0, p):
-            ratios = _interval_ratios(spec.alpha, pp, vals, du, igrid)
-            record(ratios, f"interval/{i % 2}/{i}/p{pp}", vals, igrid)
+    count = max(samples // 4, 1)
+    for chunk in _chunks(count, igrid.num_points):
+        ids = range(count)[chunk]
+        block = np.empty((len(ids), igrid.num_points))
+        _fill_samples(igrid, rng, [(row, i % 2) for row, i in zip(block, ids)])
+        for i, vals in zip(ids, block):
+            du = op.transform(vals)
+            for pp in (2.0, p):
+                ratios = _interval_ratios(spec.alpha, pp, vals, du, igrid)
+                record(ratios, f"interval/{i % 2}/{i}/p{pp}", vals, igrid)
 
     return {
         "inequalities": worst,

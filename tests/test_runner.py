@@ -40,7 +40,7 @@ from fracham.runner import (
     write_solve_outputs,
     write_sweep_csv,
 )
-from fracham.spaces import norm_h_alpha, sample_interval_function
+from fracham.spaces import norm_h_alpha, sample_interval_function, sample_line_function
 from test_mpa import _solve_vector_spec
 
 
@@ -492,9 +492,17 @@ def test_campaign_full_default_passes(spec10, constants):
     assert round_trip["passed"] is True
 
 
+def _one_field(spec, rng):
+    """One random field, one component at a time: its family is drawn, then its sample."""
+    line = isinstance(spec, ProblemSpec)
+    sample, families = (sample_line_function, 3) if line else (sample_interval_function, 2)
+    cols = [sample(spec.grid, rng, int(rng.integers(0, families))) for _ in range(spec.n)]
+    return np.stack(cols, axis=1)
+
+
 def _oracle_field(spec, rng):
     """One random field, unit-scaled as the checks scale it, one at a time."""
-    vals = runner._random_field(spec, rng)
+    vals = _one_field(spec, rng)
     if isinstance(spec, ProblemSpec):
         nrm = norm_h_alpha(GridFunction(spec.grid, vals), spec.alpha)
         return vals if nrm == 0.0 else vals / nrm
@@ -524,7 +532,7 @@ def _oracle_sphere(spec, constants, count, rng):
     op = _operator(spec)
     floor_min = math.inf
     for _ in range(count):
-        vals = runner._random_field(spec, rng)
+        vals = _one_field(spec, rng)
         nx = math.sqrt(max(float(op.xnormsq(vals)), 0.0))
         if nx == 0.0:
             continue
@@ -564,33 +572,59 @@ def test_batched_fd_check_matches_a_per_pair_loop(spec10):
 def test_batched_sphere_check_matches_a_per_field_loop(spec10, constants, monkeypatch):
     """Sphere floor and RNG state are the bits of a one-field loop; a zero field is skipped.
 
-    The fifth field drawn is replaced by zeros after its draw.  Dividing by
-    its zero norm would warn, and warnings are errors here.
+    The sampler's seam, which the check and the one-field loop both draw
+    through, replaces the fifth field drawn by zeros after its draw.
+    Dividing by its zero norm would warn, and warnings are errors here.
     """
-    draw = runner._random_field
-    calls = []
+    draw = spaces._fill_samples
+    drawn = []
 
-    def fifth_is_zero(spec, rng):
-        vals = draw(spec, rng)
-        calls.append(1)
-        return np.zeros_like(vals) if len(calls) == 5 else vals
+    def fifth_is_zero(grid, rng, slots):
+        draw(grid, rng, slots)
+        for row, _ in slots:
+            drawn.append(row)
+            if 4 * n < len(drawn) <= 5 * n:  # a component of the fifth field
+                row[:] = 0.0
 
-    monkeypatch.setattr(runner, "_random_field", fifth_is_zero)
+    monkeypatch.setattr(spaces, "_fill_samples", fifth_is_zero)
+    monkeypatch.setattr(runner, "_fill_samples", fifth_is_zero)
     for spec, count in ((spec10, 8), (_vector_oscillatory(spec10), 5)):
-        rows = _stack_rows(spec.grid.num_points * spec.n)
+        n = spec.n
+        rows = _stack_rows(spec.grid.num_points * n)
         assert rows == 1 or count % rows != 0
-        calls.clear()
+        drawn.clear()
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = runner._geometry_checks(spec, constants, count, got_rng)
-        assert len(calls) == count
-        calls.clear()
+        assert len(drawn) == count * n
+        drawn.clear()
         want = _oracle_sphere(spec, constants, count, want_rng)
+        assert len(drawn) == count * n
         assert got["sphere_min_energy"] == want and math.isfinite(want), spec.n
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["n1", "n2-oscillatory"])
+def test_campaign_is_invariant_to_the_chunk_size(spec10, constants, monkeypatch, vector):
+    """The whole report is the same bytes whether chunks hold fewer or more rows.
+
+    At ``N = 4096`` and ``n = 1`` a budget of 2^13, 2^14 or 2^15 values
+    makes chunks of 1, 3 or 7 rows, and as many band-limited spectra per
+    ``irfft``; at ``n = 2`` chunks of 1, 1 or 3 fields.
+    """
+    spec = _vector_oscillatory(spec10) if vector else spec10
+    budgets = {"embedding_samples": 61, "nonlinearity_samples": 2000,
+               "derivative_checks": 7, "sphere_samples": 20}
+    reports = []
+    for values in (2**13, 2**14, 2**15):
+        monkeypatch.setattr(functional, "_STACK_VALUES", values)
+        reports.append(canonical_json(run_verification_campaign(spec, constants, budgets, seed=3)))
+    assert _stack_rows(spec.grid.num_points * spec.n) == (3 if vector else 7)
+    assert json.loads(reports[0])["passed"] is True
+    assert reports[0] == reports[1] == reports[2]
 def test_default_campaign_stacks_stay_under_the_budget(spec10, constants, monkeypatch):
     """Every stack the default campaign builds stays under 128 KiB, transforms included.
 

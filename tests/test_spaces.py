@@ -15,7 +15,7 @@ from fracham import (
     quadratic_form_alpha,
     verify_embeddings,
 )
-from fracham import problem
+from fracham import problem, spaces
 from fracham.errors import DomainError, EmbeddingViolation
 from fracham.fracops import gl_matrix
 from fracham.functional import _stack_rows
@@ -236,6 +236,65 @@ def test_windowed_bumps_match_the_full_grid_formula(grid):
     assert any(c + reach > r for c, _, reach in drawn)
     if h > 0.05:
         assert any(wdt < h for _, wdt, _ in drawn)
+
+
+def _one_sample(grid, rng, family):
+    """One sample by each family's own full-grid formula; a band-limited one by its own ``irfft``."""
+    if isinstance(grid, IntervalGrid):
+        s = (grid.nodes - grid.lower) / (grid.upper - grid.lower)
+        if family == 1:
+            c, wdt = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.4)
+            return s * (1.0 - s) * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
+        vals = np.zeros_like(s)
+        for mode in range(1, int(rng.integers(1, 5)) + 1):
+            vals += rng.normal() * np.sin(np.pi * mode * s)
+        vals[0] = vals[-1] = 0.0
+        return vals
+    if family < 2:
+        return _full_grid_bumps(grid, rng, family, [])
+    w = grid.rfft_frequencies
+    keep = np.abs(w) <= math.exp(rng.uniform(0.0, math.log(50.0)))
+    coeff = np.zeros(w.shape, dtype=np.complex128)
+    nk = int(keep.sum())
+    coeff[keep] = rng.normal(size=nk) + 1j * rng.normal(size=nk)
+    coeff[0] = coeff[0].real
+    return np.fft.irfft(coeff, n=grid.num_points)
+
+
+def test_chunk_sampler_matches_a_one_sample_loop(line_grid, interval_grid):
+    """Every row the chunk sampler fills is the bits of a one-sample loop, RNG state included.
+
+    Chunks of 1-4 rows in the ``i % 3`` family order of ``verify_embeddings``,
+    then chunks of 1-4 drawn-family fields at ``n = 1`` and ``n = 2`` on the
+    line and on an interval, laid out as the campaign lays them out.  At
+    ``N = 4096`` three band-limited spectra fill the sampler's ``irfft``
+    stack, so a chunk holding more is transformed in two calls.
+    """
+    assert _stack_rows(line_grid.num_points + 2) == 3
+    fast, slow = np.random.default_rng(20261020), np.random.default_rng(20261020)
+    first = 0
+    for rows in (1, 2, 3, 4, 4, 3, 2, 1):
+        block = np.empty((rows, line_grid.num_points))
+        slots = [(row, (first + j) % 3) for j, row in enumerate(block)]
+        spaces._fill_samples(line_grid, fast, slots)
+        for j, row in enumerate(block):
+            assert row.tobytes() == _one_sample(line_grid, slow, (first + j) % 3).tobytes()
+        first += rows
+    band_limited = []
+    for grid, families in ((line_grid, 3), (interval_grid, 2)):
+        for n in (1, 2):
+            for rows in (1, 2, 3, 4) * 3:
+                fields = np.empty((rows, grid.num_points, n))
+                slots = [(fields[j, :, c], None) for j in range(rows) for c in range(n)]
+                spaces._fill_samples(grid, fast, slots)
+                drawn = []
+                for row, _ in slots:
+                    drawn.append(int(slow.integers(0, families)))
+                    assert row.tobytes() == _one_sample(grid, slow, drawn[-1]).tobytes()
+                if families == 3:
+                    band_limited.append(drawn.count(2))
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert max(band_limited) > 3 and sum(k >= 2 for k in band_limited) >= 3
 
 
 def _understated(constants, factor):
