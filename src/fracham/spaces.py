@@ -32,11 +32,11 @@ exceed it.  Random samples only test the derived inequalities, in
 :func:`verify_embeddings`.
 
 The stress test, like the campaign's random fields, draws a chunk of
-samples at a time through :func:`_fill_samples`.  It writes each row in
-place in the order of a one-sample loop, so the generator stream is the
-same, and inverse-transforms its band-limited spectra a stack at a time,
-which gives each row the bits of a one-row ``irfft``.  The README's
-``verify`` section has the account.
+samples at a time through :func:`_fill_samples`, from the families that
+``_FAMILIES`` counts for each domain.  It writes each row in place in the
+order of a one-sample loop, so the generator stream is the same, and gives
+each band-limited row one ``irfft`` of its own.  The README's ``verify``
+section has the account.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, EmbeddingViolation
 from .fracops import _check_order, _coefficient_form, _form_multipliers, _spectral_form
-from .functional import ProblemSpec, _chunks, _operator, _stack_rows, _values
+from .functional import ProblemSpec, _chunks, _operator, _values
 from .grids import GridFunction, IntervalGrid, RealLineGrid
 from .problem import _SEED, _power
 
@@ -72,6 +72,8 @@ _TOLERANCE = 1e-8
 # Nodes of the well reference and of the interval checks of verification.
 _WELL_POINTS = 257
 _SAFETY = 1.1  # the default factor on the grid-sharp C_inf, here and in the config
+# Sample families of each domain (see _fill_samples).
+_FAMILIES = {RealLineGrid: 3, IntervalGrid: 2}
 # A Gaussian exp(-d^2 / (2 w^2)) is exactly 0.0 in float64 once its exponent
 # is below -746, that is past w * sqrt(1492) from its centre.
 _GAUSS_REACH = math.sqrt(1492.0)
@@ -130,27 +132,27 @@ def _fill_samples(grid, rng: np.random.Generator, slots) -> None:
     """Write a random sample into each ``(row, family)`` of the list ``slots``, in order.
 
     ``row`` is a writable view of ``grid.num_points`` values; a ``None``
-    family is first drawn uniformly from the grid's families.  On the line,
-    family 0 mixes 1-3 Gaussians, family 1 mixes 1-3 compactly supported
-    polynomial bumps and family 2 is a random band-limited field.  Each bump
-    is evaluated only on the nodes where it can be nonzero: outside them the
-    full-grid formula adds an exact ``0.0``.  Band-limited spectra are drawn
-    in order and inverse-transformed together, ``_stack_rows(N + 2)`` at a
-    time, and a stacked ``irfft`` gives each row the bits of a one-row call.
-    On an interval, family 0 sums 1-4 sine modes and any other family is a
-    Gaussian under ``s (1 - s)``.  Every row is the bits of a one-slot loop.
+    family is first drawn uniformly from the grid's ``_FAMILIES``, and a
+    family outside them raises :class:`DomainError` before any other draw.
+    On the line, family 0 mixes 1-3 Gaussians, family 1 mixes 1-3 compactly
+    supported polynomial bumps and family 2 is a random band-limited field,
+    one ``irfft`` of its own spectrum.  Each bump is evaluated only on the
+    nodes where it can be nonzero: outside them the full-grid formula adds
+    an exact ``0.0``.  On an interval, family 0 sums 1-4 sine modes and
+    family 1 is a Gaussian under ``s (1 - s)``.  Every row is the bits of a
+    one-slot loop.
     """
     t = grid.nodes
+    families = _FAMILIES[type(grid)]
     line = isinstance(grid, RealLineGrid)
     if line:
         freq = np.abs(grid.rfft_frequencies)
-        rows = min(_stack_rows(grid.num_points + 2), len(slots))
-        coeffs = np.empty((rows, freq.size), dtype=np.complex128)
     else:
         s = (t - grid.lower) / (grid.upper - grid.lower)
-    pending = []
-    for k, (row, family) in enumerate(slots, 1):
-        family = int(rng.integers(0, 3 if line else 2)) if family is None else family
+    for row, family in slots:
+        family = int(rng.integers(0, families)) if family is None else family
+        if family not in range(families):
+            raise DomainError(f"unknown sample family {family}")
         if not line:
             if family == 0:
                 row[:] = 0.0
@@ -160,7 +162,7 @@ def _fill_samples(grid, rng: np.random.Generator, slots) -> None:
             else:
                 c, wdt = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.4)
                 row[:] = s * (1.0 - s) * np.exp(-((s - c) ** 2) / (2.0 * wdt**2)) * rng.normal()
-        elif family in (0, 1):
+        elif family < 2:
             row[:] = 0.0
             for _ in range(int(rng.integers(1, 4))):
                 c = rng.uniform(-0.5 * grid.halfwidth, 0.5 * grid.halfwidth)
@@ -173,20 +175,13 @@ def _fill_samples(grid, rng: np.random.Generator, slots) -> None:
                     win = _support(grid, c, wdt)
                     bump = np.maximum(1.0 - ((t[win] - c) / wdt) ** 2, 0.0)
                     row[win] += rng.normal() * bump**3
-        elif family == 2:
+        else:
             # freq ascends, so the band |w| <= wmax is a prefix of the spectrum.
             nk = int(np.searchsorted(freq, math.exp(rng.uniform(0.0, math.log(50.0))), "right"))
-            coeff = coeffs[len(pending)]
-            coeff[nk:] = 0.0
+            coeff = np.zeros(freq.size, dtype=np.complex128)
             coeff[:nk] = rng.normal(size=nk) + 1j * rng.normal(size=nk)
             coeff[0] = coeff[0].real
-            pending.append(row)
-        else:
-            raise DomainError(f"unknown sample family {family}")
-        if pending and (len(pending) == rows or k == len(slots)):
-            for dest, vals in zip(pending, np.fft.irfft(coeffs[: len(pending)], n=grid.num_points)):
-                dest[:] = vals
-            pending.clear()
+            row[:] = np.fft.irfft(coeff, n=grid.num_points)
 
 
 def sample_line_function(grid: RealLineGrid, rng: np.random.Generator, family: int) -> np.ndarray:
@@ -417,13 +412,14 @@ def verify_embeddings(
                     detail={"name": name, "ratio": ratio, "sample_id": sid, "seed": seed},
                 )
 
+    line_families, interval_families = _FAMILIES[RealLineGrid], _FAMILIES[IntervalGrid]
     for chunk in _chunks(samples, grid.num_points * spec.n):
         ids = range(samples)[chunk]
         block = np.empty((len(ids), grid.num_points))
-        _fill_samples(grid, rng, [(row, i % 3) for row, i in zip(block, ids)])
+        _fill_samples(grid, rng, [(row, i % line_families) for row, i in zip(block, ids)])
         rows = zip(*(s.tolist() for s in _line_stats(block, spec, p)))
         for i, vals, row in zip(ids, block, rows):
-            record(_line_ratios(row, constants, p), f"line/{i % 3}/{i}", vals, grid)
+            record(_line_ratios(row, constants, p), f"line/{i % line_families}/{i}", vals, grid)
 
     ispec = spec.well_interval(_WELL_POINTS)
     igrid = ispec.grid
@@ -432,12 +428,12 @@ def verify_embeddings(
     for chunk in _chunks(count, igrid.num_points):
         ids = range(count)[chunk]
         block = np.empty((len(ids), igrid.num_points))
-        _fill_samples(igrid, rng, [(row, i % 2) for row, i in zip(block, ids)])
+        _fill_samples(igrid, rng, [(row, i % interval_families) for row, i in zip(block, ids)])
         for i, vals in zip(ids, block):
             du = op.transform(vals)
             for pp in (2.0, p):
                 ratios = _interval_ratios(spec.alpha, pp, vals, du, igrid)
-                record(ratios, f"interval/{i % 2}/{i}/p{pp}", vals, igrid)
+                record(ratios, f"interval/{i % interval_families}/{i}/p{pp}", vals, igrid)
 
     return {
         "inequalities": worst,

@@ -22,6 +22,7 @@ from fracham import (
     construct_e,
     functional,
     mpa_solve,
+    runner,
     spaces,
 )
 from fracham.cli import main
@@ -545,15 +546,21 @@ def test_commands_report_the_same_certificates(tmp_path, capsys):
 
 
 def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
-    """``bound`` takes C_inf from the extremal profile: no random draw, a few FFTs."""
+    """``bound`` takes C_inf from the extremal profile: no random draw, a few FFTs.
+
+    Draws are counted at the one sampler, ``_fill_samples``, under the names
+    ``spaces`` and ``runner`` call it by; a small ``verify`` is seen drawing
+    through both.
+    """
     draws, ffts = [], []
-    original_draw = spaces.sample_line_function
+    original_draw = spaces._fill_samples
+    for module in (spaces, runner):
 
-    def counted_draw(*args, **kwargs):
-        draws.append(1)
-        return original_draw(*args, **kwargs)
+        def counted_draw(*args, _module=module.__name__, **kwargs):
+            draws.append(_module)
+            return original_draw(*args, **kwargs)
 
-    monkeypatch.setattr(spaces, "sample_line_function", counted_draw)
+        monkeypatch.setattr(module, "_fill_samples", counted_draw)
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
 
@@ -566,18 +573,24 @@ def test_bound_draws_no_samples_and_few_ffts(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert len(draws) == 0
     assert 0 < len(ffts) <= 20
+    budgets = {"embedding_samples": 4, "nonlinearity_samples": 0,
+               "derivative_checks": 1, "sphere_samples": 0}
+    cfg = _write_config(tmp_path, {"verify": budgets})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
+    capsys.readouterr()
+    assert set(draws) == {"fracham.spaces", "fracham.runner"}
 
 
 def test_verify_fft_budget(tmp_path, capsys, monkeypatch):
     """``verify`` transforms its samples and fields in chunks: far fewer FFTs than samples.
 
-    The default campaign makes 1,001 calls (593 ``rfft``, 407 ``irfft``, one
-    ``ifft``), and the bound is that plus 10%.  One transform per embedding
-    sample would add about 666, two about 1,666.  The finite-difference and
-    geometry checks make 320 of the calls, their field draws included: the
-    sampler inverse-transforms up to 3 band-limited fields at a time.  One
-    field at a time they made 928, and with one ``irfft`` per band-limited
-    field 364.
+    The default campaign makes 1,045 calls (593 ``rfft``, 451 ``irfft``, one
+    ``ifft``), and the bound leaves about 5% over that.  The embedding check
+    makes 667 of them: one ``rfft`` per 3-row chunk and one ``irfft`` per
+    band-limited sample.  One transform per embedding sample would add about
+    666, two about 1,666.  The finite-difference and sphere checks make 376,
+    their field draws included, one ``irfft`` per band-limited field.  One
+    field at a time they made 928.
     """
     ffts = []
     for name in ("fft", "ifft", "rfft", "irfft"):

@@ -14,7 +14,8 @@ crest of ``0 -> e`` once, and the solve starts from that record; both
 domains build their far endpoint ``e`` in one place, and MINRES hands back
 its Lanczos record rather than filling one it is given.  The path engine
 takes the nodes its caller evaluated, so each point of a solve is evaluated
-once, by the code that makes it.
+once, by the code that makes it.  Each domain's count of random sample
+families is written once, in a table the sampler and ``verify`` read.
 """
 
 import ast
@@ -180,6 +181,30 @@ def test_kappa_p_is_written_once():
     callees = {node.func.attr for node in ast.walk(_function("spaces", "_line_ratios"))
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert "kappa_neg_power" in callees and "kappa" not in callees
+
+
+def test_the_sample_family_counts_are_written_once():
+    """``spaces._FAMILIES`` owns each domain's count of sample families.
+
+    The sampler's drawn-family rule and range check, and ``verify``'s family
+    cycles, read it; no ``%`` and no ``integers(0, ...)`` takes a literal
+    count.
+    """
+    tables = _scopes(lambda node: isinstance(node, ast.Assign)
+                     and any(_named(target, "_FAMILIES") for target in node.targets))
+    assert tables == {("spaces", "")}
+    readers = _scopes(lambda node: isinstance(node, ast.Subscript) and _named(node.value, "_FAMILIES"))
+    assert readers == {("spaces", "_fill_samples"), ("spaces", "verify_embeddings")}
+
+    def literal_int(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    cycles = _scopes(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                     and literal_int(node.right))
+    draws = _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, "integers")
+                    and len(node.args) == 2 and literal_int(node.args[0])
+                    and node.args[0].value == 0 and literal_int(node.args[1]))
+    assert cycles == set() and draws == set()
 
 
 def _attributes_of_call(body: ast.FunctionDef, callee: str) -> set[str]:

@@ -266,11 +266,9 @@ def test_chunk_sampler_matches_a_one_sample_loop(line_grid, interval_grid):
 
     Chunks of 1-4 rows in the ``i % 3`` family order of ``verify_embeddings``,
     then chunks of 1-4 drawn-family fields at ``n = 1`` and ``n = 2`` on the
-    line and on an interval, laid out as the campaign lays them out.  At
-    ``N = 4096`` three band-limited spectra fill the sampler's ``irfft``
-    stack, so a chunk holding more is transformed in two calls.
+    line and on an interval, laid out as the campaign lays them out.  Some
+    chunks hold four or more band-limited rows, each its own ``irfft``.
     """
-    assert _stack_rows(line_grid.num_points + 2) == 3
     fast, slow = np.random.default_rng(20261020), np.random.default_rng(20261020)
     first = 0
     for rows in (1, 2, 3, 4, 4, 3, 2, 1):
@@ -295,6 +293,34 @@ def test_chunk_sampler_matches_a_one_sample_loop(line_grid, interval_grid):
                     band_limited.append(drawn.count(2))
     assert fast.bit_generator.state == slow.bit_generator.state
     assert max(band_limited) > 3 and sum(k >= 2 for k in band_limited) >= 3
+
+
+def test_a_family_outside_the_domain_table_raises(line_grid, interval_grid):
+    """Each domain samples only the families of ``spaces._FAMILIES``, drawn or given.
+
+    A family outside the table raises before the generator moves; a ``None``
+    family is drawn from the table, and every family in it turns up.
+    """
+    assert spaces._FAMILIES == {RealLineGrid: 3, IntervalGrid: 2}
+    cases = ((interval_grid, sample_interval_function, (2, 7, -1)),
+             (line_grid, sample_line_function, (3, -1)))
+    for grid, sample, bad in cases:
+        rng = np.random.default_rng(20261021)
+        state = rng.bit_generator.state
+        for family in bad:
+            with pytest.raises(DomainError, match="unknown sample family"):
+                sample(grid, rng, family)
+            assert rng.bit_generator.state == state
+        families = spaces._FAMILIES[type(grid)]
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        seen = set()
+        for _ in range(30):
+            row = np.empty(grid.num_points)
+            spaces._fill_samples(grid, fast, [(row, None)])
+            family = int(slow.integers(0, families))
+            assert row.tobytes() == _one_sample(grid, slow, family).tobytes()
+            seen.add(family)
+        assert seen == set(range(families))
 
 
 def _understated(constants, factor):
