@@ -120,13 +120,9 @@ def _leaf(where: str, default, value):
 
 
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Merge an override onto defaults; reject unknown keys and leaves of the wrong JSON kind.
+    """Merge an override onto defaults; reject unknown keys and leaves the README's rules reject.
 
-    Each numeric leaf must be finite, ``seed`` nonnegative and
-    ``embedding.safety`` at least 1.  Each takes its default's type once: an
-    integer key rejects a non-integral number and reads an integral float
-    such as ``4096.0`` as an integer, and a float key reads an integer as a
-    float.  A retired v1 key is checked against what v1 accepted and dropped.
+    A retired v1 key is checked against what v1 accepted and dropped.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():

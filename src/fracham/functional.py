@@ -11,10 +11,10 @@ Each spec owns one operator, cached by :func:`_operator`.
 :class:`_OperatorBase` writes the functional once over the primitives a
 domain supplies: ``transform`` and ``transformed_form`` (the batched
 bilinear form from values and transforms), ``quadrature``, ``dofs``,
-``apply_metric`` and ``factor_solve`` on the degrees of freedom with
-``solve_context``, ``metric_bound`` (an upper bound on the metric's
-2-norm), and ``quad`` and ``pairing`` (the ``grad W`` weights in the
-residual and the scale of ``I'(u)v``).
+``apply_metric`` and ``factor_solve`` (``g = A^-1 rhs`` unchecked, with
+``A g``) on the degrees of freedom with ``solve_context``, ``metric_bound``
+(an upper bound on the metric's 2-norm), and ``quad`` and ``pairing`` (the
+``grad W`` weights in the residual and the scale of ``I'(u)v``).
 """
 
 from __future__ import annotations
@@ -203,21 +203,20 @@ class _OperatorBase:
     def solve_and_apply_metric(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``g = A^-1 rhs`` from the domain's ``factor_solve``, and the product ``A g``.
 
-        The residual ``A g - rhs`` is checked with one ``apply_metric``, whose
-        product is handed back, so a caller that needs ``A g`` does not apply
-        ``A`` again.  A relative residual above ``1e-12`` gets one step of
-        iterative refinement with the same factor (on the line the
-        capacitance matrix's condition number grows like ``lambda``, so past
-        about ``lambda = 1e5``); above ``1e-10`` after it the solve fails.
+        The residual ``A g - rhs`` is checked with the product ``factor_solve``
+        hands back, which applies the operator's own ``A``, and a caller that
+        needs ``A g`` takes it from here.  A relative residual above ``1e-12``
+        gets one step of iterative refinement with the same factor (on the
+        line the capacitance matrix's condition number grows like ``lambda``,
+        so past about ``lambda = 1e5``); above ``1e-10`` after it the solve fails.
         """
-        g = self.factor_solve(rhs)
-        ag = self.apply_metric(g)
+        g, ag = self.factor_solve(rhs)
         r = ag - rhs
         res = float(np.linalg.norm(r))
         bnorm = float(np.linalg.norm(rhs))
         if res > 1e-12 * bnorm:
-            g = g - self.factor_solve(r)
-            ag = self.apply_metric(g)
+            dg, adg = self.factor_solve(r)
+            g, ag = g - dg, ag - adg
             res = float(np.linalg.norm(ag - rhs))
         if not res <= 1e-10 * bnorm:
             raise ConvergenceError(
@@ -368,6 +367,11 @@ class _LineOperator(_OperatorBase):
         self.multiplier, _ = _form_multipliers(spec.grid, spec.alpha)
         self.ldiag = spec.potential.diagonal(spec.grid.nodes, spec.n)
         self.ldiag.setflags(write=False)
+        self.lam_ldiag = spec.lam * self.ldiag
+        self.lam_ldiag.setflags(write=False)
+        # One irfft of a 2-row stack gives g and A g's spectral part when the
+        # pair fits a stack; at n = 2 two calls measured faster.
+        self.paired = _stack_rows(spec.grid.num_points * spec.n) >= 2
         # The symbol's maximum plus the diagonal potential's bounds |A|_2.
         self.metric_bound = float(np.max(self.multiplier) + spec.lam * np.max(self.ldiag))
 
@@ -398,7 +402,7 @@ class _LineOperator(_OperatorBase):
         """The weighted metric ``A x = F* |w|^(2 alpha) F x + lambda L x``."""
         n = self.spec.grid.num_points
         coeff = self.multiplier[:, None] * np.fft.rfft(x, axis=0)
-        return np.fft.irfft(coeff, n=n, axis=0) + self.spec.lam * self.ldiag * x
+        return np.fft.irfft(coeff, n=n, axis=0) + self.lam_ldiag * x
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, tuple]:
@@ -430,19 +434,26 @@ class _LineOperator(_OperatorBase):
         symbol.setflags(write=False)
         return symbol, tuple(wells)
 
-    def _fft_solve(self, x: np.ndarray) -> np.ndarray:
-        """``S^-1 x``: division by ``factor``'s symbol in frequency."""
-        symbol, _ = self.factor
-        return np.fft.irfft(np.fft.rfft(x, axis=0) / symbol, n=x.shape[0], axis=0)
+    def factor_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``g = A^-1 rhs`` by the cached Woodbury ``factor``, unchecked, and ``A g``.
 
-    def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^-1 rhs`` by the cached Woodbury ``factor``, unchecked."""
-        _, wells = self.factor
-        y = self._fft_solve(rhs)
+        Both come from the solve's spectrum ``G``: ``g = F* G`` and ``A g =
+        F* |w|^(2 alpha) G + lambda L g``, so ``g`` is not transformed again.
+        """
+        symbol, wells = self.factor
+        n = rhs.shape[0]
+        y = np.fft.irfft(np.fft.rfft(rhs, axis=0) / symbol, n=n, axis=0)
         lifted = rhs.copy()  # the well correction adds into it in place
         for c, (idx, q, linv) in enumerate(wells):
             lifted[idx, c] += q * _cholesky_solve(linv, q * y[idx, c])
-        return self._fft_solve(lifted)
+        spectrum = np.fft.rfft(lifted, axis=0) / symbol
+        coeff = self.multiplier[:, None] * spectrum
+        if self.paired:
+            g, frac = np.fft.irfft(np.stack((spectrum, coeff)), n=n, axis=1)
+        else:
+            g = np.fft.irfft(spectrum, n=n, axis=0)
+            frac = np.fft.irfft(coeff, n=n, axis=0)
+        return g, frac + self.lam_ldiag * g
 
     def solve_context(self) -> str:
         _, wells = self.factor
@@ -495,10 +506,11 @@ class _IntervalOperator(_OperatorBase):
         b = self.b[:, 1:-1]
         return self.spec.grid.spacing * (b.T @ (b @ x))
 
-    def factor_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^-1 rhs = (T^-1 (T^-T rhs) - c (c^T rhs)) / h`` in closed form, unchecked."""
+    def factor_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``g = A^-1 rhs = (T^-1 (T^-T rhs) - c (c^T rhs)) / h`` unchecked, and ``A g``."""
         tinv, c = self.tinv, self.c
-        return (tinv @ (tinv.T @ rhs) - c * (c.T @ rhs)) / self.spec.grid.spacing
+        g = (tinv @ (tinv.T @ rhs) - c * (c.T @ rhs)) / self.spec.grid.spacing
+        return g, self.apply_metric(g)
 
     def solve_context(self) -> str:
         return f"on the interval with {self.spec.grid.num_points - 2} interior nodes"

@@ -8,10 +8,8 @@ measurement, the Newton polish and the reported node.  Each iteration:
 1. selects the crest: a segment maximum above every node energy is
    inserted as a node; otherwise the highest interior node;
 2. stops when the crest's weighted residual ``(1 + ||u||_X) ||I'(u)||`` is
-   at most ``tol``;
-3. stops with reason ``stagnation`` once the path maximum at the start of
-   an iteration has set no new low for three iterations in a row;
-4. otherwise polishes the crest by damped Newton (MINRES steps to
+   at most ``tol``, or on ``stagnation`` (see the README);
+3. otherwise polishes the crest by damped Newton (MINRES steps to
    Eisenstat-Walker forcing tolerances) once that residual is small, or
    descends it by an Armijo backtracking step; either is kept only if the
    re-measured adjacent segments keep the path maximum from rising.

@@ -22,21 +22,11 @@ where ``Theta = (1 - C_inf^2 m)/(C_inf^2 m)``, ``m = meas{l < c}``, and
 numbers; :func:`verify_embeddings` stress-tests every inequality on randomized
 samples and fails loudly with the offending sample if one breaks.
 
-``C_inf`` is the sharp constant of the grid, not of the continuum.  On a fixed
-grid it is attained: Cauchy-Schwarz on the Fourier coefficients gives
-``|u(t0)| <= sqrt(sum_k (1 + |w_k|^(2a))^-1 / (N h)) * ||u||_alpha`` with
-equality for the profile whose spectrum is ``(1 + |w|^(2a))^-1``.  So
-:func:`estimate_embedding_constants` evaluates the ratio
-``max|u| / ||u||_alpha`` on that extremal profile, once; no random draw can
-exceed it.  Random samples only test the derived inequalities, in
-:func:`verify_embeddings`.
-
-The stress test, like the campaign's random fields, draws a chunk of
-samples at a time through :func:`_fill_samples`, from the families that
-``_FAMILIES`` counts for each domain.  It writes each row in place in the
-order of a one-sample loop, so the generator stream is the same, and gives
-each band-limited row one ``irfft`` of its own.  The README's ``verify``
-section has the account.
+``C_inf`` is the grid-sharp constant, which :func:`extremal_profile` attains
+(see :func:`c_infinity_grid_sharp`); random samples only test the derived
+inequalities, in :func:`verify_embeddings`.  The stress test, like the
+campaign's random fields, draws a chunk of samples at a time through
+:func:`_fill_samples` (see the README's ``verify`` section).
 """
 
 from __future__ import annotations

@@ -233,6 +233,32 @@ def test_metric_solve_checks_its_residual(spec10, monkeypatch):
         gradient_rep(u, spec)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2])
+def test_line_solve_checks_through_its_own_spectrum(spec10, monkeypatch, n, lam):
+    """The product handed back is the operator's ``A g``, though ``g`` is not transformed again.
+
+    It agrees with an independent ``apply_metric(g)`` to round-off, ``g``
+    solves to the check's limit, and a corrupted capacitance factor raises.
+    At ``lambda = 1e6`` every solve takes the refinement step.
+    """
+    spec = spec10.with_lambda(lam)
+    if n == 2:
+        spec = dataclasses.replace(spec, n=2, potential=dataclasses.replace(
+            spec.potential, kind="diagonal", diag_scales=(1.0, 2.0)))
+    op = functional._operator(spec)
+    rhs = np.random.default_rng(13).normal(size=(spec.grid.num_points, n))
+    g, ag = op.solve_and_apply_metric(rhs)
+    applied = op.apply_metric(g)
+    assert np.linalg.norm(ag - applied) <= 1e-13 * np.linalg.norm(ag)
+    assert np.linalg.norm(applied - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    symbol, wells = op.factor
+    corrupted = tuple((idx, q, 0.5 * linv) for idx, q, linv in wells)
+    monkeypatch.setattr(op, "factor", (symbol, corrupted))
+    with pytest.raises(ConvergenceError, match=r"residual"):
+        op.solve_and_apply_metric(rhs)
+
+
 def test_interval_metric_solve_checks_its_residual(interval_spec, interval_stiffness, monkeypatch):
     """The interval's stiffness solve is checked like the line's, and hands back ``A g``."""
     op = functional._operator(interval_spec)

@@ -308,12 +308,16 @@ def test_newton_step_applies_the_metric_once_per_krylov_step(domain, default_sol
                                                             bvp_result, interval_spec, monkeypatch):
     """Each MINRES step's Hessian action reuses the product of the checked metric solve.
 
-    One metric solve per Lanczos vector, plus the first, each checked with
-    one ``apply_metric``; the Hessian action applies no metric of its own.
+    One metric solve per Lanczos vector, plus the first; the Hessian action
+    applies no metric of its own.  On the interval each solve is checked
+    with one ``apply_metric``.  On the line at n = 1 a checked solve makes
+    4 FFT calls and no ``apply_metric``: the Woodbury solve's 3, and one
+    ``irfft`` of a 2-row stack for ``g`` and ``A g`` (6 while the check
+    transformed ``g`` again).
     """
     spec, res = (spec10, default_solve) if domain == "line" else (interval_spec, bvp_result)
     op = functional._operator(spec)
-    applied = []
+    applied, ffts = [], []
     original = op.apply_metric
 
     def counted(x):
@@ -321,13 +325,25 @@ def test_newton_step_applies_the_metric_once_per_krylov_step(domain, default_sol
         return original(x)
 
     monkeypatch.setattr(op, "apply_metric", counted)
+    for name in ("rfft", "irfft"):
+        fft = getattr(np.fft, name)
+
+        def counted_fft(*args, _fft=fft, **kwargs):
+            ffts.append(1)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted_fft)
     u = res.u.values
     r = op.residual(u)
     applied.clear()
+    ffts.clear()
     step, tridiagonal = op.newton_step(u, r, mpa._FORCING_FLOOR)
     assert step is not None and len(tridiagonal) > 0
-    assert 0 < len(applied) <= len(tridiagonal) + 2
-    assert set(applied) == {np.dtype(np.float64)}
+    if domain == "line":
+        assert not applied and len(ffts) == 4 * (len(tridiagonal) + 1)
+    else:
+        assert 0 < len(applied) <= len(tridiagonal) + 2
+        assert set(applied) == {np.dtype(np.float64)}
 
 
 def test_no_polish_relies_on_its_step_cap(spec10, setup, line_grid, potential, interval_spec,
@@ -644,7 +660,7 @@ def test_default_runs_take_the_newton_start(default_solve, sweep_report):
     assert default_solve.diagnostics["counters"]["segments"] == 3
 
 
-@pytest.mark.parametrize("lam, level", [(1.0, 0.03249614753046362), (10.0, 0.10451575300438698)])
+@pytest.mark.parametrize("lam, level", [(1.0, 0.03249614753046362), (10.0, 0.10451575300438692)])
 def test_a_rising_far_segment_closes_in_the_cone(line_grid, potential, monkeypatch, lam, level):
     """The solve-vector family's cold solve closes ``sigma u -> e`` in the cone and ends at once.
 
@@ -709,11 +725,14 @@ def test_a_declined_start_is_todays_path(interval_spec, spec10, setup, monkeypat
     (inserted 6, crest 1, 9 nodes, 11 iterations, 34 segments, level
     1.2062236961337052) and the cold ``lambda = 10`` solve (6, 1, 9, 10
     iterations, 32 segments, 0.7553496640932224), both from ``0 -> e/2 -> e``.
+    Since the metric check reads ``A g`` from the solve's spectrum, the
+    solve's nodes 1 and 2 end one ulp apart (0.7553496640932221 and
+    0.7553496640932222, against ...224 and ...221), so its crest is node 2.
     """
     _decline_newton_start(monkeypatch)
     starts = _recorded_starts(monkeypatch)
     runs = [(bvp_solve(interval_spec, MpaConfig(tol=1e-8)), (6, 1, 9, 11, 34), 1.2062236961337052),
-            (mpa_solve(spec10, setup), (6, 1, 9, 10, 32), 0.7553496640932224)]
+            (mpa_solve(spec10, setup), (6, 2, 9, 10, 32), 0.7553496640932222)]
     for nodes, (res, path, level) in zip(starts, runs):
         diag = res.diagnostics
         e = nodes[-1]
@@ -1250,8 +1269,9 @@ def test_batched_ray_matches_scalar_loop(spec10, line_grid, potential):
 def test_default_solve_fft_budget(spec10, setup, monkeypatch):
     """Line searches run no transform, and crests come from slope roots.
 
-    A default solve stays within 234 FFT calls, 10% above the 213 it makes
-    from the Newton start (217 while the path engine evaluated ``u``,
+    A default solve stays within 163 FFT calls, 10% above the 148 it makes
+    from the Newton start (212 while each checked metric solve transformed
+    its ``g`` again; 217 while the path engine evaluated ``u``,
     ``sigma u`` and ``e`` again; 220 while it re-measured the crest of
     ``0 -> e`` that ``construct_e`` had measured; 352 from the three-node
     path start; 389 from the 21-node cold start with MINRES at a fixed
@@ -1291,7 +1311,7 @@ def test_default_solve_fft_budget(spec10, setup, monkeypatch):
         monkeypatch.setattr(functional._LineOperator, name, counted_rows)
     res = mpa_solve(spec10, setup)
     assert res.converged is True
-    assert 0 < len(calls) <= 234
+    assert 0 < len(calls) <= 163
     assert 0 < sum(rows) <= 21
 
 
